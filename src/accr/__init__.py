@@ -42,6 +42,7 @@ from .geometry import (
     CurvatureAtPoint,
     FundamentalTensorAtPoint,
     PointGeometry,
+    SampleGeometry,
     christoffel,
     curvature,
     exterior_derivative,

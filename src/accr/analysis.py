@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NonVerticalPotential, ZeroPotential
 from .expr import Expression, multiply, parse
 from .geometry import (
-    PointGeometry,
+    SampleGeometry,
     antisymmetrized_derivative,
     connection_f5_form,
     curvature_symmetry_residuals,
@@ -25,7 +25,6 @@ from .geometry import (
     lie_derivative_vertical,
     metric_compatibility_residual,
     nabla_tilde_components_from,
-    point_geometry,
     tau_tilde_relations,
     torse_forming_curvature_residuals,
     vector_field_jets,
@@ -102,23 +101,16 @@ def f5_form_residual(F, g, phi, eta, theta_star_xi, n) -> float:
     return float(np.max(np.abs(F + (theta_star_xi / (2 * n)) * shape)))
 
 
-def check_sasaki_like(
-    S: AccRStructure,
-    samples: Sequence[Sequence[float]],
-    bindings: Mapping[str, float] | None = None,
-    tol: float = 1e-9,
-) -> MembershipEntry:
+def check_sasaki_like(geo: SampleGeometry, tol: float = 1e-9) -> MembershipEntry:
+    geoms = list(geo.of(METRIC_G))
     worst = 0.0
-    geoms = []
-    for point in samples:
-        pg = point_geometry(S, METRIC_G, point, bindings)
-        geoms.append(pg)
+    for pg in geoms:
         worst = max(worst, sasaki_form_residual(pg.F, pg.g, pg.phi, pg.eta))
     extras: dict[str, float] = {}
     if worst <= tol:
         # the defining form holds; verify its curvature consequences too
-        eye = np.eye(S.dim)
-        two_n = 2 * S.n
+        eye = np.eye(geo.structure.dim)
+        two_n = 2 * geo.structure.n
         keys = {
             "nabla_x xi = -phi x": 0.0,
             "R(x,y)xi = eta(y) x - eta(x) y": 0.0,
@@ -127,7 +119,7 @@ def check_sasaki_like(
             "rho(xi,xi) = 2n": 0.0,
             "nabla~_x xi = -phi x": 0.0,
         }
-        for pg, point in zip(geoms, samples):
+        for pg, pgt in zip(geoms, geo.of(METRIC_GTILDE)):
             r_xi = np.einsum("lkij,k->lij", pg.r13, pg.xi)
             rhs = np.einsum("j,li->lij", pg.eta, eye) - np.einsum("i,lj->lij", pg.eta, eye)
             keys["R(x,y)xi = eta(y) x - eta(x) y"] = max(
@@ -148,20 +140,16 @@ def check_sasaki_like(
             keys["rho(xi,xi) = 2n"] = max(
                 keys["rho(xi,xi) = 2n"], abs(float(pg.xi @ pg.ricci @ pg.xi) - two_n)
             )
-            pgt = point_geometry(S, METRIC_GTILDE, point, bindings)
             keys["nabla~_x xi = -phi x"] = max(
                 keys["nabla~_x xi = -phi x"], float(np.max(np.abs(pgt.nabla_xi + pgt.phi)))
             )
         extras = keys
     status = HOLDS if worst <= tol else FAILS
-    return MembershipEntry("sasaki_like", status, worst, extras, len(samples))
+    return MembershipEntry("sasaki_like", status, worst, extras, len(geo))
 
 
 def check_f5(
-    S: AccRStructure,
-    samples: Sequence[Sequence[float]],
-    bindings: Mapping[str, float] | None = None,
-    tol: float = 1e-9,
+    geo: SampleGeometry, tol: float = 1e-9
 ) -> tuple[MembershipEntry, MembershipEntry, MembershipEntry]:
     """Membership entries for (F5, F5_0, F0)."""
     res_f5 = 0.0
@@ -172,8 +160,7 @@ def check_f5(
         "F(xi,y,z) = 0": 0.0,
         "omega = 0": 0.0,
     }
-    for point in samples:
-        pg = point_geometry(S, METRIC_G, point, bindings)
+    for pg in geo.of(METRIC_G):
         f_norm = max(f_norm, float(np.max(np.abs(pg.F))))
         res_f5 = max(res_f5, f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, pg.theta_star_xi, pg.n))
         xi_tsx = float(pg.grad_theta_star_xi @ pg.xi)
@@ -191,7 +178,7 @@ def check_f5(
         extras_f5["omega = 0"] = max(extras_f5["omega = 0"], float(np.max(np.abs(pg.omega))))
 
     degenerate = f_norm <= _F_ZERO_THRESHOLD
-    n_samples = len(samples)
+    n_samples = len(geo)
     f0 = MembershipEntry("f0", HOLDS if degenerate else FAILS, f_norm, {}, n_samples)
     if degenerate:
         f5 = MembershipEntry("f5", DEGENERATE, res_f5, {}, n_samples)
@@ -207,14 +194,9 @@ def check_f5(
     return f5, f5_0, f0
 
 
-def classify(
-    S: AccRStructure,
-    samples: Sequence[Sequence[float]],
-    bindings: Mapping[str, float] | None = None,
-    tol: float = 1e-9,
-) -> ClassMembership:
-    sasaki = check_sasaki_like(S, samples, bindings, tol)
-    f5, f5_0, f0 = check_f5(S, samples, bindings, tol)
+def classify(geo: SampleGeometry, tol: float = 1e-9) -> ClassMembership:
+    sasaki = check_sasaki_like(geo, tol)
+    f5, f5_0, f0 = check_f5(geo, tol)
     return ClassMembership(sasaki_like=sasaki, f5=f5, f5_0=f5_0, f0=f0)
 
 
@@ -245,25 +227,21 @@ def vertical_potential(S: AccRStructure, k_field: Expression | str) -> tuple[Exp
     return tuple(multiply(k_field, component) for component in S.xi)
 
 
-def _potential_data(S, tag, potential, samples, bindings):
+def _potential_data(geo: SampleGeometry, tag: str, potential):
     """Per-sample (pg, v, dv) with the zero-potential guard applied."""
-    out = []
-    for point in samples:
-        pg = point_geometry(S, tag, point, bindings)
-        v, dv = vector_field_jets(potential, point, bindings)
-        if np.max(np.abs(v)) <= _F_ZERO_THRESHOLD:
-            where = tuple(round(float(x), 6) for x in point)
-            raise ZeroPotential(f"potential vanishes at sample {where}")
-        out.append((pg, v, dv))
-    return out
+    pgs = geo.of(tag)
+    v, dv = vector_field_jets(potential, geo.points, geo.bindings)
+    vanishing = np.max(np.abs(v), axis=-1) <= _F_ZERO_THRESHOLD
+    if vanishing.any():
+        where = tuple(round(float(x), 6) for x in geo.points[np.argmax(vanishing)])
+        raise ZeroPotential(f"potential vanishes at sample {where}")
+    return list(zip(pgs, v, dv))
 
 
 def torse_forming_extract(
-    S: AccRStructure,
+    geo: SampleGeometry,
     tag: str,
     potential: Sequence[Expression],
-    samples: Sequence[Sequence[float]],
-    bindings: Mapping[str, float] | None = None,
     tol: float = 1e-9,
 ) -> TorseFormingResult:
     """Least-squares fit of nabla_j v^i = f delta^i_j + v^i gamma_j per sample.
@@ -271,8 +249,8 @@ def torse_forming_extract(
     The dim^2 equations are linear in the dim+1 unknowns (f, gamma); the fit
     residual doubles as the membership test for the torse-forming condition.
     """
-    dim = S.dim
-    data = _potential_data(S, tag, potential, samples, bindings)
+    dim = geo.structure.dim
+    data = _potential_data(geo, tag, potential)
 
     fs, gammas, fit_residuals, conds = [], [], [], []
     vertical_res = 0.0
@@ -358,7 +336,7 @@ def torse_forming_extract(
         dk_xi=dk_xi_arr,
         h=h_arr,
         vertical_checks=vchecks,
-        samples=len(samples),
+        samples=len(geo),
     )
 
 
@@ -390,11 +368,9 @@ def proportionality_split(A: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> tup
 
 
 def yamabe_soliton_solve(
-    S: AccRStructure,
+    geo: SampleGeometry,
     tag: str,
     potential: Sequence[Expression],
-    samples: Sequence[Sequence[float]],
-    bindings: Mapping[str, float] | None = None,
     tol: float = 1e-9,
     other_potential: Sequence[Expression] | None = None,
 ) -> SolitonSolveResult:
@@ -406,8 +382,8 @@ def yamabe_soliton_solve(
     the claims tau = f + lambda and f = dk(xi) are checked as residuals;
     with a second potential given, f/k of both metrics are compared.
     """
-    data = _potential_data(S, tag, potential, samples, bindings)
-    for (pg, v, _), point in zip(data, samples):
+    data = _potential_data(geo, tag, potential)
+    for (pg, v, _), point in zip(data, geo.points):
         k_val = float(pg.eta @ v)
         drift = float(np.max(np.abs(v - k_val * pg.xi)))
         if drift > _VERTICAL_TOL:
@@ -432,7 +408,7 @@ def yamabe_soliton_solve(
     lam_arr = np.array(lambdas)
     tau_arr = np.array(taus)
 
-    torse = torse_forming_extract(S, tag, potential, samples, bindings, tol)
+    torse = torse_forming_extract(geo, tag, potential, tol)
     checks: dict[str, float | None] = {
         "tau = f + lambda": None,
         "f = dk(xi)": None,
@@ -444,7 +420,7 @@ def yamabe_soliton_solve(
             checks["f = dk(xi)"] = torse.vertical_checks["f = dk(xi)"]
     if other_potential is not None:
         other_tag = METRIC_GTILDE if tag == METRIC_G else METRIC_G
-        other = torse_forming_extract(S, other_tag, other_potential, samples, bindings, tol)
+        other = torse_forming_extract(geo, other_tag, other_potential, tol)
         if torse.h is not None and other.h is not None:
             checks["f/k matches between the two metrics"] = float(
                 np.max(np.abs(torse.h - other.h))
@@ -458,7 +434,7 @@ def yamabe_soliton_solve(
         taus=tau_arr,
         theorem_checks=checks,
         torse=torse,
-        samples=len(samples),
+        samples=len(geo),
     )
 
 
@@ -509,8 +485,9 @@ def verify_paper_suite(
         )
     )
 
-    pgs = [point_geometry(S, METRIC_G, p, merged) for p in points]
-    pgts = [point_geometry(S, METRIC_GTILDE, p, merged) for p in points]
+    geo = SampleGeometry(S, points, merged)
+    pgs = list(geo.of(METRIC_G))
+    pgts = list(geo.of(METRIC_GTILDE))
     ts = np.array([p[0] for p in points])
 
     # golden closed forms of the connection
@@ -613,7 +590,7 @@ def verify_paper_suite(
     )
 
     # classification
-    cm = classify(S, points, merged, tol)
+    cm = classify(geo, tol)
     records.append(
         CheckRecord(
             name="class: not Sasaki-like",
@@ -737,13 +714,12 @@ def verify_paper_suite(
             for pg, pgt in zip(pgs, pgts)
         ],
     )
-    gamma_f5 = [connection_f5_form(S, p, merged) for p in points]
     add(
         "short connection form on F5",
         "nabla~_x y = nabla_x y - (theta*(xi)/2n){g(x,phi y) + g(phi x,phi y)} xi",
         [
-            float(np.max(np.abs(cf.gamma - pgt.gamma)))
-            for cf, pgt in zip(gamma_f5, pgts)
+            float(np.max(np.abs(gamma_t - pgt.gamma)))
+            for gamma_t, pgt in zip(connection_f5_form(geo.of(METRIC_G)), pgts)
         ],
     )
 
@@ -753,8 +729,8 @@ def verify_paper_suite(
     pot = vertical_potential(S, k_expr)
     pott = vertical_potential(S, kt_expr)
 
-    torse_g = torse_forming_extract(S, METRIC_G, pot, points, merged, tol)
-    torse_gt = torse_forming_extract(S, METRIC_GTILDE, pott, points, merged, tol)
+    torse_g = torse_forming_extract(geo, METRIC_G, pot, tol)
+    torse_gt = torse_forming_extract(geo, METRIC_GTILDE, pott, tol)
     add(
         "conformal scalar of the g-potential",
         "nabla_x v = c x: f = c, gamma = 0",
@@ -822,8 +798,8 @@ def verify_paper_suite(
         [abs(t * dkx - k) for t, dkx, k in zip(ts, torse_gt.dk_xi, torse_gt.k)],
     )
 
-    sol_g = yamabe_soliton_solve(S, METRIC_G, pot, points, merged, tol, other_potential=pott)
-    sol_gt = yamabe_soliton_solve(S, METRIC_GTILDE, pott, points, merged, tol, other_potential=pot)
+    sol_g = yamabe_soliton_solve(geo, METRIC_G, pot, tol, other_potential=pott)
+    sol_gt = yamabe_soliton_solve(geo, METRIC_GTILDE, pott, tol, other_potential=pot)
 
     def soliton_record(name, anchor, sol, closed):
         dev = np.abs(sol.lambdas - closed)
@@ -896,18 +872,18 @@ def verify_paper_suite(
     )
 
     # Lie derivative closed forms and the two expansion routes
+    lgs = lie_derivative_metric(geo.of(METRIC_G), *vector_field_jets(pot, points, merged))
+    lgts = lie_derivative_metric(geo.of(METRIC_GTILDE), *vector_field_jets(pott, points, merged))
+    lgvs = lie_derivative_vertical(geo.of(METRIC_G), k_expr.eval_jet(points, merged))
+    lgtvs = lie_derivative_vertical(geo.of(METRIC_GTILDE), kt_expr.eval_jet(points, merged))
     lie_dev, lie_routes = [], []
-    for point, pg, pgt, t in zip(points, pgs, pgts, ts):
-        lg = lie_derivative_metric(S, METRIC_G, pot, point, merged).components
-        lgt = lie_derivative_metric(S, METRIC_GTILDE, pott, point, merged).components
+    for pg, pgt, lg, lgt, lgv, lgtv in zip(pgs, pgts, lgs, lgts, lgvs, lgtvs):
         lie_dev.append(
             max(
                 float(np.max(np.abs(lg - 2.0 * c * pg.g))),
                 float(np.max(np.abs(lgt - 2.0 * ct * pgt.g))),
             )
         )
-        lgv = lie_derivative_vertical(S, METRIC_G, k_expr, point, merged).components
-        lgtv = lie_derivative_vertical(S, METRIC_GTILDE, kt_expr, point, merged).components
         lie_routes.append(
             max(float(np.max(np.abs(lg - lgv))), float(np.max(np.abs(lgt - lgtv))))
         )
@@ -920,8 +896,7 @@ def verify_paper_suite(
 
     # contraction replay of the proportionality argument
     trace_dev, xixi_dev = [], []
-    for point, pg, sol_lam in zip(points, pgs, sol_g.lambdas):
-        lg = lie_derivative_metric(S, METRIC_G, pot, point, merged).components
+    for pg, lg, sol_lam in zip(pgs, lgs, sol_g.lambdas):
         half = lg / 2.0
         trace_dev.append(
             abs(float(np.einsum("ij,ij->", pg.ginv, half)) - dim * (pg.tau - sol_lam))

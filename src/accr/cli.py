@@ -133,6 +133,8 @@ def _parse_bindings(pairs) -> dict[str, float]:
             out[name] = float(value)
         except ValueError:
             raise _Usage(f"--const {name}: {value!r} is not a number") from None
+        if not np.isfinite(out[name]):
+            raise _Usage(f"--const {name}: {value!r} is not finite")
     return out
 
 
@@ -187,8 +189,8 @@ def _validation_records(S, points, bindings, tol):
     return records
 
 
-def _classification_records(S, points, bindings, tol):
-    cm = analysis.classify(S, points, bindings, tol)
+def _classification_records(geo, tol):
+    cm = analysis.classify(geo, tol)
     anchors = {
         "sasaki_like": "F(x,y,z) = g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y)",
         "f5": "F(x,y,z) = -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}",
@@ -212,10 +214,9 @@ def _classification_records(S, points, bindings, tol):
     return records
 
 
-def _identity_records(S, points, bindings, tol, tag):
+def _identity_records(geo, tol, tag):
     compat, sym, fprop = [], [], []
-    for p in points:
-        pg = geometry.point_geometry(S, tag, p, bindings)
+    for pg in geo.of(tag):
         compat.append(geometry.metric_compatibility_residual(pg))
         sym.append(max(geometry.curvature_symmetry_residuals(pg).values()))
         fprop.append(max(geometry.f_property_residuals(pg).values()))
@@ -247,17 +248,17 @@ def _value_record(name, anchor, values):
     )
 
 
-def _curvature_records(S, points, bindings, tol, tag):
+def _curvature_records(geo, tol, tag):
+    S = geo.structure
     taus, tau_stars, tsx = [], [], []
     frame_vals = {"R_1212": [], "rho_11": [], "rho_22": []}
     has_frame = S.frame is not None
-    for p in points:
-        pg = geometry.point_geometry(S, tag, p, bindings)
+    for p, pg in zip(geo.points, geo.of(tag)):
         taus.append(pg.tau)
         tau_stars.append(pg.tau_star)
         tsx.append(pg.theta_star_xi)
         if has_frame:
-            fr = S.frame_at(p, bindings)
+            fr = S.frame_at(p, geo.bindings)
             r04f = to_phi_frame(PointTensor(pg.dim, ("l",) * 4, pg.r04, COORDINATE), fr)
             rhof = to_phi_frame(PointTensor(pg.dim, ("l", "l"), pg.ricci, COORDINATE), fr)
             frame_vals["R_1212"].append(r04f.components[0, 1, 0, 1])
@@ -273,20 +274,17 @@ def _curvature_records(S, points, bindings, tol, tag):
             records.append(
                 _value_record(f"phi-frame {key}", f"{key} in the frame e_1..e_2n, xi", values)
             )
-    records.extend(_identity_records(S, points, bindings, tol, tag))
+    records.extend(_identity_records(geo, tol, tag))
     return records
 
 
-def _cross_route_records(S, points, bindings, tol):
+def _cross_route_records(geo, tol):
     ntn, tff, short_form = [], [], []
-    for p in points:
-        pg = geometry.point_geometry(S, METRIC_G, p, bindings)
-        pgt = geometry.point_geometry(S, METRIC_GTILDE, p, bindings)
+    short_gammas = geometry.connection_f5_form(geo.of(METRIC_G))
+    for pg, pgt, short_gamma in zip(geo.of(METRIC_G), geo.of(METRIC_GTILDE), short_gammas):
         ntn.append(float(np.max(np.abs(geometry.nabla_tilde_components_from(pg) - pgt.gamma))))
         tff.append(float(np.max(np.abs(geometry.f_tilde_components_from(pg) - pgt.F))))
-        short_form.append(
-            float(np.max(np.abs(geometry.connection_f5_form(S, p, bindings).gamma - pgt.gamma)))
-        )
+        short_form.append(float(np.max(np.abs(short_gamma - pgt.gamma))))
     return [
         record_from_residual(
             "associated Christoffels: direct vs correction route",
@@ -309,12 +307,13 @@ def _cross_route_records(S, points, bindings, tol):
     ]
 
 
-def _soliton_records(S, args, points, bindings, tol):
+def _soliton_records(geo, args, tol):
+    S = geo.structure
     k_expr = parse_expr(args.potential_k, S.chart.coordinates, S.chart.constants)
-    check_bindings(S.chart, bindings, k_expr.referenced_constants())
+    check_bindings(S.chart, geo.bindings, k_expr.referenced_constants())
     potential = analysis.vertical_potential(S, k_expr)
     tag = args.metric
-    sol = analysis.yamabe_soliton_solve(S, tag, potential, points, bindings, tol)
+    sol = analysis.yamabe_soliton_solve(geo, tag, potential, tol)
     torse = sol.torse
 
     records = [
@@ -388,6 +387,12 @@ def _run(args) -> int:
     S, identity = _load_structure(args)
     bindings = _parse_bindings(args.const)
     if args.command == "verify-paper":
+        missing = sorted(set(analysis.DEFAULT_SUITE_BINDINGS) - set(S.chart.constants))
+        if missing:
+            raise _Usage(
+                f"verify-paper needs a structure that declares the constants "
+                f"{', '.join(missing)}; {identity} does not"
+            )
         merged = dict(analysis.DEFAULT_SUITE_BINDINGS)
         merged.update(bindings)
         bindings = merged
@@ -400,6 +405,7 @@ def _run(args) -> int:
     if tol <= 0:
         raise _Usage("--tolerance must be positive")
 
+    geo = geometry.SampleGeometry(S, points, bindings)
     records: list[CheckRecord] = []
     gates: list[CheckRecord] = []
 
@@ -409,14 +415,14 @@ def _run(args) -> int:
     elif args.command == "classify":
         validation = _validation_records(S, points, bindings, tol)
         gates = list(validation)
-        records = validation + _classification_records(S, points, bindings, tol)
+        records = validation + _classification_records(geo, tol)
     elif args.command == "curvature":
-        records = _curvature_records(S, points, bindings, tol, args.metric)
+        records = _curvature_records(geo, tol, args.metric)
         gates = [r for r in records if r.verdict in (VERDICT_PASS, VERDICT_FAIL)]
     elif args.command == "soliton":
         if args.potential_k is None:
             raise _Usage("soliton requires --potential-k EXPR")
-        records, _ = _soliton_records(S, args, points, bindings, tol)
+        records, _ = _soliton_records(geo, args, tol)
         if args.expect_soliton:
             gates = [r for r in records if r.name.startswith("Yamabe almost soliton")]
     elif args.command == "verify-paper":
@@ -427,17 +433,17 @@ def _run(args) -> int:
         gates = records
     elif args.command == "report":
         records = _validation_records(S, points, bindings, tol)
-        records += _classification_records(S, points, bindings, tol)
-        records += _identity_records(S, points, bindings, tol, METRIC_G)
-        records += _identity_records(S, points, bindings, tol, METRIC_GTILDE)
-        records += _cross_route_records(S, points, bindings, tol)
+        records += _classification_records(geo, tol)
+        records += _identity_records(geo, tol, METRIC_G)
+        records += _identity_records(geo, tol, METRIC_GTILDE)
+        records += _cross_route_records(geo, tol)
         gates = [
             r
             for r in records
             if not r.name.startswith("class ") and r.verdict in (VERDICT_PASS, VERDICT_FAIL)
         ]
         if args.potential_k is not None:
-            soliton_records, _ = _soliton_records(S, args, points, bindings, tol)
+            soliton_records, _ = _soliton_records(geo, args, tol)
             records += soliton_records
             if args.expect_soliton:
                 gates += [r for r in soliton_records if r.name.startswith("Yamabe almost soliton")]

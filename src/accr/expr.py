@@ -24,6 +24,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
+import numpy as np
+
 from . import jets
 from .errors import (
     DimensionMismatch,
@@ -309,16 +311,21 @@ class Expression:
         return float(_evaluate(self.ast, values, bindings or {}))
 
     def eval_jet(self, point, bindings: Mapping[str, float] | None = None) -> Jet2:
-        values = [float(x) for x in point]
+        """Jet at one point of shape (d,), or at a batch of points of shape (N, d).
+
+        A batch evaluates the AST once, with every jet array carrying a
+        leading sample axis of length N.
+        """
+        values = np.asarray(point, dtype=float)
         d = len(self.coords)
-        if len(values) != d:
+        if values.ndim not in (1, 2) or values.shape[-1] != d:
             raise DimensionMismatch(
-                f"point has {len(values)} components, chart has {len(self.coords)}"
+                f"point of shape {values.shape} does not fit a chart with {d} coordinates"
             )
-        seeds = [Jet2.seed(i, values[i], d) for i in range(d)]
+        seeds = [Jet2.seed(i, values[..., i], d) for i in range(d)]
         result = _evaluate(self.ast, seeds, bindings or {})
         if not isinstance(result, Jet2):
-            result = Jet2.constant(result, d)
+            result = Jet2.constant(result, d, values.shape[:-1])
         return result
 
     def referenced_constants(self) -> frozenset[str]:

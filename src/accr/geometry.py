@@ -22,29 +22,29 @@ product rule, so nothing here needs third-order jets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import IdentityViolation, SingularMetric
 from .expr import Expression
+from .jets import Jet2
 from .manifold import (
     METRIC_G,
     METRIC_GTILDE,
     AccRStructure,
     AssociatedMetric,
-    FieldJets,
 )
 from .tensor import COORDINATE, PointTensor
 
 __all__ = [
     "PointGeometry",
+    "SampleGeometry",
     "ConnectionAtPoint",
     "CurvatureAtPoint",
     "FundamentalTensorAtPoint",
     "point_geometry",
-    "metric_field_jets",
     "christoffel",
     "nabla_xi",
     "curvature",
@@ -64,51 +64,33 @@ __all__ = [
 ]
 
 _ONCE_DIFF_TOL = 1e-9
-
-
-def metric_field_jets(
-    S: AccRStructure, tag: str, point, bindings: Mapping[str, float] | None = None
-) -> FieldJets:
-    """Jets of the tagged metric: the declared g, or the associated metric."""
-    if tag == METRIC_G:
-        return S.jets_at(point, bindings).g
-    if tag == METRIC_GTILDE:
-        return AssociatedMetric(S).jets_at(point, bindings)
-    raise ValueError(f"unknown metric tag {tag!r}; expected {METRIC_G!r} or {METRIC_GTILDE!r}")
-
-
-def _invert_metric(g: np.ndarray, tag: str) -> np.ndarray:
-    svals = np.linalg.svd(g, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0]:
-        raise SingularMetric(f"metric {tag} is numerically singular (singular values {svals})")
-    ginv = np.linalg.inv(g)
-    return (ginv + ginv.T) / 2.0
+_SCALARS = ("tau", "tau_star", "theta_star_xi")
 
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Every derived quantity of one metric tag at one chart point.
+    """Every derived quantity of one metric tag at one chart point, or at a batch.
 
     Computed eagerly: at dim = 2n+1 <= 7 the whole pipeline is a handful
     of einsums, and eager assembly keeps the dataclass trivially immutable.
+    For a batch, `point` has shape (N, d), every array field carries a
+    leading sample axis and the scalar fields are (N,) arrays; `pg[k]` and
+    iteration yield the per-sample geometries.  The arrays are read-only,
+    so the consumers sharing one batch cannot change what another reads.
     """
 
     tag: str
-    point: tuple[float, ...]
+    point: tuple[float, ...] | np.ndarray
     n: int
     # structure fields
     phi: np.ndarray
-    dphi: np.ndarray
     xi: np.ndarray
-    dxi: np.ndarray
     eta: np.ndarray
     deta: np.ndarray
     # metric jets
     g: np.ndarray
     dg: np.ndarray
-    d2g: np.ndarray
     ginv: np.ndarray
-    dginv: np.ndarray
     # connection and curvature
     gamma: np.ndarray
     dgamma: np.ndarray
@@ -120,7 +102,6 @@ class PointGeometry:
     nabla_xi: np.ndarray        # [k,i] = (nabla_i xi)^k
     nabla_eta: np.ndarray       # [i,j] = (nabla_i eta)_j
     # fundamental tensor and Lee forms
-    cov_phi: np.ndarray         # [k,j,i] = (nabla_i phi)^k_j
     F: np.ndarray               # [i,j,z]
     dF: np.ndarray              # [i,j,z,m]
     theta_star: np.ndarray
@@ -142,108 +123,175 @@ class PointGeometry:
     def grad_h(self) -> np.ndarray:
         return self.grad_theta_star_xi / (2 * self.n)
 
+    @property
+    def batched(self) -> bool:
+        return np.ndim(self.tau) == 1
+
+    def __len__(self) -> int:
+        if not self.batched:
+            raise TypeError("the geometry of a single point has no sample axis")
+        return len(self.tau)
+
+    def __getitem__(self, k: int) -> "PointGeometry":
+        """Geometry at sample k of a batch, as views into the batch arrays."""
+        if not self.batched:
+            raise TypeError("the geometry of a single point has no sample axis")
+        values = {name: getattr(self, name)[k] for name in _SAMPLE_FIELDS}
+        values.update({name: float(values[name]) for name in _SCALARS})
+        return PointGeometry(
+            tag=self.tag, point=tuple(float(x) for x in self.point[k]), n=self.n, **values
+        )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+# the fields that carry the sample axis of a batch
+_SAMPLE_FIELDS = tuple(
+    f.name for f in fields(PointGeometry) if f.name not in ("tag", "point", "n")
+)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample a . b over the last axis, through matmul's dot kernel like 1-d a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
+    svals = np.linalg.svd(g, compute_uv=False)
+    singular = svals[..., -1] <= 1e-12 * svals[..., 0]
+    if singular.any():
+        worst = svals[np.argmax(singular)]
+        raise SingularMetric(f"metric {tag} is numerically singular (singular values {worst})")
+    ginv = np.linalg.inv(g)
+    return (ginv + np.swapaxes(ginv, -1, -2)) / 2.0
+
 
 def point_geometry(
     S: AccRStructure, tag: str, point, bindings: Mapping[str, float] | None = None
 ) -> PointGeometry:
-    sj = S.jets_at(point, bindings)
-    if tag == METRIC_G:
-        g, dg, d2g = sj.g
-    elif tag == METRIC_GTILDE:
-        g, dg, d2g = AssociatedMetric(S).jets_at(point, bindings)
-    else:
+    """Geometry of the tagged metric at one point (d,) or at a batch of points (N, d).
+
+    A batch runs every step once over all samples.  One point runs as a
+    batch of one and comes back as its per-sample geometry.
+    """
+    if tag not in (METRIC_G, METRIC_GTILDE):
         raise ValueError(f"unknown metric tag {tag!r}")
-    phi, dphi, _ = sj.phi
+    points = np.asarray(point, dtype=float)
+    batch = np.array(np.atleast_2d(points))  # a copy: it is made read-only below
+    # Intermediates with four or more indices are deleted once consumed:
+    # they, more than the results, set the peak memory of a batch.
+    if tag == METRIC_G:
+        sj = S.jets_at(batch, bindings)
+        g, dg, d2g = sj.g
+    else:
+        g, dg, d2g = AssociatedMetric(S).jets_at(batch, bindings)
+        sj = S.jets_at(batch, bindings)
+    phi, dphi, d2phi = sj.phi
     xi, dxi, _ = sj.xi
     eta, deta, _ = sj.eta
+    del sj
 
-    ginv = _invert_metric(g, tag)
-    dginv = -np.einsum("ka,abm,bl->klm", ginv, dg, ginv)
+    ginv = _inverse(g, tag)
+    dginv = -np.einsum("...ka,...abm,...bl->...klm", ginv, dg, ginv)
 
     # Koszul in coordinates: C[l,i,j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
-    C = np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg) - np.einsum("ijl->lij", dg)
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, C)
+    C = (
+        np.einsum("...jli->...lij", dg)
+        + np.einsum("...ilj->...lij", dg)
+        - np.einsum("...ijl->...lij", dg)
+    )
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, C)
     dC = (
-        np.einsum("jlim->lijm", d2g)
-        + np.einsum("iljm->lijm", d2g)
-        - np.einsum("ijlm->lijm", d2g)
+        np.einsum("...jlim->...lijm", d2g)
+        + np.einsum("...iljm->...lijm", d2g)
+        - np.einsum("...ijlm->...lijm", d2g)
     )
     dgamma = 0.5 * (
-        np.einsum("klm,lij->kijm", dginv, C) + np.einsum("kl,lijm->kijm", ginv, dC)
+        np.einsum("...klm,...lij->...kijm", dginv, C)
+        + np.einsum("...kl,...lijm->...kijm", ginv, dC)
     )
+    del d2g, dC
 
     r13 = (
-        np.einsum("ljki->lkij", dgamma)
-        - np.einsum("likj->lkij", dgamma)
-        + np.einsum("lim,mjk->lkij", gamma, gamma)
-        - np.einsum("ljm,mik->lkij", gamma, gamma)
+        np.einsum("...ljki->...lkij", dgamma)
+        - np.einsum("...likj->...lkij", dgamma)
+        + np.einsum("...lim,...mjk->...lkij", gamma, gamma)
+        - np.einsum("...ljm,...mik->...lkij", gamma, gamma)
     )
-    r04 = np.einsum("lw,lkij->ijkw", g, r13)
-    ricci = np.einsum("iaib->ab", r13)
-    tau = float(np.einsum("ab,ab->", ginv, ricci))
-    tau_star = float(np.einsum("ij,is,sj->", ginv, ricci, phi))
+    r04 = np.einsum("...lw,...lkij->...ijkw", g, r13)
+    ricci = np.einsum("...iaib->...ab", r13)
+    tau = np.einsum("...ab,...ab->...", ginv, ricci)
+    tau_star = np.einsum("...ij,...is,...sj->...", ginv, ricci, phi)
 
-    nxi = dxi + np.einsum("kis,s->ki", gamma, xi)
-    neta = np.einsum("jm->mj", deta) - np.einsum("sij,s->ij", gamma, eta)
+    nxi = dxi + np.einsum("...kis,...s->...ki", gamma, xi)
+    neta = np.einsum("...jm->...mj", deta) - np.einsum("...sij,...s->...ij", gamma, eta)
 
-    cov_phi = (
+    cov_phi = (  # [k,j,i] = (nabla_i phi)^k_j
         dphi
-        + np.einsum("kis,sj->kji", gamma, phi)
-        - np.einsum("sij,ks->kji", gamma, phi)
+        + np.einsum("...kis,...sj->...kji", gamma, phi)
+        - np.einsum("...sij,...ks->...kji", gamma, phi)
     )
     dcov_phi = (
-        sj.phi.second
-        + np.einsum("kism,sj->kjim", dgamma, phi)
-        + np.einsum("kis,sjm->kjim", gamma, dphi)
-        - np.einsum("sijm,ks->kjim", dgamma, phi)
-        - np.einsum("sij,ksm->kjim", gamma, dphi)
+        d2phi
+        + np.einsum("...kism,...sj->...kjim", dgamma, phi)
+        + np.einsum("...kis,...sjm->...kjim", gamma, dphi)
+        - np.einsum("...sijm,...ks->...kjim", dgamma, phi)
+        - np.einsum("...sij,...ksm->...kjim", gamma, dphi)
     )
-    F = np.einsum("kz,kji->ijz", g, cov_phi)
-    dF = np.einsum("kzm,kji->ijzm", dg, cov_phi) + np.einsum("kz,kjim->ijzm", g, dcov_phi)
+    del d2phi
+    F = np.einsum("...kz,...kji->...ijz", g, cov_phi)
+    dF = np.einsum("...kzm,...kji->...ijzm", dg, cov_phi) + np.einsum(
+        "...kz,...kjim->...ijzm", g, dcov_phi
+    )
 
-    theta_star = np.einsum("ij,sj,isz->z", ginv, phi, F)
+    del dcov_phi
+    theta_star = np.einsum("...ij,...sj,...isz->...z", ginv, phi, F)
     dtheta_star = (
-        np.einsum("ijm,sj,isz->zm", dginv, phi, F)
-        + np.einsum("ij,sjm,isz->zm", ginv, dphi, F)
-        + np.einsum("ij,sj,iszm->zm", ginv, phi, dF)
+        np.einsum("...ijm,...sj,...isz->...zm", dginv, phi, F)
+        + np.einsum("...ij,...sjm,...isz->...zm", ginv, dphi, F)
+        + np.einsum("...ij,...sj,...iszm->...zm", ginv, phi, dF)
     )
-    theta_star_xi = float(theta_star @ xi)
-    grad_tsx = np.einsum("zm,z->m", dtheta_star, xi) + np.einsum("z,zm->m", theta_star, dxi)
-    omega = np.einsum("i,j,ijz->z", xi, xi, F)
+    theta_star_xi = _dot(theta_star, xi)
+    grad_tsx = np.einsum("...zm,...z->...m", dtheta_star, xi) + np.einsum(
+        "...z,...zm->...m", theta_star, dxi
+    )
+    omega = np.einsum("...i,...j,...ijz->...z", xi, xi, F)
 
-    return PointGeometry(
-        tag=tag,
-        point=tuple(float(x) for x in point),
-        n=S.n,
-        phi=phi,
-        dphi=dphi,
-        xi=xi,
-        dxi=dxi,
-        eta=eta,
-        deta=deta,
-        g=g,
-        dg=dg,
-        d2g=d2g,
-        ginv=ginv,
-        dginv=dginv,
-        gamma=gamma,
-        dgamma=dgamma,
-        r13=r13,
-        r04=r04,
-        ricci=ricci,
-        tau=tau,
-        tau_star=tau_star,
-        nabla_xi=nxi,
-        nabla_eta=neta,
-        cov_phi=cov_phi,
-        F=F,
-        dF=dF,
-        theta_star=theta_star,
-        dtheta_star=dtheta_star,
-        theta_star_xi=theta_star_xi,
-        grad_theta_star_xi=grad_tsx,
+    shared = dict(
+        phi=phi, xi=xi, eta=eta, deta=deta, g=g, dg=dg, ginv=ginv, gamma=gamma,
+        dgamma=dgamma, r13=r13, r04=r04, ricci=ricci, tau=tau, tau_star=tau_star,
+        nabla_xi=nxi, nabla_eta=neta, F=F, dF=dF, theta_star=theta_star,
+        dtheta_star=dtheta_star, theta_star_xi=theta_star_xi, grad_theta_star_xi=grad_tsx,
         omega=omega,
     )
+    for array in (batch, *shared.values()):
+        array.flags.writeable = False
+    geometry = PointGeometry(tag=tag, point=batch, n=S.n, **shared)
+    return geometry if points.ndim == 2 else geometry[0]
+
+
+class SampleGeometry:
+    """The sample set of one command and each metric's geometry over it.
+
+    Every check of a command reads the same batch: the geometry of a metric
+    tag is computed on first use, once, over all samples, and lives as long
+    as this object.
+    """
+
+    def __init__(self, S: AccRStructure, points, bindings: Mapping[str, float] | None = None):
+        self.structure = S
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.bindings = dict(bindings or {})
+        self._geometry: dict[str, PointGeometry] = {}
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def of(self, tag: str) -> PointGeometry:
+        if tag not in self._geometry:
+            self._geometry[tag] = point_geometry(self.structure, tag, self.points, self.bindings)
+        return self._geometry[tag]
 
 
 # -- single-quantity wrappers --------------------------------------------------
@@ -430,17 +478,17 @@ def nabla_tilde_via_relation(S, point, bindings=None) -> ConnectionAtPoint:
     )
 
 
-def connection_f5_form(S, point, bindings=None) -> ConnectionAtPoint:
-    """The short F5-only connection relation.
+def connection_f5_form(pg: PointGeometry) -> np.ndarray:
+    """Christoffels of the associated metric by the short F5-only relation.
 
     nabla~_x y = nabla_x y - (theta*(xi)/2n) {g(x, phi y) + g(phi x, phi y)} xi
     """
-    pg = point_geometry(S, METRIC_G, point, bindings)
-    gphi = np.einsum("is,sj->ij", pg.g, pg.phi)
-    gphiphi = np.einsum("ai,bj,ab->ij", pg.phi, pg.phi, pg.g)
-    scale = pg.theta_star_xi / (2 * pg.n)
-    gamma_t = pg.gamma - scale * np.einsum("ij,k->kij", gphi + gphiphi, pg.xi)
-    return ConnectionAtPoint(gamma=gamma_t, dgamma=None, metric_tag=METRIC_GTILDE, point=pg.point)
+    if pg.tag != METRIC_G:
+        raise ValueError("the short connection form consumes the geometry of g")
+    gphi = np.einsum("...is,...sj->...ij", pg.g, pg.phi)
+    gphiphi = np.einsum("...ai,...bj,...ab->...ij", pg.phi, pg.phi, pg.g)
+    scale = np.asarray(pg.theta_star_xi / (2 * pg.n))[..., None, None, None]
+    return pg.gamma - scale * np.einsum("...ij,...k->...kij", gphi + gphiphi, pg.xi)
 
 
 # -- Lie and exterior derivatives ---------------------------------------------
@@ -449,40 +497,45 @@ def connection_f5_form(S, point, bindings=None) -> ConnectionAtPoint:
 def vector_field_jets(
     potential: Sequence[Expression], point, bindings=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first derivatives of a vector field given by expressions."""
+    """Values [..., z] and first derivatives [..., z, m] of a vector field given by expressions.
+
+    `point` is one point (d,) or a batch (N, d).
+    """
     jets = [e.eval_jet(point, bindings or {}) for e in potential]
-    value = np.array([j.value for j in jets])
-    partial = np.array([j.grad for j in jets])
+    axis = jets[0].value.ndim
+    value = np.stack([j.value for j in jets], axis)
+    partial = np.stack([j.grad for j in jets], axis)
     return value, partial
 
 
-def lie_derivative_metric(S, tag, potential: Sequence[Expression], point, bindings=None) -> PointTensor:
-    """(L_v metric)(x,y) = metric(nabla_x v, y) + metric(x, nabla_y v)."""
-    pg = point_geometry(S, tag, point, bindings)
-    if len(potential) != pg.dim:
-        raise ValueError(f"potential needs {pg.dim} components, got {len(potential)}")
-    vth, dvth = vector_field_jets(potential, point, bindings)
-    nth = dvth + np.einsum("kis,s->ki", pg.gamma, vth)
-    lg = np.einsum("kj,ki->ij", pg.g, nth) + np.einsum("ki,kj->ij", pg.g, nth)
-    lg = (lg + lg.T) / 2.0
-    return PointTensor(pg.dim, ("l", "l"), lg, COORDINATE)
+def lie_derivative_metric(pg: PointGeometry, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """(L_v metric)(x,y) = metric(nabla_x v, y) + metric(x, nabla_y v).
+
+    v and dv are the potential's values and derivatives (see vector_field_jets)
+    at the points of pg, which may be one point or a batch.
+    """
+    if v.shape[-1] != pg.dim:
+        raise ValueError(f"potential needs {pg.dim} components, got {v.shape[-1]}")
+    nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)
+    lg = np.einsum("...kj,...ki->...ij", pg.g, nth) + np.einsum("...ki,...kj->...ij", pg.g, nth)
+    return (lg + np.swapaxes(lg, -1, -2)) / 2.0
 
 
-def lie_derivative_vertical(S, tag, k_field: Expression, point, bindings=None) -> PointTensor:
+def lie_derivative_vertical(pg: PointGeometry, k: Jet2) -> np.ndarray:
     """Expanded form of L_{k xi} metric, using metric(x, xi) = eta(x).
 
     (L_{k xi} m)(x,y) = dk(x) eta(y) + dk(y) eta(x) + k {m(nabla_x xi, y) + m(x, nabla_y xi)}
+
+    k is the jet of the scalar field at the points of pg.
     """
-    pg = point_geometry(S, tag, point, bindings)
-    kj = k_field.eval_jet(point, bindings or {})
-    dk = kj.grad
-    rate = np.einsum("kj,ki->ij", pg.g, pg.nabla_xi)
+    dk = k.grad
+    rate = np.einsum("...kj,...ki->...ij", pg.g, pg.nabla_xi)
     lg = (
-        np.einsum("i,j->ij", dk, pg.eta)
-        + np.einsum("j,i->ij", dk, pg.eta)
-        + kj.value * (rate + rate.T)
+        np.einsum("...i,...j->...ij", dk, pg.eta)
+        + np.einsum("...j,...i->...ij", dk, pg.eta)
+        + k.value[..., None, None] * (rate + np.swapaxes(rate, -1, -2))
     )
-    return PointTensor(pg.dim, ("l", "l"), (lg + lg.T) / 2.0, COORDINATE)
+    return (lg + np.swapaxes(lg, -1, -2)) / 2.0
 
 
 def exterior_derivative(field, point, bindings=None) -> PointTensor:

@@ -5,6 +5,11 @@ with respect to a fixed tuple of chart coordinates.  Arithmetic propagates
 derivatives by the chain rule; every operation assembles the Hessian from
 pieces that are symmetric term by term, so the symmetry invariant holds
 exactly (not just to rounding).
+
+A jet may carry a leading sample axis: value (N,), grad (N, d), hess
+(N, d, d).  Each operation then propagates all N samples in one chain of
+numpy operations (batched Taylor-coefficient propagation); a jet at one
+point has value shape ().
 """
 from __future__ import annotations
 
@@ -31,47 +36,56 @@ __all__ = [
 ]
 
 
+def _outer(grad: np.ndarray) -> np.ndarray:
+    """grad_i grad_j per sample; exactly symmetric."""
+    return grad[..., :, None] * grad[..., None, :]
+
+
 @dataclass(frozen=True)
 class Jet2:
-    """Value, gradient and symmetric Hessian of a scalar at one point."""
+    """Value, gradient and symmetric Hessian of a scalar at one point or a batch."""
 
-    value: float
+    value: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        value = np.asarray(self.value, dtype=float)
         grad = np.asarray(self.grad, dtype=float)
         hess = np.asarray(self.hess, dtype=float)
-        d = grad.shape[0] if grad.ndim == 1 else -1
-        if grad.ndim != 1 or hess.shape != (d, d):
-            raise ValueError("jet gradient must be (d,), hessian (d, d)")
-        if not np.array_equal(hess, hess.T):
+        d = grad.shape[-1] if grad.ndim == value.ndim + 1 else -1
+        if grad.shape != value.shape + (d,) or hess.shape != grad.shape + (d,):
+            raise ValueError("jet gradient must be value.shape + (d,), hessian grad.shape + (d,)")
+        if not np.array_equal(hess, np.swapaxes(hess, -1, -2)):
             raise ValueError("jet hessian must be exactly symmetric")
+        object.__setattr__(self, "value", value)
         object.__setattr__(self, "grad", grad)
         object.__setattr__(self, "hess", hess)
 
     @property
     def dim(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
     @classmethod
-    def seed(cls, index: int, value: float, dim: int) -> "Jet2":
-        """Jet of the coordinate function x_index at a point where it equals value."""
+    def seed(cls, index: int, value, dim: int) -> "Jet2":
+        """Jet of the coordinate function x_index where it equals value (a number or (N,))."""
         if not 0 <= index < dim:
             raise ValueError(f"seed index {index} outside 0..{dim - 1}")
-        grad = np.zeros(dim)
-        grad[index] = 1.0
-        return cls(value, grad, np.zeros((dim, dim)))
+        value = np.asarray(value, dtype=float)
+        grad = np.zeros(value.shape + (dim,))
+        grad[..., index] = 1.0
+        return cls(value, grad, np.zeros(value.shape + (dim, dim)))
 
     @classmethod
-    def constant(cls, value: float, dim: int) -> "Jet2":
-        return cls(value, np.zeros(dim), np.zeros((dim, dim)))
+    def constant(cls, value: float, dim: int, shape: tuple[int, ...] = ()) -> "Jet2":
+        """Jet of a constant, broadcast over a batch of the given shape."""
+        value = np.full(shape, value, dtype=float)
+        return cls(value, np.zeros(shape + (dim,)), np.zeros(shape + (dim, dim)))
 
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "Jet2") -> None:
-        if other.dim != self.dim:
+        if other.grad.shape != self.grad.shape:
             raise ValueError("jet dimension mismatch")
 
     def __add__(self, other):
@@ -101,16 +115,15 @@ class Jet2:
     def __mul__(self, other):
         if isinstance(other, Jet2):
             self._check(other)
+            a, b = self.value[..., None], other.value[..., None]
             # The cross term must be symmetrized before joining the sum:
             # folding its two halves into the running total separately would
             # order the additions differently at (i, j) and (j, i).
-            cross = np.outer(self.grad, other.grad)
-            hess = (self.value * other.hess + other.value * self.hess) + (cross + cross.T)
-            return Jet2(
-                self.value * other.value,
-                self.value * other.grad + other.value * self.grad,
-                hess,
+            cross = self.grad[..., :, None] * other.grad[..., None, :]
+            hess = (a[..., None] * other.hess + b[..., None] * self.hess) + (
+                cross + np.swapaxes(cross, -1, -2)
             )
+            return Jet2(self.value * other.value, a * other.grad + b * self.grad, hess)
         if isinstance(other, (int, float)):
             return Jet2(self.value * other, self.grad * other, self.hess * other)
         return NotImplemented
@@ -119,12 +132,15 @@ class Jet2:
 
     def reciprocal(self) -> "Jet2":
         v = self.value
-        if v == 0.0:
+        if np.any(v == 0.0):
             raise DomainError("division by zero")
         inv = 1.0 / v
         inv2 = inv * inv
-        hess = -self.hess * inv2 + (2.0 * inv2 * inv) * np.outer(self.grad, self.grad)
-        return Jet2(inv, -self.grad * inv2, hess)
+        hess = (
+            -self.hess * inv2[..., None, None]
+            + (2.0 * inv2 * inv)[..., None, None] * _outer(self.grad)
+        )
+        return Jet2(inv, -self.grad * inv2[..., None], hess)
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
@@ -158,7 +174,7 @@ def int_pow(base, exponent: int):
     """
     exponent = int(exponent)
     if exponent == 0:
-        return Jet2.constant(1.0, base.dim) if isinstance(base, Jet2) else 1.0
+        return Jet2.constant(1.0, base.dim, base.value.shape) if isinstance(base, Jet2) else 1.0
     k = abs(exponent)
     result = None
     square = base
@@ -182,7 +198,9 @@ def general_pow(base, exponent):
     return exp(exponent * ln(base))
 
 
-def _unary(name, value_fn, d1_fn, d2_fn, value_domain=None, jet_domain=None):
+def _unary(name, scalar_fn, value_fn, d1_fn, d2_fn, value_domain=None, jet_domain=None):
+    """scalar_fn acts on plain numbers; value_fn, d1_fn and d2_fn act on arrays."""
+
     def apply(x):
         if isinstance(x, Jet2):
             v = x.value
@@ -190,54 +208,61 @@ def _unary(name, value_fn, d1_fn, d2_fn, value_domain=None, jet_domain=None):
                 jet_domain(v)
             if value_domain is not None:
                 value_domain(v)
-            a = d1_fn(v)
-            b = d2_fn(v)
-            hess = b * np.outer(x.grad, x.grad) + a * x.hess
+            a = np.asarray(d1_fn(v))[..., None]
+            b = np.asarray(d2_fn(v))[..., None, None]
+            hess = b * _outer(x.grad) + a[..., None] * x.hess
             return Jet2(value_fn(v), a * x.grad, hess)
         v = float(x)
         if value_domain is not None:
             value_domain(v)
-        return value_fn(v)
+        return scalar_fn(v)
 
     apply.__name__ = name
     apply.__qualname__ = name
     return apply
 
 
-def _positive(v: float) -> None:
-    if v <= 0.0:
-        raise DomainError(f"argument {v} is not positive")
+def _positive(v) -> None:
+    v = np.asarray(v)
+    bad = v <= 0.0
+    if bad.any():
+        raise DomainError(f"argument {v[bad].flat[0]} is not positive")
 
 
-def _nonzero(v: float) -> None:
-    if v == 0.0:
+def _nonzero(v) -> None:
+    if np.any(np.asarray(v) == 0.0):
         raise DomainError("abs is not differentiable at zero")
 
 
-sin = _unary("sin", math.sin, math.cos, lambda v: -math.sin(v))
-cos = _unary("cos", math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v))
+sin = _unary("sin", math.sin, np.sin, np.cos, lambda v: -np.sin(v))
+cos = _unary("cos", math.cos, np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v))
 tan = _unary(
     "tan",
     math.tan,
-    lambda v: 1.0 + math.tan(v) ** 2,
-    lambda v: 2.0 * math.tan(v) * (1.0 + math.tan(v) ** 2),
+    np.tan,
+    lambda v: 1.0 + np.tan(v) ** 2,
+    lambda v: 2.0 * np.tan(v) * (1.0 + np.tan(v) ** 2),
 )
-exp = _unary("exp", math.exp, math.exp, math.exp)
-ln = _unary("ln", math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v), value_domain=_positive)
+exp = _unary("exp", math.exp, np.exp, np.exp, np.exp)
+ln = _unary("ln", math.log, np.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v), value_domain=_positive)
 sqrt = _unary(
     "sqrt",
     math.sqrt,
-    lambda v: 0.5 / math.sqrt(v),
-    lambda v: -0.25 / (v * math.sqrt(v)),
+    np.sqrt,
+    lambda v: 0.5 / np.sqrt(v),
+    lambda v: -0.25 / (v * np.sqrt(v)),
     value_domain=_positive,
 )
 # abs is C^2 away from zero only; number evaluation tolerates zero, jets do not.
-absolute = _unary("absolute", abs, lambda v: math.copysign(1.0, v), lambda v: 0.0, jet_domain=_nonzero)
+absolute = _unary(
+    "absolute", abs, np.abs, lambda v: np.copysign(1.0, v), lambda v: 0.0, jet_domain=_nonzero
+)
 tanh = _unary(
     "tanh",
     math.tanh,
-    lambda v: 1.0 - math.tanh(v) ** 2,
-    lambda v: -2.0 * math.tanh(v) * (1.0 - math.tanh(v) ** 2),
+    np.tanh,
+    lambda v: 1.0 - np.tanh(v) ** 2,
+    lambda v: -2.0 * np.tanh(v) * (1.0 - np.tanh(v) ** 2),
 )
 
 FUNCTIONS = {

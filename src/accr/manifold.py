@@ -67,12 +67,22 @@ class Chart:
     def dim(self) -> int:
         return 2 * self.n + 1
 
-    def require_inside(self, point: Sequence[float]) -> None:
-        if len(point) != self.dim:
-            raise DimensionMismatch(f"point has {len(point)} components, chart has {self.dim}")
-        for name, value, (lo, hi) in zip(self.coordinates, point, self.domain):
-            if not lo < float(value) < hi:
-                raise DomainError(f"coordinate {name}={value} outside open interval ({lo}, {hi})")
+    def require_inside(self, point) -> None:
+        """Reject a point (d,), or a batch of points (N, d), not strictly inside the box."""
+        p = np.asarray(point, dtype=float)
+        if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
+            raise DimensionMismatch(
+                f"point of shape {p.shape} does not fit a chart of dimension {self.dim}"
+            )
+        lo, hi = np.array(self.domain).T
+        outside = ~((lo < p) & (p < hi))
+        if outside.any():
+            axis = np.argwhere(outside)[0][-1]
+            value = p[outside].flat[0]
+            raise DomainError(
+                f"coordinate {self.coordinates[axis]}={value} outside open interval "
+                f"({lo[axis]}, {hi[axis]})"
+            )
 
 
 class StructureValues(NamedTuple):
@@ -151,7 +161,11 @@ class AccRStructure:
         )
 
     def jets_at(self, point, bindings: Mapping[str, float] | None = None) -> StructureJets:
-        """All structure components with first and second derivatives."""
+        """All structure components with first and second derivatives.
+
+        `point` is one chart point (d,) or a batch (N, d); a batch puts a
+        leading sample axis on every array.
+        """
         self.chart.require_inside(point)
         b = bindings or {}
         return StructureJets(
@@ -176,17 +190,17 @@ def _eval_grid(exprs, point, bindings) -> np.ndarray:
 
 
 def _eval_grid_jets(exprs, point, bindings) -> FieldJets:
-    if isinstance(exprs[0], Expression):
-        jet_list = [e.eval_jet(point, bindings) for e in exprs]
-        value = np.array([j.value for j in jet_list])
-        partial = np.array([j.grad for j in jet_list])
-        second = np.array([j.hess for j in jet_list])
-        return FieldJets(value, partial, second)
-    jet_rows = [[e.eval_jet(point, bindings) for e in row] for row in exprs]
-    value = np.array([[j.value for j in row] for row in jet_rows])
-    partial = np.array([[j.grad for j in row] for row in jet_rows])
-    second = np.array([[j.hess for j in row] for row in jet_rows])
-    return FieldJets(value, partial, second)
+    shape = (len(exprs),) if isinstance(exprs[0], Expression) else (len(exprs), len(exprs[0]))
+    flat = exprs if len(shape) == 1 else [e for row in exprs for e in row]
+    jets = [e.eval_jet(point, bindings) for e in flat]
+    batch = jets[0].value.shape
+    axis = len(batch)
+    d = jets[0].dim
+    return FieldJets(
+        np.stack([j.value for j in jets], axis).reshape(batch + shape),
+        np.stack([j.grad for j in jets], axis).reshape(batch + shape + (d,)),
+        np.stack([j.hess for j in jets], axis).reshape(batch + shape + (d, d)),
+    )
 
 
 # -- loading --------------------------------------------------------------
@@ -445,32 +459,32 @@ class AssociatedMetric:
         return (gt + gt.T) / 2.0
 
     def jets_at(self, point, bindings: Mapping[str, float] | None = None) -> FieldJets:
-        """Jets of the associated metric, assembled by the product rule."""
+        """Jets of the associated metric at one point or a batch, by the product rule."""
         sj = self.structure.jets_at(point, bindings)
         g, dg, d2g = sj.g
         phi, dphi, d2phi = sj.phi
         eta, deta, d2eta = sj.eta
-        value = np.einsum("is,sj->ij", g, phi) + np.outer(eta, eta)
+        value = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
         partial = (
-            np.einsum("ism,sj->ijm", dg, phi)
-            + np.einsum("is,sjm->ijm", g, dphi)
-            + np.einsum("im,j->ijm", deta, eta)
-            + np.einsum("i,jm->ijm", eta, deta)
+            np.einsum("...ism,...sj->...ijm", dg, phi)
+            + np.einsum("...is,...sjm->...ijm", g, dphi)
+            + np.einsum("...im,...j->...ijm", deta, eta)
+            + np.einsum("...i,...jm->...ijm", eta, deta)
         )
         second = (
-            np.einsum("isml,sj->ijml", d2g, phi)
-            + np.einsum("ism,sjl->ijml", dg, dphi)
-            + np.einsum("isl,sjm->ijml", dg, dphi)
-            + np.einsum("is,sjml->ijml", g, d2phi)
-            + np.einsum("iml,j->ijml", d2eta, eta)
-            + np.einsum("im,jl->ijml", deta, deta)
-            + np.einsum("il,jm->ijml", deta, deta)
-            + np.einsum("i,jml->ijml", eta, d2eta)
+            np.einsum("...isml,...sj->...ijml", d2g, phi)
+            + np.einsum("...ism,...sjl->...ijml", dg, dphi)
+            + np.einsum("...isl,...sjm->...ijml", dg, dphi)
+            + np.einsum("...is,...sjml->...ijml", g, d2phi)
+            + np.einsum("...iml,...j->...ijml", d2eta, eta)
+            + np.einsum("...im,...jl->...ijml", deta, deta)
+            + np.einsum("...il,...jm->...ijml", deta, deta)
+            + np.einsum("...i,...jml->...ijml", eta, d2eta)
         )
         # the formula is symmetric in (i, j) only up to rounding; enforce exactly
-        value = (value + value.transpose(1, 0)) / 2.0
-        partial = (partial + partial.transpose(1, 0, 2)) / 2.0
-        second = (second + second.transpose(1, 0, 2, 3)) / 2.0
+        value = (value + np.swapaxes(value, -2, -1)) / 2.0
+        partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0
+        second = (second + np.swapaxes(second, -4, -3)) / 2.0
         return FieldJets(value, partial, second)
 
 

@@ -1,9 +1,11 @@
 """Shared fixtures and finite-difference oracles for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
-from accr.manifold import builtin_structure, sample_points
+from accr.manifold import builtin_structure, load_manifold, sample_points
 
 # Bindings under which the cone manifold carries flat fibers and unit
 # soliton constants. Most closed-form expectations below assume these.
@@ -18,6 +20,45 @@ def cone():
 @pytest.fixture(scope="session")
 def flat():
     return builtin_structure("flat-cosymplectic")
+
+
+# The cone with two flat fiber pairs (n = 2, dimension 5), phi pairing u_i
+# with v_i; the same structure as the benchmark's perfbench/cone_n2.json.
+CONE_N2 = {
+    "name": "cone-flat-fiber-n2",
+    "n": 2,
+    "coordinates": ["t", "u1", "v1", "u2", "v2"],
+    "domain": {"t": [0.5, 5.0], "u1": [-3.0, 3.0], "v1": [-3.0, 3.0], "u2": [-3.0, 3.0], "v2": [-3.0, 3.0]},
+    "constants": ["c", "ct"],
+    "g": [
+        ["1", "0", "0", "0", "0"],
+        ["0", "t^2", "0", "0", "0"],
+        ["0", "0", "-t^2", "0", "0"],
+        ["0", "0", "0", "t^2", "0"],
+        ["0", "0", "0", "0", "-t^2"],
+    ],
+    "phi": [
+        ["0", "0", "0", "0", "0"],
+        ["0", "0", "-1", "0", "0"],
+        ["0", "1", "0", "0", "0"],
+        ["0", "0", "0", "0", "-1"],
+        ["0", "0", "0", "1", "0"],
+    ],
+    "xi": ["1", "0", "0", "0", "0"],
+    "eta": ["1", "0", "0", "0", "0"],
+    "frame": [
+        ["0", "0", "0", "0", "1"],
+        ["1/t", "0", "0", "0", "0"],
+        ["0", "1/t", "0", "0", "0"],
+        ["0", "0", "1/t", "0", "0"],
+        ["0", "0", "0", "1/t", "0"],
+    ],
+}
+
+
+@pytest.fixture(scope="session")
+def cone_n2():
+    return load_manifold(json.dumps(CONE_N2))
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from accr.analysis import (
 from accr.errors import DomainError, NonVerticalPotential
 from accr.expr import parse
 from accr.geometry import (
+    SampleGeometry,
     connection_f5_form,
     curvature_symmetry_residuals,
     f_property_residuals,
@@ -103,7 +104,8 @@ def test_criterion_2_soliton_reproduction(capsys, cone, points, ts):
     pot_gt = vertical_potential(cone, "ct*t")
     for c in (0.5, 1.0, 2.0):
         b = {"c": c, "ct": c}
-        sol = yamabe_soliton_solve(cone, "g", pot_g, points, b)
+        geo = SampleGeometry(cone, points, b)
+        sol = yamabe_soliton_solve(geo, "g", pot_g)
         if sol.verdict != "soliton":
             failures.append(f"g potential c={c}: verdict {sol.verdict}")
         _bad(failures, f"g residual (c={c})", float(np.max(sol.residuals)), TOL)
@@ -115,7 +117,7 @@ def test_criterion_2_soliton_reproduction(capsys, cone, points, ts):
         )
         _bad(failures, f"tau = f + lambda (c={c})", sol.theorem_checks["tau = f + lambda"], TOL)
 
-        sol_t = yamabe_soliton_solve(cone, "gtilde", pot_gt, points, b)
+        sol_t = yamabe_soliton_solve(geo, "gtilde", pot_gt)
         if sol_t.verdict != "soliton":
             failures.append(f"g~ potential c~={c}: verdict {sol_t.verdict}")
         _bad(failures, f"g~ residual (c~={c})", float(np.max(sol_t.residuals)), TOL)
@@ -139,7 +141,7 @@ def test_criterion_3_taxonomy(capsys, cone, points):
     failures = []
     pot = vertical_potential(cone, "c*t")
     for c in (0.5, 1.0, 2.0):
-        res = torse_forming_extract(cone, "g", pot, points, {"c": c})
+        res = torse_forming_extract(SampleGeometry(cone, points, {"c": c}), "g", pot)
         _bad(failures, f"f = c (c={c})", float(np.max(np.abs(res.f - c))), TOL)
         _bad(failures, f"gamma = 0 (c={c})", float(np.max(np.abs(res.gamma))), 1e-10)
         want = {"torse-forming", "torqued", "concircular"}
@@ -153,10 +155,10 @@ def test_criterion_3_taxonomy(capsys, cone, points):
 def test_criterion_4_cross_routes(capsys, cone, points, geoms):
     """Associated-metric quantities agree between direct and relation routes."""
     ntn, tff, short_form = [], [], []
-    for p, (pg, pgt) in zip(points, geoms):
+    for pg, pgt in geoms:
         ntn.append(float(np.max(np.abs(nabla_tilde_components_from(pg) - pgt.gamma))))
         tff.append(float(np.max(np.abs(f_tilde_components_from(pg) - pgt.F))))
-        short_form.append(float(np.max(np.abs(connection_f5_form(cone, p).gamma - pgt.gamma))))
+        short_form.append(float(np.max(np.abs(connection_f5_form(pg) - pgt.gamma))))
     failures = []
     _bad(failures, "Christoffel correction route", max(ntn), TOL)
     _bad(failures, "fundamental tensor transfer route", max(tff), TOL)
@@ -288,14 +290,14 @@ def test_criterion_6_oracle_equivalence(capsys, cone):
 
 def test_criterion_7_classification(capsys, cone, flat, points):
     failures = []
-    cm = classify(cone, points)
+    cm = classify(SampleGeometry(cone, points))
     for name, want in (("sasaki_like", "fails"), ("f5", "holds"), ("f5_0", "holds"), ("f0", "fails")):
         got = getattr(cm, name).status
         if got != want:
             failures.append(f"cone {name}: {got}, expected {want}")
 
     flat_points = sample_points(flat.chart, SAMPLE_COUNT, SEED)
-    cm_flat = classify(flat, flat_points)
+    cm_flat = classify(SampleGeometry(flat, flat_points))
     if cm_flat.f0.status != "holds":
         failures.append(f"flat f0: {cm_flat.f0.status}, expected holds")
     worst_curv = worst_f = 0.0
@@ -313,7 +315,8 @@ def test_criterion_8_negative_controls(capsys, cone, points):
 
     # quadratic vertical potential: honest not-soliton
     pot = vertical_potential(cone, "t^2")
-    sol = yamabe_soliton_solve(cone, "g", pot, points)
+    geo = SampleGeometry(cone, points)
+    sol = yamabe_soliton_solve(geo, "g", pot)
     if sol.verdict != "not-soliton":
         failures.append(f"k = t^2 verdict: {sol.verdict}")
     if float(np.max(sol.residuals)) < 1.0:
@@ -328,7 +331,7 @@ def test_criterion_8_negative_controls(capsys, cone, points):
     # non-vertical potential: the precondition check must trip
     mixed = tuple(parse(s, cone.chart.coordinates) for s in ("1", "1", "0"))
     try:
-        yamabe_soliton_solve(cone, "g", mixed, points)
+        yamabe_soliton_solve(geo, "g", mixed)
         failures.append("non-vertical potential was accepted")
     except NonVerticalPotential:
         pass

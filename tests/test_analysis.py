@@ -20,7 +20,7 @@ from accr.analysis import (
 )
 from accr.errors import NonVerticalPotential, ZeroPotential
 from accr.expr import parse
-from accr.geometry import point_geometry
+from accr.geometry import SampleGeometry, point_geometry
 from accr.manifold import load_manifold, sample_points
 from accr.report import VERDICT_PASS
 
@@ -34,7 +34,7 @@ def _exprs(*sources, constants=("c",)):
 
 
 def test_classify_cone(cone, cone_points, cone_bindings):
-    cm = classify(cone, cone_points, cone_bindings)
+    cm = classify(SampleGeometry(cone, cone_points, cone_bindings))
     assert cm.sasaki_like.status == FAILS
     assert cm.f5.status == HOLDS
     assert cm.f5_0.status == HOLDS
@@ -49,7 +49,7 @@ def test_classify_cone(cone, cone_points, cone_bindings):
 
 
 def test_classify_flat(flat, flat_points):
-    cm = classify(flat, flat_points)
+    cm = classify(SampleGeometry(flat, flat_points))
     assert cm.f0.status == HOLDS
     assert cm.f0.residual == 0.0
     # with F identically zero the F5 subclass question is vacuous
@@ -75,13 +75,13 @@ def test_f5_form_residual_oracle(cone):
 
 def test_perturbed_metric_leaves_f5(cone_points):
     g = [["1", "0", "0"], ["0", "t^2", "0.01*t"], ["0", "0.01*t", "-t^2"]]
-    S = load_manifold(cone_json(g=g))
-    f5, f5_0, f0 = check_f5(S, cone_points)
+    geo = SampleGeometry(load_manifold(cone_json(g=g)), cone_points)
+    f5, f5_0, f0 = check_f5(geo)
     assert f5.status == FAILS
     assert f5_0.status == FAILS
     assert f0.status == FAILS
     assert f5.extras == {}
-    sasaki = check_sasaki_like(S, cone_points)
+    sasaki = check_sasaki_like(geo)
     assert sasaki.status == FAILS and sasaki.extras == {}
 
 
@@ -97,7 +97,7 @@ def test_vertical_potential_builder(cone):
 @pytest.mark.parametrize("c", [1.0, 2.0])
 def test_torse_forming_extraction_ct(cone, cone_points, c):
     pot = vertical_potential(cone, "c*t")
-    res = torse_forming_extract(cone, "g", pot, cone_points, {"c": c})
+    res = torse_forming_extract(SampleGeometry(cone, cone_points, {"c": c}), "g", pot)
     assert res.residual < 1e-11
     assert np.max(np.abs(res.f - c)) < 1e-11
     assert np.max(np.abs(res.gamma)) < 1e-11
@@ -118,7 +118,7 @@ def test_extraction_quadratic_vertical_field(cone, cone_points):
     # v = t^2 xi is torse-forming with f = t and gamma = eta / t, hence
     # not torqued: gamma(v) = t is visible in the fitted form
     pot = _exprs("t^2", "0", "0")
-    res = torse_forming_extract(cone, "g", pot, cone_points)
+    res = torse_forming_extract(SampleGeometry(cone, cone_points), "g", pot)
     assert res.residual < 1e-10
     assert "torse-forming" in res.taxonomy
     assert "torqued" not in res.taxonomy
@@ -134,7 +134,7 @@ def test_extraction_quadratic_vertical_field(cone, cone_points):
 
 def test_extraction_non_vertical_field(cone, cone_points):
     pot = _exprs("0", "t^2", "0")
-    res = torse_forming_extract(cone, "g", pot, cone_points)
+    res = torse_forming_extract(SampleGeometry(cone, cone_points), "g", pot)
     assert not res.vertical
     assert res.k is None and res.h is None and res.vertical_checks is None
     assert res.residual > 1.0  # nowhere near torse-forming
@@ -144,7 +144,7 @@ def test_extraction_non_vertical_field(cone, cone_points):
 def test_extraction_recurrent_not_parallel(flat, flat_points):
     # on the flat structure v = t xi has f = 0 with nonzero gamma
     pot = tuple(parse(s, flat.chart.coordinates) for s in ("t", "0", "0"))
-    res = torse_forming_extract(flat, "g", pot, flat_points)
+    res = torse_forming_extract(SampleGeometry(flat, flat_points), "g", pot)
     assert res.residual < 1e-12
     assert "recurrent" in res.taxonomy
     assert "parallel" not in res.taxonomy
@@ -153,7 +153,7 @@ def test_extraction_recurrent_not_parallel(flat, flat_points):
 
 def test_extraction_parallel_field(flat, flat_points):
     pot = tuple(parse(s, flat.chart.coordinates) for s in ("1", "0", "0"))
-    res = torse_forming_extract(flat, "g", pot, flat_points)
+    res = torse_forming_extract(SampleGeometry(flat, flat_points), "g", pot)
     assert res.residual == 0.0
     assert {"torse-forming", "torqued", "concircular", "recurrent", "parallel"} <= res.taxonomy
     assert "concurrent" not in res.taxonomy  # f = 0, not 1
@@ -166,7 +166,7 @@ def test_extraction_parallel_field(flat, flat_points):
 def test_zero_potential_rejected(cone, cone_points):
     pot = _exprs("0", "0", "0")
     with pytest.raises(ZeroPotential):
-        torse_forming_extract(cone, "g", pot, cone_points)
+        torse_forming_extract(SampleGeometry(cone, cone_points), "g", pot)
 
 
 def test_proportionality_split_oracle():
@@ -189,7 +189,9 @@ def test_yamabe_soliton_on_cone(cone, cone_points):
     pot = vertical_potential(cone, "c*t")
     pot_t = vertical_potential(cone, "ct*t")
     b = {"c": 1.0, "ct": 1.0}
-    sol = yamabe_soliton_solve(cone, "g", pot, cone_points, b, other_potential=pot_t)
+    sol = yamabe_soliton_solve(
+        SampleGeometry(cone, cone_points, b), "g", pot, other_potential=pot_t
+    )
     assert sol.verdict == "soliton"
     assert np.max(sol.residuals) < 1e-11
     ts = np.array([p[0] for p in cone_points])
@@ -204,7 +206,7 @@ def test_yamabe_soliton_on_cone(cone, cone_points):
 def test_yamabe_soliton_on_gtilde(cone, cone_points):
     pot = vertical_potential(cone, "ct*t")
     for ct in (0.5, 2.0):
-        sol = yamabe_soliton_solve(cone, "gtilde", pot, cone_points, {"ct": ct})
+        sol = yamabe_soliton_solve(SampleGeometry(cone, cone_points, {"ct": ct}), "gtilde", pot)
         assert sol.verdict == "soliton"
         ts = np.array([p[0] for p in cone_points])
         assert np.max(np.abs(sol.lambdas - (-2.0 / ts**2 - ct))) < 1e-11
@@ -214,7 +216,7 @@ def test_yamabe_soliton_on_gtilde(cone, cone_points):
 
 def test_yamabe_not_soliton(cone, cone_points):
     pot = _exprs("t^2", "0", "0")
-    sol = yamabe_soliton_solve(cone, "g", pot, cone_points)
+    sol = yamabe_soliton_solve(SampleGeometry(cone, cone_points), "g", pot)
     assert sol.verdict == "not-soliton"
     assert np.max(sol.residuals) > 1.0
     # the theorem premises fail, so their checks stay unevaluated
@@ -224,10 +226,10 @@ def test_yamabe_not_soliton(cone, cone_points):
 def test_yamabe_rejects_non_vertical(cone, cone_points):
     pot = _exprs("0", "t^2", "0")
     with pytest.raises(NonVerticalPotential):
-        yamabe_soliton_solve(cone, "g", pot, cone_points)
+        yamabe_soliton_solve(SampleGeometry(cone, cone_points), "g", pot)
     mixed = _exprs("1", "1", "0")
     with pytest.raises(NonVerticalPotential):
-        yamabe_soliton_solve(cone, "g", mixed, cone_points)
+        yamabe_soliton_solve(SampleGeometry(cone, cone_points), "g", mixed)
 
 
 def test_verify_paper_suite_all_pass(cone_bindings):

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,12 @@ def test_verify_paper(capsys):
     assert "51 checks: 51 pass" in out
 
 
+def test_verify_paper_needs_the_suite_constants(capsys):
+    rc, out, err = run(capsys, "verify-paper", "--builtin", "flat-cosymplectic", "--samples", "2")
+    assert rc == 2 and out == ""
+    assert "c, ct, kprime" in err and "UnknownIdentifier" not in err
+
+
 def test_verify_paper_other_constants(capsys):
     rc, _, _ = run(capsys, "verify-paper", "--samples", "8", "--const", "c=2", "--const", "ct=0.5")
     assert rc == 0
@@ -247,6 +257,21 @@ def test_bad_point_specs(capsys):
 def test_bad_const_specs(capsys):
     assert run(capsys, "validate", *CONE, "--const", "c")[0] == 2
     assert run(capsys, "validate", *CONE, "--const", "c=x")[0] == 2
+    # non-finite values are refused even where no expression reads the constant
+    for value in ("nan", "inf"):
+        rc, _, err = run(capsys, "validate", "--builtin", "flat-cosymplectic", "--const", f"c={value}")
+        assert rc == 2 and "not finite" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "accr", "validate", "--builtin", "cone-flat-fiber", "--samples", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "8 checks: 8 pass" in done.stdout
 
 
 def test_point_counts_toward_samples(capsys):

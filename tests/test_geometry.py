@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from accr.errors import IdentityViolation
+from accr.errors import DomainError, IdentityViolation
 from accr.expr import parse
 from accr.geometry import (
+    PointGeometry,
     christoffel,
     connection_f5_form,
     curvature,
@@ -200,9 +201,9 @@ def test_nabla_tilde_routes(cone, cone_points):
     for pt in cone_points[:8]:
         direct = christoffel(cone, "gtilde", pt)
         corrected = nabla_tilde_via_relation(cone, pt)
-        short = connection_f5_form(cone, pt)
+        short = connection_f5_form(point_geometry(cone, "g", pt))
         assert np.max(np.abs(corrected.gamma - direct.gamma)) < 1e-11
-        assert np.max(np.abs(short.gamma - direct.gamma)) < 1e-11
+        assert np.max(np.abs(short - direct.gamma)) < 1e-11
 
 
 def test_nabla_tilde_detects_perturbation(cone, pg_g, pg_gt):
@@ -223,9 +224,10 @@ def test_lie_derivative_closed_form(cone, cone_points):
     for c in (1.0, 2.0):
         exprs = [parse(s, COORDS, ("c",)) for s in ("c*t", "0", "0")]
         for pt in cone_points[:6]:
-            lg = lie_derivative_metric(cone, "g", exprs, pt, {"c": c})
+            pg = point_geometry(cone, "g", pt)
+            lg = lie_derivative_metric(pg, *vector_field_jets(exprs, pt, {"c": c}))
             g = cone.values_at(pt).g
-            assert np.max(np.abs(lg.components - 2.0 * c * g)) < 1e-12
+            assert np.max(np.abs(lg - 2.0 * c * g)) < 1e-12
 
 
 def test_lie_derivative_two_routes_agree(cone, cone_points):
@@ -234,14 +236,15 @@ def test_lie_derivative_two_routes_agree(cone, cone_points):
     b = {"c": 1.5}
     for tag in ("g", "gtilde"):
         for pt in cone_points[:6]:
-            a = lie_derivative_metric(cone, tag, exprs, pt, b)
-            v = lie_derivative_vertical(cone, tag, k, pt, b)
-            assert np.max(np.abs(a.components - v.components)) < 1e-12
+            pg = point_geometry(cone, tag, pt)
+            a = lie_derivative_metric(pg, *vector_field_jets(exprs, pt, b))
+            v = lie_derivative_vertical(pg, k.eval_jet(pt, b))
+            assert np.max(np.abs(a - v)) < 1e-12
 
 
-def test_lie_derivative_shape_check(cone):
+def test_lie_derivative_shape_check(pg_g):
     with pytest.raises(ValueError):
-        lie_derivative_metric(cone, "g", [parse("t", COORDS)], POINT)
+        lie_derivative_metric(pg_g, *vector_field_jets([parse("t", COORDS)], POINT))
 
 
 def test_exterior_derivative():
@@ -276,3 +279,51 @@ def test_ricci_consistent_with_r13(pg_g, pg_gt):
     for pg in (pg_g, pg_gt):
         assert np.allclose(pg.ricci, np.einsum("iaib->ab", pg.r13), atol=1e-15)
         assert np.isclose(pg.tau, float(np.einsum("ab,ab->", pg.ginv, pg.ricci)))
+
+
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2"])
+def test_batch_matches_per_point(request, structure, tag):
+    S = request.getfixturevalue(structure)
+    points = sample_points(S.chart, 12, seed=5)
+    batch = point_geometry(S, tag, points)
+    assert batch.batched and len(batch) == len(points)
+    for k, pt in enumerate(points):
+        single = point_geometry(S, tag, pt)
+        assert not single.batched
+        assert batch[k].point == single.point
+        for field in dataclasses.fields(PointGeometry):
+            if field.name in ("tag", "point", "n"):
+                continue
+            got = getattr(batch, field.name)[k]
+            want = getattr(single, field.name)
+            assert np.shape(got) == np.shape(want), field.name
+            assert rel_err(got, want) <= 1e-13, field.name
+
+
+def test_batch_is_read_only(cone, cone_points):
+    batch = point_geometry(cone, "g", cone_points)
+    with pytest.raises(ValueError):
+        batch.gamma[0, 0, 1, 1] = 1.0
+    with pytest.raises(ValueError):
+        batch[0].F[...] = 0.0
+    with pytest.raises(ValueError):
+        point_geometry(cone, "gtilde", POINT).ginv[0, 0] += 1.0
+
+
+def test_batch_domain_error_matches_single_sample(cone):
+    # one sample outside the domain of an expression
+    expr = parse("ln(u) + t", COORDS)
+    points = np.array([[1.0, 0.5, 0.0], [1.0, -0.25, 0.0], [1.0, 2.0, 0.0]])
+    with pytest.raises(DomainError) as alone:
+        expr.eval_jet(points[1])
+    with pytest.raises(DomainError) as batched:
+        expr.eval_jet(points)
+    assert str(batched.value) == str(alone.value)
+    # one sample outside the chart's open box
+    points = np.array([[2.0, 0.3, -0.4], [6.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(DomainError) as alone:
+        point_geometry(cone, "g", points[1])
+    with pytest.raises(DomainError) as batched:
+        point_geometry(cone, "g", points)
+    assert str(batched.value) == str(alone.value)

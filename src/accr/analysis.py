@@ -28,6 +28,7 @@ from .geometry import (
     tau_tilde_relations,
     torse_forming_curvature_residuals,
     vector_field_jets,
+    worst_residual,
 )
 from .manifold import (
     METRIC_G,
@@ -39,7 +40,7 @@ from .manifold import (
     validate_structure,
 )
 from .report import CheckRecord, record_from_residual, VERDICT_FAIL, VERDICT_PASS
-from .tensor import COORDINATE, PointTensor, to_phi_frame
+from .tensor import COORDINATE, PointTensor, _dot, _max_abs, to_phi_frame
 
 __all__ = [
     "MembershipEntry",
@@ -87,63 +88,58 @@ class ClassMembership:
         return (self.sasaki_like, self.f5, self.f5_0, self.f0)
 
 
-def sasaki_form_residual(F, g, phi, eta) -> float:
-    """max-norm deviation of F from g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y)."""
-    gpp = np.einsum("ai,bj,ab->ij", phi, phi, g)
-    rhs = np.einsum("ij,z->ijz", gpp, eta) + np.einsum("iz,j->ijz", gpp, eta)
-    return float(np.max(np.abs(F - rhs)))
+def sasaki_form_residual(F, g, phi, eta):
+    """max-norm deviation of F from g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y).
+
+    A float at one point; an (N,) array of per-sample residuals over a batch.
+    """
+    gpp = np.einsum("...ai,...bj,...ab->...ij", phi, phi, g)
+    rhs = np.einsum("...ij,...z->...ijz", gpp, eta) + np.einsum("...iz,...j->...ijz", gpp, eta)
+    return _max_abs(F - rhs, 3)
 
 
-def f5_form_residual(F, g, phi, eta, theta_star_xi, n) -> float:
-    """max-norm deviation of F from -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}."""
-    gphi = np.einsum("is,sj->ij", g, phi)
-    shape = np.einsum("ij,z->ijz", gphi, eta) + np.einsum("iz,j->ijz", gphi, eta)
-    return float(np.max(np.abs(F + (theta_star_xi / (2 * n)) * shape)))
+def f5_form_residual(F, g, phi, eta, theta_star_xi, n):
+    """max-norm deviation of F from -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}.
+
+    A float at one point; an (N,) array of per-sample residuals over a batch.
+    """
+    gphi = np.einsum("...is,...sj->...ij", g, phi)
+    shape = np.einsum("...ij,...z->...ijz", gphi, eta) + np.einsum("...iz,...j->...ijz", gphi, eta)
+    scale = np.asarray(theta_star_xi / (2 * n))[..., None, None, None]
+    return _max_abs(F + scale * shape, 3)
+
+
+def _norm(x) -> float:
+    """max |x| over every sample and component."""
+    return float(np.max(np.abs(x)))
 
 
 def check_sasaki_like(geo: SampleGeometry, tol: float = 1e-9) -> MembershipEntry:
-    geoms = list(geo.of(METRIC_G))
-    worst = 0.0
-    for pg in geoms:
-        worst = max(worst, sasaki_form_residual(pg.F, pg.g, pg.phi, pg.eta))
+    pg = geo.of(METRIC_G)
+    worst = _norm(sasaki_form_residual(pg.F, pg.g, pg.phi, pg.eta))
     extras: dict[str, float] = {}
     if worst <= tol:
         # the defining form holds; verify its curvature consequences too
+        pgt = geo.of(METRIC_GTILDE)
         eye = np.eye(geo.structure.dim)
         two_n = 2 * geo.structure.n
-        keys = {
-            "nabla_x xi = -phi x": 0.0,
-            "R(x,y)xi = eta(y) x - eta(x) y": 0.0,
-            "rho(x,xi) = 2n eta(x)": 0.0,
-            "R(xi,y)z = g(y,z) xi - eta(z) y": 0.0,
-            "rho(xi,xi) = 2n": 0.0,
-            "nabla~_x xi = -phi x": 0.0,
+        r_xi = np.einsum("...lkij,...k->...lij", pg.r13, pg.xi)
+        rhs = np.einsum("...j,li->...lij", pg.eta, eye) - np.einsum("...i,lj->...lij", pg.eta, eye)
+        r_from = np.einsum("...lkij,...i->...lkj", pg.r13, pg.xi)
+        rhs2 = (
+            np.einsum("...jk,...l->...lkj", pg.g, pg.xi) - np.einsum("...k,lj->...lkj", pg.eta, eye)
+        )
+        ricci_xi = np.einsum("...ij,...j->...i", pg.ricci, pg.xi)
+        xi_ricci = np.einsum("...i,...ij->...j", pg.xi, pg.ricci)
+        deviations = {
+            "nabla_x xi = -phi x": pg.nabla_xi + pg.phi,
+            "R(x,y)xi = eta(y) x - eta(x) y": r_xi - rhs,
+            "rho(x,xi) = 2n eta(x)": ricci_xi - two_n * pg.eta,
+            "R(xi,y)z = g(y,z) xi - eta(z) y": r_from - rhs2,
+            "rho(xi,xi) = 2n": _dot(xi_ricci, pg.xi) - two_n,
+            "nabla~_x xi = -phi x": pgt.nabla_xi + pgt.phi,
         }
-        for pg, pgt in zip(geoms, geo.of(METRIC_GTILDE)):
-            r_xi = np.einsum("lkij,k->lij", pg.r13, pg.xi)
-            rhs = np.einsum("j,li->lij", pg.eta, eye) - np.einsum("i,lj->lij", pg.eta, eye)
-            keys["R(x,y)xi = eta(y) x - eta(x) y"] = max(
-                keys["R(x,y)xi = eta(y) x - eta(x) y"], float(np.max(np.abs(r_xi - rhs)))
-            )
-            keys["nabla_x xi = -phi x"] = max(
-                keys["nabla_x xi = -phi x"], float(np.max(np.abs(pg.nabla_xi + pg.phi)))
-            )
-            keys["rho(x,xi) = 2n eta(x)"] = max(
-                keys["rho(x,xi) = 2n eta(x)"],
-                float(np.max(np.abs(pg.ricci @ pg.xi - two_n * pg.eta))),
-            )
-            r_from = np.einsum("lkij,i->lkj", pg.r13, pg.xi)
-            rhs2 = np.einsum("jk,l->lkj", pg.g, pg.xi) - np.einsum("k,lj->lkj", pg.eta, eye)
-            keys["R(xi,y)z = g(y,z) xi - eta(z) y"] = max(
-                keys["R(xi,y)z = g(y,z) xi - eta(z) y"], float(np.max(np.abs(r_from - rhs2)))
-            )
-            keys["rho(xi,xi) = 2n"] = max(
-                keys["rho(xi,xi) = 2n"], abs(float(pg.xi @ pg.ricci @ pg.xi) - two_n)
-            )
-            keys["nabla~_x xi = -phi x"] = max(
-                keys["nabla~_x xi = -phi x"], float(np.max(np.abs(pgt.nabla_xi + pgt.phi)))
-            )
-        extras = keys
+        extras = {key: _norm(dev) for key, dev in deviations.items()}
     status = HOLDS if worst <= tol else FAILS
     return MembershipEntry("sasaki_like", status, worst, extras, len(geo))
 
@@ -152,30 +148,16 @@ def check_f5(
     geo: SampleGeometry, tol: float = 1e-9
 ) -> tuple[MembershipEntry, MembershipEntry, MembershipEntry]:
     """Membership entries for (F5, F5_0, F0)."""
-    res_f5 = 0.0
-    res_f50 = 0.0
-    f_norm = 0.0
+    pg = geo.of(METRIC_G)
+    f_norm = _norm(pg.F)
+    res_f5 = _norm(f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, pg.theta_star_xi, pg.n))
+    xi_tsx = _dot(pg.grad_theta_star_xi, pg.xi)
+    res_f50 = _norm(pg.grad_theta_star_xi - xi_tsx[..., None] * pg.eta)
     extras_f5 = {
-        "theta* = theta*(xi) eta": 0.0,
-        "F(xi,y,z) = 0": 0.0,
-        "omega = 0": 0.0,
+        "theta* = theta*(xi) eta": _norm(pg.theta_star - pg.theta_star_xi[..., None] * pg.eta),
+        "F(xi,y,z) = 0": _norm(np.einsum("...i,...ijz->...jz", pg.xi, pg.F)),
+        "omega = 0": _norm(pg.omega),
     }
-    for pg in geo.of(METRIC_G):
-        f_norm = max(f_norm, float(np.max(np.abs(pg.F))))
-        res_f5 = max(res_f5, f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, pg.theta_star_xi, pg.n))
-        xi_tsx = float(pg.grad_theta_star_xi @ pg.xi)
-        res_f50 = max(
-            res_f50, float(np.max(np.abs(pg.grad_theta_star_xi - xi_tsx * pg.eta)))
-        )
-        extras_f5["theta* = theta*(xi) eta"] = max(
-            extras_f5["theta* = theta*(xi) eta"],
-            float(np.max(np.abs(pg.theta_star - pg.theta_star_xi * pg.eta))),
-        )
-        extras_f5["F(xi,y,z) = 0"] = max(
-            extras_f5["F(xi,y,z) = 0"],
-            float(np.max(np.abs(np.einsum("i,ijz->jz", pg.xi, pg.F)))),
-        )
-        extras_f5["omega = 0"] = max(extras_f5["omega = 0"], float(np.max(np.abs(pg.omega))))
 
     degenerate = f_norm <= _F_ZERO_THRESHOLD
     n_samples = len(geo)
@@ -228,14 +210,17 @@ def vertical_potential(S: AccRStructure, k_field: Expression | str) -> tuple[Exp
 
 
 def _potential_data(geo: SampleGeometry, tag: str, potential):
-    """Per-sample (pg, v, dv) with the zero-potential guard applied."""
-    pgs = geo.of(tag)
+    """The tag's geometry batch and the potential's values v and derivatives dv.
+
+    Raises ZeroPotential naming the first sample where v vanishes.
+    """
+    pg = geo.of(tag)
     v, dv = vector_field_jets(potential, geo.points, geo.bindings)
     vanishing = np.max(np.abs(v), axis=-1) <= _F_ZERO_THRESHOLD
     if vanishing.any():
         where = tuple(round(float(x), 6) for x in geo.points[np.argmax(vanishing)])
         raise ZeroPotential(f"potential vanishes at sample {where}")
-    return list(zip(pgs, v, dv))
+    return pg, v, dv
 
 
 def torse_forming_extract(
@@ -246,74 +231,66 @@ def torse_forming_extract(
 ) -> TorseFormingResult:
     """Least-squares fit of nabla_j v^i = f delta^i_j + v^i gamma_j per sample.
 
-    The dim^2 equations are linear in the dim+1 unknowns (f, gamma); the fit
-    residual doubles as the membership test for the torse-forming condition.
+    The dim^2 equations are linear in the dim+1 unknowns (f, gamma), and the
+    design matrix has full column rank wherever v != 0, which the zero-potential
+    guard ensures.  The unique minimiser of |f I + v gamma^T - N|_F, with
+    N[i,j] = nabla_j v^i, is therefore solved in closed form over all samples:
+
+        f = (tr N - v^T N v / |v|^2) / (dim - 1),   gamma = (v^T N - f v^T) / |v|^2.
+
+    The fit residual doubles as the membership test for the torse-forming
+    condition.
     """
     dim = geo.structure.dim
-    data = _potential_data(geo, tag, potential)
+    pg, v, dv = _potential_data(geo, tag, potential)
+    eye = np.eye(dim)
 
-    fs, gammas, fit_residuals, conds = [], [], [], []
-    vertical_res = 0.0
-    ks, dk_xis = [], []
-    res_gm = res_v3 = res_fdk = 0.0
-    for pg, v, dv in data:
-        nth = dv + np.einsum("kis,s->ki", pg.gamma, v)   # nth[i,j] = nabla_j v^i
-        M = np.zeros((dim * dim, 1 + dim))
-        b = np.zeros(dim * dim)
-        for i in range(dim):
-            for j in range(dim):
-                row = i * dim + j
-                M[row, 0] = 1.0 if i == j else 0.0
-                M[row, 1 + j] = v[i]
-                b[row] = nth[i, j]
-        coef, _, _, _ = np.linalg.lstsq(M, b, rcond=None)
-        f_val, gamma_form = float(coef[0]), coef[1:]
-        fs.append(f_val)
-        gammas.append(gamma_form)
-        fit_residuals.append(float(np.max(np.abs(M @ coef - b))))
-        conds.append(float(np.linalg.cond(M)))
-
-        k_val = float(pg.eta @ v)
-        vertical_res = max(vertical_res, float(np.max(np.abs(v - k_val * pg.xi))))
-        dk = np.einsum("zm,z->m", pg.deta, v) + np.einsum("z,zm->m", pg.eta, dv)
-        ks.append(k_val)
-        dk_xis.append(float(dk @ pg.xi))
-        # vertical-only identities; meaningful only if verticality holds
-        phi2 = pg.phi @ pg.phi
-        res_gm = max(
-            res_gm, float(np.max(np.abs(gamma_form - (dk - f_val * pg.eta) / k_val)))
-        ) if abs(k_val) > _F_ZERO_THRESHOLD else res_gm
-        res_v3 = max(
-            res_v3,
-            float(np.max(np.abs(nth - (-f_val * phi2 + np.einsum("k,i->ki", pg.xi, dk))))),
-        )
-        res_fdk = max(res_fdk, abs(f_val - float(dk @ pg.xi)))
-
-    f_arr = np.array(fs)
-    gamma_arr = np.array(gammas)
-    fit_arr = np.array(fit_residuals)
+    nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)   # nth[..., i, j] = nabla_j v^i
+    v2 = _dot(v, v)
+    v_nth = np.einsum("...i,...ij->...j", v, nth)
+    f_arr = (np.trace(nth, axis1=-2, axis2=-1) - _dot(v_nth, v) / v2) / (dim - 1)
+    gamma_arr = (v_nth - f_arr[:, None] * v) / v2[:, None]
+    fit = f_arr[:, None, None] * eye + np.einsum("...i,...j->...ij", v, gamma_arr) - nth
+    fit_arr = _max_abs(fit, 2)
     worst_fit = float(np.max(fit_arr))
+    # the design matrix: row i*dim + j holds delta_ij in column 0 and v^i in column 1 + j
+    design = np.zeros((len(v), dim * dim, 1 + dim))
+    design[:, :, 0] = eye.ravel()
+    design[:, :, 1:] = np.einsum("...i,jm->...ijm", v, eye).reshape(len(v), dim * dim, dim)
+
+    k_arr = _dot(pg.eta, v)
+    vertical_res = _norm(v - k_arr[:, None] * pg.xi)
+    dk = np.einsum("...zm,...z->...m", pg.deta, v) + np.einsum("...z,...zm->...m", pg.eta, dv)
+    dk_xi_arr = _dot(dk, pg.xi)
+    # vertical-only identities; meaningful only if verticality holds.  The
+    # generating form is compared only where k is bounded away from zero.
+    usable = np.abs(k_arr) > _F_ZERO_THRESHOLD
+    gamma_vertical = np.divide(
+        dk - f_arr[:, None] * pg.eta, k_arr[:, None], out=np.zeros_like(dk), where=usable[:, None]
+    )
+    res_gm = float(np.max(_max_abs(gamma_arr - gamma_vertical, 1)[usable], initial=0.0))
+    phi2 = pg.phi @ pg.phi
+    res_v3 = _norm(nth - (-f_arr[:, None, None] * phi2 + np.einsum("...k,...i->...ki", pg.xi, dk)))
+    res_fdk = _norm(f_arr - dk_xi_arr)
 
     is_tf = worst_fit <= tol
     taxonomy: set[str] = set()
     if is_tf:
         taxonomy.add("torse-forming")
-        gamma_of_v = np.array([g_row @ v for (_, v, _), g_row in zip(data, gamma_arr)])
-        gamma_norm = float(np.max(np.abs(gamma_arr)))
-        if float(np.max(np.abs(gamma_of_v))) <= tol:
+        gamma_of_v = _dot(gamma_arr, v)
+        gamma_norm = _norm(gamma_arr)
+        if _norm(gamma_of_v) <= tol:
             taxonomy.add("torqued")
         if gamma_norm <= tol:
             taxonomy.add("concircular")
-            if float(np.max(np.abs(f_arr - 1.0))) <= tol:
+            if _norm(f_arr - 1.0) <= tol:
                 taxonomy.add("concurrent")
-        if float(np.max(np.abs(f_arr))) <= tol:
+        if _norm(f_arr) <= tol:
             taxonomy.add("recurrent")
             if gamma_norm <= tol:
                 taxonomy.add("parallel")
 
     vertical = vertical_res <= _VERTICAL_TOL
-    k_arr = np.array(ks) if vertical else None
-    dk_xi_arr = np.array(dk_xis) if vertical else None
     h_arr = None
     vchecks = None
     if vertical:
@@ -329,11 +306,11 @@ def torse_forming_extract(
         gamma=gamma_arr,
         residual=worst_fit,
         per_sample_residual=fit_arr,
-        condition_number=float(np.max(conds)),
+        condition_number=float(np.max(np.linalg.cond(design))),
         taxonomy=frozenset(taxonomy),
         vertical=vertical,
-        k=k_arr,
-        dk_xi=dk_xi_arr,
+        k=k_arr if vertical else None,
+        dk_xi=dk_xi_arr if vertical else None,
         h=h_arr,
         vertical_checks=vchecks,
         samples=len(geo),
@@ -356,15 +333,17 @@ class SolitonSolveResult:
     samples: int
 
 
-def proportionality_split(A: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> tuple[float, float]:
+def proportionality_split(A: np.ndarray, g: np.ndarray, ginv: np.ndarray):
     """Best proportionality factor of A against g, and the max-norm remainder.
 
     mu is extracted by metric trace, which stays well defined for indefinite
     metrics with vanishing entries where entrywise division would not be.
+    Floats at one point; (N,) arrays of per-sample values over a batch.
     """
-    dim = g.shape[0]
-    mu = float(np.einsum("ij,ij->", ginv, A)) / dim
-    return mu, float(np.max(np.abs(A - mu * g)))
+    dim = g.shape[-1]
+    mu = np.einsum("...ij,...ij->...", ginv, A) / dim
+    resid = _max_abs(A - mu[..., None, None] * g, 2)
+    return (float(mu) if np.ndim(mu) == 0 else mu), resid
 
 
 def yamabe_soliton_solve(
@@ -372,7 +351,7 @@ def yamabe_soliton_solve(
     tag: str,
     potential: Sequence[Expression],
     tol: float = 1e-9,
-    other_potential: Sequence[Expression] | None = None,
+    other: TorseFormingResult | None = None,
 ) -> SolitonSolveResult:
     """Solve (1/2) L_v metric = (tau - lambda) metric for a vertical potential.
 
@@ -380,33 +359,27 @@ def yamabe_soliton_solve(
     the verdict is soliton iff max |A - mu metric| <= tol everywhere, and
     then lambda := tau_tag - mu.  When the potential is also torse-forming,
     the claims tau = f + lambda and f = dk(xi) are checked as residuals;
-    with a second potential given, f/k of both metrics are compared.
+    given the torse-forming fit of the other metric's potential (`other`),
+    f/k of both metrics are compared.
     """
-    data = _potential_data(geo, tag, potential)
-    for (pg, v, _), point in zip(data, geo.points):
-        k_val = float(pg.eta @ v)
-        drift = float(np.max(np.abs(v - k_val * pg.xi)))
-        if drift > _VERTICAL_TOL:
-            where = tuple(round(float(x), 6) for x in point)
-            raise NonVerticalPotential(
-                f"potential deviates from k*xi by {drift:.3e} at sample {where}"
-            )
+    pg, v, dv = _potential_data(geo, tag, potential)
+    k = _dot(pg.eta, v)
+    drift = _max_abs(v - k[:, None] * pg.xi, 1)
+    off = drift > _VERTICAL_TOL
+    if off.any():
+        first = int(np.argmax(off))
+        where = tuple(round(float(x), 6) for x in geo.points[first])
+        raise NonVerticalPotential(
+            f"potential deviates from k*xi by {drift[first]:.3e} at sample {where}"
+        )
 
-    mus, resids, lambdas, taus = [], [], [], []
-    for (pg, v, dv) in data:
-        nth = dv + np.einsum("kis,s->ki", pg.gamma, v)
-        lg = np.einsum("kj,ki->ij", pg.g, nth) + np.einsum("ki,kj->ij", pg.g, nth)
-        A = (lg + lg.T) / 4.0          # (1/2) L_v g, symmetrized
-        mu, resid = proportionality_split(A, pg.g, pg.ginv)
-        mus.append(mu)
-        resids.append(resid)
-        taus.append(pg.tau)
-        lambdas.append(pg.tau - mu)
-
-    resid_arr = np.array(resids)
+    nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)
+    lg = np.einsum("...kj,...ki->...ij", pg.g, nth) + np.einsum("...ki,...kj->...ij", pg.g, nth)
+    A = (lg + np.swapaxes(lg, -1, -2)) / 4.0          # (1/2) L_v g, symmetrized
+    mu, resid_arr = proportionality_split(A, pg.g, pg.ginv)
     verdict = "soliton" if float(np.max(resid_arr)) <= tol else "not-soliton"
-    lam_arr = np.array(lambdas)
-    tau_arr = np.array(taus)
+    tau_arr = pg.tau
+    lam_arr = tau_arr - mu
 
     torse = torse_forming_extract(geo, tag, potential, tol)
     checks: dict[str, float | None] = {
@@ -415,21 +388,16 @@ def yamabe_soliton_solve(
         "f/k matches between the two metrics": None,
     }
     if verdict == "soliton" and "torse-forming" in torse.taxonomy:
-        checks["tau = f + lambda"] = float(np.max(np.abs(tau_arr - torse.f - lam_arr)))
+        checks["tau = f + lambda"] = _norm(tau_arr - torse.f - lam_arr)
         if torse.vertical_checks is not None:
             checks["f = dk(xi)"] = torse.vertical_checks["f = dk(xi)"]
-    if other_potential is not None:
-        other_tag = METRIC_GTILDE if tag == METRIC_G else METRIC_G
-        other = torse_forming_extract(geo, other_tag, other_potential, tol)
-        if torse.h is not None and other.h is not None:
-            checks["f/k matches between the two metrics"] = float(
-                np.max(np.abs(torse.h - other.h))
-            )
+    if other is not None and torse.h is not None and other.h is not None:
+        checks["f/k matches between the two metrics"] = _norm(torse.h - other.h)
     return SolitonSolveResult(
         metric_tag=tag,
         verdict=verdict,
         lambdas=lam_arr,
-        mu=np.array(mus),
+        mu=mu,
         residuals=resid_arr,
         taus=tau_arr,
         theorem_checks=checks,
@@ -464,8 +432,6 @@ def verify_paper_suite(
     check_bindings(S.chart, merged, S.referenced_constants())
     c, ct, kp = merged["c"], merged["ct"], merged["kprime"]
     points = sample_points(S.chart, samples, seed, pinned)
-    n = S.n
-    two_n = 2 * n
     dim = S.dim
 
     records: list[CheckRecord] = []
@@ -486,107 +452,86 @@ def verify_paper_suite(
     )
 
     geo = SampleGeometry(S, points, merged)
-    pgs = list(geo.of(METRIC_G))
-    pgts = list(geo.of(METRIC_GTILDE))
-    ts = np.array([p[0] for p in points])
+    pg = geo.of(METRIC_G)
+    pgt = geo.of(METRIC_GTILDE)
+    ts = geo.points[:, 0]
+    per_matrix = ts[:, None, None]
 
     # golden closed forms of the connection
-    def gamma_dev(pg, t):
-        expected = np.zeros((dim, dim, dim))
-        expected[0, 1, 1] = -t
-        expected[0, 2, 2] = t
-        expected[1, 0, 1] = expected[1, 1, 0] = 1.0 / t
-        expected[2, 0, 2] = expected[2, 2, 0] = 1.0 / t
-        return float(np.max(np.abs(pg.gamma - expected)))
-
+    expected = np.zeros((len(ts), dim, dim, dim))
+    expected[:, 0, 1, 1] = -ts
+    expected[:, 0, 2, 2] = ts
+    expected[:, 1, 0, 1] = expected[:, 1, 1, 0] = 1.0 / ts
+    expected[:, 2, 0, 2] = expected[:, 2, 2, 0] = 1.0 / ts
     add(
         "Christoffel symbols of g",
         "Gamma^t_{uu} = -t, Gamma^t_{vv} = t, Gamma^u_{tu} = Gamma^v_{tv} = 1/t, rest 0",
-        [gamma_dev(pg, t) for pg, t in zip(pgs, ts)],
+        _max_abs(pg.gamma - expected, 3),
     )
 
     # phi-frame curvature values
-    frames = [S.frame_at(p, merged) for p in points]
-    r1212, rho11, rho22 = [], [], []
-    for pg, fr, t in zip(pgs, frames, ts):
-        r04f = to_phi_frame(PointTensor(dim, ("l",) * 4, pg.r04, COORDINATE), fr)
-        rhof = to_phi_frame(PointTensor(dim, ("l", "l"), pg.ricci, COORDINATE), fr)
-        closed = (kp - 1.0) / t**2
-        r1212.append(abs(r04f.components[0, 1, 0, 1] - closed))
-        rho11.append(abs(rhof.components[0, 0] - closed))
-        rho22.append(abs(rhof.components[1, 1] + closed))
-    add("curvature R_1212 in the phi-frame", "R_1212 = (kprime - 1)/t^2", r1212)
-    add("Ricci rho_11 in the phi-frame", "rho_11 = (kprime - 1)/t^2", rho11)
-    add("Ricci rho_22 in the phi-frame", "rho_22 = (1 - kprime)/t^2", rho22)
+    frames = S.frame_at(geo.points, merged)
+    r04f = to_phi_frame(PointTensor(dim, ("l",) * 4, pg.r04, COORDINATE), frames).components
+    rhof = to_phi_frame(PointTensor(dim, ("l", "l"), pg.ricci, COORDINATE), frames).components
+    closed = (kp - 1.0) / ts**2
+    add("curvature R_1212 in the phi-frame", "R_1212 = (kprime - 1)/t^2",
+        np.abs(r04f[:, 0, 1, 0, 1] - closed))
+    add("Ricci rho_11 in the phi-frame", "rho_11 = (kprime - 1)/t^2",
+        np.abs(rhof[:, 0, 0] - closed))
+    add("Ricci rho_22 in the phi-frame", "rho_22 = (1 - kprime)/t^2",
+        np.abs(rhof[:, 1, 1] + closed))
     add(
         "scalar curvature of g",
         "tau = 2(kprime - 1)/t^2",
-        [abs(pg.tau - 2.0 * (kp - 1.0) / t**2) for pg, t in zip(pgs, ts)],
+        np.abs(pg.tau - 2.0 * (kp - 1.0) / ts**2),
     )
-    add("associated scalar curvature", "tau* = 0", [abs(pg.tau_star) for pg in pgs])
-    add(
-        "Lee form value on xi",
-        "theta*(xi) = 2/t",
-        [abs(pg.theta_star_xi - 2.0 / t) for pg, t in zip(pgs, ts)],
-    )
+    add("associated scalar curvature", "tau* = 0", np.abs(pg.tau_star))
+    add("Lee form value on xi", "theta*(xi) = 2/t", np.abs(pg.theta_star_xi - 2.0 / ts))
     add(
         "scalar curvature of the associated metric",
         "tau~ = -2/t^2",
-        [abs(pgt.tau + 2.0 / t**2) for pgt, t in zip(pgts, ts)],
+        np.abs(pgt.tau + 2.0 / ts**2),
     )
 
     # associated metric components
-    def gt_dev(pgt, t):
-        expected = np.zeros((dim, dim))
-        expected[0, 0] = 1.0
-        expected[1, 2] = expected[2, 1] = -t * t
-        return float(np.max(np.abs(pgt.g - expected)))
-
+    expected = np.zeros((len(ts), dim, dim))
+    expected[:, 0, 0] = 1.0
+    expected[:, 1, 2] = expected[:, 2, 1] = -ts * ts
     add(
         "associated metric components",
         "g~ = eta otimes eta - t^2 (du otimes dv + dv otimes du)",
-        [gt_dev(pgt, t) for pgt, t in zip(pgts, ts)],
+        _max_abs(pgt.g - expected, 2),
     )
 
     # nabla xi for both metrics
-    def nxi_dev(pg, t):
-        phi2 = pg.phi @ pg.phi
-        return float(np.max(np.abs(pg.nabla_xi + phi2 / t)))
-
     add(
         "Reeb field derivative",
         "nabla_x xi = -(1/t) phi^2 x",
-        [nxi_dev(pg, t) for pg, t in zip(pgs, ts)],
+        _max_abs(pg.nabla_xi + (pg.phi @ pg.phi) / per_matrix, 2),
     )
     add(
         "Reeb field derivative, associated metric",
         "nabla~_x xi = -(1/t) phi^2 x",
-        [nxi_dev(pgt, t) for pgt, t in zip(pgts, ts)],
+        _max_abs(pgt.nabla_xi + (pgt.phi @ pgt.phi) / per_matrix, 2),
     )
 
     # fundamental tensor shape
-    def fxi_dev(pg, t):
-        fxi = np.einsum("ijs,s->ij", pg.F, pg.xi)
-        gphi = np.einsum("is,sj->ij", pg.g, pg.phi)
-        return float(np.max(np.abs(fxi + gphi / t)))
-
+    fxi = np.einsum("...ijs,...s->...ij", pg.F, pg.xi)
+    gphi = np.einsum("...is,...sj->...ij", pg.g, pg.phi)
     add(
         "fundamental tensor on xi",
         "F(x,y,xi) = -h g(x,phi y) with h = 1/t",
-        [fxi_dev(pg, t) for pg, t in zip(pgs, ts)],
+        _max_abs(fxi + gphi / per_matrix, 2),
     )
     add(
         "gradient of the Lee scalar",
         "d(theta*(xi)) = -(2/t^2) eta",
-        [
-            float(np.max(np.abs(pg.grad_theta_star_xi + (2.0 / t**2) * pg.eta)))
-            for pg, t in zip(pgs, ts)
-        ],
+        _max_abs(pg.grad_theta_star_xi + (2.0 / ts**2)[:, None] * pg.eta, 1),
     )
     add(
         "Lee form is closed",
         "d theta* = 0",
-        [float(np.max(np.abs(antisymmetrized_derivative(pg.dtheta_star)))) for pg in pgs],
+        _max_abs(antisymmetrized_derivative(pg.dtheta_star), 2),
     )
 
     # classification
@@ -627,125 +572,97 @@ def verify_paper_suite(
             samples=None,
         )
     )
-    add("Lee form omega", "omega = 0", [float(np.max(np.abs(pg.omega))) for pg in pgs])
+    add("Lee form omega", "omega = 0", _max_abs(pg.omega, 1))
     add(
         "Lee form theta* shape",
         "theta* = theta*(xi) eta",
-        [float(np.max(np.abs(pg.theta_star - pg.theta_star_xi * pg.eta))) for pg in pgs],
+        _max_abs(pg.theta_star - pg.theta_star_xi[:, None] * pg.eta, 1),
     )
 
     # identity suites, both metrics
     add(
         "metric compatibility",
         "nabla g = 0 and nabla~ g~ = 0",
-        [
-            max(metric_compatibility_residual(pg), metric_compatibility_residual(pgt))
-            for pg, pgt in zip(pgs, pgts)
-        ],
+        np.maximum(metric_compatibility_residual(pg), metric_compatibility_residual(pgt)),
     )
     add(
         "curvature symmetries and first Bianchi",
         "R(x,y,z,w) = -R(y,x,z,w) = -R(x,y,w,z) = R(z,w,x,y); cyclic sum 0",
-        [
-            max(
-                max(curvature_symmetry_residuals(pg).values()),
-                max(curvature_symmetry_residuals(pgt).values()),
-            )
-            for pg, pgt in zip(pgs, pgts)
-        ],
+        np.maximum(
+            worst_residual(curvature_symmetry_residuals(pg)),
+            worst_residual(curvature_symmetry_residuals(pgt)),
+        ),
     )
     add(
         "fundamental tensor properties",
         "F(x,y,z) = F(x,z,y) = F(x,phi y,phi z) + eta(y) F(x,xi,z) + eta(z) F(x,y,xi); F(x,phi y,xi) = (nabla_x eta) y",
-        [
-            max(
-                max(f_property_residuals(pg).values()),
-                max(f_property_residuals(pgt).values()),
-            )
-            for pg, pgt in zip(pgs, pgts)
-        ],
+        np.maximum(
+            worst_residual(f_property_residuals(pg)), worst_residual(f_property_residuals(pgt))
+        ),
     )
 
     # torse-forming curvature identities
-    tf_res = [torse_forming_curvature_residuals(pg) for pg in pgs]
+    tf_res = torse_forming_curvature_residuals(pg)
     add(
         "curvature against the Lee scalar",
         "R(x,y)xi = -{dh(x) + h^2 eta(x)} phi^2 y + {dh(y) + h^2 eta(y)} phi^2 x",
-        [r["R(x,y)xi = -{dh(x)+h^2 eta(x)} phi^2 y + {dh(y)+h^2 eta(y)} phi^2 x"] for r in tf_res],
+        tf_res["R(x,y)xi = -{dh(x)+h^2 eta(x)} phi^2 y + {dh(y)+h^2 eta(y)} phi^2 x"],
     )
     add(
         "Ricci against the Lee scalar",
         "rho(y,xi) = -(2n-1) dh(y) - {dh(xi) + 2n h^2} eta(y); rho(xi,xi) = -2n{dh(xi) + h^2}; R(xi,y)z expansion",
-        [
-            max(
-                r["R(xi,y)z = g(phi y,phi z) grad h - dh(z) phi^2 y + h^2 {eta(z) y - g(y,z) xi}"],
-                r["rho(y,xi) = -(2n-1) dh(y) - {dh(xi) + 2n h^2} eta(y)"],
-                r["rho(xi,xi) = -2n {dh(xi) + h^2}"],
-            )
-            for r in tf_res
-        ],
+        worst_residual(
+            {key: value for key, value in tf_res.items() if not key.startswith("R(x,y)xi")}
+        ),
     )
-    tt = [tau_tilde_relations(pg, pgt) for pg, pgt in zip(pgs, pgts)]
+    tt = tau_tilde_relations(pg, pgt)
     add(
         "scalar curvature transfer",
         "tau~ = -tau* - ((2n+1)/2n) theta*(xi)^2 - 2 xi(theta*(xi))",
-        [r["tau~ = -tau* - ((2n+1)/2n) theta*(xi)^2 - 2 xi(theta*(xi))"] for r in tt],
+        tt["tau~ = -tau* - ((2n+1)/2n) theta*(xi)^2 - 2 xi(theta*(xi))"],
     )
     add(
         "scalar curvature transfer via h",
         "tau~ = -tau* - 2n(2n+1) h^2 - 4n dh(xi)",
-        [r["tau~ = -tau* - 2n(2n+1) h^2 - 4n dh(xi)"] for r in tt],
+        tt["tau~ = -tau* - 2n(2n+1) h^2 - 4n dh(xi)"],
     )
 
     # cross-route equalities
     add(
         "associated Christoffels: direct vs correction route",
         "2g(nabla~_x y,z) = 2g(nabla_x y,z) - F(x,y,phi z) - F(y,x,phi z) + F(phi z,x,y) + eta-terms",
-        [
-            float(np.max(np.abs(nabla_tilde_components_from(pg) - pgt.gamma)))
-            for pg, pgt in zip(pgs, pgts)
-        ],
+        _max_abs(nabla_tilde_components_from(pg) - pgt.gamma, 3),
     )
     add(
         "associated fundamental tensor: direct vs transfer route",
         "2F~(x,y,z) = F(phi y,z,x) - F(y,phi z,x) + F(phi z,y,x) - F(z,phi y,x) + eta-terms",
-        [
-            float(np.max(np.abs(f_tilde_components_from(pg) - pgt.F)))
-            for pg, pgt in zip(pgs, pgts)
-        ],
+        _max_abs(f_tilde_components_from(pg) - pgt.F, 3),
     )
     add(
         "short connection form on F5",
         "nabla~_x y = nabla_x y - (theta*(xi)/2n){g(x,phi y) + g(phi x,phi y)} xi",
-        [
-            float(np.max(np.abs(gamma_t - pgt.gamma)))
-            for gamma_t, pgt in zip(connection_f5_form(geo.of(METRIC_G)), pgts)
-        ],
+        _max_abs(connection_f5_form(pg) - pgt.gamma, 3),
     )
 
-    # potentials and solitons
+    # potentials and solitons: one torse-forming fit per metric, shared by
+    # both solves and by the records below
     k_expr = parse("c*t", S.chart.coordinates, S.chart.constants)
     kt_expr = parse("ct*t", S.chart.coordinates, S.chart.constants)
     pot = vertical_potential(S, k_expr)
     pott = vertical_potential(S, kt_expr)
 
-    torse_g = torse_forming_extract(geo, METRIC_G, pot, tol)
-    torse_gt = torse_forming_extract(geo, METRIC_GTILDE, pott, tol)
+    sol_gt = yamabe_soliton_solve(geo, METRIC_GTILDE, pott, tol)
+    sol_g = yamabe_soliton_solve(geo, METRIC_G, pot, tol, other=sol_gt.torse)
+    torse_g, torse_gt = sol_g.torse, sol_gt.torse
     add(
         "conformal scalar of the g-potential",
         "nabla_x v = c x: f = c, gamma = 0",
-        [
-            max(abs(f - c), float(np.max(np.abs(gm))))
-            for f, gm in zip(torse_g.f, torse_g.gamma)
-        ],
+        np.maximum(np.abs(torse_g.f - c), _max_abs(torse_g.gamma, 1)),
     )
     add(
         "conformal scalar of the g~-potential",
         "nabla~_x v~ = ct x: f~ = ct, gamma~ = 0",
-        [
-            max(abs(f - ct), float(np.max(np.abs(gm))))
-            for f, gm in zip(torse_gt.f, torse_gt.gamma)
-        ],
+        np.maximum(np.abs(torse_gt.f - ct), _max_abs(torse_gt.gamma, 1)),
     )
 
     def flags_ok(torse, slope):
@@ -772,34 +689,19 @@ def verify_paper_suite(
             samples=tuple(torse_gt.per_sample_residual),
         )
     )
-    add(
-        "potential ratio for g",
-        "f/k = 1/t",
-        [abs(h - 1.0 / t) for h, t in zip(torse_g.h, ts)],
-    )
-    add(
-        "potential ratio for g~",
-        "f~/k~ = 1/t",
-        [abs(h - 1.0 / t) for h, t in zip(torse_gt.h, ts)],
-    )
-    add(
-        "potential ratios agree",
-        "f/k = f~/k~",
-        [abs(a - b) for a, b in zip(torse_g.h, torse_gt.h)],
-    )
+    add("potential ratio for g", "f/k = 1/t", np.abs(torse_g.h - 1.0 / ts))
+    add("potential ratio for g~", "f~/k~ = 1/t", np.abs(torse_gt.h - 1.0 / ts))
+    add("potential ratios agree", "f/k = f~/k~", np.abs(torse_g.h - torse_gt.h))
     add(
         "scalar field equation of k = c t",
         "t dk(xi) = k",
-        [abs(t * dkx - k) for t, dkx, k in zip(ts, torse_g.dk_xi, torse_g.k)],
+        np.abs(ts * torse_g.dk_xi - torse_g.k),
     )
     add(
         "scalar field equation of k~ = ct t",
         "t dk~(xi) = k~",
-        [abs(t * dkx - k) for t, dkx, k in zip(ts, torse_gt.dk_xi, torse_gt.k)],
+        np.abs(ts * torse_gt.dk_xi - torse_gt.k),
     )
-
-    sol_g = yamabe_soliton_solve(geo, METRIC_G, pot, tol, other_potential=pott)
-    sol_gt = yamabe_soliton_solve(geo, METRIC_GTILDE, pott, tol, other_potential=pot)
 
     def soliton_record(name, anchor, sol, closed):
         dev = np.abs(sol.lambdas - closed)
@@ -872,45 +774,33 @@ def verify_paper_suite(
     )
 
     # Lie derivative closed forms and the two expansion routes
-    lgs = lie_derivative_metric(geo.of(METRIC_G), *vector_field_jets(pot, points, merged))
-    lgts = lie_derivative_metric(geo.of(METRIC_GTILDE), *vector_field_jets(pott, points, merged))
-    lgvs = lie_derivative_vertical(geo.of(METRIC_G), k_expr.eval_jet(points, merged))
-    lgtvs = lie_derivative_vertical(geo.of(METRIC_GTILDE), kt_expr.eval_jet(points, merged))
-    lie_dev, lie_routes = [], []
-    for pg, pgt, lg, lgt, lgv, lgtv in zip(pgs, pgts, lgs, lgts, lgvs, lgtvs):
-        lie_dev.append(
-            max(
-                float(np.max(np.abs(lg - 2.0 * c * pg.g))),
-                float(np.max(np.abs(lgt - 2.0 * ct * pgt.g))),
-            )
-        )
-        lie_routes.append(
-            max(float(np.max(np.abs(lg - lgv))), float(np.max(np.abs(lgt - lgtv))))
-        )
-    add("Lie derivatives of both metrics", "L_v g = 2c g; L_v~ g~ = 2ct g~", lie_dev)
+    lg = lie_derivative_metric(pg, *vector_field_jets(pot, geo.points, merged))
+    lgt = lie_derivative_metric(pgt, *vector_field_jets(pott, geo.points, merged))
+    lgv = lie_derivative_vertical(pg, k_expr.eval_jet(geo.points, merged))
+    lgtv = lie_derivative_vertical(pgt, kt_expr.eval_jet(geo.points, merged))
+    add(
+        "Lie derivatives of both metrics",
+        "L_v g = 2c g; L_v~ g~ = 2ct g~",
+        np.maximum(_max_abs(lg - 2.0 * c * pg.g, 2), _max_abs(lgt - 2.0 * ct * pgt.g, 2)),
+    )
     add(
         "Lie derivative expansion for vertical potentials",
         "L_{k xi} m = dk otimes eta + eta otimes dk + k(m(nabla xi, .) + m(., nabla xi))",
-        lie_routes,
+        np.maximum(_max_abs(lg - lgv, 2), _max_abs(lgt - lgtv, 2)),
     )
 
     # contraction replay of the proportionality argument
-    trace_dev, xixi_dev = [], []
-    for pg, lg, sol_lam in zip(pgs, lgs, sol_g.lambdas):
-        half = lg / 2.0
-        trace_dev.append(
-            abs(float(np.einsum("ij,ij->", pg.ginv, half)) - dim * (pg.tau - sol_lam))
-        )
-        xixi_dev.append(abs(float(pg.xi @ half @ pg.xi) - (pg.tau - sol_lam)))
+    half = lg / 2.0
+    level = pg.tau - sol_g.lambdas
     add(
         "trace of the soliton equation",
         "g^{ij} ((1/2) L_v g)_{ij} = (2n+1)(tau - lambda)",
-        trace_dev,
+        np.abs(np.einsum("...ij,...ij->...", pg.ginv, half) - dim * level),
     )
     add(
         "soliton equation on (xi,xi)",
         "((1/2) L_v g)(xi,xi) = tau - lambda",
-        xixi_dev,
+        np.abs(_dot(np.einsum("...i,...ij->...j", pg.xi, half), pg.xi) - level),
     )
 
     return records, points

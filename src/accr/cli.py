@@ -45,7 +45,7 @@ from .report import (
     VERDICT_PASS,
     record_from_residual,
 )
-from .tensor import COORDINATE, PointTensor, to_phi_frame
+from .tensor import COORDINATE, PointTensor, _max_abs, to_phi_frame
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -215,11 +215,10 @@ def _classification_records(geo, tol):
 
 
 def _identity_records(geo, tol, tag):
-    compat, sym, fprop = [], [], []
-    for pg in geo.of(tag):
-        compat.append(geometry.metric_compatibility_residual(pg))
-        sym.append(max(geometry.curvature_symmetry_residuals(pg).values()))
-        fprop.append(max(geometry.f_property_residuals(pg).values()))
+    pg = geo.of(tag)
+    compat = geometry.metric_compatibility_residual(pg)
+    sym = geometry.worst_residual(geometry.curvature_symmetry_residuals(pg))
+    fprop = geometry.worst_residual(geometry.f_property_residuals(pg))
     suffix = "" if tag == METRIC_G else " (associated metric)"
     return [
         record_from_residual(f"metric compatibility{suffix}", "nabla g = 0", compat, tol),
@@ -250,24 +249,21 @@ def _value_record(name, anchor, values):
 
 def _curvature_records(geo, tol, tag):
     S = geo.structure
-    taus, tau_stars, tsx = [], [], []
-    frame_vals = {"R_1212": [], "rho_11": [], "rho_22": []}
+    pg = geo.of(tag)
     has_frame = S.frame is not None
-    for p, pg in zip(geo.points, geo.of(tag)):
-        taus.append(pg.tau)
-        tau_stars.append(pg.tau_star)
-        tsx.append(pg.theta_star_xi)
-        if has_frame:
-            fr = S.frame_at(p, geo.bindings)
-            r04f = to_phi_frame(PointTensor(pg.dim, ("l",) * 4, pg.r04, COORDINATE), fr)
-            rhof = to_phi_frame(PointTensor(pg.dim, ("l", "l"), pg.ricci, COORDINATE), fr)
-            frame_vals["R_1212"].append(r04f.components[0, 1, 0, 1])
-            frame_vals["rho_11"].append(rhof.components[0, 0])
-            frame_vals["rho_22"].append(rhof.components[1, 1])
+    if has_frame:
+        frames = S.frame_at(geo.points, geo.bindings)
+        r04f = to_phi_frame(PointTensor(pg.dim, ("l",) * 4, pg.r04, COORDINATE), frames)
+        rhof = to_phi_frame(PointTensor(pg.dim, ("l", "l"), pg.ricci, COORDINATE), frames)
+        frame_vals = {
+            "R_1212": r04f.components[:, 0, 1, 0, 1],
+            "rho_11": rhof.components[:, 0, 0],
+            "rho_22": rhof.components[:, 1, 1],
+        }
     records = [
-        _value_record("scalar curvature", "tau = g^{jk} rho_jk", taus),
-        _value_record("associated scalar curvature", "tau* = g^{ij} rho_is phi^s_j", tau_stars),
-        _value_record("Lee scalar", "theta*(xi)", tsx),
+        _value_record("scalar curvature", "tau = g^{jk} rho_jk", pg.tau),
+        _value_record("associated scalar curvature", "tau* = g^{ij} rho_is phi^s_j", pg.tau_star),
+        _value_record("Lee scalar", "theta*(xi)", pg.theta_star_xi),
     ]
     if has_frame:
         for key, values in frame_vals.items():
@@ -279,12 +275,10 @@ def _curvature_records(geo, tol, tag):
 
 
 def _cross_route_records(geo, tol):
-    ntn, tff, short_form = [], [], []
-    short_gammas = geometry.connection_f5_form(geo.of(METRIC_G))
-    for pg, pgt, short_gamma in zip(geo.of(METRIC_G), geo.of(METRIC_GTILDE), short_gammas):
-        ntn.append(float(np.max(np.abs(geometry.nabla_tilde_components_from(pg) - pgt.gamma))))
-        tff.append(float(np.max(np.abs(geometry.f_tilde_components_from(pg) - pgt.F))))
-        short_form.append(float(np.max(np.abs(short_gamma - pgt.gamma))))
+    pg, pgt = geo.of(METRIC_G), geo.of(METRIC_GTILDE)
+    ntn = _max_abs(geometry.nabla_tilde_components_from(pg) - pgt.gamma, 3)
+    tff = _max_abs(geometry.f_tilde_components_from(pg) - pgt.F, 3)
+    short_form = _max_abs(geometry.connection_f5_form(pg) - pgt.gamma, 3)
     return [
         record_from_residual(
             "associated Christoffels: direct vs correction route",
@@ -400,10 +394,14 @@ def _run(args) -> int:
     pinned = _parse_points(args.point, S.chart)
     if args.samples < 1:
         raise _Usage("--samples must be at least 1")
-    points = sample_points(S.chart, args.samples, args.seed, pinned)
+    if len(pinned) > args.samples:
+        raise _Usage(f"{len(pinned)} --point pins exceed --samples {args.samples}")
+    if args.seed < 0:
+        raise _Usage("--seed must be non-negative")
     tol = args.tolerance
-    if tol <= 0:
-        raise _Usage("--tolerance must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise _Usage("--tolerance must be a positive finite number")
+    points = sample_points(S.chart, args.samples, args.seed, pinned)
 
     geo = geometry.SampleGeometry(S, points, bindings)
     records: list[CheckRecord] = []

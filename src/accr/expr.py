@@ -228,7 +228,7 @@ def _literal_int_exponent(node: Node) -> int | None:
 def _div(left, right):
     if isinstance(left, Jet2) or isinstance(right, Jet2):
         return left / right
-    if right == 0.0:
+    if np.any(np.asarray(right) == 0.0):
         raise DomainError("division by zero")
     return left / right
 
@@ -302,13 +302,21 @@ class Expression:
     coords: tuple[str, ...]
     constants: tuple[str, ...]
 
-    def eval_number(self, point, bindings: Mapping[str, float] | None = None) -> float:
-        values = [float(x) for x in point]
-        if len(values) != len(self.coords):
+    def eval_number(self, point, bindings: Mapping[str, float] | None = None):
+        """Value at one point of shape (d,) as a float, or at a batch (N, d) as an (N,) array.
+
+        A batch evaluates the AST once, on arrays of coordinate values.
+        """
+        values = np.asarray(point, dtype=float)
+        d = len(self.coords)
+        if values.ndim not in (1, 2) or values.shape[-1] != d:
             raise DimensionMismatch(
-                f"point has {len(values)} components, chart has {len(self.coords)}"
+                f"point of shape {values.shape} does not fit a chart with {d} coordinates"
             )
-        return float(_evaluate(self.ast, values, bindings or {}))
+        result = _evaluate(self.ast, [values[..., i] for i in range(d)], bindings or {})
+        if values.ndim == 1:
+            return float(result)
+        return np.full(values.shape[:-1], result, dtype=float)
 
     def eval_jet(self, point, bindings: Mapping[str, float] | None = None) -> Jet2:
         """Jet at one point of shape (d,), or at a batch of points of shape (N, d).

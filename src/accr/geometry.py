@@ -36,7 +36,7 @@ from .manifold import (
     AccRStructure,
     AssociatedMetric,
 )
-from .tensor import COORDINATE, PointTensor
+from .tensor import COORDINATE, PointTensor, _dot, _max_abs
 
 __all__ = [
     "PointGeometry",
@@ -61,6 +61,7 @@ __all__ = [
     "f_property_residuals",
     "torse_forming_curvature_residuals",
     "tau_tilde_relations",
+    "worst_residual",
 ]
 
 _ONCE_DIFF_TOL = 1e-9
@@ -150,11 +151,6 @@ class PointGeometry:
 _SAMPLE_FIELDS = tuple(
     f.name for f in fields(PointGeometry) if f.name not in ("tag", "point", "n")
 )
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-sample a . b over the last axis, through matmul's dot kernel like 1-d a @ b."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
@@ -337,7 +333,7 @@ def christoffel(S, tag, point, bindings=None) -> ConnectionAtPoint:
 def nabla_xi(S, tag, point, bindings=None) -> PointTensor:
     """The (1,1) tensor x -> nabla_x xi; enforces eta(nabla_x xi) = 0."""
     pg = point_geometry(S, tag, point, bindings)
-    drift = float(np.max(np.abs(np.einsum("k,ki->i", pg.eta, pg.nabla_xi))))
+    drift = float(np.max(np.abs(np.einsum("...k,...ki->...i", pg.eta, pg.nabla_xi))))
     if drift > _ONCE_DIFF_TOL:
         raise IdentityViolation(f"eta(nabla_x xi) = {drift:.3e}, should vanish since g(xi,xi)=1")
     return PointTensor(dim=pg.dim, variance=("u", "l"), components=pg.nabla_xi, basis=COORDINATE)
@@ -375,7 +371,7 @@ def fundamental_tensor(S, tag, point, bindings=None) -> FundamentalTensorAtPoint
 
 
 def f_tilde_components_from(pg: PointGeometry) -> np.ndarray:
-    """F-tilde built from F of g by the transfer relation.
+    """F-tilde built from F of g by the transfer relation, at one point or a batch.
 
     2 F~(x,y,z) = F(phi y, z, x) - F(y, phi z, x) + F(phi z, y, x) - F(z, phi y, x)
       + {F(x,y,xi) + F(phi y, phi x, xi) + F(x, phi y, xi)} eta(z)
@@ -385,35 +381,35 @@ def f_tilde_components_from(pg: PointGeometry) -> np.ndarray:
     if pg.tag != METRIC_G:
         raise ValueError("transfer relation consumes the fundamental tensor of g")
     phi, eta, xi, F = pg.phi, pg.eta, pg.xi, pg.F
-    Fxi = np.einsum("ijs,s->ij", F, xi)
+    Fxi = np.einsum("...ijs,...s->...ij", F, xi)
 
     swap = (
-        np.einsum("aj,azi->ijz", phi, F)
-        - np.einsum("bz,jbi->ijz", phi, F)
-        + np.einsum("az,aji->ijz", phi, F)
-        - np.einsum("bj,zbi->ijz", phi, F)
+        np.einsum("...aj,...azi->...ijz", phi, F)
+        - np.einsum("...bz,...jbi->...ijz", phi, F)
+        + np.einsum("...az,...aji->...ijz", phi, F)
+        - np.einsum("...bj,...zbi->...ijz", phi, F)
     )
     cz = (
         Fxi
-        + np.einsum("aj,bi,ab->ij", phi, phi, Fxi)
-        + np.einsum("aj,ia->ij", phi, Fxi)
+        + np.einsum("...aj,...bi,...ab->...ij", phi, phi, Fxi)
+        + np.einsum("...aj,...ia->...ij", phi, Fxi)
     )
     cy = (
         Fxi
-        + np.einsum("az,bi,ab->iz", phi, phi, Fxi)
-        + np.einsum("az,ia->iz", phi, Fxi)
+        + np.einsum("...az,...bi,...ab->...iz", phi, phi, Fxi)
+        + np.einsum("...az,...ia->...iz", phi, Fxi)
     )
     cx = (
         Fxi
-        + np.einsum("az,bj,ab->jz", phi, phi, Fxi)
-        + Fxi.T
-        + np.einsum("aj,bz,ab->jz", phi, phi, Fxi)
+        + np.einsum("...az,...bj,...ab->...jz", phi, phi, Fxi)
+        + np.swapaxes(Fxi, -1, -2)
+        + np.einsum("...aj,...bz,...ab->...jz", phi, phi, Fxi)
     )
     two_ft = (
         swap
-        + np.einsum("ij,z->ijz", cz, eta)
-        + np.einsum("iz,j->ijz", cy, eta)
-        + np.einsum("jz,i->ijz", cx, eta)
+        + np.einsum("...ij,...z->...ijz", cz, eta)
+        + np.einsum("...iz,...j->...ijz", cy, eta)
+        + np.einsum("...jz,...i->...ijz", cx, eta)
     )
     return two_ft / 2.0
 
@@ -424,7 +420,7 @@ def f_tilde_via_relation(S, point, bindings=None) -> PointTensor:
 
 
 def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
-    """Christoffels of the associated metric from those of g.
+    """Christoffels of the associated metric from those of g, at one point or a batch.
 
     2 g(nabla~_x y, z) = 2 g(nabla_x y, z) - F(x,y,phi z) - F(y,x,phi z) + F(phi z,x,y)
       + {F(y,z,xi) + F(phi z, phi y, xi) - omega(phi y) eta(z)} eta(x)
@@ -434,38 +430,38 @@ def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
     if pg.tag != METRIC_G:
         raise ValueError("connection relation consumes the fundamental tensor of g")
     phi, eta, xi, F, omega = pg.phi, pg.eta, pg.xi, pg.F, pg.omega
-    Fxi = np.einsum("ijs,s->ij", F, xi)
-    omega_phi = np.einsum("a,aj->j", omega, phi)
+    Fxi = np.einsum("...ijs,...s->...ij", F, xi)
+    omega_phi = np.einsum("...a,...aj->...j", omega, phi)
 
     corr = (
-        -np.einsum("bz,ijb->ijz", phi, F)
-        - np.einsum("bz,jib->ijz", phi, F)
-        + np.einsum("az,aij->ijz", phi, F)
+        -np.einsum("...bz,...ijb->...ijz", phi, F)
+        - np.einsum("...bz,...jib->...ijz", phi, F)
+        + np.einsum("...az,...aij->...ijz", phi, F)
     )
     ax = (
         Fxi
-        + np.einsum("az,bj,ab->jz", phi, phi, Fxi)
-        - np.einsum("j,z->jz", omega_phi, eta)
+        + np.einsum("...az,...bj,...ab->...jz", phi, phi, Fxi)
+        - np.einsum("...j,...z->...jz", omega_phi, eta)
     )
     ay = (
         Fxi
-        + np.einsum("az,bi,ab->iz", phi, phi, Fxi)
-        - np.einsum("i,z->iz", omega_phi, eta)
+        + np.einsum("...az,...bi,...ab->...iz", phi, phi, Fxi)
+        - np.einsum("...i,...z->...iz", omega_phi, eta)
     )
     az = (
-        np.einsum("s,sij->ij", xi, F)
-        - Fxi.T
-        - np.einsum("aj,ia->ij", phi, Fxi)
+        np.einsum("...s,...sij->...ij", xi, F)
+        - np.swapaxes(Fxi, -1, -2)
+        - np.einsum("...aj,...ia->...ij", phi, Fxi)
         - Fxi
-        - np.einsum("ai,ja->ij", phi, Fxi)
+        - np.einsum("...ai,...ja->...ij", phi, Fxi)
     )
     corr = (
         corr
-        + np.einsum("jz,i->ijz", ax, eta)
-        + np.einsum("iz,j->ijz", ay, eta)
-        - np.einsum("ij,z->ijz", az, eta)
+        + np.einsum("...jz,...i->...ijz", ax, eta)
+        + np.einsum("...iz,...j->...ijz", ay, eta)
+        - np.einsum("...ij,...z->...ijz", az, eta)
     )
-    return pg.gamma + 0.5 * np.einsum("kz,ijz->kij", pg.ginv, corr)
+    return pg.gamma + 0.5 * np.einsum("...kz,...ijz->...kij", pg.ginv, corr)
 
 
 def nabla_tilde_via_relation(S, point, bindings=None) -> ConnectionAtPoint:
@@ -548,94 +544,106 @@ def exterior_derivative(field, point, bindings=None) -> PointTensor:
         return PointTensor(len(jet.grad), ("l",), jet.grad, COORDINATE)
     comps = list(field)
     _, partial = vector_field_jets(comps, point, bindings)  # partial[z,m] = d_m alpha_z
-    d2 = partial.T - partial  # d[i,j] = d_i alpha_j - d_j alpha_i
-    return PointTensor(len(comps), ("l", "l"), d2, COORDINATE)
+    return PointTensor(len(comps), ("l", "l"), antisymmetrized_derivative(partial), COORDINATE)
 
 
 def antisymmetrized_derivative(partial: np.ndarray) -> np.ndarray:
-    """d of a 1-form given its derivative array partial[z,m] = d_m alpha_z."""
-    return partial.T - partial
+    """d of a 1-form given its derivative array partial[..., z, m] = d_m alpha_z.
+
+    d[..., i, j] = d_i alpha_j - d_j alpha_i, at one point or a batch.
+    """
+    return np.swapaxes(partial, -1, -2) - partial
 
 
 # -- residual helpers ---------------------------------------------------------
+#
+# Each helper takes the geometry of one point or of a batch.  A residual is
+# a float at one point and an (N,) array of per-sample residuals over a batch.
 
 
-def metric_compatibility_residual(pg: PointGeometry) -> float:
+def worst_residual(residuals: Mapping[str, object]):
+    """The largest of several named residuals, per sample over a batch."""
+    return np.max(list(residuals.values()), axis=0)
+
+
+def metric_compatibility_residual(pg: PointGeometry):
     """max | d_k g_ij - Gamma^l_{ki} g_lj - Gamma^l_{kj} g_il |"""
     nabla_g = (
-        np.einsum("ijk->kij", pg.dg)
-        - np.einsum("lki,lj->kij", pg.gamma, pg.g)
-        - np.einsum("lkj,il->kij", pg.gamma, pg.g)
+        np.einsum("...ijk->...kij", pg.dg)
+        - np.einsum("...lki,...lj->...kij", pg.gamma, pg.g)
+        - np.einsum("...lkj,...il->...kij", pg.gamma, pg.g)
     )
-    return float(np.max(np.abs(nabla_g)))
+    return _max_abs(nabla_g, 3)
 
 
-def curvature_symmetry_residuals(pg: PointGeometry) -> dict[str, float]:
-    r = pg.r04
-    out = {
-        "R(x,y,z,w) = -R(y,x,z,w)": float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
-        "R(x,y,z,w) = -R(x,y,w,z)": float(np.max(np.abs(r + r.transpose(0, 1, 3, 2)))),
-        "R(x,y,z,w) = R(z,w,x,y)": float(np.max(np.abs(r - r.transpose(2, 3, 0, 1)))),
-        "R(x,y)z + R(y,z)x + R(z,x)y = 0": float(
-            np.max(np.abs(pg.r13 + np.einsum("lijk->lkij", pg.r13) + np.einsum("ljki->lkij", pg.r13)))
+def curvature_symmetry_residuals(pg: PointGeometry) -> dict:
+    r, r13 = pg.r04, pg.r13
+    return {
+        "R(x,y,z,w) = -R(y,x,z,w)": _max_abs(r + np.einsum("...jikw->...ijkw", r), 4),
+        "R(x,y,z,w) = -R(x,y,w,z)": _max_abs(r + np.einsum("...ijwk->...ijkw", r), 4),
+        "R(x,y,z,w) = R(z,w,x,y)": _max_abs(r - np.einsum("...kwij->...ijkw", r), 4),
+        "R(x,y)z + R(y,z)x + R(z,x)y = 0": _max_abs(
+            r13 + np.einsum("...lijk->...lkij", r13) + np.einsum("...ljki->...lkij", r13), 4
         ),
     }
-    return out
 
 
-def f_property_residuals(pg: PointGeometry) -> dict[str, float]:
+def f_property_residuals(pg: PointGeometry) -> dict:
     phi, eta, xi, F = pg.phi, pg.eta, pg.xi, pg.F
-    Fxiz = np.einsum("isz,s->iz", F, xi)   # F(x, xi, z)
-    Fxi = np.einsum("ijs,s->ij", F, xi)    # F(x, y, xi)
+    Fxiz = np.einsum("...isz,...s->...iz", F, xi)   # F(x, xi, z)
+    Fxi = np.einsum("...ijs,...s->...ij", F, xi)    # F(x, y, xi)
     total = (
         F
-        - np.einsum("aj,bz,iab->ijz", phi, phi, F)
-        - np.einsum("j,iz->ijz", eta, Fxiz)
-        - np.einsum("z,ij->ijz", eta, Fxi)
+        - np.einsum("...aj,...bz,...iab->...ijz", phi, phi, F)
+        - np.einsum("...j,...iz->...ijz", eta, Fxiz)
+        - np.einsum("...z,...ij->...ijz", eta, Fxi)
     )
-    lhs_prop2 = np.einsum("iaz,aj,z->ij", F, phi, xi)
+    lhs_prop2 = np.einsum("...iaz,...aj,...z->...ij", F, phi, xi)
     return {
-        "F(x,y,z) = F(x,z,y)": float(np.max(np.abs(F - np.einsum("izj->ijz", F)))),
-        "F(x,y,z) = F(x,phi y,phi z) + eta(y) F(x,xi,z) + eta(z) F(x,y,xi)": float(
-            np.max(np.abs(total))
-        ),
-        "F(x,phi y,xi) = (nabla_x eta) y": float(np.max(np.abs(lhs_prop2 - pg.nabla_eta))),
-        "(nabla_x eta) y = g(nabla_x xi, y)": float(
-            np.max(np.abs(pg.nabla_eta - np.einsum("kj,ki->ij", pg.g, pg.nabla_xi)))
+        "F(x,y,z) = F(x,z,y)": _max_abs(F - np.einsum("...izj->...ijz", F), 3),
+        "F(x,y,z) = F(x,phi y,phi z) + eta(y) F(x,xi,z) + eta(z) F(x,y,xi)": _max_abs(total, 3),
+        "F(x,phi y,xi) = (nabla_x eta) y": _max_abs(lhs_prop2 - pg.nabla_eta, 2),
+        "(nabla_x eta) y = g(nabla_x xi, y)": _max_abs(
+            pg.nabla_eta - np.einsum("...kj,...ki->...ij", pg.g, pg.nabla_xi), 2
         ),
     }
 
 
-def torse_forming_curvature_residuals(pg: PointGeometry) -> dict[str, float]:
+def torse_forming_curvature_residuals(pg: PointGeometry) -> dict:
     """Curvature identities driven by h = theta*(xi)/2n and its gradient."""
-    h = pg.h
+    h = np.asarray(pg.h)
+    hv = h[..., None]
     dh = pg.grad_h
     phi2 = pg.phi @ pg.phi
     eye = np.eye(pg.dim)
-    coeff = dh + h * h * pg.eta
+    coeff = dh + hv * hv * pg.eta
 
-    r_xi = np.einsum("lkij,k->lij", pg.r13, pg.xi)
-    rhs = -np.einsum("i,lj->lij", coeff, phi2) + np.einsum("j,li->lij", coeff, phi2)
-    res_rtf = float(np.max(np.abs(r_xi - rhs)))
-
-    grad_h_up = pg.ginv @ dh
-    gphiphi = np.einsum("aj,bk,ab->jk", pg.phi, pg.phi, pg.g)
-    r_from_xi = np.einsum("lkij,i->lkj", pg.r13, pg.xi)  # [l, z-slot, y-slot]
-    rhs_a = (
-        np.einsum("jk,l->lkj", gphiphi, grad_h_up)
-        - np.einsum("k,lj->lkj", dh, phi2)
-        + h * h * (np.einsum("k,lj->lkj", pg.eta, eye) - np.einsum("jk,l->lkj", pg.g, pg.xi))
+    r_xi = np.einsum("...lkij,...k->...lij", pg.r13, pg.xi)
+    rhs = (
+        -np.einsum("...i,...lj->...lij", coeff, phi2) + np.einsum("...j,...li->...lij", coeff, phi2)
     )
-    res_a = float(np.max(np.abs(r_from_xi - rhs_a)))
+    res_rtf = _max_abs(r_xi - rhs, 3)
+
+    grad_h_up = np.einsum("...ij,...j->...i", pg.ginv, dh)
+    gphiphi = np.einsum("...aj,...bk,...ab->...jk", pg.phi, pg.phi, pg.g)
+    r_from_xi = np.einsum("...lkij,...i->...lkj", pg.r13, pg.xi)  # [l, z-slot, y-slot]
+    rhs_a = (
+        np.einsum("...jk,...l->...lkj", gphiphi, grad_h_up)
+        - np.einsum("...k,...lj->...lkj", dh, phi2)
+        + (h * h)[..., None, None, None] * (
+            np.einsum("...k,lj->...lkj", pg.eta, eye) - np.einsum("...jk,...l->...lkj", pg.g, pg.xi)
+        )
+    )
+    res_a = _max_abs(r_from_xi - rhs_a, 3)
 
     two_n = 2 * pg.n
-    dh_xi = float(dh @ pg.xi)
-    rho_y_xi = pg.ricci @ pg.xi
-    rhs_b = -(two_n - 1) * dh - (dh_xi + two_n * h * h) * pg.eta
-    res_b = float(np.max(np.abs(rho_y_xi - rhs_b)))
+    dh_xi = _dot(dh, pg.xi)
+    rho_y_xi = np.einsum("...ij,...j->...i", pg.ricci, pg.xi)
+    rhs_b = -(two_n - 1) * dh - (dh_xi + two_n * h * h)[..., None] * pg.eta
+    res_b = _max_abs(rho_y_xi - rhs_b, 1)
 
-    rho_xx = float(pg.xi @ pg.ricci @ pg.xi)
-    res_c = abs(rho_xx - (-two_n * (dh_xi + h * h)))
+    rho_xx = _dot(np.einsum("...i,...ij->...j", pg.xi, pg.ricci), pg.xi)
+    res_c = _max_abs(rho_xx - (-two_n * (dh_xi + h * h)), 0)
 
     return {
         "R(x,y)xi = -{dh(x)+h^2 eta(x)} phi^2 y + {dh(y)+h^2 eta(y)} phi^2 x": res_rtf,
@@ -645,16 +653,16 @@ def torse_forming_curvature_residuals(pg: PointGeometry) -> dict[str, float]:
     }
 
 
-def tau_tilde_relations(pg_g: PointGeometry, pg_gt: PointGeometry) -> dict[str, float]:
+def tau_tilde_relations(pg_g: PointGeometry, pg_gt: PointGeometry) -> dict:
     """Scalar curvature of the associated metric from quantities of g (F5 only)."""
     n = pg_g.n
     tsx = pg_g.theta_star_xi
-    xi_tsx = float(pg_g.grad_theta_star_xi @ pg_g.xi)
+    xi_tsx = _dot(pg_g.grad_theta_star_xi, pg_g.xi)
     h = pg_g.h
-    dh_xi = float(pg_g.grad_h @ pg_g.xi)
+    dh_xi = _dot(pg_g.grad_h, pg_g.xi)
     rhs1 = -pg_g.tau_star - ((2 * n + 1) / (2 * n)) * tsx**2 - 2 * xi_tsx
     rhs2 = -pg_g.tau_star - 2 * n * (2 * n + 1) * h**2 - 4 * n * dh_xi
     return {
-        "tau~ = -tau* - ((2n+1)/2n) theta*(xi)^2 - 2 xi(theta*(xi))": abs(pg_gt.tau - rhs1),
-        "tau~ = -tau* - 2n(2n+1) h^2 - 4n dh(xi)": abs(pg_gt.tau - rhs2),
+        "tau~ = -tau* - ((2n+1)/2n) theta*(xi)^2 - 2 xi(theta*(xi))": _max_abs(pg_gt.tau - rhs1, 0),
+        "tau~ = -tau* - 2n(2n+1) h^2 - 4n dh(xi)": _max_abs(pg_gt.tau - rhs2, 0),
     }

@@ -169,8 +169,9 @@ class Jet2:
 def int_pow(base, exponent: int):
     """base**exponent for integer exponent, expanded by repeated multiplication.
 
-    Works on Jet2 and plain numbers alike.  Negative exponents invert at the
-    end, so the derivative structure stays exact for jets.
+    Works on Jet2, plain numbers and arrays of numbers alike.  Negative
+    exponents invert at the end, so the derivative structure stays exact for
+    jets.
     """
     exponent = int(exponent)
     if exponent == 0:
@@ -187,7 +188,7 @@ def int_pow(base, exponent: int):
     if exponent < 0:
         if isinstance(result, Jet2):
             return result.reciprocal()
-        if result == 0:
+        if np.any(np.asarray(result) == 0):
             raise DomainError("zero base with negative exponent")
         return 1.0 / result
     return result
@@ -199,7 +200,7 @@ def general_pow(base, exponent):
 
 
 def _unary(name, scalar_fn, value_fn, d1_fn, d2_fn, value_domain=None, jet_domain=None):
-    """scalar_fn acts on plain numbers; value_fn, d1_fn and d2_fn act on arrays."""
+    """scalar_fn acts on a plain number; value_fn, d1_fn and d2_fn act on arrays."""
 
     def apply(x):
         if isinstance(x, Jet2):
@@ -212,6 +213,10 @@ def _unary(name, scalar_fn, value_fn, d1_fn, d2_fn, value_domain=None, jet_domai
             b = np.asarray(d2_fn(v))[..., None, None]
             hess = b * _outer(x.grad) + a[..., None] * x.hess
             return Jet2(value_fn(v), a * x.grad, hess)
+        if np.ndim(x):  # plain numbers at a batch of points
+            if value_domain is not None:
+                value_domain(x)
+            return value_fn(x)
         v = float(x)
         if value_domain is not None:
             value_domain(v)

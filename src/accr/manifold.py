@@ -25,7 +25,7 @@ from .errors import (
     UnknownBuiltin,
 )
 from .expr import Expression, parse
-from .tensor import signature_of
+from .tensor import _dot, signature_of
 
 __all__ = [
     "Chart",
@@ -150,7 +150,10 @@ class AccRStructure:
                 yield from row
 
     def values_at(self, point, bindings: Mapping[str, float] | None = None) -> StructureValues:
-        """Structure component values at an interior chart point."""
+        """Structure component values at one interior chart point (d,) or a batch (N, d).
+
+        A batch puts a leading sample axis on every array.
+        """
         self.chart.require_inside(point)
         b = bindings or {}
         return StructureValues(
@@ -176,7 +179,7 @@ class AccRStructure:
         )
 
     def frame_at(self, point, bindings: Mapping[str, float] | None = None) -> np.ndarray:
-        """Evaluate the declared phi-adapted frame (columns e_1..e_2n, xi)."""
+        """The declared phi-adapted frame (columns e_1..e_2n, xi) at one point or a batch."""
         if self.frame is None:
             raise ManifoldParseError("structure declares no frame")
         self.chart.require_inside(point)
@@ -184,9 +187,11 @@ class AccRStructure:
 
 
 def _eval_grid(exprs, point, bindings) -> np.ndarray:
-    if isinstance(exprs[0], Expression):
-        return np.array([e.eval_number(point, bindings) for e in exprs])
-    return np.array([[e.eval_number(point, bindings) for e in row] for row in exprs])
+    shape = (len(exprs),) if isinstance(exprs[0], Expression) else (len(exprs), len(exprs[0]))
+    flat = exprs if len(shape) == 1 else [e for row in exprs for e in row]
+    values = [e.eval_number(point, bindings) for e in flat]
+    batch = np.shape(values[0])
+    return np.stack(values, len(batch)).reshape(batch + shape)
 
 
 def _eval_grid_jets(exprs, point, bindings) -> FieldJets:
@@ -399,47 +404,40 @@ def validate_structure(
 ) -> ValidationReport:
     """Check the defining identities of an almost contact B-metric structure.
 
+    Every identity is evaluated once over the whole batch of samples.
     Residuals are max-norms over all samples of:
       phi(xi) = 0, phi^2 = -id + eta(x) xi, eta(phi(x)) = 0, eta(xi) = 1,
       g(phi x, phi y) = -g(x, y) + eta(x) eta(y), g(x, xi) = eta(x),
       g(xi, xi) = 1.
-    The metric signature must be (n+1, n) at every sample.
+    The metric signature must be (n+1, n) at every sample; the report
+    carries the signature of the first sample that breaks it.
     """
-    dim = S.dim
-    eye = np.eye(dim)
-    residuals = {
-        "phi(xi) = 0": 0.0,
-        "phi^2 = -id + eta(x) xi": 0.0,
-        "eta(phi(x)) = 0": 0.0,
-        "eta(xi) = 1": 0.0,
-        "g(phi x, phi y) = -g(x, y) + eta(x) eta(y)": 0.0,
-        "g(x, xi) = eta(x)": 0.0,
-        "g(xi, xi) = 1": 0.0,
+    eye = np.eye(S.dim)
+    g, phi, xi, eta = S.values_at(np.atleast_2d(np.asarray(samples, dtype=float)), bindings)
+    outer_xi_eta = np.einsum("...i,...j->...ij", xi, eta)
+    outer_eta = np.einsum("...i,...j->...ij", eta, eta)
+    deviations = {
+        "phi(xi) = 0": np.einsum("...is,...s->...i", phi, xi),
+        "phi^2 = -id + eta(x) xi": phi @ phi + eye - outer_xi_eta,
+        "eta(phi(x)) = 0": np.einsum("...s,...si->...i", eta, phi),
+        "eta(xi) = 1": _dot(eta, xi) - 1.0,
+        "g(phi x, phi y) = -g(x, y) + eta(x) eta(y)": (
+            np.einsum("...ai,...bj,...ab->...ij", phi, phi, g) + g - outer_eta
+        ),
+        "g(x, xi) = eta(x)": np.einsum("...is,...s->...i", g, xi) - eta,
+        "g(xi, xi) = 1": _dot(np.einsum("...s,...si->...i", xi, g), xi) - 1.0,
     }
-    signature = (S.n + 1, S.n)
-    for point in samples:
-        g, phi, xi, eta = S.values_at(point, bindings)
-
-        def bump(key, arr):
-            residuals[key] = max(residuals[key], float(np.max(np.abs(arr))))
-
-        bump("phi(xi) = 0", phi @ xi)
-        bump("phi^2 = -id + eta(x) xi", phi @ phi + eye - np.outer(xi, eta))
-        bump("eta(phi(x)) = 0", eta @ phi)
-        bump("eta(xi) = 1", eta @ xi - 1.0)
-        bump(
-            "g(phi x, phi y) = -g(x, y) + eta(x) eta(y)",
-            np.einsum("ai,bj,ab->ij", phi, phi, g) + g - np.outer(eta, eta),
-        )
-        bump("g(x, xi) = eta(x)", g @ xi - eta)
-        bump("g(xi, xi) = 1", xi @ g @ xi - 1.0)
-        signature = signature_of(g)
-        if signature != (S.n + 1, S.n):
-            break
+    residuals = {key: float(np.max(np.abs(dev))) for key, dev in deviations.items()}
+    expected = (S.n + 1, S.n)
+    pos, neg = signature_of(g)
+    wrong = (pos != expected[0]) | (neg != expected[1])
+    # the signature of the first sample that breaks it, in sample order
+    first = int(np.argmax(wrong))
+    signature = (int(pos[first]), int(neg[first]))
     return ValidationReport(
         residuals=residuals,
         signature=signature,
-        expected_signature=(S.n + 1, S.n),
+        expected_signature=expected,
         tolerance=tol,
     )
 
@@ -455,8 +453,8 @@ class AssociatedMetric:
 
     def components_at(self, point, bindings: Mapping[str, float] | None = None) -> np.ndarray:
         g, phi, xi, eta = self.structure.values_at(point, bindings)
-        gt = np.einsum("is,sj->ij", g, phi) + np.outer(eta, eta)
-        return (gt + gt.T) / 2.0
+        gt = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
+        return (gt + np.swapaxes(gt, -1, -2)) / 2.0
 
     def jets_at(self, point, bindings: Mapping[str, float] | None = None) -> FieldJets:
         """Jets of the associated metric at one point or a batch, by the product rule."""

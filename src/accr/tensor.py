@@ -41,7 +41,11 @@ _SIGNATURE_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class PointTensor:
-    """Tensor components at a single chart point."""
+    """Tensor components at one chart point, or at a batch of points.
+
+    The components of a batch carry one leading sample axis in front of
+    the dim-sized slot axes.
+    """
 
     dim: int
     variance: tuple[str, ...]
@@ -54,9 +58,10 @@ class PointTensor:
         object.__setattr__(self, "variance", tuple(self.variance))
         if any(v not in ("u", "l") for v in self.variance):
             raise VarianceMismatch(f"variance entries must be 'u' or 'l', got {self.variance}")
-        if comp.shape != (self.dim,) * len(self.variance):
+        rank = len(self.variance)
+        if comp.ndim not in (rank, rank + 1) or comp.shape[comp.ndim - rank:] != (self.dim,) * rank:
             raise TensorError(
-                f"components shape {comp.shape} does not match rank {len(self.variance)} at dim {self.dim}"
+                f"components shape {comp.shape} does not match rank {rank} at dim {self.dim}"
             )
         if self.basis not in (COORDINATE, PHI_FRAME):
             raise TensorError(f"unknown basis tag {self.basis!r}")
@@ -68,13 +73,29 @@ class PointTensor:
         return len(self.variance)
 
 
-def signature_of(g: np.ndarray, rtol: float = _SIGNATURE_RTOL) -> tuple[int, int]:
-    """Counts of positive and negative eigenvalues of a symmetric matrix."""
+def _max_abs(x, rank: int):
+    """max |x| over the trailing `rank` axes: a float at one point, an (N,) array over a batch."""
+    worst = np.max(np.abs(x), axis=tuple(range(-rank, 0)))
+    return float(worst) if np.ndim(worst) == 0 else worst
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample a . b over the last axis, through matmul's dot kernel like 1-d a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def signature_of(g: np.ndarray, rtol: float = _SIGNATURE_RTOL):
+    """Counts of positive and negative eigenvalues of a symmetric matrix.
+
+    Ints for one matrix (d, d); (N,) arrays of counts for a stack (N, d, d).
+    """
     g = np.asarray(g, dtype=float)
-    eig = np.linalg.eigvalsh((g + g.T) / 2.0)
-    scale = max(np.max(np.abs(eig)), 1e-300)
-    pos = int(np.sum(eig > rtol * scale))
-    neg = int(np.sum(eig < -rtol * scale))
+    eig = np.linalg.eigvalsh((g + np.swapaxes(g, -1, -2)) / 2.0)
+    scale = np.maximum(np.max(np.abs(eig), axis=-1), 1e-300)[..., None]
+    pos = np.sum(eig > rtol * scale, axis=-1)
+    neg = np.sum(eig < -rtol * scale, axis=-1)
+    if g.ndim == 2:
+        return int(pos), int(neg)
     return pos, neg
 
 
@@ -148,24 +169,30 @@ def raise_lower(t: PointTensor, slot: int, metric: MetricAtPoint) -> PointTensor
 
 
 def to_phi_frame(t: PointTensor, frame: np.ndarray) -> PointTensor:
-    """Re-express coordinate components in the frame whose columns are e_1..e_2n, xi."""
+    """Re-express coordinate components in the frame whose columns are e_1..e_2n, xi.
+
+    One frame (d, d), or a batch of frames (N, d, d) matching a batch of
+    components; each slot is transformed once over all samples.
+    """
     if t.basis != COORDINATE:
         raise BasisMismatch("to_phi_frame expects coordinate components")
     frame = np.asarray(frame, dtype=float)
-    if frame.shape != (t.dim, t.dim):
+    if frame.ndim not in (2, 3) or frame.shape[-2:] != (t.dim, t.dim):
         raise TensorError(f"frame must be {t.dim}x{t.dim}")
     svals = np.linalg.svd(frame, compute_uv=False)
-    if svals[-1] <= _SINGULARITY_RTOL * max(svals[0], 1e-300):
+    if np.any(svals[..., -1] <= _SINGULARITY_RTOL * np.maximum(svals[..., 0], 1e-300)):
         raise SingularFrame("frame vectors are linearly dependent")
     inverse = np.linalg.inv(frame)
     comp = t.components
+    slots = "abcdefgh"[: t.rank]
     for slot, var in enumerate(t.variance):
+        out = slots.replace(slots[slot], "z")
         if var == "l":
             # w'_a = B^i_a w_i: contract against frame rows
-            comp = np.moveaxis(np.tensordot(comp, frame, axes=([slot], [0])), -1, slot)
+            comp = np.einsum(f"...{slots},...{slots[slot]}z->...{out}", comp, frame)
         else:
             # v'^a = (B^-1)^a_i v^i
-            comp = np.moveaxis(np.tensordot(comp, inverse, axes=([slot], [1])), -1, slot)
+            comp = np.einsum(f"...{slots},...z{slots[slot]}->...{out}", comp, inverse)
     return PointTensor(t.dim, t.variance, comp, PHI_FRAME)
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import accr.analysis as analysis
+import accr.geometry as geometry
 from accr.analysis import (
     DEGENERATE,
     FAILS,
@@ -20,10 +22,11 @@ from accr.analysis import (
 )
 from accr.errors import NonVerticalPotential, ZeroPotential
 from accr.expr import parse
-from accr.geometry import SampleGeometry, point_geometry
+from accr.geometry import SampleGeometry, point_geometry, vector_field_jets
 from accr.manifold import load_manifold, sample_points
 from accr.report import VERDICT_PASS
 
+from conftest import rel_err
 from test_manifold import cone_json
 
 COORDS = ("t", "u", "v")
@@ -189,9 +192,9 @@ def test_yamabe_soliton_on_cone(cone, cone_points):
     pot = vertical_potential(cone, "c*t")
     pot_t = vertical_potential(cone, "ct*t")
     b = {"c": 1.0, "ct": 1.0}
-    sol = yamabe_soliton_solve(
-        SampleGeometry(cone, cone_points, b), "g", pot, other_potential=pot_t
-    )
+    geo = SampleGeometry(cone, cone_points, b)
+    other = torse_forming_extract(geo, "gtilde", pot_t)
+    sol = yamabe_soliton_solve(geo, "g", pot, other=other)
     assert sol.verdict == "soliton"
     assert np.max(sol.residuals) < 1e-11
     ts = np.array([p[0] for p in cone_points])
@@ -250,3 +253,110 @@ def test_verify_paper_suite_other_constants():
         pinned=((1.0, 0.1, 0.1),),
     )
     assert all(r.verdict == VERDICT_PASS for r in records)
+
+
+# -- the closed-form torse-forming fit against per-sample least squares --------
+
+
+def _lstsq_fit(geo, tag, potential):
+    """Per-sample np.linalg.lstsq of nabla_j v^i = f delta^i_j + v^i gamma_j."""
+    dim = geo.structure.dim
+    v, dv = vector_field_jets(potential, geo.points, geo.bindings)
+    fs, gammas, residuals, conds = [], [], [], []
+    for pg, vk, dvk in zip(geo.of(tag), v, dv):
+        nth = dvk + np.einsum("kis,s->ki", pg.gamma, vk)
+        M = np.zeros((dim * dim, 1 + dim))
+        b = np.zeros(dim * dim)
+        for i in range(dim):
+            for j in range(dim):
+                M[i * dim + j, 0] = 1.0 if i == j else 0.0
+                M[i * dim + j, 1 + j] = vk[i]
+                b[i * dim + j] = nth[i, j]
+        coef = np.linalg.lstsq(M, b, rcond=None)[0]
+        fs.append(coef[0])
+        gammas.append(coef[1:])
+        residuals.append(np.max(np.abs(M @ coef - b)))
+        conds.append(np.linalg.cond(M))
+    return np.array(fs), np.array(gammas), np.array(residuals), max(conds)
+
+
+@pytest.mark.parametrize("k_source", ["c*t", "t^2"])
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2"])
+def test_closed_form_fit_matches_lstsq(request, structure, tag, k_source):
+    S = request.getfixturevalue(structure)
+    geo = SampleGeometry(S, sample_points(S.chart, 12, seed=3), {"c": 1.5})
+    res = torse_forming_extract(geo, tag, vertical_potential(S, k_source))
+    f, gamma, residuals, cond = _lstsq_fit(geo, tag, vertical_potential(S, k_source))
+    assert rel_err(res.f, f) <= 1e-13
+    assert rel_err(res.gamma, gamma) <= 1e-13
+    assert rel_err(res.per_sample_residual, residuals) <= 1e-13
+    assert abs(res.condition_number - cond) <= 1e-13 * cond
+
+
+def test_closed_form_fit_keeps_the_non_vertical_residual(cone, cone_points):
+    pot = _exprs("0", "t^2", "0")
+    geo = SampleGeometry(cone, cone_points)
+    res = torse_forming_extract(geo, "g", pot)
+    f, gamma, residuals, _ = _lstsq_fit(geo, "g", pot)
+    assert res.residual > 1.0
+    assert rel_err(res.per_sample_residual, residuals) <= 1e-13
+    assert rel_err(res.f, f) <= 1e-13 and rel_err(res.gamma, gamma) <= 1e-13
+
+
+# -- batched helpers against the same helper at each sample ----------------------
+
+
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2"])
+def test_batched_form_residuals_match_per_sample(request, structure, tag):
+    S = request.getfixturevalue(structure)
+    pg = point_geometry(S, tag, sample_points(S.chart, 8, seed=9))
+    sasaki = sasaki_form_residual(pg.F, pg.g, pg.phi, pg.eta)
+    f5 = f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, pg.theta_star_xi, pg.n)
+    rng = np.random.default_rng(4)
+    A = pg.g * rng.uniform(0.5, 2.0, size=(len(pg), 1, 1))
+    A = (A + np.swapaxes(A, -1, -2)) / 2.0
+    mu, resid = proportionality_split(A, pg.g, pg.ginv)
+    assert sasaki.shape == f5.shape == mu.shape == resid.shape == (len(pg),)
+    for k, single in enumerate(pg):
+        F, g, phi, eta = single.F, single.g, single.phi, single.eta
+        assert rel_err(sasaki[k], sasaki_form_residual(F, g, phi, eta)) <= 1e-13
+        assert rel_err(f5[k], f5_form_residual(F, g, phi, eta, single.theta_star_xi, single.n)) <= 1e-13
+        mu_k, resid_k = proportionality_split(A[k], single.g, single.ginv)
+        assert isinstance(mu_k, float) and isinstance(resid_k, float)
+        assert rel_err(mu[k], mu_k) <= 1e-13 and rel_err(resid[k], resid_k) <= 1e-13
+
+
+# -- compute once, and errors that name the offending sample --------------------
+
+
+def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch):
+    calls = {"torse_forming_extract": 0, "point_geometry": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(analysis, "torse_forming_extract")
+    counting(geometry, "point_geometry")
+    records, _ = verify_paper_suite(samples=8)
+    assert all(r.verdict == VERDICT_PASS for r in records)
+    assert calls == {"torse_forming_extract": 2, "point_geometry": 2}
+
+
+def test_non_vertical_sample_is_named(cone):
+    # v = t d_t + u d_u is vertical exactly where u = 0: samples 1 and 2 are not
+    points = [[1.0, 0.0, 0.5], [2.0, 0.5, -1.0], [3.0, 0.25, 0.0], [1.5, 0.0, 0.0]]
+    pot = _exprs("t", "u", "0")
+    with pytest.raises(NonVerticalPotential) as err:
+        yamabe_soliton_solve(SampleGeometry(cone, points), "g", pot)
+    assert str(err.value) == "potential deviates from k*xi by 5.000e-01 at sample (2.0, 0.5, -1.0)"
+    # vanishing at the last two samples names the first of them
+    with pytest.raises(ZeroPotential, match=r"at sample \(3\.0, 0\.25, 0\.0\)"):
+        torse_forming_extract(SampleGeometry(cone, points), "g", _exprs("t*v", "0", "0"))

@@ -280,3 +280,24 @@ def test_point_counts_toward_samples(capsys):
     pts = data["config"]["sample_points"]
     assert len(pts) == 3
     assert pts[0] == [2.0, 0.3, -0.4]
+
+
+def test_non_finite_tolerance_is_a_usage_error(capsys):
+    for value in ("nan", "inf"):
+        rc, out, err = run(capsys, "validate", *CONE, "--samples", "4", "--tolerance", value)
+        assert rc == 2 and out == ""
+        assert err.startswith("accr: --tolerance")
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "validate", *CONE, "--samples", "4", "--seed", "-1")
+    assert rc == 2 and out == ""
+    assert err.startswith("accr: --seed")
+
+
+def test_more_pins_than_samples_is_a_usage_error(capsys):
+    rc, out, err = run(
+        capsys, "validate", *CONE, "--samples", "1", *PIN, "--point", "t=3,u=0,v=0"
+    )
+    assert rc == 2 and out == ""
+    assert "2 --point pins exceed --samples 1" in err

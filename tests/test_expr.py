@@ -199,3 +199,18 @@ def test_unparse_parse_round_trip(ast):
     assert reparsed.ast == ast
     # printing is idempotent
     assert reparsed.unparse() == text
+
+
+def test_eval_number_on_a_batch():
+    e = parse("t^2*sin(u) + exp(v/2) - 1/t", COORDS)
+    points = np.array([[0.5, 0.1, 0.2], [1.5, -0.3, 0.4], [2.0, 0.7, -0.1]])
+    batch = e.eval_number(points)
+    assert batch.shape == (3,)
+    for value, pt in zip(batch, points):
+        assert np.isclose(value, e.eval_number(pt), rtol=1e-15)
+    assert parse("3", COORDS).eval_number(points).tolist() == [3.0, 3.0, 3.0]
+    # a domain error anywhere in the batch is raised for the whole batch
+    with pytest.raises(DomainError, match="-0.3 is not positive"):
+        parse("ln(u)", COORDS).eval_number(points)
+    with pytest.raises(DomainError):
+        parse("1/(t-2)", COORDS).eval_number(points)

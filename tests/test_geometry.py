@@ -101,10 +101,13 @@ def test_christoffel_matches_finite_differences(cone, cone_points):
             assert rel_err(pg.gamma, ref) < 1e-5
 
 
-def test_nabla_xi_both_metrics(cone):
+def test_nabla_xi_both_metrics(cone, cone_points):
     for tag in ("g", "gtilde"):
         t = nabla_xi(cone, tag, POINT)
         assert np.allclose(t.components, np.diag([0.0, 0.5, 0.5]), atol=1e-13)
+        batch = nabla_xi(cone, tag, cone_points)
+        assert batch.components.shape == (len(cone_points), 3, 3)
+        assert np.array_equal(batch.components[0], t.components)
 
 
 def test_nabla_xi_identity_violation():
@@ -327,3 +330,38 @@ def test_batch_domain_error_matches_single_sample(cone):
     with pytest.raises(DomainError) as batched:
         point_geometry(cone, "g", points)
     assert str(batched.value) == str(alone.value)
+
+
+def _per_sample_helpers(pg, pgt):
+    """Each residual helper and cross route, on the geometry of one tag and its partner."""
+    out = {
+        "metric compatibility": metric_compatibility_residual(pg),
+        **curvature_symmetry_residuals(pg),
+        **f_property_residuals(pg),
+        **torse_forming_curvature_residuals(pg),
+        **tau_tilde_relations(pg, pgt),
+    }
+    if pg.tag == "g":
+        out["nabla~ by correction"] = nabla_tilde_components_from(pg)
+        out["F~ by transfer"] = f_tilde_components_from(pg)
+        out["nabla~ by the short form"] = connection_f5_form(pg)
+    return out
+
+
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2"])
+def test_batched_helpers_match_per_sample(request, structure, tag):
+    S = request.getfixturevalue(structure)
+    points = sample_points(S.chart, 8, seed=21)
+    other = "gtilde" if tag == "g" else "g"
+    pg, pgt = point_geometry(S, tag, points), point_geometry(S, other, points)
+    batched = _per_sample_helpers(pg, pgt)
+    for k in range(len(points)):
+        single = _per_sample_helpers(pg[k], pgt[k])
+        assert single.keys() == batched.keys()
+        for name, value in single.items():
+            got = batched[name][k]
+            assert np.shape(got) == np.shape(value), name
+            assert rel_err(got, value) <= 1e-13, name
+            if np.ndim(value) == 0:
+                assert isinstance(value, float), name

@@ -237,3 +237,27 @@ def test_structure_jets_shapes(cone):
     assert np.isclose(sj.g.partial[1, 1, 0], 4.0)
     assert np.isclose(sj.g.second[1, 1, 0, 0], 2.0)
     assert not sj.xi.partial.any()
+
+
+def test_values_and_frame_at_a_batch(cone, cone_points):
+    points = np.array(cone_points[:5])
+    values = cone.values_at(points, {})
+    frames = cone.frame_at(points)
+    for k, pt in enumerate(cone_points[:5]):
+        single = cone.values_at(pt)
+        for got, want in zip(values, single):
+            assert got.shape[1:] == want.shape
+            assert np.array_equal(got[k], want)
+        assert np.array_equal(frames[k], cone.frame_at(pt))
+    assert np.array_equal(AssociatedMetric(cone).components_at(points)[2],
+                          AssociatedMetric(cone).components_at(cone_points[2]))
+
+
+def test_validation_reports_the_first_wrong_signature():
+    # g_vv = t^2 (u - 1): Lorentzian where u < 1, Riemannian where u > 1
+    g = [["1", "0", "0"], ["0", "t^2", "0"], ["0", "0", "t^2*(u-1)"]]
+    S = load_manifold(cone_json(g=g))
+    report = validate_structure(S, [(2.0, 0.0, 0.0), (2.0, 2.0, 0.0), (2.0, 0.5, 0.0)])
+    assert report.signature == (3, 0)
+    assert "signature" in report.failing()
+    assert validate_structure(S, [(2.0, 0.0, 0.0), (2.0, 0.5, 0.0)]).signature == (2, 1)

@@ -157,3 +157,29 @@ def test_symmetry_check():
     assert symmetry_check(anti, (1, 0), 1.0) == 2.0
     with pytest.raises(TensorError):
         symmetry_check(sym, (0, 0), 1.0)
+
+
+def test_to_phi_frame_batch_matches_per_point(cone, cone_points):
+    points = np.array(cone_points[:6])
+    frames = cone.frame_at(points)
+    assert frames.shape == (6, 3, 3)
+    rng = np.random.default_rng(8)
+    for variance in (("l",) * 4, ("u", "l"), ("u",)):
+        comps = rng.normal(size=(6,) + (3,) * len(variance))
+        batch = to_phi_frame(PointTensor(3, variance, comps), frames)
+        assert batch.basis == PHI_FRAME and batch.components.shape == comps.shape
+        for k in range(6):
+            single = to_phi_frame(PointTensor(3, variance, comps[k]), cone.frame_at(cone_points[k]))
+            assert np.max(np.abs(batch.components[k] - single.components)) <= 1e-13
+
+
+def test_to_phi_frame_batch_rejects_one_singular_frame():
+    frames = np.stack([np.eye(3), np.ones((3, 3)), np.eye(3)])
+    with pytest.raises(SingularFrame):
+        to_phi_frame(PointTensor(3, ("l",), np.ones((3, 3))), frames)
+
+
+def test_signature_of_stack():
+    stack = np.stack([np.diag([1.0, 4.0, -4.0]), np.eye(3), np.diag([1.0, 0.0, -1.0])])
+    pos, neg = signature_of(stack)
+    assert pos.tolist() == [2, 3, 1] and neg.tolist() == [1, 0, 1]

@@ -2,12 +2,10 @@
 
 from .errors import (
     AccrError,
-    BasisMismatch,
     DimensionMismatch,
     DomainError,
     ExprError,
     ExprSyntaxError,
-    IdentityViolation,
     ManifoldError,
     ManifoldParseError,
     NonVerticalPotential,
@@ -18,7 +16,6 @@ from .errors import (
     UnboundConstant,
     UnknownBuiltin,
     UnknownIdentifier,
-    VarianceMismatch,
     ZeroPotential,
 )
 from .expr import Expression, parse
@@ -29,7 +26,6 @@ from .manifold import (
     AccRStructure,
     AssociatedMetric,
     Chart,
-    associated_metric,
     builtin_names,
     builtin_structure,
     latin_hypercube,
@@ -38,19 +34,9 @@ from .manifold import (
     validate_structure,
 )
 from .geometry import (
-    ConnectionAtPoint,
-    CurvatureAtPoint,
-    FundamentalTensorAtPoint,
     PointGeometry,
     SampleGeometry,
-    christoffel,
-    curvature,
-    exterior_derivative,
-    f_tilde_via_relation,
-    fundamental_tensor,
     lie_derivative_metric,
-    nabla_tilde_via_relation,
-    nabla_xi,
     point_geometry,
 )
 from .analysis import (
@@ -67,6 +53,6 @@ from .analysis import (
     yamabe_soliton_solve,
 )
 from .report import CheckRecord, Report
-from .tensor import MetricAtPoint, PointTensor, contract, metric_invert, raise_lower, to_phi_frame
+from .tensor import to_phi_frame
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Classification, torse-forming extraction and Yamabe almost-soliton solving.
+"""Classification, torse-forming extraction, Yamabe almost-soliton solving,
+and the check records that each command reports.
 
 Class membership is a pointwise identity, so verdicts aggregate over the
 sample set by max residual: one bad point fails the class.  The soliton
@@ -8,7 +9,7 @@ answer, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,13 +35,18 @@ from .manifold import (
     METRIC_G,
     METRIC_GTILDE,
     AccRStructure,
-    builtin_structure,
     check_bindings,
-    sample_points,
     validate_structure,
 )
-from .report import CheckRecord, record_from_residual, VERDICT_FAIL, VERDICT_PASS
-from .tensor import COORDINATE, PointTensor, _dot, _max_abs, to_phi_frame
+from .report import (
+    CheckRecord,
+    VERDICT_DEGENERATE,
+    VERDICT_FAIL,
+    VERDICT_NA,
+    VERDICT_PASS,
+    record_from_residual,
+)
+from .tensor import _dot, _max_abs, to_phi_frame
 
 __all__ = [
     "MembershipEntry",
@@ -56,6 +62,11 @@ __all__ = [
     "torse_forming_extract",
     "proportionality_split",
     "yamabe_soliton_solve",
+    "validation_records",
+    "classification_records",
+    "curvature_records",
+    "report_records",
+    "soliton_records",
     "verify_paper_suite",
     "DEFAULT_SUITE_BINDINGS",
 ]
@@ -200,6 +211,8 @@ class TorseFormingResult:
     h: np.ndarray | None               # f/k per sample, vertical only
     vertical_checks: dict[str, float] | None
     samples: int
+    v: np.ndarray                      # the potential per sample, shape (samples, dim)
+    dv: np.ndarray                     # dv[k, z, m] = d_m v^z at sample k
 
 
 def vertical_potential(S: AccRStructure, k_field: Expression | str) -> tuple[Expression, ...]:
@@ -207,20 +220,6 @@ def vertical_potential(S: AccRStructure, k_field: Expression | str) -> tuple[Exp
     if isinstance(k_field, str):
         k_field = parse(k_field, S.chart.coordinates, S.chart.constants)
     return tuple(multiply(k_field, component) for component in S.xi)
-
-
-def _potential_data(geo: SampleGeometry, tag: str, potential):
-    """The tag's geometry batch and the potential's values v and derivatives dv.
-
-    Raises ZeroPotential naming the first sample where v vanishes.
-    """
-    pg = geo.of(tag)
-    v, dv = vector_field_jets(potential, geo.points, geo.bindings)
-    vanishing = np.max(np.abs(v), axis=-1) <= _F_ZERO_THRESHOLD
-    if vanishing.any():
-        where = tuple(round(float(x), 6) for x in geo.points[np.argmax(vanishing)])
-        raise ZeroPotential(f"potential vanishes at sample {where}")
-    return pg, v, dv
 
 
 def torse_forming_extract(
@@ -239,10 +238,15 @@ def torse_forming_extract(
         f = (tr N - v^T N v / |v|^2) / (dim - 1),   gamma = (v^T N - f v^T) / |v|^2.
 
     The fit residual doubles as the membership test for the torse-forming
-    condition.
+    condition.  Raises ZeroPotential naming the first sample where v vanishes.
     """
     dim = geo.structure.dim
-    pg, v, dv = _potential_data(geo, tag, potential)
+    pg = geo.of(tag)
+    v, dv = vector_field_jets(potential, geo.points, geo.bindings)
+    vanishing = np.max(np.abs(v), axis=-1) <= _F_ZERO_THRESHOLD
+    if vanishing.any():
+        where = tuple(round(float(x), 6) for x in geo.points[np.argmax(vanishing)])
+        raise ZeroPotential(f"potential vanishes at sample {where}")
     eye = np.eye(dim)
 
     nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)   # nth[..., i, j] = nabla_j v^i
@@ -314,6 +318,8 @@ def torse_forming_extract(
         h=h_arr,
         vertical_checks=vchecks,
         samples=len(geo),
+        v=v,
+        dv=dv,
     )
 
 
@@ -362,7 +368,8 @@ def yamabe_soliton_solve(
     given the torse-forming fit of the other metric's potential (`other`),
     f/k of both metrics are compared.
     """
-    pg, v, dv = _potential_data(geo, tag, potential)
+    torse = torse_forming_extract(geo, tag, potential, tol)
+    pg, v = geo.of(tag), torse.v
     k = _dot(pg.eta, v)
     drift = _max_abs(v - k[:, None] * pg.xi, 1)
     off = drift > _VERTICAL_TOL
@@ -373,15 +380,11 @@ def yamabe_soliton_solve(
             f"potential deviates from k*xi by {drift[first]:.3e} at sample {where}"
         )
 
-    nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)
-    lg = np.einsum("...kj,...ki->...ij", pg.g, nth) + np.einsum("...ki,...kj->...ij", pg.g, nth)
-    A = (lg + np.swapaxes(lg, -1, -2)) / 4.0          # (1/2) L_v g, symmetrized
+    A = lie_derivative_metric(pg, v, torse.dv) / 2.0
     mu, resid_arr = proportionality_split(A, pg.g, pg.ginv)
     verdict = "soliton" if float(np.max(resid_arr)) <= tol else "not-soliton"
     tau_arr = pg.tau
     lam_arr = tau_arr - mu
-
-    torse = torse_forming_extract(geo, tag, potential, tol)
     checks: dict[str, float | None] = {
         "tau = f + lambda": None,
         "f = dk(xi)": None,
@@ -406,32 +409,248 @@ def yamabe_soliton_solve(
     )
 
 
+# -- the check records of each command -----------------------------------------
+
+_STATUS_VERDICT = {HOLDS: VERDICT_PASS, FAILS: VERDICT_FAIL, DEGENERATE: VERDICT_DEGENERATE}
+
+
+def _value_record(name, anchor, values):
+    return CheckRecord(
+        name=name,
+        anchor=anchor,
+        verdict=VERDICT_NA,
+        residual=None,
+        samples=tuple(float(v) for v in values),
+    )
+
+
+def validation_records(geo: SampleGeometry, tol: float) -> list[CheckRecord]:
+    """One record per defining identity of the structure, and one for the signature."""
+    vr = validate_structure(geo.structure, geo.points, geo.bindings, tol)
+    records = [
+        record_from_residual(f"structure: {key}", key, [value], tol)
+        for key, value in vr.residuals.items()
+    ]
+    records.append(
+        CheckRecord(
+            name="structure: signature",
+            anchor=f"metric signature ({geo.structure.n + 1},{geo.structure.n}) at every sample",
+            verdict=VERDICT_PASS if vr.signature == vr.expected_signature else VERDICT_FAIL,
+            residual=None,
+        )
+    )
+    return records
+
+
+def classification_records(geo: SampleGeometry, tol: float) -> list[CheckRecord]:
+    """Each class membership as an answer, and the consequences of those that hold."""
+    cm = classify(geo, tol)
+    anchors = {
+        "sasaki_like": "F(x,y,z) = g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y)",
+        "f5": "F(x,y,z) = -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}",
+        "f5_0": "d(theta*(xi)) = xi(theta*(xi)) eta",
+        "f0": "F = 0 identically (within 1e-12)",
+    }
+    records = []
+    for entry in cm.entries():
+        records.append(
+            CheckRecord(
+                name=f"class {entry.name}: {entry.status}",
+                anchor=anchors[entry.name],
+                verdict=_STATUS_VERDICT[entry.status],
+                residual=entry.residual,
+            )
+        )
+        for key, value in sorted(entry.extras.items()):
+            records.append(
+                record_from_residual(f"consequence of {entry.name}: {key}", key, [value], tol)
+            )
+    return records
+
+
+def _identity_residuals(pg):
+    """Per-sample residuals of one metric's identity suites.
+
+    Metric compatibility, the curvature symmetries with the first Bianchi
+    identity, and the properties of F, in that order.
+    """
+    return (
+        metric_compatibility_residual(pg),
+        worst_residual(curvature_symmetry_residuals(pg)),
+        worst_residual(f_property_residuals(pg)),
+    )
+
+
+def _identity_records(geo, tag, tol):
+    compat, sym, fprop = _identity_residuals(geo.of(tag))
+    suffix = "" if tag == METRIC_G else " (associated metric)"
+    return [
+        record_from_residual(f"metric compatibility{suffix}", "nabla g = 0", compat, tol),
+        record_from_residual(
+            f"curvature symmetries{suffix}",
+            "R(x,y,z,w) = -R(y,x,z,w) = -R(x,y,w,z) = R(z,w,x,y); first Bianchi",
+            sym,
+            tol,
+        ),
+        record_from_residual(
+            f"fundamental tensor properties{suffix}",
+            "F(x,y,z) = F(x,z,y); phi-phi expansion; F(x,phi y,xi) = (nabla_x eta) y",
+            fprop,
+            tol,
+        ),
+    ]
+
+
+def _phi_frame_values(geo, tag):
+    """R_1212, rho_11 and rho_22 of the tagged metric in the declared frame, per sample."""
+    pg = geo.of(tag)
+    frames = geo.structure.frame_at(geo.points, geo.bindings)
+    r04f = to_phi_frame(pg.r04, ("l",) * 4, frames)
+    rhof = to_phi_frame(pg.ricci, ("l", "l"), frames)
+    return {"R_1212": r04f[:, 0, 1, 0, 1], "rho_11": rhof[:, 0, 0], "rho_22": rhof[:, 1, 1]}
+
+
+def curvature_records(geo: SampleGeometry, tag: str, tol: float) -> list[CheckRecord]:
+    """Curvature values of the tagged metric per sample, and its identity suites."""
+    pg = geo.of(tag)
+    records = [
+        _value_record("scalar curvature", "tau = g^{jk} rho_jk", pg.tau),
+        _value_record("associated scalar curvature", "tau* = g^{ij} rho_is phi^s_j", pg.tau_star),
+        _value_record("Lee scalar", "theta*(xi)", pg.theta_star_xi),
+    ]
+    if geo.structure.frame is not None:
+        for key, values in _phi_frame_values(geo, tag).items():
+            records.append(
+                _value_record(f"phi-frame {key}", f"{key} in the frame e_1..e_2n, xi", values)
+            )
+    records.extend(_identity_records(geo, tag, tol))
+    return records
+
+
+def _cross_route_records(geo, tol, short_form_name):
+    """The associated connection and F~ built from g, each against its direct value.
+
+    `short_form_name` titles the third record, which `report` and
+    `verify-paper` have always named differently.
+    """
+    pg, pgt = geo.of(METRIC_G), geo.of(METRIC_GTILDE)
+    ntn = _max_abs(nabla_tilde_components_from(pg) - pgt.gamma, 3)
+    tff = _max_abs(f_tilde_components_from(pg) - pgt.F, 3)
+    short_form = _max_abs(connection_f5_form(pg) - pgt.gamma, 3)
+    return [
+        record_from_residual(
+            "associated Christoffels: direct vs correction route",
+            "2g(nabla~_x y,z) = 2g(nabla_x y,z) - F(x,y,phi z) - F(y,x,phi z) + F(phi z,x,y) + eta-terms",
+            ntn,
+            tol,
+        ),
+        record_from_residual(
+            "associated fundamental tensor: direct vs transfer route",
+            "2F~(x,y,z) = F(phi y,z,x) - F(y,phi z,x) + F(phi z,y,x) - F(z,phi y,x) + eta-terms",
+            tff,
+            tol,
+        ),
+        record_from_residual(
+            short_form_name,
+            "nabla~_x y = nabla_x y - (theta*(xi)/2n){g(x,phi y) + g(phi x,phi y)} xi",
+            short_form,
+            tol,
+        ),
+    ]
+
+
+def report_records(geo: SampleGeometry, tol: float) -> list[CheckRecord]:
+    """Validation, classification, both metrics' identity suites and the cross routes."""
+    return (
+        validation_records(geo, tol)
+        + classification_records(geo, tol)
+        + _identity_records(geo, METRIC_G, tol)
+        + _identity_records(geo, METRIC_GTILDE, tol)
+        + _cross_route_records(geo, tol, "short connection form (F5 structures)")
+    )
+
+
+def soliton_records(geo: SampleGeometry, tag: str, k_source: str, tol: float) -> list[CheckRecord]:
+    """The torse-forming fit and the soliton solve of the potential k*xi for the tagged metric."""
+    S = geo.structure
+    k_expr = parse(k_source, S.chart.coordinates, S.chart.constants)
+    check_bindings(S.chart, geo.bindings, k_expr.referenced_constants())
+    sol = yamabe_soliton_solve(geo, tag, vertical_potential(S, k_expr), tol)
+    torse = sol.torse
+
+    records = [
+        record_from_residual(
+            "torse-forming fit",
+            "nabla_x v = f x + gamma(x) v",
+            torse.per_sample_residual,
+            tol,
+        ),
+        CheckRecord(
+            name="taxonomy: " + (", ".join(sorted(torse.taxonomy)) or "none"),
+            anchor="torqued iff gamma(v) = 0; concircular iff gamma = 0; concurrent iff f = 1 and gamma = 0",
+            verdict=VERDICT_NA,
+            residual=torse.residual,
+        ),
+        _value_record("conformal scalar f", "nabla_x v = f x + gamma(x) v", torse.f),
+    ]
+    if torse.vertical_checks is not None and "torse-forming" in torse.taxonomy:
+        records.append(
+            record_from_residual(
+                "generating form of a vertical potential",
+                "gamma = (dk - f eta) / k",
+                [torse.vertical_checks["gamma = (dk - f eta) / k"]],
+                tol,
+            )
+        )
+        records.append(
+            record_from_residual(
+                "vertical potential derivative",
+                "nabla_x v = -f phi^2 x + dk(x) xi",
+                [torse.vertical_checks["nabla_x v = -f phi^2 x + dk(x) xi"]],
+                tol,
+            )
+        )
+        records.append(
+            CheckRecord(
+                name="torqued criterion",
+                anchor="f = dk(xi), equivalent to gamma(v) = 0",
+                verdict=VERDICT_NA,
+                residual=torse.vertical_checks["f = dk(xi)"],
+            )
+        )
+    metric_name = "g" if tag == METRIC_G else "g~"
+    records.append(
+        CheckRecord(
+            name=f"Yamabe almost soliton for {metric_name}: {sol.verdict}",
+            anchor="(1/2) L_v metric = (tau - lambda) metric",
+            verdict=VERDICT_PASS if sol.verdict == "soliton" else VERDICT_FAIL,
+            residual=float(np.max(sol.residuals)),
+            samples=tuple(float(x) for x in sol.residuals),
+        )
+    )
+    records.append(_value_record("soliton function lambda", "lambda = tau - mu", sol.lambdas))
+    for key in ("tau = f + lambda", "f = dk(xi)"):
+        value = sol.theorem_checks[key]
+        if value is not None:
+            records.append(record_from_residual(f"theorem: {key}", key, [value], tol))
+    return records
+
+
 # -- the golden suite ----------------------------------------------------------
 
 DEFAULT_SUITE_BINDINGS = {"c": 1.0, "ct": 1.0, "kprime": 0.0}
 
 
-def verify_paper_suite(
-    S: AccRStructure | None = None,
-    bindings: Mapping[str, float] | None = None,
-    samples: int = 64,
-    seed: int = 42,
-    pinned: Sequence[Sequence[float]] = (),
-    tol: float = 1e-9,
-) -> tuple[list[CheckRecord], list[np.ndarray]]:
+def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckRecord]:
     """Reproduce every published number of the cone example as check records.
 
     Closed forms are parametrized by the constants c, ct (soliton potential
     slopes for g and the associated metric) and kprime (fiber curvature; the
-    shipped fiber is flat, so the defaults bind kprime = 0).
+    shipped fiber is flat, so DEFAULT_SUITE_BINDINGS binds kprime = 0), which
+    the bindings of `geo` must hold.
     """
-    if S is None:
-        S = builtin_structure("cone-flat-fiber")
-    merged = dict(DEFAULT_SUITE_BINDINGS)
-    merged.update(bindings or {})
-    check_bindings(S.chart, merged, S.referenced_constants())
-    c, ct, kp = merged["c"], merged["ct"], merged["kprime"]
-    points = sample_points(S.chart, samples, seed, pinned)
+    S = geo.structure
+    c, ct, kp = geo.bindings["c"], geo.bindings["ct"], geo.bindings["kprime"]
     dim = S.dim
 
     records: list[CheckRecord] = []
@@ -440,7 +659,7 @@ def verify_paper_suite(
         records.append(record_from_residual(name, anchor, per_sample, tolerance))
 
     # structure identities
-    vr = validate_structure(S, points, merged, tol)
+    vr = validate_structure(S, geo.points, geo.bindings, tol)
     records.append(
         CheckRecord(
             name="structure identities",
@@ -451,7 +670,6 @@ def verify_paper_suite(
         )
     )
 
-    geo = SampleGeometry(S, points, merged)
     pg = geo.of(METRIC_G)
     pgt = geo.of(METRIC_GTILDE)
     ts = geo.points[:, 0]
@@ -470,16 +688,14 @@ def verify_paper_suite(
     )
 
     # phi-frame curvature values
-    frames = S.frame_at(geo.points, merged)
-    r04f = to_phi_frame(PointTensor(dim, ("l",) * 4, pg.r04, COORDINATE), frames).components
-    rhof = to_phi_frame(PointTensor(dim, ("l", "l"), pg.ricci, COORDINATE), frames).components
+    frame_values = _phi_frame_values(geo, METRIC_G)
     closed = (kp - 1.0) / ts**2
     add("curvature R_1212 in the phi-frame", "R_1212 = (kprime - 1)/t^2",
-        np.abs(r04f[:, 0, 1, 0, 1] - closed))
+        np.abs(frame_values["R_1212"] - closed))
     add("Ricci rho_11 in the phi-frame", "rho_11 = (kprime - 1)/t^2",
-        np.abs(rhof[:, 0, 0] - closed))
+        np.abs(frame_values["rho_11"] - closed))
     add("Ricci rho_22 in the phi-frame", "rho_22 = (1 - kprime)/t^2",
-        np.abs(rhof[:, 1, 1] + closed))
+        np.abs(frame_values["rho_22"] + closed))
     add(
         "scalar curvature of g",
         "tau = 2(kprime - 1)/t^2",
@@ -580,25 +796,17 @@ def verify_paper_suite(
     )
 
     # identity suites, both metrics
-    add(
-        "metric compatibility",
-        "nabla g = 0 and nabla~ g~ = 0",
-        np.maximum(metric_compatibility_residual(pg), metric_compatibility_residual(pgt)),
-    )
+    compat, sym, fprop = np.maximum(_identity_residuals(pg), _identity_residuals(pgt))
+    add("metric compatibility", "nabla g = 0 and nabla~ g~ = 0", compat)
     add(
         "curvature symmetries and first Bianchi",
         "R(x,y,z,w) = -R(y,x,z,w) = -R(x,y,w,z) = R(z,w,x,y); cyclic sum 0",
-        np.maximum(
-            worst_residual(curvature_symmetry_residuals(pg)),
-            worst_residual(curvature_symmetry_residuals(pgt)),
-        ),
+        sym,
     )
     add(
         "fundamental tensor properties",
         "F(x,y,z) = F(x,z,y) = F(x,phi y,phi z) + eta(y) F(x,xi,z) + eta(z) F(x,y,xi); F(x,phi y,xi) = (nabla_x eta) y",
-        np.maximum(
-            worst_residual(f_property_residuals(pg)), worst_residual(f_property_residuals(pgt))
-        ),
+        fprop,
     )
 
     # torse-forming curvature identities
@@ -627,22 +835,7 @@ def verify_paper_suite(
         tt["tau~ = -tau* - 2n(2n+1) h^2 - 4n dh(xi)"],
     )
 
-    # cross-route equalities
-    add(
-        "associated Christoffels: direct vs correction route",
-        "2g(nabla~_x y,z) = 2g(nabla_x y,z) - F(x,y,phi z) - F(y,x,phi z) + F(phi z,x,y) + eta-terms",
-        _max_abs(nabla_tilde_components_from(pg) - pgt.gamma, 3),
-    )
-    add(
-        "associated fundamental tensor: direct vs transfer route",
-        "2F~(x,y,z) = F(phi y,z,x) - F(y,phi z,x) + F(phi z,y,x) - F(z,phi y,x) + eta-terms",
-        _max_abs(f_tilde_components_from(pg) - pgt.F, 3),
-    )
-    add(
-        "short connection form on F5",
-        "nabla~_x y = nabla_x y - (theta*(xi)/2n){g(x,phi y) + g(phi x,phi y)} xi",
-        _max_abs(connection_f5_form(pg) - pgt.gamma, 3),
-    )
+    records.extend(_cross_route_records(geo, tol, "short connection form on F5"))
 
     # potentials and solitons: one torse-forming fit per metric, shared by
     # both solves and by the records below
@@ -774,10 +967,10 @@ def verify_paper_suite(
     )
 
     # Lie derivative closed forms and the two expansion routes
-    lg = lie_derivative_metric(pg, *vector_field_jets(pot, geo.points, merged))
-    lgt = lie_derivative_metric(pgt, *vector_field_jets(pott, geo.points, merged))
-    lgv = lie_derivative_vertical(pg, k_expr.eval_jet(geo.points, merged))
-    lgtv = lie_derivative_vertical(pgt, kt_expr.eval_jet(geo.points, merged))
+    lg = lie_derivative_metric(pg, torse_g.v, torse_g.dv)
+    lgt = lie_derivative_metric(pgt, torse_gt.v, torse_gt.dv)
+    lgv = lie_derivative_vertical(pg, k_expr.eval_jet(geo.points, geo.bindings))
+    lgtv = lie_derivative_vertical(pgt, kt_expr.eval_jet(geo.points, geo.bindings))
     add(
         "Lie derivatives of both metrics",
         "L_v g = 2c g; L_v~ g~ = 2ct g~",
@@ -803,4 +996,4 @@ def verify_paper_suite(
         np.abs(_dot(np.einsum("...i,...ij->...j", pg.xi, half), pg.xi) - level),
     )
 
-    return records, points
+    return records

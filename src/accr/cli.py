@@ -19,12 +19,10 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     ExprError,
-    IdentityViolation,
     ManifoldError,
     PotentialError,
     TensorError,
 )
-from .expr import parse as parse_expr
 from .manifold import (
     METRIC_G,
     METRIC_GTILDE,
@@ -34,26 +32,10 @@ from .manifold import (
     check_bindings,
     load_manifold,
     sample_points,
-    validate_structure,
 )
-from .report import (
-    CheckRecord,
-    Report,
-    VERDICT_DEGENERATE,
-    VERDICT_FAIL,
-    VERDICT_NA,
-    VERDICT_PASS,
-    record_from_residual,
-)
-from .tensor import COORDINATE, PointTensor, _max_abs, to_phi_frame
+from .report import Report, VERDICT_FAIL, VERDICT_PASS
 
 __all__ = ["main", "entrypoint", "build_parser"]
-
-_STATUS_VERDICT = {
-    analysis.HOLDS: VERDICT_PASS,
-    analysis.FAILS: VERDICT_FAIL,
-    analysis.DEGENERATE: VERDICT_DEGENERATE,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,202 +154,6 @@ def _config_echo(args, bindings, points) -> dict:
     return cfg
 
 
-def _validation_records(S, points, bindings, tol):
-    vr = validate_structure(S, points, bindings, tol)
-    records = [
-        record_from_residual(f"structure: {key}", key, [value], tol)
-        for key, value in vr.residuals.items()
-    ]
-    records.append(
-        CheckRecord(
-            name="structure: signature",
-            anchor=f"metric signature ({S.n + 1},{S.n}) at every sample",
-            verdict=VERDICT_PASS if vr.signature == vr.expected_signature else VERDICT_FAIL,
-            residual=None,
-        )
-    )
-    return records
-
-
-def _classification_records(geo, tol):
-    cm = analysis.classify(geo, tol)
-    anchors = {
-        "sasaki_like": "F(x,y,z) = g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y)",
-        "f5": "F(x,y,z) = -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}",
-        "f5_0": "d(theta*(xi)) = xi(theta*(xi)) eta",
-        "f0": "F = 0 identically (within 1e-12)",
-    }
-    records = []
-    for entry in cm.entries():
-        records.append(
-            CheckRecord(
-                name=f"class {entry.name}: {entry.status}",
-                anchor=anchors[entry.name],
-                verdict=_STATUS_VERDICT[entry.status],
-                residual=entry.residual,
-            )
-        )
-        for key, value in sorted(entry.extras.items()):
-            records.append(
-                record_from_residual(f"consequence of {entry.name}: {key}", key, [value], tol)
-            )
-    return records
-
-
-def _identity_records(geo, tol, tag):
-    pg = geo.of(tag)
-    compat = geometry.metric_compatibility_residual(pg)
-    sym = geometry.worst_residual(geometry.curvature_symmetry_residuals(pg))
-    fprop = geometry.worst_residual(geometry.f_property_residuals(pg))
-    suffix = "" if tag == METRIC_G else " (associated metric)"
-    return [
-        record_from_residual(f"metric compatibility{suffix}", "nabla g = 0", compat, tol),
-        record_from_residual(
-            f"curvature symmetries{suffix}",
-            "R(x,y,z,w) = -R(y,x,z,w) = -R(x,y,w,z) = R(z,w,x,y); first Bianchi",
-            sym,
-            tol,
-        ),
-        record_from_residual(
-            f"fundamental tensor properties{suffix}",
-            "F(x,y,z) = F(x,z,y); phi-phi expansion; F(x,phi y,xi) = (nabla_x eta) y",
-            fprop,
-            tol,
-        ),
-    ]
-
-
-def _value_record(name, anchor, values):
-    return CheckRecord(
-        name=name,
-        anchor=anchor,
-        verdict=VERDICT_NA,
-        residual=None,
-        samples=tuple(float(v) for v in values),
-    )
-
-
-def _curvature_records(geo, tol, tag):
-    S = geo.structure
-    pg = geo.of(tag)
-    has_frame = S.frame is not None
-    if has_frame:
-        frames = S.frame_at(geo.points, geo.bindings)
-        r04f = to_phi_frame(PointTensor(pg.dim, ("l",) * 4, pg.r04, COORDINATE), frames)
-        rhof = to_phi_frame(PointTensor(pg.dim, ("l", "l"), pg.ricci, COORDINATE), frames)
-        frame_vals = {
-            "R_1212": r04f.components[:, 0, 1, 0, 1],
-            "rho_11": rhof.components[:, 0, 0],
-            "rho_22": rhof.components[:, 1, 1],
-        }
-    records = [
-        _value_record("scalar curvature", "tau = g^{jk} rho_jk", pg.tau),
-        _value_record("associated scalar curvature", "tau* = g^{ij} rho_is phi^s_j", pg.tau_star),
-        _value_record("Lee scalar", "theta*(xi)", pg.theta_star_xi),
-    ]
-    if has_frame:
-        for key, values in frame_vals.items():
-            records.append(
-                _value_record(f"phi-frame {key}", f"{key} in the frame e_1..e_2n, xi", values)
-            )
-    records.extend(_identity_records(geo, tol, tag))
-    return records
-
-
-def _cross_route_records(geo, tol):
-    pg, pgt = geo.of(METRIC_G), geo.of(METRIC_GTILDE)
-    ntn = _max_abs(geometry.nabla_tilde_components_from(pg) - pgt.gamma, 3)
-    tff = _max_abs(geometry.f_tilde_components_from(pg) - pgt.F, 3)
-    short_form = _max_abs(geometry.connection_f5_form(pg) - pgt.gamma, 3)
-    return [
-        record_from_residual(
-            "associated Christoffels: direct vs correction route",
-            "2g(nabla~_x y,z) = 2g(nabla_x y,z) - F(x,y,phi z) - F(y,x,phi z) + F(phi z,x,y) + eta-terms",
-            ntn,
-            tol,
-        ),
-        record_from_residual(
-            "associated fundamental tensor: direct vs transfer route",
-            "2F~(x,y,z) = F(phi y,z,x) - F(y,phi z,x) + F(phi z,y,x) - F(z,phi y,x) + eta-terms",
-            tff,
-            tol,
-        ),
-        record_from_residual(
-            "short connection form (F5 structures)",
-            "nabla~_x y = nabla_x y - (theta*(xi)/2n){g(x,phi y) + g(phi x,phi y)} xi",
-            short_form,
-            tol,
-        ),
-    ]
-
-
-def _soliton_records(geo, args, tol):
-    S = geo.structure
-    k_expr = parse_expr(args.potential_k, S.chart.coordinates, S.chart.constants)
-    check_bindings(S.chart, geo.bindings, k_expr.referenced_constants())
-    potential = analysis.vertical_potential(S, k_expr)
-    tag = args.metric
-    sol = analysis.yamabe_soliton_solve(geo, tag, potential, tol)
-    torse = sol.torse
-
-    records = [
-        record_from_residual(
-            "torse-forming fit",
-            "nabla_x v = f x + gamma(x) v",
-            torse.per_sample_residual,
-            tol,
-        ),
-        CheckRecord(
-            name="taxonomy: " + (", ".join(sorted(torse.taxonomy)) or "none"),
-            anchor="torqued iff gamma(v) = 0; concircular iff gamma = 0; concurrent iff f = 1 and gamma = 0",
-            verdict=VERDICT_NA,
-            residual=torse.residual,
-        ),
-        _value_record("conformal scalar f", "nabla_x v = f x + gamma(x) v", torse.f),
-    ]
-    if torse.vertical_checks is not None and "torse-forming" in torse.taxonomy:
-        records.append(
-            record_from_residual(
-                "generating form of a vertical potential",
-                "gamma = (dk - f eta) / k",
-                [torse.vertical_checks["gamma = (dk - f eta) / k"]],
-                tol,
-            )
-        )
-        records.append(
-            record_from_residual(
-                "vertical potential derivative",
-                "nabla_x v = -f phi^2 x + dk(x) xi",
-                [torse.vertical_checks["nabla_x v = -f phi^2 x + dk(x) xi"]],
-                tol,
-            )
-        )
-        records.append(
-            CheckRecord(
-                name="torqued criterion",
-                anchor="f = dk(xi), equivalent to gamma(v) = 0",
-                verdict=VERDICT_NA,
-                residual=torse.vertical_checks["f = dk(xi)"],
-            )
-        )
-    metric_name = "g" if tag == METRIC_G else "g~"
-    records.append(
-        CheckRecord(
-            name=f"Yamabe almost soliton for {metric_name}: {sol.verdict}",
-            anchor="(1/2) L_v metric = (tau - lambda) metric",
-            verdict=VERDICT_PASS if sol.verdict == "soliton" else VERDICT_FAIL,
-            residual=float(np.max(sol.residuals)),
-            samples=tuple(float(x) for x in sol.residuals),
-        )
-    )
-    records.append(_value_record("soliton function lambda", "lambda = tau - mu", sol.lambdas))
-    for key in ("tau = f + lambda", "f = dk(xi)"):
-        value = sol.theorem_checks[key]
-        if value is not None:
-            records.append(record_from_residual(f"theorem: {key}", key, [value], tol))
-    return records, sol
-
-
 def _emit(report: Report, args) -> None:
     text = report.to_json() if args.format == "json" else report.to_table()
     if args.output:
@@ -404,44 +190,35 @@ def _run(args) -> int:
     points = sample_points(S.chart, args.samples, args.seed, pinned)
 
     geo = geometry.SampleGeometry(S, points, bindings)
-    records: list[CheckRecord] = []
-    gates: list[CheckRecord] = []
+    gates = []
 
     if args.command == "validate":
-        records = _validation_records(S, points, bindings, tol)
-        gates = records
+        records = gates = analysis.validation_records(geo, tol)
     elif args.command == "classify":
-        validation = _validation_records(S, points, bindings, tol)
-        gates = list(validation)
-        records = validation + _classification_records(geo, tol)
+        gates = analysis.validation_records(geo, tol)
+        records = gates + analysis.classification_records(geo, tol)
     elif args.command == "curvature":
-        records = _curvature_records(geo, tol, args.metric)
+        records = analysis.curvature_records(geo, args.metric, tol)
         gates = [r for r in records if r.verdict in (VERDICT_PASS, VERDICT_FAIL)]
     elif args.command == "soliton":
         if args.potential_k is None:
             raise _Usage("soliton requires --potential-k EXPR")
-        records, _ = _soliton_records(geo, args, tol)
+        records = analysis.soliton_records(geo, args.metric, args.potential_k, tol)
         if args.expect_soliton:
             gates = [r for r in records if r.name.startswith("Yamabe almost soliton")]
     elif args.command == "verify-paper":
-        suite, points = analysis.verify_paper_suite(
-            S, bindings, args.samples, args.seed, pinned, tol
-        )
-        records = suite
-        gates = records
+        records = gates = analysis.verify_paper_suite(geo, tol)
     elif args.command == "report":
-        records = _validation_records(S, points, bindings, tol)
-        records += _classification_records(geo, tol)
-        records += _identity_records(geo, tol, METRIC_G)
-        records += _identity_records(geo, tol, METRIC_GTILDE)
-        records += _cross_route_records(geo, tol)
+        if args.expect_soliton and args.potential_k is None:
+            raise _Usage("report --expect-soliton requires --potential-k EXPR")
+        records = analysis.report_records(geo, tol)
         gates = [
             r
             for r in records
             if not r.name.startswith("class ") and r.verdict in (VERDICT_PASS, VERDICT_FAIL)
         ]
         if args.potential_k is not None:
-            soliton_records, _ = _soliton_records(geo, args, tol)
+            soliton_records = analysis.soliton_records(geo, args.metric, args.potential_k, tol)
             records += soliton_records
             if args.expect_soliton:
                 gates += [r for r in soliton_records if r.name.startswith("Yamabe almost soliton")]
@@ -470,7 +247,7 @@ def main(argv=None) -> int:
     except (ExprError, ManifoldError, DomainError, DimensionMismatch) as exc:
         print(f"accr: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (TensorError, PotentialError, IdentityViolation) as exc:
+    except (TensorError, PotentialError) as exc:
         print(f"accr: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -51,20 +51,12 @@ class TensorError(AccrError):
     """Base class for pointwise tensor algebra errors."""
 
 
-class VarianceMismatch(TensorError):
-    """Slot variance incompatible with the requested operation."""
-
-
 class SingularMetric(TensorError):
     """Metric components numerically singular at the evaluation point."""
 
 
 class SingularFrame(TensorError):
     """Frame matrix is not invertible."""
-
-
-class BasisMismatch(TensorError):
-    """Operands carry different basis tags."""
 
 
 class ManifoldError(AccrError):
@@ -77,10 +69,6 @@ class ManifoldParseError(ManifoldError):
 
 class UnknownBuiltin(ManifoldError):
     """Requested builtin manifold name does not exist."""
-
-
-class IdentityViolation(AccrError):
-    """A structural identity that must hold numerically failed to."""
 
 
 class PotentialError(AccrError):

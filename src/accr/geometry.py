@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IdentityViolation, SingularMetric
+from .errors import SingularMetric
 from .expr import Expression
 from .jets import Jet2
 from .manifold import (
@@ -36,25 +36,15 @@ from .manifold import (
     AccRStructure,
     AssociatedMetric,
 )
-from .tensor import COORDINATE, PointTensor, _dot, _max_abs
+from .tensor import _dot, _max_abs
 
 __all__ = [
     "PointGeometry",
     "SampleGeometry",
-    "ConnectionAtPoint",
-    "CurvatureAtPoint",
-    "FundamentalTensorAtPoint",
     "point_geometry",
-    "christoffel",
-    "nabla_xi",
-    "curvature",
-    "fundamental_tensor",
-    "f_tilde_via_relation",
-    "nabla_tilde_via_relation",
     "connection_f5_form",
     "lie_derivative_metric",
     "lie_derivative_vertical",
-    "exterior_derivative",
     "vector_field_jets",
     "metric_compatibility_residual",
     "curvature_symmetry_residuals",
@@ -64,7 +54,6 @@ __all__ = [
     "worst_residual",
 ]
 
-_ONCE_DIFF_TOL = 1e-9
 _SCALARS = ("tau", "tau_star", "theta_star_xi")
 
 
@@ -290,83 +279,6 @@ class SampleGeometry:
         return self._geometry[tag]
 
 
-# -- single-quantity wrappers --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConnectionAtPoint:
-    """Christoffel symbols gamma[k,i,j]; dgamma is None for relation routes."""
-
-    gamma: np.ndarray
-    dgamma: np.ndarray | None
-    metric_tag: str
-    point: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class CurvatureAtPoint:
-    r13: PointTensor
-    r04: PointTensor
-    ricci: PointTensor
-    tau: float
-    tau_star: float
-    metric_tag: str
-    point: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class FundamentalTensorAtPoint:
-    F: PointTensor
-    theta_star: PointTensor
-    omega: PointTensor
-    theta_star_xi: float
-    grad_theta_star_xi: PointTensor
-    metric_tag: str
-    point: tuple[float, ...]
-
-
-def christoffel(S, tag, point, bindings=None) -> ConnectionAtPoint:
-    pg = point_geometry(S, tag, point, bindings)
-    return ConnectionAtPoint(gamma=pg.gamma, dgamma=pg.dgamma, metric_tag=tag, point=pg.point)
-
-
-def nabla_xi(S, tag, point, bindings=None) -> PointTensor:
-    """The (1,1) tensor x -> nabla_x xi; enforces eta(nabla_x xi) = 0."""
-    pg = point_geometry(S, tag, point, bindings)
-    drift = float(np.max(np.abs(np.einsum("...k,...ki->...i", pg.eta, pg.nabla_xi))))
-    if drift > _ONCE_DIFF_TOL:
-        raise IdentityViolation(f"eta(nabla_x xi) = {drift:.3e}, should vanish since g(xi,xi)=1")
-    return PointTensor(dim=pg.dim, variance=("u", "l"), components=pg.nabla_xi, basis=COORDINATE)
-
-
-def curvature(S, tag, point, bindings=None) -> CurvatureAtPoint:
-    pg = point_geometry(S, tag, point, bindings)
-    dim = pg.dim
-    return CurvatureAtPoint(
-        r13=PointTensor(dim, ("u", "l", "l", "l"), pg.r13, COORDINATE),
-        r04=PointTensor(dim, ("l", "l", "l", "l"), pg.r04, COORDINATE),
-        ricci=PointTensor(dim, ("l", "l"), pg.ricci, COORDINATE),
-        tau=pg.tau,
-        tau_star=pg.tau_star,
-        metric_tag=tag,
-        point=pg.point,
-    )
-
-
-def fundamental_tensor(S, tag, point, bindings=None) -> FundamentalTensorAtPoint:
-    pg = point_geometry(S, tag, point, bindings)
-    dim = pg.dim
-    return FundamentalTensorAtPoint(
-        F=PointTensor(dim, ("l", "l", "l"), pg.F, COORDINATE),
-        theta_star=PointTensor(dim, ("l",), pg.theta_star, COORDINATE),
-        omega=PointTensor(dim, ("l",), pg.omega, COORDINATE),
-        theta_star_xi=pg.theta_star_xi,
-        grad_theta_star_xi=PointTensor(dim, ("l",), pg.grad_theta_star_xi, COORDINATE),
-        metric_tag=tag,
-        point=pg.point,
-    )
-
-
 # -- cross routes: gtilde quantities assembled from g quantities --------------
 
 
@@ -414,11 +326,6 @@ def f_tilde_components_from(pg: PointGeometry) -> np.ndarray:
     return two_ft / 2.0
 
 
-def f_tilde_via_relation(S, point, bindings=None) -> PointTensor:
-    pg = point_geometry(S, METRIC_G, point, bindings)
-    return PointTensor(pg.dim, ("l", "l", "l"), f_tilde_components_from(pg), COORDINATE)
-
-
 def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
     """Christoffels of the associated metric from those of g, at one point or a batch.
 
@@ -462,16 +369,6 @@ def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
         - np.einsum("...ij,...z->...ijz", az, eta)
     )
     return pg.gamma + 0.5 * np.einsum("...kz,...ijz->...kij", pg.ginv, corr)
-
-
-def nabla_tilde_via_relation(S, point, bindings=None) -> ConnectionAtPoint:
-    pg = point_geometry(S, METRIC_G, point, bindings)
-    return ConnectionAtPoint(
-        gamma=nabla_tilde_components_from(pg),
-        dgamma=None,
-        metric_tag=METRIC_GTILDE,
-        point=pg.point,
-    )
 
 
 def connection_f5_form(pg: PointGeometry) -> np.ndarray:
@@ -532,19 +429,6 @@ def lie_derivative_vertical(pg: PointGeometry, k: Jet2) -> np.ndarray:
         + k.value[..., None, None] * (rate + np.swapaxes(rate, -1, -2))
     )
     return (lg + np.swapaxes(lg, -1, -2)) / 2.0
-
-
-def exterior_derivative(field, point, bindings=None) -> PointTensor:
-    """d of a scalar (-> 1-form) or of a 1-form (-> antisymmetric 2-form).
-
-    The input is an Expression or a sequence of component Expressions.
-    """
-    if isinstance(field, Expression):
-        jet = field.eval_jet(point, bindings or {})
-        return PointTensor(len(jet.grad), ("l",), jet.grad, COORDINATE)
-    comps = list(field)
-    _, partial = vector_field_jets(comps, point, bindings)  # partial[z,m] = d_m alpha_z
-    return PointTensor(len(comps), ("l", "l"), antisymmetrized_derivative(partial), COORDINATE)
 
 
 def antisymmetrized_derivative(partial: np.ndarray) -> np.ndarray:

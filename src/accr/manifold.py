@@ -39,7 +39,6 @@ __all__ = [
     "builtin_structure",
     "builtin_names",
     "validate_structure",
-    "associated_metric",
     "latin_hypercube",
     "sample_points",
     "check_bindings",
@@ -484,10 +483,6 @@ class AssociatedMetric:
         partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0
         second = (second + np.swapaxes(second, -4, -3)) / 2.0
         return FieldJets(value, partial, second)
-
-
-def associated_metric(S: AccRStructure) -> AssociatedMetric:
-    return AssociatedMetric(S)
 
 
 # -- sampling ----------------------------------------------------------------

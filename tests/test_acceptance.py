@@ -29,7 +29,7 @@ from accr.geometry import (
     torse_forming_curvature_residuals,
 )
 from accr.manifold import AssociatedMetric, load_manifold, sample_points, validate_structure
-from accr.tensor import PointTensor, to_phi_frame
+from accr.tensor import to_phi_frame
 
 from conftest import fd_gradient, fd_hessian
 from test_manifold import cone_json
@@ -82,8 +82,8 @@ def test_criterion_1_golden_closed_forms(capsys, cone, points, ts, geoms):
     for p, (pg, pgt) in zip(points, geoms):
         t = p[0]
         frame = cone.frame_at(p)
-        r04f = to_phi_frame(PointTensor(3, ("l",) * 4, pg.r04), frame).components
-        rhof = to_phi_frame(PointTensor(3, ("l", "l"), pg.ricci), frame).components
+        r04f = to_phi_frame(pg.r04, ("l",) * 4, frame)
+        rhof = to_phi_frame(pg.ricci, ("l", "l"), frame)
         diffs["R_1212 = -1/t^2"].append(abs(r04f[0, 1, 0, 1] - (-1.0 / t**2)))
         diffs["rho_11 = -1/t^2"].append(abs(rhof[0, 0] - (-1.0 / t**2)))
         diffs["rho_22 = +1/t^2"].append(abs(rhof[1, 1] - 1.0 / t**2))

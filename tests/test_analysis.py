@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import accr.analysis as analysis
+import accr.cli as cli
 import accr.geometry as geometry
+import accr.manifold as manifold
 from accr.analysis import (
+    DEFAULT_SUITE_BINDINGS,
     DEGENERATE,
     FAILS,
     HOLDS,
@@ -235,10 +238,11 @@ def test_yamabe_rejects_non_vertical(cone, cone_points):
         yamabe_soliton_solve(SampleGeometry(cone, cone_points), "g", mixed)
 
 
-def test_verify_paper_suite_all_pass(cone_bindings):
-    records, points = verify_paper_suite(samples=16)
-    assert len(points) == 16
+def test_verify_paper_suite_all_pass(cone, cone_bindings):
+    records = verify_paper_suite(SampleGeometry(cone, sample_points(cone.chart, 16), cone_bindings))
     assert len(records) >= 50
+    by_name = {r.name: r for r in records}
+    assert len(by_name["Christoffel symbols of g"].samples) == 16
     failing = [r.name for r in records if r.verdict != VERDICT_PASS]
     assert failing == []
     assert all(r.anchor for r in records)
@@ -246,11 +250,10 @@ def test_verify_paper_suite_all_pass(cone_bindings):
     assert not any("eq" in r.anchor.lower() or "sec" in r.anchor.lower() for r in records)
 
 
-def test_verify_paper_suite_other_constants():
-    records, _ = verify_paper_suite(
-        bindings={"c": 2.0, "ct": 0.5},
-        samples=8,
-        pinned=((1.0, 0.1, 0.1),),
+def test_verify_paper_suite_other_constants(cone):
+    points = sample_points(cone.chart, 8, pinned=((1.0, 0.1, 0.1),))
+    records = verify_paper_suite(
+        SampleGeometry(cone, points, dict(DEFAULT_SUITE_BINDINGS, c=2.0, ct=0.5))
     )
     assert all(r.verdict == VERDICT_PASS for r in records)
 
@@ -331,23 +334,39 @@ def test_batched_form_residuals_match_per_sample(request, structure, tag):
 # -- compute once, and errors that name the offending sample --------------------
 
 
-def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch):
-    calls = {"torse_forming_extract": 0, "point_geometry": 0}
+def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, capsys):
+    calls = {}
 
-    def counting(module, name):
-        original = getattr(module, name)
+    def counting(name, *modules):
+        original = getattr(modules[0], name)
+        calls[name] = 0
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
 
-    counting(analysis, "torse_forming_extract")
-    counting(geometry, "point_geometry")
-    records, _ = verify_paper_suite(samples=8)
-    assert all(r.verdict == VERDICT_PASS for r in records)
-    assert calls == {"torse_forming_extract": 2, "point_geometry": 2}
+    counting("torse_forming_extract", analysis)
+    counting("point_geometry", geometry)
+    counting("vector_field_jets", geometry, analysis)
+    counting("sample_points", manifold, cli)
+    counting("check_bindings", manifold, cli, analysis)
+    assert cli.main(["verify-paper", "--samples", "8"]) == 0
+    assert "51 checks: 51 pass" in capsys.readouterr().out
+    assert calls == {
+        "torse_forming_extract": 2,
+        "point_geometry": 2,
+        "vector_field_jets": 2,
+        "sample_points": 1,
+        "check_bindings": 1,
+    }
+    # one soliton solve evaluates its potential once, for the fit and the solve alike
+    calls.update(dict.fromkeys(calls, 0))
+    argv = ["soliton", "--builtin", "cone-flat-fiber", "--potential-k", "c*t", "--const", "c=1"]
+    assert cli.main([*argv, "--samples", "8"]) == 0
+    assert calls["vector_field_jets"] == 1 and calls["torse_forming_extract"] == 1
 
 
 def test_non_vertical_sample_is_named(cone):

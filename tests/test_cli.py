@@ -224,6 +224,34 @@ def test_report_full(capsys):
     assert any(n.startswith("Yamabe almost soliton") for n in names)
 
 
+def test_report_expect_soliton_needs_a_potential(capsys):
+    rc, out, err = run(capsys, "report", *CONE, "--samples", "4", "--expect-soliton")
+    assert rc == 2 and out == ""
+    assert "--potential-k" in err
+
+
+def test_report_and_verify_paper_share_each_check(capsys):
+    # the same per-sample residuals, whichever command reports them
+    _, report, _ = run_json(capsys, "report", *CONE, "--samples", "16", "--seed", "7")
+    _, suite, _ = run_json(capsys, "verify-paper", *CONE, "--samples", "16", "--seed", "7")
+    reported = {c["name"]: c["samples"] for c in report["checks"]}
+    verified = {c["name"]: c["samples"] for c in suite["checks"]}
+    for report_name, suite_name in (
+        ("associated Christoffels: direct vs correction route",) * 2,
+        ("associated fundamental tensor: direct vs transfer route",) * 2,
+        ("short connection form (F5 structures)", "short connection form on F5"),
+    ):
+        assert reported[report_name] == verified[suite_name]
+    # verify-paper takes the worse of the two metrics at each sample
+    for report_name, suite_name in (
+        ("metric compatibility", "metric compatibility"),
+        ("curvature symmetries", "curvature symmetries and first Bianchi"),
+        ("fundamental tensor properties", "fundamental tensor properties"),
+    ):
+        both = np.maximum(reported[report_name], reported[f"{report_name} (associated metric)"])
+        assert len(both) == 16 and both.tolist() == verified[suite_name]
+
+
 def test_output_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     rc, out, _ = run(

@@ -5,32 +5,26 @@ import dataclasses
 import numpy as np
 import pytest
 
-from accr.errors import DomainError, IdentityViolation
+from accr.errors import DomainError
 from accr.expr import parse
 from accr.geometry import (
     PointGeometry,
-    christoffel,
+    antisymmetrized_derivative,
     connection_f5_form,
-    curvature,
     curvature_symmetry_residuals,
-    exterior_derivative,
     f_property_residuals,
     f_tilde_components_from,
-    f_tilde_via_relation,
-    fundamental_tensor,
     lie_derivative_metric,
     lie_derivative_vertical,
     metric_compatibility_residual,
     nabla_tilde_components_from,
-    nabla_tilde_via_relation,
-    nabla_xi,
     point_geometry,
     tau_tilde_relations,
     torse_forming_curvature_residuals,
     vector_field_jets,
 )
-from accr.manifold import load_manifold, sample_points
-from accr.tensor import PointTensor, to_phi_frame
+from accr.manifold import load_manifold, sample_points, validate_structure
+from accr.tensor import to_phi_frame
 
 from conftest import rel_err
 from test_manifold import cone_json
@@ -66,10 +60,10 @@ def test_christoffel_frozen_values(pg_g):
 
 
 def test_christoffel_wrapper(cone):
-    conn = christoffel(cone, "g", POINT)
-    assert conn.metric_tag == "g"
-    assert conn.dgamma is not None
-    assert np.allclose(conn.point, POINT)
+    pg = point_geometry(cone, "g", POINT)
+    assert pg.tag == "g"
+    assert pg.dgamma.shape == (3, 3, 3, 3)
+    assert np.allclose(pg.point, POINT)
 
 
 def _fd_christoffel(metric_of_point, point, h=1e-5):
@@ -101,45 +95,49 @@ def test_christoffel_matches_finite_differences(cone, cone_points):
             assert rel_err(pg.gamma, ref) < 1e-5
 
 
+def _eta_of_nabla_xi(pg):
+    """max |eta(nabla_x xi)|, which vanishes wherever g(xi, xi) = 1."""
+    return np.max(np.abs(np.einsum("...k,...ki->...i", pg.eta, pg.nabla_xi)))
+
+
 def test_nabla_xi_both_metrics(cone, cone_points):
     for tag in ("g", "gtilde"):
-        t = nabla_xi(cone, tag, POINT)
-        assert np.allclose(t.components, np.diag([0.0, 0.5, 0.5]), atol=1e-13)
-        batch = nabla_xi(cone, tag, cone_points)
-        assert batch.components.shape == (len(cone_points), 3, 3)
-        assert np.array_equal(batch.components[0], t.components)
+        pg = point_geometry(cone, tag, POINT)
+        assert np.allclose(pg.nabla_xi, np.diag([0.0, 0.5, 0.5]), atol=1e-13)
+        batch = point_geometry(cone, tag, cone_points)
+        assert batch.nabla_xi.shape == (len(cone_points), 3, 3)
+        assert np.array_equal(batch.nabla_xi[0], pg.nabla_xi)
+        assert _eta_of_nabla_xi(batch) <= 1e-9
 
 
 def test_nabla_xi_identity_violation():
-    # xi scaled by t breaks g(xi,xi)=1, and eta(nabla_x xi) picks it up
+    # xi scaled by t breaks g(xi,xi)=1: eta(nabla_x xi) picks it up, and validation fails it
     S = load_manifold(cone_json(xi=["t", "0", "0"]))
-    with pytest.raises(IdentityViolation):
-        nabla_xi(S, "g", POINT)
+    assert _eta_of_nabla_xi(point_geometry(S, "g", POINT)) > 1e-9
+    assert "g(xi, xi) = 1" in validate_structure(S, [POINT]).failing()
 
 
 def test_curvature_frozen_values(cone, pg_g):
-    curv = curvature(cone, "g", POINT)
     frame = cone.frame_at(POINT)
-    r_frame = to_phi_frame(curv.r04, frame)
-    assert np.isclose(r_frame.components[0, 1, 0, 1], -0.25, atol=1e-13)
-    rho_frame = to_phi_frame(curv.ricci, frame)
-    assert np.allclose(rho_frame.components, np.diag([-0.25, 0.25, 0.0]), atol=1e-13)
-    assert np.isclose(curv.tau, -0.5, atol=1e-13)
-    assert np.isclose(curv.tau_star, 0.0, atol=1e-13)
+    r_frame = to_phi_frame(pg_g.r04, ("l",) * 4, frame)
+    assert np.isclose(r_frame[0, 1, 0, 1], -0.25, atol=1e-13)
+    rho_frame = to_phi_frame(pg_g.ricci, ("l", "l"), frame)
+    assert np.allclose(rho_frame, np.diag([-0.25, 0.25, 0.0]), atol=1e-13)
+    assert np.isclose(pg_g.tau, -0.5, atol=1e-13)
+    assert np.isclose(pg_g.tau_star, 0.0, atol=1e-13)
     # the associated metric has the same scalar curvature here
     assert np.isclose(point_geometry(cone, "gtilde", POINT).tau, -0.5, atol=1e-13)
 
 
-def test_fundamental_tensor_frozen_values(cone, pg_g):
-    fund = fundamental_tensor(cone, "g", POINT)
-    assert np.isclose(fund.theta_star_xi, 1.0, atol=1e-13)
-    assert np.allclose(fund.theta_star.components, [1.0, 0.0, 0.0], atol=1e-13)
-    assert np.allclose(fund.omega.components, 0.0, atol=1e-13)
-    assert np.allclose(fund.grad_theta_star_xi.components, [-0.5, 0.0, 0.0], atol=1e-13)
+def test_fundamental_tensor_frozen_values(pg_g):
+    assert np.isclose(pg_g.theta_star_xi, 1.0, atol=1e-13)
+    assert np.allclose(pg_g.theta_star, [1.0, 0.0, 0.0], atol=1e-13)
+    assert np.allclose(pg_g.omega, 0.0, atol=1e-13)
+    assert np.allclose(pg_g.grad_theta_star_xi, [-0.5, 0.0, 0.0], atol=1e-13)
     # F(d_u, d_v, xi) = -h g(d_u, phi d_v) with h = 1/t: equals t at t=2
-    assert np.isclose(fund.F.components[1, 2, 0], 2.0, atol=1e-13)
+    assert np.isclose(pg_g.F[1, 2, 0], 2.0, atol=1e-13)
     # symmetric in the last two slots
-    assert np.max(np.abs(fund.F.components - fund.F.components.transpose(0, 2, 1))) < 1e-14
+    assert np.max(np.abs(pg_g.F - pg_g.F.transpose(0, 2, 1))) < 1e-14
     assert np.isclose(pg_g.h, 0.5, atol=1e-14)
     assert np.allclose(pg_g.grad_h, [-0.25, 0.0, 0.0], atol=1e-14)
 
@@ -183,9 +181,9 @@ def test_tau_tilde_relations(cone, cone_points):
 
 def test_f_tilde_transfer_route(cone, cone_points):
     for pt in cone_points[:8]:
-        via = f_tilde_via_relation(cone, pt)
-        direct = fundamental_tensor(cone, "gtilde", pt)
-        assert np.max(np.abs(via.components - direct.F.components)) < 1e-11
+        via = f_tilde_components_from(point_geometry(cone, "g", pt))
+        direct = point_geometry(cone, "gtilde", pt).F
+        assert np.max(np.abs(via - direct)) < 1e-11
 
 
 def test_f_tilde_transfer_detects_perturbation(pg_g, pg_gt):
@@ -202,11 +200,10 @@ def test_f_tilde_transfer_requires_g(pg_gt):
 
 def test_nabla_tilde_routes(cone, cone_points):
     for pt in cone_points[:8]:
-        direct = christoffel(cone, "gtilde", pt)
-        corrected = nabla_tilde_via_relation(cone, pt)
-        short = connection_f5_form(point_geometry(cone, "g", pt))
-        assert np.max(np.abs(corrected.gamma - direct.gamma)) < 1e-11
-        assert np.max(np.abs(short - direct.gamma)) < 1e-11
+        pg = point_geometry(cone, "g", pt)
+        direct = point_geometry(cone, "gtilde", pt).gamma
+        assert np.max(np.abs(nabla_tilde_components_from(pg) - direct)) < 1e-11
+        assert np.max(np.abs(connection_f5_form(pg) - direct)) < 1e-11
 
 
 def test_nabla_tilde_detects_perturbation(cone, pg_g, pg_gt):
@@ -251,21 +248,19 @@ def test_lie_derivative_shape_check(pg_g):
 
 
 def test_exterior_derivative():
-    scalar = parse("t^2*u", COORDS)
-    d = exterior_derivative(scalar, POINT)
-    assert d.variance == ("l",)
-    assert np.allclose(d.components, [2 * 2.0 * 0.3, 4.0, 0.0])
+    # d of a scalar is its gradient
+    d = parse("t^2*u", COORDS).eval_jet(POINT).grad
+    assert np.allclose(d, [2 * 2.0 * 0.3, 4.0, 0.0])
     # d of the 1-form t^2 du is 2t dt wedge du
     one_form = [parse(s, COORDS) for s in ("0", "t^2", "0")]
-    d2 = exterior_derivative(one_form, POINT)
-    assert d2.variance == ("l", "l")
+    d2 = antisymmetrized_derivative(vector_field_jets(one_form, POINT)[1])
     expected = np.zeros((3, 3))
     expected[0, 1] = 4.0
     expected[1, 0] = -4.0
-    assert np.allclose(d2.components, expected)
+    assert np.allclose(d2, expected)
     # eta itself is closed
     eta_form = [parse(s, COORDS) for s in ("1", "0", "0")]
-    assert np.max(np.abs(exterior_derivative(eta_form, POINT).components)) == 0.0
+    assert np.max(np.abs(antisymmetrized_derivative(vector_field_jets(eta_form, POINT)[1]))) == 0.0
 
 
 def test_point_geometry_shapes(pg_g):

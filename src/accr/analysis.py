@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonVerticalPotential, ZeroPotential
-from .expr import Expression, multiply, parse
+from .expr import Expression, Num, multiply, parse
 from .geometry import (
     SampleGeometry,
     antisymmetrized_derivative,
@@ -46,7 +46,7 @@ from .report import (
     VERDICT_PASS,
     record_from_residual,
 )
-from .tensor import _dot, _max_abs, to_phi_frame
+from .tensor import _congruence, _dot, _max_abs, to_phi_frame
 
 __all__ = [
     "MembershipEntry",
@@ -104,7 +104,7 @@ def sasaki_form_residual(F, g, phi, eta):
 
     A float at one point; an (N,) array of per-sample residuals over a batch.
     """
-    gpp = np.einsum("...ai,...bj,...ab->...ij", phi, phi, g)
+    gpp = _congruence(phi, g)
     rhs = np.einsum("...ij,...z->...ijz", gpp, eta) + np.einsum("...iz,...j->...ijz", gpp, eta)
     return _max_abs(F - rhs, 3)
 
@@ -216,10 +216,17 @@ class TorseFormingResult:
 
 
 def vertical_potential(S: AccRStructure, k_field: Expression | str) -> tuple[Expression, ...]:
-    """Component expressions of k * xi for a scalar field k."""
+    """Component expressions of k * xi for a scalar field k.
+
+    A component where xi is the literal 0 is the literal 0, which the jet
+    evaluation folds, rather than k * 0.
+    """
     if isinstance(k_field, str):
         k_field = parse(k_field, S.chart.coordinates, S.chart.constants)
-    return tuple(multiply(k_field, component) for component in S.xi)
+    return tuple(
+        component if component.ast == Num(0.0) else multiply(k_field, component)
+        for component in S.xi
+    )
 
 
 def torse_forming_extract(

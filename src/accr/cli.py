@@ -73,7 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
            needs_metric=True)
     common(sub.add_parser("soliton", help="Yamabe almost-soliton solve"),
            needs_metric=True, needs_potential=True)
-    common(sub.add_parser("verify-paper", help="golden-value suite on the cone example"))
+    common(sub.add_parser(
+        "verify-paper",
+        help="golden-value suite on the cone example",
+        description=(
+            "Compare the cone example with its published closed forms. The constants c, ct "
+            "and kprime default to 1, 1 and 0. kprime enters only the closed forms: the "
+            "shipped fiber is flat, so its metric has kprime = 0, and any other value fails "
+            "the curvature, tau and soliton checks."
+        ),
+    ))
     common(sub.add_parser("report", help="validation + classification + identity suites"),
            needs_metric=True, needs_potential=True)
     return parser

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "BinOp",
     "Call",
     "Expression",
+    "eval_jets",
     "parse",
     "multiply",
     "FUNCTION_NAMES",
@@ -263,6 +264,34 @@ def _evaluate(node: Node, coord_values, bindings: Mapping[str, float]):
     return _div(left, right)
 
 
+def _nodes(node: Node):
+    """The node and all its descendants, parents first, left to right."""
+    yield node
+    if isinstance(node, Neg):
+        yield from _nodes(node.operand)
+    elif isinstance(node, Call):
+        yield from _nodes(node.arg)
+    elif isinstance(node, BinOp):
+        yield from _nodes(node.left)
+        yield from _nodes(node.right)
+
+
+def _coordinates(point, d: int) -> np.ndarray:
+    """One chart point (d,) or a batch (N, d) as a float array."""
+    values = np.asarray(point, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != d:
+        raise DimensionMismatch(
+            f"point of shape {values.shape} does not fit a chart with {d} coordinates"
+        )
+    return values
+
+
+def _coordinate_jets(point, d: int) -> tuple[Jet2, ...]:
+    """Jets of the d chart coordinates at one point (d,) or at a batch (N, d)."""
+    values = _coordinates(point, d)
+    return tuple(Jet2.seed(i, values[..., i], d) for i in range(d))
+
+
 # -- pretty printing ------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
@@ -307,57 +336,76 @@ class Expression:
 
         A batch evaluates the AST once, on arrays of coordinate values.
         """
-        values = np.asarray(point, dtype=float)
         d = len(self.coords)
-        if values.ndim not in (1, 2) or values.shape[-1] != d:
-            raise DimensionMismatch(
-                f"point of shape {values.shape} does not fit a chart with {d} coordinates"
-            )
+        values = _coordinates(point, d)
         result = _evaluate(self.ast, [values[..., i] for i in range(d)], bindings or {})
         if values.ndim == 1:
             return float(result)
         return np.full(values.shape[:-1], result, dtype=float)
 
     def eval_jet(self, point, bindings: Mapping[str, float] | None = None) -> Jet2:
-        """Jet at one point of shape (d,), or at a batch of points of shape (N, d).
+        """Jet at one point (d,), at a batch of points (N, d), or at given coordinate jets.
 
         A batch evaluates the AST once, with every jet array carrying a
-        leading sample axis of length N.
+        leading sample axis of length N.  `point` may also be the tuple of
+        the d coordinate jets themselves, as `eval_jets` passes it, so that
+        several expressions share one set of seeds.
         """
-        values = np.asarray(point, dtype=float)
         d = len(self.coords)
-        if values.ndim not in (1, 2) or values.shape[-1] != d:
-            raise DimensionMismatch(
-                f"point of shape {values.shape} does not fit a chart with {d} coordinates"
-            )
-        seeds = [Jet2.seed(i, values[..., i], d) for i in range(d)]
+        if isinstance(point, tuple) and point and isinstance(point[0], Jet2):
+            seeds = point
+        else:
+            seeds = _coordinate_jets(point, d)
         result = _evaluate(self.ast, seeds, bindings or {})
         if not isinstance(result, Jet2):
-            result = Jet2.constant(result, d, values.shape[:-1])
+            result = Jet2.constant(result, d, seeds[0].value.shape)
         return result
 
     def referenced_constants(self) -> frozenset[str]:
-        found: set[str] = set()
-
-        def walk(node: Node) -> None:
-            if isinstance(node, Const):
-                found.add(node.name)
-            elif isinstance(node, Neg):
-                walk(node.operand)
-            elif isinstance(node, Call):
-                walk(node.arg)
-            elif isinstance(node, BinOp):
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.ast)
-        return frozenset(found)
+        return frozenset(node.name for node in _nodes(self.ast) if isinstance(node, Const))
 
     def unparse(self) -> str:
         return _unparse(self.ast, self.coords, 0)
 
     def __str__(self) -> str:
         return self.unparse()
+
+
+def eval_jets(
+    expressions: Sequence[Expression], point, bindings: Mapping[str, float] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values [..., m], gradients [..., m, i] and Hessians [..., m, i, j] of several expressions.
+
+    `point` is one chart point (d,) or a batch (N, d), and the expressions
+    belong to one chart.  They share one set of coordinate seeds, each
+    distinct AST is evaluated once, and a coordinate-free AST is folded to
+    its number by the same arithmetic, so every value equals that of
+    `Expression.eval_jet`.  The expressions are evaluated in order: an error
+    comes from the first offending one.
+    """
+    d = len(expressions[0].coords)
+    seeds = _coordinate_jets(point, d)
+    b = bindings or {}
+    results: dict[Node, Jet2 | float] = {}
+    positions: dict[Node, list[int]] = {}
+    for m, e in enumerate(expressions):
+        if e.ast not in results:
+            coordinate_free = not any(isinstance(node, Coord) for node in _nodes(e.ast))
+            results[e.ast] = _evaluate(e.ast, seeds, b) if coordinate_free else e.eval_jet(seeds, b)
+        positions.setdefault(e.ast, []).append(m)
+    shape = seeds[0].value.shape + (len(expressions),)
+    value = np.empty(shape)
+    grad = np.zeros(shape + (d,))
+    hess = np.zeros(shape + (d, d))
+    for ast, result in results.items():
+        where = positions[ast]
+        if isinstance(result, Jet2):
+            value[..., where] = result.value[..., None]
+            grad[..., where, :] = result.grad[..., None, :]
+            hess[..., where, :, :] = result.hess[..., None, :, :]
+        else:
+            value[..., where] = result
+    return value, grad, hess
 
 
 def parse(source: str, coords: Iterable[str], constants: Iterable[str] = ()) -> Expression:

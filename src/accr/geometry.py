@@ -28,15 +28,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import SingularMetric
-from .expr import Expression
+from .expr import Expression, eval_jets
 from .jets import Jet2
 from .manifold import (
     METRIC_G,
     METRIC_GTILDE,
     AccRStructure,
-    AssociatedMetric,
+    StructureJets,
+    associated_metric_jets,
 )
-from .tensor import _dot, _max_abs
+from .tensor import _congruence, _dot, _max_abs
 
 __all__ = [
     "PointGeometry",
@@ -160,26 +161,29 @@ def point_geometry(
     A batch runs every step once over all samples.  One point runs as a
     batch of one and comes back as its per-sample geometry.
     """
-    if tag not in (METRIC_G, METRIC_GTILDE):
-        raise ValueError(f"unknown metric tag {tag!r}")
     points = np.asarray(point, dtype=float)
     batch = np.array(np.atleast_2d(points))  # a copy: it is made read-only below
+    geometry = _geometry(S.n, tag, batch, S.jets_at(batch, bindings))
+    return geometry if points.ndim == 2 else geometry[0]
+
+
+def _geometry(n: int, tag: str, batch: np.ndarray, sj: StructureJets) -> PointGeometry:
+    """The geometry of the tagged metric over a batch (N, d), from the structure jets there."""
+    if tag not in (METRIC_G, METRIC_GTILDE):
+        raise ValueError(f"unknown metric tag {tag!r}")
     # Intermediates with four or more indices are deleted once consumed:
     # they, more than the results, set the peak memory of a batch.
-    if tag == METRIC_G:
-        sj = S.jets_at(batch, bindings)
-        g, dg, d2g = sj.g
-    else:
-        g, dg, d2g = AssociatedMetric(S).jets_at(batch, bindings)
-        sj = S.jets_at(batch, bindings)
+    g, dg, d2g = sj.g if tag == METRIC_G else associated_metric_jets(sj)
     phi, dphi, d2phi = sj.phi
     xi, dxi, _ = sj.xi
     eta, deta, _ = sj.eta
-    del sj
 
     ginv = _inverse(g, tag)
-    dginv = -np.einsum("...ka,...abm,...bl->...klm", ginv, dg, ginv)
+    dginv = -np.einsum("...kbm,...bl->...klm", np.einsum("...ka,...abm->...kbm", ginv, dg), ginv)
 
+    # Contractions that span five or more indices per sample take numpy's
+    # optimized einsum, which contracts by batched matmul; the smaller ones
+    # stay plain, where the path search costs more than it saves.
     # Koszul in coordinates: C[l,i,j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     C = (
         np.einsum("...jli->...lij", dg)
@@ -193,21 +197,21 @@ def point_geometry(
         - np.einsum("...ijlm->...lijm", d2g)
     )
     dgamma = 0.5 * (
-        np.einsum("...klm,...lij->...kijm", dginv, C)
-        + np.einsum("...kl,...lijm->...kijm", ginv, dC)
+        np.einsum("...klm,...lij->...kijm", dginv, C, optimize=True)
+        + np.einsum("...kl,...lijm->...kijm", ginv, dC, optimize=True)
     )
     del d2g, dC
 
     r13 = (
         np.einsum("...ljki->...lkij", dgamma)
         - np.einsum("...likj->...lkij", dgamma)
-        + np.einsum("...lim,...mjk->...lkij", gamma, gamma)
-        - np.einsum("...ljm,...mik->...lkij", gamma, gamma)
+        + np.einsum("...lim,...mjk->...lkij", gamma, gamma, optimize=True)
+        - np.einsum("...ljm,...mik->...lkij", gamma, gamma, optimize=True)
     )
-    r04 = np.einsum("...lw,...lkij->...ijkw", g, r13)
+    r04 = np.einsum("...lw,...lkij->...ijkw", g, r13, optimize=True)
     ricci = np.einsum("...iaib->...ab", r13)
     tau = np.einsum("...ab,...ab->...", ginv, ricci)
-    tau_star = np.einsum("...ij,...is,...sj->...", ginv, ricci, phi)
+    tau_star = np.einsum("...ij,...ij->...", ginv, ricci @ phi)
 
     nxi = dxi + np.einsum("...kis,...s->...ki", gamma, xi)
     neta = np.einsum("...jm->...mj", deta) - np.einsum("...sij,...s->...ij", gamma, eta)
@@ -219,29 +223,30 @@ def point_geometry(
     )
     dcov_phi = (
         d2phi
-        + np.einsum("...kism,...sj->...kjim", dgamma, phi)
-        + np.einsum("...kis,...sjm->...kjim", gamma, dphi)
-        - np.einsum("...sijm,...ks->...kjim", dgamma, phi)
-        - np.einsum("...sij,...ksm->...kjim", gamma, dphi)
+        + np.einsum("...kism,...sj->...kjim", dgamma, phi, optimize=True)
+        + np.einsum("...kis,...sjm->...kjim", gamma, dphi, optimize=True)
+        - np.einsum("...sijm,...ks->...kjim", dgamma, phi, optimize=True)
+        - np.einsum("...sij,...ksm->...kjim", gamma, dphi, optimize=True)
     )
     del d2phi
     F = np.einsum("...kz,...kji->...ijz", g, cov_phi)
-    dF = np.einsum("...kzm,...kji->...ijzm", dg, cov_phi) + np.einsum(
-        "...kz,...kjim->...ijzm", g, dcov_phi
+    dF = np.einsum("...kzm,...kji->...ijzm", dg, cov_phi, optimize=True) + np.einsum(
+        "...kz,...kjim->...ijzm", g, dcov_phi, optimize=True
     )
 
     del dcov_phi
-    theta_star = np.einsum("...ij,...sj,...isz->...z", ginv, phi, F)
+    ginv_phi = np.einsum("...ij,...sj->...is", ginv, phi)
+    theta_star = np.einsum("...is,...isz->...z", ginv_phi, F)
     dtheta_star = (
-        np.einsum("...ijm,...sj,...isz->...zm", dginv, phi, F)
-        + np.einsum("...ij,...sjm,...isz->...zm", ginv, dphi, F)
-        + np.einsum("...ij,...sj,...iszm->...zm", ginv, phi, dF)
+        np.einsum("...ims,...isz->...zm", np.einsum("...ijm,...sj->...ims", dginv, phi), F)
+        + np.einsum("...ism,...isz->...zm", np.einsum("...ij,...sjm->...ism", ginv, dphi), F)
+        + np.einsum("...is,...iszm->...zm", ginv_phi, dF)
     )
     theta_star_xi = _dot(theta_star, xi)
     grad_tsx = np.einsum("...zm,...z->...m", dtheta_star, xi) + np.einsum(
         "...z,...zm->...m", theta_star, dxi
     )
-    omega = np.einsum("...i,...j,...ijz->...z", xi, xi, F)
+    omega = np.einsum("...j,...jz->...z", xi, np.einsum("...i,...ijz->...jz", xi, F))
 
     shared = dict(
         phi=phi, xi=xi, eta=eta, deta=deta, g=g, dg=dg, ginv=ginv, gamma=gamma,
@@ -252,22 +257,24 @@ def point_geometry(
     )
     for array in (batch, *shared.values()):
         array.flags.writeable = False
-    geometry = PointGeometry(tag=tag, point=batch, n=S.n, **shared)
-    return geometry if points.ndim == 2 else geometry[0]
+    return PointGeometry(tag=tag, point=batch, n=n, **shared)
 
 
 class SampleGeometry:
     """The sample set of one command and each metric's geometry over it.
 
-    Every check of a command reads the same batch: the geometry of a metric
-    tag is computed on first use, once, over all samples, and lives as long
-    as this object.
+    Every check of a command reads the same batch: the structure jets are
+    evaluated once, on first use, and the geometry of a metric tag is
+    computed from them on first use, once, over all samples; both live as
+    long as this object.
     """
 
     def __init__(self, S: AccRStructure, points, bindings: Mapping[str, float] | None = None):
         self.structure = S
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        # a copy: the geometry makes it read-only
+        self.points = np.array(np.atleast_2d(np.asarray(points, dtype=float)))
         self.bindings = dict(bindings or {})
+        self._jets: StructureJets | None = None
         self._geometry: dict[str, PointGeometry] = {}
 
     def __len__(self) -> int:
@@ -275,7 +282,9 @@ class SampleGeometry:
 
     def of(self, tag: str) -> PointGeometry:
         if tag not in self._geometry:
-            self._geometry[tag] = point_geometry(self.structure, tag, self.points, self.bindings)
+            if self._jets is None:  # the structure jets, shared by both metrics
+                self._jets = self.structure.jets_at(self.points, self.bindings)
+            self._geometry[tag] = _geometry(self.structure.n, tag, self.points, self._jets)
         return self._geometry[tag]
 
 
@@ -294,6 +303,8 @@ def f_tilde_components_from(pg: PointGeometry) -> np.ndarray:
         raise ValueError("transfer relation consumes the fundamental tensor of g")
     phi, eta, xi, F = pg.phi, pg.eta, pg.xi, pg.F
     Fxi = np.einsum("...ijs,...s->...ij", F, xi)
+    pFp = _congruence(phi, Fxi)  # [i, j] = F(phi x_i, phi x_j, xi)
+    pFp_t = np.swapaxes(pFp, -1, -2)
 
     swap = (
         np.einsum("...aj,...azi->...ijz", phi, F)
@@ -301,22 +312,9 @@ def f_tilde_components_from(pg: PointGeometry) -> np.ndarray:
         + np.einsum("...az,...aji->...ijz", phi, F)
         - np.einsum("...bj,...zbi->...ijz", phi, F)
     )
-    cz = (
-        Fxi
-        + np.einsum("...aj,...bi,...ab->...ij", phi, phi, Fxi)
-        + np.einsum("...aj,...ia->...ij", phi, Fxi)
-    )
-    cy = (
-        Fxi
-        + np.einsum("...az,...bi,...ab->...iz", phi, phi, Fxi)
-        + np.einsum("...az,...ia->...iz", phi, Fxi)
-    )
-    cx = (
-        Fxi
-        + np.einsum("...az,...bj,...ab->...jz", phi, phi, Fxi)
-        + np.swapaxes(Fxi, -1, -2)
-        + np.einsum("...aj,...bz,...ab->...jz", phi, phi, Fxi)
-    )
+    cz = Fxi + pFp_t + np.einsum("...aj,...ia->...ij", phi, Fxi)
+    cy = Fxi + pFp_t + np.einsum("...az,...ia->...iz", phi, Fxi)
+    cx = Fxi + pFp_t + np.swapaxes(Fxi, -1, -2) + pFp
     two_ft = (
         swap
         + np.einsum("...ij,...z->...ijz", cz, eta)
@@ -338,6 +336,7 @@ def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
         raise ValueError("connection relation consumes the fundamental tensor of g")
     phi, eta, xi, F, omega = pg.phi, pg.eta, pg.xi, pg.F, pg.omega
     Fxi = np.einsum("...ijs,...s->...ij", F, xi)
+    pFp_t = np.swapaxes(_congruence(phi, Fxi), -1, -2)  # [i, j] = F(phi x_j, phi x_i, xi)
     omega_phi = np.einsum("...a,...aj->...j", omega, phi)
 
     corr = (
@@ -345,16 +344,8 @@ def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
         - np.einsum("...bz,...jib->...ijz", phi, F)
         + np.einsum("...az,...aij->...ijz", phi, F)
     )
-    ax = (
-        Fxi
-        + np.einsum("...az,...bj,...ab->...jz", phi, phi, Fxi)
-        - np.einsum("...j,...z->...jz", omega_phi, eta)
-    )
-    ay = (
-        Fxi
-        + np.einsum("...az,...bi,...ab->...iz", phi, phi, Fxi)
-        - np.einsum("...i,...z->...iz", omega_phi, eta)
-    )
+    ax = Fxi + pFp_t - np.einsum("...j,...z->...jz", omega_phi, eta)
+    ay = Fxi + pFp_t - np.einsum("...i,...z->...iz", omega_phi, eta)
     az = (
         np.einsum("...s,...sij->...ij", xi, F)
         - np.swapaxes(Fxi, -1, -2)
@@ -379,7 +370,7 @@ def connection_f5_form(pg: PointGeometry) -> np.ndarray:
     if pg.tag != METRIC_G:
         raise ValueError("the short connection form consumes the geometry of g")
     gphi = np.einsum("...is,...sj->...ij", pg.g, pg.phi)
-    gphiphi = np.einsum("...ai,...bj,...ab->...ij", pg.phi, pg.phi, pg.g)
+    gphiphi = _congruence(pg.phi, pg.g)
     scale = np.asarray(pg.theta_star_xi / (2 * pg.n))[..., None, None, None]
     return pg.gamma - scale * np.einsum("...ij,...k->...kij", gphi + gphiphi, pg.xi)
 
@@ -394,10 +385,7 @@ def vector_field_jets(
 
     `point` is one point (d,) or a batch (N, d).
     """
-    jets = [e.eval_jet(point, bindings or {}) for e in potential]
-    axis = jets[0].value.ndim
-    value = np.stack([j.value for j in jets], axis)
-    partial = np.stack([j.grad for j in jets], axis)
+    value, partial, _ = eval_jets(potential, point, bindings)
     return value, partial
 
 
@@ -478,11 +466,11 @@ def f_property_residuals(pg: PointGeometry) -> dict:
     Fxi = np.einsum("...ijs,...s->...ij", F, xi)    # F(x, y, xi)
     total = (
         F
-        - np.einsum("...aj,...bz,...iab->...ijz", phi, phi, F)
+        - np.einsum("...ijb,...bz->...ijz", np.einsum("...iab,...aj->...ijb", F, phi), phi)
         - np.einsum("...j,...iz->...ijz", eta, Fxiz)
         - np.einsum("...z,...ij->...ijz", eta, Fxi)
     )
-    lhs_prop2 = np.einsum("...iaz,...aj,...z->...ij", F, phi, xi)
+    lhs_prop2 = Fxi @ phi
     return {
         "F(x,y,z) = F(x,z,y)": _max_abs(F - np.einsum("...izj->...ijz", F), 3),
         "F(x,y,z) = F(x,phi y,phi z) + eta(y) F(x,xi,z) + eta(z) F(x,y,xi)": _max_abs(total, 3),
@@ -509,7 +497,7 @@ def torse_forming_curvature_residuals(pg: PointGeometry) -> dict:
     res_rtf = _max_abs(r_xi - rhs, 3)
 
     grad_h_up = np.einsum("...ij,...j->...i", pg.ginv, dh)
-    gphiphi = np.einsum("...aj,...bk,...ab->...jk", pg.phi, pg.phi, pg.g)
+    gphiphi = _congruence(pg.phi, pg.g)
     r_from_xi = np.einsum("...lkij,...i->...lkj", pg.r13, pg.xi)  # [l, z-slot, y-slot]
     rhs_a = (
         np.einsum("...jk,...l->...lkj", gphiphi, grad_h_up)

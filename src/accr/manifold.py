@@ -24,8 +24,8 @@ from .errors import (
     UnboundConstant,
     UnknownBuiltin,
 )
-from .expr import Expression, parse
-from .tensor import _dot, signature_of
+from .expr import Expression, eval_jets, parse
+from .tensor import _congruence, _dot, signature_of
 
 __all__ = [
     "Chart",
@@ -35,6 +35,7 @@ __all__ = [
     "StructureJets",
     "ValidationReport",
     "AssociatedMetric",
+    "associated_metric_jets",
     "load_manifold",
     "builtin_structure",
     "builtin_names",
@@ -166,16 +167,24 @@ class AccRStructure:
         """All structure components with first and second derivatives.
 
         `point` is one chart point (d,) or a batch (N, d); a batch puts a
-        leading sample axis on every array.
+        leading sample axis on every array.  The components of g, phi, xi
+        and eta are evaluated together, in that order, by `eval_jets`.
         """
         self.chart.require_inside(point)
-        b = bindings or {}
-        return StructureJets(
-            g=_eval_grid_jets(self.g, point, b),
-            phi=_eval_grid_jets(self.phi, point, b),
-            xi=_eval_grid_jets(self.xi, point, b),
-            eta=_eval_grid_jets(self.eta, point, b),
-        )
+        fields = (self.g, self.phi, self.xi, self.eta)
+        value, grad, hess = eval_jets([e for f in fields for e in _flat(f)], point, bindings)
+        batch, d = value.shape[:-1], self.dim
+        jets, start = [], 0
+        for f in fields:
+            shape = (d,) if isinstance(f[0], Expression) else (d, d)
+            part = slice(start, start + d ** len(shape))
+            jets.append(FieldJets(
+                value[..., part].reshape(batch + shape),
+                grad[..., part, :].reshape(batch + shape + (d,)),
+                hess[..., part, :, :].reshape(batch + shape + (d, d)),
+            ))
+            start = part.stop
+        return StructureJets(*jets)
 
     def frame_at(self, point, bindings: Mapping[str, float] | None = None) -> np.ndarray:
         """The declared phi-adapted frame (columns e_1..e_2n, xi) at one point or a batch."""
@@ -185,26 +194,16 @@ class AccRStructure:
         return _eval_grid(self.frame, point, bindings or {})
 
 
+def _flat(exprs) -> list[Expression]:
+    """The expressions of a vector, or of a matrix in row-major order."""
+    return list(exprs) if isinstance(exprs[0], Expression) else [e for row in exprs for e in row]
+
+
 def _eval_grid(exprs, point, bindings) -> np.ndarray:
     shape = (len(exprs),) if isinstance(exprs[0], Expression) else (len(exprs), len(exprs[0]))
-    flat = exprs if len(shape) == 1 else [e for row in exprs for e in row]
-    values = [e.eval_number(point, bindings) for e in flat]
+    values = [e.eval_number(point, bindings) for e in _flat(exprs)]
     batch = np.shape(values[0])
     return np.stack(values, len(batch)).reshape(batch + shape)
-
-
-def _eval_grid_jets(exprs, point, bindings) -> FieldJets:
-    shape = (len(exprs),) if isinstance(exprs[0], Expression) else (len(exprs), len(exprs[0]))
-    flat = exprs if len(shape) == 1 else [e for row in exprs for e in row]
-    jets = [e.eval_jet(point, bindings) for e in flat]
-    batch = jets[0].value.shape
-    axis = len(batch)
-    d = jets[0].dim
-    return FieldJets(
-        np.stack([j.value for j in jets], axis).reshape(batch + shape),
-        np.stack([j.grad for j in jets], axis).reshape(batch + shape + (d,)),
-        np.stack([j.hess for j in jets], axis).reshape(batch + shape + (d, d)),
-    )
 
 
 # -- loading --------------------------------------------------------------
@@ -420,9 +419,7 @@ def validate_structure(
         "phi^2 = -id + eta(x) xi": phi @ phi + eye - outer_xi_eta,
         "eta(phi(x)) = 0": np.einsum("...s,...si->...i", eta, phi),
         "eta(xi) = 1": _dot(eta, xi) - 1.0,
-        "g(phi x, phi y) = -g(x, y) + eta(x) eta(y)": (
-            np.einsum("...ai,...bj,...ab->...ij", phi, phi, g) + g - outer_eta
-        ),
+        "g(phi x, phi y) = -g(x, y) + eta(x) eta(y)": _congruence(phi, g) + g - outer_eta,
         "g(x, xi) = eta(x)": np.einsum("...is,...s->...i", g, xi) - eta,
         "g(xi, xi) = 1": _dot(np.einsum("...s,...si->...i", xi, g), xi) - 1.0,
     }
@@ -455,34 +452,39 @@ class AssociatedMetric:
         gt = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
         return (gt + np.swapaxes(gt, -1, -2)) / 2.0
 
-    def jets_at(self, point, bindings: Mapping[str, float] | None = None) -> FieldJets:
-        """Jets of the associated metric at one point or a batch, by the product rule."""
-        sj = self.structure.jets_at(point, bindings)
-        g, dg, d2g = sj.g
-        phi, dphi, d2phi = sj.phi
-        eta, deta, d2eta = sj.eta
-        value = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
-        partial = (
-            np.einsum("...ism,...sj->...ijm", dg, phi)
-            + np.einsum("...is,...sjm->...ijm", g, dphi)
-            + np.einsum("...im,...j->...ijm", deta, eta)
-            + np.einsum("...i,...jm->...ijm", eta, deta)
-        )
-        second = (
-            np.einsum("...isml,...sj->...ijml", d2g, phi)
-            + np.einsum("...ism,...sjl->...ijml", dg, dphi)
-            + np.einsum("...isl,...sjm->...ijml", dg, dphi)
-            + np.einsum("...is,...sjml->...ijml", g, d2phi)
-            + np.einsum("...iml,...j->...ijml", d2eta, eta)
-            + np.einsum("...im,...jl->...ijml", deta, deta)
-            + np.einsum("...il,...jm->...ijml", deta, deta)
-            + np.einsum("...i,...jml->...ijml", eta, d2eta)
-        )
-        # the formula is symmetric in (i, j) only up to rounding; enforce exactly
-        value = (value + np.swapaxes(value, -2, -1)) / 2.0
-        partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0
-        second = (second + np.swapaxes(second, -4, -3)) / 2.0
-        return FieldJets(value, partial, second)
+
+def associated_metric_jets(sj: StructureJets) -> FieldJets:
+    """Jets of the associated metric from the structure jets, by the product rule.
+
+    The structure jets are those of one point or of a batch (see
+    AccRStructure.jets_at); the result carries the same leading axes.
+    """
+    g, dg, d2g = sj.g
+    phi, dphi, d2phi = sj.phi
+    eta, deta, d2eta = sj.eta
+    value = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
+    partial = (
+        np.einsum("...ism,...sj->...ijm", dg, phi)
+        + np.einsum("...is,...sjm->...ijm", g, dphi)
+        + np.einsum("...im,...j->...ijm", deta, eta)
+        + np.einsum("...i,...jm->...ijm", eta, deta)
+    )
+    # the contractions over five indices take numpy's optimized einsum (batched matmul)
+    second = (
+        np.einsum("...isml,...sj->...ijml", d2g, phi, optimize=True)
+        + np.einsum("...ism,...sjl->...ijml", dg, dphi, optimize=True)
+        + np.einsum("...isl,...sjm->...ijml", dg, dphi, optimize=True)
+        + np.einsum("...is,...sjml->...ijml", g, d2phi, optimize=True)
+        + np.einsum("...iml,...j->...ijml", d2eta, eta)
+        + np.einsum("...im,...jl->...ijml", deta, deta)
+        + np.einsum("...il,...jm->...ijml", deta, deta)
+        + np.einsum("...i,...jml->...ijml", eta, d2eta)
+    )
+    # the formula is symmetric in (i, j) only up to rounding; enforce exactly
+    value = (value + np.swapaxes(value, -2, -1)) / 2.0
+    partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0
+    second = (second + np.swapaxes(second, -4, -3)) / 2.0
+    return FieldJets(value, partial, second)
 
 
 # -- sampling ----------------------------------------------------------------

@@ -27,6 +27,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _congruence(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-sample phi^T x phi: [i, j] = sum_ab phi[a, i] phi[b, j] x[a, b], in two products."""
+    return np.swapaxes(phi, -1, -2) @ x @ phi
+
+
 def signature_of(g: np.ndarray, rtol: float = _SIGNATURE_RTOL):
     """Counts of positive and negative eigenvalues of a symmetric matrix.
 

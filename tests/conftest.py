@@ -61,6 +61,30 @@ def cone_n2():
     return load_manifold(json.dumps(CONE_N2))
 
 
+# Not an almost contact B-metric structure (it fails validation): a chart
+# whose g and associated metric are non-diagonal and non-singular, for the
+# oracles that a diagonal metric cannot tell from a wrong contraction order.
+# It has coordinate-dependent off-diagonal entries, one AST repeated across
+# g, phi and eta, and the entries -1, 2*c and c/2; bind c = 0.3.
+OFFDIAG = {
+    "name": "off-diagonal-test",
+    "n": 1,
+    "coordinates": ["t", "u", "v"],
+    "domain": {"t": [0.5, 2.0], "u": [-1.0, 1.0], "v": [-1.0, 1.0]},
+    "constants": ["c"],
+    "g": [["1", "u*v/4", "0"], ["u*v/4", "t^2", "c/2"], ["0", "c/2", "-t^2"]],
+    "phi": [["0", "0", "0"], ["u*v/4", "0", "-1"], ["2*c", "1", "0"]],
+    "xi": ["1", "0", "0"],
+    "eta": ["1", "u*v/4", "0"],
+}
+OFFDIAG_BINDINGS = {"c": 0.3}
+
+
+@pytest.fixture(scope="session")
+def offdiag():
+    return load_manifold(json.dumps(OFFDIAG))
+
+
 @pytest.fixture(scope="session")
 def cone_bindings():
     return dict(CONE_BINDINGS)
@@ -78,16 +102,19 @@ def flat_points(flat):
 
 
 def fd_gradient(func, x, h=1e-5):
-    """Central-difference gradient of a scalar function of a point tuple."""
+    """Central-difference gradient of a function of a point tuple.
+
+    The function may return a number or an array; the derivative axis comes last.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
+    out = []
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        out[i] = (func(xp) - func(xm)) / (2.0 * h)
-    return out
+        out.append((np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h))
+    return np.stack(out, axis=-1)
 
 
 def _fd_hessian_step(func, x, h):

@@ -1,5 +1,8 @@
 """Expression grammar, error reporting, and evaluation semantics."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from accr.errors import (
     UnboundConstant,
     UnknownIdentifier,
 )
+from accr.cli import main
 from accr.expr import (
     FUNCTION_NAMES,
     BinOp,
@@ -21,9 +25,15 @@ from accr.expr import (
     Expression,
     Neg,
     Num,
+    _evaluate,
+    eval_jets,
     multiply,
     parse,
 )
+from accr.jets import Jet2
+from accr.manifold import load_manifold, sample_points
+
+from conftest import CONE_BINDINGS, CONE_N2, OFFDIAG_BINDINGS
 
 COORDS = ("t", "u", "v")
 
@@ -214,3 +224,117 @@ def test_eval_number_on_a_batch():
         parse("ln(u)", COORDS).eval_number(points)
     with pytest.raises(DomainError):
         parse("1/(t-2)", COORDS).eval_number(points)
+
+
+# -- the shared jet evaluator against the per-expression algorithm -----------
+
+
+def _reference_jets(expressions, point, bindings):
+    """Fresh seeds for every expression and no folding or deduplication."""
+    values = np.asarray(point, dtype=float)
+    d = values.shape[-1]
+    jets = []
+    for e in expressions:
+        seeds = [Jet2.seed(i, values[..., i], d) for i in range(d)]
+        result = _evaluate(e.ast, seeds, bindings)
+        if not isinstance(result, Jet2):
+            result = Jet2.constant(result, d, values.shape[:-1])
+        jets.append(result)
+    axis = values.ndim - 1
+    return tuple(np.stack([getattr(j, f) for j in jets], axis) for f in ("value", "grad", "hess"))
+
+
+def _fields(S):
+    """The expressions of g, phi, xi and eta, matrices in row-major order."""
+    return [[e for row in S.g for e in row], [e for row in S.phi for e in row], list(S.xi), list(S.eta)]
+
+
+def _structure_expressions(S):
+    """g, phi, xi and eta of a structure, in the order jets_at evaluates them."""
+    return [e for field in _fields(S) for e in field]
+
+
+_BINDINGS = {"cone": CONE_BINDINGS, "flat": {}, "cone_n2": {"c": 1.0, "ct": 1.0},
+             "offdiag": OFFDIAG_BINDINGS}
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+@pytest.mark.parametrize("structure", sorted(_BINDINGS))
+def test_eval_jets_equals_the_per_expression_reference(request, structure, batch):
+    S = request.getfixturevalue(structure)
+    bindings = _BINDINGS[structure]
+    points = np.array(sample_points(S.chart, 6, seed=13))
+    point = points if batch else points[2]
+    expressions = _structure_expressions(S)
+    want = _reference_jets(expressions, point, bindings)
+    got = eval_jets(expressions, point, bindings)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    # jets_at splits the same arrays into the four fields
+    sj = S.jets_at(point, bindings)
+    assert sj.g.value.shape == np.shape(point)[:-1] + (S.dim, S.dim)
+    for field, expressions_of_field in zip(sj, _fields(S)):
+        for got_f, want_f in zip(field, _reference_jets(expressions_of_field, point, bindings)):
+            assert np.array_equal(got_f, want_f.reshape(got_f.shape))
+    # one expression: eval_jet is the same evaluation
+    for e in expressions[:4]:
+        jet = e.eval_jet(point, bindings)
+        value, grad, hess = _reference_jets([e], point, bindings)
+        assert np.array_equal(jet.value, value[..., 0]) and np.array_equal(jet.grad, grad[..., 0, :])
+        assert np.array_equal(jet.hess, hess[..., 0, :, :])
+
+
+def _n2_with(**entries):
+    """The n = 2 cone's definition with some entries replaced; `q` is declared, never bound.
+
+    A key names the field and the index, as in g_0_1 or xi_1.
+    """
+    raw = copy.deepcopy(CONE_N2)
+    raw["constants"] = ["c", "ct", "q"]
+    for key, text in entries.items():
+        field, *index = key.split("_")
+        if len(index) == 2:
+            i, j = int(index[0]), int(index[1])
+            raw[field][i][j] = text
+            if field == "g":
+                raw[field][j][i] = text
+        else:
+            raw[field][int(index[0])] = text
+    return raw
+
+
+# Each case pairs errors in two fields: the first in g, phi, xi, eta order is
+# reported, whether or not the offending entry is folded.
+_ERROR_CASES = {
+    "folded ln(0) in g": ({"g_0_0": "ln(0)"}, DomainError, "argument 0.0 is not positive"),
+    "unbound in phi before folded ln(0) in eta": (
+        {"phi_1_2": "q*t", "eta_0": "ln(0)"}, UnboundConstant, "constant 'q' has no bound value"),
+    "domain error in g before folded unbound in phi": (
+        {"g_1_1": "ln(t-10)", "phi_0_0": "q"}, DomainError, "is not positive"),
+    "folded unbound in xi": ({"xi_1": "2*q"}, UnboundConstant, "constant 'q' has no bound value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ERROR_CASES))
+def test_eval_jets_errors_match_the_reference(case):
+    entries, error, message = _ERROR_CASES[case]
+    S = load_manifold(json.dumps(_n2_with(**entries)))
+    points = np.array(sample_points(S.chart, 4, seed=3))
+    for point in (points[1], points):
+        with pytest.raises(error) as want:
+            _reference_jets(_structure_expressions(S), point, {"c": 1.0, "ct": 1.0})
+        with pytest.raises(error) as got:
+            S.jets_at(point, {"c": 1.0, "ct": 1.0})
+        assert message in str(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def test_folded_entry_errors_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for entries, message in (
+        ({"g_0_0": "ln(0)"}, "DomainError: argument 0.0 is not positive"),
+        ({"xi_1": "q"}, "UnboundConstant: constant 'q' has no bound value"),
+    ):
+        path.write_text(json.dumps(_n2_with(**entries)))
+        assert main(["curvature", str(path), "--samples", "4"]) == 2
+        assert capsys.readouterr().err == f"accr: {message}\n"

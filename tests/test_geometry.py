@@ -26,7 +26,7 @@ from accr.geometry import (
 from accr.manifold import load_manifold, sample_points, validate_structure
 from accr.tensor import to_phi_frame
 
-from conftest import rel_err
+from conftest import OFFDIAG_BINDINGS, fd_gradient, rel_err
 from test_manifold import cone_json
 
 POINT = (2.0, 0.3, -0.4)
@@ -279,15 +279,19 @@ def test_ricci_consistent_with_r13(pg_g, pg_gt):
         assert np.isclose(pg.tau, float(np.einsum("ab,ab->", pg.ginv, pg.ricci)))
 
 
+# the bindings of each structure the batch tests run on
+_BINDINGS = {"cone": {}, "cone_n2": {}, "offdiag": OFFDIAG_BINDINGS}
+
+
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
-@pytest.mark.parametrize("structure", ["cone", "cone_n2"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag"])
 def test_batch_matches_per_point(request, structure, tag):
     S = request.getfixturevalue(structure)
     points = sample_points(S.chart, 12, seed=5)
-    batch = point_geometry(S, tag, points)
+    batch = point_geometry(S, tag, points, _BINDINGS[structure])
     assert batch.batched and len(batch) == len(points)
     for k, pt in enumerate(points):
-        single = point_geometry(S, tag, pt)
+        single = point_geometry(S, tag, pt, _BINDINGS[structure])
         assert not single.batched
         assert batch[k].point == single.point
         for field in dataclasses.fields(PointGeometry):
@@ -297,6 +301,24 @@ def test_batch_matches_per_point(request, structure, tag):
             want = getattr(single, field.name)
             assert np.shape(got) == np.shape(want), field.name
             assert rel_err(got, want) <= 1e-13, field.name
+
+
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+def test_derivative_fields_match_finite_differences(offdiag, tag):
+    # A non-diagonal metric: a diagonal one hides a wrong contraction order.
+    def at(x):
+        return point_geometry(offdiag, tag, x, OFFDIAG_BINDINGS)
+
+    for pt in sample_points(offdiag.chart, 4, seed=8):
+        pg = at(pt)
+        for field, derivative in (
+            ("gamma", "dgamma"),
+            ("F", "dF"),
+            ("theta_star", "dtheta_star"),
+            ("theta_star_xi", "grad_theta_star_xi"),
+        ):
+            ref = fd_gradient(lambda x: getattr(at(x), field), pt)
+            assert rel_err(getattr(pg, derivative), ref) < 1e-7, derivative
 
 
 def test_batch_is_read_only(cone, cone_points):
@@ -344,12 +366,13 @@ def _per_sample_helpers(pg, pgt):
 
 
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
-@pytest.mark.parametrize("structure", ["cone", "cone_n2"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag"])
 def test_batched_helpers_match_per_sample(request, structure, tag):
     S = request.getfixturevalue(structure)
     points = sample_points(S.chart, 8, seed=21)
     other = "gtilde" if tag == "g" else "g"
-    pg, pgt = point_geometry(S, tag, points), point_geometry(S, other, points)
+    b = _BINDINGS[structure]
+    pg, pgt = point_geometry(S, tag, points, b), point_geometry(S, other, points, b)
     batched = _per_sample_helpers(pg, pgt)
     for k in range(len(points)):
         single = _per_sample_helpers(pg[k], pgt[k])

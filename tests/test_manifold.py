@@ -14,6 +14,7 @@ from accr.errors import (
 )
 from accr.manifold import (
     AssociatedMetric,
+    associated_metric_jets,
     builtin_names,
     builtin_structure,
     check_bindings,
@@ -168,7 +169,7 @@ def test_associated_metric_jets_match_fd(cone):
 
     am = AssociatedMetric(cone)
     pt = np.array([1.7, 0.2, 0.9])
-    jets = am.jets_at(pt)
+    jets = associated_metric_jets(cone.jets_at(pt))
     assert np.allclose(jets.value, am.components_at(pt))
     for i in range(3):
         for j in range(3):

@@ -24,7 +24,6 @@ from .manifold import (
     METRIC_G,
     METRIC_GTILDE,
     AccRStructure,
-    AssociatedMetric,
     Chart,
     builtin_names,
     builtin_structure,
@@ -37,7 +36,6 @@ from .geometry import (
     PointGeometry,
     SampleGeometry,
     lie_derivative_metric,
-    point_geometry,
 )
 from .analysis import (
     ClassMembership,

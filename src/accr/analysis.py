@@ -85,7 +85,6 @@ class MembershipEntry:
     status: str                    # holds | fails | degenerate
     residual: float
     extras: dict[str, float]       # consequence-identity residuals, when applicable
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,7 @@ class ClassMembership:
 
 
 def sasaki_form_residual(F, g, phi, eta):
-    """max-norm deviation of F from g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y).
-
-    A float at one point; an (N,) array of per-sample residuals over a batch.
-    """
+    """max-norm deviation of F from g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y), per sample."""
     gpp = _congruence(phi, g)
     rhs = np.einsum("...ij,...z->...ijz", gpp, eta) + np.einsum("...iz,...j->...ijz", gpp, eta)
     return _max_abs(F - rhs, 3)
@@ -112,11 +108,11 @@ def sasaki_form_residual(F, g, phi, eta):
 def f5_form_residual(F, g, phi, eta, theta_star_xi, n):
     """max-norm deviation of F from -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}.
 
-    A float at one point; an (N,) array of per-sample residuals over a batch.
+    An (N,) array of per-sample residuals.
     """
     gphi = np.einsum("...is,...sj->...ij", g, phi)
     shape = np.einsum("...ij,...z->...ijz", gphi, eta) + np.einsum("...iz,...j->...ijz", gphi, eta)
-    scale = np.asarray(theta_star_xi / (2 * n))[..., None, None, None]
+    scale = (theta_star_xi / (2 * n))[..., None, None, None]
     return _max_abs(F + scale * shape, 3)
 
 
@@ -152,7 +148,7 @@ def check_sasaki_like(geo: SampleGeometry, tol: float = 1e-9) -> MembershipEntry
         }
         extras = {key: _norm(dev) for key, dev in deviations.items()}
     status = HOLDS if worst <= tol else FAILS
-    return MembershipEntry("sasaki_like", status, worst, extras, len(geo))
+    return MembershipEntry("sasaki_like", status, worst, extras)
 
 
 def check_f5(
@@ -171,18 +167,17 @@ def check_f5(
     }
 
     degenerate = f_norm <= _F_ZERO_THRESHOLD
-    n_samples = len(geo)
-    f0 = MembershipEntry("f0", HOLDS if degenerate else FAILS, f_norm, {}, n_samples)
+    f0 = MembershipEntry("f0", HOLDS if degenerate else FAILS, f_norm, {})
     if degenerate:
-        f5 = MembershipEntry("f5", DEGENERATE, res_f5, {}, n_samples)
-        f5_0 = MembershipEntry("f5_0", DEGENERATE, res_f50, {}, n_samples)
+        f5 = MembershipEntry("f5", DEGENERATE, res_f5, {})
+        f5_0 = MembershipEntry("f5_0", DEGENERATE, res_f50, {})
     else:
         f5_holds = res_f5 <= tol
         f5 = MembershipEntry(
-            "f5", HOLDS if f5_holds else FAILS, res_f5, extras_f5 if f5_holds else {}, n_samples
+            "f5", HOLDS if f5_holds else FAILS, res_f5, extras_f5 if f5_holds else {}
         )
         f5_0 = MembershipEntry(
-            "f5_0", HOLDS if (f5_holds and res_f50 <= tol) else FAILS, res_f50, {}, n_samples
+            "f5_0", HOLDS if (f5_holds and res_f50 <= tol) else FAILS, res_f50, {}
         )
     return f5, f5_0, f0
 
@@ -198,19 +193,16 @@ def classify(geo: SampleGeometry, tol: float = 1e-9) -> ClassMembership:
 
 @dataclass(frozen=True)
 class TorseFormingResult:
-    metric_tag: str
     f: np.ndarray                      # conformal scalar per sample
     gamma: np.ndarray                  # generating 1-form per sample, shape (samples, dim)
     residual: float                    # worst least-squares fit error
     per_sample_residual: np.ndarray
-    condition_number: float
     taxonomy: frozenset[str]
     vertical: bool
     k: np.ndarray | None               # eta(v) per sample, vertical only
     dk_xi: np.ndarray | None           # dk(xi) per sample, vertical only
     h: np.ndarray | None               # f/k per sample, vertical only
     vertical_checks: dict[str, float] | None
-    samples: int
     v: np.ndarray                      # the potential per sample, shape (samples, dim)
     dv: np.ndarray                     # dv[k, z, m] = d_m v^z at sample k
 
@@ -264,10 +256,6 @@ def torse_forming_extract(
     fit = f_arr[:, None, None] * eye + np.einsum("...i,...j->...ij", v, gamma_arr) - nth
     fit_arr = _max_abs(fit, 2)
     worst_fit = float(np.max(fit_arr))
-    # the design matrix: row i*dim + j holds delta_ij in column 0 and v^i in column 1 + j
-    design = np.zeros((len(v), dim * dim, 1 + dim))
-    design[:, :, 0] = eye.ravel()
-    design[:, :, 1:] = np.einsum("...i,jm->...ijm", v, eye).reshape(len(v), dim * dim, dim)
 
     k_arr = _dot(pg.eta, v)
     vertical_res = _norm(v - k_arr[:, None] * pg.xi)
@@ -312,19 +300,16 @@ def torse_forming_extract(
             "f = dk(xi)": res_fdk,
         }
     return TorseFormingResult(
-        metric_tag=tag,
         f=f_arr,
         gamma=gamma_arr,
         residual=worst_fit,
         per_sample_residual=fit_arr,
-        condition_number=float(np.max(np.linalg.cond(design))),
         taxonomy=frozenset(taxonomy),
         vertical=vertical,
         k=k_arr if vertical else None,
         dk_xi=dk_xi_arr if vertical else None,
         h=h_arr,
         vertical_checks=vchecks,
-        samples=len(geo),
         v=v,
         dv=dv,
     )
@@ -335,28 +320,22 @@ def torse_forming_extract(
 
 @dataclass(frozen=True)
 class SolitonSolveResult:
-    metric_tag: str
     verdict: str                       # soliton | not-soliton
     lambdas: np.ndarray                # tau_tag - mu per sample
-    mu: np.ndarray
     residuals: np.ndarray              # proportionality residual per sample
-    taus: np.ndarray
     theorem_checks: dict[str, float | None]
     torse: TorseFormingResult
-    samples: int
 
 
 def proportionality_split(A: np.ndarray, g: np.ndarray, ginv: np.ndarray):
-    """Best proportionality factor of A against g, and the max-norm remainder.
+    """Best proportionality factor of A against g, and the max-norm remainder, per sample.
 
     mu is extracted by metric trace, which stays well defined for indefinite
     metrics with vanishing entries where entrywise division would not be.
-    Floats at one point; (N,) arrays of per-sample values over a batch.
     """
     dim = g.shape[-1]
     mu = np.einsum("...ij,...ij->...", ginv, A) / dim
-    resid = _max_abs(A - mu[..., None, None] * g, 2)
-    return (float(mu) if np.ndim(mu) == 0 else mu), resid
+    return mu, _max_abs(A - mu[..., None, None] * g, 2)
 
 
 def yamabe_soliton_solve(
@@ -390,29 +369,24 @@ def yamabe_soliton_solve(
     A = lie_derivative_metric(pg, v, torse.dv) / 2.0
     mu, resid_arr = proportionality_split(A, pg.g, pg.ginv)
     verdict = "soliton" if float(np.max(resid_arr)) <= tol else "not-soliton"
-    tau_arr = pg.tau
-    lam_arr = tau_arr - mu
+    lam_arr = pg.tau - mu
     checks: dict[str, float | None] = {
         "tau = f + lambda": None,
         "f = dk(xi)": None,
         "f/k matches between the two metrics": None,
     }
     if verdict == "soliton" and "torse-forming" in torse.taxonomy:
-        checks["tau = f + lambda"] = _norm(tau_arr - torse.f - lam_arr)
+        checks["tau = f + lambda"] = _norm(pg.tau - torse.f - lam_arr)
         if torse.vertical_checks is not None:
             checks["f = dk(xi)"] = torse.vertical_checks["f = dk(xi)"]
     if other is not None and torse.h is not None and other.h is not None:
         checks["f/k matches between the two metrics"] = _norm(torse.h - other.h)
     return SolitonSolveResult(
-        metric_tag=tag,
         verdict=verdict,
         lambdas=lam_arr,
-        mu=mu,
         residuals=resid_arr,
-        taus=tau_arr,
         theorem_checks=checks,
         torse=torse,
-        samples=len(geo),
     )
 
 

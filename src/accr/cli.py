@@ -185,6 +185,12 @@ def _run(args) -> int:
         merged = dict(analysis.DEFAULT_SUITE_BINDINGS)
         merged.update(bindings)
         bindings = merged
+    undeclared = sorted(set(bindings) - set(S.chart.constants))
+    if undeclared:
+        raise _Usage(
+            f"--const {', '.join(undeclared)}: {identity} declares no such constant "
+            f"(declared: {', '.join(S.chart.constants) or 'none'})"
+        )
     check_bindings(S.chart, bindings, S.referenced_constants())
     pinned = _parse_points(args.point, S.chart)
     if args.samples < 1:

@@ -47,10 +47,7 @@ __all__ = [
     "eval_jets",
     "parse",
     "multiply",
-    "FUNCTION_NAMES",
 ]
-
-FUNCTION_NAMES = tuple(sorted(jets.FUNCTIONS))
 
 # -- abstract syntax ------------------------------------------------------
 

@@ -22,7 +22,7 @@ product rule, so nothing here needs third-order jets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ from .tensor import _congruence, _dot, _max_abs
 __all__ = [
     "PointGeometry",
     "SampleGeometry",
-    "point_geometry",
     "connection_f5_form",
     "lie_derivative_metric",
     "lie_derivative_vertical",
@@ -55,23 +54,18 @@ __all__ = [
     "worst_residual",
 ]
 
-_SCALARS = ("tau", "tau_star", "theta_star_xi")
-
-
 @dataclass(frozen=True)
 class PointGeometry:
-    """Every derived quantity of one metric tag at one chart point, or at a batch.
+    """Every derived quantity of one metric tag over the N sample points of a SampleGeometry.
 
     Computed eagerly: at dim = 2n+1 <= 7 the whole pipeline is a handful
     of einsums, and eager assembly keeps the dataclass trivially immutable.
-    For a batch, `point` has shape (N, d), every array field carries a
-    leading sample axis and the scalar fields are (N,) arrays; `pg[k]` and
-    iteration yield the per-sample geometries.  The arrays are read-only,
-    so the consumers sharing one batch cannot change what another reads.
+    Every field carries a leading sample axis; the scalar fields are (N,)
+    arrays.  The arrays are read-only, so the consumers sharing one batch
+    cannot change what another reads.
     """
 
     tag: str
-    point: tuple[float, ...] | np.ndarray
     n: int
     # structure fields
     phi: np.ndarray
@@ -88,8 +82,8 @@ class PointGeometry:
     r13: np.ndarray
     r04: np.ndarray
     ricci: np.ndarray
-    tau: float
-    tau_star: float
+    tau: np.ndarray
+    tau_star: np.ndarray
     nabla_xi: np.ndarray        # [k,i] = (nabla_i xi)^k
     nabla_eta: np.ndarray       # [i,j] = (nabla_i eta)_j
     # fundamental tensor and Lee forms
@@ -97,7 +91,7 @@ class PointGeometry:
     dF: np.ndarray              # [i,j,z,m]
     theta_star: np.ndarray
     dtheta_star: np.ndarray     # [z,m] = d_m theta_star[z]
-    theta_star_xi: float
+    theta_star_xi: np.ndarray
     grad_theta_star_xi: np.ndarray
     omega: np.ndarray
 
@@ -106,41 +100,13 @@ class PointGeometry:
         return 2 * self.n + 1
 
     @property
-    def h(self) -> float:
+    def h(self) -> np.ndarray:
         """theta_star(xi) / 2n, the scalar driving all F5 formulas."""
         return self.theta_star_xi / (2 * self.n)
 
     @property
     def grad_h(self) -> np.ndarray:
         return self.grad_theta_star_xi / (2 * self.n)
-
-    @property
-    def batched(self) -> bool:
-        return np.ndim(self.tau) == 1
-
-    def __len__(self) -> int:
-        if not self.batched:
-            raise TypeError("the geometry of a single point has no sample axis")
-        return len(self.tau)
-
-    def __getitem__(self, k: int) -> "PointGeometry":
-        """Geometry at sample k of a batch, as views into the batch arrays."""
-        if not self.batched:
-            raise TypeError("the geometry of a single point has no sample axis")
-        values = {name: getattr(self, name)[k] for name in _SAMPLE_FIELDS}
-        values.update({name: float(values[name]) for name in _SCALARS})
-        return PointGeometry(
-            tag=self.tag, point=tuple(float(x) for x in self.point[k]), n=self.n, **values
-        )
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
-
-# the fields that carry the sample axis of a batch
-_SAMPLE_FIELDS = tuple(
-    f.name for f in fields(PointGeometry) if f.name not in ("tag", "point", "n")
-)
 
 
 def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
@@ -153,22 +119,8 @@ def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
     return (ginv + np.swapaxes(ginv, -1, -2)) / 2.0
 
 
-def point_geometry(
-    S: AccRStructure, tag: str, point, bindings: Mapping[str, float] | None = None
-) -> PointGeometry:
-    """Geometry of the tagged metric at one point (d,) or at a batch of points (N, d).
-
-    A batch runs every step once over all samples.  One point runs as a
-    batch of one and comes back as its per-sample geometry.
-    """
-    points = np.asarray(point, dtype=float)
-    batch = np.array(np.atleast_2d(points))  # a copy: it is made read-only below
-    geometry = _geometry(S.n, tag, batch, S.jets_at(batch, bindings))
-    return geometry if points.ndim == 2 else geometry[0]
-
-
-def _geometry(n: int, tag: str, batch: np.ndarray, sj: StructureJets) -> PointGeometry:
-    """The geometry of the tagged metric over a batch (N, d), from the structure jets there."""
+def _geometry(n: int, tag: str, sj: StructureJets) -> PointGeometry:
+    """The geometry of the tagged metric over the samples of the structure jets."""
     if tag not in (METRIC_G, METRIC_GTILDE):
         raise ValueError(f"unknown metric tag {tag!r}")
     # Intermediates with four or more indices are deleted once consumed:
@@ -255,36 +207,34 @@ def _geometry(n: int, tag: str, batch: np.ndarray, sj: StructureJets) -> PointGe
         dtheta_star=dtheta_star, theta_star_xi=theta_star_xi, grad_theta_star_xi=grad_tsx,
         omega=omega,
     )
-    for array in (batch, *shared.values()):
+    for array in shared.values():
         array.flags.writeable = False
-    return PointGeometry(tag=tag, point=batch, n=n, **shared)
+    return PointGeometry(tag=tag, n=n, **shared)
 
 
 class SampleGeometry:
     """The sample set of one command and each metric's geometry over it.
 
-    Every check of a command reads the same batch: the structure jets are
+    `points` is a batch (N, d); one point (d,) is a batch of one.  Every
+    check of a command reads the same batch: the structure jets are
     evaluated once, on first use, and the geometry of a metric tag is
     computed from them on first use, once, over all samples; both live as
-    long as this object.
+    long as this object.  `of(tag)` is the one way to the geometry.
     """
 
     def __init__(self, S: AccRStructure, points, bindings: Mapping[str, float] | None = None):
         self.structure = S
-        # a copy: the geometry makes it read-only
-        self.points = np.array(np.atleast_2d(np.asarray(points, dtype=float)))
+        self.points = np.array(np.atleast_2d(np.asarray(points, dtype=float)))  # a copy
+        self.points.flags.writeable = False
         self.bindings = dict(bindings or {})
         self._jets: StructureJets | None = None
         self._geometry: dict[str, PointGeometry] = {}
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     def of(self, tag: str) -> PointGeometry:
         if tag not in self._geometry:
             if self._jets is None:  # the structure jets, shared by both metrics
                 self._jets = self.structure.jets_at(self.points, self.bindings)
-            self._geometry[tag] = _geometry(self.structure.n, tag, self.points, self._jets)
+            self._geometry[tag] = _geometry(self.structure.n, tag, self._jets)
         return self._geometry[tag]
 
 
@@ -292,7 +242,7 @@ class SampleGeometry:
 
 
 def f_tilde_components_from(pg: PointGeometry) -> np.ndarray:
-    """F-tilde built from F of g by the transfer relation, at one point or a batch.
+    """F-tilde built from F of g by the transfer relation, per sample.
 
     2 F~(x,y,z) = F(phi y, z, x) - F(y, phi z, x) + F(phi z, y, x) - F(z, phi y, x)
       + {F(x,y,xi) + F(phi y, phi x, xi) + F(x, phi y, xi)} eta(z)
@@ -325,7 +275,7 @@ def f_tilde_components_from(pg: PointGeometry) -> np.ndarray:
 
 
 def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
-    """Christoffels of the associated metric from those of g, at one point or a batch.
+    """Christoffels of the associated metric from those of g, per sample.
 
     2 g(nabla~_x y, z) = 2 g(nabla_x y, z) - F(x,y,phi z) - F(y,x,phi z) + F(phi z,x,y)
       + {F(y,z,xi) + F(phi z, phi y, xi) - omega(phi y) eta(z)} eta(x)
@@ -371,8 +321,7 @@ def connection_f5_form(pg: PointGeometry) -> np.ndarray:
         raise ValueError("the short connection form consumes the geometry of g")
     gphi = np.einsum("...is,...sj->...ij", pg.g, pg.phi)
     gphiphi = _congruence(pg.phi, pg.g)
-    scale = np.asarray(pg.theta_star_xi / (2 * pg.n))[..., None, None, None]
-    return pg.gamma - scale * np.einsum("...ij,...k->...kij", gphi + gphiphi, pg.xi)
+    return pg.gamma - pg.h[:, None, None, None] * np.einsum("...ij,...k->...kij", gphi + gphiphi, pg.xi)
 
 
 # -- Lie and exterior derivatives ---------------------------------------------
@@ -393,7 +342,7 @@ def lie_derivative_metric(pg: PointGeometry, v: np.ndarray, dv: np.ndarray) -> n
     """(L_v metric)(x,y) = metric(nabla_x v, y) + metric(x, nabla_y v).
 
     v and dv are the potential's values and derivatives (see vector_field_jets)
-    at the points of pg, which may be one point or a batch.
+    at the points of pg.
     """
     if v.shape[-1] != pg.dim:
         raise ValueError(f"potential needs {pg.dim} components, got {v.shape[-1]}")
@@ -429,8 +378,8 @@ def antisymmetrized_derivative(partial: np.ndarray) -> np.ndarray:
 
 # -- residual helpers ---------------------------------------------------------
 #
-# Each helper takes the geometry of one point or of a batch.  A residual is
-# a float at one point and an (N,) array of per-sample residuals over a batch.
+# Each helper takes the geometry of a batch and returns (N,) arrays of
+# per-sample residuals.
 
 
 def worst_residual(residuals: Mapping[str, object]):
@@ -483,7 +432,7 @@ def f_property_residuals(pg: PointGeometry) -> dict:
 
 def torse_forming_curvature_residuals(pg: PointGeometry) -> dict:
     """Curvature identities driven by h = theta*(xi)/2n and its gradient."""
-    h = np.asarray(pg.h)
+    h = pg.h
     hv = h[..., None]
     dh = pg.grad_h
     phi2 = pg.phi @ pg.phi

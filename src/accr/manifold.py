@@ -34,7 +34,6 @@ __all__ = [
     "FieldJets",
     "StructureJets",
     "ValidationReport",
-    "AssociatedMetric",
     "associated_metric_jets",
     "load_manifold",
     "builtin_structure",
@@ -234,7 +233,8 @@ def _structure_from_dict(raw: dict, sha: str | None) -> AccRStructure:
         raise ManifoldParseError(f"unknown field: {', '.join(sorted(unknown))}")
 
     n = raw["n"]
-    if not isinstance(n, int) or n < 1:
+    # JSON true/false load as bool, which is an int subclass
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ManifoldParseError("n must be a positive integer")
     coords = raw["coordinates"]
     if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
@@ -256,7 +256,7 @@ def _structure_from_dict(raw: dict, sha: str | None) -> AccRStructure:
         if (
             not isinstance(iv, list)
             or len(iv) != 2
-            or not all(isinstance(x, (int, float)) for x in iv)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in iv)
             or not np.isfinite(iv).all()
             or not iv[0] < iv[1]
         ):
@@ -441,20 +441,8 @@ def validate_structure(
 # -- associated metric -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssociatedMetric:
-    """Evaluator for the associated B-metric gg(x, y) = g(x, phi y) + eta(x) eta(y)."""
-
-    structure: AccRStructure
-
-    def components_at(self, point, bindings: Mapping[str, float] | None = None) -> np.ndarray:
-        g, phi, xi, eta = self.structure.values_at(point, bindings)
-        gt = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
-        return (gt + np.swapaxes(gt, -1, -2)) / 2.0
-
-
 def associated_metric_jets(sj: StructureJets) -> FieldJets:
-    """Jets of the associated metric from the structure jets, by the product rule.
+    """Jets of the associated B-metric g~(x, y) = g(x, phi y) + eta(x) eta(y), by the product rule.
 
     The structure jets are those of one point or of a batch (see
     AccRStructure.jets_at); the result carries the same leading axes.
@@ -490,25 +478,23 @@ def associated_metric_jets(sj: StructureJets) -> FieldJets:
 # -- sampling ----------------------------------------------------------------
 
 
-def latin_hypercube(chart: Chart, count: int, seed: int = 42) -> list[np.ndarray]:
-    """Deterministic Latin hypercube over the open domain box.
+def latin_hypercube(chart: Chart, count: int, seed: int = 42) -> np.ndarray:
+    """Deterministic Latin hypercube over the open domain box, as a (count, d) array.
 
     Each coordinate axis is split into `count` strata; one point is drawn
     from the interior of each stratum and the strata are shuffled per axis.
     Points stay strictly inside the open box.
     """
     if count <= 0:
-        return []
+        return np.empty((0, chart.dim))
     rng = np.random.default_rng(seed)
-    dim = chart.dim
     columns = []
-    for axis in range(dim):
-        lo, hi = chart.domain[axis]
+    for lo, hi in chart.domain:
         perm = rng.permutation(count)
         offsets = rng.uniform(0.05, 0.95, size=count)
         fractions = (perm + offsets) / count
         columns.append(lo + fractions * (hi - lo))
-    return [np.array([columns[a][k] for a in range(dim)]) for k in range(count)]
+    return np.stack(columns, axis=1)
 
 
 def sample_points(
@@ -516,14 +502,15 @@ def sample_points(
     count: int,
     seed: int = 42,
     pinned: Iterable[Sequence[float]] = (),
-) -> list[np.ndarray]:
-    """Pinned points first, Latin hypercube samples filling up to `count` total."""
+) -> np.ndarray:
+    """A (count, d) array: the pinned points first, then Latin hypercube samples."""
     pinned_list = [np.asarray(p, dtype=float) for p in pinned]
     for p in pinned_list:
         chart.require_inside(p)
     if len(pinned_list) > count:
         raise ValueError(f"{len(pinned_list)} pinned points exceed sample budget {count}")
-    return pinned_list + latin_hypercube(chart, count - len(pinned_list), seed)
+    pins = np.reshape(pinned_list, (-1, chart.dim))
+    return np.concatenate([pins, latin_hypercube(chart, count - len(pinned_list), seed)])
 
 
 def check_bindings(chart: Chart, bindings: Mapping[str, float], required: Iterable[str]) -> None:

@@ -16,10 +16,9 @@ _SINGULARITY_RTOL = 1e-12
 _SIGNATURE_RTOL = 1e-10
 
 
-def _max_abs(x, rank: int):
-    """max |x| over the trailing `rank` axes: a float at one point, an (N,) array over a batch."""
-    worst = np.max(np.abs(x), axis=tuple(range(-rank, 0)))
-    return float(worst) if np.ndim(worst) == 0 else worst
+def _max_abs(x: np.ndarray, rank: int) -> np.ndarray:
+    """max |x| over the trailing `rank` axes: an (N,) array over a batch."""
+    return np.max(np.abs(x), axis=tuple(range(-rank, 0)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -101,6 +101,16 @@ def flat_points(flat):
     return sample_points(flat.chart, 16, seed=42)
 
 
+def associated_metric(S, point, bindings=None):
+    """Reference components of g~ = sym(g phi + eta (x) eta) from the structure values.
+
+    Independent of the jets, so finite differences of it check the jets of g~.
+    """
+    g, phi, _, eta = S.values_at(point, bindings)
+    gt = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
+    return (gt + np.swapaxes(gt, -1, -2)) / 2.0
+
+
 def fd_gradient(func, x, h=1e-5):
     """Central-difference gradient of a function of a point tuple.
 

@@ -24,14 +24,13 @@ from accr.geometry import (
     f_property_residuals,
     f_tilde_components_from,
     nabla_tilde_components_from,
-    point_geometry,
     tau_tilde_relations,
     torse_forming_curvature_residuals,
 )
-from accr.manifold import AssociatedMetric, load_manifold, sample_points, validate_structure
+from accr.manifold import load_manifold, sample_points, validate_structure
 from accr.tensor import to_phi_frame
 
-from conftest import fd_gradient, fd_hessian
+from conftest import associated_metric, fd_gradient, fd_hessian
 from test_manifold import cone_json
 
 SAMPLE_COUNT = 64
@@ -51,8 +50,9 @@ def ts(points):
 
 @pytest.fixture(scope="module")
 def geoms(cone, points):
+    """The geometry of g and of g~ at each sample, each computed as a batch of one."""
     return [
-        (point_geometry(cone, "g", p), point_geometry(cone, "gtilde", p)) for p in points
+        (geo.of("g"), geo.of("gtilde")) for geo in (SampleGeometry(cone, [p]) for p in points)
     ]
 
 
@@ -82,15 +82,15 @@ def test_criterion_1_golden_closed_forms(capsys, cone, points, ts, geoms):
     for p, (pg, pgt) in zip(points, geoms):
         t = p[0]
         frame = cone.frame_at(p)
-        r04f = to_phi_frame(pg.r04, ("l",) * 4, frame)
-        rhof = to_phi_frame(pg.ricci, ("l", "l"), frame)
+        r04f = to_phi_frame(pg.r04[0], ("l",) * 4, frame)
+        rhof = to_phi_frame(pg.ricci[0], ("l", "l"), frame)
         diffs["R_1212 = -1/t^2"].append(abs(r04f[0, 1, 0, 1] - (-1.0 / t**2)))
         diffs["rho_11 = -1/t^2"].append(abs(rhof[0, 0] - (-1.0 / t**2)))
         diffs["rho_22 = +1/t^2"].append(abs(rhof[1, 1] - 1.0 / t**2))
-        diffs["tau = -2/t^2"].append(abs(pg.tau - (-2.0 / t**2)))
-        diffs["tau* = 0"].append(abs(pg.tau_star))
-        diffs["theta*(xi) = 2/t"].append(abs(pg.theta_star_xi - 2.0 / t))
-        diffs["tau~ = -2/t^2"].append(abs(pgt.tau - (-2.0 / t**2)))
+        diffs["tau = -2/t^2"].append(abs(pg.tau[0] - (-2.0 / t**2)))
+        diffs["tau* = 0"].append(abs(pg.tau_star[0]))
+        diffs["theta*(xi) = 2/t"].append(abs(pg.theta_star_xi[0] - 2.0 / t))
+        diffs["tau~ = -2/t^2"].append(abs(pgt.tau[0] - (-2.0 / t**2)))
     failures = []
     for name, values in diffs.items():
         _bad(failures, name, max(values), TOL)
@@ -178,7 +178,7 @@ def test_criterion_5_identity_suites(capsys, cone, points, geoms):
     worst = {}
 
     def track(name, value):
-        worst[name] = max(worst.get(name, 0.0), value)
+        worst[name] = max(worst.get(name, 0.0), float(np.max(value)))
 
     for p, (pg, pgt) in zip(points, geoms):
         t = p[0]
@@ -187,15 +187,15 @@ def test_criterion_5_identity_suites(capsys, cone, points, geoms):
                 track(f"{tag}: {key}", value)
             for key, value in curvature_symmetry_residuals(geom).items():
                 track(f"{tag} metric: {key}", value)
-        track("h = 1/t", abs(pg.h - 1.0 / t))
+        track("h = 1/t", abs(pg.h[0] - 1.0 / t))
         for key, value in torse_forming_curvature_residuals(pg).items():
             track(key, value)
         for key, value in tau_tilde_relations(pg, pgt).items():
             track(key, value)
-        xi_tsx = float(pg.grad_theta_star_xi @ pg.xi)
+        xi_tsx = float(pg.grad_theta_star_xi[0] @ pg.xi[0])
         track(
             "d(theta*(xi)) = xi(theta*(xi)) eta",
-            float(np.max(np.abs(pg.grad_theta_star_xi - xi_tsx * pg.eta))),
+            float(np.max(np.abs(pg.grad_theta_star_xi[0] - xi_tsx * pg.eta[0]))),
         )
     for name, value in worst.items():
         _bad(failures, name, value, TOL)
@@ -248,14 +248,16 @@ def test_criterion_6_oracle_equivalence(capsys, cone):
 
     # Christoffels at 32 fresh points, relative 1e-5 against central differences
     oracle_points = sample_points(cone.chart, 32, seed=7)
-    am = AssociatedMetric(cone)
     worst_gamma = 0.0
-    for tag, comp in (("g", lambda p: cone.values_at(p).g), ("gtilde", am.components_at)):
+    for tag, comp in (
+        ("g", lambda p: cone.values_at(p).g),
+        ("gtilde", lambda p: associated_metric(cone, p)),
+    ):
         for p in oracle_points:
-            pg = point_geometry(cone, tag, p)
+            pg = SampleGeometry(cone, [p]).of(tag)
             ref = _fd_christoffel(comp, p)
             scale = max(1.0, float(np.max(np.abs(ref))))
-            worst_gamma = max(worst_gamma, float(np.max(np.abs(pg.gamma - ref))) / scale)
+            worst_gamma = max(worst_gamma, float(np.max(np.abs(pg.gamma[0] - ref))) / scale)
     _bad(failures, "Christoffel AD vs FD (32 points, both metrics)", worst_gamma, 1e-5)
 
     # jets on 1000 random expressions, relative 1e-5.  The gradient oracle
@@ -302,7 +304,7 @@ def test_criterion_7_classification(capsys, cone, flat, points):
         failures.append(f"flat f0: {cm_flat.f0.status}, expected holds")
     worst_curv = worst_f = 0.0
     for p in flat_points:
-        pg = point_geometry(flat, "g", p)
+        pg = SampleGeometry(flat, [p]).of("g")
         worst_curv = max(worst_curv, float(np.max(np.abs(pg.r13))))
         worst_f = max(worst_f, float(np.max(np.abs(pg.F))))
     _bad(failures, "flat curvature = 0", worst_curv, 1e-12)

@@ -25,7 +25,7 @@ from accr.analysis import (
 )
 from accr.errors import NonVerticalPotential, ZeroPotential
 from accr.expr import parse
-from accr.geometry import SampleGeometry, point_geometry, vector_field_jets
+from accr.geometry import SampleGeometry, vector_field_jets
 from accr.manifold import load_manifold, sample_points
 from accr.report import VERDICT_PASS
 
@@ -74,9 +74,9 @@ def test_sasaki_form_residual_oracle(cone):
 
 
 def test_f5_form_residual_oracle(cone):
-    pg = point_geometry(cone, "g", (2.0, 0.3, -0.4))
-    assert f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, pg.theta_star_xi, pg.n) < 1e-13
-    assert f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, 2.0 * pg.theta_star_xi, pg.n) > 0.5
+    pg = SampleGeometry(cone, [(2.0, 0.3, -0.4)]).of("g")
+    assert f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, pg.theta_star_xi, pg.n)[0] < 1e-13
+    assert f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, 2.0 * pg.theta_star_xi, pg.n)[0] > 0.5
 
 
 def test_perturbed_metric_leaves_f5(cone_points):
@@ -117,7 +117,6 @@ def test_torse_forming_extraction_ct(cone, cone_points, c):
     assert np.max(np.abs(res.dk_xi - c)) < 1e-11
     for name, value in res.vertical_checks.items():
         assert value < 1e-9, name
-    assert np.isfinite(res.condition_number)
 
 
 def test_extraction_quadratic_vertical_field(cone, cone_points):
@@ -265,9 +264,9 @@ def _lstsq_fit(geo, tag, potential):
     """Per-sample np.linalg.lstsq of nabla_j v^i = f delta^i_j + v^i gamma_j."""
     dim = geo.structure.dim
     v, dv = vector_field_jets(potential, geo.points, geo.bindings)
-    fs, gammas, residuals, conds = [], [], [], []
-    for pg, vk, dvk in zip(geo.of(tag), v, dv):
-        nth = dvk + np.einsum("kis,s->ki", pg.gamma, vk)
+    fs, gammas, residuals = [], [], []
+    for gamma, vk, dvk in zip(geo.of(tag).gamma, v, dv):
+        nth = dvk + np.einsum("kis,s->ki", gamma, vk)
         M = np.zeros((dim * dim, 1 + dim))
         b = np.zeros(dim * dim)
         for i in range(dim):
@@ -279,8 +278,7 @@ def _lstsq_fit(geo, tag, potential):
         fs.append(coef[0])
         gammas.append(coef[1:])
         residuals.append(np.max(np.abs(M @ coef - b)))
-        conds.append(np.linalg.cond(M))
-    return np.array(fs), np.array(gammas), np.array(residuals), max(conds)
+    return np.array(fs), np.array(gammas), np.array(residuals)
 
 
 @pytest.mark.parametrize("k_source", ["c*t", "t^2"])
@@ -290,18 +288,17 @@ def test_closed_form_fit_matches_lstsq(request, structure, tag, k_source):
     S = request.getfixturevalue(structure)
     geo = SampleGeometry(S, sample_points(S.chart, 12, seed=3), {"c": 1.5})
     res = torse_forming_extract(geo, tag, vertical_potential(S, k_source))
-    f, gamma, residuals, cond = _lstsq_fit(geo, tag, vertical_potential(S, k_source))
+    f, gamma, residuals = _lstsq_fit(geo, tag, vertical_potential(S, k_source))
     assert rel_err(res.f, f) <= 1e-13
     assert rel_err(res.gamma, gamma) <= 1e-13
     assert rel_err(res.per_sample_residual, residuals) <= 1e-13
-    assert abs(res.condition_number - cond) <= 1e-13 * cond
 
 
 def test_closed_form_fit_keeps_the_non_vertical_residual(cone, cone_points):
     pot = _exprs("0", "t^2", "0")
     geo = SampleGeometry(cone, cone_points)
     res = torse_forming_extract(geo, "g", pot)
-    f, gamma, residuals, _ = _lstsq_fit(geo, "g", pot)
+    f, gamma, residuals = _lstsq_fit(geo, "g", pot)
     assert res.residual > 1.0
     assert rel_err(res.per_sample_residual, residuals) <= 1e-13
     assert rel_err(res.f, f) <= 1e-13 and rel_err(res.gamma, gamma) <= 1e-13
@@ -314,21 +311,23 @@ def test_closed_form_fit_keeps_the_non_vertical_residual(cone, cone_points):
 @pytest.mark.parametrize("structure", ["cone", "cone_n2"])
 def test_batched_form_residuals_match_per_sample(request, structure, tag):
     S = request.getfixturevalue(structure)
-    pg = point_geometry(S, tag, sample_points(S.chart, 8, seed=9))
+    points = sample_points(S.chart, 8, seed=9)
+    pg = SampleGeometry(S, points).of(tag)
     sasaki = sasaki_form_residual(pg.F, pg.g, pg.phi, pg.eta)
     f5 = f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, pg.theta_star_xi, pg.n)
     rng = np.random.default_rng(4)
-    A = pg.g * rng.uniform(0.5, 2.0, size=(len(pg), 1, 1))
+    A = pg.g * rng.uniform(0.5, 2.0, size=(len(points), 1, 1))
     A = (A + np.swapaxes(A, -1, -2)) / 2.0
     mu, resid = proportionality_split(A, pg.g, pg.ginv)
-    assert sasaki.shape == f5.shape == mu.shape == resid.shape == (len(pg),)
-    for k, single in enumerate(pg):
+    assert sasaki.shape == f5.shape == mu.shape == resid.shape == (len(points),)
+    for k, pt in enumerate(points):
+        single = SampleGeometry(S, [pt]).of(tag)
         F, g, phi, eta = single.F, single.g, single.phi, single.eta
-        assert rel_err(sasaki[k], sasaki_form_residual(F, g, phi, eta)) <= 1e-13
-        assert rel_err(f5[k], f5_form_residual(F, g, phi, eta, single.theta_star_xi, single.n)) <= 1e-13
-        mu_k, resid_k = proportionality_split(A[k], single.g, single.ginv)
-        assert isinstance(mu_k, float) and isinstance(resid_k, float)
-        assert rel_err(mu[k], mu_k) <= 1e-13 and rel_err(resid[k], resid_k) <= 1e-13
+        assert rel_err(sasaki[k], sasaki_form_residual(F, g, phi, eta)[0]) <= 1e-13
+        f5_k = f5_form_residual(F, g, phi, eta, single.theta_star_xi, single.n)[0]
+        assert rel_err(f5[k], f5_k) <= 1e-13
+        mu_k, resid_k = proportionality_split(A[k : k + 1], single.g, single.ginv)
+        assert rel_err(mu[k], mu_k[0]) <= 1e-13 and rel_err(resid[k], resid_k[0]) <= 1e-13
 
 
 # -- compute once, and errors that name the offending sample --------------------

@@ -291,6 +291,23 @@ def test_bad_const_specs(capsys):
         assert rc == 2 and "not finite" in err
 
 
+def test_undeclared_const_is_a_usage_error(capsys):
+    # a misspelt constant must not pass silently with the defaults in its place
+    rc, out, err = run(capsys, "verify-paper", "--samples", "2", "--const", "kprim=0.5")
+    assert rc == 2 and out == ""
+    assert err.startswith("accr: --const kprim:") and "declared: c, ct, kprime" in err
+    rc, out, err = run(capsys, "validate", "--builtin", "flat-cosymplectic", "--const", "zzz=1")
+    assert rc == 2 and out == "" and "--const zzz:" in err
+
+
+def test_boolean_structure_fields_exit_2(capsys, tmp_path):
+    path = tmp_path / "bool_n.json"
+    path.write_text(cone_json(n=True), encoding="utf-8")
+    rc, out, err = run(capsys, "validate", str(path), "--samples", "2")
+    assert rc == 2 and out == ""
+    assert err == "accr: ManifoldParseError: n must be a positive integer\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

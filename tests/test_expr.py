@@ -17,7 +17,6 @@ from accr.errors import (
 )
 from accr.cli import main
 from accr.expr import (
-    FUNCTION_NAMES,
     BinOp,
     Call,
     Const,
@@ -30,7 +29,7 @@ from accr.expr import (
     multiply,
     parse,
 )
-from accr.jets import Jet2
+from accr.jets import FUNCTIONS, Jet2
 from accr.manifold import load_manifold, sample_points
 
 from conftest import CONE_BINDINGS, CONE_N2, OFFDIAG_BINDINGS
@@ -191,7 +190,7 @@ _leaves = st.one_of(
 def _extend(children):
     return st.one_of(
         st.builds(Neg, children),
-        st.builds(Call, st.sampled_from(FUNCTION_NAMES), children),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), children),
         st.builds(lambda op, l, r: BinOp(op, l, r), st.sampled_from("+-*/"), children, children),
         st.builds(lambda l, k: BinOp("^", l, Num(float(k))), children, st.integers(0, 4)),
     )

@@ -9,6 +9,7 @@ from accr.errors import DomainError
 from accr.expr import parse
 from accr.geometry import (
     PointGeometry,
+    SampleGeometry,
     antisymmetrized_derivative,
     connection_f5_form,
     curvature_symmetry_residuals,
@@ -18,7 +19,6 @@ from accr.geometry import (
     lie_derivative_vertical,
     metric_compatibility_residual,
     nabla_tilde_components_from,
-    point_geometry,
     tau_tilde_relations,
     torse_forming_curvature_residuals,
     vector_field_jets,
@@ -26,7 +26,7 @@ from accr.geometry import (
 from accr.manifold import load_manifold, sample_points, validate_structure
 from accr.tensor import to_phi_frame
 
-from conftest import OFFDIAG_BINDINGS, fd_gradient, rel_err
+from conftest import OFFDIAG_BINDINGS, associated_metric, fd_gradient, rel_err
 from test_manifold import cone_json
 
 POINT = (2.0, 0.3, -0.4)
@@ -35,17 +35,17 @@ COORDS = ("t", "u", "v")
 
 @pytest.fixture(scope="module")
 def pg_g(cone):
-    return point_geometry(cone, "g", POINT)
+    return SampleGeometry(cone, [POINT]).of("g")
 
 
 @pytest.fixture(scope="module")
 def pg_gt(cone):
-    return point_geometry(cone, "gtilde", POINT)
+    return SampleGeometry(cone, [POINT]).of("gtilde")
 
 
 def test_unknown_metric_tag(cone):
     with pytest.raises(ValueError):
-        point_geometry(cone, "h", POINT)
+        SampleGeometry(cone, [POINT]).of("h")
 
 
 def test_christoffel_frozen_values(pg_g):
@@ -54,16 +54,17 @@ def test_christoffel_frozen_values(pg_g):
     expected[0, 2, 2] = 2.0  # Gamma^t_vv = t
     expected[1, 0, 1] = expected[1, 1, 0] = 0.5  # Gamma^u_tu = 1/t
     expected[2, 0, 2] = expected[2, 2, 0] = 0.5  # Gamma^v_tv = 1/t
-    assert np.allclose(pg_g.gamma, expected, atol=1e-14)
+    assert np.allclose(pg_g.gamma[0], expected, atol=1e-14)
     # symmetric in the two lower slots
-    assert np.max(np.abs(pg_g.gamma - pg_g.gamma.transpose(0, 2, 1))) == 0.0
+    assert np.max(np.abs(pg_g.gamma[0] - pg_g.gamma[0].transpose(0, 2, 1))) == 0.0
 
 
 def test_christoffel_wrapper(cone):
-    pg = point_geometry(cone, "g", POINT)
+    geo = SampleGeometry(cone, POINT)  # one point is a batch of one
+    pg = geo.of("g")
     assert pg.tag == "g"
-    assert pg.dgamma.shape == (3, 3, 3, 3)
-    assert np.allclose(pg.point, POINT)
+    assert pg.dgamma.shape == (1, 3, 3, 3, 3)
+    assert np.allclose(geo.points, [POINT])
 
 
 def _fd_christoffel(metric_of_point, point, h=1e-5):
@@ -85,14 +86,14 @@ def _fd_christoffel(metric_of_point, point, h=1e-5):
 
 
 def test_christoffel_matches_finite_differences(cone, cone_points):
-    from accr.manifold import AssociatedMetric
-
-    am = AssociatedMetric(cone)
-    for tag, comp in (("g", lambda p: cone.values_at(p).g), ("gtilde", am.components_at)):
+    for tag, comp in (
+        ("g", lambda p: cone.values_at(p).g),
+        ("gtilde", lambda p: associated_metric(cone, p)),
+    ):
         for pt in cone_points[:8]:
-            pg = point_geometry(cone, tag, pt)
+            pg = SampleGeometry(cone, [pt]).of(tag)
             ref = _fd_christoffel(comp, pt)
-            assert rel_err(pg.gamma, ref) < 1e-5
+            assert rel_err(pg.gamma[0], ref) < 1e-5
 
 
 def _eta_of_nabla_xi(pg):
@@ -102,87 +103,87 @@ def _eta_of_nabla_xi(pg):
 
 def test_nabla_xi_both_metrics(cone, cone_points):
     for tag in ("g", "gtilde"):
-        pg = point_geometry(cone, tag, POINT)
-        assert np.allclose(pg.nabla_xi, np.diag([0.0, 0.5, 0.5]), atol=1e-13)
-        batch = point_geometry(cone, tag, cone_points)
+        pg = SampleGeometry(cone, [POINT]).of(tag)
+        assert np.allclose(pg.nabla_xi[0], np.diag([0.0, 0.5, 0.5]), atol=1e-13)
+        batch = SampleGeometry(cone, cone_points).of(tag)
         assert batch.nabla_xi.shape == (len(cone_points), 3, 3)
-        assert np.array_equal(batch.nabla_xi[0], pg.nabla_xi)
+        assert np.array_equal(batch.nabla_xi[0], pg.nabla_xi[0])
         assert _eta_of_nabla_xi(batch) <= 1e-9
 
 
 def test_nabla_xi_identity_violation():
     # xi scaled by t breaks g(xi,xi)=1: eta(nabla_x xi) picks it up, and validation fails it
     S = load_manifold(cone_json(xi=["t", "0", "0"]))
-    assert _eta_of_nabla_xi(point_geometry(S, "g", POINT)) > 1e-9
+    assert _eta_of_nabla_xi(SampleGeometry(S, [POINT]).of("g")) > 1e-9
     assert "g(xi, xi) = 1" in validate_structure(S, [POINT]).failing()
 
 
 def test_curvature_frozen_values(cone, pg_g):
     frame = cone.frame_at(POINT)
-    r_frame = to_phi_frame(pg_g.r04, ("l",) * 4, frame)
+    r_frame = to_phi_frame(pg_g.r04[0], ("l",) * 4, frame)
     assert np.isclose(r_frame[0, 1, 0, 1], -0.25, atol=1e-13)
-    rho_frame = to_phi_frame(pg_g.ricci, ("l", "l"), frame)
+    rho_frame = to_phi_frame(pg_g.ricci[0], ("l", "l"), frame)
     assert np.allclose(rho_frame, np.diag([-0.25, 0.25, 0.0]), atol=1e-13)
-    assert np.isclose(pg_g.tau, -0.5, atol=1e-13)
-    assert np.isclose(pg_g.tau_star, 0.0, atol=1e-13)
+    assert np.isclose(pg_g.tau[0], -0.5, atol=1e-13)
+    assert np.isclose(pg_g.tau_star[0], 0.0, atol=1e-13)
     # the associated metric has the same scalar curvature here
-    assert np.isclose(point_geometry(cone, "gtilde", POINT).tau, -0.5, atol=1e-13)
+    assert np.isclose(SampleGeometry(cone, [POINT]).of("gtilde").tau[0], -0.5, atol=1e-13)
 
 
 def test_fundamental_tensor_frozen_values(pg_g):
-    assert np.isclose(pg_g.theta_star_xi, 1.0, atol=1e-13)
-    assert np.allclose(pg_g.theta_star, [1.0, 0.0, 0.0], atol=1e-13)
-    assert np.allclose(pg_g.omega, 0.0, atol=1e-13)
-    assert np.allclose(pg_g.grad_theta_star_xi, [-0.5, 0.0, 0.0], atol=1e-13)
+    assert np.isclose(pg_g.theta_star_xi[0], 1.0, atol=1e-13)
+    assert np.allclose(pg_g.theta_star[0], [1.0, 0.0, 0.0], atol=1e-13)
+    assert np.allclose(pg_g.omega[0], 0.0, atol=1e-13)
+    assert np.allclose(pg_g.grad_theta_star_xi[0], [-0.5, 0.0, 0.0], atol=1e-13)
     # F(d_u, d_v, xi) = -h g(d_u, phi d_v) with h = 1/t: equals t at t=2
-    assert np.isclose(pg_g.F[1, 2, 0], 2.0, atol=1e-13)
+    assert np.isclose(pg_g.F[0, 1, 2, 0], 2.0, atol=1e-13)
     # symmetric in the last two slots
-    assert np.max(np.abs(pg_g.F - pg_g.F.transpose(0, 2, 1))) < 1e-14
-    assert np.isclose(pg_g.h, 0.5, atol=1e-14)
-    assert np.allclose(pg_g.grad_h, [-0.25, 0.0, 0.0], atol=1e-14)
+    assert np.max(np.abs(pg_g.F[0] - pg_g.F[0].transpose(0, 2, 1))) < 1e-14
+    assert np.isclose(pg_g.h[0], 0.5, atol=1e-14)
+    assert np.allclose(pg_g.grad_h[0], [-0.25, 0.0, 0.0], atol=1e-14)
 
 
 def test_flat_structure_is_flat(flat, flat_points):
     for pt in flat_points[:6]:
-        pg = point_geometry(flat, "g", pt)
+        pg = SampleGeometry(flat, [pt]).of("g")
         assert np.max(np.abs(pg.gamma)) == 0.0
         assert np.max(np.abs(pg.r13)) == 0.0
         assert np.max(np.abs(pg.F)) == 0.0
-        assert pg.tau == 0.0 and pg.tau_star == 0.0
-        assert pg.theta_star_xi == 0.0
+        assert pg.tau[0] == 0.0 and pg.tau_star[0] == 0.0
+        assert pg.theta_star_xi[0] == 0.0
         assert np.max(np.abs(pg.nabla_xi)) == 0.0
 
 
 def test_identity_suites_on_cone(cone, cone_points):
     for tag in ("g", "gtilde"):
         for pt in cone_points:
-            pg = point_geometry(cone, tag, pt)
-            assert metric_compatibility_residual(pg) < 1e-11
+            pg = SampleGeometry(cone, [pt]).of(tag)
+            assert metric_compatibility_residual(pg)[0] < 1e-11
             for name, res in curvature_symmetry_residuals(pg).items():
-                assert res < 1e-11, (tag, name)
+                assert res[0] < 1e-11, (tag, name)
             for name, res in f_property_residuals(pg).items():
-                assert res < 1e-11, (tag, name)
+                assert res[0] < 1e-11, (tag, name)
 
 
 def test_torse_forming_curvature_identities(cone, cone_points):
     for pt in cone_points:
-        pg = point_geometry(cone, "g", pt)
+        pg = SampleGeometry(cone, [pt]).of("g")
         for name, res in torse_forming_curvature_residuals(pg).items():
-            assert res < 1e-10, name
+            assert res[0] < 1e-10, name
 
 
 def test_tau_tilde_relations(cone, cone_points):
     for pt in cone_points:
-        pg = point_geometry(cone, "g", pt)
-        pgt = point_geometry(cone, "gtilde", pt)
-        for name, res in tau_tilde_relations(pg, pgt).items():
-            assert res < 1e-10, name
+        geo = SampleGeometry(cone, [pt])
+        for name, res in tau_tilde_relations(geo.of("g"), geo.of("gtilde")).items():
+            assert res[0] < 1e-10, name
 
 
 def test_f_tilde_transfer_route(cone, cone_points):
     for pt in cone_points[:8]:
-        via = f_tilde_components_from(point_geometry(cone, "g", pt))
-        direct = point_geometry(cone, "gtilde", pt).F
+        geo = SampleGeometry(cone, [pt])
+        via = f_tilde_components_from(geo.of("g"))[0]
+        direct = geo.of("gtilde").F[0]
         assert np.max(np.abs(via - direct)) < 1e-11
 
 
@@ -200,10 +201,11 @@ def test_f_tilde_transfer_requires_g(pg_gt):
 
 def test_nabla_tilde_routes(cone, cone_points):
     for pt in cone_points[:8]:
-        pg = point_geometry(cone, "g", pt)
-        direct = point_geometry(cone, "gtilde", pt).gamma
-        assert np.max(np.abs(nabla_tilde_components_from(pg) - direct)) < 1e-11
-        assert np.max(np.abs(connection_f5_form(pg) - direct)) < 1e-11
+        geo = SampleGeometry(cone, [pt])
+        pg = geo.of("g")
+        direct = geo.of("gtilde").gamma[0]
+        assert np.max(np.abs(nabla_tilde_components_from(pg)[0] - direct)) < 1e-11
+        assert np.max(np.abs(connection_f5_form(pg)[0] - direct)) < 1e-11
 
 
 def test_nabla_tilde_detects_perturbation(cone, pg_g, pg_gt):
@@ -224,8 +226,8 @@ def test_lie_derivative_closed_form(cone, cone_points):
     for c in (1.0, 2.0):
         exprs = [parse(s, COORDS, ("c",)) for s in ("c*t", "0", "0")]
         for pt in cone_points[:6]:
-            pg = point_geometry(cone, "g", pt)
-            lg = lie_derivative_metric(pg, *vector_field_jets(exprs, pt, {"c": c}))
+            pg = SampleGeometry(cone, [pt]).of("g")
+            lg = lie_derivative_metric(pg, *vector_field_jets(exprs, [pt], {"c": c}))[0]
             g = cone.values_at(pt).g
             assert np.max(np.abs(lg - 2.0 * c * g)) < 1e-12
 
@@ -236,15 +238,15 @@ def test_lie_derivative_two_routes_agree(cone, cone_points):
     b = {"c": 1.5}
     for tag in ("g", "gtilde"):
         for pt in cone_points[:6]:
-            pg = point_geometry(cone, tag, pt)
-            a = lie_derivative_metric(pg, *vector_field_jets(exprs, pt, b))
-            v = lie_derivative_vertical(pg, k.eval_jet(pt, b))
+            pg = SampleGeometry(cone, [pt]).of(tag)
+            a = lie_derivative_metric(pg, *vector_field_jets(exprs, [pt], b))
+            v = lie_derivative_vertical(pg, k.eval_jet([pt], b))
             assert np.max(np.abs(a - v)) < 1e-12
 
 
 def test_lie_derivative_shape_check(pg_g):
     with pytest.raises(ValueError):
-        lie_derivative_metric(pg_g, *vector_field_jets([parse("t", COORDS)], POINT))
+        lie_derivative_metric(pg_g, *vector_field_jets([parse("t", COORDS)], [POINT]))
 
 
 def test_exterior_derivative():
@@ -265,18 +267,19 @@ def test_exterior_derivative():
 
 def test_point_geometry_shapes(pg_g):
     assert pg_g.dim == 3 and pg_g.n == 1
-    assert pg_g.r13.shape == (3, 3, 3, 3)
-    assert pg_g.r04.shape == (3, 3, 3, 3)
-    assert pg_g.dgamma.shape == (3, 3, 3, 3)
-    assert pg_g.F.shape == (3, 3, 3)
-    assert pg_g.dF.shape == (3, 3, 3, 3)
-    assert pg_g.nabla_eta.shape == (3, 3)
+    assert pg_g.r13.shape == (1, 3, 3, 3, 3)
+    assert pg_g.r04.shape == (1, 3, 3, 3, 3)
+    assert pg_g.dgamma.shape == (1, 3, 3, 3, 3)
+    assert pg_g.F.shape == (1, 3, 3, 3)
+    assert pg_g.dF.shape == (1, 3, 3, 3, 3)
+    assert pg_g.nabla_eta.shape == (1, 3, 3)
+    assert pg_g.tau.shape == pg_g.theta_star_xi.shape == (1,)
 
 
 def test_ricci_consistent_with_r13(pg_g, pg_gt):
     for pg in (pg_g, pg_gt):
-        assert np.allclose(pg.ricci, np.einsum("iaib->ab", pg.r13), atol=1e-15)
-        assert np.isclose(pg.tau, float(np.einsum("ab,ab->", pg.ginv, pg.ricci)))
+        assert np.allclose(pg.ricci[0], np.einsum("iaib->ab", pg.r13[0]), atol=1e-15)
+        assert np.isclose(pg.tau[0], float(np.einsum("ab,ab->", pg.ginv[0], pg.ricci[0])))
 
 
 # the bindings of each structure the batch tests run on
@@ -288,17 +291,14 @@ _BINDINGS = {"cone": {}, "cone_n2": {}, "offdiag": OFFDIAG_BINDINGS}
 def test_batch_matches_per_point(request, structure, tag):
     S = request.getfixturevalue(structure)
     points = sample_points(S.chart, 12, seed=5)
-    batch = point_geometry(S, tag, points, _BINDINGS[structure])
-    assert batch.batched and len(batch) == len(points)
+    batch = SampleGeometry(S, points, _BINDINGS[structure]).of(tag)
     for k, pt in enumerate(points):
-        single = point_geometry(S, tag, pt, _BINDINGS[structure])
-        assert not single.batched
-        assert batch[k].point == single.point
+        single = SampleGeometry(S, [pt], _BINDINGS[structure]).of(tag)
         for field in dataclasses.fields(PointGeometry):
-            if field.name in ("tag", "point", "n"):
+            if field.name in ("tag", "n"):
                 continue
             got = getattr(batch, field.name)[k]
-            want = getattr(single, field.name)
+            want = getattr(single, field.name)[0]
             assert np.shape(got) == np.shape(want), field.name
             assert rel_err(got, want) <= 1e-13, field.name
 
@@ -307,7 +307,7 @@ def test_batch_matches_per_point(request, structure, tag):
 def test_derivative_fields_match_finite_differences(offdiag, tag):
     # A non-diagonal metric: a diagonal one hides a wrong contraction order.
     def at(x):
-        return point_geometry(offdiag, tag, x, OFFDIAG_BINDINGS)
+        return SampleGeometry(offdiag, [x], OFFDIAG_BINDINGS).of(tag)
 
     for pt in sample_points(offdiag.chart, 4, seed=8):
         pg = at(pt)
@@ -317,18 +317,23 @@ def test_derivative_fields_match_finite_differences(offdiag, tag):
             ("theta_star", "dtheta_star"),
             ("theta_star_xi", "grad_theta_star_xi"),
         ):
-            ref = fd_gradient(lambda x: getattr(at(x), field), pt)
-            assert rel_err(getattr(pg, derivative), ref) < 1e-7, derivative
+            ref = fd_gradient(lambda x: getattr(at(x), field)[0], pt)
+            assert rel_err(getattr(pg, derivative)[0], ref) < 1e-7, derivative
 
 
 def test_batch_is_read_only(cone, cone_points):
-    batch = point_geometry(cone, "g", cone_points)
+    geo = SampleGeometry(cone, cone_points)
+    batch = geo.of("g")
     with pytest.raises(ValueError):
         batch.gamma[0, 0, 1, 1] = 1.0
     with pytest.raises(ValueError):
-        batch[0].F[...] = 0.0
+        batch.F[0][...] = 0.0
     with pytest.raises(ValueError):
-        point_geometry(cone, "gtilde", POINT).ginv[0, 0] += 1.0
+        geo.of("gtilde").ginv[0, 0, 0] += 1.0
+    with pytest.raises(ValueError):
+        geo.points[0, 0] = 1.0
+    # the sample set is a copy: the caller's points stay writable and unshared
+    assert cone_points.flags.writeable and not np.shares_memory(geo.points, cone_points)
 
 
 def test_batch_domain_error_matches_single_sample(cone):
@@ -343,9 +348,9 @@ def test_batch_domain_error_matches_single_sample(cone):
     # one sample outside the chart's open box
     points = np.array([[2.0, 0.3, -0.4], [6.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(DomainError) as alone:
-        point_geometry(cone, "g", points[1])
+        SampleGeometry(cone, [points[1]]).of("g")
     with pytest.raises(DomainError) as batched:
-        point_geometry(cone, "g", points)
+        SampleGeometry(cone, points).of("g")
     assert str(batched.value) == str(alone.value)
 
 
@@ -372,14 +377,13 @@ def test_batched_helpers_match_per_sample(request, structure, tag):
     points = sample_points(S.chart, 8, seed=21)
     other = "gtilde" if tag == "g" else "g"
     b = _BINDINGS[structure]
-    pg, pgt = point_geometry(S, tag, points, b), point_geometry(S, other, points, b)
-    batched = _per_sample_helpers(pg, pgt)
-    for k in range(len(points)):
-        single = _per_sample_helpers(pg[k], pgt[k])
+    geo = SampleGeometry(S, points, b)
+    batched = _per_sample_helpers(geo.of(tag), geo.of(other))
+    for k, pt in enumerate(points):
+        one = SampleGeometry(S, [pt], b)
+        single = _per_sample_helpers(one.of(tag), one.of(other))
         assert single.keys() == batched.keys()
         for name, value in single.items():
             got = batched[name][k]
-            assert np.shape(got) == np.shape(value), name
-            assert rel_err(got, value) <= 1e-13, name
-            if np.ndim(value) == 0:
-                assert isinstance(value, float), name
+            assert np.shape(got) == np.shape(value[0]), name
+            assert rel_err(got, value[0]) <= 1e-13, name

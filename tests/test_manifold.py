@@ -13,7 +13,6 @@ from accr.errors import (
     UnknownBuiltin,
 )
 from accr.manifold import (
-    AssociatedMetric,
     associated_metric_jets,
     builtin_names,
     builtin_structure,
@@ -24,6 +23,8 @@ from accr.manifold import (
     validate_structure,
 )
 from accr.tensor import signature_of
+
+from conftest import associated_metric, fd_gradient
 
 
 def cone_json(**overrides):
@@ -110,11 +111,16 @@ def test_load_rejects_bad_domains():
         load_manifold(cone_json(domain={"t": [5.0, 0.5], "u": [-3, 3], "v": [-3, 3]}))
     with pytest.raises(ManifoldParseError):
         load_manifold(cone_json(domain={"t": [0.5, "x"], "u": [-3, 3], "v": [-3, 3]}))
+    # JSON booleans are not numbers, although Python's bool is an int
+    with pytest.raises(ManifoldParseError, match="domain"):
+        load_manifold(cone_json(domain={"t": [0.5, 5.0], "u": [False, True], "v": [-3, 3]}))
 
 
 def test_load_rejects_shape_and_name_problems():
     with pytest.raises(ManifoldParseError):
         load_manifold(cone_json(n=0))
+    with pytest.raises(ManifoldParseError, match="n must be"):
+        load_manifold(cone_json(n=True))
     with pytest.raises(DimensionMismatch):
         load_manifold(cone_json(coordinates=["t", "u", "v", "w"], n=1))
     with pytest.raises(ManifoldParseError):
@@ -151,13 +157,12 @@ def test_wrong_signature_detected(cone_points):
 
 
 def test_associated_metric_components(cone, cone_points):
-    am = AssociatedMetric(cone)
-    gt = am.components_at((2.0, 0.3, -0.4))
+    gt = associated_metric_jets(cone.jets_at((2.0, 0.3, -0.4))).value
     assert np.allclose(gt, [[1.0, 0, 0], [0, 0, -4.0], [0, -4.0, 0]], atol=1e-14)
     # the associated metric is itself a B-metric for the same structure
     for pt in cone_points:
         g, phi, xi, eta = cone.values_at(pt)
-        gtp = am.components_at(pt)
+        gtp = associated_metric_jets(cone.jets_at(pt)).value
         compat = np.einsum("ai,bj,ab->ij", phi, phi, gtp) + gtp - np.outer(eta, eta)
         assert np.max(np.abs(compat)) < 1e-12
         assert np.max(np.abs(gtp @ xi - eta)) < 1e-12
@@ -165,15 +170,12 @@ def test_associated_metric_components(cone, cone_points):
 
 
 def test_associated_metric_jets_match_fd(cone):
-    from conftest import fd_gradient
-
-    am = AssociatedMetric(cone)
     pt = np.array([1.7, 0.2, 0.9])
     jets = associated_metric_jets(cone.jets_at(pt))
-    assert np.allclose(jets.value, am.components_at(pt))
+    assert np.allclose(jets.value, associated_metric(cone, pt))
     for i in range(3):
         for j in range(3):
-            ref = fd_gradient(lambda x, i=i, j=j: am.components_at(x)[i, j], pt)
+            ref = fd_gradient(lambda x, i=i, j=j: associated_metric(cone, x)[i, j], pt)
             assert np.max(np.abs(jets.partial[i, j] - ref)) < 1e-8
 
 
@@ -186,7 +188,7 @@ def test_latin_hypercube_stratification(cone):
         assert np.all(arr[:, axis] > lo) and np.all(arr[:, axis] < hi)
         strata = np.floor((arr[:, axis] - lo) / (hi - lo) * 12).astype(int)
         assert sorted(strata) == list(range(12))  # exactly one point per stratum
-    assert latin_hypercube(cone.chart, 0) == []
+    assert latin_hypercube(cone.chart, 0).shape == (0, 3)
 
 
 def test_sampling_is_deterministic(cone):
@@ -200,8 +202,9 @@ def test_sampling_is_deterministic(cone):
 def test_sampling_pins_points_first(cone):
     pin = (2.0, 0.3, -0.4)
     pts = sample_points(cone.chart, 5, seed=42, pinned=(pin,))
-    assert len(pts) == 5
+    assert isinstance(pts, np.ndarray) and pts.shape == (5, 3)
     assert np.array_equal(pts[0], pin)
+    assert np.array_equal(pts[1:], latin_hypercube(cone.chart, 4, seed=42))
     with pytest.raises(DomainError):
         sample_points(cone.chart, 5, pinned=((0.5, 0.0, 0.0),))  # boundary is outside
     with pytest.raises(ValueError):
@@ -250,8 +253,6 @@ def test_values_and_frame_at_a_batch(cone, cone_points):
             assert got.shape[1:] == want.shape
             assert np.array_equal(got[k], want)
         assert np.array_equal(frames[k], cone.frame_at(pt))
-    assert np.array_equal(AssociatedMetric(cone).components_at(points)[2],
-                          AssociatedMetric(cone).components_at(cone_points[2]))
 
 
 def test_validation_reports_the_first_wrong_signature():

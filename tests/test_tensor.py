@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from accr.errors import SingularFrame, SingularMetric, TensorError
-from accr.geometry import point_geometry
+from accr.geometry import SampleGeometry
 from accr.manifold import load_manifold
 from accr.tensor import signature_of, to_phi_frame
 
@@ -27,16 +27,16 @@ def test_signature_of():
 
 def test_metric_invert(cone):
     # cone metric at t=2: diag(1, 4, -4); the geometry carries its inverse
-    pg = point_geometry(cone, "g", POINT)
-    assert np.allclose(pg.g, np.diag([1.0, 4.0, -4.0]))
-    assert np.allclose(pg.ginv, np.diag([1.0, 0.25, -0.25]))
-    assert signature_of(pg.g) == (2, 1)
+    pg = SampleGeometry(cone, [POINT]).of("g")
+    assert np.allclose(pg.g[0], np.diag([1.0, 4.0, -4.0]))
+    assert np.allclose(pg.ginv[0], np.diag([1.0, 0.25, -0.25]))
+    assert signature_of(pg.g[0]) == (2, 1)
 
 
 def test_contract_traces_identity(cone):
     # raising an index of g gives the identity, whose trace is the dimension
-    pg = point_geometry(cone, "g", POINT)
-    mixed = pg.ginv @ pg.g
+    pg = SampleGeometry(cone, [POINT]).of("g")
+    mixed = pg.ginv[0] @ pg.g[0]
     assert np.allclose(mixed, np.eye(3), atol=1e-15)
     assert np.isclose(np.trace(mixed), 3.0)
 
@@ -46,7 +46,7 @@ def test_metric_invert_errors():
     rank_two = [["1", "1", "0"], ["1", "1", "0"], ["0", "0", "t^2"]]
     for g in (zero, rank_two):
         with pytest.raises(SingularMetric):
-            point_geometry(load_manifold(cone_json(g=g)), "g", POINT)
+            SampleGeometry(load_manifold(cone_json(g=g)), [POINT]).of("g")
 
 
 def test_to_phi_frame_metric(cone, cone_values):

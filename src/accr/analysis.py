@@ -199,6 +199,7 @@ class TorseFormingResult:
     per_sample_residual: np.ndarray
     taxonomy: frozenset[str]
     vertical: bool
+    drift: np.ndarray                  # max |v - eta(v) xi| per sample: 0 where v is vertical
     k: np.ndarray | None               # eta(v) per sample, vertical only
     dk_xi: np.ndarray | None           # dk(xi) per sample, vertical only
     h: np.ndarray | None               # f/k per sample, vertical only
@@ -258,7 +259,7 @@ def torse_forming_extract(
     worst_fit = float(np.max(fit_arr))
 
     k_arr = _dot(pg.eta, v)
-    vertical_res = _norm(v - k_arr[:, None] * pg.xi)
+    drift = _max_abs(v - k_arr[:, None] * pg.xi, 1)
     dk = np.einsum("...zm,...z->...m", pg.deta, v) + np.einsum("...z,...zm->...m", pg.eta, dv)
     dk_xi_arr = _dot(dk, pg.xi)
     # vertical-only identities; meaningful only if verticality holds.  The
@@ -289,7 +290,7 @@ def torse_forming_extract(
             if gamma_norm <= tol:
                 taxonomy.add("parallel")
 
-    vertical = vertical_res <= _VERTICAL_TOL
+    vertical = float(np.max(drift)) <= _VERTICAL_TOL
     h_arr = None
     vchecks = None
     if vertical:
@@ -306,6 +307,7 @@ def torse_forming_extract(
         per_sample_residual=fit_arr,
         taxonomy=frozenset(taxonomy),
         vertical=vertical,
+        drift=drift,
         k=k_arr if vertical else None,
         dk_xi=dk_xi_arr if vertical else None,
         h=h_arr,
@@ -355,18 +357,16 @@ def yamabe_soliton_solve(
     f/k of both metrics are compared.
     """
     torse = torse_forming_extract(geo, tag, potential, tol)
-    pg, v = geo.of(tag), torse.v
-    k = _dot(pg.eta, v)
-    drift = _max_abs(v - k[:, None] * pg.xi, 1)
-    off = drift > _VERTICAL_TOL
+    off = torse.drift > _VERTICAL_TOL
     if off.any():
         first = int(np.argmax(off))
         where = tuple(round(float(x), 6) for x in geo.points[first])
         raise NonVerticalPotential(
-            f"potential deviates from k*xi by {drift[first]:.3e} at sample {where}"
+            f"potential deviates from k*xi by {torse.drift[first]:.3e} at sample {where}"
         )
 
-    A = lie_derivative_metric(pg, v, torse.dv) / 2.0
+    pg = geo.of(tag)
+    A = lie_derivative_metric(pg, torse.v, torse.dv) / 2.0
     mu, resid_arr = proportionality_split(A, pg.g, pg.ginv)
     verdict = "soliton" if float(np.max(resid_arr)) <= tol else "not-soliton"
     lam_arr = pg.tau - mu
@@ -401,7 +401,7 @@ def _value_record(name, anchor, values):
         anchor=anchor,
         verdict=VERDICT_NA,
         residual=None,
-        samples=tuple(float(v) for v in values),
+        samples=tuple(values.tolist()),
     )
 
 
@@ -606,7 +606,7 @@ def soliton_records(geo: SampleGeometry, tag: str, k_source: str, tol: float) ->
             anchor="(1/2) L_v metric = (tau - lambda) metric",
             verdict=VERDICT_PASS if sol.verdict == "soliton" else VERDICT_FAIL,
             residual=float(np.max(sol.residuals)),
-            samples=tuple(float(x) for x in sol.residuals),
+            samples=tuple(sol.residuals.tolist()),
         )
     )
     records.append(_value_record("soliton function lambda", "lambda = tau - mu", sol.lambdas))
@@ -731,44 +731,18 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
         _max_abs(antisymmetrized_derivative(pg.dtheta_star), 2),
     )
 
-    # classification
+    # classification: each record passes when its class has the expected status
     cm = classify(geo, tol)
-    records.append(
-        CheckRecord(
-            name="class: not Sasaki-like",
-            anchor="F(x,y,z) = g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y) must fail",
-            verdict=VERDICT_PASS if cm.sasaki_like.status == FAILS else VERDICT_FAIL,
-            residual=cm.sasaki_like.residual,
-            samples=None,
-        )
-    )
-    records.append(
-        CheckRecord(
-            name="class: F5",
-            anchor="F(x,y,z) = -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}",
-            verdict=VERDICT_PASS if cm.f5.status == HOLDS else VERDICT_FAIL,
-            residual=cm.f5.residual,
-            samples=None,
-        )
-    )
-    records.append(
-        CheckRecord(
-            name="class: F5 with closed Lee form",
-            anchor="d(theta*(xi)) = xi(theta*(xi)) eta",
-            verdict=VERDICT_PASS if cm.f5_0.status == HOLDS else VERDICT_FAIL,
-            residual=cm.f5_0.residual,
-            samples=None,
-        )
-    )
-    records.append(
-        CheckRecord(
-            name="class: not F0",
-            anchor="||F|| > 0",
-            verdict=VERDICT_PASS if cm.f0.status == FAILS else VERDICT_FAIL,
-            residual=cm.f0.residual,
-            samples=None,
-        )
-    )
+    for name, anchor, entry, expected in (
+        ("class: not Sasaki-like",
+         "F(x,y,z) = g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y) must fail", cm.sasaki_like, FAILS),
+        ("class: F5",
+         "F(x,y,z) = -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}", cm.f5, HOLDS),
+        ("class: F5 with closed Lee form", "d(theta*(xi)) = xi(theta*(xi)) eta", cm.f5_0, HOLDS),
+        ("class: not F0", "||F|| > 0", cm.f0, FAILS),
+    ):
+        verdict = VERDICT_PASS if entry.status == expected else VERDICT_FAIL
+        records.append(CheckRecord(name, anchor, verdict, residual=entry.residual, samples=None))
     add("Lee form omega", "omega = 0", _max_abs(pg.omega, 1))
     add(
         "Lee form theta* shape",
@@ -845,24 +819,14 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
             return False
         return ("concurrent" in torse.taxonomy) == (abs(slope - 1.0) <= tol)
 
-    records.append(
-        CheckRecord(
-            name="taxonomy of the g-potential",
-            anchor="torse-forming, torqued, concircular; concurrent exactly when c = 1",
-            verdict=VERDICT_PASS if flags_ok(torse_g, c) else VERDICT_FAIL,
-            residual=torse_g.residual,
-            samples=tuple(torse_g.per_sample_residual),
-        )
-    )
-    records.append(
-        CheckRecord(
-            name="taxonomy of the g~-potential",
-            anchor="torse-forming, torqued, concircular; concurrent exactly when ct = 1",
-            verdict=VERDICT_PASS if flags_ok(torse_gt, ct) else VERDICT_FAIL,
-            residual=torse_gt.residual,
-            samples=tuple(torse_gt.per_sample_residual),
-        )
-    )
+    for metric_name, torse, slope, constant in (("g", torse_g, c, "c"), ("g~", torse_gt, ct, "ct")):
+        records.append(CheckRecord(
+            name=f"taxonomy of the {metric_name}-potential",
+            anchor=f"torse-forming, torqued, concircular; concurrent exactly when {constant} = 1",
+            verdict=VERDICT_PASS if flags_ok(torse, slope) else VERDICT_FAIL,
+            residual=torse.residual,
+            samples=tuple(torse.per_sample_residual.tolist()),
+        ))
     add("potential ratio for g", "f/k = 1/t", np.abs(torse_g.h - 1.0 / ts))
     add("potential ratio for g~", "f~/k~ = 1/t", np.abs(torse_gt.h - 1.0 / ts))
     add("potential ratios agree", "f/k = f~/k~", np.abs(torse_g.h - torse_gt.h))
@@ -886,7 +850,7 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
             anchor=anchor,
             verdict=VERDICT_PASS if ok else VERDICT_FAIL,
             residual=worst,
-            samples=tuple(float(x) for x in dev),
+            samples=tuple(dev.tolist()),
         )
 
     records.append(
@@ -911,41 +875,15 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
             return CheckRecord(name=name, anchor=anchor, verdict=VERDICT_FAIL, residual=None)
         return record_from_residual(name, anchor, [value], tol)
 
-    records.append(
-        theorem_record(
-            "conformal scalar balance for g",
-            "tau = f + lambda",
-            sol_g.theorem_checks["tau = f + lambda"],
-        )
-    )
-    records.append(
-        theorem_record(
-            "conformal scalar balance for g~",
-            "tau~ = f~ + lambda~",
-            sol_gt.theorem_checks["tau = f + lambda"],
-        )
-    )
-    records.append(
-        theorem_record(
-            "torqued criterion for g",
-            "f = dk(xi)",
-            sol_g.theorem_checks["f = dk(xi)"],
-        )
-    )
-    records.append(
-        theorem_record(
-            "torqued criterion for g~",
-            "f~ = dk~(xi)",
-            sol_gt.theorem_checks["f = dk(xi)"],
-        )
-    )
-    records.append(
-        theorem_record(
-            "potential ratio transfer",
-            "f/k = f~/k~ certified by both solvers",
-            sol_g.theorem_checks["f/k matches between the two metrics"],
-        )
-    )
+    for name, anchor, sol, key in (
+        ("conformal scalar balance for g", "tau = f + lambda", sol_g, "tau = f + lambda"),
+        ("conformal scalar balance for g~", "tau~ = f~ + lambda~", sol_gt, "tau = f + lambda"),
+        ("torqued criterion for g", "f = dk(xi)", sol_g, "f = dk(xi)"),
+        ("torqued criterion for g~", "f~ = dk~(xi)", sol_gt, "f = dk(xi)"),
+        ("potential ratio transfer", "f/k = f~/k~ certified by both solvers", sol_g,
+         "f/k matches between the two metrics"),
+    ):
+        records.append(theorem_record(name, anchor, sol.theorem_checks[key]))
 
     # Lie derivative closed forms and the two expansion routes
     lg = lie_derivative_metric(pg, torse_g.v, torse_g.dv)

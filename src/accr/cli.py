@@ -45,36 +45,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_metric=False, needs_potential=False):
-        p.add_argument("input", nargs="?", default=None,
-                       help="manifold JSON file, or builtin:NAME")
-        p.add_argument("--builtin", default=None, metavar="NAME",
-                       help=f"use a shipped structure ({', '.join(builtin_names())})")
-        p.add_argument("--samples", type=int, default=64, metavar="N")
-        p.add_argument("--seed", type=int, default=42, metavar="S")
-        p.add_argument("--point", action="append", default=[], metavar="c1=v1,c2=v2,...",
-                       help="pin a sample point; repeatable, counts toward --samples")
-        p.add_argument("--const", action="append", default=[], metavar="name=value",
-                       help="bind a declared constant; repeatable")
-        p.add_argument("--tolerance", type=float, default=1e-9, metavar="T")
-        p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("-o", "--output", default=None, metavar="PATH")
-        if needs_metric:
-            p.add_argument("--metric", choices=(METRIC_G, METRIC_GTILDE), default=METRIC_G)
-        if needs_potential:
-            p.add_argument("--potential-k", default=None, metavar="EXPR",
+    # the options every command shares, and those of the metric and the potential
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", nargs="?", default=None,
+                        help="manifold JSON file, or builtin:NAME")
+    common.add_argument("--builtin", default=None, metavar="NAME",
+                        help=f"use a shipped structure ({', '.join(builtin_names())})")
+    common.add_argument("--samples", type=int, default=64, metavar="N")
+    common.add_argument("--seed", type=int, default=42, metavar="S")
+    common.add_argument("--point", action="append", default=[], metavar="c1=v1,c2=v2,...",
+                        help="pin a sample point; repeatable, counts toward --samples")
+    common.add_argument("--const", action="append", default=[], metavar="name=value",
+                        help="bind a declared constant; repeatable")
+    common.add_argument("--tolerance", type=float, default=1e-9, metavar="T")
+    common.add_argument("--format", choices=("json", "table"), default="table")
+    common.add_argument("-o", "--output", default=None, metavar="PATH")
+    metric = argparse.ArgumentParser(add_help=False)
+    metric.add_argument("--metric", choices=(METRIC_G, METRIC_GTILDE), default=METRIC_G)
+    potential = argparse.ArgumentParser(add_help=False)
+    potential.add_argument("--potential-k", default=None, metavar="EXPR",
                            help="scalar k of the vertical potential k*xi")
-            p.add_argument("--expect-soliton", action="store_true",
+    potential.add_argument("--expect-soliton", action="store_true",
                            help="exit 1 unless the verdict is soliton")
+    solve = [common, metric, potential]
 
-    common(sub.add_parser("validate", help="check the defining structure identities"))
-    common(sub.add_parser("classify", help="Sasaki-like / F5 / F5_0 / F0 membership"))
-    common(sub.add_parser("curvature", help="curvature quantities and identity checks"),
-           needs_metric=True)
-    common(sub.add_parser("soliton", help="Yamabe almost-soliton solve"),
-           needs_metric=True, needs_potential=True)
-    common(sub.add_parser(
+    sub.add_parser("validate", parents=[common], help="check the defining structure identities")
+    sub.add_parser("classify", parents=[common], help="Sasaki-like / F5 / F5_0 / F0 membership")
+    sub.add_parser("curvature", parents=[common, metric],
+                   help="curvature quantities and identity checks")
+    sub.add_parser("soliton", parents=solve, help="Yamabe almost-soliton solve")
+    sub.add_parser(
         "verify-paper",
+        parents=[common],
         help="golden-value suite on the cone example",
         description=(
             "Compare the cone example with its published closed forms. The constants c, ct "
@@ -82,9 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
             "shipped fiber is flat, so its metric has kprime = 0, and any other value fails "
             "the curvature, tau and soliton checks."
         ),
-    ))
-    common(sub.add_parser("report", help="validation + classification + identity suites"),
-           needs_metric=True, needs_potential=True)
+    )
+    sub.add_parser("report", parents=solve, help="validation + classification + identity suites")
     return parser
 
 
@@ -155,7 +156,7 @@ def _config_echo(args, bindings, points) -> dict:
         "seed": args.seed,
         "tolerance": args.tolerance,
         "const": dict(sorted(bindings.items())),
-        "sample_points": [[float(x) for x in p] for p in points],
+        "sample_points": points.tolist(),
     }
     for key in ("metric", "potential_k"):
         if hasattr(args, key):

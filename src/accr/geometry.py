@@ -22,7 +22,7 @@ product rule, so nothing here needs third-order jets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,46 +54,51 @@ __all__ = [
     "worst_residual",
 ]
 
-@dataclass(frozen=True)
+
+def _field(compute):
+    """A PointGeometry field: `compute` runs on first read, and its read-only result is kept."""
+
+    @functools.wraps(compute)
+    def read_only(self):
+        array = compute(self)
+        array.flags.writeable = False
+        return array
+
+    return functools.cached_property(read_only)
+
+
+def _plus(jet: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """jet + term, or the term alone where the jet is exactly zero."""
+    return jet + term if jet.any() else term
+
+
 class PointGeometry:
     """Every derived quantity of one metric tag over the N sample points of a SampleGeometry.
 
-    Computed eagerly: at dim = 2n+1 <= 7 the whole pipeline is a handful
-    of einsums, and eager assembly keeps the dataclass trivially immutable.
-    Every field carries a leading sample axis; the scalar fields are (N,)
-    arrays.  The arrays are read-only, so the consumers sharing one batch
-    cannot change what another reads.
+    Each field is computed on its first read, from the fields it reads, and
+    kept, so a command pays only for what it reads.  The metric, its jets
+    and its inverse are taken at construction: a singular metric raises
+    SingularMetric there, whichever fields are read later.  Every field
+    carries a leading sample axis; the scalar fields are (N,) arrays.  The
+    arrays are read-only, so the consumers sharing one batch cannot change
+    what another reads.  A product-rule term on an exactly zero jet of phi,
+    xi or eta (a literal field, as in every shipped structure) is left out;
+    the other terms keep their order, so their sums round as before.
     """
 
-    tag: str
-    n: int
-    # structure fields
-    phi: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-    deta: np.ndarray
-    # metric jets
-    g: np.ndarray
-    dg: np.ndarray
-    ginv: np.ndarray
-    # connection and curvature
-    gamma: np.ndarray
-    dgamma: np.ndarray
-    r13: np.ndarray
-    r04: np.ndarray
-    ricci: np.ndarray
-    tau: np.ndarray
-    tau_star: np.ndarray
-    nabla_xi: np.ndarray        # [k,i] = (nabla_i xi)^k
-    nabla_eta: np.ndarray       # [i,j] = (nabla_i eta)_j
-    # fundamental tensor and Lee forms
-    F: np.ndarray               # [i,j,z]
-    dF: np.ndarray              # [i,j,z,m]
-    theta_star: np.ndarray
-    dtheta_star: np.ndarray     # [z,m] = d_m theta_star[z]
-    theta_star_xi: np.ndarray
-    grad_theta_star_xi: np.ndarray
-    omega: np.ndarray
+    def __init__(self, n: int, tag: str, sj: StructureJets):
+        if tag not in (METRIC_G, METRIC_GTILDE):
+            raise ValueError(f"unknown metric tag {tag!r}")
+        g, dg, d2g = sj.g if tag == METRIC_G else associated_metric_jets(sj)
+        shared = dict(phi=sj.phi.value, xi=sj.xi.value, eta=sj.eta.value, deta=sj.eta.partial,
+                      g=g, dg=dg, ginv=_inverse(g, tag))
+        for array in shared.values():
+            array.flags.writeable = False
+        vars(self).update(shared, tag=tag, n=n, _d2g=d2g, _dphi=sj.phi.partial,
+                          _d2phi=sj.phi.second, _dxi=sj.xi.partial)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PointGeometry field {name!r} is read-only")
 
     @property
     def dim(self) -> int:
@@ -108,6 +113,132 @@ class PointGeometry:
     def grad_h(self) -> np.ndarray:
         return self.grad_theta_star_xi / (2 * self.n)
 
+    # Contractions that span five or more indices per sample take numpy's
+    # optimized einsum, which contracts by batched matmul; the smaller ones
+    # stay plain, where the path search costs more than it saves.
+
+    @_field
+    def _dginv(self):  # [k,l,m] = d_m g^{kl}
+        ginv = self.ginv
+        return -np.einsum("...kbm,...bl->...klm", np.einsum("...ka,...abm->...kbm", ginv, self.dg), ginv)
+
+    @_field
+    def _koszul(self):  # C[l,i,j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
+        dg = self.dg
+        return (
+            np.einsum("...jli->...lij", dg)
+            + np.einsum("...ilj->...lij", dg)
+            - np.einsum("...ijl->...lij", dg)
+        )
+
+    @_field
+    def gamma(self):
+        return 0.5 * np.einsum("...kl,...lij->...kij", self.ginv, self._koszul)
+
+    @_field
+    def dgamma(self):
+        d2g = self._d2g
+        dC = (
+            np.einsum("...jlim->...lijm", d2g)
+            + np.einsum("...iljm->...lijm", d2g)
+            - np.einsum("...ijlm->...lijm", d2g)
+        )
+        return 0.5 * (
+            np.einsum("...klm,...lij->...kijm", self._dginv, self._koszul, optimize=True)
+            + np.einsum("...kl,...lijm->...kijm", self.ginv, dC, optimize=True)
+        )
+
+    @_field
+    def r13(self):
+        dgamma, gamma = self.dgamma, self.gamma
+        return (
+            np.einsum("...ljki->...lkij", dgamma)
+            - np.einsum("...likj->...lkij", dgamma)
+            + np.einsum("...lim,...mjk->...lkij", gamma, gamma, optimize=True)
+            - np.einsum("...ljm,...mik->...lkij", gamma, gamma, optimize=True)
+        )
+
+    @_field
+    def r04(self):
+        return np.einsum("...lw,...lkij->...ijkw", self.g, self.r13, optimize=True)
+
+    @_field
+    def ricci(self):
+        return np.einsum("...iaib->...ab", self.r13)
+
+    @_field
+    def tau(self):
+        return np.einsum("...ab,...ab->...", self.ginv, self.ricci)
+
+    @_field
+    def tau_star(self):
+        return np.einsum("...ij,...ij->...", self.ginv, self.ricci @ self.phi)
+
+    @_field
+    def nabla_xi(self):  # [k,i] = (nabla_i xi)^k
+        return _plus(self._dxi, np.einsum("...kis,...s->...ki", self.gamma, self.xi))
+
+    @_field
+    def nabla_eta(self):  # [i,j] = (nabla_i eta)_j
+        # no skip: the transposed deta is a view, and 0 - x keeps the sign of a zero that -x flips
+        return np.einsum("...jm->...mj", self.deta) - np.einsum("...sij,...s->...ij", self.gamma, self.eta)
+
+    @_field
+    def _cov_phi(self):  # [k,j,i] = (nabla_i phi)^k_j
+        gamma, phi = self.gamma, self.phi
+        return _plus(self._dphi, np.einsum("...kis,...sj->...kji", gamma, phi)) - np.einsum(
+            "...sij,...ks->...kji", gamma, phi
+        )
+
+    @_field
+    def F(self):  # [i,j,z]
+        return np.einsum("...kz,...kji->...ijz", self.g, self._cov_phi)
+
+    @_field
+    def dF(self):  # [i,j,z,m]
+        gamma, dgamma, phi, dphi = self.gamma, self.dgamma, self.phi, self._dphi
+        dcov_phi = _plus(self._d2phi, np.einsum("...kism,...sj->...kjim", dgamma, phi, optimize=True))
+        if dphi.any():
+            dcov_phi = dcov_phi + np.einsum("...kis,...sjm->...kjim", gamma, dphi, optimize=True)
+        dcov_phi = dcov_phi - np.einsum("...sijm,...ks->...kjim", dgamma, phi, optimize=True)
+        if dphi.any():
+            dcov_phi = dcov_phi - np.einsum("...sij,...ksm->...kjim", gamma, dphi, optimize=True)
+        return np.einsum("...kzm,...kji->...ijzm", self.dg, self._cov_phi, optimize=True) + np.einsum(
+            "...kz,...kjim->...ijzm", self.g, dcov_phi, optimize=True
+        )
+
+    @_field
+    def _ginv_phi(self):
+        return np.einsum("...ij,...sj->...is", self.ginv, self.phi)
+
+    @_field
+    def theta_star(self):
+        return np.einsum("...is,...isz->...z", self._ginv_phi, self.F)
+
+    @_field
+    def dtheta_star(self):  # [z,m] = d_m theta_star[z]
+        F, dphi = self.F, self._dphi
+        out = np.einsum("...ims,...isz->...zm", np.einsum("...ijm,...sj->...ims", self._dginv, self.phi), F)
+        if dphi.any():
+            out = out + np.einsum("...ism,...isz->...zm", np.einsum("...ij,...sjm->...ism", self.ginv, dphi), F)
+        return out + np.einsum("...is,...iszm->...zm", self._ginv_phi, self.dF)
+
+    @_field
+    def theta_star_xi(self):
+        return _dot(self.theta_star, self.xi)
+
+    @_field
+    def grad_theta_star_xi(self):
+        grad = np.einsum("...zm,...z->...m", self.dtheta_star, self.xi)
+        if self._dxi.any():
+            grad = grad + np.einsum("...z,...zm->...m", self.theta_star, self._dxi)
+        return grad
+
+    @_field
+    def omega(self):
+        xi = self.xi
+        return np.einsum("...j,...jz->...z", xi, np.einsum("...i,...ijz->...jz", xi, self.F))
+
 
 def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
     svals = np.linalg.svd(g, compute_uv=False)
@@ -119,107 +250,15 @@ def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
     return (ginv + np.swapaxes(ginv, -1, -2)) / 2.0
 
 
-def _geometry(n: int, tag: str, sj: StructureJets) -> PointGeometry:
-    """The geometry of the tagged metric over the samples of the structure jets."""
-    if tag not in (METRIC_G, METRIC_GTILDE):
-        raise ValueError(f"unknown metric tag {tag!r}")
-    # Intermediates with four or more indices are deleted once consumed:
-    # they, more than the results, set the peak memory of a batch.
-    g, dg, d2g = sj.g if tag == METRIC_G else associated_metric_jets(sj)
-    phi, dphi, d2phi = sj.phi
-    xi, dxi, _ = sj.xi
-    eta, deta, _ = sj.eta
-
-    ginv = _inverse(g, tag)
-    dginv = -np.einsum("...kbm,...bl->...klm", np.einsum("...ka,...abm->...kbm", ginv, dg), ginv)
-
-    # Contractions that span five or more indices per sample take numpy's
-    # optimized einsum, which contracts by batched matmul; the smaller ones
-    # stay plain, where the path search costs more than it saves.
-    # Koszul in coordinates: C[l,i,j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
-    C = (
-        np.einsum("...jli->...lij", dg)
-        + np.einsum("...ilj->...lij", dg)
-        - np.einsum("...ijl->...lij", dg)
-    )
-    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, C)
-    dC = (
-        np.einsum("...jlim->...lijm", d2g)
-        + np.einsum("...iljm->...lijm", d2g)
-        - np.einsum("...ijlm->...lijm", d2g)
-    )
-    dgamma = 0.5 * (
-        np.einsum("...klm,...lij->...kijm", dginv, C, optimize=True)
-        + np.einsum("...kl,...lijm->...kijm", ginv, dC, optimize=True)
-    )
-    del d2g, dC
-
-    r13 = (
-        np.einsum("...ljki->...lkij", dgamma)
-        - np.einsum("...likj->...lkij", dgamma)
-        + np.einsum("...lim,...mjk->...lkij", gamma, gamma, optimize=True)
-        - np.einsum("...ljm,...mik->...lkij", gamma, gamma, optimize=True)
-    )
-    r04 = np.einsum("...lw,...lkij->...ijkw", g, r13, optimize=True)
-    ricci = np.einsum("...iaib->...ab", r13)
-    tau = np.einsum("...ab,...ab->...", ginv, ricci)
-    tau_star = np.einsum("...ij,...ij->...", ginv, ricci @ phi)
-
-    nxi = dxi + np.einsum("...kis,...s->...ki", gamma, xi)
-    neta = np.einsum("...jm->...mj", deta) - np.einsum("...sij,...s->...ij", gamma, eta)
-
-    cov_phi = (  # [k,j,i] = (nabla_i phi)^k_j
-        dphi
-        + np.einsum("...kis,...sj->...kji", gamma, phi)
-        - np.einsum("...sij,...ks->...kji", gamma, phi)
-    )
-    dcov_phi = (
-        d2phi
-        + np.einsum("...kism,...sj->...kjim", dgamma, phi, optimize=True)
-        + np.einsum("...kis,...sjm->...kjim", gamma, dphi, optimize=True)
-        - np.einsum("...sijm,...ks->...kjim", dgamma, phi, optimize=True)
-        - np.einsum("...sij,...ksm->...kjim", gamma, dphi, optimize=True)
-    )
-    del d2phi
-    F = np.einsum("...kz,...kji->...ijz", g, cov_phi)
-    dF = np.einsum("...kzm,...kji->...ijzm", dg, cov_phi, optimize=True) + np.einsum(
-        "...kz,...kjim->...ijzm", g, dcov_phi, optimize=True
-    )
-
-    del dcov_phi
-    ginv_phi = np.einsum("...ij,...sj->...is", ginv, phi)
-    theta_star = np.einsum("...is,...isz->...z", ginv_phi, F)
-    dtheta_star = (
-        np.einsum("...ims,...isz->...zm", np.einsum("...ijm,...sj->...ims", dginv, phi), F)
-        + np.einsum("...ism,...isz->...zm", np.einsum("...ij,...sjm->...ism", ginv, dphi), F)
-        + np.einsum("...is,...iszm->...zm", ginv_phi, dF)
-    )
-    theta_star_xi = _dot(theta_star, xi)
-    grad_tsx = np.einsum("...zm,...z->...m", dtheta_star, xi) + np.einsum(
-        "...z,...zm->...m", theta_star, dxi
-    )
-    omega = np.einsum("...j,...jz->...z", xi, np.einsum("...i,...ijz->...jz", xi, F))
-
-    shared = dict(
-        phi=phi, xi=xi, eta=eta, deta=deta, g=g, dg=dg, ginv=ginv, gamma=gamma,
-        dgamma=dgamma, r13=r13, r04=r04, ricci=ricci, tau=tau, tau_star=tau_star,
-        nabla_xi=nxi, nabla_eta=neta, F=F, dF=dF, theta_star=theta_star,
-        dtheta_star=dtheta_star, theta_star_xi=theta_star_xi, grad_theta_star_xi=grad_tsx,
-        omega=omega,
-    )
-    for array in shared.values():
-        array.flags.writeable = False
-    return PointGeometry(tag=tag, n=n, **shared)
-
-
 class SampleGeometry:
     """The sample set of one command and each metric's geometry over it.
 
     `points` is a batch (N, d); one point (d,) is a batch of one.  Every
     check of a command reads the same batch: the structure jets are
-    evaluated once, on first use, and the geometry of a metric tag is
-    computed from them on first use, once, over all samples; both live as
-    long as this object.  `of(tag)` is the one way to the geometry.
+    evaluated once, on first use, and the geometry of a metric tag is built
+    from them on first use, with each of its fields computed once, over all
+    samples, when first read; all of it lives as long as this object.
+    `of(tag)` is the one way to the geometry.
     """
 
     def __init__(self, S: AccRStructure, points, bindings: Mapping[str, float] | None = None):
@@ -234,7 +273,7 @@ class SampleGeometry:
         if tag not in self._geometry:
             if self._jets is None:  # the structure jets, shared by both metrics
                 self._jets = self.structure.jets_at(self.points, self.bindings)
-            self._geometry[tag] = _geometry(self.structure.n, tag, self._jets)
+            self._geometry[tag] = PointGeometry(self.structure.n, tag, self._jets)
         return self._geometry[tag]
 
 

@@ -445,29 +445,35 @@ def associated_metric_jets(sj: StructureJets) -> FieldJets:
     """Jets of the associated B-metric g~(x, y) = g(x, phi y) + eta(x) eta(y), by the product rule.
 
     The structure jets are those of one point or of a batch (see
-    AccRStructure.jets_at); the result carries the same leading axes.
+    AccRStructure.jets_at); the result carries the same leading axes.  A term
+    on an exactly zero jet of phi or eta is left out; the others keep their
+    order, so their sums round as before.
     """
     g, dg, d2g = sj.g
     phi, dphi, d2phi = sj.phi
     eta, deta, d2eta = sj.eta
+    dphi_on, d2phi_on, deta_on, d2eta_on = dphi.any(), d2phi.any(), deta.any(), d2eta.any()
     value = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
-    partial = (
-        np.einsum("...ism,...sj->...ijm", dg, phi)
-        + np.einsum("...is,...sjm->...ijm", g, dphi)
-        + np.einsum("...im,...j->...ijm", deta, eta)
-        + np.einsum("...i,...jm->...ijm", eta, deta)
-    )
+    partial = np.einsum("...ism,...sj->...ijm", dg, phi)
+    if dphi_on:
+        partial = partial + np.einsum("...is,...sjm->...ijm", g, dphi)
+    if deta_on:
+        partial = partial + np.einsum("...im,...j->...ijm", deta, eta)
+        partial = partial + np.einsum("...i,...jm->...ijm", eta, deta)
     # the contractions over five indices take numpy's optimized einsum (batched matmul)
-    second = (
-        np.einsum("...isml,...sj->...ijml", d2g, phi, optimize=True)
-        + np.einsum("...ism,...sjl->...ijml", dg, dphi, optimize=True)
-        + np.einsum("...isl,...sjm->...ijml", dg, dphi, optimize=True)
-        + np.einsum("...is,...sjml->...ijml", g, d2phi, optimize=True)
-        + np.einsum("...iml,...j->...ijml", d2eta, eta)
-        + np.einsum("...im,...jl->...ijml", deta, deta)
-        + np.einsum("...il,...jm->...ijml", deta, deta)
-        + np.einsum("...i,...jml->...ijml", eta, d2eta)
-    )
+    second = np.einsum("...isml,...sj->...ijml", d2g, phi, optimize=True)
+    if dphi_on:
+        second = second + np.einsum("...ism,...sjl->...ijml", dg, dphi, optimize=True)
+        second = second + np.einsum("...isl,...sjm->...ijml", dg, dphi, optimize=True)
+    if d2phi_on:
+        second = second + np.einsum("...is,...sjml->...ijml", g, d2phi, optimize=True)
+    if d2eta_on:
+        second = second + np.einsum("...iml,...j->...ijml", d2eta, eta)
+    if deta_on:
+        second = second + np.einsum("...im,...jl->...ijml", deta, deta)
+        second = second + np.einsum("...il,...jm->...ijml", deta, deta)
+    if d2eta_on:
+        second = second + np.einsum("...i,...jml->...ijml", eta, d2eta)
     # the formula is symmetric in (i, j) only up to rounding; enforce exactly
     value = (value + np.swapaxes(value, -2, -1)) / 2.0
     partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_DEGENERATE = "degenerate"
@@ -43,7 +45,7 @@ def record_from_residual(
     name: str, anchor: str, per_sample, tol: float
 ) -> CheckRecord:
     """Pass/fail record from per-sample residuals aggregated by max."""
-    values = tuple(float(v) for v in per_sample)
+    values = tuple(np.asarray(per_sample, dtype=float).tolist())
     worst = max(values) if values else 0.0
     verdict = VERDICT_PASS if worst <= tol else VERDICT_FAIL
     return CheckRecord(name=name, anchor=anchor, verdict=verdict, residual=worst, samples=values)

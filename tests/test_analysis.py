@@ -348,7 +348,7 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
             monkeypatch.setattr(module, name, counted)
 
     counting("torse_forming_extract", analysis)
-    counting("_geometry", geometry)  # the geometry of one metric tag over the samples
+    counting("PointGeometry", geometry)  # the geometry of one metric tag over the samples
     counting("jets_at", manifold.AccRStructure)
     counting("vector_field_jets", geometry, analysis)
     counting("sample_points", manifold, cli)
@@ -357,7 +357,7 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
     assert "51 checks: 51 pass" in capsys.readouterr().out
     assert calls == {
         "torse_forming_extract": 2,
-        "_geometry": 2,
+        "PointGeometry": 2,
         "jets_at": 1,
         "vector_field_jets": 2,
         "sample_points": 1,
@@ -372,7 +372,7 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
     calls.update(dict.fromkeys(calls, 0))
     argv = ["report", "--builtin", "cone-flat-fiber", "--potential-k", "c*t", "--const", "c=1"]
     assert cli.main([*argv, "--samples", "8"]) == 0
-    assert calls["jets_at"] == 1 and calls["_geometry"] == 2 and calls["vector_field_jets"] == 1
+    assert calls["jets_at"] == 1 and calls["PointGeometry"] == 2 and calls["vector_field_jets"] == 1
 
 
 def test_non_vertical_sample_is_named(cone):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output schema, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from accr.cli import main
+from accr.cli import build_parser, main
 
 from test_manifold import cone_json
 
@@ -346,3 +347,29 @@ def test_more_pins_than_samples_is_a_usage_error(capsys):
     )
     assert rc == 2 and out == ""
     assert "2 --point pins exceed --samples 1" in err
+
+
+def test_subcommand_options_and_defaults():
+    common = {"input": None, "builtin": None, "samples": 64, "seed": 42, "point": [], "const": [],
+              "tolerance": 1e-9, "format": "table", "output": None}
+    solve = {**common, "metric": "g", "potential_k": None, "expect_soliton": False}
+    expected = {
+        "validate": common,
+        "classify": common,
+        "curvature": {**common, "metric": "g"},
+        "soliton": solve,
+        "verify-paper": common,
+        "report": solve,
+    }
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(expected)
+    for command, defaults in expected.items():
+        options = {s for action in sub.choices[command]._actions for s in action.option_strings}
+        names = {"--" + key.replace("_", "-") for key in defaults if key != "input"}
+        assert options == {"-h", "--help", "-o", *names}, command
+        assert vars(parser.parse_args([command])) == {"command": command, **defaults}, command
+    # the shared options keep no state between parses
+    args = parser.parse_args(["report", "--point", "t=1,u=0,v=0", "--const", "c=2"])
+    assert (args.point, args.const) == (["t=1,u=0,v=0"], ["c=2"])
+    assert vars(parser.parse_args(["validate"])) == {"command": "validate", **common}

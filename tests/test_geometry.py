@@ -1,10 +1,12 @@
 """Connection, curvature, and fundamental-tensor pipeline on the builtins."""
 
-import dataclasses
+import functools
+import json
 
 import numpy as np
 import pytest
 
+from accr import cli, geometry
 from accr.errors import DomainError
 from accr.expr import parse
 from accr.geometry import (
@@ -26,11 +28,20 @@ from accr.geometry import (
 from accr.manifold import load_manifold, sample_points, validate_structure
 from accr.tensor import to_phi_frame
 
-from conftest import OFFDIAG_BINDINGS, associated_metric, fd_gradient, rel_err
+from conftest import OFFDIAG, OFFDIAG_BINDINGS, associated_metric, fd_gradient, rel_err
 from test_manifold import cone_json
 
 POINT = (2.0, 0.3, -0.4)
 COORDS = ("t", "u", "v")
+
+# The array fields of a PointGeometry, in declaration order: the structure
+# fields and the metric with its inverse, which are taken at construction,
+# then the fields computed on first read.
+FIELDS = (
+    "phi", "xi", "eta", "deta", "g", "dg", "ginv",
+    "gamma", "dgamma", "r13", "r04", "ricci", "tau", "tau_star", "nabla_xi", "nabla_eta",
+    "F", "dF", "theta_star", "dtheta_star", "theta_star_xi", "grad_theta_star_xi", "omega",
+)
 
 
 @pytest.fixture(scope="module")
@@ -187,9 +198,16 @@ def test_f_tilde_transfer_route(cone, cone_points):
         assert np.max(np.abs(via - direct)) < 1e-11
 
 
-def test_f_tilde_transfer_detects_perturbation(pg_g, pg_gt):
+def _doctored(S, field, value):
+    """The geometry of g at POINT with one field replaced before its first read."""
+    pg = SampleGeometry(S, [POINT]).of("g")
+    vars(pg)[field] = value
+    return pg
+
+
+def test_f_tilde_transfer_detects_perturbation(cone, pg_g, pg_gt):
     # the two routes are independent: biasing the input F must surface
-    doctored = dataclasses.replace(pg_g, F=pg_g.F * 1.01)
+    doctored = _doctored(cone, "F", pg_g.F * 1.01)
     assert np.max(np.abs(f_tilde_components_from(doctored) - pg_gt.F)) > 1e-4
     assert np.max(np.abs(f_tilde_components_from(pg_g) - pg_gt.F)) < 1e-12
 
@@ -209,7 +227,7 @@ def test_nabla_tilde_routes(cone, cone_points):
 
 
 def test_nabla_tilde_detects_perturbation(cone, pg_g, pg_gt):
-    doctored = dataclasses.replace(pg_g, gamma=pg_g.gamma * 1.01)
+    doctored = _doctored(cone, "gamma", pg_g.gamma * 1.01)
     assert np.max(np.abs(nabla_tilde_components_from(doctored) - pg_gt.gamma)) > 1e-4
 
 
@@ -294,13 +312,54 @@ def test_batch_matches_per_point(request, structure, tag):
     batch = SampleGeometry(S, points, _BINDINGS[structure]).of(tag)
     for k, pt in enumerate(points):
         single = SampleGeometry(S, [pt], _BINDINGS[structure]).of(tag)
-        for field in dataclasses.fields(PointGeometry):
-            if field.name in ("tag", "n"):
-                continue
-            got = getattr(batch, field.name)[k]
-            want = getattr(single, field.name)[0]
-            assert np.shape(got) == np.shape(want), field.name
-            assert rel_err(got, want) <= 1e-13, field.name
+        for field in FIELDS:
+            got = getattr(batch, field)[k]
+            want = getattr(single, field)[0]
+            assert np.shape(got) == np.shape(want), field
+            assert rel_err(got, want) <= 1e-13, field
+
+
+def test_field_list_is_complete(cone):
+    pg = SampleGeometry(cone, [POINT]).of("g")
+    taken = {key for key, value in vars(pg).items() if isinstance(value, np.ndarray)}
+    lazy = {key for key, value in vars(PointGeometry).items()
+            if isinstance(value, functools.cached_property)}
+    assert {key for key in taken | lazy if not key.startswith("_")} == set(FIELDS)
+
+
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag"])
+def test_fields_do_not_depend_on_read_order(request, structure, tag):
+    S = request.getfixturevalue(structure)
+    points = sample_points(S.chart, 6, seed=3)
+    forward = SampleGeometry(S, points, _BINDINGS[structure]).of(tag)
+    backward = SampleGeometry(S, points, _BINDINGS[structure]).of(tag)
+    for field in reversed(FIELDS):
+        getattr(backward, field)
+    for field in FIELDS:
+        a, b = getattr(forward, field), getattr(backward, field)
+        # bit for bit, the sign of zero included
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+def test_soliton_computes_only_the_fields_it_reads(monkeypatch, capsys):
+    built = []
+
+    class Recorded(SampleGeometry):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(geometry, "SampleGeometry", Recorded)
+    argv = ["soliton", "--builtin", "cone-flat-fiber", "--metric", "gtilde",
+            "--potential-k", "ct*t", "--const", "ct=1", "--samples", "8", "--expect-soliton"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    (geo,) = built
+    assert list(geo._geometry) == ["gtilde"]  # the geometry of g was never built
+    computed = set(vars(geo._geometry["gtilde"]))
+    assert {"gamma", "tau"} <= computed
+    assert not {"F", "dF", "r04", "theta_star", "omega"} & computed
 
 
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
@@ -321,6 +380,26 @@ def test_derivative_fields_match_finite_differences(offdiag, tag):
             assert rel_err(getattr(pg, derivative)[0], ref) < 1e-7, derivative
 
 
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+def test_xi_and_eta_jet_terms_match_finite_differences(tag):
+    # OFFDIAG with a non-constant xi as well, so no term on the jets of xi or eta is skipped
+    S = load_manifold(json.dumps(dict(OFFDIAG, xi=["1", "u*v/4", "t/2"])))
+
+    def at(x):
+        return SampleGeometry(S, [x], OFFDIAG_BINDINGS).of(tag)
+
+    for pt in sample_points(S.chart, 4, seed=8):
+        pg = at(pt)
+        ref = fd_gradient(lambda x: at(x).theta_star_xi[0], pt)
+        assert rel_err(pg.grad_theta_star_xi[0], ref) < 1e-7
+        dxi = fd_gradient(lambda x: S.values_at(x, OFFDIAG_BINDINGS).xi, pt)  # [k, i] = d_i xi^k
+        ref = dxi + np.einsum("kis,s->ki", pg.gamma[0], pg.xi[0])
+        assert rel_err(pg.nabla_xi[0], ref) < 1e-7
+        deta = fd_gradient(lambda x: S.values_at(x, OFFDIAG_BINDINGS).eta, pt)  # [j, i] = d_i eta_j
+        ref = deta.T - np.einsum("sij,s->ij", pg.gamma[0], pg.eta[0])
+        assert rel_err(pg.nabla_eta[0], ref) < 1e-7
+
+
 def test_batch_is_read_only(cone, cone_points):
     geo = SampleGeometry(cone, cone_points)
     batch = geo.of("g")
@@ -332,6 +411,10 @@ def test_batch_is_read_only(cone, cone_points):
         geo.of("gtilde").ginv[0, 0, 0] += 1.0
     with pytest.raises(ValueError):
         geo.points[0, 0] = 1.0
+    for field in FIELDS:
+        assert not getattr(batch, field).flags.writeable, field
+    with pytest.raises(AttributeError):
+        batch.gamma = np.zeros_like(batch.gamma)
     # the sample set is a copy: the caller's points stay writable and unshared
     assert cone_points.flags.writeable and not np.shares_memory(geo.points, cone_points)
 

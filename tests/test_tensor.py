@@ -47,6 +47,9 @@ def test_metric_invert_errors():
     for g in (zero, rank_two):
         with pytest.raises(SingularMetric):
             SampleGeometry(load_manifold(cone_json(g=g)), [POINT]).of("g")
+    # g~ = eta (x) eta where g = 0: raised by of(), before any field is read
+    with pytest.raises(SingularMetric):
+        SampleGeometry(load_manifold(cone_json(g=zero)), [POINT]).of("gtilde")
 
 
 def test_to_phi_frame_metric(cone, cone_values):

@@ -269,6 +269,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"accr: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"accr: out of memory for --samples {args.samples}; use fewer samples", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:  # console-script hook

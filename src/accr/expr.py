@@ -20,6 +20,7 @@ therefore requires a positive base at evaluation time.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
@@ -261,6 +262,36 @@ def _evaluate(node: Node, coord_values, bindings: Mapping[str, float]):
     return _div(left, right)
 
 
+def _evaluate_finite(expression: "Expression", coordinates, bindings: Mapping[str, float]):
+    """_evaluate with numpy's overflow and invalid warnings off; a non-finite result is a DomainError.
+
+    `coordinates` are the d coordinate values or jets; the error names the
+    expression and the first sample at which its value or a derivative is
+    not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _evaluate(expression.ast, coordinates, bindings)
+        jet = isinstance(result, Jet2)
+        if jet:
+            total = result.value.sum() + result.grad.sum() + result.hess.sum()
+        else:
+            total = result.sum() if isinstance(result, np.ndarray) else result
+    if math.isfinite(total):  # an inf or NaN anywhere makes the sum non-finite
+        return result
+    if jet:
+        finite = (np.isfinite(result.value) & np.isfinite(result.grad).all(axis=-1)
+                  & np.isfinite(result.hess).all(axis=(-2, -1)))
+    else:
+        finite = np.isfinite(result)
+    if finite.all():  # only the sum overflowed
+        return result
+    values = [c.value if isinstance(c, Jet2) else c for c in coordinates]
+    batch = np.shape(values[0])
+    k = int(np.argmin(np.broadcast_to(finite, batch).ravel()))  # the first sample that is not finite
+    where = ", ".join(f"{c}={float(np.ravel(v)[k])!r}" for c, v in zip(expression.coords, values))
+    raise DomainError(f"{expression.unparse()} is not finite at " + (f"sample {k} ({where})" if batch else where))
+
+
 def _nodes(node: Node):
     """The node and all its descendants, parents first, left to right."""
     yield node
@@ -335,7 +366,7 @@ class Expression:
         """
         d = len(self.coords)
         values = _coordinates(point, d)
-        result = _evaluate(self.ast, [values[..., i] for i in range(d)], bindings or {})
+        result = _evaluate_finite(self, [values[..., i] for i in range(d)], bindings or {})
         if values.ndim == 1:
             return float(result)
         return np.full(values.shape[:-1], result, dtype=float)
@@ -353,7 +384,7 @@ class Expression:
             seeds = point
         else:
             seeds = _coordinate_jets(point, d)
-        result = _evaluate(self.ast, seeds, bindings or {})
+        result = _evaluate_finite(self, seeds, bindings or {})
         if not isinstance(result, Jet2):
             result = Jet2.constant(result, d, seeds[0].value.shape)
         return result
@@ -388,7 +419,7 @@ def eval_jets(
     for m, e in enumerate(expressions):
         if e.ast not in results:
             coordinate_free = not any(isinstance(node, Coord) for node in _nodes(e.ast))
-            results[e.ast] = _evaluate(e.ast, seeds, b) if coordinate_free else e.eval_jet(seeds, b)
+            results[e.ast] = _evaluate_finite(e, seeds, b) if coordinate_free else e.eval_jet(seeds, b)
         positions.setdefault(e.ast, []).append(m)
     shape = seeds[0].value.shape + (len(expressions),)
     value = np.empty(shape)

@@ -195,19 +195,6 @@ class PointGeometry:
         return np.einsum("...kz,...kji->...ijz", self.g, self._cov_phi)
 
     @_field
-    def dF(self):  # [i,j,z,m]
-        gamma, dgamma, phi, dphi = self.gamma, self.dgamma, self.phi, self._dphi
-        dcov_phi = _plus(self._d2phi, np.einsum("...kism,...sj->...kjim", dgamma, phi, optimize=True))
-        if dphi.any():
-            dcov_phi = dcov_phi + np.einsum("...kis,...sjm->...kjim", gamma, dphi, optimize=True)
-        dcov_phi = dcov_phi - np.einsum("...sijm,...ks->...kjim", dgamma, phi, optimize=True)
-        if dphi.any():
-            dcov_phi = dcov_phi - np.einsum("...sij,...ksm->...kjim", gamma, dphi, optimize=True)
-        return np.einsum("...kzm,...kji->...ijzm", self.dg, self._cov_phi, optimize=True) + np.einsum(
-            "...kz,...kjim->...ijzm", self.g, dcov_phi, optimize=True
-        )
-
-    @_field
     def _ginv_phi(self):
         return np.einsum("...ij,...sj->...is", self.ginv, self.phi)
 
@@ -217,11 +204,26 @@ class PointGeometry:
 
     @_field
     def dtheta_star(self):  # [z,m] = d_m theta_star[z]
-        F, dphi = self.F, self._dphi
-        out = np.einsum("...ims,...isz->...zm", np.einsum("...ijm,...sj->...ims", self._dginv, self.phi), F)
-        if dphi.any():
+        # theta_star[z] = G[i,s] F[i,s,z] with G = ginv phi^T, and F[i,s,z] = g[k,z] cov_phi[k,s,i].
+        # G is contracted into cov_phi and its derivative before the product rule, so no
+        # array of d_m F is built.
+        F, phi, dphi, G = self.F, self.phi, self._dphi, self._ginv_phi
+        gamma, dgamma, varying_phi = self.gamma, self.dgamma, dphi.any()
+        out = np.einsum("...ims,...isz->...zm", np.einsum("...ijm,...sj->...ims", self._dginv, phi), F)
+        if varying_phi:
             out = out + np.einsum("...ism,...isz->...zm", np.einsum("...ij,...sjm->...ism", self.ginv, dphi), F)
-        return out + np.einsum("...is,...iszm->...zm", self._ginv_phi, self.dF)
+        q = np.einsum("...is,...ksi->...k", G, self._cov_phi)  # [k] = G[i,s] cov_phi[k,s,i]
+        # y[k,m] = G[i,s] d_m cov_phi[k,s,i], term by term of d_m cov_phi
+        y = _plus(
+            np.einsum("...is,...ksim->...km", G, self._d2phi),
+            np.einsum("...it,...kitm->...km", np.einsum("...is,...ts->...it", G, phi), dgamma),
+        )
+        if varying_phi:
+            y = y + np.einsum("...kit,...itm->...km", gamma, np.einsum("...is,...tsm->...itm", G, dphi))
+        y = y - np.einsum("...kt,...tm->...km", phi, np.einsum("...is,...tism->...tm", G, dgamma))
+        if varying_phi:
+            y = y - np.einsum("...ktm,...t->...km", dphi, np.einsum("...is,...tis->...t", G, gamma))
+        return out + (np.einsum("...kzm,...k->...zm", self.dg, q) + np.einsum("...kz,...km->...zm", self.g, y))
 
     @_field
     def theta_star_xi(self):

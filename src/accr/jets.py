@@ -56,7 +56,9 @@ class Jet2:
         d = grad.shape[-1] if grad.ndim == value.ndim + 1 else -1
         if grad.shape != value.shape + (d,) or hess.shape != grad.shape + (d,):
             raise ValueError("jet gradient must be value.shape + (d,), hessian grad.shape + (d,)")
-        if not np.array_equal(hess, np.swapaxes(hess, -1, -2)):
+        swapped = np.swapaxes(hess, -1, -2)
+        # an overflowed jet is symmetric when its NaNs mirror each other (NaN != NaN)
+        if not (np.array_equal(hess, swapped) or np.array_equal(hess, swapped, equal_nan=True)):
             raise ValueError("jet hessian must be exactly symmetric")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "grad", grad)
@@ -220,7 +222,10 @@ def _unary(name, scalar_fn, value_fn, d1_fn, d2_fn, value_domain=None, jet_domai
         v = float(x)
         if value_domain is not None:
             value_domain(v)
-        return scalar_fn(v)
+        try:
+            return scalar_fn(v)
+        except (OverflowError, ValueError):  # exp of a large number, sin of an infinity
+            return float(value_fn(np.float64(v)))  # inf or NaN, as on a batch
 
     apply.__name__ = name
     apply.__qualname__ = name

@@ -6,8 +6,9 @@ without decoding internal naming.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from math import copysign, inf
 
 import numpy as np
 
@@ -17,6 +18,9 @@ VERDICT_DEGENERATE = "degenerate"
 VERDICT_NA = "n/a"
 
 _VERDICTS = (VERDICT_PASS, VERDICT_FAIL, VERDICT_DEGENERATE, VERDICT_NA)
+
+_INFINITE = {inf: "Infinity", -inf: "-Infinity"}
+_FLOAT = frozenset((float,))
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _dumps(self.to_dict())
 
     def to_table(self) -> str:
         lines = [f"manifold: {self.manifold}"]
@@ -91,3 +95,55 @@ class Report:
 
     def failed(self) -> list[CheckRecord]:
         return [c for c in self.checks if c.verdict == VERDICT_FAIL]
+
+
+def _dumps(obj) -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    Dict keys must be str; any other key, and any value json.dumps rejects,
+    raises TypeError.  Each distinct nonzero float is spelled once per call;
+    a zero is spelled by its sign, since 0.0 and -0.0 are one dict key.  A
+    list of plain floats, such as a record's samples, is joined in one pass.
+    """
+    spelled: dict[float, str] = {}
+
+    def number(x: float) -> str:
+        if not x:
+            return "-0.0" if copysign(1.0, x) < 0.0 else "0.0"
+        text = spelled.get(x)
+        if text is None:
+            if x != x:
+                return "NaN"
+            text = spelled[x] = _INFINITE.get(x) or float.__repr__(x)
+        return text
+
+    def encode(o, indent: str) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return number(o)
+        inner = indent + "  "
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            if _FLOAT.issuperset(map(type, o)):
+                items = map(number, o)
+            else:
+                items = [encode(v, inner) for v in o]
+            return "[" + inner + ("," + inner).join(items) + indent + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            items = [encode_basestring_ascii(key) + ": " + encode(o[key], inner) for key in sorted(o)]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    return encode(obj, "\n")

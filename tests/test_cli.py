@@ -72,6 +72,26 @@ def test_json_output_is_deterministic(capsys):
     assert d1 == d2
 
 
+_CONE_N2_FILE = str(Path(__file__).resolve().parent.parent / "perfbench" / "cone_n2.json")
+_COMMANDS = (
+    ["validate"],
+    ["classify"],
+    ["curvature", "--metric", "gtilde"],
+    ["soliton", "--potential-k", "t"],
+    ["report", "--potential-k", "t"],
+)
+
+
+@pytest.mark.parametrize("source", [CONE, ["--builtin", "flat-cosymplectic"], [_CONE_N2_FILE]],
+                         ids=["cone", "flat", "cone_n2"])
+def test_json_output_is_json_dumps_indent_2_sorted(capsys, source):
+    commands = _COMMANDS + ((["verify-paper"],) if source == CONE else ())
+    for command in commands:
+        rc, out, err = run(capsys, *command, *source, "--samples", "5", "--format", "json")
+        assert rc == 0 and err == "", command
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", command
+
+
 def test_validate_broken_structure(capsys, broken_phi_file):
     rc, data, _ = run_json(capsys, "validate", broken_phi_file, "--samples", "8")
     assert rc == 1
@@ -171,6 +191,42 @@ def test_soliton_zero_potential_exit_code(capsys):
     rc, _, err = run(capsys, "soliton", *CONE, "--samples", "4", "--potential-k", "0")
     assert rc == 1
     assert "ZeroPotential" in err
+
+
+@pytest.mark.parametrize("potential", ["t^1000", "exp(800*t)"])
+def test_soliton_overflowing_potential_is_a_domain_error(capsys, potential):
+    rc, out, err = run(capsys, "soliton", *CONE, "--potential-k", potential, "--samples", "3")
+    assert rc == 2 and out == ""
+    assert err.startswith("accr: DomainError: ") and "is not finite at sample 0 (t=" in err
+    assert err.count("\n") == 1  # no warning, no traceback
+
+
+def test_curvature_overflowing_metric_is_a_domain_error(capsys, tmp_path):
+    g = [["1", "0", "0"], ["0", "exp(1000*t)", "0"], ["0", "0", "-t^2"]]
+    path = tmp_path / "overflow.json"
+    path.write_text(cone_json(g=g), encoding="utf-8")
+    for command in ("curvature", "validate"):
+        rc, out, err = run(capsys, command, str(path), "--samples", "3")
+        assert rc == 2 and out == ""
+        assert err.startswith("accr: DomainError: exp(1000.0*t) is not finite at sample 0 (t=")
+        assert err.count("\n") == 1
+
+
+def _kernel_refuses_oversized_requests() -> bool:
+    """Linux overcommit modes 0 and 2 refuse one request larger than memory and swap."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() in ("0", "2")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _kernel_refuses_oversized_requests(),
+                    reason="the kernel may grant the request, and filling it would exhaust memory")
+def test_too_many_samples_for_memory_is_a_usage_error(capsys):
+    # numpy asks for 745 GiB at once and is refused; nothing is allocated
+    rc, out, err = run(capsys, "validate", *CONE, "--samples", "100000000000")
+    assert rc == 2 and out == ""
+    assert err == "accr: out of memory for --samples 100000000000; use fewer samples\n"
 
 
 def test_curvature_singular_metric_exit_code(capsys, tmp_path):

@@ -135,6 +135,30 @@ def test_division_by_zero():
         parse("u/(t-t)", COORDS).eval_jet((1.0, 1.0, 1.0))
 
 
+def test_overflow_is_a_domain_error_naming_the_first_sample():
+    points = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [4.0, 0.5, 0.0]])
+    e = parse("exp(300*t)", COORDS)  # finite at t = 1 only
+    for evaluate in (e.eval_number, e.eval_jet, lambda p: eval_jets([e], p)):
+        with pytest.raises(DomainError, match=r"^exp\(300\.0\*t\) is not finite at sample 1 \(t=3\.0, u=0\.0, v=0\.0\)$"):
+            evaluate(points)
+    with pytest.raises(DomainError, match=r"^exp\(300\.0\*t\) is not finite at t=3\.0, u=0\.0, v=0\.0$"):
+        e.eval_number(points[1])
+    # inf - inf is NaN in the value; t^1000 leaves NaN (inf * 0) in a symmetric Hessian
+    with pytest.raises(DomainError, match="at sample 1 "):
+        parse("exp(300*t) - exp(300*t)", COORDS).eval_number(points)
+    with pytest.raises(DomainError, match="at sample 0 "):
+        parse("t^1000", COORDS).eval_jet(points[1:])
+    # finite values whose sum overflows are no error
+    big = parse("t*1e308", COORDS)
+    near = np.array([[1.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    assert big.eval_number(near).tolist() == [1e308, 1.5e308]
+    assert big.eval_jet(near).grad[:, 0].tolist() == [1e308, 1e308]
+    # a coordinate-free expression fails at every sample, the first included
+    for text in ("exp(1000)", "sin(10^400)"):
+        with pytest.raises(DomainError, match="at sample 0 "):
+            eval_jets([parse(text, COORDS)], points)
+
+
 def test_constant_only_expression_jets():
     j = parse("3.5", COORDS).eval_jet((1.0, 2.0, 3.0))
     assert j.value == 3.5 and not j.grad.any() and not j.hess.any()

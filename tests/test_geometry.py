@@ -40,7 +40,7 @@ COORDS = ("t", "u", "v")
 FIELDS = (
     "phi", "xi", "eta", "deta", "g", "dg", "ginv",
     "gamma", "dgamma", "r13", "r04", "ricci", "tau", "tau_star", "nabla_xi", "nabla_eta",
-    "F", "dF", "theta_star", "dtheta_star", "theta_star_xi", "grad_theta_star_xi", "omega",
+    "F", "theta_star", "dtheta_star", "theta_star_xi", "grad_theta_star_xi", "omega",
 )
 
 
@@ -289,7 +289,6 @@ def test_point_geometry_shapes(pg_g):
     assert pg_g.r04.shape == (1, 3, 3, 3, 3)
     assert pg_g.dgamma.shape == (1, 3, 3, 3, 3)
     assert pg_g.F.shape == (1, 3, 3, 3)
-    assert pg_g.dF.shape == (1, 3, 3, 3, 3)
     assert pg_g.nabla_eta.shape == (1, 3, 3)
     assert pg_g.tau.shape == pg_g.theta_star_xi.shape == (1,)
 
@@ -359,7 +358,7 @@ def test_soliton_computes_only_the_fields_it_reads(monkeypatch, capsys):
     assert list(geo._geometry) == ["gtilde"]  # the geometry of g was never built
     computed = set(vars(geo._geometry["gtilde"]))
     assert {"gamma", "tau"} <= computed
-    assert not {"F", "dF", "r04", "theta_star", "omega"} & computed
+    assert not {"F", "r04", "theta_star", "omega"} & computed
 
 
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
@@ -372,7 +371,6 @@ def test_derivative_fields_match_finite_differences(offdiag, tag):
         pg = at(pt)
         for field, derivative in (
             ("gamma", "dgamma"),
-            ("F", "dF"),
             ("theta_star", "dtheta_star"),
             ("theta_star_xi", "grad_theta_star_xi"),
         ):
@@ -381,15 +379,42 @@ def test_derivative_fields_match_finite_differences(offdiag, tag):
 
 
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag"])
+def test_dtheta_star_matches_the_full_derivative_of_F(request, structure, tag):
+    # The reference route builds d_m F[i,j,z] in full and contracts it last;
+    # the field contracts ginv phi^T into cov_phi and its derivative first.
+    S = request.getfixturevalue(structure)
+    pg = SampleGeometry(S, sample_points(S.chart, 8, seed=4), _BINDINGS[structure]).of(tag)
+    phi, dphi, gamma, dgamma = pg.phi, pg._dphi, pg.gamma, pg.dgamma
+    dcov_phi = (
+        pg._d2phi
+        + np.einsum("...kism,...sj->...kjim", dgamma, phi)
+        + np.einsum("...kis,...sjm->...kjim", gamma, dphi)
+        - np.einsum("...sijm,...ks->...kjim", dgamma, phi)
+        - np.einsum("...sij,...ksm->...kjim", gamma, dphi)
+    )
+    dF = np.einsum("...kzm,...kji->...ijzm", pg.dg, pg._cov_phi) + np.einsum(
+        "...kz,...kjim->...ijzm", pg.g, dcov_phi
+    )
+    dginv_phi = np.einsum("...ijm,...sj->...ism", pg._dginv, phi) + np.einsum("...ij,...sjm->...ism", pg.ginv, dphi)
+    ref = np.einsum("...ism,...isz->...zm", dginv_phi, pg.F) + np.einsum("...is,...iszm->...zm", pg._ginv_phi, dF)
+    assert rel_err(pg.dtheta_star, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
 def test_xi_and_eta_jet_terms_match_finite_differences(tag):
-    # OFFDIAG with a non-constant xi as well, so no term on the jets of xi or eta is skipped
-    S = load_manifold(json.dumps(dict(OFFDIAG, xi=["1", "u*v/4", "t/2"])))
+    # OFFDIAG with a non-constant xi, and phi varying inside the fiber block as
+    # well, so no term on the jets of phi, xi or eta is skipped or vanishes
+    phi = [["0", "0", "0"], ["u*v/4", "0", "-1-t*u/8"], ["2*c", "1+v*t/8", "0"]]
+    S = load_manifold(json.dumps(dict(OFFDIAG, xi=["1", "u*v/4", "t/2"], phi=phi)))
 
     def at(x):
         return SampleGeometry(S, [x], OFFDIAG_BINDINGS).of(tag)
 
     for pt in sample_points(S.chart, 4, seed=8):
         pg = at(pt)
+        ref = fd_gradient(lambda x: at(x).theta_star[0], pt)
+        assert rel_err(pg.dtheta_star[0], ref) < 1e-7
         ref = fd_gradient(lambda x: at(x).theta_star_xi[0], pt)
         assert rel_err(pg.grad_theta_star_xi[0], ref) < 1e-7
         dxi = fd_gradient(lambda x: S.values_at(x, OFFDIAG_BINDINGS).xi, pt)  # [k, i] = d_i xi^k

@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accr.report import (
     VERDICT_FAIL,
@@ -10,6 +13,7 @@ from accr.report import (
     VERDICT_PASS,
     CheckRecord,
     Report,
+    _dumps,
     record_from_residual,
 )
 
@@ -65,3 +69,51 @@ def test_report_table():
 def test_report_failed():
     rep = _report()
     assert [c.name for c in rep.failed()] == ["beta"]
+
+
+# Report-shaped values: str-keyed dicts, lists and tuples, floats of every
+# kind (plain, numpy, signed zeros, NaN, infinities), ints, bools, None,
+# and strings with non-ASCII and control characters.
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 2.0**-1074, 1e16]),
+    st.floats().map(np.float64),
+)
+_scalars = st.one_of(
+    _floats, st.integers(), st.booleans(), st.none(), st.text(), st.just("\x00\x1f\u00e9\u2603\U0001f600")
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(_floats),  # a record's samples
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_values)
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), [1.0, np.int64(3)], {"a": {"b": np.int64(3)}}])
+def test_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+def test_writer_takes_only_str_keys():
+    with pytest.raises(TypeError):
+        _dumps({1: 2.0})
+
+
+def test_writer_keeps_the_sign_of_zero_after_a_repeated_value():
+    value = [0.0, -0.0, 1.5, 1.5, -0.0, float("nan"), float("nan"), 0.0]
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert _dumps({"a": [-0.0], "b": [0.0]}) == json.dumps({"a": [-0.0], "b": [0.0]}, indent=2)

@@ -212,12 +212,14 @@ def vertical_potential(S: AccRStructure, k_field: Expression | str) -> tuple[Exp
     """Component expressions of k * xi for a scalar field k.
 
     A component where xi is the literal 0 is the literal 0, which the jet
-    evaluation folds, rather than k * 0.
+    evaluation folds, rather than k * 0; where xi is the literal 1 it is k,
+    whose errors then name k, rather than k * 1 (the same numbers: x * 1.0 is x).
     """
     if isinstance(k_field, str):
         k_field = parse(k_field, S.chart.coordinates, S.chart.constants)
     return tuple(
-        component if component.ast == Num(0.0) else multiply(k_field, component)
+        component if component.ast == Num(0.0) else k_field if component.ast == Num(1.0)
+        else multiply(k_field, component)
         for component in S.xi
     )
 

@@ -40,7 +40,11 @@ class UnboundConstant(ExprError):
 
 
 class DomainError(AccrError):
-    """Evaluation left the mathematical domain (ln/sqrt/division/boundary)."""
+    """Evaluation left the mathematical domain (ln/sqrt/division/boundary); `bad` marks the samples at fault."""
+
+    def __init__(self, message: str, bad=None):
+        super().__init__(message)
+        self.bad = bad
 
 
 class DimensionMismatch(AccrError):

@@ -46,6 +46,7 @@ __all__ = [
     "Call",
     "Expression",
     "eval_jets",
+    "eval_numbers",
     "parse",
     "multiply",
 ]
@@ -227,8 +228,8 @@ def _literal_int_exponent(node: Node) -> int | None:
 def _div(left, right):
     if isinstance(left, Jet2) or isinstance(right, Jet2):
         return left / right
-    if np.any(np.asarray(right) == 0.0):
-        raise DomainError("division by zero")
+    if (zero := np.asarray(right) == 0.0).any():
+        raise DomainError("division by zero", zero)
     return left / right
 
 
@@ -265,12 +266,16 @@ def _evaluate(node: Node, coord_values, bindings: Mapping[str, float]):
 def _evaluate_finite(expression: "Expression", coordinates, bindings: Mapping[str, float]):
     """_evaluate with numpy's overflow and invalid warnings off; a non-finite result is a DomainError.
 
-    `coordinates` are the d coordinate values or jets; the error names the
-    expression and the first sample at which its value or a derivative is
-    not finite.
+    `coordinates` are the d coordinate values or jets.  Every DomainError,
+    for a value or derivative that is not finite or for an argument outside
+    the domain of the arithmetic, names the expression and the first
+    offending sample.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        result = _evaluate(expression.ast, coordinates, bindings)
+        try:
+            result = _evaluate(expression.ast, coordinates, bindings)
+        except DomainError as exc:
+            raise DomainError(f"{expression.unparse()}: {exc}{_at(expression, coordinates, exc.bad)}") from None
         jet = isinstance(result, Jet2)
         if jet:
             total = result.value.sum() + result.grad.sum() + result.hess.sum()
@@ -285,11 +290,16 @@ def _evaluate_finite(expression: "Expression", coordinates, bindings: Mapping[st
         finite = np.isfinite(result)
     if finite.all():  # only the sum overflowed
         return result
+    raise DomainError(f"{expression.unparse()} is not finite{_at(expression, coordinates, ~finite)}")
+
+
+def _at(expression: "Expression", coordinates, bad) -> str:
+    """' at sample K (x=..., ...)' for the first sample K that `bad` (None: all) marks, or ' at x=...'."""
     values = [c.value if isinstance(c, Jet2) else c for c in coordinates]
     batch = np.shape(values[0])
-    k = int(np.argmin(np.broadcast_to(finite, batch).ravel()))  # the first sample that is not finite
+    k = int(np.argmax(np.broadcast_to(True if bad is None else bad, batch).ravel()))
     where = ", ".join(f"{c}={float(np.ravel(v)[k])!r}" for c, v in zip(expression.coords, values))
-    raise DomainError(f"{expression.unparse()} is not finite at " + (f"sample {k} ({where})" if batch else where))
+    return f" at sample {k} ({where})" if batch else f" at {where}"
 
 
 def _nodes(node: Node):
@@ -399,6 +409,15 @@ class Expression:
         return self.unparse()
 
 
+def _distinct(expressions: Sequence[Expression]):
+    """Per distinct AST, in order of first occurrence: an expression carrying it, its positions,
+    and whether it reads a coordinate (if not, it folds to its number)."""
+    found: dict[Node, tuple[Expression, list[int]]] = {}
+    for m, e in enumerate(expressions):
+        found.setdefault(e.ast, (e, []))[1].append(m)
+    return [(e, where, any(isinstance(n, Coord) for n in _nodes(e.ast))) for e, where in found.values()]
+
+
 def eval_jets(
     expressions: Sequence[Expression], point, bindings: Mapping[str, float] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -414,26 +433,39 @@ def eval_jets(
     d = len(expressions[0].coords)
     seeds = _coordinate_jets(point, d)
     b = bindings or {}
-    results: dict[Node, Jet2 | float] = {}
-    positions: dict[Node, list[int]] = {}
-    for m, e in enumerate(expressions):
-        if e.ast not in results:
-            coordinate_free = not any(isinstance(node, Coord) for node in _nodes(e.ast))
-            results[e.ast] = _evaluate_finite(e, seeds, b) if coordinate_free else e.eval_jet(seeds, b)
-        positions.setdefault(e.ast, []).append(m)
     shape = seeds[0].value.shape + (len(expressions),)
     value = np.empty(shape)
     grad = np.zeros(shape + (d,))
     hess = np.zeros(shape + (d, d))
-    for ast, result in results.items():
-        where = positions[ast]
-        if isinstance(result, Jet2):
-            value[..., where] = result.value[..., None]
-            grad[..., where, :] = result.grad[..., None, :]
-            hess[..., where, :, :] = result.hess[..., None, :, :]
+    for e, where, reads_coordinates in _distinct(expressions):
+        if reads_coordinates:
+            jet = e.eval_jet(seeds, b)
+            value[..., where] = jet.value[..., None]
+            grad[..., where, :] = jet.grad[..., None, :]
+            hess[..., where, :, :] = jet.hess[..., None, :, :]
         else:
-            value[..., where] = result
+            value[..., where] = _evaluate_finite(e, seeds, b)
     return value, grad, hess
+
+
+def eval_numbers(
+    expressions: Sequence[Expression], point, bindings: Mapping[str, float] | None = None
+) -> np.ndarray:
+    """Values [..., m] of several expressions, evaluated as `eval_jets` evaluates them.
+
+    Every value equals that of `Expression.eval_number`.
+    """
+    d = len(expressions[0].coords)
+    values = _coordinates(point, d)
+    columns = [values[..., i] for i in range(d)]
+    b = bindings or {}
+    out = np.empty(values.shape[:-1] + (len(expressions),))
+    for e, where, reads_coordinates in _distinct(expressions):
+        if reads_coordinates:
+            out[..., where] = np.asarray(e.eval_number(values, b))[..., None]
+        else:
+            out[..., where] = _evaluate_finite(e, columns, b)
+    return out
 
 
 def parse(source: str, coords: Iterable[str], constants: Iterable[str] = ()) -> Expression:

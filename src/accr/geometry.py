@@ -37,7 +37,7 @@ from .manifold import (
     StructureJets,
     associated_metric_jets,
 )
-from .tensor import _congruence, _dot, _max_abs
+from .tensor import _congruence, _dot, _mat, _max_abs
 
 __all__ = [
     "PointGeometry",
@@ -113,14 +113,15 @@ class PointGeometry:
     def grad_h(self) -> np.ndarray:
         return self.grad_theta_star_xi / (2 * self.n)
 
-    # Contractions that span five or more indices per sample take numpy's
-    # optimized einsum, which contracts by batched matmul; the smaller ones
-    # stay plain, where the path search costs more than it saves.
+    # A contraction over four or more indices per sample is a batched matmul on
+    # reshaped operands, oriented to read the larger one contiguously; vector-sized
+    # contractions stay einsums, which are fastest there.
 
     @_field
-    def _dginv(self):  # [k,l,m] = d_m g^{kl}
+    def _dginv(self):  # [k,l,m] = d_m g^{kl} = -g^{ka} d_m g_{ab} g^{bl}
         ginv = self.ginv
-        return -np.einsum("...kbm,...bl->...klm", np.einsum("...ka,...abm->...kbm", ginv, self.dg), ginv)
+        t = (ginv @ _mat(self.dg, 1, 2)).reshape(self.dg.shape)  # [k,b,m]
+        return -(ginv[:, None] @ t)  # g^{lb} t[k,b,m], g^-1 being symmetric
 
     @_field
     def _koszul(self):  # C[l,i,j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
@@ -133,34 +134,38 @@ class PointGeometry:
 
     @_field
     def gamma(self):
-        return 0.5 * np.einsum("...kl,...lij->...kij", self.ginv, self._koszul)
+        return 0.5 * (self.ginv @ _mat(self._koszul, 1, 2)).reshape(self._koszul.shape)
 
     @_field
     def dgamma(self):
-        d2g = self._d2g
+        d2g, C = self._d2g, self._koszul
         dC = (
             np.einsum("...jlim->...lijm", d2g)
             + np.einsum("...iljm->...lijm", d2g)
             - np.einsum("...ijlm->...lijm", d2g)
         )
+        Ct = np.swapaxes(_mat(C, 1, 2), -1, -2)  # [(i,j),l]
         return 0.5 * (
-            np.einsum("...klm,...lij->...kijm", self._dginv, self._koszul, optimize=True)
-            + np.einsum("...kl,...lijm->...kijm", self.ginv, dC, optimize=True)
+            (Ct[:, None] @ self._dginv).reshape(dC.shape)  # per k: C[l,ij] d_m g^{kl}
+            + (self.ginv @ _mat(dC, 1, 3)).reshape(dC.shape)
         )
 
     @_field
     def r13(self):
         dgamma, gamma = self.dgamma, self.gamma
+        # both gamma.gamma terms read one product: P[l,i,j,k] = Gamma^l_{im} Gamma^m_{jk}
+        P = (_mat(gamma, 2, 1) @ _mat(gamma, 1, 2)).reshape(dgamma.shape)
         return (
             np.einsum("...ljki->...lkij", dgamma)
             - np.einsum("...likj->...lkij", dgamma)
-            + np.einsum("...lim,...mjk->...lkij", gamma, gamma, optimize=True)
-            - np.einsum("...ljm,...mik->...lkij", gamma, gamma, optimize=True)
+            + np.einsum("...lijk->...lkij", P)
+            - np.einsum("...ljik->...lkij", P)
         )
 
     @_field
-    def r04(self):
-        return np.einsum("...lw,...lkij->...ijkw", self.g, self.r13, optimize=True)
+    def r04(self):  # g_{lw} R^l_{kij}, computed as [w,k,i,j] and read as [i,j,k,w]
+        r = (np.swapaxes(self.g, -1, -2) @ _mat(self.r13, 1, 3)).reshape(self.r13.shape)
+        return np.einsum("...wkij->...ijkw", r)
 
     @_field
     def ricci(self):
@@ -184,15 +189,16 @@ class PointGeometry:
         return np.einsum("...jm->...mj", self.deta) - np.einsum("...sij,...s->...ij", self.gamma, self.eta)
 
     @_field
-    def _cov_phi(self):  # [k,j,i] = (nabla_i phi)^k_j
+    def _cov_phi(self):  # [k,j,i] = (nabla_i phi)^k_j, a view of the [k,i,j] array that F reads
         gamma, phi = self.gamma, self.phi
-        return _plus(self._dphi, np.einsum("...kis,...sj->...kji", gamma, phi)) - np.einsum(
-            "...sij,...ks->...kji", gamma, phi
-        )
+        gamma_phi = (_mat(gamma, 2, 1) @ phi).reshape(gamma.shape)  # [k,i,j] = Gamma^k_{is} phi^s_j
+        phi_gamma = (phi @ _mat(gamma, 1, 2)).reshape(gamma.shape)  # [k,i,j] = phi^k_s Gamma^s_{ij}
+        return np.swapaxes(_plus(np.swapaxes(self._dphi, -1, -2), gamma_phi) - phi_gamma, -1, -2)
 
     @_field
-    def F(self):  # [i,j,z]
-        return np.einsum("...kz,...kji->...ijz", self.g, self._cov_phi)
+    def F(self):  # [i,j,z] = g_{kz} cov_phi[k,j,i]
+        cov = np.swapaxes(self._cov_phi, -1, -2)  # [k,i,j], contiguous
+        return (np.swapaxes(_mat(cov, 1, 2), -1, -2) @ self.g).reshape(cov.shape)
 
     @_field
     def _ginv_phi(self):
@@ -209,18 +215,22 @@ class PointGeometry:
         # array of d_m F is built.
         F, phi, dphi, G = self.F, self.phi, self._dphi, self._ginv_phi
         gamma, dgamma, varying_phi = self.gamma, self.dgamma, dphi.any()
-        out = np.einsum("...ims,...isz->...zm", np.einsum("...ijm,...sj->...ims", self._dginv, phi), F)
-        if varying_phi:
-            out = out + np.einsum("...ism,...isz->...zm", np.einsum("...ij,...sjm->...ism", self.ginv, dphi), F)
+        Ft = np.swapaxes(_mat(F, 2, 1), -1, -2)  # [z,(i,s)]
+        out = Ft @ _mat(phi[:, None] @ self._dginv, 2, 1)  # phi[s,j] d_m g^{ij}, as [i,s,m]
+        if varying_phi:  # g^{ij} d_m phi[s,j], as [i,s,m]
+            dG = (self.ginv @ _mat(np.swapaxes(dphi, -3, -2), 1, 2)).reshape(dphi.shape)
+            out = out + Ft @ _mat(dG, 2, 1)
         q = np.einsum("...is,...ksi->...k", G, self._cov_phi)  # [k] = G[i,s] cov_phi[k,s,i]
-        # y[k,m] = G[i,s] d_m cov_phi[k,s,i], term by term of d_m cov_phi
-        y = _plus(
-            np.einsum("...is,...ksim->...km", G, self._d2phi),
-            np.einsum("...it,...kitm->...km", np.einsum("...is,...ts->...it", G, phi), dgamma),
-        )
-        if varying_phi:
-            y = y + np.einsum("...kit,...itm->...km", gamma, np.einsum("...is,...tsm->...itm", G, dphi))
-        y = y - np.einsum("...kt,...tm->...km", phi, np.einsum("...is,...tism->...tm", G, dgamma))
+        # y[k,m] = G[i,s] d_m cov_phi[k,s,i], term by term of d_m cov_phi; the two
+        # dgamma terms read one product, of dgamma with G phi^T and with G
+        Gphi = np.einsum("...is,...ts->...it", G, phi)
+        both = np.stack([Gphi, G], axis=1).reshape(len(G), 1, 2, -1) @ _mat(dgamma, 2, 1)
+        y = both[:, :, 0]
+        if self._d2phi.any():  # G[i,s] d2phi[k,s,i,m]
+            y = _plus((_mat(np.swapaxes(G, -1, -2), 0, 2)[:, None] @ _mat(self._d2phi, 2, 1))[:, :, 0], y)
+        if varying_phi:  # gamma[k,i,t] G[i,s] d_m phi[t,s], with the product read as [t,i,m]
+            y = y + _mat(np.swapaxes(gamma, -1, -2), 1, 2) @ _mat(G[:, None] @ dphi, 2, 1)
+        y = y - np.einsum("...kt,...tm->...km", phi, both[:, :, 1])
         if varying_phi:
             y = y - np.einsum("...ktm,...t->...km", dphi, np.einsum("...is,...tis->...t", G, gamma))
         return out + (np.einsum("...kzm,...k->...zm", self.dg, q) + np.einsum("...kz,...km->...zm", self.g, y))
@@ -297,11 +307,14 @@ def f_tilde_components_from(pg: PointGeometry) -> np.ndarray:
     pFp = _congruence(phi, Fxi)  # [i, j] = F(phi x_i, phi x_j, xi)
     pFp_t = np.swapaxes(pFp, -1, -2)
 
+    # the four phi.F terms read two products
+    phiF = (np.swapaxes(phi, -1, -2) @ _mat(F, 1, 2)).reshape(F.shape)  # [c,x,i] = phi[a,c] F[a,x,i]
+    Fphi = np.swapaxes(F, -1, -2) @ phi[:, None]  # [x,i,c] = F[x,b,i] phi[b,c]
     swap = (
-        np.einsum("...aj,...azi->...ijz", phi, F)
-        - np.einsum("...bz,...jbi->...ijz", phi, F)
-        + np.einsum("...az,...aji->...ijz", phi, F)
-        - np.einsum("...bj,...zbi->...ijz", phi, F)
+        np.einsum("...jzi->...ijz", phiF)
+        - np.einsum("...jiz->...ijz", Fphi)
+        + np.einsum("...zji->...ijz", phiF)
+        - np.einsum("...zij->...ijz", Fphi)
     )
     cz = Fxi + pFp_t + np.einsum("...aj,...ia->...ij", phi, Fxi)
     cy = Fxi + pFp_t + np.einsum("...az,...ia->...iz", phi, Fxi)
@@ -330,11 +343,9 @@ def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
     pFp_t = np.swapaxes(_congruence(phi, Fxi), -1, -2)  # [i, j] = F(phi x_j, phi x_i, xi)
     omega_phi = np.einsum("...a,...aj->...j", omega, phi)
 
-    corr = (
-        -np.einsum("...bz,...ijb->...ijz", phi, F)
-        - np.einsum("...bz,...jib->...ijz", phi, F)
-        + np.einsum("...az,...aij->...ijz", phi, F)
-    )
+    Fphi = (_mat(F, 2, 1) @ phi).reshape(F.shape)  # [i,j,z] = F[i,j,b] phi[b,z]
+    phiF = (np.swapaxes(phi, -1, -2) @ _mat(F, 1, 2)).reshape(F.shape)  # [z,i,j] = phi[a,z] F[a,i,j]
+    corr = -Fphi - np.einsum("...jiz->...ijz", Fphi) + np.einsum("...zij->...ijz", phiF)
     ax = Fxi + pFp_t - np.einsum("...j,...z->...jz", omega_phi, eta)
     ay = Fxi + pFp_t - np.einsum("...i,...z->...iz", omega_phi, eta)
     az = (
@@ -350,7 +361,7 @@ def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
         + np.einsum("...iz,...j->...ijz", ay, eta)
         - np.einsum("...ij,...z->...ijz", az, eta)
     )
-    return pg.gamma + 0.5 * np.einsum("...kz,...ijz->...kij", pg.ginv, corr)
+    return pg.gamma + 0.5 * (pg.ginv @ np.swapaxes(_mat(corr, 2, 1), -1, -2)).reshape(F.shape)
 
 
 def connection_f5_form(pg: PointGeometry) -> np.ndarray:
@@ -430,11 +441,10 @@ def worst_residual(residuals: Mapping[str, object]):
 
 def metric_compatibility_residual(pg: PointGeometry):
     """max | d_k g_ij - Gamma^l_{ki} g_lj - Gamma^l_{kj} g_il |"""
-    nabla_g = (
-        np.einsum("...ijk->...kij", pg.dg)
-        - np.einsum("...lki,...lj->...kij", pg.gamma, pg.g)
-        - np.einsum("...lkj,...il->...kij", pg.gamma, pg.g)
-    )
+    gamma = pg.gamma
+    # both terms read one product, g being symmetric: [k,i,j] = Gamma^l_{ki} g_lj
+    gamma_g = (np.swapaxes(_mat(gamma, 1, 2), -1, -2) @ pg.g).reshape(gamma.shape)
+    nabla_g = np.einsum("...ijk->...kij", pg.dg) - gamma_g - np.swapaxes(gamma_g, -1, -2)
     return _max_abs(nabla_g, 3)
 
 
@@ -456,7 +466,7 @@ def f_property_residuals(pg: PointGeometry) -> dict:
     Fxi = np.einsum("...ijs,...s->...ij", F, xi)    # F(x, y, xi)
     total = (
         F
-        - np.einsum("...ijb,...bz->...ijz", np.einsum("...iab,...aj->...ijb", F, phi), phi)
+        - (_mat(np.swapaxes(phi, -1, -2)[:, None] @ F, 2, 1) @ phi).reshape(F.shape)
         - np.einsum("...j,...iz->...ijz", eta, Fxiz)
         - np.einsum("...z,...ij->...ijz", eta, Fxi)
     )

@@ -134,8 +134,8 @@ class Jet2:
 
     def reciprocal(self) -> "Jet2":
         v = self.value
-        if np.any(v == 0.0):
-            raise DomainError("division by zero")
+        if (zero := v == 0.0).any():
+            raise DomainError("division by zero", zero)
         inv = 1.0 / v
         inv2 = inv * inv
         hess = (
@@ -188,11 +188,9 @@ def int_pow(base, exponent: int):
         if k:
             square = square * square
     if exponent < 0:
-        if isinstance(result, Jet2):
-            return result.reciprocal()
-        if np.any(np.asarray(result) == 0):
-            raise DomainError("zero base with negative exponent")
-        return 1.0 / result
+        if (zero := np.asarray(result.value if isinstance(result, Jet2) else result) == 0).any():
+            raise DomainError("zero base with negative exponent", zero)
+        return result.reciprocal() if isinstance(result, Jet2) else 1.0 / result
     return result
 
 
@@ -236,12 +234,12 @@ def _positive(v) -> None:
     v = np.asarray(v)
     bad = v <= 0.0
     if bad.any():
-        raise DomainError(f"argument {v[bad].flat[0]} is not positive")
+        raise DomainError(f"argument {v[bad].flat[0]} is not positive", bad)
 
 
 def _nonzero(v) -> None:
-    if np.any(np.asarray(v) == 0.0):
-        raise DomainError("abs is not differentiable at zero")
+    if (zero := np.asarray(v) == 0.0).any():
+        raise DomainError("abs is not differentiable at zero", zero)
 
 
 sin = _unary("sin", math.sin, np.sin, np.cos, lambda v: -np.sin(v))

@@ -24,8 +24,8 @@ from .errors import (
     UnboundConstant,
     UnknownBuiltin,
 )
-from .expr import Expression, eval_jets, parse
-from .tensor import _congruence, _dot, signature_of
+from .expr import Expression, eval_jets, eval_numbers, parse
+from .tensor import _congruence, _dot, _mat, signature_of
 
 __all__ = [
     "Chart",
@@ -154,13 +154,8 @@ class AccRStructure:
         A batch puts a leading sample axis on every array.
         """
         self.chart.require_inside(point)
-        b = bindings or {}
-        return StructureValues(
-            g=_eval_grid(self.g, point, b),
-            phi=_eval_grid(self.phi, point, b),
-            xi=_eval_grid(self.xi, point, b),
-            eta=_eval_grid(self.eta, point, b),
-        )
+        fields = (self.g, self.phi, self.xi, self.eta)
+        return StructureValues(*_split(fields, eval_numbers(_flat(fields), point, bindings)))
 
     def jets_at(self, point, bindings: Mapping[str, float] | None = None) -> StructureJets:
         """All structure components with first and second derivatives.
@@ -171,38 +166,32 @@ class AccRStructure:
         """
         self.chart.require_inside(point)
         fields = (self.g, self.phi, self.xi, self.eta)
-        value, grad, hess = eval_jets([e for f in fields for e in _flat(f)], point, bindings)
-        batch, d = value.shape[:-1], self.dim
-        jets, start = [], 0
-        for f in fields:
-            shape = (d,) if isinstance(f[0], Expression) else (d, d)
-            part = slice(start, start + d ** len(shape))
-            jets.append(FieldJets(
-                value[..., part].reshape(batch + shape),
-                grad[..., part, :].reshape(batch + shape + (d,)),
-                hess[..., part, :, :].reshape(batch + shape + (d, d)),
-            ))
-            start = part.stop
-        return StructureJets(*jets)
+        jets = eval_jets(_flat(fields), point, bindings)  # value, gradient, Hessian
+        return StructureJets(*map(FieldJets, *(_split(fields, a, tail) for tail, a in enumerate(jets))))
 
     def frame_at(self, point, bindings: Mapping[str, float] | None = None) -> np.ndarray:
         """The declared phi-adapted frame (columns e_1..e_2n, xi) at one point or a batch."""
         if self.frame is None:
             raise ManifoldParseError("structure declares no frame")
         self.chart.require_inside(point)
-        return _eval_grid(self.frame, point, bindings or {})
+        return _split([self.frame], eval_numbers(_flat([self.frame]), point, bindings))[0]
 
 
-def _flat(exprs) -> list[Expression]:
-    """The expressions of a vector, or of a matrix in row-major order."""
-    return list(exprs) if isinstance(exprs[0], Expression) else [e for row in exprs for e in row]
+def _flat(fields) -> list[Expression]:
+    """The expressions of several vectors and matrices, each matrix in row-major order."""
+    return [e for f in fields for e in (f if isinstance(f[0], Expression) else [e for row in f for e in row])]
 
 
-def _eval_grid(exprs, point, bindings) -> np.ndarray:
-    shape = (len(exprs),) if isinstance(exprs[0], Expression) else (len(exprs), len(exprs[0]))
-    values = [e.eval_number(point, bindings) for e in _flat(exprs)]
-    batch = np.shape(values[0])
-    return np.stack(values, len(batch)).reshape(batch + shape)
+def _split(fields, array: np.ndarray, tail: int = 0) -> list[np.ndarray]:
+    """The expression axis of `array`, followed by `tail` derivative axes, as one array per field."""
+    lead, rest = array.shape[:array.ndim - tail - 1], array.shape[array.ndim - tail:]
+    out, start = [], 0
+    for f in fields:
+        shape = (len(f),) if isinstance(f[0], Expression) else (len(f), len(f[0]))
+        stop = start + len(_flat([f]))
+        out.append(array[(..., slice(start, stop)) + (slice(None),) * tail].reshape(lead + shape + rest))
+        start = stop
+    return out
 
 
 # -- loading --------------------------------------------------------------
@@ -453,20 +442,21 @@ def associated_metric_jets(sj: StructureJets) -> FieldJets:
     phi, dphi, d2phi = sj.phi
     eta, deta, d2eta = sj.eta
     dphi_on, d2phi_on, deta_on, d2eta_on = dphi.any(), d2phi.any(), deta.any(), d2eta.any()
+    phi_t = np.swapaxes(phi, -1, -2)[..., None, :, :]  # per first slot of the metric's jets
     value = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
-    partial = np.einsum("...ism,...sj->...ijm", dg, phi)
+    partial = phi_t @ dg  # [i,j,m] = phi[s,j] d_m g[i,s]
     if dphi_on:
-        partial = partial + np.einsum("...is,...sjm->...ijm", g, dphi)
+        partial = partial + (g @ _mat(dphi, 1, 2)).reshape(dphi.shape)
     if deta_on:
         partial = partial + np.einsum("...im,...j->...ijm", deta, eta)
         partial = partial + np.einsum("...i,...jm->...ijm", eta, deta)
-    # the contractions over five indices take numpy's optimized einsum (batched matmul)
-    second = np.einsum("...isml,...sj->...ijml", d2g, phi, optimize=True)
-    if dphi_on:
-        second = second + np.einsum("...ism,...sjl->...ijml", dg, dphi, optimize=True)
-        second = second + np.einsum("...isl,...sjm->...ijml", dg, dphi, optimize=True)
+    second = (phi_t @ _mat(d2g, 1, 2)).reshape(d2g.shape)
+    if dphi_on:  # both dg.dphi terms read one product, [i,m,j,l] = d_m g[i,s] d_l phi[s,j]
+        both = (np.swapaxes(dg, -1, -2) @ _mat(dphi, 1, 2)[..., None, :, :]).reshape(d2g.shape)
+        second = second + np.einsum("...imjl->...ijml", both)
+        second = second + np.einsum("...iljm->...ijml", both)
     if d2phi_on:
-        second = second + np.einsum("...is,...sjml->...ijml", g, d2phi, optimize=True)
+        second = second + (g @ _mat(d2phi, 1, 3)).reshape(d2phi.shape)
     if d2eta_on:
         second = second + np.einsum("...iml,...j->...ijml", d2eta, eta)
     if deta_on:

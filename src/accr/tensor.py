@@ -26,6 +26,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _mat(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The last rows + cols axes of x, each of length d, as (d^rows, d^cols) matrices."""
+    d = x.shape[-1]
+    return x.reshape(x.shape[:x.ndim - rows - cols] + (d**rows, d**cols))
+
+
 def _congruence(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-sample phi^T x phi: [i, j] = sum_ab phi[a, i] phi[b, j] x[a, b], in two products."""
     return np.swapaxes(phi, -1, -2) @ x @ phi
@@ -68,13 +74,10 @@ def to_phi_frame(components, variance: tuple[str, ...], frames) -> np.ndarray:
         where = f" at sample {int(np.argmax(singular))}" if singular.ndim else ""
         raise SingularFrame(f"frame vectors are linearly dependent{where}")
     inverse = np.linalg.inv(frames)
-    slots = "abcdefgh"[:rank]
-    for slot, var in enumerate(variance):
-        out = slots.replace(slots[slot], "z")
-        if var == "l":
-            # w'_a = B^i_a w_i: contract against frame rows
-            comp = np.einsum(f"...{slots},...{slots[slot]}z->...{out}", comp, frames)
-        else:
-            # v'^a = (B^-1)^a_i v^i
-            comp = np.einsum(f"...{slots},...z{slots[slot]}->...{out}", comp, inverse)
-    return comp
+    shape = comp.shape
+    for var in variance:
+        # contract the first slot and move it last, so the slots come back in order;
+        # w'_a = B^i_a w_i for "l", v'^a = (B^-1)^a_i v^i for "u"
+        matrix = frames if var == "l" else np.swapaxes(inverse, -1, -2)
+        comp = np.swapaxes(_mat(comp.reshape(shape), 1, rank - 1), -1, -2) @ matrix
+    return comp.reshape(shape)

@@ -197,8 +197,28 @@ def test_soliton_zero_potential_exit_code(capsys):
 def test_soliton_overflowing_potential_is_a_domain_error(capsys, potential):
     rc, out, err = run(capsys, "soliton", *CONE, "--potential-k", potential, "--samples", "3")
     assert rc == 2 and out == ""
-    assert err.startswith("accr: DomainError: ") and "is not finite at sample 0 (t=" in err
+    # the potential as given, not its product with xi's component
+    named = {"t^1000": "t^1000.0", "exp(800*t)": "exp(800.0*t)"}[potential]
+    assert err.startswith(f"accr: DomainError: {named} is not finite at sample 0 (t=")
     assert err.count("\n") == 1  # no warning, no traceback
+
+
+# An argument outside the domain of the jet arithmetic names the expression and the first
+# offending sample.  Samples 5 and 7 are the first with t < 2 and t < 1 at the default
+# seed; the second of two pinned points is the only one with t = 2.
+_PINS = ("--point", "t=3,u=0,v=0", "--point", "t=2,u=0,v=0")
+
+
+@pytest.mark.parametrize("potential, pins, message", [
+    ("ln(t-1)", (), "ln(t-1.0): argument -0.002700224395395301 is not positive at sample 7 (t=0.99729977"),
+    ("sqrt(t-2)", (), "sqrt(t-2.0): argument -0.6813671189403692 is not positive at sample 5 (t=1.31863288"),
+    ("1/(t-2)", _PINS, "1.0/(t-2.0): division by zero at sample 1 (t=2.0, u=0.0, v=0.0)\n"),
+    ("(t-2)^-2", _PINS, "(t-2.0)^-2.0: zero base with negative exponent at sample 1 (t=2.0, u=0.0, v=0.0)\n"),
+])
+def test_domain_errors_name_the_expression_and_sample(capsys, potential, pins, message):
+    rc, out, err = run(capsys, "report", *CONE, "--potential-k", potential, "--samples", "8", *pins)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"accr: DomainError: {message}") and err.count("\n") == 1
 
 
 def test_curvature_overflowing_metric_is_a_domain_error(capsys, tmp_path):

@@ -24,8 +24,9 @@ from accr.expr import (
     Expression,
     Neg,
     Num,
-    _evaluate,
+    _evaluate_finite,
     eval_jets,
+    eval_numbers,
     multiply,
     parse,
 )
@@ -253,13 +254,17 @@ def test_eval_number_on_a_batch():
 
 
 def _reference_jets(expressions, point, bindings):
-    """Fresh seeds for every expression and no folding or deduplication."""
+    """Fresh seeds for every expression and no folding or deduplication.
+
+    Each expression goes through `_evaluate_finite`, so an error names it and
+    the first offending sample as the evaluation under test does.
+    """
     values = np.asarray(point, dtype=float)
     d = values.shape[-1]
     jets = []
     for e in expressions:
         seeds = [Jet2.seed(i, values[..., i], d) for i in range(d)]
-        result = _evaluate(e.ast, seeds, bindings)
+        result = _evaluate_finite(e, seeds, bindings)
         if not isinstance(result, Jet2):
             result = Jet2.constant(result, d, values.shape[:-1])
         jets.append(result)
@@ -299,6 +304,13 @@ def test_eval_jets_equals_the_per_expression_reference(request, structure, batch
     for field, expressions_of_field in zip(sj, _fields(S)):
         for got_f, want_f in zip(field, _reference_jets(expressions_of_field, point, bindings)):
             assert np.array_equal(got_f, want_f.reshape(got_f.shape))
+    # values alone: one eval_number per expression, and values_at's split of them
+    want_values = np.stack([np.asarray(e.eval_number(point, bindings)) for e in expressions], -1)
+    got_values = eval_numbers(expressions, point, bindings)
+    assert got_values.shape == want_values.shape and np.array_equal(got_values, want_values)
+    for field, want_f in zip(S.values_at(point, bindings), _fields(S)):
+        want_f = np.stack([np.asarray(e.eval_number(point, bindings)) for e in want_f], -1)
+        assert np.array_equal(field, want_f.reshape(field.shape))
     # one expression: eval_jet is the same evaluation
     for e in expressions[:4]:
         jet = e.eval_jet(point, bindings)
@@ -350,14 +362,20 @@ def test_eval_jets_errors_match_the_reference(case):
             S.jets_at(point, {"c": 1.0, "ct": 1.0})
         assert message in str(want.value)
         assert str(got.value) == str(want.value)
+        # the values alone fail on the same expression, with the same message
+        with pytest.raises(error) as got:
+            S.values_at(point, {"c": 1.0, "ct": 1.0})
+        assert str(got.value) == str(want.value)
 
 
 def test_folded_entry_errors_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     for entries, message in (
-        ({"g_0_0": "ln(0)"}, "DomainError: argument 0.0 is not positive"),
-        ({"xi_1": "q"}, "UnboundConstant: constant 'q' has no bound value"),
+        # folded, so every sample is at fault: the first is named
+        ({"g_0_0": "ln(0)"}, "DomainError: ln(0.0): argument 0.0 is not positive at sample 0 (t="),
+        ({"xi_1": "q"}, "UnboundConstant: constant 'q' has no bound value\n"),
     ):
         path.write_text(json.dumps(_n2_with(**entries)))
         assert main(["curvature", str(path), "--samples", "4"]) == 2
-        assert capsys.readouterr().err == f"accr: {message}\n"
+        err = capsys.readouterr().err
+        assert err.startswith(f"accr: {message}") and err.count("\n") == 1

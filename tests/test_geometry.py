@@ -25,7 +25,7 @@ from accr.geometry import (
     torse_forming_curvature_residuals,
     vector_field_jets,
 )
-from accr.manifold import load_manifold, sample_points, validate_structure
+from accr.manifold import associated_metric_jets, load_manifold, sample_points, validate_structure
 from accr.tensor import to_phi_frame
 
 from conftest import OFFDIAG, OFFDIAG_BINDINGS, associated_metric, fd_gradient, rel_err
@@ -401,12 +401,17 @@ def test_dtheta_star_matches_the_full_derivative_of_F(request, structure, tag):
     assert rel_err(pg.dtheta_star, ref) <= 1e-13
 
 
+# OFFDIAG with a non-constant xi, and phi varying inside the fiber block as
+# well, so no term on the jets of phi, xi or eta is skipped or vanishes
+VARYING = dict(
+    OFFDIAG, xi=["1", "u*v/4", "t/2"],
+    phi=[["0", "0", "0"], ["u*v/4", "0", "-1-t*u/8"], ["2*c", "1+v*t/8", "0"]],
+)
+
+
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
 def test_xi_and_eta_jet_terms_match_finite_differences(tag):
-    # OFFDIAG with a non-constant xi, and phi varying inside the fiber block as
-    # well, so no term on the jets of phi, xi or eta is skipped or vanishes
-    phi = [["0", "0", "0"], ["u*v/4", "0", "-1-t*u/8"], ["2*c", "1+v*t/8", "0"]]
-    S = load_manifold(json.dumps(dict(OFFDIAG, xi=["1", "u*v/4", "t/2"], phi=phi)))
+    S = load_manifold(json.dumps(VARYING))
 
     def at(x):
         return SampleGeometry(S, [x], OFFDIAG_BINDINGS).of(tag)
@@ -452,7 +457,8 @@ def test_batch_domain_error_matches_single_sample(cone):
         expr.eval_jet(points[1])
     with pytest.raises(DomainError) as batched:
         expr.eval_jet(points)
-    assert str(batched.value) == str(alone.value)
+    head, _, where = str(alone.value).rpartition(" at ")
+    assert str(batched.value) == f"{head} at sample 1 ({where})"
     # one sample outside the chart's open box
     points = np.array([[2.0, 0.3, -0.4], [6.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(DomainError) as alone:
@@ -495,3 +501,134 @@ def test_batched_helpers_match_per_sample(request, structure, tag):
             got = batched[name][k]
             assert np.shape(got) == np.shape(value[0]), name
             assert rel_err(got, value[0]) <= 1e-13, name
+
+
+# -- the einsum forms of the contractions computed by batched matmul ------------
+
+
+def _einsum_fields(pg):
+    """Each field computed by matmul, as an einsum over the fields it reads."""
+    g, ginv, dg, phi, gamma, dgamma = pg.g, pg.ginv, pg.dg, pg.phi, pg.gamma, pg.dgamma
+    dginv, C, d2g, dphi, cov, F, G = pg._dginv, pg._koszul, pg._d2g, pg._dphi, pg._cov_phi, pg.F, pg._ginv_phi
+    dC = (np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
+          - np.einsum("...ijlm->...lijm", d2g))
+    dcov_g = (  # G[i,s] d_m cov_phi[k,s,i], term by term
+        np.einsum("...is,...ksim->...km", G, pg._d2phi)
+        + np.einsum("...it,...kitm->...km", np.einsum("...is,...ts->...it", G, phi), dgamma)
+        + np.einsum("...kit,...itm->...km", gamma, np.einsum("...is,...tsm->...itm", G, dphi))
+        - np.einsum("...kt,...tm->...km", phi, np.einsum("...is,...tism->...tm", G, dgamma))
+        - np.einsum("...ktm,...t->...km", dphi, np.einsum("...is,...tis->...t", G, gamma))
+    )
+    dG = np.einsum("...ijm,...sj->...ism", dginv, phi) + np.einsum("...ij,...sjm->...ism", ginv, dphi)
+    return {
+        "_dginv": -np.einsum("...kbm,...bl->...klm", np.einsum("...ka,...abm->...kbm", ginv, dg), ginv),
+        "gamma": 0.5 * np.einsum("...kl,...lij->...kij", ginv, C),
+        "dgamma": 0.5 * (np.einsum("...klm,...lij->...kijm", dginv, C) + np.einsum("...kl,...lijm->...kijm", ginv, dC)),
+        "r13": (np.einsum("...ljki->...lkij", dgamma) - np.einsum("...likj->...lkij", dgamma)
+                + np.einsum("...lim,...mjk->...lkij", gamma, gamma) - np.einsum("...ljm,...mik->...lkij", gamma, gamma)),
+        "r04": np.einsum("...lw,...lkij->...ijkw", g, pg.r13),
+        "_cov_phi": dphi + np.einsum("...kis,...sj->...kji", gamma, phi) - np.einsum("...sij,...ks->...kji", gamma, phi),
+        "F": np.einsum("...kz,...kji->...ijz", g, cov),
+        "dtheta_star": (np.einsum("...ism,...isz->...zm", dG, F)
+                        + np.einsum("...kzm,...k->...zm", dg, np.einsum("...is,...ksi->...k", G, cov))
+                        + np.einsum("...kz,...km->...zm", g, dcov_g)),
+    }
+
+
+def _einsum_helpers(pg):
+    """The residual helpers and cross routes computed by matmul, as einsums, with the scale
+    of the terms each compares."""
+    g, phi, eta, xi, F, gamma = pg.g, pg.phi, pg.eta, pg.xi, pg.F, pg.gamma
+    nabla_g = (np.einsum("...ijk->...kij", pg.dg) - np.einsum("...lki,...lj->...kij", gamma, g)
+               - np.einsum("...lkj,...il->...kij", gamma, g))
+    phi_F_phi = np.einsum("...ijb,...bz->...ijz", np.einsum("...iab,...aj->...ijb", F, phi), phi)
+    total = (F - phi_F_phi - np.einsum("...j,...iz->...ijz", eta, np.einsum("...isz,...s->...iz", F, xi))
+             - np.einsum("...z,...ij->...ijz", eta, np.einsum("...ijs,...s->...ij", F, xi)))
+    out = {
+        "metric compatibility": (np.max(np.abs(nabla_g), axis=(1, 2, 3)), metric_compatibility_residual(pg),
+                                 np.max(np.abs(pg.dg))),
+        "F properties": (np.max(np.abs(total), axis=(1, 2, 3)),
+                         f_property_residuals(pg)["F(x,y,z) = F(x,phi y,phi z) + eta(y) F(x,xi,z) + eta(z) F(x,y,xi)"],
+                         np.max(np.abs(F))),
+    }
+    if pg.tag == "g":
+        Fxi = np.einsum("...ijs,...s->...ij", F, xi)
+        pFp = np.einsum("...ai,...bj,...ab->...ij", phi, phi, Fxi)
+        swap = (np.einsum("...aj,...azi->...ijz", phi, F) - np.einsum("...bz,...jbi->...ijz", phi, F)
+                + np.einsum("...az,...aji->...ijz", phi, F) - np.einsum("...bj,...zbi->...ijz", phi, F))
+        cz = Fxi + pFp.swapaxes(-1, -2) + np.einsum("...aj,...ia->...ij", phi, Fxi)
+        cy = Fxi + pFp.swapaxes(-1, -2) + np.einsum("...az,...ia->...iz", phi, Fxi)
+        cx = Fxi + pFp.swapaxes(-1, -2) + Fxi.swapaxes(-1, -2) + pFp
+        two_ft = (swap + np.einsum("...ij,...z->...ijz", cz, eta) + np.einsum("...iz,...j->...ijz", cy, eta)
+                  + np.einsum("...jz,...i->...ijz", cx, eta))
+        out["F~ by transfer"] = (two_ft / 2.0, f_tilde_components_from(pg), np.max(np.abs(two_ft)))
+        omega_phi = np.einsum("...a,...aj->...j", pg.omega, phi)
+        corr = (-np.einsum("...bz,...ijb->...ijz", phi, F) - np.einsum("...bz,...jib->...ijz", phi, F)
+                + np.einsum("...az,...aij->...ijz", phi, F))
+        ax = Fxi + pFp.swapaxes(-1, -2) - np.einsum("...j,...z->...jz", omega_phi, eta)
+        ay = Fxi + pFp.swapaxes(-1, -2) - np.einsum("...i,...z->...iz", omega_phi, eta)
+        az = (np.einsum("...s,...sij->...ij", xi, F) - Fxi.swapaxes(-1, -2) - np.einsum("...aj,...ia->...ij", phi, Fxi)
+              - Fxi - np.einsum("...ai,...ja->...ij", phi, Fxi))
+        corr = (corr + np.einsum("...jz,...i->...ijz", ax, eta) + np.einsum("...iz,...j->...ijz", ay, eta)
+                - np.einsum("...ij,...z->...ijz", az, eta))
+        nt = gamma + 0.5 * np.einsum("...kz,...ijz->...kij", pg.ginv, corr)
+        out["nabla~ by correction"] = (nt, nabla_tilde_components_from(pg), np.max(np.abs(nt)))
+    return out
+
+
+def _einsum_associated_jets(sj):
+    """g~ = g phi + eta (x) eta and its jets, every product-rule term as an einsum."""
+    (g, dg, d2g), (phi, dphi, d2phi), (eta, deta, d2eta) = sj.g, sj.phi, sj.eta
+    e = np.einsum
+    value = e("...is,...sj->...ij", g, phi) + e("...i,...j->...ij", eta, eta)
+    partial = (e("...ism,...sj->...ijm", dg, phi) + e("...is,...sjm->...ijm", g, dphi)
+               + e("...im,...j->...ijm", deta, eta) + e("...i,...jm->...ijm", eta, deta))
+    second = (e("...isml,...sj->...ijml", d2g, phi) + e("...ism,...sjl->...ijml", dg, dphi)
+              + e("...isl,...sjm->...ijml", dg, dphi) + e("...is,...sjml->...ijml", g, d2phi)
+              + e("...iml,...j->...ijml", d2eta, eta) + e("...im,...jl->...ijml", deta, deta)
+              + e("...il,...jm->...ijml", deta, deta) + e("...i,...jml->...ijml", eta, d2eta))
+    return [(x + np.swapaxes(x, i, i + 1)) / 2.0 for x, i in ((value, -2), (partial, -3), (second, -4))]
+
+
+def _einsum_phi_frame(comp, variance, frames):
+    """One einsum per slot, contracting it with the frame or its inverse."""
+    inverse, slots = np.linalg.inv(frames), "abcd"[:len(variance)]
+    for slot, var in enumerate(variance):
+        out = slots.replace(slots[slot], "z")
+        if var == "l":
+            comp = np.einsum(f"...{slots},...{slots[slot]}z->...{out}", comp, frames)
+        else:
+            comp = np.einsum(f"...{slots},...z{slots[slot]}->...{out}", comp, inverse)
+    return comp
+
+
+def _near(got, want, scale=None):
+    """Within 1e-13 relative to the largest entry of the reference, or of a given scale."""
+    scale = np.max(np.abs(want)) if scale is None else scale
+    return np.shape(got) == np.shape(want) and np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+@pytest.mark.parametrize("structure", ["offdiag", "varying", "cone_n2"])
+def test_matmul_contractions_match_their_einsum_forms(request, structure, tag):
+    if structure == "varying":
+        S = load_manifold(json.dumps(VARYING))
+    else:
+        S = request.getfixturevalue(structure)
+    bindings = {"cone_n2": {}}.get(structure, OFFDIAG_BINDINGS)
+    points = sample_points(S.chart, 8, seed=17)
+    geo = SampleGeometry(S, points, bindings)
+    pg = geo.of(tag)
+    for field, want in _einsum_fields(pg).items():
+        assert _near(getattr(pg, field), want), field
+    for name, (want, got, scale) in _einsum_helpers(pg).items():
+        assert _near(got, want, scale), name
+    sj = S.jets_at(points, bindings)
+    for point_or_batch in (sj, S.jets_at(points[3], bindings)):
+        for got, want in zip(associated_metric_jets(point_or_batch), _einsum_associated_jets(point_or_batch)):
+            assert _near(got, want)
+    frames = np.eye(S.dim) + 0.3 * np.random.default_rng(5).standard_normal((len(points), S.dim, S.dim))
+    for comp, variance in ((pg.r04, "llll"), (pg.r13, "ulll"), (pg.ricci, "ll"), (pg.xi, "u")):
+        want = _einsum_phi_frame(comp, variance, frames)
+        assert _near(to_phi_frame(comp, tuple(variance), frames), want), variance
+        assert _near(to_phi_frame(comp[2], tuple(variance), frames[2]), want[2]), variance

@@ -12,7 +12,11 @@ multiplication):
 "^" binds tighter than unary minus and associates to the right, so
 "-t^2" is -(t^2) and "2^3^2" is 2^(3^2).  The function identifiers are
 sin cos tan exp ln sqrt abs tanh; every other identifier must name a
-chart coordinate or a declared constant.
+chart coordinate or a declared constant.  An expression may nest at most
+100 levels deep, counting both the levels of its tree (a sum of 101 terms
+is 101 deep) and those of its parentheses, signs, exponents and calls: the
+parser and every stage that walks the tree (hash, comparison, evaluation,
+printing) recurse once per level.
 
 Integer-literal exponents are expanded by repeated multiplication (exact
 for negative bases); any other exponent routes through exp(b * ln(a)) and
@@ -31,6 +35,7 @@ from . import jets
 from .errors import (
     DimensionMismatch,
     DomainError,
+    ExprError,
     ExprSyntaxError,
     UnboundConstant,
     UnknownIdentifier,
@@ -95,6 +100,12 @@ _NUMBER = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _OPS = "+-*/^()"
 
+# Parsing, hashing, comparing, evaluating and printing an expression each take a
+# few stack frames per level (parsing a parenthesis five), so this bound keeps
+# them all well inside Python's default recursion limit of 1000.
+_MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {_MAX_DEPTH} levels"
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -140,6 +151,7 @@ class _Parser:
         self.pos = 0
         self.coords = coords
         self.constants = constants
+        self.depth = 0  # factors entered and not yet left: every recursion passes through one
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -160,6 +172,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "END":
             raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.offset)
+        if _depth(node) > _MAX_DEPTH:
+            raise ExprError(_TOO_DEEP)
         return node
 
     def expr(self) -> Node:
@@ -175,9 +189,12 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
-        if self.accept_op("-") is not None:
-            return Neg(self.factor())
-        return self.power()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExprError(_TOO_DEEP)
+        node = Neg(self.factor()) if self.accept_op("-") is not None else self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         node = self.atom()
@@ -312,6 +329,21 @@ def _nodes(node: Node):
     elif isinstance(node, BinOp):
         yield from _nodes(node.left)
         yield from _nodes(node.right)
+
+
+def _depth(node: Node) -> int:
+    """Levels of the tree under and including `node`, counted without recursion."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(node, Neg):
+            stack.append((node.operand, level + 1))
+        elif isinstance(node, Call):
+            stack.append((node.arg, level + 1))
+        elif isinstance(node, BinOp):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+    return deepest
 
 
 def _coordinates(point, d: int) -> np.ndarray:

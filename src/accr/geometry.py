@@ -115,7 +115,10 @@ class PointGeometry:
 
     # A contraction over four or more indices per sample is a batched matmul on
     # reshaped operands, oriented to read the larger one contiguously; vector-sized
-    # contractions stay einsums, which are fastest there.
+    # contractions stay einsums, which are fastest there.  A d^4 array is built
+    # once, into its own buffer: its terms are added into it in place, in the order
+    # of the formula, and a permuted view is read against a contiguous operand
+    # where an exact symmetry of the operands allows it.
 
     @_field
     def _dginv(self):  # [k,l,m] = d_m g^{kl} = -g^{ka} d_m g_{ab} g^{bl}
@@ -138,29 +141,25 @@ class PointGeometry:
 
     @_field
     def dgamma(self):
-        d2g, C = self._d2g, self._koszul
-        dC = (
-            np.einsum("...jlim->...lijm", d2g)
-            + np.einsum("...iljm->...lijm", d2g)
-            - np.einsum("...ijlm->...lijm", d2g)
-        )
-        Ct = np.swapaxes(_mat(C, 1, 2), -1, -2)  # [(i,j),l]
-        return 0.5 * (
-            (Ct[:, None] @ self._dginv).reshape(dC.shape)  # per k: C[l,ij] d_m g^{kl}
-            + (self.ginv @ _mat(dC, 1, 3)).reshape(dC.shape)
-        )
+        dC = _koszul_derivative(self._d2g)
+        Ct = np.swapaxes(_mat(self._koszul, 1, 2), -1, -2)  # [(i,j),l]
+        out = (Ct[:, None] @ self._dginv).reshape(dC.shape)  # per k: C[l,ij] d_m g^{kl}
+        out += (self.ginv @ _mat(dC, 1, 3)).reshape(dC.shape)
+        out *= 0.5
+        return out
 
     @_field
     def r13(self):
         dgamma, gamma = self.dgamma, self.gamma
         # both gamma.gamma terms read one product: P[l,i,j,k] = Gamma^l_{im} Gamma^m_{jk}
         P = (_mat(gamma, 2, 1) @ _mat(gamma, 1, 2)).reshape(dgamma.shape)
-        return (
-            np.einsum("...ljki->...lkij", dgamma)
-            - np.einsum("...likj->...lkij", dgamma)
-            + np.einsum("...lijk->...lkij", P)
-            - np.einsum("...ljik->...lkij", P)
+        out = np.subtract(
+            np.einsum("...ljki->...lkij", dgamma), np.einsum("...likj->...lkij", dgamma),
+            out=np.empty_like(dgamma),
         )
+        out += np.einsum("...lijk->...lkij", P)
+        out -= np.einsum("...ljik->...lkij", P)
+        return out
 
     @_field
     def r04(self):  # g_{lw} R^l_{kij}, computed as [w,k,i,j] and read as [i,j,k,w]
@@ -252,6 +251,19 @@ class PointGeometry:
         return np.einsum("...j,...jz->...z", xi, np.einsum("...i,...ijz->...jz", xi, self.F))
 
 
+def _koszul_derivative(d2g: np.ndarray) -> np.ndarray:
+    """dC[l,i,j,m] = d_m C[l,i,j] = d2g[j,l,i,m] + d2g[i,l,j,m] - d2g[i,j,l,m].
+
+    The metric jets are exactly symmetric in their two metric slots (the
+    loader requires equal ASTs for g_ij and g_ji, and associated_metric_jets
+    symmetrizes exactly), so the first two terms are d2g[l,j,i,m] and d2g
+    itself, and only the last is a permuted read.
+    """
+    dC = np.swapaxes(d2g, -3, -2) + d2g
+    dC -= np.einsum("...ijlm->...lijm", d2g)
+    return dC
+
+
 def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
     svals = np.linalg.svd(g, compute_uv=False)
     singular = svals[..., -1] <= 1e-12 * svals[..., 0]
@@ -310,22 +322,19 @@ def f_tilde_components_from(pg: PointGeometry) -> np.ndarray:
     # the four phi.F terms read two products
     phiF = (np.swapaxes(phi, -1, -2) @ _mat(F, 1, 2)).reshape(F.shape)  # [c,x,i] = phi[a,c] F[a,x,i]
     Fphi = np.swapaxes(F, -1, -2) @ phi[:, None]  # [x,i,c] = F[x,b,i] phi[b,c]
-    swap = (
+    two_ft = (
         np.einsum("...jzi->...ijz", phiF)
         - np.einsum("...jiz->...ijz", Fphi)
         + np.einsum("...zji->...ijz", phiF)
         - np.einsum("...zij->...ijz", Fphi)
     )
-    cz = Fxi + pFp_t + np.einsum("...aj,...ia->...ij", phi, Fxi)
-    cy = Fxi + pFp_t + np.einsum("...az,...ia->...iz", phi, Fxi)
+    cyz = Fxi + pFp_t + np.einsum("...aj,...ia->...ij", phi, Fxi)  # the braces of eta(z) and of eta(y)
     cx = Fxi + pFp_t + np.swapaxes(Fxi, -1, -2) + pFp
-    two_ft = (
-        swap
-        + np.einsum("...ij,...z->...ijz", cz, eta)
-        + np.einsum("...iz,...j->...ijz", cy, eta)
-        + np.einsum("...jz,...i->...ijz", cx, eta)
-    )
-    return two_ft / 2.0
+    two_ft += cyz[:, :, :, None] * eta[:, None, None, :]
+    two_ft += cyz[:, :, None, :] * eta[:, None, :, None]
+    two_ft += cx[:, None, :, :] * eta[:, :, None, None]
+    two_ft /= 2.0
+    return two_ft
 
 
 def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
@@ -346,8 +355,7 @@ def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
     Fphi = (_mat(F, 2, 1) @ phi).reshape(F.shape)  # [i,j,z] = F[i,j,b] phi[b,z]
     phiF = (np.swapaxes(phi, -1, -2) @ _mat(F, 1, 2)).reshape(F.shape)  # [z,i,j] = phi[a,z] F[a,i,j]
     corr = -Fphi - np.einsum("...jiz->...ijz", Fphi) + np.einsum("...zij->...ijz", phiF)
-    ax = Fxi + pFp_t - np.einsum("...j,...z->...jz", omega_phi, eta)
-    ay = Fxi + pFp_t - np.einsum("...i,...z->...iz", omega_phi, eta)
+    axy = Fxi + pFp_t - omega_phi[:, :, None] * eta[:, None, :]  # the braces of eta(x) and of eta(y)
     az = (
         np.einsum("...s,...sij->...ij", xi, F)
         - np.swapaxes(Fxi, -1, -2)
@@ -355,12 +363,9 @@ def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
         - Fxi
         - np.einsum("...ai,...ja->...ij", phi, Fxi)
     )
-    corr = (
-        corr
-        + np.einsum("...jz,...i->...ijz", ax, eta)
-        + np.einsum("...iz,...j->...ijz", ay, eta)
-        - np.einsum("...ij,...z->...ijz", az, eta)
-    )
+    corr += axy[:, None, :, :] * eta[:, :, None, None]
+    corr += axy[:, :, None, :] * eta[:, None, :, None]
+    corr -= az[:, :, :, None] * eta[:, None, None, :]
     return pg.gamma + 0.5 * (pg.ginv @ np.swapaxes(_mat(corr, 2, 1), -1, -2)).reshape(F.shape)
 
 
@@ -449,27 +454,33 @@ def metric_compatibility_residual(pg: PointGeometry):
 
 
 def curvature_symmetry_residuals(pg: PointGeometry) -> dict:
-    r, r13 = pg.r04, pg.r13
-    return {
-        "R(x,y,z,w) = -R(y,x,z,w)": _max_abs(r + np.einsum("...jikw->...ijkw", r), 4),
-        "R(x,y,z,w) = -R(x,y,w,z)": _max_abs(r + np.einsum("...ijwk->...ijkw", r), 4),
-        "R(x,y,z,w) = R(z,w,x,y)": _max_abs(r - np.einsum("...kwij->...ijkw", r), 4),
-        "R(x,y)z + R(y,z)x + R(z,x)y = 0": _max_abs(
-            r13 + np.einsum("...lijk->...lkij", r13) + np.einsum("...ljki->...lkij", r13), 4
-        ),
+    # R's symmetries are read on r04's contiguous base B[w,k,i,j] = R(d_i, d_j, d_k, d_w):
+    # each residual sums the same pairs of entries as on [i,j,k,w], so its maximum is the
+    # same.  Every residual is written into one scratch buffer, and |.| is taken in place.
+    r, r13 = np.einsum("...ijkw->...wkij", pg.r04), pg.r13
+    scratch = np.empty_like(r13)
+
+    def max_abs(array):
+        return np.max(np.abs(array, out=array), axis=(-4, -3, -2, -1))
+
+    out = {
+        "R(x,y,z,w) = -R(y,x,z,w)": max_abs(np.add(r, np.swapaxes(r, -1, -2), out=scratch)),
+        "R(x,y,z,w) = -R(x,y,w,z)": max_abs(np.add(r, np.swapaxes(r, -4, -3), out=scratch)),
+        "R(x,y,z,w) = R(z,w,x,y)": max_abs(np.subtract(r, np.einsum("...jikw->...wkij", r), out=scratch)),
     }
+    bianchi = np.add(r13, np.einsum("...lijk->...lkij", r13), out=scratch)
+    bianchi += np.einsum("...ljki->...lkij", r13)
+    out["R(x,y)z + R(y,z)x + R(z,x)y = 0"] = max_abs(bianchi)
+    return out
 
 
 def f_property_residuals(pg: PointGeometry) -> dict:
     phi, eta, xi, F = pg.phi, pg.eta, pg.xi, pg.F
     Fxiz = np.einsum("...isz,...s->...iz", F, xi)   # F(x, xi, z)
     Fxi = np.einsum("...ijs,...s->...ij", F, xi)    # F(x, y, xi)
-    total = (
-        F
-        - (_mat(np.swapaxes(phi, -1, -2)[:, None] @ F, 2, 1) @ phi).reshape(F.shape)
-        - np.einsum("...j,...iz->...ijz", eta, Fxiz)
-        - np.einsum("...z,...ij->...ijz", eta, Fxi)
-    )
+    total = F - (_mat(np.swapaxes(phi, -1, -2)[:, None] @ F, 2, 1) @ phi).reshape(F.shape)
+    total -= eta[:, None, :, None] * Fxiz[:, :, None, :]
+    total -= eta[:, None, None, :] * Fxi[:, :, :, None]
     lhs_prop2 = Fxi @ phi
     return {
         "F(x,y,z) = F(x,z,y)": _max_abs(F - np.einsum("...izj->...ijz", F), 3),

@@ -261,10 +261,14 @@ def _structure_from_dict(raw: dict, sha: str | None) -> AccRStructure:
 
     chart = Chart(n=n, coordinates=tuple(coords), domain=tuple(domain), constants=constants)
 
+    parsed: dict[str, Expression] = {}  # each distinct entry string is parsed once
+
     def parse_entry(text, where):
         if not isinstance(text, str):
             raise ManifoldParseError(f"{where} must be an expression string")
-        return parse(text, chart.coordinates, constants)
+        if text not in parsed:
+            parsed[text] = parse(text, chart.coordinates, constants)
+        return parsed[text]
 
     def parse_matrix(key):
         rows = raw[key]
@@ -467,7 +471,8 @@ def associated_metric_jets(sj: StructureJets) -> FieldJets:
     # the formula is symmetric in (i, j) only up to rounding; enforce exactly
     value = (value + np.swapaxes(value, -2, -1)) / 2.0
     partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0
-    second = (second + np.swapaxes(second, -4, -3)) / 2.0
+    second = second + np.swapaxes(second, -4, -3)
+    second /= 2.0
     return FieldJets(value, partial, second)
 
 

@@ -73,11 +73,11 @@ def to_phi_frame(components, variance: tuple[str, ...], frames) -> np.ndarray:
     if np.any(singular):
         where = f" at sample {int(np.argmax(singular))}" if singular.ndim else ""
         raise SingularFrame(f"frame vectors are linearly dependent{where}")
-    inverse = np.linalg.inv(frames)
+    inverse_t = np.swapaxes(np.linalg.inv(frames), -1, -2) if "u" in variance else None
     shape = comp.shape
     for var in variance:
         # contract the first slot and move it last, so the slots come back in order;
         # w'_a = B^i_a w_i for "l", v'^a = (B^-1)^a_i v^i for "u"
-        matrix = frames if var == "l" else np.swapaxes(inverse, -1, -2)
+        matrix = frames if var == "l" else inverse_t
         comp = np.swapaxes(_mat(comp.reshape(shape), 1, rank - 1), -1, -2) @ matrix
     return comp.reshape(shape)

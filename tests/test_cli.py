@@ -449,3 +449,17 @@ def test_subcommand_options_and_defaults():
     args = parser.parse_args(["report", "--point", "t=1,u=0,v=0", "--const", "c=2"])
     assert (args.point, args.const) == (["t=1,u=0,v=0"], ["c=2"])
     assert vars(parser.parse_args(["validate"])) == {"command": "validate", **common}
+
+
+@pytest.mark.parametrize("shape", ["sum", "parentheses"])
+def test_a_structure_entry_nested_too_deep_exits_2(capsys, tmp_path, shape):
+    entry = "+".join(["t"] * 1200) if shape == "sum" else "(" * 400 + "t" + ")" * 400
+    path = tmp_path / "deep.json"
+    path.write_text(cone_json(g=[[entry, "0", "0"], ["0", "t^2", "0"], ["0", "0", "-t^2"]]), encoding="utf-8")
+    rc, out, err = run(capsys, "report", str(path), "--samples", "2")
+    assert (rc, out, err) == (2, "", "accr: ExprError: expression nests deeper than 100 levels\n")
+
+
+def test_a_potential_nested_too_deep_exits_2(capsys):
+    rc, out, err = run(capsys, "soliton", *CONE, "--potential-k", "+".join(["t"] * 1500), "--samples", "2")
+    assert (rc, out, err) == (2, "", "accr: ExprError: expression nests deeper than 100 levels\n")

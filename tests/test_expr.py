@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from accr.errors import (
     DimensionMismatch,
     DomainError,
+    ExprError,
     ExprSyntaxError,
     UnboundConstant,
     UnknownIdentifier,
@@ -78,6 +79,24 @@ def test_syntax_error_offsets():
     with pytest.raises(ExprSyntaxError) as e:
         parse("", COORDS)
     assert e.value.offset == 0
+
+
+@pytest.mark.parametrize("shape", [
+    lambda k: "+".join(["t"] * k),               # k levels of tree from a loop of the parser
+    lambda k: "(" * (k - 1) + "t" + ")" * (k - 1),  # k levels of parser recursion, one of tree
+    lambda k: "-" * (k - 1) + "t",
+    lambda k: "^".join(["t"] * k),
+    lambda k: "sin(" * (k - 1) + "t" + ")" * (k - 1),
+], ids=["sum", "parentheses", "signs", "exponents", "calls"])
+def test_nesting_is_bounded_at_100_levels(shape):
+    e = parse(shape(100), COORDS)
+    # every stage that walks the tree runs at the bound
+    assert e == parse(shape(100), COORDS) and hash(e) == hash(parse(shape(100), COORDS))
+    assert e.unparse() and e.referenced_constants() == frozenset()
+    with np.errstate(over="ignore"):
+        e.eval_jet((1.0, 0.0, 0.0))
+    with pytest.raises(ExprError, match="^expression nests deeper than 100 levels$"):
+        parse(shape(101), COORDS)
 
 
 def test_unknown_identifier():

@@ -632,3 +632,34 @@ def test_matmul_contractions_match_their_einsum_forms(request, structure, tag):
         want = _einsum_phi_frame(comp, variance, frames)
         assert _near(to_phi_frame(comp, tuple(variance), frames), want), variance
         assert _near(to_phi_frame(comp[2], tuple(variance), frames[2]), want[2]), variance
+
+
+# -- the premises of the in-place d^4 chain -------------------------------------
+
+
+def _structure(request, name):
+    """A test structure by name, with the bindings its expressions read."""
+    if name == "varying":
+        return load_manifold(json.dumps(VARYING)), OFFDIAG_BINDINGS
+    return request.getfixturevalue(name), OFFDIAG_BINDINGS if name == "offdiag" else {}
+
+
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag", "varying"])
+def test_metric_jets_are_exactly_symmetric_in_their_metric_slots(request, structure):
+    S, bindings = _structure(request, structure)
+    sj = S.jets_at(sample_points(S.chart, 8, seed=3), bindings)
+    for jets in (sj.g, associated_metric_jets(sj)):
+        for k, array in enumerate(jets):
+            axes = (-2 - k, -1 - k)  # the metric slots come before the derivative axes
+            assert np.array_equal(array, np.swapaxes(array, *axes)), k
+
+
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag", "varying"])
+def test_koszul_derivative_equals_its_three_view_form(request, structure, tag):
+    S, bindings = _structure(request, structure)
+    d2g = SampleGeometry(S, sample_points(S.chart, 8, seed=3), bindings).of(tag)._d2g
+    three_views = (np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
+                   - np.einsum("...ijlm->...lijm", d2g))
+    got = geometry._koszul_derivative(d2g)
+    assert got.tobytes() == three_views.tobytes()

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from accr import manifold
 from accr.errors import (
     DimensionMismatch,
     DomainError,
+    ExprSyntaxError,
     ManifoldParseError,
     UnboundConstant,
     UnknownBuiltin,
@@ -24,7 +26,7 @@ from accr.manifold import (
 )
 from accr.tensor import signature_of
 
-from conftest import associated_metric, fd_gradient
+from conftest import CONE_N2, associated_metric, fd_gradient
 
 
 def cone_json(**overrides):
@@ -101,6 +103,32 @@ def test_load_rejects_asymmetric_metric():
     # different off-diagonal entries are rejected as well
     g = [["1", "0", "0"], ["0", "t^2", "t*t"], ["0", "t^2", "-t^2"]]
     with pytest.raises(ManifoldParseError, match="symmetric input is required"):
+        load_manifold(cone_json(g=g))
+
+
+def test_load_parses_each_distinct_entry_once(monkeypatch):
+    calls = []
+
+    def counting_parse(text, *args):
+        calls.append(text)
+        return parse(text, *args)
+
+    parse = manifold.parse
+    monkeypatch.setattr(manifold, "parse", counting_parse)
+    S = load_manifold(json.dumps(CONE_N2))
+    assert sorted(calls) == ["-1", "-t^2", "0", "1", "1/t", "t^2"]
+    assert S.g[1][1] is S.g[3][3] and S.g[0][1] is S.phi[0][0]  # one Expression per entry text
+
+
+def test_a_repeated_bad_entry_raises_as_before():
+    with pytest.raises(ExprSyntaxError) as first:
+        manifold.parse("t^", ("t", "u", "v"), ("c",))
+    g = [["1", "t^", "0"], ["t^", "t^2", "0"], ["0", "0", "t^"]]
+    with pytest.raises(ExprSyntaxError) as repeated:
+        load_manifold(cone_json(g=g))
+    assert str(repeated.value) == str(first.value)
+    g = [["1", "0", "0"], ["0", 7, "0"], ["0", "0", 7]]
+    with pytest.raises(ManifoldParseError, match=r"^g\[1\]\[1\] must be an expression string$"):
         load_manifold(cone_json(g=g))
 
 

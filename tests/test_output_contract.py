@@ -1,0 +1,50 @@
+"""The output contract: what the benchmark's workloads print, pinned by fingerprint.
+
+Each case runs one command in-process and compares the sha256 of its stdout,
+with the wall time masked, against a fixed fingerprint.  A change meant to
+keep the output must leave every fingerprint as it is; a change that alters
+the output on purpose updates the fingerprints here and says so.
+"""
+import hashlib
+import re
+from pathlib import Path
+
+import pytest
+
+from accr.cli import main
+
+CONE_N2 = str(Path(__file__).resolve().parent.parent / "perfbench" / "cone_n2.json")
+_WALL = re.compile(r'"wall_ms": [^,\n}]*|^wall: .*$', re.MULTILINE)
+
+# The workloads of perfbench/run.py at seed 42, then one in table format; each exits 0.
+CASES = {
+    "verify-cone": (
+        ["verify-paper", "--builtin", "cone-flat-fiber", "--samples", "64", "--seed", "42", "--format", "json"],
+        "0a223dbf31eaca78eb5cef38facc30bcb51225fe3a0d1faff9ff89033653dbb7",
+    ),
+    "report-n2": (
+        ["report", CONE_N2, "--potential-k", "c*t", "--const", "c=1", "--samples", "64", "--seed", "42",
+         "--format", "json"],
+        "00a42f96b2e5077fb0a26df0e5aeee1bddec590500b7ed03e7ced479f78d1400",
+    ),
+    "soliton-cone": (
+        ["soliton", "--builtin", "cone-flat-fiber", "--metric", "gtilde", "--potential-k", "ct*t",
+         "--const", "ct=1", "--expect-soliton", "--samples", "256", "--seed", "42", "--format", "json"],
+        "4777015676a5a6df406c221b58060a7d8cf8fb40157e3e38d13a7e437a534682",
+    ),
+    "report-n2-table": (
+        ["report", CONE_N2, "--potential-k", "c*t", "--const", "c=1", "--samples", "16", "--format", "table"],
+        "fd460601af3002bc5832789b946aaf7c18b0f10c6c19eeb8ab6aa4249ed29518",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_its_fingerprint(capsys, case):
+    argv, fingerprint = CASES[case]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    masked = _WALL.sub("WALL", out)
+    assert masked.count("WALL") == 1
+    assert hashlib.sha256(masked.encode("utf-8")).hexdigest() == fingerprint

@@ -104,6 +104,17 @@ def test_to_phi_frame_batch_rejects_one_singular_frame():
         to_phi_frame(np.ones((3, 3)), ("l",), frames)
 
 
+def test_to_phi_frame_inverts_the_frame_only_for_a_contravariant_slot(monkeypatch):
+    frames = np.stack([np.eye(3), 2.0 * np.eye(3)])
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+    assert to_phi_frame(np.ones((2, 3, 3)), ("l", "l"), frames)[1].tolist() == (4.0 * np.ones((3, 3))).tolist()
+    assert inverted == []
+    assert to_phi_frame(np.ones((2, 3)), ("u",), frames)[1].tolist() == [0.5, 0.5, 0.5]
+    assert len(inverted) == 1
+
+
 def test_signature_of_stack():
     stack = np.stack([np.diag([1.0, 4.0, -4.0]), np.eye(3), np.diag([1.0, 0.0, -1.0])])
     pos, neg = signature_of(stack)

@@ -24,6 +24,7 @@ from .geometry import (
     f_tilde_components_from,
     lie_derivative_metric,
     lie_derivative_vertical,
+    lowered_curvature,
     metric_compatibility_residual,
     nabla_tilde_components_from,
     tau_tilde_relations,
@@ -488,7 +489,7 @@ def _phi_frame_values(geo, tag):
     """R_1212, rho_11 and rho_22 of the tagged metric in the declared frame, per sample."""
     pg = geo.of(tag)
     frames = geo.structure.frame_at(geo.points, geo.bindings)
-    r04f = to_phi_frame(pg.r04, ("l",) * 4, frames)
+    r04f = to_phi_frame(lowered_curvature(pg), ("l",) * 4, frames)
     rhof = to_phi_frame(pg.ricci, ("l", "l"), frames)
     return {"R_1212": r04f[:, 0, 1, 0, 1], "rho_11": rhof[:, 0, 0], "rho_22": rhof[:, 1, 1]}
 

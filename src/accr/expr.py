@@ -51,6 +51,7 @@ __all__ = [
     "Call",
     "Expression",
     "eval_jets",
+    "eval_field_jets",
     "eval_numbers",
     "parse",
     "multiply",
@@ -462,22 +463,51 @@ def eval_jets(
     `Expression.eval_jet`.  The expressions are evaluated in order: an error
     comes from the first offending one.
     """
+    return eval_field_jets([expressions], point, bindings)[0]
+
+
+def eval_field_jets(
+    fields: Sequence[Sequence[Expression]], point, bindings: Mapping[str, float] | None = None
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`eval_jets` of the expressions of several fields together, split into one triple per field.
+
+    The fields share the seeds, and an AST repeated across fields is
+    evaluated once.  Derivative rows are allocated only for the fields with
+    an entry that reads a coordinate; the gradient and Hessian of a field
+    with none are read-only zeros that own no memory.
+    """
+    expressions = [e for field in fields for e in field]
     d = len(expressions[0].coords)
     seeds = _coordinate_jets(point, d)
     b = bindings or {}
-    shape = seeds[0].value.shape + (len(expressions),)
-    value = np.empty(shape)
-    grad = np.zeros(shape + (d,))
-    hess = np.zeros(shape + (d, d))
-    for e, where, reads_coordinates in _distinct(expressions):
+    lead = seeds[0].value.shape
+    distinct = _distinct(expressions)
+    reads = np.zeros(len(expressions), dtype=bool)  # per expression: whether its AST reads a coordinate
+    for _, where, reads_coordinates in distinct:
+        reads[where] = reads_coordinates
+    bounds = np.cumsum([0] + [len(field) for field in fields])
+    live = [reads[a:z].any() for a, z in zip(bounds[:-1], bounds[1:])]
+    row = np.cumsum(np.repeat(live, np.diff(bounds))) - 1  # each expression's row among the live fields'
+    value = np.empty(lead + (len(expressions),))
+    grad = np.zeros(lead + (row[-1] + 1, d))
+    hess = np.zeros(lead + (row[-1] + 1, d, d))
+    for e, where, reads_coordinates in distinct:
         if reads_coordinates:
             jet = e.eval_jet(seeds, b)
             value[..., where] = jet.value[..., None]
-            grad[..., where, :] = jet.grad[..., None, :]
-            hess[..., where, :, :] = jet.hess[..., None, :, :]
+            grad[..., row[where], :] = jet.grad[..., None, :]
+            hess[..., row[where], :, :] = jet.hess[..., None, :, :]
         else:
             value[..., where] = _evaluate_finite(e, seeds, b)
-    return value, grad, hess
+    out = []
+    for a, z, field_reads in zip(bounds[:-1], bounds[1:], live):
+        if field_reads:
+            rows = slice(row[a], row[a] + z - a)
+            out.append((value[..., a:z], grad[..., rows, :], hess[..., rows, :, :]))
+        else:
+            out.append((value[..., a:z], np.broadcast_to(0.0, lead + (z - a, d)),
+                        np.broadcast_to(0.0, lead + (z - a, d, d))))
+    return out
 
 
 def eval_numbers(

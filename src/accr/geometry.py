@@ -6,7 +6,7 @@ Index conventions, fixed once for the whole package:
   r13[l,k,i,j]      R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
                                + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik},
                     so that (R(x,y)z)^l = R^l_{kij} x^i y^j z^k
-  r04[i,j,k,w]      R(x,y,z,w) = g_{lw} R^l_{kij}
+  r04[i,j,k,w]      R(x,y,z,w) = g_{lw} R^l_{kij}   (lowered_curvature, not a kept field)
   ricci[a,b]        contraction of r13 on its first index: r13[i,a,i,b]
   tau               g^{ab} ricci[a,b]
   tau_star          g^{ij} ricci[i,s] phi^s_j
@@ -19,6 +19,14 @@ Derivative axes of jet arrays always come last (see manifold.FieldJets).
 First derivatives of Gamma come from metric Hessians in closed form; the
 gradient of theta_star(xi) is propagated through the same pipeline by the
 product rule, so nothing here needs third-order jets.
+
+A command keeps the structure jets and, per metric, the fields it has read.
+Three d^4 arrays have too few readers to be worth keeping: r04 is lowered
+from r13 on each call of lowered_curvature; the metric's Hessians (for g~,
+made by the product rule) are made inside dgamma, their one reader; and
+dgamma is let go once r13 and dtheta_star, its two readers, are kept.  The
+jets of a literal field (phi, xi and eta in every shipped structure) are
+read-only zero views that own no memory.
 """
 from __future__ import annotations
 
@@ -35,7 +43,8 @@ from .manifold import (
     METRIC_GTILDE,
     AccRStructure,
     StructureJets,
-    associated_metric_jets,
+    associated_metric_first_order,
+    associated_metric_second,
 )
 from .tensor import _congruence, _dot, _mat, _max_abs
 
@@ -43,6 +52,7 @@ __all__ = [
     "PointGeometry",
     "SampleGeometry",
     "connection_f5_form",
+    "lowered_curvature",
     "lie_derivative_metric",
     "lie_derivative_vertical",
     "vector_field_jets",
@@ -76,25 +86,27 @@ class PointGeometry:
     """Every derived quantity of one metric tag over the N sample points of a SampleGeometry.
 
     Each field is computed on its first read, from the fields it reads, and
-    kept, so a command pays only for what it reads.  The metric, its jets
-    and its inverse are taken at construction: a singular metric raises
-    SingularMetric there, whichever fields are read later.  Every field
-    carries a leading sample axis; the scalar fields are (N,) arrays.  The
-    arrays are read-only, so the consumers sharing one batch cannot change
-    what another reads.  A product-rule term on an exactly zero jet of phi,
-    xi or eta (a literal field, as in every shipped structure) is left out;
-    the other terms keep their order, so their sums round as before.
+    kept, so a command pays only for what it reads; dgamma alone is let go
+    once its two readers are kept, and is computed again if read after that.
+    The metric, its first derivatives and its inverse are taken at
+    construction: a singular metric raises SingularMetric there, whichever
+    fields are read later.  Every field carries a leading sample axis; the
+    scalar fields are (N,) arrays.  The arrays are read-only, so the
+    consumers sharing one batch cannot change what another reads.  A
+    product-rule term on an exactly zero jet of phi, xi or eta (a literal
+    field, as in every shipped structure) is left out; the other terms keep
+    their order, so their sums round as before.
     """
 
     def __init__(self, n: int, tag: str, sj: StructureJets):
         if tag not in (METRIC_G, METRIC_GTILDE):
             raise ValueError(f"unknown metric tag {tag!r}")
-        g, dg, d2g = sj.g if tag == METRIC_G else associated_metric_jets(sj)
+        g, dg = sj.g[:2] if tag == METRIC_G else associated_metric_first_order(sj)
         shared = dict(phi=sj.phi.value, xi=sj.xi.value, eta=sj.eta.value, deta=sj.eta.partial,
                       g=g, dg=dg, ginv=_inverse(g, tag))
         for array in shared.values():
             array.flags.writeable = False
-        vars(self).update(shared, tag=tag, n=n, _d2g=d2g, _dphi=sj.phi.partial,
+        vars(self).update(shared, tag=tag, n=n, _jets=sj, _dphi=sj.phi.partial,
                           _d2phi=sj.phi.second, _dxi=sj.xi.partial)
 
     def __setattr__(self, name, value):
@@ -120,6 +132,10 @@ class PointGeometry:
     # of the formula, and a permuted view is read against a contiguous operand
     # where an exact symmetry of the operands allows it.
 
+    def _d2g(self):
+        """The metric's second derivatives, made for dgamma, their one reader, and not kept."""
+        return self._jets.g.second if self.tag == METRIC_G else associated_metric_second(self._jets)
+
     @_field
     def _dginv(self):  # [k,l,m] = d_m g^{kl} = -g^{ka} d_m g_{ab} g^{bl}
         ginv = self.ginv
@@ -141,7 +157,7 @@ class PointGeometry:
 
     @_field
     def dgamma(self):
-        dC = _koszul_derivative(self._d2g)
+        dC = _koszul_derivative(self._d2g())
         Ct = np.swapaxes(_mat(self._koszul, 1, 2), -1, -2)  # [(i,j),l]
         out = (Ct[:, None] @ self._dginv).reshape(dC.shape)  # per k: C[l,ij] d_m g^{kl}
         out += (self.ginv @ _mat(dC, 1, 3)).reshape(dC.shape)
@@ -159,12 +175,13 @@ class PointGeometry:
         )
         out += np.einsum("...lijk->...lkij", P)
         out -= np.einsum("...ljik->...lkij", P)
+        self._release_dgamma()
         return out
 
-    @_field
-    def r04(self):  # g_{lw} R^l_{kij}, computed as [w,k,i,j] and read as [i,j,k,w]
-        r = (np.swapaxes(self.g, -1, -2) @ _mat(self.r13, 1, 3)).reshape(self.r13.shape)
-        return np.einsum("...wkij->...ijkw", r)
+    def _release_dgamma(self):
+        """Called by r13 and dtheta_star, dgamma's only readers: the later of the two lets it go."""
+        if "r13" in vars(self) or "dtheta_star" in vars(self):
+            del vars(self)["dgamma"]
 
     @_field
     def ricci(self):
@@ -232,6 +249,7 @@ class PointGeometry:
         y = y - np.einsum("...kt,...tm->...km", phi, both[:, :, 1])
         if varying_phi:
             y = y - np.einsum("...ktm,...t->...km", dphi, np.einsum("...is,...tis->...t", G, gamma))
+        self._release_dgamma()
         return out + (np.einsum("...kzm,...k->...zm", self.dg, q) + np.einsum("...kz,...km->...zm", self.g, y))
 
     @_field
@@ -251,11 +269,21 @@ class PointGeometry:
         return np.einsum("...j,...jz->...z", xi, np.einsum("...i,...ijz->...jz", xi, self.F))
 
 
+def lowered_curvature(pg: PointGeometry) -> np.ndarray:
+    """r04[i,j,k,w] = g_{lw} R^l_{kij}, lowered from pg.r13 on each call and not kept.
+
+    It is computed as [w,k,i,j] and returned as an [i,j,k,w] view of that array.
+    """
+    r13 = pg.r13
+    r = (np.swapaxes(pg.g, -1, -2) @ _mat(r13, 1, 3)).reshape(r13.shape)
+    return np.einsum("...wkij->...ijkw", r)
+
+
 def _koszul_derivative(d2g: np.ndarray) -> np.ndarray:
     """dC[l,i,j,m] = d_m C[l,i,j] = d2g[j,l,i,m] + d2g[i,l,j,m] - d2g[i,j,l,m].
 
     The metric jets are exactly symmetric in their two metric slots (the
-    loader requires equal ASTs for g_ij and g_ji, and associated_metric_jets
+    loader requires equal ASTs for g_ij and g_ji, and associated_metric_second
     symmetrizes exactly), so the first two terms are d2g[l,j,i,m] and d2g
     itself, and only the last is a permuted read.
     """
@@ -457,7 +485,7 @@ def curvature_symmetry_residuals(pg: PointGeometry) -> dict:
     # R's symmetries are read on r04's contiguous base B[w,k,i,j] = R(d_i, d_j, d_k, d_w):
     # each residual sums the same pairs of entries as on [i,j,k,w], so its maximum is the
     # same.  Every residual is written into one scratch buffer, and |.| is taken in place.
-    r, r13 = np.einsum("...ijkw->...wkij", pg.r04), pg.r13
+    r, r13 = np.einsum("...ijkw->...wkij", lowered_curvature(pg)), pg.r13
     scratch = np.empty_like(r13)
 
     def max_abs(array):

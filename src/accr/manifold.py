@@ -24,7 +24,7 @@ from .errors import (
     UnboundConstant,
     UnknownBuiltin,
 )
-from .expr import Expression, eval_jets, eval_numbers, parse
+from .expr import Expression, eval_field_jets, eval_numbers, parse
 from .tensor import _congruence, _dot, _mat, signature_of
 
 __all__ = [
@@ -34,7 +34,8 @@ __all__ = [
     "FieldJets",
     "StructureJets",
     "ValidationReport",
-    "associated_metric_jets",
+    "associated_metric_first_order",
+    "associated_metric_second",
     "load_manifold",
     "builtin_structure",
     "builtin_names",
@@ -162,12 +163,16 @@ class AccRStructure:
 
         `point` is one chart point (d,) or a batch (N, d); a batch puts a
         leading sample axis on every array.  The components of g, phi, xi
-        and eta are evaluated together, in that order, by `eval_jets`.
+        and eta are evaluated together, in that order, by `eval_field_jets`,
+        so the derivatives of a literal field are read-only zeros that own
+        no memory.
         """
         self.chart.require_inside(point)
         fields = (self.g, self.phi, self.xi, self.eta)
-        jets = eval_jets(_flat(fields), point, bindings)  # value, gradient, Hessian
-        return StructureJets(*map(FieldJets, *(_split(fields, a, tail) for tail, a in enumerate(jets))))
+        jets = eval_field_jets([_flat([f]) for f in fields], point, bindings)
+        return StructureJets(*(
+            FieldJets(*(_unflat(f, a, tail) for tail, a in enumerate(jet))) for f, jet in zip(fields, jets)
+        ))
 
     def frame_at(self, point, bindings: Mapping[str, float] | None = None) -> np.ndarray:
         """The declared phi-adapted frame (columns e_1..e_2n, xi) at one point or a batch."""
@@ -182,14 +187,19 @@ def _flat(fields) -> list[Expression]:
     return [e for f in fields for e in (f if isinstance(f[0], Expression) else [e for row in f for e in row])]
 
 
-def _split(fields, array: np.ndarray, tail: int = 0) -> list[np.ndarray]:
-    """The expression axis of `array`, followed by `tail` derivative axes, as one array per field."""
-    lead, rest = array.shape[:array.ndim - tail - 1], array.shape[array.ndim - tail:]
+def _unflat(field, array: np.ndarray, tail: int = 0) -> np.ndarray:
+    """The expression axis of `array`, followed by `tail` derivative axes, in the shape of `field`."""
+    shape = (len(field),) if isinstance(field[0], Expression) else (len(field), len(field[0]))
+    axis = array.ndim - tail - 1
+    return array.reshape(array.shape[:axis] + shape + array.shape[axis + 1:])
+
+
+def _split(fields, array: np.ndarray) -> list[np.ndarray]:
+    """The expression axis of `array`, its last, as one array per field."""
     out, start = [], 0
     for f in fields:
-        shape = (len(f),) if isinstance(f[0], Expression) else (len(f), len(f[0]))
         stop = start + len(_flat([f]))
-        out.append(array[(..., slice(start, stop)) + (slice(None),) * tail].reshape(lead + shape + rest))
+        out.append(_unflat(f, array[..., start:stop]))
         start = stop
     return out
 
@@ -380,12 +390,6 @@ class ValidationReport:
             and self.signature == self.expected_signature
         )
 
-    def failing(self) -> list[str]:
-        bad = [k for k, r in self.residuals.items() if r > self.tolerance]
-        if self.signature != self.expected_signature:
-            bad.append("signature")
-        return bad
-
 
 def validate_structure(
     S: AccRStructure,
@@ -432,34 +436,47 @@ def validate_structure(
 
 
 # -- associated metric -------------------------------------------------------
+#
+# The jets of the associated B-metric g~(x, y) = g(x, phi y) + eta(x) eta(y), by
+# the product rule, in two parts, so that the second derivatives can be made by
+# their one reader when it needs them.  The structure jets are those of one point
+# or of a batch (see AccRStructure.jets_at); the results carry the same leading
+# axes.  A term on an exactly zero jet of phi or eta is left out; the others keep
+# their order, so their sums round as before.
 
 
-def associated_metric_jets(sj: StructureJets) -> FieldJets:
-    """Jets of the associated B-metric g~(x, y) = g(x, phi y) + eta(x) eta(y), by the product rule.
-
-    The structure jets are those of one point or of a batch (see
-    AccRStructure.jets_at); the result carries the same leading axes.  A term
-    on an exactly zero jet of phi or eta is left out; the others keep their
-    order, so their sums round as before.
-    """
-    g, dg, d2g = sj.g
-    phi, dphi, d2phi = sj.phi
-    eta, deta, d2eta = sj.eta
-    dphi_on, d2phi_on, deta_on, d2eta_on = dphi.any(), d2phi.any(), deta.any(), d2eta.any()
+def associated_metric_first_order(sj: StructureJets) -> tuple[np.ndarray, np.ndarray]:
+    """The value and first derivatives of g~: [..., i, j] and [..., i, j, m]."""
+    g, dg, _ = sj.g
+    phi, dphi, _ = sj.phi
+    eta, deta, _ = sj.eta
     phi_t = np.swapaxes(phi, -1, -2)[..., None, :, :]  # per first slot of the metric's jets
     value = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
     partial = phi_t @ dg  # [i,j,m] = phi[s,j] d_m g[i,s]
-    if dphi_on:
+    if dphi.any():
         partial = partial + (g @ _mat(dphi, 1, 2)).reshape(dphi.shape)
-    if deta_on:
+    if deta.any():
         partial = partial + np.einsum("...im,...j->...ijm", deta, eta)
         partial = partial + np.einsum("...i,...jm->...ijm", eta, deta)
+    # the formula is symmetric in (i, j) only up to rounding; enforce exactly
+    value = (value + np.swapaxes(value, -2, -1)) / 2.0
+    partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0
+    return value, partial
+
+
+def associated_metric_second(sj: StructureJets) -> np.ndarray:
+    """The second derivatives of g~: [..., i, j, m, l]."""
+    g, dg, d2g = sj.g
+    phi, dphi, d2phi = sj.phi
+    eta, deta, d2eta = sj.eta
+    dphi_on, deta_on, d2eta_on = dphi.any(), deta.any(), d2eta.any()
+    phi_t = np.swapaxes(phi, -1, -2)[..., None, :, :]
     second = (phi_t @ _mat(d2g, 1, 2)).reshape(d2g.shape)
     if dphi_on:  # both dg.dphi terms read one product, [i,m,j,l] = d_m g[i,s] d_l phi[s,j]
         both = (np.swapaxes(dg, -1, -2) @ _mat(dphi, 1, 2)[..., None, :, :]).reshape(d2g.shape)
         second = second + np.einsum("...imjl->...ijml", both)
         second = second + np.einsum("...iljm->...ijml", both)
-    if d2phi_on:
+    if d2phi.any():
         second = second + (g @ _mat(d2phi, 1, 3)).reshape(d2phi.shape)
     if d2eta_on:
         second = second + np.einsum("...iml,...j->...ijml", d2eta, eta)
@@ -468,12 +485,10 @@ def associated_metric_jets(sj: StructureJets) -> FieldJets:
         second = second + np.einsum("...il,...jm->...ijml", deta, deta)
     if d2eta_on:
         second = second + np.einsum("...i,...jml->...ijml", eta, d2eta)
-    # the formula is symmetric in (i, j) only up to rounding; enforce exactly
-    value = (value + np.swapaxes(value, -2, -1)) / 2.0
-    partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0
+    # symmetric in (i, j) only up to rounding; enforce exactly
     second = second + np.swapaxes(second, -4, -3)
     second /= 2.0
-    return FieldJets(value, partial, second)
+    return second
 
 
 # -- sampling ----------------------------------------------------------------

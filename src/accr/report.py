@@ -93,9 +93,6 @@ class Report:
         lines.append(f"wall: {self.wall_ms:.1f} ms")
         return "\n".join(lines)
 
-    def failed(self) -> list[CheckRecord]:
-        return [c for c in self.checks if c.verdict == VERDICT_FAIL]
-
 
 def _dumps(obj) -> str:
     """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte.

@@ -22,43 +22,44 @@ def flat():
     return builtin_structure("flat-cosymplectic")
 
 
-# The cone with two flat fiber pairs (n = 2, dimension 5), phi pairing u_i
-# with v_i; the same structure as the benchmark's perfbench/cone_n2.json.
-CONE_N2 = {
-    "name": "cone-flat-fiber-n2",
-    "n": 2,
-    "coordinates": ["t", "u1", "v1", "u2", "v2"],
-    "domain": {"t": [0.5, 5.0], "u1": [-3.0, 3.0], "v1": [-3.0, 3.0], "u2": [-3.0, 3.0], "v2": [-3.0, 3.0]},
-    "constants": ["c", "ct"],
-    "g": [
-        ["1", "0", "0", "0", "0"],
-        ["0", "t^2", "0", "0", "0"],
-        ["0", "0", "-t^2", "0", "0"],
-        ["0", "0", "0", "t^2", "0"],
-        ["0", "0", "0", "0", "-t^2"],
-    ],
-    "phi": [
-        ["0", "0", "0", "0", "0"],
-        ["0", "0", "-1", "0", "0"],
-        ["0", "1", "0", "0", "0"],
-        ["0", "0", "0", "0", "-1"],
-        ["0", "0", "0", "1", "0"],
-    ],
-    "xi": ["1", "0", "0", "0", "0"],
-    "eta": ["1", "0", "0", "0", "0"],
-    "frame": [
-        ["0", "0", "0", "0", "1"],
-        ["1/t", "0", "0", "0", "0"],
-        ["0", "1/t", "0", "0", "0"],
-        ["0", "0", "1/t", "0", "0"],
-        ["0", "0", "0", "1/t", "0"],
-    ],
-}
+def cone_with_fibers(n):
+    """The cone with n flat fiber pairs (dimension 2n+1), phi pairing u_i with v_i."""
+    d = 2 * n + 1
+    coordinates = ["t"] + [f"{axis}{i}" for i in range(1, n + 1) for axis in "uv"]
+    g, phi, frame = ([["0"] * d for _ in range(d)] for _ in range(3))
+    g[0][0] = frame[0][d - 1] = "1"
+    for i in range(n):
+        u, v = 2 * i + 1, 2 * i + 2
+        g[u][u], g[v][v] = "t^2", "-t^2"
+        phi[u][v], phi[v][u] = "-1", "1"
+    for k in range(1, d):
+        frame[k][k - 1] = "1/t"
+    return {
+        "name": f"cone-flat-fiber-n{n}",
+        "n": n,
+        "coordinates": coordinates,
+        "domain": {c: [0.5, 5.0] if c == "t" else [-3.0, 3.0] for c in coordinates},
+        "constants": ["c", "ct"],
+        "g": g,
+        "phi": phi,
+        "xi": ["1"] + ["0"] * (d - 1),
+        "eta": ["1"] + ["0"] * (d - 1),
+        "frame": frame,
+    }
+
+
+# The same structure as the benchmark's perfbench/cone_n2.json.
+CONE_N2 = cone_with_fibers(2)
 
 
 @pytest.fixture(scope="session")
 def cone_n2():
     return load_manifold(json.dumps(CONE_N2))
+
+
+@pytest.fixture(scope="session")
+def cone_n3():
+    return load_manifold(json.dumps(cone_with_fibers(3)))
 
 
 # Not an almost contact B-metric structure (it fails validation): a chart

@@ -23,6 +23,7 @@ from accr.geometry import (
     curvature_symmetry_residuals,
     f_property_residuals,
     f_tilde_components_from,
+    lowered_curvature,
     nabla_tilde_components_from,
     tau_tilde_relations,
     torse_forming_curvature_residuals,
@@ -82,7 +83,7 @@ def test_criterion_1_golden_closed_forms(capsys, cone, points, ts, geoms):
     for p, (pg, pgt) in zip(points, geoms):
         t = p[0]
         frame = cone.frame_at(p)
-        r04f = to_phi_frame(pg.r04[0], ("l",) * 4, frame)
+        r04f = to_phi_frame(lowered_curvature(pg)[0], ("l",) * 4, frame)
         rhof = to_phi_frame(pg.ricci[0], ("l", "l"), frame)
         diffs["R_1212 = -1/t^2"].append(abs(r04f[0, 1, 0, 1] - (-1.0 / t**2)))
         diffs["rho_11 = -1/t^2"].append(abs(rhof[0, 0] - (-1.0 / t**2)))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,23 @@ def test_curvature_singular_metric_exit_code(capsys, tmp_path):
     rc, _, err = run(capsys, "curvature", str(path), "--samples", "4")
     assert rc == 1
     assert "SingularMetric" in err
+
+
+def test_report_peak_traced_memory_on_the_n2_cone(capsys):
+    # the traced peak of one report is 2.82 MB, against 4.53 MB when r04, g~'s second
+    # derivatives, dgamma after its last reader and the zero jets of the literal fields
+    # were all kept; the bound adds 0.23 MB to the measured value
+    argv = ["report", _CONE_N2_FILE, "--potential-k", "c*t", "--const", "c=1", "--samples", "64",
+            "--format", "json"]
+    assert main(argv) == 0  # warm: imports and first-call caches are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 3.05e6
 
 
 def test_verify_paper(capsys):

@@ -19,13 +19,20 @@ from accr.geometry import (
     f_tilde_components_from,
     lie_derivative_metric,
     lie_derivative_vertical,
+    lowered_curvature,
     metric_compatibility_residual,
     nabla_tilde_components_from,
     tau_tilde_relations,
     torse_forming_curvature_residuals,
     vector_field_jets,
 )
-from accr.manifold import associated_metric_jets, load_manifold, sample_points, validate_structure
+from accr.manifold import (
+    associated_metric_first_order,
+    associated_metric_second,
+    load_manifold,
+    sample_points,
+    validate_structure,
+)
 from accr.tensor import to_phi_frame
 
 from conftest import OFFDIAG, OFFDIAG_BINDINGS, associated_metric, fd_gradient, rel_err
@@ -39,7 +46,7 @@ COORDS = ("t", "u", "v")
 # then the fields computed on first read.
 FIELDS = (
     "phi", "xi", "eta", "deta", "g", "dg", "ginv",
-    "gamma", "dgamma", "r13", "r04", "ricci", "tau", "tau_star", "nabla_xi", "nabla_eta",
+    "gamma", "dgamma", "r13", "ricci", "tau", "tau_star", "nabla_xi", "nabla_eta",
     "F", "theta_star", "dtheta_star", "theta_star_xi", "grad_theta_star_xi", "omega",
 )
 
@@ -126,12 +133,13 @@ def test_nabla_xi_identity_violation():
     # xi scaled by t breaks g(xi,xi)=1: eta(nabla_x xi) picks it up, and validation fails it
     S = load_manifold(cone_json(xi=["t", "0", "0"]))
     assert _eta_of_nabla_xi(SampleGeometry(S, [POINT]).of("g")) > 1e-9
-    assert "g(xi, xi) = 1" in validate_structure(S, [POINT]).failing()
+    report = validate_structure(S, [POINT])
+    assert report.residuals["g(xi, xi) = 1"] > report.tolerance
 
 
 def test_curvature_frozen_values(cone, pg_g):
     frame = cone.frame_at(POINT)
-    r_frame = to_phi_frame(pg_g.r04[0], ("l",) * 4, frame)
+    r_frame = to_phi_frame(lowered_curvature(pg_g)[0], ("l",) * 4, frame)
     assert np.isclose(r_frame[0, 1, 0, 1], -0.25, atol=1e-13)
     rho_frame = to_phi_frame(pg_g.ricci[0], ("l", "l"), frame)
     assert np.allclose(rho_frame, np.diag([-0.25, 0.25, 0.0]), atol=1e-13)
@@ -286,7 +294,7 @@ def test_exterior_derivative():
 def test_point_geometry_shapes(pg_g):
     assert pg_g.dim == 3 and pg_g.n == 1
     assert pg_g.r13.shape == (1, 3, 3, 3, 3)
-    assert pg_g.r04.shape == (1, 3, 3, 3, 3)
+    assert lowered_curvature(pg_g).shape == (1, 3, 3, 3, 3)
     assert pg_g.dgamma.shape == (1, 3, 3, 3, 3)
     assert pg_g.F.shape == (1, 3, 3, 3)
     assert pg_g.nabla_eta.shape == (1, 3, 3)
@@ -300,11 +308,11 @@ def test_ricci_consistent_with_r13(pg_g, pg_gt):
 
 
 # the bindings of each structure the batch tests run on
-_BINDINGS = {"cone": {}, "cone_n2": {}, "offdiag": OFFDIAG_BINDINGS}
+_BINDINGS = {"cone": {}, "cone_n2": {}, "cone_n3": {}, "offdiag": OFFDIAG_BINDINGS}
 
 
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
-@pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "cone_n3", "offdiag"])
 def test_batch_matches_per_point(request, structure, tag):
     S = request.getfixturevalue(structure)
     points = sample_points(S.chart, 12, seed=5)
@@ -316,6 +324,7 @@ def test_batch_matches_per_point(request, structure, tag):
             want = getattr(single, field)[0]
             assert np.shape(got) == np.shape(want), field
             assert rel_err(got, want) <= 1e-13, field
+        assert rel_err(lowered_curvature(batch)[k], lowered_curvature(single)[0]) <= 1e-13
 
 
 def test_field_list_is_complete(cone):
@@ -327,7 +336,7 @@ def test_field_list_is_complete(cone):
 
 
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
-@pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "cone_n3", "offdiag"])
 def test_fields_do_not_depend_on_read_order(request, structure, tag):
     S = request.getfixturevalue(structure)
     points = sample_points(S.chart, 6, seed=3)
@@ -339,6 +348,17 @@ def test_fields_do_not_depend_on_read_order(request, structure, tag):
         a, b = getattr(forward, field), getattr(backward, field)
         # bit for bit, the sign of zero included
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    assert lowered_curvature(forward).tobytes() == lowered_curvature(backward).tobytes()
+
+
+def test_dgamma_is_let_go_once_both_its_readers_are_kept(cone_n2):
+    pg = SampleGeometry(cone_n2, sample_points(cone_n2.chart, 4, seed=3)).of("gtilde")
+    first = pg.dgamma
+    pg.dtheta_star
+    assert "dgamma" in vars(pg)
+    pg.r13
+    assert "dgamma" not in vars(pg)
+    assert pg.dgamma.tobytes() == first.tobytes()  # a later read computes it again
 
 
 def test_soliton_computes_only_the_fields_it_reads(monkeypatch, capsys):
@@ -358,7 +378,7 @@ def test_soliton_computes_only_the_fields_it_reads(monkeypatch, capsys):
     assert list(geo._geometry) == ["gtilde"]  # the geometry of g was never built
     computed = set(vars(geo._geometry["gtilde"]))
     assert {"gamma", "tau"} <= computed
-    assert not {"F", "r04", "theta_star", "omega"} & computed
+    assert not {"F", "theta_star", "omega"} & computed
 
 
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
@@ -509,7 +529,7 @@ def test_batched_helpers_match_per_sample(request, structure, tag):
 def _einsum_fields(pg):
     """Each field computed by matmul, as an einsum over the fields it reads."""
     g, ginv, dg, phi, gamma, dgamma = pg.g, pg.ginv, pg.dg, pg.phi, pg.gamma, pg.dgamma
-    dginv, C, d2g, dphi, cov, F, G = pg._dginv, pg._koszul, pg._d2g, pg._dphi, pg._cov_phi, pg.F, pg._ginv_phi
+    dginv, C, d2g, dphi, cov, F, G = pg._dginv, pg._koszul, pg._d2g(), pg._dphi, pg._cov_phi, pg.F, pg._ginv_phi
     dC = (np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
           - np.einsum("...ijlm->...lijm", d2g))
     dcov_g = (  # G[i,s] d_m cov_phi[k,s,i], term by term
@@ -526,7 +546,6 @@ def _einsum_fields(pg):
         "dgamma": 0.5 * (np.einsum("...klm,...lij->...kijm", dginv, C) + np.einsum("...kl,...lijm->...kijm", ginv, dC)),
         "r13": (np.einsum("...ljki->...lkij", dgamma) - np.einsum("...likj->...lkij", dgamma)
                 + np.einsum("...lim,...mjk->...lkij", gamma, gamma) - np.einsum("...ljm,...mik->...lkij", gamma, gamma)),
-        "r04": np.einsum("...lw,...lkij->...ijkw", g, pg.r13),
         "_cov_phi": dphi + np.einsum("...kis,...sj->...kji", gamma, phi) - np.einsum("...sij,...ks->...kji", gamma, phi),
         "F": np.einsum("...kz,...kji->...ijz", g, cov),
         "dtheta_star": (np.einsum("...ism,...isz->...zm", dG, F)
@@ -545,6 +564,7 @@ def _einsum_helpers(pg):
     total = (F - phi_F_phi - np.einsum("...j,...iz->...ijz", eta, np.einsum("...isz,...s->...iz", F, xi))
              - np.einsum("...z,...ij->...ijz", eta, np.einsum("...ijs,...s->...ij", F, xi)))
     out = {
+        "lowered curvature": (np.einsum("...lw,...lkij->...ijkw", g, pg.r13), lowered_curvature(pg), None),
         "metric compatibility": (np.max(np.abs(nabla_g), axis=(1, 2, 3)), metric_compatibility_residual(pg),
                                  np.max(np.abs(pg.dg))),
         "F properties": (np.max(np.abs(total), axis=(1, 2, 3)),
@@ -625,10 +645,11 @@ def test_matmul_contractions_match_their_einsum_forms(request, structure, tag):
         assert _near(got, want, scale), name
     sj = S.jets_at(points, bindings)
     for point_or_batch in (sj, S.jets_at(points[3], bindings)):
-        for got, want in zip(associated_metric_jets(point_or_batch), _einsum_associated_jets(point_or_batch)):
+        jets = (*associated_metric_first_order(point_or_batch), associated_metric_second(point_or_batch))
+        for got, want in zip(jets, _einsum_associated_jets(point_or_batch)):
             assert _near(got, want)
     frames = np.eye(S.dim) + 0.3 * np.random.default_rng(5).standard_normal((len(points), S.dim, S.dim))
-    for comp, variance in ((pg.r04, "llll"), (pg.r13, "ulll"), (pg.ricci, "ll"), (pg.xi, "u")):
+    for comp, variance in ((lowered_curvature(pg), "llll"), (pg.r13, "ulll"), (pg.ricci, "ll"), (pg.xi, "u")):
         want = _einsum_phi_frame(comp, variance, frames)
         assert _near(to_phi_frame(comp, tuple(variance), frames), want), variance
         assert _near(to_phi_frame(comp[2], tuple(variance), frames[2]), want[2]), variance
@@ -648,7 +669,7 @@ def _structure(request, name):
 def test_metric_jets_are_exactly_symmetric_in_their_metric_slots(request, structure):
     S, bindings = _structure(request, structure)
     sj = S.jets_at(sample_points(S.chart, 8, seed=3), bindings)
-    for jets in (sj.g, associated_metric_jets(sj)):
+    for jets in (sj.g, (*associated_metric_first_order(sj), associated_metric_second(sj))):
         for k, array in enumerate(jets):
             axes = (-2 - k, -1 - k)  # the metric slots come before the derivative axes
             assert np.array_equal(array, np.swapaxes(array, *axes)), k
@@ -658,7 +679,7 @@ def test_metric_jets_are_exactly_symmetric_in_their_metric_slots(request, struct
 @pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag", "varying"])
 def test_koszul_derivative_equals_its_three_view_form(request, structure, tag):
     S, bindings = _structure(request, structure)
-    d2g = SampleGeometry(S, sample_points(S.chart, 8, seed=3), bindings).of(tag)._d2g
+    d2g = SampleGeometry(S, sample_points(S.chart, 8, seed=3), bindings).of(tag)._d2g()
     three_views = (np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
                    - np.einsum("...ijlm->...lijm", d2g))
     got = geometry._koszul_derivative(d2g)

@@ -16,7 +16,8 @@ from accr.cli import main
 CONE_N2 = str(Path(__file__).resolve().parent.parent / "perfbench" / "cone_n2.json")
 _WALL = re.compile(r'"wall_ms": [^,\n}]*|^wall: .*$', re.MULTILINE)
 
-# The workloads of perfbench/run.py at seed 42, then one in table format; each exits 0.
+# The workloads of perfbench/run.py at seed 42, one in table format, then three more
+# commands on the n = 2 cone; each exits 0.
 CASES = {
     "verify-cone": (
         ["verify-paper", "--builtin", "cone-flat-fiber", "--samples", "64", "--seed", "42", "--format", "json"],
@@ -35,6 +36,19 @@ CASES = {
     "report-n2-table": (
         ["report", CONE_N2, "--potential-k", "c*t", "--const", "c=1", "--samples", "16", "--format", "table"],
         "fd460601af3002bc5832789b946aaf7c18b0f10c6c19eeb8ab6aa4249ed29518",
+    ),
+    # the commands that read the lowered curvature, the phi-frame values and the structure jets
+    "curvature-g-n2": (
+        ["curvature", CONE_N2, "--metric", "g", "--samples", "64", "--seed", "42", "--format", "json"],
+        "a373098af3e53978ea4094cdc07a4847b5229eaa8b61790b221bb668e0bb3aa9",
+    ),
+    "curvature-gtilde-n2": (
+        ["curvature", CONE_N2, "--metric", "gtilde", "--samples", "64", "--seed", "42", "--format", "json"],
+        "d4c82ac991c59e2690c0fd0fd874fb0f5c848117306042381ac35b69ffb4dfe4",
+    ),
+    "classify-n2": (
+        ["classify", CONE_N2, "--samples", "64", "--seed", "42", "--format", "json"],
+        "dd5bd36f5a1010a98239f5d8228ff2de8dd88da153734cd5fdea45eca582b069",
     ),
 }
 

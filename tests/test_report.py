@@ -68,7 +68,7 @@ def test_report_table():
 
 def test_report_failed():
     rep = _report()
-    assert [c.name for c in rep.failed()] == ["beta"]
+    assert [c.name for c in rep.checks if c.verdict == VERDICT_FAIL] == ["beta"]
 
 
 # Report-shaped values: str-keyed dicts, lists and tuples, floats of every

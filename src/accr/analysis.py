@@ -177,8 +177,12 @@ def check_f5(
         f5 = MembershipEntry(
             "f5", HOLDS if f5_holds else FAILS, res_f5, extras_f5 if f5_holds else {}
         )
+        # where its F5 premise fails, F5_0 fails by the larger of the two residuals
         f5_0 = MembershipEntry(
-            "f5_0", HOLDS if (f5_holds and res_f50 <= tol) else FAILS, res_f50, {}
+            "f5_0",
+            HOLDS if (f5_holds and res_f50 <= tol) else FAILS,
+            res_f50 if f5_holds else max(res_f5, res_f50),
+            {},
         )
     return f5, f5_0, f0
 

@@ -121,6 +121,8 @@ def _parse_bindings(pairs) -> dict[str, float]:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise _Usage(f"--const expects name=value, got {pair!r}")
+        if name in out:
+            raise _Usage(f"--const {name}: bound more than once")
         try:
             out[name] = float(value)
         except ValueError:
@@ -138,6 +140,8 @@ def _parse_points(specs, chart) -> list[list[float]]:
             name, sep, value = item.partition("=")
             if not sep or name not in chart.coordinates:
                 raise _Usage(f"--point expects coord=value pairs over {chart.coordinates}")
+            if name in values:
+                raise _Usage(f"--point {name}: bound more than once in {spec!r}")
             try:
                 values[name] = float(value)
             except ValueError:

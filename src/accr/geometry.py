@@ -46,7 +46,7 @@ from .manifold import (
     associated_metric_first_order,
     associated_metric_second,
 )
-from .tensor import _congruence, _dot, _mat, _max_abs
+from .tensor import _congruence, _dot, _mat, _max_abs, _regular_inverse
 
 __all__ = [
     "PointGeometry",
@@ -293,12 +293,9 @@ def _koszul_derivative(d2g: np.ndarray) -> np.ndarray:
 
 
 def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
-    svals = np.linalg.svd(g, compute_uv=False)
-    singular = svals[..., -1] <= 1e-12 * svals[..., 0]
-    if singular.any():
-        worst = svals[np.argmax(singular)]
-        raise SingularMetric(f"metric {tag} is numerically singular (singular values {worst})")
-    ginv = np.linalg.inv(g)
+    ginv = _regular_inverse(
+        g, lambda svals, k: SingularMetric(f"metric {tag} is numerically singular (singular values {svals})")
+    )
     return (ginv + np.swapaxes(ginv, -1, -2)) / 2.0
 
 

@@ -14,6 +14,16 @@ __all__ = ["to_phi_frame", "signature_of"]
 
 _SINGULARITY_RTOL = 1e-12
 _SIGNATURE_RTOL = 1e-10
+# A stack is singular where sigma_min <= _SINGULARITY_RTOL sigma_max.  The computed
+# inverse X proves it regular without singular values: R = I - X A with ||R||_F <= 1/2
+# makes A invertible with A^-1 = (I - R)^-1 X, so ||A^-1||_2 <= 2 ||X||_F, and as
+# ||A||_2 <= ||A||_F, cond_2(A) <= 2 ||A||_F ||X||_F <= 2 / (_REGULAR_MARGIN *
+# _SINGULARITY_RTOL) = 2e11.  The factor 5 left below 1e12 covers the rounding of
+# these norms and of the SVD, whose singular values are accurate to about u sigma_max.
+# LU inversion leaves ||R|| of order u cond(A) (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 14), so a stack with cond_2 below about 1e11
+# passes; any other goes to the SVD, which decides it.
+_REGULAR_MARGIN = 10.0
 
 
 def _max_abs(x: np.ndarray, rank: int) -> np.ndarray:
@@ -35,6 +45,30 @@ def _mat(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def _congruence(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-sample phi^T x phi: [i, j] = sum_ab phi[a, i] phi[b, j] x[a, b], in two products."""
     return np.swapaxes(phi, -1, -2) @ x @ phi
+
+
+def _regular_inverse(a: np.ndarray, singular) -> np.ndarray:
+    """np.linalg.inv(a) of a matrix (d, d) or a stack (N, d, d) that is proven regular.
+
+    Where the stack is singular, raises singular(svals, k): the singular values of
+    its first singular matrix, and that matrix's index k.
+    """
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inverse = None
+    else:
+        with np.errstate(all="ignore"):  # an overflowed inverse fails the test below
+            residual = np.linalg.norm(np.eye(a.shape[-1]) - inverse @ a, axis=(-2, -1))
+            product = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+        if np.all(residual <= 0.5) and np.all(product <= 1.0 / (_REGULAR_MARGIN * _SINGULARITY_RTOL)):
+            return inverse
+    svals = np.linalg.svd(a, compute_uv=False)
+    flagged = svals[..., -1] <= _SINGULARITY_RTOL * np.maximum(svals[..., 0], 1e-300)
+    if np.any(flagged):
+        k = int(np.argmax(flagged))
+        raise singular(svals.reshape(-1, svals.shape[-1])[k], k)
+    return np.linalg.inv(a) if inverse is None else inverse
 
 
 def signature_of(g: np.ndarray, rtol: float = _SIGNATURE_RTOL):
@@ -68,12 +102,11 @@ def to_phi_frame(components, variance: tuple[str, ...], frames) -> np.ndarray:
         raise TensorError(f"components shape {comp.shape} does not match rank {rank}")
     if frames.ndim not in (2, 3) or frames.shape[-2:] != (dim, dim):
         raise TensorError(f"frame must be {dim}x{dim}")
-    svals = np.linalg.svd(frames, compute_uv=False)
-    singular = svals[..., -1] <= _SINGULARITY_RTOL * np.maximum(svals[..., 0], 1e-300)
-    if np.any(singular):
-        where = f" at sample {int(np.argmax(singular))}" if singular.ndim else ""
-        raise SingularFrame(f"frame vectors are linearly dependent{where}")
-    inverse_t = np.swapaxes(np.linalg.inv(frames), -1, -2) if "u" in variance else None
+    where = " at sample {}" if frames.ndim == 3 else ""
+    inverse = _regular_inverse(
+        frames, lambda svals, k: SingularFrame("frame vectors are linearly dependent" + where.format(k))
+    )
+    inverse_t = np.swapaxes(inverse, -1, -2)
     shape = comp.shape
     for var in variance:
         # contract the first slot and move it last, so the slots come back in order;

@@ -86,6 +86,28 @@ def offdiag():
     return load_manifold(json.dumps(OFFDIAG))
 
 
+# A Sasaki-like structure (Ivanov, Manev and Manev, J. Geom. Phys. 105 (2016) 136-148):
+# the cone's phi, xi and eta on g = dt^2 + cos 2t (du^2 - dv^2) + 2 sin 2t du dv, with
+# the phi-frame e_1 = cos t d/du + sin t d/dv, phi e_1 and xi.  It is not F5, F5_0 or
+# F0, and its off-diagonal metric is regular everywhere.
+ROTATING_NORDEN = {
+    "name": "rotating-norden",
+    "n": 1,
+    "coordinates": ["t", "u", "v"],
+    "domain": {"t": [0.1, 1.4], "u": [-3.0, 3.0], "v": [-3.0, 3.0]},
+    "g": [["1", "0", "0"], ["0", "cos(2*t)", "sin(2*t)"], ["0", "sin(2*t)", "-cos(2*t)"]],
+    "phi": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+    "xi": ["1", "0", "0"],
+    "eta": ["1", "0", "0"],
+    "frame": [["0", "0", "1"], ["cos(t)", "-sin(t)", "0"], ["sin(t)", "cos(t)", "0"]],
+}
+
+
+@pytest.fixture(scope="session")
+def rotating_norden():
+    return load_manifold(json.dumps(ROTATING_NORDEN))
+
+
 @pytest.fixture(scope="session")
 def cone_bindings():
     return dict(CONE_BINDINGS)

@@ -54,6 +54,24 @@ def test_classify_cone(cone, cone_points, cone_bindings):
     assert cm.sasaki_like.residual > 0.1
 
 
+def test_classify_rotating_norden(rotating_norden):
+    geo = SampleGeometry(rotating_norden, sample_points(rotating_norden.chart, 16, seed=42))
+    validation = analysis.validation_records(geo, 1e-9)
+    assert len(validation) == 8 and all(r.verdict == VERDICT_PASS for r in validation)
+    cm = classify(geo)
+    assert cm.sasaki_like.status == HOLDS and cm.sasaki_like.residual <= 1e-12
+    assert len(cm.sasaki_like.extras) == 6
+    assert max(cm.sasaki_like.extras.values()) <= 1e-12
+    records = analysis.classification_records(geo, 1e-9)
+    consequences = [r for r in records if r.name.startswith("consequence of sasaki_like")]
+    assert len(consequences) == 6 and all(r.verdict == VERDICT_PASS for r in consequences)
+    assert cm.f5.status == FAILS and cm.f0.status == FAILS
+    assert cm.f5.residual > 0.9
+    # F5_0 fails through its F5 premise and reports that residual, not the 0 of dθ*(ξ)
+    assert cm.f5_0.status == FAILS
+    assert cm.f5_0.residual == cm.f5.residual
+
+
 def test_classify_flat(flat, flat_points):
     cm = classify(SampleGeometry(flat, flat_points))
     assert cm.f0.status == HOLDS

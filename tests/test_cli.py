@@ -395,6 +395,21 @@ def test_undeclared_const_is_a_usage_error(capsys):
     assert rc == 2 and out == "" and "--const zzz:" in err
 
 
+def test_a_const_bound_twice_is_a_usage_error(capsys):
+    # the last value used to win silently; one user value may still override a suite default
+    rc, out, err = run(capsys, "soliton", *CONE, "--potential-k", "c*t", "--const", "c=1", "--const", "c=2")
+    assert rc == 2 and out == ""
+    assert err == "accr: --const c: bound more than once\n"
+    rc, data, _ = run_json(capsys, "verify-paper", "--samples", "2", "--const", "c=2")
+    assert rc == 0 and data["config"]["const"]["c"] == 2.0
+
+
+def test_a_coordinate_bound_twice_in_one_point_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "verify-paper", "--point", "t=1,u=0,v=0,t=3", "--samples", "2")
+    assert rc == 2 and out == ""
+    assert err == "accr: --point t: bound more than once in 't=1,u=0,v=0,t=3'\n"
+
+
 def test_boolean_structure_fields_exit_2(capsys, tmp_path):
     path = tmp_path / "bool_n.json"
     path.write_text(cone_json(n=True), encoding="utf-8")

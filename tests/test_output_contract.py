@@ -13,6 +13,8 @@ import pytest
 
 from accr.cli import main
 
+from test_manifold import cone_json
+
 CONE_N2 = str(Path(__file__).resolve().parent.parent / "perfbench" / "cone_n2.json")
 _WALL = re.compile(r'"wall_ms": [^,\n}]*|^wall: .*$', re.MULTILINE)
 
@@ -62,3 +64,27 @@ def test_stdout_matches_its_fingerprint(capsys, case):
     masked = _WALL.sub("WALL", out)
     assert masked.count("WALL") == 1
     assert hashlib.sha256(masked.encode("utf-8")).hexdigest() == fingerprint
+
+
+# The two singular paths on a cone whose metric or frame degenerates at t = 2, with a
+# regular sample pinned first: each exits 1 with one stderr line and no stdout.
+SINGULAR = {
+    "metric": (
+        {"g": [["1", "0", "0"], ["0", "t^2", "0"], ["0", "0", "-(t-2)^2"]]},
+        "accr: SingularMetric: metric g is numerically singular (singular values [4. 1. 0.])\n",
+    ),
+    "frame": (
+        {"frame": [["0", "0", "1"], ["1/t", "0", "0"], ["0", "t-2", "0"]]},
+        "accr: SingularFrame: frame vectors are linearly dependent at sample 1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGULAR))
+def test_a_singular_input_prints_its_error(capsys, tmp_path, case):
+    overrides, stderr = SINGULAR[case]
+    path = tmp_path / f"singular-{case}.json"
+    path.write_text(cone_json(**overrides), encoding="utf-8")
+    argv = ["curvature", str(path), "--samples", "4", "--point", "t=1,u=0,v=0", "--point", "t=2,u=0,v=0"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", stderr)

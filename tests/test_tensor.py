@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from accr import geometry
+from accr.cli import main
 from accr.errors import SingularFrame, SingularMetric, TensorError
 from accr.geometry import SampleGeometry
 from accr.manifold import load_manifold
 from accr.tensor import signature_of, to_phi_frame
 
 from test_manifold import cone_json
+from test_output_contract import CASES
 
 POINT = (2.0, 0.3, -0.4)
 
@@ -104,15 +107,96 @@ def test_to_phi_frame_batch_rejects_one_singular_frame():
         to_phi_frame(np.ones((3, 3)), ("l",), frames)
 
 
-def test_to_phi_frame_inverts_the_frame_only_for_a_contravariant_slot(monkeypatch):
+@pytest.fixture()
+def linalg_calls(monkeypatch):
+    """Counts of np.linalg.inv and np.linalg.svd calls while the test runs."""
+    calls = {"inv": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_a_regular_stack_is_inverted_once_and_never_decomposed(cone, cone_points, linalg_calls):
     frames = np.stack([np.eye(3), 2.0 * np.eye(3)])
-    inverted = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
     assert to_phi_frame(np.ones((2, 3, 3)), ("l", "l"), frames)[1].tolist() == (4.0 * np.ones((3, 3))).tolist()
-    assert inverted == []
+    assert linalg_calls == {"inv": 1, "svd": 0}
     assert to_phi_frame(np.ones((2, 3)), ("u",), frames)[1].tolist() == [0.5, 0.5, 0.5]
-    assert len(inverted) == 1
+    assert linalg_calls == {"inv": 2, "svd": 0}
+    SampleGeometry(cone, cone_points).of("gtilde")
+    assert linalg_calls == {"inv": 3, "svd": 0}
+
+
+@pytest.mark.parametrize("case", ["verify-cone", "report-n2", "soliton-cone"])
+def test_the_benchmark_commands_decompose_no_matrix(capsys, linalg_calls, case):
+    assert main(CASES[case][0]) == 0
+    capsys.readouterr()
+    assert linalg_calls["svd"] == 0
+
+
+def _conditioned(cond2):
+    """A symmetric 3x3 matrix with singular values 1, 1 and 1/cond2, off the coordinate axes.
+
+    Its Frobenius product ||A||_F ||A^-1||_F is sqrt(2) cond2, up to rounding.
+    """
+    q = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+    return q @ np.diag([1.0, 1.0, 1.0 / cond2]) @ q.T
+
+
+def _svd_verdict(stack):
+    """The singular-value test alone: the first k with sigma_min <= 1e-12 sigma_max, and its values."""
+    svals = np.linalg.svd(stack, compute_uv=False)
+    flagged = svals[:, -1] <= 1e-12 * svals[:, 0]
+    k = int(np.argmax(flagged))
+    return (k, svals[k]) if flagged[k] else None
+
+
+# The inverse proves a stack regular up to a Frobenius product of 1e11; above that the
+# SVD decides, and from cond_2 = 1e12 on it finds the stack singular.
+@pytest.mark.parametrize("cond2, decomposed", [
+    (0.99e11 / np.sqrt(2.0), False),
+    (1.01e11 / np.sqrt(2.0), True),
+    (0.99e12, True),
+    (1.01e12, True),
+])
+@pytest.mark.parametrize("path", ["metric", "frame"])
+def test_the_inverse_screen_keeps_the_singular_value_verdict(linalg_calls, path, cond2, decomposed):
+    stack = np.stack([np.diag([1.0, 2.0, -1.0]), _conditioned(cond2)])
+    verdict = _svd_verdict(stack)
+    linalg_calls["svd"] = 0
+    expected_inverse = np.linalg.inv(stack)
+    if path == "metric":
+        invert = lambda: geometry._inverse(stack, "g")
+        expected = (expected_inverse + np.swapaxes(expected_inverse, -1, -2)) / 2.0
+        error = SingularMetric, "metric g is numerically singular (singular values {1})"
+    else:
+        v = np.arange(6.0).reshape(2, 3)
+        invert = lambda: to_phi_frame(v, ("u",), stack)
+        expected = (v[:, None, :] @ np.swapaxes(expected_inverse, -1, -2))[:, 0]
+        error = SingularFrame, "frame vectors are linearly dependent at sample {0}"
+    if verdict is None:
+        assert np.array_equal(invert(), expected)
+    else:
+        with pytest.raises(error[0]) as raised:
+            invert()
+        assert str(raised.value) == error[1].format(*verdict)
+        assert verdict[0] == 1
+    assert (verdict is None) == (cond2 < 1e12)
+    assert linalg_calls["svd"] == decomposed
+
+
+@pytest.mark.parametrize("path", ["metric", "frame"])
+def test_an_overflowing_screen_defers_to_the_singular_values(path):
+    # ||A||_F^2 overflows: the screen raises no warning, and the SVD names the sample
+    stack = np.stack([np.eye(2), np.diag([1e200, 1e-200])])
+    if path == "metric":
+        with pytest.raises(SingularMetric, match="singular values"):
+            geometry._inverse(stack, "g")
+    else:
+        with pytest.raises(SingularFrame, match="at sample 1$"):
+            to_phi_frame(np.ones((2, 2)), ("l",), stack)
 
 
 def test_signature_of_stack():

@@ -47,7 +47,7 @@ from .report import (
     VERDICT_PASS,
     record_from_residual,
 )
-from .tensor import _congruence, _dot, _max_abs, to_phi_frame
+from .tensor import _congruence, _dot, _max_abs, _to_phi_frames
 
 __all__ = [
     "MembershipEntry",
@@ -493,8 +493,7 @@ def _phi_frame_values(geo, tag):
     """R_1212, rho_11 and rho_22 of the tagged metric in the declared frame, per sample."""
     pg = geo.of(tag)
     frames = geo.structure.frame_at(geo.points, geo.bindings)
-    r04f = to_phi_frame(lowered_curvature(pg), ("l",) * 4, frames)
-    rhof = to_phi_frame(pg.ricci, ("l", "l"), frames)
+    r04f, rhof = _to_phi_frames(frames, (lowered_curvature(pg), ("l",) * 4), (pg.ricci, ("l", "l")))
     return {"R_1212": r04f[:, 0, 1, 0, 1], "rho_11": rhof[:, 0, 0], "rho_22": rhof[:, 1, 1]}
 
 

@@ -4,6 +4,13 @@ Exit codes are a stable contract: 0 all gating checks pass, 1 a gating
 check failed, 2 usage or load error.  Classification statuses are answers
 rather than successes, so they never gate the exit code; verify-paper
 gates on every record it emits.
+
+A run builds one argparse parser, that of the command its first argument
+names, from the same option sets as `build_parser`.  The whole tree is built
+only when no command is named (top-level help, a missing or unknown command,
+a leading option) or arguments are left over, so every help text and usage
+error stays the tree's.  No parser is built at import or kept between calls:
+each call, in a shell or in-process, pays for its own.
 """
 from __future__ import annotations
 
@@ -38,55 +45,89 @@ from .report import Report, VERDICT_FAIL, VERDICT_PASS
 __all__ = ["main", "entrypoint", "build_parser"]
 
 
+def _common_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("input", nargs="?", default=None,
+                        help="manifold JSON file, or builtin:NAME")
+    parser.add_argument("--builtin", default=None, metavar="NAME",
+                        help=f"use a shipped structure ({', '.join(builtin_names())})")
+    parser.add_argument("--samples", type=int, default=64, metavar="N")
+    parser.add_argument("--seed", type=int, default=42, metavar="S")
+    parser.add_argument("--point", action="append", default=[], metavar="c1=v1,c2=v2,...",
+                        help="pin a sample point; repeatable, counts toward --samples")
+    parser.add_argument("--const", action="append", default=[], metavar="name=value",
+                        help="bind a declared constant; repeatable")
+    parser.add_argument("--tolerance", type=float, default=1e-9, metavar="T")
+    parser.add_argument("--format", choices=("json", "table"), default="table")
+    parser.add_argument("-o", "--output", default=None, metavar="PATH")
+
+
+def _metric_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metric", choices=(METRIC_G, METRIC_GTILDE), default=METRIC_G)
+
+
+def _potential_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--potential-k", default=None, metavar="EXPR",
+                        help="scalar k of the vertical potential k*xi")
+    parser.add_argument("--expect-soliton", action="store_true",
+                        help="exit 1 unless the verdict is soliton")
+
+
+_SOLVE = (_common_options, _metric_option, _potential_options)
+
+# Each command: its option sets, its line in `accr -h` and the description of its own help.
+_COMMANDS = {
+    "validate": ((_common_options,), "check the defining structure identities", None),
+    "classify": ((_common_options,), "Sasaki-like / F5 / F5_0 / F0 membership", None),
+    "curvature": ((_common_options, _metric_option), "curvature quantities and identity checks", None),
+    "soliton": (_SOLVE, "Yamabe almost-soliton solve", None),
+    "verify-paper": (
+        (_common_options,),
+        "golden-value suite on the cone example",
+        "Compare the cone example with its published closed forms. The constants c, ct "
+        "and kprime default to 1, 1 and 0. kprime enters only the closed forms: the "
+        "shipped fiber is flat, so its metric has kprime = 0, and any other value fails "
+        "the curvature, tau and soliton checks.",
+    ),
+    "report": (_SOLVE, "validation + classification + identity suites", None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: the top-level parser and one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="accr",
         description="Chart-based computations on almost contact B-metric manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # the options every command shares, and those of the metric and the potential
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("input", nargs="?", default=None,
-                        help="manifold JSON file, or builtin:NAME")
-    common.add_argument("--builtin", default=None, metavar="NAME",
-                        help=f"use a shipped structure ({', '.join(builtin_names())})")
-    common.add_argument("--samples", type=int, default=64, metavar="N")
-    common.add_argument("--seed", type=int, default=42, metavar="S")
-    common.add_argument("--point", action="append", default=[], metavar="c1=v1,c2=v2,...",
-                        help="pin a sample point; repeatable, counts toward --samples")
-    common.add_argument("--const", action="append", default=[], metavar="name=value",
-                        help="bind a declared constant; repeatable")
-    common.add_argument("--tolerance", type=float, default=1e-9, metavar="T")
-    common.add_argument("--format", choices=("json", "table"), default="table")
-    common.add_argument("-o", "--output", default=None, metavar="PATH")
-    metric = argparse.ArgumentParser(add_help=False)
-    metric.add_argument("--metric", choices=(METRIC_G, METRIC_GTILDE), default=METRIC_G)
-    potential = argparse.ArgumentParser(add_help=False)
-    potential.add_argument("--potential-k", default=None, metavar="EXPR",
-                           help="scalar k of the vertical potential k*xi")
-    potential.add_argument("--expect-soliton", action="store_true",
-                           help="exit 1 unless the verdict is soliton")
-    solve = [common, metric, potential]
-
-    sub.add_parser("validate", parents=[common], help="check the defining structure identities")
-    sub.add_parser("classify", parents=[common], help="Sasaki-like / F5 / F5_0 / F0 membership")
-    sub.add_parser("curvature", parents=[common, metric],
-                   help="curvature quantities and identity checks")
-    sub.add_parser("soliton", parents=solve, help="Yamabe almost-soliton solve")
-    sub.add_parser(
-        "verify-paper",
-        parents=[common],
-        help="golden-value suite on the cone example",
-        description=(
-            "Compare the cone example with its published closed forms. The constants c, ct "
-            "and kprime default to 1, 1 and 0. kprime enters only the closed forms: the "
-            "shipped fiber is flat, so its metric has kprime = 0, and any other value fails "
-            "the curvature, tau and soliton checks."
-        ),
-    )
-    sub.add_parser("report", parents=solve, help="validation + classification + identity suites")
+    for name, (options, summary, description) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary, description=description)
+        for add in options:
+            add(command)
     return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, as build_parser() makes its subparser."""
+    options, _, description = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"accr {name}", description=description)
+    for add in options:
+        add(parser)
+    return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), through the named command's parser alone where it can.
+
+    Arguments left over go to the whole tree, whose "unrecognized arguments"
+    error carries the top-level usage.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 class _Usage(Exception):
@@ -257,8 +298,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _run(args)
     except _Usage as exc:

@@ -294,7 +294,8 @@ def _koszul_derivative(d2g: np.ndarray) -> np.ndarray:
 
 def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
     ginv = _regular_inverse(
-        g, lambda svals, k: SingularMetric(f"metric {tag} is numerically singular (singular values {svals})")
+        g, lambda svals, k: SingularMetric(
+            f"metric {tag} is numerically singular at sample {k} (singular values {svals})")
     )
     return (ginv + np.swapaxes(ginv, -1, -2)) / 2.0
 

@@ -21,6 +21,7 @@ _VERDICTS = (VERDICT_PASS, VERDICT_FAIL, VERDICT_DEGENERATE, VERDICT_NA)
 
 _INFINITE = {inf: "Infinity", -inf: "-Infinity"}
 _FLOAT = frozenset((float,))
+_ROW = frozenset((list, tuple))
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,9 @@ def _dumps(obj) -> str:
     raises TypeError.  Each distinct nonzero float is spelled once per call;
     a zero is spelled by its sign, since 0.0 and -0.0 are one dict key.  A
     list of plain floats, such as a record's samples, is joined in one pass.
+    A matrix of plain floats (equal-length, non-empty rows), such as the
+    sample points, is spelled in one pass, float.__repr__ on every entry,
+    unless an entry is infinite or NaN.
     """
     spelled: dict[float, str] = {}
 
@@ -113,6 +117,20 @@ def _dumps(obj) -> str:
                 return "NaN"
             text = spelled[x] = _INFINITE.get(x) or float.__repr__(x)
         return text
+
+    def matrix(rows, indent: str) -> str | None:
+        """The text of rows as a float matrix, or None if they are none or hold inf or NaN."""
+        width = len(rows[0]) if _ROW.issuperset(map(type, rows)) else 0
+        if not width or any(len(row) != width for row in rows):
+            return None
+        flat = [x for row in rows for x in row]
+        if not _FLOAT.issuperset(map(type, flat)):
+            return None
+        inner, entry = indent + "  ", indent + "    "
+        row = "[" + entry + ("," + entry).join(("%s",) * width) + inner + "]"
+        text = ("[" + inner + ("," + inner).join((row,) * len(rows)) + indent + "]") % tuple(
+            map(float.__repr__, flat))
+        return None if "n" in text else text  # inf, nan: JSON spells them otherwise
 
     def encode(o, indent: str) -> str:
         if isinstance(o, str):
@@ -133,6 +151,8 @@ def _dumps(obj) -> str:
                 return "[]"
             if _FLOAT.issuperset(map(type, o)):
                 items = map(number, o)
+            elif (text := matrix(o, indent)) is not None:
+                return text
             else:
                 items = [encode(v, inner) for v in o]
             return "[" + inner + ("," + inner).join(items) + indent + "]"

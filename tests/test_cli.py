@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from accr import cli
 from accr.cli import build_parser, main
 
 from test_manifold import cone_json
+from test_output_contract import CASES
 
 CONE = ["--builtin", "cone-flat-fiber"]
 PIN = ["--point", "t=2,u=0.3,v=-0.4"]
@@ -482,6 +484,59 @@ def test_subcommand_options_and_defaults():
     args = parser.parse_args(["report", "--point", "t=1,u=0,v=0", "--const", "c=2"])
     assert (args.point, args.const) == (["t=1,u=0,v=0"], ["c=2"])
     assert vars(parser.parse_args(["validate"])) == {"command": "validate", **common}
+
+
+_COMMAND_NAMES = ("validate", "classify", "curvature", "soliton", "verify-paper", "report")
+_ARGV_SURFACE = [
+    ["-h"],
+    *([name, "-h"] for name in _COMMAND_NAMES),
+    [],
+    ["nope"],
+    ["validate", "--bogus"],
+    ["soliton", "--samples", "x"],
+    ["curvature", "--metric", "h"],
+    ["--", "validate"],
+    ["report", "a.json", "b.json"],
+    ["soliton", "--pot", "t", "--samp", "3", "--expect"],
+    ["report", "--", "x.json"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", _ARGV_SURFACE, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_parses_as_the_whole_parser_tree(capsys, monkeypatch, argv):
+    # help, usage errors and parsed options, each as build_parser() gives them
+    def echo(args):
+        print(sorted(vars(args).items()))
+        return 0
+
+    monkeypatch.setattr(cli, "_run", echo)
+    whole = _parse_outcome(capsys, lambda argv: echo(build_parser().parse_args(argv)), argv)
+    assert _parse_outcome(capsys, main, argv) == whole
+
+
+@pytest.mark.parametrize("case", ["verify-cone", "report-n2", "soliton-cone"])
+def test_a_benchmark_command_builds_one_parser(capsys, monkeypatch, case):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = CASES[case][0]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built == [f"accr {argv[0]}"]
 
 
 @pytest.mark.parametrize("shape", ["sum", "parentheses"])

@@ -71,7 +71,7 @@ def test_stdout_matches_its_fingerprint(capsys, case):
 SINGULAR = {
     "metric": (
         {"g": [["1", "0", "0"], ["0", "t^2", "0"], ["0", "0", "-(t-2)^2"]]},
-        "accr: SingularMetric: metric g is numerically singular (singular values [4. 1. 0.])\n",
+        "accr: SingularMetric: metric g is numerically singular at sample 1 (singular values [4. 1. 0.])\n",
     ),
     "frame": (
         {"frame": [["0", "0", "1"], ["1/t", "0", "0"], ["0", "t-2", "0"]]},

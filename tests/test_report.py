@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from accr.report import (
@@ -97,6 +97,35 @@ _values = st.recursive(
 @given(_values)
 @settings(max_examples=200, deadline=None)
 def test_writer_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# Float matrices, such as the echoed sample points: rows of one width or ragged, lists
+# or tuples, with empty rows, NaN, infinities, signed zeros, subnormals and extremes.
+_entries = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 2.0**-1030,
+                     1e300, -1e300, 1e-300, -1e-300]),
+)
+_rows = st.one_of(st.lists(_entries, max_size=4), st.lists(_entries, max_size=4).map(tuple))
+_matrices = st.one_of(
+    st.integers(0, 4).flatmap(
+        lambda width: st.lists(st.lists(_entries, min_size=width, max_size=width), min_size=1, max_size=5)),
+    st.lists(_rows, max_size=5),
+    st.lists(_rows, max_size=5).map(tuple),
+)
+_documents = st.recursive(
+    st.one_of(_matrices, st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@seed(20261019)
+@given(_documents)
+@settings(max_examples=200, deadline=1000)
+def test_writer_matches_json_dumps_on_float_matrices(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 

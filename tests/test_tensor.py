@@ -136,6 +136,13 @@ def test_the_benchmark_commands_decompose_no_matrix(capsys, linalg_calls, case):
     assert linalg_calls["svd"] == 0
 
 
+def test_verify_paper_inverts_each_stack_once(capsys, linalg_calls):
+    # the metrics g and g~, and the frames, whose one inverse frames both R and rho
+    assert main(CASES["verify-cone"][0]) == 0
+    capsys.readouterr()
+    assert linalg_calls == {"inv": 3, "svd": 0}
+
+
 def _conditioned(cond2):
     """A symmetric 3x3 matrix with singular values 1, 1 and 1/cond2, off the coordinate axes.
 
@@ -170,7 +177,7 @@ def test_the_inverse_screen_keeps_the_singular_value_verdict(linalg_calls, path,
     if path == "metric":
         invert = lambda: geometry._inverse(stack, "g")
         expected = (expected_inverse + np.swapaxes(expected_inverse, -1, -2)) / 2.0
-        error = SingularMetric, "metric g is numerically singular (singular values {1})"
+        error = SingularMetric, "metric g is numerically singular at sample {0} (singular values {1})"
     else:
         v = np.arange(6.0).reshape(2, 3)
         invert = lambda: to_phi_frame(v, ("u",), stack)

@@ -332,6 +332,7 @@ class SolitonSolveResult:
     verdict: str                       # soliton | not-soliton
     lambdas: np.ndarray                # tau_tag - mu per sample
     residuals: np.ndarray              # proportionality residual per sample
+    half_lie: np.ndarray               # A = (1/2) L_v metric per sample
     theorem_checks: dict[str, float | None]
     torse: TorseFormingResult
 
@@ -392,6 +393,7 @@ def yamabe_soliton_solve(
         verdict=verdict,
         lambdas=lam_arr,
         residuals=resid_arr,
+        half_lie=A,
         theorem_checks=checks,
         torse=torse,
     )
@@ -892,8 +894,9 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
         records.append(theorem_record(name, anchor, sol.theorem_checks[key]))
 
     # Lie derivative closed forms and the two expansion routes
-    lg = lie_derivative_metric(pg, torse_g.v, torse_g.dv)
-    lgt = lie_derivative_metric(pgt, torse_gt.v, torse_gt.dv)
+    # each solve's A is (1/2) L_v of its metric, and doubling undoes the halving exactly
+    lg = 2.0 * sol_g.half_lie
+    lgt = 2.0 * sol_gt.half_lie
     lgv = lie_derivative_vertical(pg, k_expr.eval_jet(geo.points, geo.bindings))
     lgtv = lie_derivative_vertical(pgt, kt_expr.eval_jet(geo.points, geo.bindings))
     add(
@@ -908,7 +911,7 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
     )
 
     # contraction replay of the proportionality argument
-    half = lg / 2.0
+    half = sol_g.half_lie
     level = pg.tau - sol_g.lambdas
     add(
         "trace of the soliton equation",

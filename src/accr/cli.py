@@ -152,7 +152,7 @@ def _load_structure(args) -> tuple[AccRStructure, str]:
     path = Path(args.input)
     if not path.is_file():
         raise _Usage(f"no such file: {path}")
-    S = load_manifold(path.read_text(encoding="utf-8"))
+    S = load_manifold(path.read_bytes())
     return S, f"sha256:{S.source_sha256}"
 
 

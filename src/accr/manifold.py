@@ -10,9 +10,10 @@ still be probed.
 """
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
+import operator
+import random
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -122,7 +123,16 @@ class AccRStructure:
     eta: tuple[Expression, ...]
     frame: tuple[tuple[Expression, ...], ...] | None = None
     name: str | None = None
-    source_sha256: str | None = None
+    source: bytes | None = field(default=None, repr=False)  # the bytes the structure was read from
+
+    @property
+    def source_sha256(self) -> str | None:
+        """The SHA-256 hex digest of `source`: a file's bytes, or a builtin's canonical JSON."""
+        if self.source is None:
+            return None
+        import hashlib  # loads OpenSSL, which only a file input's identity needs
+
+        return hashlib.sha256(self.source).hexdigest()
 
     @property
     def dim(self) -> int:
@@ -210,20 +220,19 @@ def _split(fields, array: np.ndarray) -> list[np.ndarray]:
 def load_manifold(data: bytes | str) -> AccRStructure:
     """Parse a JSON structure definition into an AccRStructure."""
     if isinstance(data, bytes):
-        text = data.decode("utf-8")
+        source, text = data, data.decode("utf-8")
     else:
-        text = data
+        source, text = data.encode("utf-8"), data
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifoldParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ManifoldParseError("top level must be a JSON object")
-    sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return _structure_from_dict(raw, sha)
+    return _structure_from_dict(raw, source)
 
 
-def _structure_from_dict(raw: dict, sha: str | None) -> AccRStructure:
+def _structure_from_dict(raw: dict, source: bytes) -> AccRStructure:
     missing = _REQUIRED_KEYS - raw.keys()
     if missing:
         raise ManifoldParseError(f"missing field: {', '.join(sorted(missing))}")
@@ -315,7 +324,7 @@ def _structure_from_dict(raw: dict, sha: str | None) -> AccRStructure:
         raise ManifoldParseError("name must be a string")
 
     return AccRStructure(
-        chart=chart, g=g, phi=phi, xi=xi, eta=eta, frame=frame, name=name, source_sha256=sha
+        chart=chart, g=g, phi=phi, xi=xi, eta=eta, frame=frame, name=name, source=source
     )
 
 
@@ -366,9 +375,7 @@ def builtin_structure(name: str) -> AccRStructure:
         raise UnknownBuiltin(
             f"no builtin named {name!r}; available: {', '.join(builtin_names())}"
         ) from None
-    canonical = json.dumps(raw, sort_keys=True)
-    sha = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return _structure_from_dict(raw, sha)
+    return _structure_from_dict(raw, json.dumps(raw, sort_keys=True).encode("utf-8"))
 
 
 # -- structural validation --------------------------------------------------
@@ -497,18 +504,29 @@ def associated_metric_second(sj: StructureJets) -> np.ndarray:
 def latin_hypercube(chart: Chart, count: int, seed: int = 42) -> np.ndarray:
     """Deterministic Latin hypercube over the open domain box, as a (count, d) array.
 
-    Each coordinate axis is split into `count` strata; one point is drawn
-    from the interior of each stratum and the strata are shuffled per axis.
-    Points stay strictly inside the open box.
+    Each coordinate axis is split into `count` strata.  Per axis, in axis
+    order, `count` uniform keys are drawn, whose stable argsort assigns the
+    strata to the points, and then `count` uniforms u, which place each point
+    at 0.05 + 0.9 u of its stratum's width, so points stay strictly inside
+    the open box.  Every uniform is `random.Random(seed).random()`, whose
+    sequence for a given seed Python keeps the same across versions.  A
+    negative seed raises ValueError and a non-integer one TypeError.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:  # random.Random would seed with hash() of a float or string
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}") from None
+    if seed < 0:  # random.Random would seed with abs(seed)
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if count <= 0:
         return np.empty((0, chart.dim))
-    rng = np.random.default_rng(seed)
+    # endless; each np.fromiter allocates its `count` floats before drawing any
+    draws = iter(random.Random(seed).random, None)
     columns = []
     for lo, hi in chart.domain:
-        perm = rng.permutation(count)
-        offsets = rng.uniform(0.05, 0.95, size=count)
-        fractions = (perm + offsets) / count
+        strata = np.argsort(np.fromiter(draws, float, count), kind="stable")
+        offsets = 0.05 + 0.9 * np.fromiter(draws, float, count)
+        fractions = (strata + offsets) / count
         columns.append(lo + fractions * (hi - lo))
     return np.stack(columns, axis=1)
 

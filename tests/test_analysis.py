@@ -371,6 +371,7 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
     counting("vector_field_jets", geometry, analysis)
     counting("sample_points", manifold, cli)
     counting("check_bindings", manifold, cli, analysis)
+    counting("lie_derivative_metric", geometry, analysis)  # once per soliton solve
     assert cli.main(["verify-paper", "--samples", "8"]) == 0
     assert "51 checks: 51 pass" in capsys.readouterr().out
     assert calls == {
@@ -380,6 +381,7 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
         "vector_field_jets": 2,
         "sample_points": 1,
         "check_bindings": 1,
+        "lie_derivative_metric": 2,
     }
     # one soliton solve evaluates its potential once, for the fit and the solve alike
     calls.update(dict.fromkeys(calls, 0))

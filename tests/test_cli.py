@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output schema, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -207,14 +208,14 @@ def test_soliton_overflowing_potential_is_a_domain_error(capsys, potential):
 
 
 # An argument outside the domain of the jet arithmetic names the expression and the first
-# offending sample.  Samples 5 and 7 are the first with t < 2 and t < 1 at the default
+# offending sample.  Samples 0 and 4 are the first with t < 2 and t < 1 at the default
 # seed; the second of two pinned points is the only one with t = 2.
 _PINS = ("--point", "t=3,u=0,v=0", "--point", "t=2,u=0,v=0")
 
 
 @pytest.mark.parametrize("potential, pins, message", [
-    ("ln(t-1)", (), "ln(t-1.0): argument -0.002700224395395301 is not positive at sample 7 (t=0.99729977"),
-    ("sqrt(t-2)", (), "sqrt(t-2.0): argument -0.6813671189403692 is not positive at sample 5 (t=1.31863288"),
+    ("ln(t-1)", (), "ln(t-1.0): argument -0.4584411653475441 is not positive at sample 4 (t=0.54155883"),
+    ("sqrt(t-2)", (), "sqrt(t-2.0): argument -0.6957770787843318 is not positive at sample 0 (t=1.30422292"),
     ("1/(t-2)", _PINS, "1.0/(t-2.0): division by zero at sample 1 (t=2.0, u=0.0, v=0.0)\n"),
     ("(t-2)^-2", _PINS, "(t-2.0)^-2.0: zero base with negative exponent at sample 1 (t=2.0, u=0.0, v=0.0)\n"),
 ])
@@ -420,15 +421,55 @@ def test_boolean_structure_fields_exit_2(capsys, tmp_path):
     assert err == "accr: ManifoldParseError: n must be a positive integer\n"
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env():
+    """The environment with this checkout's `src` first on the import path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_dash_m_runs_the_cli():
     done = subprocess.run(
         [sys.executable, "-m", "accr", "validate", "--builtin", "cone-flat-fiber", "--samples", "2"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert "8 checks: 8 pass" in done.stdout
+
+
+# Runs accr.cli.main in a fresh interpreter, then prints which of NumPy's RNG and
+# OpenSSL's binding it loaded.
+_LOADED = (
+    "import json, sys\n"
+    "from accr.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted({'numpy.random', '_hashlib'} & sys.modules.keys())))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_fresh(*argv):
+    done = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=_src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *out, loaded = done.stdout.splitlines()
+    return "\n".join(out), json.loads(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["soliton", *CONE, "--metric", "gtilde", "--potential-k", "ct*t", "--const", "ct=1", "--samples", "8"],
+    ["verify-paper", *CONE, "--samples", "8"],
+])
+def test_a_builtin_run_loads_neither_numpy_random_nor_openssl(argv):
+    assert _run_fresh(*argv)[1] == []
+
+
+def test_a_file_is_identified_by_the_sha256_of_its_bytes(tmp_path):
+    source = cone_json().replace(", ", ",\r\n").encode("utf-8")  # CRLF line ends are part of the bytes
+    path = tmp_path / "cone.json"
+    path.write_bytes(source)
+    out, loaded = _run_fresh("report", str(path), "--samples", "4", "--format", "json")
+    assert json.loads(out)["manifold"] == f"sha256:{hashlib.sha256(source).hexdigest()}"
+    assert loaded == ["_hashlib"]
 
 
 def test_point_counts_toward_samples(capsys):

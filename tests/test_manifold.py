@@ -234,6 +234,25 @@ def test_sampling_is_deterministic(cone):
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
+def test_latin_hypercube_stream_is_pinned(cone):
+    # random.Random(42).random() keeps its sequence across Python versions; a change
+    # of sampler changes these values and every report, so it must show here
+    assert [[repr(float(x)) for x in row] for row in latin_hypercube(cone.chart, 3, seed=42)] == [
+        ["2.3763344965009106", "-0.8463650050114735", "-1.91910533491421"],
+        ["4.569236139121417", "1.493548354646486", "-0.5032068803267458"],
+        ["1.4885443080209302", "-1.9903604814139477", "2.160678230976636"],
+    ]
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("42", TypeError)])
+def test_sampling_rejects_a_negative_or_non_integer_seed(cone, seed, error):
+    # random.Random alone would seed with abs(-1) and with hash(1.5) or hash("42")
+    with pytest.raises(error, match="seed must be"):
+        sample_points(cone.chart, 4, seed=seed)
+    with pytest.raises(error, match="seed must be"):  # even when the pins fill the budget
+        sample_points(cone.chart, 1, seed=seed, pinned=((2.0, 0.0, 0.0),))
+
+
 def test_sampling_pins_points_first(cone):
     pin = (2.0, 0.3, -0.4)
     pts = sample_points(cone.chart, 5, seed=42, pinned=(pin,))

@@ -23,34 +23,34 @@ _WALL = re.compile(r'"wall_ms": [^,\n}]*|^wall: .*$', re.MULTILINE)
 CASES = {
     "verify-cone": (
         ["verify-paper", "--builtin", "cone-flat-fiber", "--samples", "64", "--seed", "42", "--format", "json"],
-        "0a223dbf31eaca78eb5cef38facc30bcb51225fe3a0d1faff9ff89033653dbb7",
+        "2ef2fea6b1b78402a985fe633b680358b883ed2f93bf527c746f9113663cc043",
     ),
     "report-n2": (
         ["report", CONE_N2, "--potential-k", "c*t", "--const", "c=1", "--samples", "64", "--seed", "42",
          "--format", "json"],
-        "00a42f96b2e5077fb0a26df0e5aeee1bddec590500b7ed03e7ced479f78d1400",
+        "c7b6aa5cfbad81867eb033121ed5790cd3757738c94a4f0647b1a57652d94324",
     ),
     "soliton-cone": (
         ["soliton", "--builtin", "cone-flat-fiber", "--metric", "gtilde", "--potential-k", "ct*t",
          "--const", "ct=1", "--expect-soliton", "--samples", "256", "--seed", "42", "--format", "json"],
-        "4777015676a5a6df406c221b58060a7d8cf8fb40157e3e38d13a7e437a534682",
+        "e6ee36ee8677bee9cf387d111308f191312c56f2b58e22993e84417ecc7651b3",
     ),
     "report-n2-table": (
         ["report", CONE_N2, "--potential-k", "c*t", "--const", "c=1", "--samples", "16", "--format", "table"],
-        "fd460601af3002bc5832789b946aaf7c18b0f10c6c19eeb8ab6aa4249ed29518",
+        "771c09e1f4d7fcd41a2d80087b7e86c7589f1853130e356d9e63fc85c0942531",
     ),
     # the commands that read the lowered curvature, the phi-frame values and the structure jets
     "curvature-g-n2": (
         ["curvature", CONE_N2, "--metric", "g", "--samples", "64", "--seed", "42", "--format", "json"],
-        "a373098af3e53978ea4094cdc07a4847b5229eaa8b61790b221bb668e0bb3aa9",
+        "5aa909e8c687379f56345fbc2878d91efa1160f2146b323131bccfb1237002a4",
     ),
     "curvature-gtilde-n2": (
         ["curvature", CONE_N2, "--metric", "gtilde", "--samples", "64", "--seed", "42", "--format", "json"],
-        "d4c82ac991c59e2690c0fd0fd874fb0f5c848117306042381ac35b69ffb4dfe4",
+        "945ce07b79796890b42c5adc95f4d54f90439f96130478d8fca073eebb767e5c",
     ),
     "classify-n2": (
         ["classify", CONE_N2, "--samples", "64", "--seed", "42", "--format", "json"],
-        "dd5bd36f5a1010a98239f5d8228ff2de8dd88da153734cd5fdea45eca582b069",
+        "3e8ce4d2f91b77260eb8f5c15db434667597f161ca89df6b8c3f04f837a60e92",
     ),
 }
 

@@ -8,8 +8,7 @@ answer, not an error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,16 +79,14 @@ _F_ZERO_THRESHOLD = 1e-12
 _VERTICAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MembershipEntry:
+class MembershipEntry(NamedTuple):
     name: str
     status: str                    # holds | fails | degenerate
     residual: float
     extras: dict[str, float]       # consequence-identity residuals, when applicable
 
 
-@dataclass(frozen=True)
-class ClassMembership:
+class ClassMembership(NamedTuple):
     sasaki_like: MembershipEntry
     f5: MembershipEntry
     f5_0: MembershipEntry
@@ -196,8 +193,7 @@ def classify(geo: SampleGeometry, tol: float = 1e-9) -> ClassMembership:
 # -- torse-forming vector fields ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorseFormingResult:
+class TorseFormingResult(NamedTuple):
     f: np.ndarray                      # conformal scalar per sample
     gamma: np.ndarray                  # generating 1-form per sample, shape (samples, dim)
     residual: float                    # worst least-squares fit error
@@ -327,8 +323,7 @@ def torse_forming_extract(
 # -- Yamabe almost solitons ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolitonSolveResult:
+class SolitonSolveResult(NamedTuple):
     verdict: str                       # soliton | not-soliton
     lambdas: np.ndarray                # tau_tag - mu per sample
     residuals: np.ndarray              # proportionality residual per sample

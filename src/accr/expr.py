@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .errors import (
     UnknownIdentifier,
 )
 from .jets import Jet2
+from .record import Value
 
 __all__ = [
     "Num",
@@ -60,37 +60,50 @@ __all__ = [
 # -- abstract syntax ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+# Nodes compare and hash by class and fields, so Num(1.0) != Coord(1).
+class Num(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Coord:
-    index: int
+class Coord(Value):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+class Neg(Value):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Node"):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
+class BinOp(Value):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Node", right: "Node"):  # op is one of + - * / ^
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
+class Call(Value):
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: "Node"):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "arg", arg)
 
 
 Node = Union[Num, Coord, Const, Neg, BinOp, Call]
@@ -108,8 +121,7 @@ _MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {_MAX_DEPTH} levels"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER | IDENT | OP | END
     text: str
     offset: int
@@ -394,13 +406,15 @@ def _unparse(node: Node, names: tuple[str, ...], context: int) -> str:
 # -- public surface -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(Value):
     """A parsed expression bound to a coordinate tuple and constant names."""
 
-    ast: Node
-    coords: tuple[str, ...]
-    constants: tuple[str, ...]
+    __slots__ = ("ast", "coords", "constants")
+
+    def __init__(self, ast: Node, coords: tuple[str, ...], constants: tuple[str, ...]):
+        object.__setattr__(self, "ast", ast)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "constants", constants)
 
     def eval_number(self, point, bindings: Mapping[str, float] | None = None):
         """Value at one point of shape (d,) as a float, or at a batch (N, d) as an (N,) array.

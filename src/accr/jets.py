@@ -14,11 +14,11 @@ point has value shape ().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .record import Record
 
 __all__ = [
     "Jet2",
@@ -41,18 +41,22 @@ def _outer(grad: np.ndarray) -> np.ndarray:
     return grad[..., :, None] * grad[..., None, :]
 
 
-@dataclass(frozen=True)
-class Jet2:
-    """Value, gradient and symmetric Hessian of a scalar at one point or a batch."""
+class Jet2(Record):
+    """Value, gradient and symmetric Hessian of a scalar at one point or a batch.
 
-    value: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
+    Jets compare and hash by identity: their fields are arrays.
+    """
 
-    def __post_init__(self):
-        value = np.asarray(self.value, dtype=float)
-        grad = np.asarray(self.grad, dtype=float)
-        hess = np.asarray(self.hess, dtype=float)
+    __slots__ = ("value", "grad", "hess")
+
+    def __init__(self, value, grad, hess):
+        self.__post_init__(value, grad, hess)
+
+    def __post_init__(self, value, grad, hess):
+        """Check and set the fields; every jet, and so every jet operation, passes here once."""
+        value = np.asarray(value, dtype=float)
+        grad = np.asarray(grad, dtype=float)
+        hess = np.asarray(hess, dtype=float)
         d = grad.shape[-1] if grad.ndim == value.ndim + 1 else -1
         if grad.shape != value.shape + (d,) or hess.shape != grad.shape + (d,):
             raise ValueError("jet gradient must be value.shape + (d,), hessian grad.shape + (d,)")

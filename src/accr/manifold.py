@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import operator
 import random
-from dataclasses import dataclass, field
+import sys
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     UnknownBuiltin,
 )
 from .expr import Expression, eval_field_jets, eval_numbers, parse
+from .record import Value
 from .tensor import _congruence, _dot, _mat, signature_of
 
 __all__ = [
@@ -55,14 +56,17 @@ _REQUIRED_KEYS = {"n", "coordinates", "domain", "g", "phi", "xi", "eta"}
 _OPTIONAL_KEYS = {"constants", "frame", "name"}
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Value):
     """Coordinate names, open domain box, and declared constant names."""
 
-    n: int
-    coordinates: tuple[str, ...]
-    domain: tuple[tuple[float, float], ...]
-    constants: tuple[str, ...]
+    __slots__ = ("n", "coordinates", "domain", "constants")
+
+    def __init__(self, n: int, coordinates: tuple[str, ...],
+                 domain: tuple[tuple[float, float], ...], constants: tuple[str, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coordinates", coordinates)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "constants", constants)
 
     @property
     def dim(self) -> int:
@@ -112,27 +116,52 @@ class StructureJets(NamedTuple):
     eta: FieldJets
 
 
-@dataclass(frozen=True)
-class AccRStructure:
-    """An almost contact B-metric structure presented in one chart."""
+class AccRStructure(Value):
+    """An almost contact B-metric structure presented in one chart.
 
-    chart: Chart
-    g: tuple[tuple[Expression, ...], ...]
-    phi: tuple[tuple[Expression, ...], ...]
-    xi: tuple[Expression, ...]
-    eta: tuple[Expression, ...]
-    frame: tuple[tuple[Expression, ...], ...] | None = None
-    name: str | None = None
-    source: bytes | None = field(default=None, repr=False)  # the bytes the structure was read from
+    `source` holds the bytes the structure was read from.
+    """
+
+    __slots__ = ("chart", "g", "phi", "xi", "eta", "frame", "name", "source")
+    _unshown = ("source",)
+
+    def __init__(
+        self,
+        chart: Chart,
+        g: tuple[tuple[Expression, ...], ...],
+        phi: tuple[tuple[Expression, ...], ...],
+        xi: tuple[Expression, ...],
+        eta: tuple[Expression, ...],
+        frame: tuple[tuple[Expression, ...], ...] | None = None,
+        name: str | None = None,
+        source: bytes | None = None,
+    ):
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
 
     @property
     def source_sha256(self) -> str | None:
-        """The SHA-256 hex digest of `source`: a file's bytes, or a builtin's canonical JSON."""
+        """The SHA-256 hex digest of `source`: a file's bytes, or a builtin's canonical JSON.
+
+        Computed when read, by CPython's own SHA-256 module; `hashlib`, whose
+        import loads OpenSSL (3.5 MB), serves only an interpreter without it.
+        """
         if self.source is None:
             return None
-        import hashlib  # loads OpenSSL, which only a file input's identity needs
-
-        return hashlib.sha256(self.source).hexdigest()
+        try:  # a failed import searches the whole path, so only the module this version has is tried
+            if sys.version_info >= (3, 12):
+                from _sha2 import sha256
+            else:
+                from _sha256 import sha256
+        except ImportError:  # an interpreter built without its own hash modules
+            from hashlib import sha256
+        return sha256(self.source).hexdigest()
 
     @property
     def dim(self) -> int:
@@ -219,10 +248,13 @@ def _split(fields, array: np.ndarray) -> list[np.ndarray]:
 
 def load_manifold(data: bytes | str) -> AccRStructure:
     """Parse a JSON structure definition into an AccRStructure."""
-    if isinstance(data, bytes):
-        source, text = data, data.decode("utf-8")
-    else:
-        source, text = data.encode("utf-8"), data
+    try:
+        if isinstance(data, bytes):
+            source, text = data, data.decode("utf-8")
+        else:
+            source, text = data.encode("utf-8"), data
+    except UnicodeError as exc:
+        raise ManifoldParseError(f"not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -381,8 +413,7 @@ def builtin_structure(name: str) -> AccRStructure:
 # -- structural validation --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Max residuals of the defining identities over the sample set."""
 
     residuals: dict[str, float]

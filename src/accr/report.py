@@ -6,11 +6,13 @@ without decoding internal naming.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import copysign, inf
+from typing import NamedTuple
 
 import numpy as np
+
+from .record import Value
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -24,17 +26,18 @@ _FLOAT = frozenset((float,))
 _ROW = frozenset((list, tuple))
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    anchor: str
-    verdict: str
-    residual: float | None = None
-    samples: tuple[float, ...] | None = None
+class CheckRecord(Value):
+    __slots__ = ("name", "anchor", "verdict", "residual", "samples")
 
-    def __post_init__(self):
-        if self.verdict not in _VERDICTS:
-            raise ValueError(f"verdict {self.verdict!r} not in {_VERDICTS}")
+    def __init__(self, name: str, anchor: str, verdict: str, residual: float | None = None,
+                 samples: tuple[float, ...] | None = None):
+        if verdict not in _VERDICTS:
+            raise ValueError(f"verdict {verdict!r} not in {_VERDICTS}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "samples", samples)
 
     def to_dict(self) -> dict:
         return {
@@ -56,8 +59,7 @@ def record_from_residual(
     return CheckRecord(name=name, anchor=anchor, verdict=verdict, residual=worst, samples=values)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     manifold: str
     config: dict
     checks: tuple[CheckRecord, ...]

@@ -436,13 +436,13 @@ def test_python_dash_m_runs_the_cli():
     assert "8 checks: 8 pass" in done.stdout
 
 
-# Runs accr.cli.main in a fresh interpreter, then prints which of NumPy's RNG and
-# OpenSSL's binding it loaded.
+# Runs accr.cli.main in a fresh interpreter, then prints which of NumPy's RNG,
+# OpenSSL's binding and the dataclass code generator it loaded.
 _LOADED = (
     "import json, sys\n"
     "from accr.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps(sorted({'numpy.random', '_hashlib'} & sys.modules.keys())))\n"
+    "print(json.dumps(sorted({'numpy.random', '_hashlib', 'dataclasses'} & sys.modules.keys())))\n"
     "sys.exit(code)\n"
 )
 
@@ -469,7 +469,22 @@ def test_a_file_is_identified_by_the_sha256_of_its_bytes(tmp_path):
     path.write_bytes(source)
     out, loaded = _run_fresh("report", str(path), "--samples", "4", "--format", "json")
     assert json.loads(out)["manifold"] == f"sha256:{hashlib.sha256(source).hexdigest()}"
-    assert loaded == ["_hashlib"]
+    assert loaded == []
+
+
+def test_the_n2_cone_report_loads_no_openssl_dataclasses_or_numpy_random():
+    out, loaded = _run_fresh("report", _CONE_N2_FILE, "--potential-k", "c*t", "--const", "c=1",
+                             "--samples", "64", "--seed", "42", "--format", "json")
+    assert json.loads(out)["manifold"].startswith("sha256:")
+    assert loaded == []
+
+
+def test_a_file_that_is_not_utf8_exits_2_with_one_line(capsys, tmp_path):
+    path = tmp_path / "bom16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    rc, out, err = run(capsys, "validate", str(path), "--samples", "2")
+    assert rc == 2 and out == ""
+    assert err.startswith("accr: ManifoldParseError: not UTF-8 text: ") and err.count("\n") == 1
 
 
 def test_point_counts_toward_samples(capsys):

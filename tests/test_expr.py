@@ -50,6 +50,15 @@ def test_ast_shapes():
     assert np.isclose(parse("2^3^2", COORDS).eval_number((1.0, 0.0, 0.0)), 512.0)
 
 
+def test_nodes_of_different_classes_differ_even_with_equal_fields(cone_points):
+    assert Num(1.0) != Coord(1) and len({Num(1.0), Coord(1)}) == 2
+    assert Num(1.0) == Num(1) and hash(Num(1.0)) == hash(Num(1))
+    one, u = parse("1", COORDS), parse("u", COORDS)
+    value, grad, _ = eval_jets([one, u], cone_points)
+    assert np.all(value[:, 0] == 1.0) and np.array_equal(value[:, 1], cone_points[:, 1])
+    assert not grad[:, 0].any() and np.all(grad[:, 1, 1] == 1.0)
+
+
 def test_precedence():
     p = (0.0, 0.0, 0.0)
     assert parse("1+2*3", COORDS).eval_number(p) == 7.0

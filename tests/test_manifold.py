@@ -1,10 +1,14 @@
 """Structure loading, defining identities, associated metric, sampling."""
 
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from accr import manifold
 from accr.errors import (
@@ -16,6 +20,7 @@ from accr.errors import (
     UnknownBuiltin,
 )
 from accr.manifold import (
+    AccRStructure,
     associated_metric_first_order,
     associated_metric_second,
     builtin_names,
@@ -69,6 +74,24 @@ def test_builtin_metadata(cone):
     assert cone.chart.constants == ("c", "ct", "kprime")
 
 
+def _with_source(S, source):
+    return AccRStructure(S.chart, S.g, S.phi, S.xi, S.eta, S.frame, S.name, source)
+
+
+@seed(20261019)
+@given(st.binary(max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_the_source_digest_is_sha256(cone, data):
+    assert _with_source(cone, data).source_sha256 == hashlib.sha256(data).hexdigest()
+
+
+def test_the_source_digest_falls_back_to_hashlib(cone, monkeypatch):
+    for lean in ("_sha2", "_sha256"):  # a None entry makes the import raise ImportError
+        monkeypatch.setitem(sys.modules, lean, None)
+    assert _with_source(cone, b"abc").source_sha256 == hashlib.sha256(b"abc").hexdigest()
+    assert _with_source(cone, None).source_sha256 is None
+
+
 def test_load_manifold_roundtrip():
     S = load_manifold(cone_json())
     assert S.name == "test-cone"
@@ -86,6 +109,12 @@ def test_load_rejects_bad_json():
         load_manifold("{not json")
     with pytest.raises(ManifoldParseError):
         load_manifold("[1, 2]")
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", '{"name": "\udc80"}'], ids=["bytes", "lone-surrogate"])
+def test_load_rejects_text_that_is_not_utf8(data):
+    with pytest.raises(ManifoldParseError, match="^not UTF-8 text: "):
+        load_manifold(data)
 
 
 def test_load_rejects_missing_and_unknown_keys():

@@ -50,7 +50,6 @@ __all__ = [
     "BinOp",
     "Call",
     "Expression",
-    "eval_jets",
     "eval_field_jets",
     "eval_numbers",
     "parse",
@@ -433,7 +432,7 @@ class Expression(Value):
 
         A batch evaluates the AST once, with every jet array carrying a
         leading sample axis of length N.  `point` may also be the tuple of
-        the d coordinate jets themselves, as `eval_jets` passes it, so that
+        the d coordinate jets themselves, as `eval_field_jets` passes it, so that
         several expressions share one set of seeds.
         """
         d = len(self.coords)
@@ -465,30 +464,20 @@ def _distinct(expressions: Sequence[Expression]):
     return [(e, where, any(isinstance(n, Coord) for n in _nodes(e.ast))) for e, where in found.values()]
 
 
-def eval_jets(
-    expressions: Sequence[Expression], point, bindings: Mapping[str, float] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values [..., m], gradients [..., m, i] and Hessians [..., m, i, j] of several expressions.
-
-    `point` is one chart point (d,) or a batch (N, d), and the expressions
-    belong to one chart.  They share one set of coordinate seeds, each
-    distinct AST is evaluated once, and a coordinate-free AST is folded to
-    its number by the same arithmetic, so every value equals that of
-    `Expression.eval_jet`.  The expressions are evaluated in order: an error
-    comes from the first offending one.
-    """
-    return eval_field_jets([expressions], point, bindings)[0]
-
-
 def eval_field_jets(
     fields: Sequence[Sequence[Expression]], point, bindings: Mapping[str, float] | None = None
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """`eval_jets` of the expressions of several fields together, split into one triple per field.
+    """Values [..., m], gradients [..., m, i] and Hessians [..., m, i, j] of each field's expressions.
 
-    The fields share the seeds, and an AST repeated across fields is
-    evaluated once.  Derivative rows are allocated only for the fields with
-    an entry that reads a coordinate; the gradient and Hessian of a field
-    with none are read-only zeros that own no memory.
+    `point` is one chart point (d,) or a batch (N, d), and the expressions
+    belong to one chart.  All of them share one set of coordinate seeds,
+    each distinct AST is evaluated once, even across fields, and a
+    coordinate-free AST is folded to its number by the same arithmetic, so
+    every value equals that of `Expression.eval_jet`.  The expressions are
+    evaluated in order: an error comes from the first offending one.
+    Derivative rows are allocated only for the fields with an entry that
+    reads a coordinate; the gradient and Hessian of a field with none are
+    read-only zeros that own no memory.
     """
     expressions = [e for field in fields for e in field]
     d = len(expressions[0].coords)
@@ -527,7 +516,7 @@ def eval_field_jets(
 def eval_numbers(
     expressions: Sequence[Expression], point, bindings: Mapping[str, float] | None = None
 ) -> np.ndarray:
-    """Values [..., m] of several expressions, evaluated as `eval_jets` evaluates them.
+    """Values [..., m] of several expressions, evaluated as `eval_field_jets` evaluates them.
 
     Every value equals that of `Expression.eval_number`.
     """

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import SingularMetric
-from .expr import Expression, eval_jets
+from .expr import Expression, eval_field_jets
 from .jets import Jet2
 from .manifold import (
     METRIC_G,
@@ -417,7 +417,7 @@ def vector_field_jets(
 
     `point` is one point (d,) or a batch (N, d).
     """
-    value, partial, _ = eval_jets(potential, point, bindings)
+    value, partial, _ = eval_field_jets([potential], point, bindings)[0]
     return value, partial
 
 

@@ -163,14 +163,6 @@ class Jet2(Record):
             return self.reciprocal() * other
         return NotImplemented
 
-    def __pow__(self, exponent):
-        if isinstance(exponent, (int, float)) and float(exponent).is_integer():
-            return int_pow(self, int(exponent))
-        return general_pow(self, exponent)
-
-    def __rpow__(self, base):
-        return general_pow(base, self)
-
 
 def int_pow(base, exponent: int):
     """base**exponent for integer exponent, expanded by repeated multiplication.

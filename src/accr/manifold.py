@@ -480,7 +480,8 @@ def validate_structure(
 # their one reader when it needs them.  The structure jets are those of one point
 # or of a batch (see AccRStructure.jets_at); the results carry the same leading
 # axes.  A term on an exactly zero jet of phi or eta is left out; the others keep
-# their order, so their sums round as before.
+# their order, so their sums round as before.  A jet of g~ that overflows is a
+# DomainError naming the first sample at fault.
 
 
 def associated_metric_first_order(sj: StructureJets) -> tuple[np.ndarray, np.ndarray]:
@@ -489,16 +490,18 @@ def associated_metric_first_order(sj: StructureJets) -> tuple[np.ndarray, np.nda
     phi, dphi, _ = sj.phi
     eta, deta, _ = sj.eta
     phi_t = np.swapaxes(phi, -1, -2)[..., None, :, :]  # per first slot of the metric's jets
-    value = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
-    partial = phi_t @ dg  # [i,j,m] = phi[s,j] d_m g[i,s]
-    if dphi.any():
-        partial = partial + (g @ _mat(dphi, 1, 2)).reshape(dphi.shape)
-    if deta.any():
-        partial = partial + np.einsum("...im,...j->...ijm", deta, eta)
-        partial = partial + np.einsum("...i,...jm->...ijm", eta, deta)
-    # the formula is symmetric in (i, j) only up to rounding; enforce exactly
-    value = (value + np.swapaxes(value, -2, -1)) / 2.0
-    partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
+        partial = phi_t @ dg  # [i,j,m] = phi[s,j] d_m g[i,s]
+        if dphi.any():
+            partial = partial + (g @ _mat(dphi, 1, 2)).reshape(dphi.shape)
+        if deta.any():
+            partial = partial + np.einsum("...im,...j->...ijm", deta, eta)
+            partial = partial + np.einsum("...i,...jm->...ijm", eta, deta)
+        # the formula is symmetric in (i, j) only up to rounding; enforce exactly
+        value = (value + np.swapaxes(value, -2, -1)) / 2.0
+        partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0
+    _check_finite(g.shape[:-2], value, partial)
     return value, partial
 
 
@@ -509,24 +512,36 @@ def associated_metric_second(sj: StructureJets) -> np.ndarray:
     eta, deta, d2eta = sj.eta
     dphi_on, deta_on, d2eta_on = dphi.any(), deta.any(), d2eta.any()
     phi_t = np.swapaxes(phi, -1, -2)[..., None, :, :]
-    second = (phi_t @ _mat(d2g, 1, 2)).reshape(d2g.shape)
-    if dphi_on:  # both dg.dphi terms read one product, [i,m,j,l] = d_m g[i,s] d_l phi[s,j]
-        both = (np.swapaxes(dg, -1, -2) @ _mat(dphi, 1, 2)[..., None, :, :]).reshape(d2g.shape)
-        second = second + np.einsum("...imjl->...ijml", both)
-        second = second + np.einsum("...iljm->...ijml", both)
-    if d2phi.any():
-        second = second + (g @ _mat(d2phi, 1, 3)).reshape(d2phi.shape)
-    if d2eta_on:
-        second = second + np.einsum("...iml,...j->...ijml", d2eta, eta)
-    if deta_on:
-        second = second + np.einsum("...im,...jl->...ijml", deta, deta)
-        second = second + np.einsum("...il,...jm->...ijml", deta, deta)
-    if d2eta_on:
-        second = second + np.einsum("...i,...jml->...ijml", eta, d2eta)
-    # symmetric in (i, j) only up to rounding; enforce exactly
-    second = second + np.swapaxes(second, -4, -3)
-    second /= 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = (phi_t @ _mat(d2g, 1, 2)).reshape(d2g.shape)
+        if dphi_on:  # both dg.dphi terms read one product, [i,m,j,l] = d_m g[i,s] d_l phi[s,j]
+            both = (np.swapaxes(dg, -1, -2) @ _mat(dphi, 1, 2)[..., None, :, :]).reshape(d2g.shape)
+            second = second + np.einsum("...imjl->...ijml", both)
+            second = second + np.einsum("...iljm->...ijml", both)
+        if d2phi.any():
+            second = second + (g @ _mat(d2phi, 1, 3)).reshape(d2phi.shape)
+        if d2eta_on:
+            second = second + np.einsum("...iml,...j->...ijml", d2eta, eta)
+        if deta_on:
+            second = second + np.einsum("...im,...jl->...ijml", deta, deta)
+            second = second + np.einsum("...il,...jm->...ijml", deta, deta)
+        if d2eta_on:
+            second = second + np.einsum("...i,...jml->...ijml", eta, d2eta)
+        # symmetric in (i, j) only up to rounding; enforce exactly
+        second = second + np.swapaxes(second, -4, -3)
+        second /= 2.0
+    _check_finite(g.shape[:-2], second)
     return second
+
+
+def _check_finite(lead: tuple[int, ...], *arrays) -> None:
+    """A DomainError naming the first sample (a leading index in `lead`) where a jet of g~ is not finite."""
+    bad = np.zeros(lead, dtype=bool)
+    for a in arrays:
+        bad |= ~np.isfinite(a).reshape(lead + (-1,)).all(axis=-1)
+    if bad.any():
+        where = f" at sample {int(np.argmax(bad.ravel()))}" if lead else ""
+        raise DomainError(f"metric {METRIC_GTILDE} is not finite{where}", bad)
 
 
 # -- sampling ----------------------------------------------------------------

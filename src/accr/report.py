@@ -7,7 +7,7 @@ without decoding internal naming.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-from math import copysign, inf
+from math import copysign, inf, nan
 from typing import NamedTuple
 
 import numpy as np
@@ -52,9 +52,10 @@ class CheckRecord(Value):
 def record_from_residual(
     name: str, anchor: str, per_sample, tol: float
 ) -> CheckRecord:
-    """Pass/fail record from per-sample residuals aggregated by max."""
-    values = tuple(np.asarray(per_sample, dtype=float).tolist())
-    worst = max(values) if values else 0.0
+    """Pass/fail record from per-sample residuals aggregated by max; a NaN in any sample fails it."""
+    per_sample = np.asarray(per_sample, dtype=float)
+    values = tuple(per_sample.tolist())
+    worst = nan if np.isnan(per_sample).any() else max(values, default=0.0)  # max skips a later NaN
     verdict = VERDICT_PASS if worst <= tol else VERDICT_FAIL
     return CheckRecord(name=name, anchor=anchor, verdict=verdict, residual=worst, samples=values)
 

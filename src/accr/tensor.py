@@ -77,7 +77,7 @@ def signature_of(g: np.ndarray, rtol: float = _SIGNATURE_RTOL):
     Ints for one matrix (d, d); (N,) arrays of counts for a stack (N, d, d).
     """
     g = np.asarray(g, dtype=float)
-    eig = np.linalg.eigvalsh((g + np.swapaxes(g, -1, -2)) / 2.0)
+    eig = np.linalg.eigvalsh(0.5 * g + 0.5 * np.swapaxes(g, -1, -2))  # no overflow in the sum
     scale = np.maximum(np.max(np.abs(eig), axis=-1), 1e-300)[..., None]
     pos = np.sum(eig > rtol * scale, axis=-1)
     neg = np.sum(eig < -rtol * scale, axis=-1)

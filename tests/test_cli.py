@@ -236,6 +236,26 @@ def test_curvature_overflowing_metric_is_a_domain_error(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+def test_curvature_of_an_overflowing_associated_metric_is_a_domain_error(capsys, tmp_path):
+    # g's jets are finite, but g~ = g phi + eta (x) eta overflows at every sample
+    path = tmp_path / "overflow.json"
+    path.write_text(cone_json(eta=["1e200", "0", "0"]), encoding="utf-8")
+    rc, out, err = run(capsys, "curvature", str(path), "--metric", "gtilde", "--samples", "4")
+    assert rc == 2 and out == ""
+    assert err == "accr: DomainError: metric gtilde is not finite at sample 0\n"
+
+
+def test_validate_a_metric_near_the_float_limit_ends_in_a_verdict(capsys, tmp_path):
+    # g + g^T overflows where g ~ 1e307; the signature is still decided, with no traceback
+    path = tmp_path / "huge.json"
+    path.write_text(cone_json(domain={"t": [1e153, 1e154], "u": [-3.0, 3.0], "v": [-3.0, 3.0]}),
+                    encoding="utf-8")
+    rc, data, err = run_json(capsys, "validate", str(path), "--samples", "16")
+    assert rc == 1 and err == ""
+    (signature,) = [c for c in data["checks"] if c["name"] == "structure: signature"]
+    assert signature["verdict"] == "fail"
+
+
 def _kernel_refuses_oversized_requests() -> bool:
     """Linux overcommit modes 0 and 2 refuse one request larger than memory and swap."""
     try:

@@ -26,7 +26,7 @@ from accr.expr import (
     Neg,
     Num,
     _evaluate_finite,
-    eval_jets,
+    eval_field_jets,
     eval_numbers,
     multiply,
     parse,
@@ -54,7 +54,7 @@ def test_nodes_of_different_classes_differ_even_with_equal_fields(cone_points):
     assert Num(1.0) != Coord(1) and len({Num(1.0), Coord(1)}) == 2
     assert Num(1.0) == Num(1) and hash(Num(1.0)) == hash(Num(1))
     one, u = parse("1", COORDS), parse("u", COORDS)
-    value, grad, _ = eval_jets([one, u], cone_points)
+    value, grad, _ = eval_field_jets([[one, u]], cone_points)[0]
     assert np.all(value[:, 0] == 1.0) and np.array_equal(value[:, 1], cone_points[:, 1])
     assert not grad[:, 0].any() and np.all(grad[:, 1, 1] == 1.0)
 
@@ -167,7 +167,7 @@ def test_division_by_zero():
 def test_overflow_is_a_domain_error_naming_the_first_sample():
     points = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [4.0, 0.5, 0.0]])
     e = parse("exp(300*t)", COORDS)  # finite at t = 1 only
-    for evaluate in (e.eval_number, e.eval_jet, lambda p: eval_jets([e], p)):
+    for evaluate in (e.eval_number, e.eval_jet, lambda p: eval_field_jets([[e]], p)):
         with pytest.raises(DomainError, match=r"^exp\(300\.0\*t\) is not finite at sample 1 \(t=3\.0, u=0\.0, v=0\.0\)$"):
             evaluate(points)
     with pytest.raises(DomainError, match=r"^exp\(300\.0\*t\) is not finite at t=3\.0, u=0\.0, v=0\.0$"):
@@ -185,7 +185,7 @@ def test_overflow_is_a_domain_error_naming_the_first_sample():
     # a coordinate-free expression fails at every sample, the first included
     for text in ("exp(1000)", "sin(10^400)"):
         with pytest.raises(DomainError, match="at sample 0 "):
-            eval_jets([parse(text, COORDS)], points)
+            eval_field_jets([[parse(text, COORDS)]], points)
 
 
 def test_constant_only_expression_jets():
@@ -323,7 +323,7 @@ def test_eval_jets_equals_the_per_expression_reference(request, structure, batch
     point = points if batch else points[2]
     expressions = _structure_expressions(S)
     want = _reference_jets(expressions, point, bindings)
-    got = eval_jets(expressions, point, bindings)
+    got = eval_field_jets([expressions], point, bindings)[0]
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
     # jets_at splits the same arrays into the four fields

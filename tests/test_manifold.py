@@ -243,6 +243,22 @@ def test_associated_metric_jets_match_fd(cone):
             assert np.max(np.abs(partial[i, j] - ref)) < 1e-8
 
 
+def test_associated_metric_jets_that_overflow_are_a_domain_error():
+    # g's jets are finite; eta (x) eta = 1e300 t^4 overflows from t ~ 116, and its
+    # second t-derivative 12e300 t^2 from t ~ 3900
+    domain = {"t": [0.5, 2e4], "u": [-3.0, 3.0], "v": [-3.0, 3.0]}
+    S = load_manifold(cone_json(eta=["1e150*t^2", "0", "0"], domain=domain))
+    points = np.array([[1.0, 0.0, 0.0], [200.0, 0.0, 0.0], [1e4, 0.0, 0.0]])
+    with pytest.raises(DomainError, match=r"^metric gtilde is not finite at sample 1$"):
+        associated_metric_first_order(S.jets_at(points))
+    with pytest.raises(DomainError, match=r"^metric gtilde is not finite at sample 2$"):
+        associated_metric_second(S.jets_at(points))
+    with pytest.raises(DomainError, match=r"^metric gtilde is not finite$"):
+        associated_metric_first_order(S.jets_at(points[1]))
+    value, _ = associated_metric_first_order(S.jets_at(points[0]))
+    assert value[0, 0] == 1e150 * 1e150 and np.isfinite(associated_metric_second(S.jets_at(points[:2]))).all()
+
+
 def test_latin_hypercube_stratification(cone):
     pts = latin_hypercube(cone.chart, 12, seed=42)
     assert len(pts) == 12

@@ -1,6 +1,7 @@
 """Check records and report serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ def test_record_from_residual_aggregates_by_max():
     assert r.samples == (1e-12, 3e-10, 2e-11)
     assert record_from_residual("w", "a", [2e-9], 1e-9).verdict == VERDICT_FAIL
     assert record_from_residual("empty", "a", [], 1e-9).residual == 0.0
+
+
+def test_record_from_residual_fails_on_a_nan_in_any_sample():
+    for values in ([0.0, float("nan")], [float("nan"), 0.0], [1e-12, float("nan"), 3e-10]):
+        r = record_from_residual("worst", "max over samples", values, 1e-9)
+        assert r.verdict == VERDICT_FAIL and math.isnan(r.residual), values
+        assert '"residual": NaN' in _dumps(r.to_dict())
 
 
 def _report():

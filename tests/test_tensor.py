@@ -26,6 +26,8 @@ def test_signature_of():
     assert signature_of(np.diag([1.0, 0.0, -1.0])) == (1, 1)
     assert signature_of(np.zeros((3, 3))) == (0, 0)
     assert signature_of(np.eye(3)) == (3, 0)
+    # g + g^T would overflow; the eigenvalue 1 counts as zero next to 1e308
+    assert signature_of(np.diag([1.0, 1e308, -1e308])) == (1, 1)
 
 
 def test_metric_invert(cone):

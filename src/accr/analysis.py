@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonVerticalPotential, ZeroPotential
+from .errors import DomainError, NonVerticalPotential, ZeroPotential
 from .expr import Expression, Num, multiply, parse
 from .geometry import (
     SampleGeometry,
@@ -117,6 +117,23 @@ def f5_form_residual(F, g, phi, eta, theta_star_xi, n):
 def _norm(x) -> float:
     """max |x| over every sample and component."""
     return float(np.max(np.abs(x)))
+
+
+def _require_finite(geo: SampleGeometry, what: str, *per_sample) -> None:
+    """A DomainError naming the first sample where one of the arrays, each with a leading
+    sample axis, is not finite: an overflow ends the run rather than reading as a verdict.
+
+    Called with numpy's overflow and invalid warnings off, as the arithmetic it screens.
+    """
+    if np.isfinite(sum(float(np.sum(a)) for a in per_sample)):
+        return  # an inf or NaN anywhere makes the sum non-finite
+    bad = np.zeros(len(geo.points), dtype=bool)
+    for a in per_sample:
+        bad |= ~np.isfinite(a).reshape(len(bad), -1).all(axis=-1)
+    if bad.any():  # else only the sum overflowed
+        k = int(np.argmax(bad))
+        where = ", ".join(f"{c}={float(x)!r}" for c, x in zip(geo.structure.chart.coordinates, geo.points[k]))
+        raise DomainError(f"{what} is not finite at sample {k} ({where})", bad)
 
 
 def check_sasaki_like(geo: SampleGeometry, tol: float = 1e-9) -> MembershipEntry:
@@ -252,18 +269,20 @@ def torse_forming_extract(
         raise ZeroPotential(f"potential vanishes at sample {where}")
     eye = np.eye(dim)
 
-    nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)   # nth[..., i, j] = nabla_j v^i
-    v2 = _dot(v, v)
-    v_nth = np.einsum("...i,...ij->...j", v, nth)
-    f_arr = (np.trace(nth, axis1=-2, axis2=-1) - _dot(v_nth, v) / v2) / (dim - 1)
-    gamma_arr = (v_nth - f_arr[:, None] * v) / v2[:, None]
-    fit = f_arr[:, None, None] * eye + np.einsum("...i,...j->...ij", v, gamma_arr) - nth
-    fit_arr = _max_abs(fit, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)   # nth[..., i, j] = nabla_j v^i
+        v2 = _dot(v, v)
+        v_nth = np.einsum("...i,...ij->...j", v, nth)
+        f_arr = (np.trace(nth, axis1=-2, axis2=-1) - _dot(v_nth, v) / v2) / (dim - 1)
+        gamma_arr = (v_nth - f_arr[:, None] * v) / v2[:, None]
+        fit = f_arr[:, None, None] * eye + np.einsum("...i,...j->...ij", v, gamma_arr) - nth
+        fit_arr = _max_abs(fit, 2)
+        k_arr = _dot(pg.eta, v)
+        drift = _max_abs(v - k_arr[:, None] * pg.xi, 1)
+        dk = np.einsum("...zm,...z->...m", pg.deta, v) + np.einsum("...z,...zm->...m", pg.eta, dv)
+        _require_finite(geo, "torse-forming fit of the potential", fit_arr, drift, dk)
     worst_fit = float(np.max(fit_arr))
 
-    k_arr = _dot(pg.eta, v)
-    drift = _max_abs(v - k_arr[:, None] * pg.xi, 1)
-    dk = np.einsum("...zm,...z->...m", pg.deta, v) + np.einsum("...z,...zm->...m", pg.eta, dv)
     dk_xi_arr = _dot(dk, pg.xi)
     # vertical-only identities; meaningful only if verticality holds.  The
     # generating form is compared only where k is bounded away from zero.
@@ -369,10 +388,12 @@ def yamabe_soliton_solve(
         )
 
     pg = geo.of(tag)
-    A = lie_derivative_metric(pg, torse.v, torse.dv) / 2.0
-    mu, resid_arr = proportionality_split(A, pg.g, pg.ginv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = lie_derivative_metric(pg, torse.v, torse.dv) / 2.0
+        mu, resid_arr = proportionality_split(A, pg.g, pg.ginv)
+        lam_arr = pg.tau - mu
+        _require_finite(geo, f"Lie derivative of metric {tag} along the potential", resid_arr, lam_arr)
     verdict = "soliton" if float(np.max(resid_arr)) <= tol else "not-soliton"
-    lam_arr = pg.tau - mu
     checks: dict[str, float | None] = {
         "tau = f + lambda": None,
         "f = dk(xi)": None,

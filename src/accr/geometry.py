@@ -24,9 +24,12 @@ A command keeps the structure jets and, per metric, the fields it has read.
 Three d^4 arrays have too few readers to be worth keeping: r04 is lowered
 from r13 on each call of lowered_curvature; the metric's Hessians (for g~,
 made by the product rule) are made inside dgamma, their one reader; and
-dgamma is let go once r13 and dtheta_star, its two readers, are kept.  The
-jets of a literal field (phi, xi and eta in every shipped structure) are
-read-only zero views that own no memory.
+dgamma is let go as soon as r13 is kept.  Its other reader, dtheta_star,
+reads only _dgamma_G, its small (N, d, 2, d) contraction, which r13 makes
+before it lets dgamma go; so dgamma is gone even where dtheta_star is never
+read (g~ in report, verify-paper and soliton), and neither read order
+computes it twice.  The jets of a literal field (phi, xi and eta in every
+shipped structure) are read-only zero views that own no memory.
 """
 from __future__ import annotations
 
@@ -87,7 +90,7 @@ class PointGeometry:
 
     Each field is computed on its first read, from the fields it reads, and
     kept, so a command pays only for what it reads; dgamma alone is let go
-    once its two readers are kept, and is computed again if read after that.
+    once r13 is kept, and is computed again if read after that.
     The metric, its first derivatives and its inverse are taken at
     construction: a singular metric raises SingularMetric there, whichever
     fields are read later.  Every field carries a leading sample axis; the
@@ -167,6 +170,7 @@ class PointGeometry:
     @_field
     def r13(self):
         dgamma, gamma = self.dgamma, self.gamma
+        self._dgamma_G  # dgamma's other reader, kept before dgamma is let go below
         # both gamma.gamma terms read one product: P[l,i,j,k] = Gamma^l_{im} Gamma^m_{jk}
         P = (_mat(gamma, 2, 1) @ _mat(gamma, 1, 2)).reshape(dgamma.shape)
         out = np.subtract(
@@ -175,13 +179,10 @@ class PointGeometry:
         )
         out += np.einsum("...lijk->...lkij", P)
         out -= np.einsum("...ljik->...lkij", P)
-        self._release_dgamma()
+        # let go last: let go before P was made, it cost 264 minor page faults per report-n2
+        # invocation against 124, and a slower command
+        del vars(self)["dgamma"]
         return out
-
-    def _release_dgamma(self):
-        """Called by r13 and dtheta_star, dgamma's only readers: the later of the two lets it go."""
-        if "r13" in vars(self) or "dtheta_star" in vars(self):
-            del vars(self)["dgamma"]
 
     @_field
     def ricci(self):
@@ -225,12 +226,20 @@ class PointGeometry:
         return np.einsum("...is,...isz->...z", self._ginv_phi, self.F)
 
     @_field
+    def _dgamma_G(self):  # [k,0,m] = G[i,s] phi[t,s] dgamma[k,i,t,m], [k,1,m] = G[i,s] dgamma[k,i,s,m]
+        # dtheta_star's two dgamma terms, in one product: small, so r13 makes it before it
+        # lets dgamma go, and neither read order computes dgamma twice
+        G = self._ginv_phi
+        Gphi = np.einsum("...is,...ts->...it", G, self.phi)
+        return np.stack([Gphi, G], axis=1).reshape(len(G), 1, 2, -1) @ _mat(self.dgamma, 2, 1)
+
+    @_field
     def dtheta_star(self):  # [z,m] = d_m theta_star[z]
         # theta_star[z] = G[i,s] F[i,s,z] with G = ginv phi^T, and F[i,s,z] = g[k,z] cov_phi[k,s,i].
         # G is contracted into cov_phi and its derivative before the product rule, so no
         # array of d_m F is built.
         F, phi, dphi, G = self.F, self.phi, self._dphi, self._ginv_phi
-        gamma, dgamma, varying_phi = self.gamma, self.dgamma, dphi.any()
+        gamma, varying_phi = self.gamma, dphi.any()
         Ft = np.swapaxes(_mat(F, 2, 1), -1, -2)  # [z,(i,s)]
         out = Ft @ _mat(phi[:, None] @ self._dginv, 2, 1)  # phi[s,j] d_m g^{ij}, as [i,s,m]
         if varying_phi:  # g^{ij} d_m phi[s,j], as [i,s,m]
@@ -238,9 +247,8 @@ class PointGeometry:
             out = out + Ft @ _mat(dG, 2, 1)
         q = np.einsum("...is,...ksi->...k", G, self._cov_phi)  # [k] = G[i,s] cov_phi[k,s,i]
         # y[k,m] = G[i,s] d_m cov_phi[k,s,i], term by term of d_m cov_phi; the two
-        # dgamma terms read one product, of dgamma with G phi^T and with G
-        Gphi = np.einsum("...is,...ts->...it", G, phi)
-        both = np.stack([Gphi, G], axis=1).reshape(len(G), 1, 2, -1) @ _mat(dgamma, 2, 1)
+        # dgamma terms read one product, _dgamma_G
+        both = self._dgamma_G
         y = both[:, :, 0]
         if self._d2phi.any():  # G[i,s] d2phi[k,s,i,m]
             y = _plus((_mat(np.swapaxes(G, -1, -2), 0, 2)[:, None] @ _mat(self._d2phi, 2, 1))[:, :, 0], y)
@@ -249,7 +257,6 @@ class PointGeometry:
         y = y - np.einsum("...kt,...tm->...km", phi, both[:, :, 1])
         if varying_phi:
             y = y - np.einsum("...ktm,...t->...km", dphi, np.einsum("...is,...tis->...t", G, gamma))
-        self._release_dgamma()
         return out + (np.einsum("...kzm,...k->...zm", self.dg, q) + np.einsum("...kz,...km->...zm", self.g, y))
 
     @_field

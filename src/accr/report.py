@@ -107,7 +107,9 @@ def _dumps(obj) -> str:
     list of plain floats, such as a record's samples, is joined in one pass.
     A matrix of plain floats (equal-length, non-empty rows), such as the
     sample points, is spelled in one pass, float.__repr__ on every entry,
-    unless an entry is infinite or NaN.
+    unless an entry is infinite or NaN.  The recursion is the module-level
+    _encode, so no closure refers to itself and the float memo goes with the
+    call, without waiting for the cycle collector.
     """
     spelled: dict[float, str] = {}
 
@@ -121,49 +123,52 @@ def _dumps(obj) -> str:
             text = spelled[x] = _INFINITE.get(x) or float.__repr__(x)
         return text
 
-    def matrix(rows, indent: str) -> str | None:
-        """The text of rows as a float matrix, or None if they are none or hold inf or NaN."""
-        width = len(rows[0]) if _ROW.issuperset(map(type, rows)) else 0
-        if not width or any(len(row) != width for row in rows):
-            return None
-        flat = [x for row in rows for x in row]
-        if not _FLOAT.issuperset(map(type, flat)):
-            return None
-        inner, entry = indent + "  ", indent + "    "
-        row = "[" + entry + ("," + entry).join(("%s",) * width) + inner + "]"
-        text = ("[" + inner + ("," + inner).join((row,) * len(rows)) + indent + "]") % tuple(
-            map(float.__repr__, flat))
-        return None if "n" in text else text  # inf, nan: JSON spells them otherwise
+    return _encode(obj, "\n", number)
 
-    def encode(o, indent: str) -> str:
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return number(o)
-        inner = indent + "  "
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            if _FLOAT.issuperset(map(type, o)):
-                items = map(number, o)
-            elif (text := matrix(o, indent)) is not None:
-                return text
-            else:
-                items = [encode(v, inner) for v in o]
-            return "[" + inner + ("," + inner).join(items) + indent + "]"
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            items = [encode_basestring_ascii(key) + ": " + encode(o[key], inner) for key in sorted(o)]
-            return "{" + inner + ("," + inner).join(items) + indent + "}"
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    return encode(obj, "\n")
+def _matrix(rows, indent: str) -> str | None:
+    """The text of rows as a float matrix, or None if they are none or hold inf or NaN."""
+    width = len(rows[0]) if _ROW.issuperset(map(type, rows)) else 0
+    if not width or any(len(row) != width for row in rows):
+        return None
+    flat = [x for row in rows for x in row]
+    if not _FLOAT.issuperset(map(type, flat)):
+        return None
+    inner, entry = indent + "  ", indent + "    "
+    row = "[" + entry + ("," + entry).join(("%s",) * width) + inner + "]"
+    text = ("[" + inner + ("," + inner).join((row,) * len(rows)) + indent + "]") % tuple(
+        map(float.__repr__, flat))
+    return None if "n" in text else text  # inf, nan: JSON spells them otherwise
+
+
+def _encode(o, indent: str, number) -> str:
+    """The JSON text of o at the given indent, spelling floats by `number`."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return number(o)
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if _FLOAT.issuperset(map(type, o)):
+            items = map(number, o)
+        elif (text := _matrix(o, indent)) is not None:
+            return text
+        else:
+            items = [_encode(v, inner, number) for v in o]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _encode(o[key], inner, number) for key in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -1,5 +1,7 @@
 """Classification, torse-forming extraction, and the Yamabe soliton solver."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from accr.report import VERDICT_PASS
 
 from conftest import rel_err
 from test_manifold import cone_json
+from test_output_contract import CASES
 
 COORDS = ("t", "u", "v")
 
@@ -393,6 +396,36 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
     argv = ["report", "--builtin", "cone-flat-fiber", "--potential-k", "c*t", "--const", "c=1"]
     assert cli.main([*argv, "--samples", "8"]) == 0
     assert calls["jets_at"] == 1 and calls["PointGeometry"] == 2 and calls["vector_field_jets"] == 1
+
+
+@pytest.mark.parametrize("workload", ["verify-cone", "report-n2", "soliton-cone"])
+def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, workload):
+    computes, built = {}, []
+
+    def counted(name, compute):
+        def count(pg):
+            computes[pg.tag, name] = computes.get((pg.tag, name), 0) + 1
+            return compute(pg)
+        return count
+
+    for name, field in vars(geometry.PointGeometry).items():
+        if isinstance(field, functools.cached_property):
+            monkeypatch.setattr(field, "func", counted(name, field.func))
+
+    class Recorded(geometry.SampleGeometry):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(geometry, "SampleGeometry", Recorded)
+    assert cli.main(CASES[workload][0]) == 0
+    capsys.readouterr()
+    assert computes and max(computes.values()) == 1, computes
+    (geo,) = built
+    # dgamma is let go once r13 is kept, whether or not dtheta_star was read
+    assert [pg.tag for pg in geo._geometry.values() if {"r13", "dgamma"} <= vars(pg).keys()] == []
+    if workload == "report-n2":
+        assert "dgamma" not in vars(geo.of("gtilde"))
 
 
 def test_non_vertical_sample_is_named(cone):

@@ -361,6 +361,17 @@ def test_dgamma_is_let_go_once_both_its_readers_are_kept(cone_n2):
     assert pg.dgamma.tobytes() == first.tobytes()  # a later read computes it again
 
 
+def test_r13_lets_dgamma_go_and_a_later_dtheta_star_does_not_bring_it_back(cone_n2):
+    points = sample_points(cone_n2.chart, 4, seed=3)
+    pg = SampleGeometry(cone_n2, points).of("gtilde")
+    pg.r13
+    assert "dgamma" not in vars(pg)
+    later = pg.dtheta_star
+    assert "dgamma" not in vars(pg)
+    first = SampleGeometry(cone_n2, points).of("gtilde").dtheta_star
+    assert later.tobytes() == first.tobytes()
+
+
 def test_soliton_computes_only_the_fields_it_reads(monkeypatch, capsys):
     built = []
 

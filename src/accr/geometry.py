@@ -20,11 +20,13 @@ First derivatives of Gamma come from metric Hessians in closed form; the
 gradient of theta_star(xi) is propagated through the same pipeline by the
 product rule, so nothing here needs third-order jets.
 
+Both metrics are matrices of component expressions (g~'s built by
+AccRStructure.associated_metric), whose jets come from one jet path.
 A command keeps the structure jets and, per metric, the fields it has read.
 Three d^4 arrays have too few readers to be worth keeping: r04 is lowered
-from r13 on each call of lowered_curvature; the metric's Hessians (for g~,
-made by the product rule) are made inside dgamma, their one reader; and
-dgamma is let go as soon as r13 is kept.  Its other reader, dtheta_star,
+from r13 on each call of lowered_curvature; the metric's Hessians are let go
+by dgamma, their one reader (a later read of dgamma evaluates them again);
+and dgamma is let go as soon as r13 is kept.  Its other reader, dtheta_star,
 reads only _dgamma_G, its small (N, d, 2, d) contraction, which r13 makes
 before it lets dgamma go; so dgamma is gone even where dtheta_star is never
 read (g~ in report, verify-paper and soliton), and neither read order
@@ -34,21 +36,14 @@ shipped structure) are read-only zero views that own no memory.
 from __future__ import annotations
 
 import functools
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SingularMetric
+from .errors import DomainError, SingularMetric
 from .expr import Expression, eval_field_jets
 from .jets import Jet2
-from .manifold import (
-    METRIC_G,
-    METRIC_GTILDE,
-    AccRStructure,
-    StructureJets,
-    associated_metric_first_order,
-    associated_metric_second,
-)
+from .manifold import METRIC_G, METRIC_GTILDE, AccRStructure, FieldJets, StructureJets, metric_jets
 from .tensor import _congruence, _dot, _mat, _max_abs, _regular_inverse
 
 __all__ = [
@@ -91,26 +86,26 @@ class PointGeometry:
     Each field is computed on its first read, from the fields it reads, and
     kept, so a command pays only for what it reads; dgamma alone is let go
     once r13 is kept, and is computed again if read after that.
-    The metric, its first derivatives and its inverse are taken at
-    construction: a singular metric raises SingularMetric there, whichever
-    fields are read later.  Every field carries a leading sample axis; the
-    scalar fields are (N,) arrays.  The arrays are read-only, so the
-    consumers sharing one batch cannot change what another reads.  A
-    product-rule term on an exactly zero jet of phi, xi or eta (a literal
-    field, as in every shipped structure) is left out; the other terms keep
-    their order, so their sums round as before.
+    The metric's jets, and `evaluate`, which evaluates them again, are
+    given at construction, where the inverse is taken: a singular metric
+    raises SingularMetric there, whichever fields are read later.  Every
+    field carries a leading sample axis; the scalar fields are (N,)
+    arrays.  The arrays are read-only, so the consumers sharing one batch
+    cannot change what another reads.  A product-rule term on an exactly
+    zero jet of phi, xi or eta (a literal field, as in every shipped
+    structure) is left out; the other terms keep their order, so their
+    sums round as before.
     """
 
-    def __init__(self, n: int, tag: str, sj: StructureJets):
-        if tag not in (METRIC_G, METRIC_GTILDE):
-            raise ValueError(f"unknown metric tag {tag!r}")
-        g, dg = sj.g[:2] if tag == METRIC_G else associated_metric_first_order(sj)
+    def __init__(self, n: int, tag: str, sj: StructureJets, metric: FieldJets,
+                 evaluate: Callable[[], FieldJets]):
+        g, dg, d2g = metric
         shared = dict(phi=sj.phi.value, xi=sj.xi.value, eta=sj.eta.value, deta=sj.eta.partial,
                       g=g, dg=dg, ginv=_inverse(g, tag))
         for array in shared.values():
             array.flags.writeable = False
-        vars(self).update(shared, tag=tag, n=n, _jets=sj, _dphi=sj.phi.partial,
-                          _d2phi=sj.phi.second, _dxi=sj.xi.partial)
+        vars(self).update(shared, tag=tag, n=n, _d2g_given=d2g, _evaluate=evaluate,
+                          _dphi=sj.phi.partial, _d2phi=sj.phi.second, _dxi=sj.xi.partial)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PointGeometry field {name!r} is read-only")
@@ -136,8 +131,9 @@ class PointGeometry:
     # where an exact symmetry of the operands allows it.
 
     def _d2g(self):
-        """The metric's second derivatives, made for dgamma, their one reader, and not kept."""
-        return self._jets.g.second if self.tag == METRIC_G else associated_metric_second(self._jets)
+        """The metric's second derivatives for dgamma, their one reader: given once, then evaluated."""
+        d2g = vars(self).pop("_d2g_given", None)
+        return self._evaluate().second if d2g is None else d2g
 
     @_field
     def _dginv(self):  # [k,l,m] = d_m g^{kl} = -g^{ka} d_m g_{ab} g^{bl}
@@ -290,9 +286,9 @@ def _koszul_derivative(d2g: np.ndarray) -> np.ndarray:
     """dC[l,i,j,m] = d_m C[l,i,j] = d2g[j,l,i,m] + d2g[i,l,j,m] - d2g[i,j,l,m].
 
     The metric jets are exactly symmetric in their two metric slots (the
-    loader requires equal ASTs for g_ij and g_ji, and associated_metric_second
-    symmetrizes exactly), so the first two terms are d2g[l,j,i,m] and d2g
-    itself, and only the last is a permuted read.
+    loader requires equal ASTs for g_ij and g_ji, and g~_ij and g~_ji are one
+    expression), so the first two terms are d2g[l,j,i,m] and d2g itself,
+    and only the last is a permuted read.
     """
     dC = np.swapaxes(d2g, -3, -2) + d2g
     dC -= np.einsum("...ijlm->...lijm", d2g)
@@ -328,9 +324,20 @@ class SampleGeometry:
 
     def of(self, tag: str) -> PointGeometry:
         if tag not in self._geometry:
+            if tag not in (METRIC_G, METRIC_GTILDE):
+                raise ValueError(f"unknown metric tag {tag!r}")
+            S = self.structure
             if self._jets is None:  # the structure jets, shared by both metrics
-                self._jets = self.structure.jets_at(self.points, self.bindings)
-            self._geometry[tag] = PointGeometry(self.structure.n, tag, self._jets)
+                self._jets = S.jets_at(self.points, self.bindings)
+            g = tag == METRIC_G
+            components = S.g if g else S.associated_metric()
+            # a partial, as a closure over self would make a reference cycle
+            evaluate = functools.partial(metric_jets, components, self.points, self.bindings)
+            try:
+                jets = self._jets.g if g else evaluate()  # g's jets are structure jets
+            except DomainError as exc:
+                raise DomainError(f"metric {tag}: {exc}", exc.bad) from None
+            self._geometry[tag] = PointGeometry(S.n, tag, self._jets, jets, evaluate)
         return self._geometry[tag]
 
 

@@ -10,6 +10,7 @@ still be probed.
 """
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import random
@@ -25,9 +26,9 @@ from .errors import (
     UnboundConstant,
     UnknownBuiltin,
 )
-from .expr import Expression, eval_field_jets, eval_numbers, parse
+from .expr import BinOp, Expression, Num, eval_field_jets, eval_numbers, parse
 from .record import Value
-from .tensor import _congruence, _dot, _mat, signature_of
+from .tensor import _congruence, _dot, signature_of
 
 __all__ = [
     "Chart",
@@ -36,8 +37,7 @@ __all__ = [
     "FieldJets",
     "StructureJets",
     "ValidationReport",
-    "associated_metric_first_order",
-    "associated_metric_second",
+    "metric_jets",
     "load_manifold",
     "builtin_structure",
     "builtin_names",
@@ -213,6 +213,29 @@ class AccRStructure(Value):
             FieldJets(*(_unflat(f, a, tail) for tail, a in enumerate(jet))) for f, jet in zip(fields, jets)
         ))
 
+    def associated_metric(self) -> tuple[tuple[Expression, ...], ...]:
+        """The components of the associated B-metric g~(x, y) = g(x, phi y) + eta(x) eta(y).
+
+        With A_ij = sum_s g_is phi_sj + eta_i eta_j, g~_ii = A_ii and g~_ij =
+        (A_ij + A_ji) / 2 (A is symmetric only where the structure identities
+        hold), each one left-to-right sum of its products but those with a
+        literal-0 factor.  g~_ji is the expression object of g~_ij.
+        """
+        d, zero, chart = self.dim, Num(0.0), self.chart
+
+        def products(i, j):
+            pairs = [(self.g[i][s], self.phi[s][j]) for s in range(d)] + [(self.eta[i], self.eta[j])]
+            return [BinOp("*", a.ast, b.ast) for a, b in pairs if zero not in (a.ast, b.ast)]
+
+        def entry(i, j):
+            terms = products(i, j) + (products(j, i) if i != j else [])
+            ast = functools.reduce(lambda total, term: BinOp("+", total, term), terms) if terms else zero
+            ast = BinOp("/", ast, Num(2.0)) if terms and i != j else ast
+            return Expression(ast, chart.coordinates, chart.constants)
+
+        upper = {(i, j): entry(i, j) for i in range(d) for j in range(i, d)}
+        return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(d)) for i in range(d))
+
     def frame_at(self, point, bindings: Mapping[str, float] | None = None) -> np.ndarray:
         """The declared phi-adapted frame (columns e_1..e_2n, xi) at one point or a batch."""
         if self.frame is None:
@@ -231,6 +254,12 @@ def _unflat(field, array: np.ndarray, tail: int = 0) -> np.ndarray:
     shape = (len(field),) if isinstance(field[0], Expression) else (len(field), len(field[0]))
     axis = array.ndim - tail - 1
     return array.reshape(array.shape[:axis] + shape + array.shape[axis + 1:])
+
+
+def metric_jets(components, point, bindings: Mapping[str, float] | None = None) -> FieldJets:
+    """The jets of a metric's d x d component expressions at one point (d,) or a batch (N, d), as jets_at's."""
+    (jets,) = eval_field_jets([_flat([components])], point, bindings)
+    return FieldJets(*(_unflat(components, a, tail) for tail, a in enumerate(jets)))
 
 
 def _split(fields, array: np.ndarray) -> list[np.ndarray]:
@@ -471,77 +500,6 @@ def validate_structure(
         expected_signature=expected,
         tolerance=tol,
     )
-
-
-# -- associated metric -------------------------------------------------------
-#
-# The jets of the associated B-metric g~(x, y) = g(x, phi y) + eta(x) eta(y), by
-# the product rule, in two parts, so that the second derivatives can be made by
-# their one reader when it needs them.  The structure jets are those of one point
-# or of a batch (see AccRStructure.jets_at); the results carry the same leading
-# axes.  A term on an exactly zero jet of phi or eta is left out; the others keep
-# their order, so their sums round as before.  A jet of g~ that overflows is a
-# DomainError naming the first sample at fault.
-
-
-def associated_metric_first_order(sj: StructureJets) -> tuple[np.ndarray, np.ndarray]:
-    """The value and first derivatives of g~: [..., i, j] and [..., i, j, m]."""
-    g, dg, _ = sj.g
-    phi, dphi, _ = sj.phi
-    eta, deta, _ = sj.eta
-    phi_t = np.swapaxes(phi, -1, -2)[..., None, :, :]  # per first slot of the metric's jets
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
-        partial = phi_t @ dg  # [i,j,m] = phi[s,j] d_m g[i,s]
-        if dphi.any():
-            partial = partial + (g @ _mat(dphi, 1, 2)).reshape(dphi.shape)
-        if deta.any():
-            partial = partial + np.einsum("...im,...j->...ijm", deta, eta)
-            partial = partial + np.einsum("...i,...jm->...ijm", eta, deta)
-        # the formula is symmetric in (i, j) only up to rounding; enforce exactly
-        value = (value + np.swapaxes(value, -2, -1)) / 2.0
-        partial = (partial + np.swapaxes(partial, -3, -2)) / 2.0
-    _check_finite(g.shape[:-2], value, partial)
-    return value, partial
-
-
-def associated_metric_second(sj: StructureJets) -> np.ndarray:
-    """The second derivatives of g~: [..., i, j, m, l]."""
-    g, dg, d2g = sj.g
-    phi, dphi, d2phi = sj.phi
-    eta, deta, d2eta = sj.eta
-    dphi_on, deta_on, d2eta_on = dphi.any(), deta.any(), d2eta.any()
-    phi_t = np.swapaxes(phi, -1, -2)[..., None, :, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        second = (phi_t @ _mat(d2g, 1, 2)).reshape(d2g.shape)
-        if dphi_on:  # both dg.dphi terms read one product, [i,m,j,l] = d_m g[i,s] d_l phi[s,j]
-            both = (np.swapaxes(dg, -1, -2) @ _mat(dphi, 1, 2)[..., None, :, :]).reshape(d2g.shape)
-            second = second + np.einsum("...imjl->...ijml", both)
-            second = second + np.einsum("...iljm->...ijml", both)
-        if d2phi.any():
-            second = second + (g @ _mat(d2phi, 1, 3)).reshape(d2phi.shape)
-        if d2eta_on:
-            second = second + np.einsum("...iml,...j->...ijml", d2eta, eta)
-        if deta_on:
-            second = second + np.einsum("...im,...jl->...ijml", deta, deta)
-            second = second + np.einsum("...il,...jm->...ijml", deta, deta)
-        if d2eta_on:
-            second = second + np.einsum("...i,...jml->...ijml", eta, d2eta)
-        # symmetric in (i, j) only up to rounding; enforce exactly
-        second = second + np.swapaxes(second, -4, -3)
-        second /= 2.0
-    _check_finite(g.shape[:-2], second)
-    return second
-
-
-def _check_finite(lead: tuple[int, ...], *arrays) -> None:
-    """A DomainError naming the first sample (a leading index in `lead`) where a jet of g~ is not finite."""
-    bad = np.zeros(lead, dtype=bool)
-    for a in arrays:
-        bad |= ~np.isfinite(a).reshape(lead + (-1,)).all(axis=-1)
-    if bad.any():
-        where = f" at sample {int(np.argmax(bad.ravel()))}" if lead else ""
-        raise DomainError(f"metric {METRIC_GTILDE} is not finite{where}", bad)
 
 
 # -- sampling ----------------------------------------------------------------

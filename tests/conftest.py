@@ -80,6 +80,14 @@ OFFDIAG = {
 }
 OFFDIAG_BINDINGS = {"c": 0.3}
 
+# OFFDIAG with a non-constant xi, and phi varying inside the fiber block as
+# well, so no term on the jets of phi, xi or eta is skipped or vanishes; bind
+# c = 0.3.
+VARYING = dict(
+    OFFDIAG, xi=["1", "u*v/4", "t/2"],
+    phi=[["0", "0", "0"], ["u*v/4", "0", "-1-t*u/8"], ["2*c", "1+v*t/8", "0"]],
+)
+
 
 @pytest.fixture(scope="session")
 def offdiag():

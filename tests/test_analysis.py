@@ -398,9 +398,9 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
     assert calls["jets_at"] == 1 and calls["PointGeometry"] == 2 and calls["vector_field_jets"] == 1
 
 
-@pytest.mark.parametrize("workload", ["verify-cone", "report-n2", "soliton-cone"])
+@pytest.mark.parametrize("workload", ["verify-cone", "report-n2", "soliton-cone", "curvature-g-n2"])
 def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, workload):
-    computes, built = {}, []
+    computes, built, metric_evaluations = {}, [], []
 
     def counted(name, compute):
         def count(pg):
@@ -417,10 +417,17 @@ def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, 
             super().__init__(*args)
             built.append(self)
 
+    def counted_metric_jets(*args):
+        metric_evaluations.append(args)
+        return manifold.metric_jets(*args)
+
     monkeypatch.setattr(geometry, "SampleGeometry", Recorded)
+    monkeypatch.setattr(geometry, "metric_jets", counted_metric_jets)
     assert cli.main(CASES[workload][0]) == 0
     capsys.readouterr()
     assert computes and max(computes.values()) == 1, computes
+    # g~'s jets are evaluated once where g~ is read, and g's never: they are structure jets
+    assert len(metric_evaluations) == (0 if workload == "curvature-g-n2" else 1)
     (geo,) = built
     # dgamma is let go once r13 is kept, whether or not dtheta_star was read
     assert [pg.tag for pg in geo._geometry.values() if {"r13", "dgamma"} <= vars(pg).keys()] == []

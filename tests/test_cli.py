@@ -272,7 +272,8 @@ def test_curvature_of_an_overflowing_associated_metric_is_a_domain_error(capsys,
     path.write_text(cone_json(eta=["1e200", "0", "0"]), encoding="utf-8")
     rc, out, err = run(capsys, "curvature", str(path), "--metric", "gtilde", "--samples", "4")
     assert rc == 2 and out == ""
-    assert err == "accr: DomainError: metric gtilde is not finite at sample 0\n"
+    assert err == ("accr: DomainError: metric gtilde: 1e+200*1e+200 is not finite at sample 0 "
+                   "(t=2.426927104341063, u=-1.389176440926784, v=2.6628559899742905)\n")
 
 
 def test_validate_a_metric_near_the_float_limit_ends_in_a_verdict(capsys, tmp_path):
@@ -310,6 +311,21 @@ def test_curvature_singular_metric_exit_code(capsys, tmp_path):
     rc, _, err = run(capsys, "curvature", str(path), "--samples", "4")
     assert rc == 1
     assert "SingularMetric" in err
+
+
+def test_curvature_of_gtilde_peak_traced_memory_on_the_n2_cone(capsys):
+    # the traced peak is 2.22 MB (2.21-2.22 MB when g~'s second derivatives were made inside
+    # dgamma), and 2.54 MB when g~'s second derivatives are kept past dgamma, their one reader
+    argv = ["curvature", _CONE_N2_FILE, "--metric", "gtilde", "--samples", "64", "--format", "json"]
+    assert main(argv) == 0  # warm: imports and first-call caches are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 2.40e6
 
 
 def test_report_peak_traced_memory_on_the_n2_cone(capsys):

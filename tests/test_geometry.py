@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from accr import cli, geometry
 from accr.errors import DomainError
@@ -26,16 +28,10 @@ from accr.geometry import (
     torse_forming_curvature_residuals,
     vector_field_jets,
 )
-from accr.manifold import (
-    associated_metric_first_order,
-    associated_metric_second,
-    load_manifold,
-    sample_points,
-    validate_structure,
-)
+from accr.manifold import load_manifold, metric_jets, sample_points, validate_structure
 from accr.tensor import to_phi_frame
 
-from conftest import OFFDIAG, OFFDIAG_BINDINGS, associated_metric, fd_gradient, rel_err
+from conftest import OFFDIAG, OFFDIAG_BINDINGS, VARYING, associated_metric, fd_gradient, rel_err
 from test_manifold import cone_json
 
 POINT = (2.0, 0.3, -0.4)
@@ -432,14 +428,6 @@ def test_dtheta_star_matches_the_full_derivative_of_F(request, structure, tag):
     assert rel_err(pg.dtheta_star, ref) <= 1e-13
 
 
-# OFFDIAG with a non-constant xi, and phi varying inside the fiber block as
-# well, so no term on the jets of phi, xi or eta is skipped or vanishes
-VARYING = dict(
-    OFFDIAG, xi=["1", "u*v/4", "t/2"],
-    phi=[["0", "0", "0"], ["u*v/4", "0", "-1-t*u/8"], ["2*c", "1+v*t/8", "0"]],
-)
-
-
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
 def test_xi_and_eta_jet_terms_match_finite_differences(tag):
     S = load_manifold(json.dumps(VARYING))
@@ -654,16 +642,41 @@ def test_matmul_contractions_match_their_einsum_forms(request, structure, tag):
         assert _near(getattr(pg, field), want), field
     for name, (want, got, scale) in _einsum_helpers(pg).items():
         assert _near(got, want, scale), name
-    sj = S.jets_at(points, bindings)
-    for point_or_batch in (sj, S.jets_at(points[3], bindings)):
-        jets = (*associated_metric_first_order(point_or_batch), associated_metric_second(point_or_batch))
-        for got, want in zip(jets, _einsum_associated_jets(point_or_batch)):
+    gtilde = S.associated_metric()
+    for point_or_batch in (points, points[3]):
+        jets = metric_jets(gtilde, point_or_batch, bindings)
+        for got, want in zip(jets, _einsum_associated_jets(S.jets_at(point_or_batch, bindings))):
             assert _near(got, want)
     frames = np.eye(S.dim) + 0.3 * np.random.default_rng(5).standard_normal((len(points), S.dim, S.dim))
     for comp, variance in ((lowered_curvature(pg), "llll"), (pg.r13, "ulll"), (pg.ricci, "ll"), (pg.xi, "u")):
         want = _einsum_phi_frame(comp, variance, frames)
         assert _near(to_phi_frame(comp, tuple(variance), frames), want), variance
         assert _near(to_phi_frame(comp[2], tuple(variance), frames[2]), want[2]), variance
+
+
+# Entries of g, phi and eta: literal 0 and +-1, a constant, t, u*v, and sin or exp of those
+_ATOMS = ("0", "1", "-1", "2.5", "c", "t", "u*v")
+_ENTRY = st.one_of(st.sampled_from(_ATOMS),
+                   st.builds("{}({})".format, st.sampled_from(("sin", "exp")), st.sampled_from(_ATOMS)))
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ENTRY, min_size=18, max_size=18))
+def test_associated_metric_expression_jets_match_the_product_rule(entries):
+    # the structure identities need not hold, so g phi need not be symmetric
+    upper = iter(entries[:6])
+    g = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            g[i][j] = g[j][i] = next(upper)
+    phi = [entries[6:9], entries[9:12], entries[12:15]]
+    S = load_manifold(json.dumps(dict(OFFDIAG, g=g, phi=phi, eta=entries[15:])))
+    points = sample_points(S.chart, 4, seed=11)
+    jets = metric_jets(S.associated_metric(), points, OFFDIAG_BINDINGS)
+    for k, (got, want) in enumerate(zip(jets, _einsum_associated_jets(S.jets_at(points, OFFDIAG_BINDINGS)))):
+        assert _near(got, want), k
+        assert np.array_equal(got, np.swapaxes(got, -2 - k, -1 - k)), k  # exactly, in (i, j)
 
 
 # -- the premises of the in-place d^4 chain -------------------------------------
@@ -679,8 +692,8 @@ def _structure(request, name):
 @pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag", "varying"])
 def test_metric_jets_are_exactly_symmetric_in_their_metric_slots(request, structure):
     S, bindings = _structure(request, structure)
-    sj = S.jets_at(sample_points(S.chart, 8, seed=3), bindings)
-    for jets in (sj.g, (*associated_metric_first_order(sj), associated_metric_second(sj))):
+    points = sample_points(S.chart, 8, seed=3)
+    for jets in (S.jets_at(points, bindings).g, metric_jets(S.associated_metric(), points, bindings)):
         for k, array in enumerate(jets):
             axes = (-2 - k, -1 - k)  # the metric slots come before the derivative axes
             assert np.array_equal(array, np.swapaxes(array, *axes)), k

@@ -19,21 +19,21 @@ from accr.errors import (
     UnboundConstant,
     UnknownBuiltin,
 )
+from accr.geometry import SampleGeometry
 from accr.manifold import (
     AccRStructure,
-    associated_metric_first_order,
-    associated_metric_second,
     builtin_names,
     builtin_structure,
     check_bindings,
     latin_hypercube,
     load_manifold,
+    metric_jets,
     sample_points,
     validate_structure,
 )
 from accr.tensor import signature_of
 
-from conftest import CONE_N2, associated_metric, fd_gradient
+from conftest import CONE_N2, OFFDIAG, OFFDIAG_BINDINGS, VARYING, associated_metric, fd_gradient
 
 
 def cone_json(**overrides):
@@ -221,12 +221,17 @@ def test_wrong_signature_detected(cone_points):
 
 
 def test_associated_metric_components(cone, cone_points):
-    gt, _ = associated_metric_first_order(cone.jets_at((2.0, 0.3, -0.4)))
+    gtilde = cone.associated_metric()
+    assert [[e.unparse() for e in row] for row in gtilde] == [
+        ["1.0*1.0", "0.0", "0.0"], ["0.0", "0.0", "(t^2.0*-1.0+-t^2.0*1.0)/2.0"],
+        ["0.0", "(t^2.0*-1.0+-t^2.0*1.0)/2.0", "0.0"]]
+    assert all(gtilde[i][j] is gtilde[j][i] for i in range(3) for j in range(3))
+    gt = metric_jets(gtilde, (2.0, 0.3, -0.4)).value
     assert np.allclose(gt, [[1.0, 0, 0], [0, 0, -4.0], [0, -4.0, 0]], atol=1e-14)
     # the associated metric is itself a B-metric for the same structure
     for pt in cone_points:
         g, phi, xi, eta = cone.values_at(pt)
-        gtp, _ = associated_metric_first_order(cone.jets_at(pt))
+        gtp = metric_jets(gtilde, pt).value
         compat = np.einsum("ai,bj,ab->ij", phi, phi, gtp) + gtp - np.outer(eta, eta)
         assert np.max(np.abs(compat)) < 1e-12
         assert np.max(np.abs(gtp @ xi - eta)) < 1e-12
@@ -234,29 +239,37 @@ def test_associated_metric_components(cone, cone_points):
 
 
 def test_associated_metric_jets_match_fd(cone):
+    # OFFDIAG and VARYING turn on every product-rule term that the cone's literal phi and eta skip
     pt = np.array([1.7, 0.2, 0.9])
-    value, partial = associated_metric_first_order(cone.jets_at(pt))
-    assert np.allclose(value, associated_metric(cone, pt))
-    for i in range(3):
-        for j in range(3):
-            ref = fd_gradient(lambda x, i=i, j=j: associated_metric(cone, x)[i, j], pt)
-            assert np.max(np.abs(partial[i, j] - ref)) < 1e-8
+    for S, bindings in ((cone, None), (load_manifold(json.dumps(OFFDIAG)), OFFDIAG_BINDINGS),
+                        (load_manifold(json.dumps(VARYING)), OFFDIAG_BINDINGS)):
+        value, partial, _ = metric_jets(S.associated_metric(), pt, bindings)
+        assert np.allclose(value, associated_metric(S, pt, bindings))
+        for i in range(3):
+            for j in range(3):
+                ref = fd_gradient(lambda x, i=i, j=j: associated_metric(S, x, bindings)[i, j], pt)
+                assert np.max(np.abs(partial[i, j] - ref)) < 1e-8
 
 
 def test_associated_metric_jets_that_overflow_are_a_domain_error():
-    # g's jets are finite; eta (x) eta = 1e300 t^4 overflows from t ~ 116, and its
-    # second t-derivative 12e300 t^2 from t ~ 3900
+    # g's jets are finite; eta (x) eta = 1e300 t^4 overflows from t ~ 116
     domain = {"t": [0.5, 2e4], "u": [-3.0, 3.0], "v": [-3.0, 3.0]}
     S = load_manifold(cone_json(eta=["1e150*t^2", "0", "0"], domain=domain))
     points = np.array([[1.0, 0.0, 0.0], [200.0, 0.0, 0.0], [1e4, 0.0, 0.0]])
-    with pytest.raises(DomainError, match=r"^metric gtilde is not finite at sample 1$"):
-        associated_metric_first_order(S.jets_at(points))
-    with pytest.raises(DomainError, match=r"^metric gtilde is not finite at sample 2$"):
-        associated_metric_second(S.jets_at(points))
-    with pytest.raises(DomainError, match=r"^metric gtilde is not finite$"):
-        associated_metric_first_order(S.jets_at(points[1]))
-    value, _ = associated_metric_first_order(S.jets_at(points[0]))
-    assert value[0, 0] == 1e150 * 1e150 and np.isfinite(associated_metric_second(S.jets_at(points[:2]))).all()
+    entry = r"1e\+150\*t\^2\.0\*\(1e\+150\*t\^2\.0\) is not finite"
+    with pytest.raises(DomainError, match=rf"^metric gtilde: {entry} at sample 1 \(t=200\.0, u=0\.0, v=0\.0\)$"):
+        SampleGeometry(S, points).of("gtilde")
+    with pytest.raises(DomainError, match=rf"^{entry} at t=200\.0, u=0\.0, v=0\.0$"):
+        metric_jets(S.associated_metric(), points[1])
+    value, _, second = metric_jets(S.associated_metric(), points[0])
+    assert value[0, 0] == 1e150 * 1e150 and np.isfinite(second).all()
+    # eta (x) eta = exp(600 t) is finite up to t ~ 1.183, and its second t-derivative
+    # 3.6e5 exp(600 t) only up to t ~ 1.162
+    S = load_manifold(cone_json(eta=["exp(300*t)", "0", "0"]))
+    points = np.array([[1.0, 0.0, 0.0], [1.17, 0.0, 0.0]])
+    assert np.isfinite(associated_metric(S, points)).all()
+    with pytest.raises(DomainError, match=r"^metric gtilde: .* is not finite at sample 1 \(t=1\.17, "):
+        SampleGeometry(S, points).of("gtilde")
 
 
 def test_latin_hypercube_stratification(cone):

@@ -12,8 +12,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonVerticalPotential, ZeroPotential
-from .expr import Expression, Num, multiply, parse
+from .errors import DomainError, ManifoldParseError, NonVerticalPotential, ZeroPotential
+from .expr import Expression, Num, eval_field_jets, eval_numbers, multiply, parse
 from .geometry import (
     SampleGeometry,
     antisymmetrized_derivative,
@@ -28,7 +28,6 @@ from .geometry import (
     nabla_tilde_components_from,
     tau_tilde_relations,
     torse_forming_curvature_residuals,
-    vector_field_jets,
     worst_residual,
 )
 from .manifold import (
@@ -262,7 +261,7 @@ def torse_forming_extract(
     """
     dim = geo.structure.dim
     pg = geo.of(tag)
-    v, dv = vector_field_jets(potential, geo.points, geo.bindings)
+    v, dv = eval_field_jets([potential], geo.points, geo.bindings)[0][:2]  # the Hessian goes at once
     vanishing = np.max(np.abs(v), axis=-1) <= _F_ZERO_THRESHOLD
     if vanishing.any():
         where = tuple(round(float(x), 6) for x in geo.points[np.argmax(vanishing)])
@@ -432,7 +431,7 @@ def _value_record(name, anchor, values):
 
 def validation_records(geo: SampleGeometry, tol: float) -> list[CheckRecord]:
     """One record per defining identity of the structure, and one for the signature."""
-    vr = validate_structure(geo.structure, geo.points, geo.bindings, tol)
+    vr = validate_structure(geo.structure, geo.jets, tol)
     records = [
         record_from_residual(f"structure: {key}", key, [value], tol)
         for key, value in vr.residuals.items()
@@ -509,8 +508,10 @@ def _identity_records(geo, tag, tol):
 
 def _phi_frame_values(geo, tag):
     """R_1212, rho_11 and rho_22 of the tagged metric in the declared frame, per sample."""
-    pg = geo.of(tag)
-    frames = geo.structure.frame_at(geo.points, geo.bindings)
+    pg, S = geo.of(tag), geo.structure
+    if S.frame is None:
+        raise ManifoldParseError("structure declares no frame")
+    (frames,) = eval_numbers([S.frame], geo.points, geo.bindings)
     r04f, rhof = _to_phi_frames(frames, (lowered_curvature(pg), ("l",) * 4), (pg.ricci, ("l", "l")))
     return {"R_1212": r04f[:, 0, 1, 0, 1], "rho_11": rhof[:, 0, 0], "rho_22": rhof[:, 1, 1]}
 
@@ -664,7 +665,7 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
         records.append(record_from_residual(name, anchor, per_sample, tolerance))
 
     # structure identities
-    vr = validate_structure(S, geo.points, geo.bindings, tol)
+    vr = validate_structure(S, geo.jets, tol)
     records.append(
         CheckRecord(
             name="structure identities",

@@ -50,6 +50,7 @@ __all__ = [
     "BinOp",
     "Call",
     "Expression",
+    "FieldJets",
     "eval_field_jets",
     "eval_numbers",
     "parse",
@@ -464,10 +465,35 @@ def _distinct(expressions: Sequence[Expression]):
     return [(e, where, any(isinstance(n, Coord) for n in _nodes(e.ast))) for e, where in found.values()]
 
 
+class FieldJets(NamedTuple):
+    """A field's value, first and second coordinate derivatives, in the field's shape.
+
+    The sample axis of a batch comes first, then the field's axes, and the
+    derivative axes are appended last: partial[..., m] = d_m value[...],
+    second[..., m, l] = d_l d_m value[...] (symmetric in m, l).
+    """
+
+    value: np.ndarray
+    partial: np.ndarray
+    second: np.ndarray
+
+
+def _entries(fields):
+    """The expressions of several fields in one list, each matrix row by row, and per field
+    its (start, stop) in that list and its shape: a vector's (m,), a matrix's (m, k)."""
+    expressions, spans = [], []
+    for field in fields:
+        vector = isinstance(field[0], Expression)
+        start = len(expressions)
+        expressions += field if vector else [e for row in field for e in row]
+        spans.append((start, len(expressions), (len(field),) if vector else (len(field), len(field[0]))))
+    return expressions, spans
+
+
 def eval_field_jets(
-    fields: Sequence[Sequence[Expression]], point, bindings: Mapping[str, float] | None = None
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Values [..., m], gradients [..., m, i] and Hessians [..., m, i, j] of each field's expressions.
+    fields: Sequence[Sequence], point, bindings: Mapping[str, float] | None = None
+) -> list[FieldJets]:
+    """The jets of several fields, each a vector or a matrix of expressions, as FieldJets.
 
     `point` is one chart point (d,) or a batch (N, d), and the expressions
     belong to one chart.  All of them share one set of coordinate seeds,
@@ -476,10 +502,10 @@ def eval_field_jets(
     every value equals that of `Expression.eval_jet`.  The expressions are
     evaluated in order: an error comes from the first offending one.
     Derivative rows are allocated only for the fields with an entry that
-    reads a coordinate; the gradient and Hessian of a field with none are
-    read-only zeros that own no memory.
+    reads a coordinate; the partial and second derivatives of a field with
+    none are read-only zeros that own no memory.
     """
-    expressions = [e for field in fields for e in field]
+    expressions, spans = _entries(fields)
     d = len(expressions[0].coords)
     seeds = _coordinate_jets(point, d)
     b = bindings or {}
@@ -488,9 +514,9 @@ def eval_field_jets(
     reads = np.zeros(len(expressions), dtype=bool)  # per expression: whether its AST reads a coordinate
     for _, where, reads_coordinates in distinct:
         reads[where] = reads_coordinates
-    bounds = np.cumsum([0] + [len(field) for field in fields])
-    live = [reads[a:z].any() for a, z in zip(bounds[:-1], bounds[1:])]
-    row = np.cumsum(np.repeat(live, np.diff(bounds))) - 1  # each expression's row among the live fields'
+    live = [reads[a:z].any() for a, z, _ in spans]
+    # each expression's row among the live fields'
+    row = np.cumsum(np.repeat(live, [z - a for a, z, _ in spans])) - 1
     value = np.empty(lead + (len(expressions),))
     grad = np.zeros(lead + (row[-1] + 1, d))
     hess = np.zeros(lead + (row[-1] + 1, d, d))
@@ -503,34 +529,38 @@ def eval_field_jets(
         else:
             value[..., where] = _evaluate_finite(e, seeds, b)
     out = []
-    for a, z, field_reads in zip(bounds[:-1], bounds[1:], live):
+    for (a, z, shape), field_reads in zip(spans, live):
         if field_reads:
             rows = slice(row[a], row[a] + z - a)
-            out.append((value[..., a:z], grad[..., rows, :], hess[..., rows, :, :]))
+            partial = grad[..., rows, :].reshape(lead + shape + (d,))
+            second = hess[..., rows, :, :].reshape(lead + shape + (d, d))
         else:
-            out.append((value[..., a:z], np.broadcast_to(0.0, lead + (z - a, d)),
-                        np.broadcast_to(0.0, lead + (z - a, d, d))))
+            partial = np.broadcast_to(0.0, lead + shape + (d,))
+            second = np.broadcast_to(0.0, lead + shape + (d, d))
+        out.append(FieldJets(value[..., a:z].reshape(lead + shape), partial, second))
     return out
 
 
 def eval_numbers(
-    expressions: Sequence[Expression], point, bindings: Mapping[str, float] | None = None
-) -> np.ndarray:
-    """Values [..., m] of several expressions, evaluated as `eval_field_jets` evaluates them.
+    fields: Sequence[Sequence], point, bindings: Mapping[str, float] | None = None
+) -> list[np.ndarray]:
+    """The values of several fields, each in its shape, evaluated as `eval_field_jets` evaluates them.
 
     Every value equals that of `Expression.eval_number`.
     """
+    expressions, spans = _entries(fields)
     d = len(expressions[0].coords)
     values = _coordinates(point, d)
     columns = [values[..., i] for i in range(d)]
     b = bindings or {}
-    out = np.empty(values.shape[:-1] + (len(expressions),))
+    lead = values.shape[:-1]
+    out = np.empty(lead + (len(expressions),))
     for e, where, reads_coordinates in _distinct(expressions):
         if reads_coordinates:
             out[..., where] = np.asarray(e.eval_number(values, b))[..., None]
         else:
             out[..., where] = _evaluate_finite(e, columns, b)
-    return out
+    return [out[..., a:z].reshape(lead + shape) for a, z, shape in spans]
 
 
 def parse(source: str, coords: Iterable[str], constants: Iterable[str] = ()) -> Expression:

@@ -15,14 +15,16 @@ Index conventions, fixed once for the whole package:
   theta_star[z]     g^{ij} F(d_i, phi d_j, d_z)
   omega[z]          F(xi, xi, d_z)
 
-Derivative axes of jet arrays always come last (see manifold.FieldJets).
+Derivative axes of jet arrays always come last (see expr.FieldJets).
 First derivatives of Gamma come from metric Hessians in closed form; the
 gradient of theta_star(xi) is propagated through the same pipeline by the
 product rule, so nothing here needs third-order jets.
 
 Both metrics are matrices of component expressions (g~'s built by
-AccRStructure.associated_metric), whose jets come from one jet path.
-A command keeps the structure jets and, per metric, the fields it has read.
+AccRStructure.associated_metric), whose jets come from one jet path,
+expr.eval_field_jets.  A command keeps the structure jets, which
+SampleGeometry evaluates once and structure validation reads as well, and,
+per metric, the fields it has read.
 Three d^4 arrays have too few readers to be worth keeping: r04 is lowered
 from r13 on each call of lowered_curvature; the metric's Hessians are let go
 by dgamma, their one reader (a later read of dgamma evaluates them again);
@@ -36,14 +38,14 @@ shipped structure) are read-only zero views that own no memory.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import DomainError, SingularMetric
-from .expr import Expression, eval_field_jets
+from .expr import FieldJets, eval_field_jets
 from .jets import Jet2
-from .manifold import METRIC_G, METRIC_GTILDE, AccRStructure, FieldJets, StructureJets, metric_jets
+from .manifold import METRIC_G, METRIC_GTILDE, AccRStructure, StructureJets
 from .tensor import _congruence, _dot, _mat, _max_abs, _regular_inverse
 
 __all__ = [
@@ -53,7 +55,6 @@ __all__ = [
     "lowered_curvature",
     "lie_derivative_metric",
     "lie_derivative_vertical",
-    "vector_field_jets",
     "metric_compatibility_residual",
     "curvature_symmetry_residuals",
     "f_property_residuals",
@@ -98,7 +99,7 @@ class PointGeometry:
     """
 
     def __init__(self, n: int, tag: str, sj: StructureJets, metric: FieldJets,
-                 evaluate: Callable[[], FieldJets]):
+                 evaluate: Callable[[], list[FieldJets]]):
         g, dg, d2g = metric
         shared = dict(phi=sj.phi.value, xi=sj.xi.value, eta=sj.eta.value, deta=sj.eta.partial,
                       g=g, dg=dg, ginv=_inverse(g, tag))
@@ -133,7 +134,7 @@ class PointGeometry:
     def _d2g(self):
         """The metric's second derivatives for dgamma, their one reader: given once, then evaluated."""
         d2g = vars(self).pop("_d2g_given", None)
-        return self._evaluate().second if d2g is None else d2g
+        return self._evaluate()[0].second if d2g is None else d2g
 
     @_field
     def _dginv(self):  # [k,l,m] = d_m g^{kl} = -g^{ka} d_m g_{ab} g^{bl}
@@ -307,11 +308,15 @@ class SampleGeometry:
     """The sample set of one command and each metric's geometry over it.
 
     `points` is a batch (N, d); one point (d,) is a batch of one.  Every
-    check of a command reads the same batch: the structure jets are
-    evaluated once, on first use, and the geometry of a metric tag is built
-    from them on first use, with each of its fields computed once, over all
-    samples, when first read; all of it lives as long as this object.
-    `of(tag)` is the one way to the geometry.
+    check of a command reads the same batch.  `jets`, the jets of g, phi,
+    xi and eta, are evaluated once, on first use, after the points are
+    checked to lie inside the chart; structure validation reads their
+    values, and both metrics read them.  The geometry of a metric tag is
+    built from them on first use, with each of its fields computed once,
+    over all samples, when first read; all of it lives as long as this
+    object.  `of(tag)` is the one way to the geometry.  g~'s component
+    expressions are evaluated where its geometry is built; a potential's
+    and the frame's are evaluated where a check reads them.
     """
 
     def __init__(self, S: AccRStructure, points, bindings: Mapping[str, float] | None = None):
@@ -319,25 +324,27 @@ class SampleGeometry:
         self.points = np.array(np.atleast_2d(np.asarray(points, dtype=float)))  # a copy
         self.points.flags.writeable = False
         self.bindings = dict(bindings or {})
-        self._jets: StructureJets | None = None
         self._geometry: dict[str, PointGeometry] = {}
+
+    @functools.cached_property
+    def jets(self) -> StructureJets:
+        S = self.structure
+        S.chart.require_inside(self.points)
+        return StructureJets(*eval_field_jets([S.g, S.phi, S.xi, S.eta], self.points, self.bindings))
 
     def of(self, tag: str) -> PointGeometry:
         if tag not in self._geometry:
             if tag not in (METRIC_G, METRIC_GTILDE):
                 raise ValueError(f"unknown metric tag {tag!r}")
-            S = self.structure
-            if self._jets is None:  # the structure jets, shared by both metrics
-                self._jets = S.jets_at(self.points, self.bindings)
-            g = tag == METRIC_G
+            S, sj, g = self.structure, self.jets, tag == METRIC_G
             components = S.g if g else S.associated_metric()
             # a partial, as a closure over self would make a reference cycle
-            evaluate = functools.partial(metric_jets, components, self.points, self.bindings)
+            evaluate = functools.partial(eval_field_jets, [components], self.points, self.bindings)
             try:
-                jets = self._jets.g if g else evaluate()  # g's jets are structure jets
+                jets = sj.g if g else evaluate()[0]  # g's jets are structure jets
             except DomainError as exc:
                 raise DomainError(f"metric {tag}: {exc}", exc.bad) from None
-            self._geometry[tag] = PointGeometry(S.n, tag, self._jets, jets, evaluate)
+            self._geometry[tag] = PointGeometry(S.n, tag, sj, jets, evaluate)
         return self._geometry[tag]
 
 
@@ -424,22 +431,11 @@ def connection_f5_form(pg: PointGeometry) -> np.ndarray:
 # -- Lie and exterior derivatives ---------------------------------------------
 
 
-def vector_field_jets(
-    potential: Sequence[Expression], point, bindings=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values [..., z] and first derivatives [..., z, m] of a vector field given by expressions.
-
-    `point` is one point (d,) or a batch (N, d).
-    """
-    value, partial, _ = eval_field_jets([potential], point, bindings)[0]
-    return value, partial
-
-
 def lie_derivative_metric(pg: PointGeometry, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """(L_v metric)(x,y) = metric(nabla_x v, y) + metric(x, nabla_y v).
 
-    v and dv are the potential's values and derivatives (see vector_field_jets)
-    at the points of pg.
+    v and dv are the potential's values [..., z] and first derivatives
+    [..., z, m] at the points of pg, the value and partial of its field jets.
     """
     if v.shape[-1] != pg.dim:
         raise ValueError(f"potential needs {pg.dim} components, got {v.shape[-1]}")

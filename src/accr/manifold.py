@@ -26,18 +26,15 @@ from .errors import (
     UnboundConstant,
     UnknownBuiltin,
 )
-from .expr import BinOp, Expression, Num, eval_field_jets, eval_numbers, parse
+from .expr import BinOp, Expression, FieldJets, Num, parse
 from .record import Value
 from .tensor import _congruence, _dot, signature_of
 
 __all__ = [
     "Chart",
     "AccRStructure",
-    "StructureValues",
-    "FieldJets",
     "StructureJets",
     "ValidationReport",
-    "metric_jets",
     "load_manifold",
     "builtin_structure",
     "builtin_names",
@@ -90,26 +87,9 @@ class Chart(Value):
             )
 
 
-class StructureValues(NamedTuple):
-    g: np.ndarray
-    phi: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-
-
-class FieldJets(NamedTuple):
-    """Componentwise value, first and second coordinate derivatives.
-
-    Derivative axes are appended last: partial[..., m] = d_m value[...],
-    second[..., m, l] = d_l d_m value[...] (symmetric in m, l).
-    """
-
-    value: np.ndarray
-    partial: np.ndarray
-    second: np.ndarray
-
-
 class StructureJets(NamedTuple):
+    """The jets of g, phi, xi and eta, as `expr.eval_field_jets` returns them."""
+
     g: FieldJets
     phi: FieldJets
     xi: FieldJets
@@ -188,31 +168,6 @@ class AccRStructure(Value):
             for row in self.frame:
                 yield from row
 
-    def values_at(self, point, bindings: Mapping[str, float] | None = None) -> StructureValues:
-        """Structure component values at one interior chart point (d,) or a batch (N, d).
-
-        A batch puts a leading sample axis on every array.
-        """
-        self.chart.require_inside(point)
-        fields = (self.g, self.phi, self.xi, self.eta)
-        return StructureValues(*_split(fields, eval_numbers(_flat(fields), point, bindings)))
-
-    def jets_at(self, point, bindings: Mapping[str, float] | None = None) -> StructureJets:
-        """All structure components with first and second derivatives.
-
-        `point` is one chart point (d,) or a batch (N, d); a batch puts a
-        leading sample axis on every array.  The components of g, phi, xi
-        and eta are evaluated together, in that order, by `eval_field_jets`,
-        so the derivatives of a literal field are read-only zeros that own
-        no memory.
-        """
-        self.chart.require_inside(point)
-        fields = (self.g, self.phi, self.xi, self.eta)
-        jets = eval_field_jets([_flat([f]) for f in fields], point, bindings)
-        return StructureJets(*(
-            FieldJets(*(_unflat(f, a, tail) for tail, a in enumerate(jet))) for f, jet in zip(fields, jets)
-        ))
-
     def associated_metric(self) -> tuple[tuple[Expression, ...], ...]:
         """The components of the associated B-metric g~(x, y) = g(x, phi y) + eta(x) eta(y).
 
@@ -223,9 +178,12 @@ class AccRStructure(Value):
         """
         d, zero, chart = self.dim, Num(0.0), self.chart
 
+        def is_zero(x):  # a type test, where `in` would call Value.__eq__ on every pair
+            return type(x.ast) is Num and x.ast.value == 0.0
+
         def products(i, j):
             pairs = [(self.g[i][s], self.phi[s][j]) for s in range(d)] + [(self.eta[i], self.eta[j])]
-            return [BinOp("*", a.ast, b.ast) for a, b in pairs if zero not in (a.ast, b.ast)]
+            return [BinOp("*", a.ast, b.ast) for a, b in pairs if not (is_zero(a) or is_zero(b))]
 
         def entry(i, j):
             terms = products(i, j) + (products(j, i) if i != j else [])
@@ -235,41 +193,6 @@ class AccRStructure(Value):
 
         upper = {(i, j): entry(i, j) for i in range(d) for j in range(i, d)}
         return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(d)) for i in range(d))
-
-    def frame_at(self, point, bindings: Mapping[str, float] | None = None) -> np.ndarray:
-        """The declared phi-adapted frame (columns e_1..e_2n, xi) at one point or a batch."""
-        if self.frame is None:
-            raise ManifoldParseError("structure declares no frame")
-        self.chart.require_inside(point)
-        return _split([self.frame], eval_numbers(_flat([self.frame]), point, bindings))[0]
-
-
-def _flat(fields) -> list[Expression]:
-    """The expressions of several vectors and matrices, each matrix in row-major order."""
-    return [e for f in fields for e in (f if isinstance(f[0], Expression) else [e for row in f for e in row])]
-
-
-def _unflat(field, array: np.ndarray, tail: int = 0) -> np.ndarray:
-    """The expression axis of `array`, followed by `tail` derivative axes, in the shape of `field`."""
-    shape = (len(field),) if isinstance(field[0], Expression) else (len(field), len(field[0]))
-    axis = array.ndim - tail - 1
-    return array.reshape(array.shape[:axis] + shape + array.shape[axis + 1:])
-
-
-def metric_jets(components, point, bindings: Mapping[str, float] | None = None) -> FieldJets:
-    """The jets of a metric's d x d component expressions at one point (d,) or a batch (N, d), as jets_at's."""
-    (jets,) = eval_field_jets([_flat([components])], point, bindings)
-    return FieldJets(*(_unflat(components, a, tail) for tail, a in enumerate(jets)))
-
-
-def _split(fields, array: np.ndarray) -> list[np.ndarray]:
-    """The expression axis of `array`, its last, as one array per field."""
-    out, start = [], 0
-    for f in fields:
-        stop = start + len(_flat([f]))
-        out.append(_unflat(f, array[..., start:stop]))
-        start = stop
-    return out
 
 
 # -- loading --------------------------------------------------------------
@@ -458,15 +381,12 @@ class ValidationReport(NamedTuple):
         )
 
 
-def validate_structure(
-    S: AccRStructure,
-    samples: Sequence[Sequence[float]],
-    bindings: Mapping[str, float] | None = None,
-    tol: float = 1e-9,
-) -> ValidationReport:
+def validate_structure(S: AccRStructure, jets: StructureJets, tol: float = 1e-9) -> ValidationReport:
     """Check the defining identities of an almost contact B-metric structure.
 
-    Every identity is evaluated once over the whole batch of samples.
+    `jets` are the structure jets of S over a batch of samples (see
+    `geometry.SampleGeometry.jets`), of which only the values are read.
+    Every identity is evaluated once over the whole batch.
     Residuals are max-norms over all samples of:
       phi(xi) = 0, phi^2 = -id + eta(x) xi, eta(phi(x)) = 0, eta(xi) = 1,
       g(phi x, phi y) = -g(x, y) + eta(x) eta(y), g(x, xi) = eta(x),
@@ -475,7 +395,7 @@ def validate_structure(
     carries the signature of the first sample that breaks it.
     """
     eye = np.eye(S.dim)
-    g, phi, xi, eta = S.values_at(np.atleast_2d(np.asarray(samples, dtype=float)), bindings)
+    g, phi, xi, eta = (field.value for field in jets)
     outer_xi_eta = np.einsum("...i,...j->...ij", xi, eta)
     outer_eta = np.einsum("...i,...j->...ij", eta, eta)
     deviations = {

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from accr.expr import eval_numbers
 from accr.manifold import builtin_structure, load_manifold, sample_points
 
 # Bindings under which the cone manifold carries flat fibers and unit
@@ -137,7 +138,7 @@ def associated_metric(S, point, bindings=None):
 
     Independent of the jets, so finite differences of it check the jets of g~.
     """
-    g, phi, _, eta = S.values_at(point, bindings)
+    g, phi, eta = eval_numbers([S.g, S.phi, S.eta], point, bindings)
     gt = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
     return (gt + np.swapaxes(gt, -1, -2)) / 2.0
 

@@ -16,7 +16,7 @@ from accr.analysis import (
     yamabe_soliton_solve,
 )
 from accr.errors import DomainError, NonVerticalPotential
-from accr.expr import parse
+from accr.expr import eval_numbers, parse
 from accr.geometry import (
     SampleGeometry,
     connection_f5_form,
@@ -82,7 +82,7 @@ def test_criterion_1_golden_closed_forms(capsys, cone, points, ts, geoms):
     }
     for p, (pg, pgt) in zip(points, geoms):
         t = p[0]
-        frame = cone.frame_at(p)
+        (frame,) = eval_numbers([cone.frame], p)
         r04f = to_phi_frame(lowered_curvature(pg)[0], ("l",) * 4, frame)
         rhof = to_phi_frame(pg.ricci[0], ("l", "l"), frame)
         diffs["R_1212 = -1/t^2"].append(abs(r04f[0, 1, 0, 1] - (-1.0 / t**2)))
@@ -170,7 +170,7 @@ def test_criterion_4_cross_routes(capsys, cone, points, geoms):
 def test_criterion_5_identity_suites(capsys, cone, points, geoms):
     """Structure identities, F properties, curvature symmetries, trace relations."""
     failures = []
-    vr = validate_structure(cone, points, tol=TOL)
+    vr = validate_structure(cone, SampleGeometry(cone, points).jets, tol=TOL)
     for key, value in vr.residuals.items():
         _bad(failures, f"structure {key}", value, TOL)
     if vr.signature != vr.expected_signature:
@@ -251,7 +251,7 @@ def test_criterion_6_oracle_equivalence(capsys, cone):
     oracle_points = sample_points(cone.chart, 32, seed=7)
     worst_gamma = 0.0
     for tag, comp in (
-        ("g", lambda p: cone.values_at(p).g),
+        ("g", lambda p: eval_numbers([cone.g], p)[0]),
         ("gtilde", lambda p: associated_metric(cone, p)),
     ):
         for p in oracle_points:
@@ -328,7 +328,7 @@ def test_criterion_8_negative_controls(capsys, cone, points):
     # perturbed phi: structure validation must fail
     phi = [["0", "0", "0"], ["0", "0", "-1.1"], ["0", "1.1", "0"]]
     broken = load_manifold(cone_json(phi=phi))
-    if validate_structure(broken, points).passed:
+    if validate_structure(broken, SampleGeometry(broken, points).jets).passed:
         failures.append("perturbed phi passed structure validation")
 
     # non-vertical potential: the precondition check must trip

@@ -7,6 +7,7 @@ import pytest
 
 import accr.analysis as analysis
 import accr.cli as cli
+import accr.expr as expr
 import accr.geometry as geometry
 import accr.manifold as manifold
 from accr.analysis import (
@@ -26,8 +27,8 @@ from accr.analysis import (
     yamabe_soliton_solve,
 )
 from accr.errors import NonVerticalPotential, ZeroPotential
-from accr.expr import parse
-from accr.geometry import SampleGeometry, vector_field_jets
+from accr.expr import eval_field_jets, eval_numbers, parse
+from accr.geometry import SampleGeometry
 from accr.manifold import load_manifold, sample_points
 from accr.report import VERDICT_PASS
 
@@ -87,7 +88,7 @@ def test_classify_flat(flat, flat_points):
 
 def test_sasaki_form_residual_oracle(cone):
     # data manufactured to satisfy the defining form exactly
-    g, phi, xi, eta = cone.values_at((2.0, 0.3, -0.4))
+    g, phi, xi, eta = eval_numbers([cone.g, cone.phi, cone.xi, cone.eta], (2.0, 0.3, -0.4))
     gpp = np.einsum("ai,bj,ab->ij", phi, phi, g)
     F = np.einsum("ij,z->ijz", gpp, eta) + np.einsum("iz,j->ijz", gpp, eta)
     assert sasaki_form_residual(F, g, phi, eta) == 0.0
@@ -284,7 +285,7 @@ def test_verify_paper_suite_other_constants(cone):
 def _lstsq_fit(geo, tag, potential):
     """Per-sample np.linalg.lstsq of nabla_j v^i = f delta^i_j + v^i gamma_j."""
     dim = geo.structure.dim
-    v, dv = vector_field_jets(potential, geo.points, geo.bindings)
+    v, dv, _ = eval_field_jets([potential], geo.points, geo.bindings)[0]
     fs, gammas, residuals = [], [], []
     for gamma, vk, dvk in zip(geo.of(tag).gamma, v, dv):
         nth = dvk + np.einsum("kis,s->ki", gamma, vk)
@@ -357,12 +358,13 @@ def test_batched_form_residuals_match_per_sample(request, structure, tag):
 def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, capsys):
     calls = {}
 
-    def counting(name, *modules):
+    def counting(name, *modules, key=None):
         original = getattr(modules[0], name)
-        calls[name] = 0
+        key = key or name
+        calls[key] = 0
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
 
         for module in modules:
@@ -370,8 +372,8 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
 
     counting("torse_forming_extract", analysis)
     counting("PointGeometry", geometry)  # the geometry of one metric tag over the samples
-    counting("jets_at", manifold.AccRStructure)
-    counting("vector_field_jets", geometry, analysis)
+    counting("func", geometry.SampleGeometry.jets, key="structure jets")  # g, phi, xi and eta
+    counting("eval_field_jets", analysis, key="potential jets")  # analysis evaluates no other field's jets
     counting("sample_points", manifold, cli)
     counting("check_bindings", manifold, cli, analysis)
     counting("lie_derivative_metric", geometry, analysis)  # once per soliton solve
@@ -380,8 +382,8 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
     assert calls == {
         "torse_forming_extract": 2,
         "PointGeometry": 2,
-        "jets_at": 1,
-        "vector_field_jets": 2,
+        "structure jets": 1,
+        "potential jets": 2,
         "sample_points": 1,
         "check_bindings": 1,
         "lie_derivative_metric": 2,
@@ -390,17 +392,17 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
     calls.update(dict.fromkeys(calls, 0))
     argv = ["soliton", "--builtin", "cone-flat-fiber", "--potential-k", "c*t", "--const", "c=1"]
     assert cli.main([*argv, "--samples", "8"]) == 0
-    assert calls["vector_field_jets"] == 1 and calls["torse_forming_extract"] == 1
+    assert calls["potential jets"] == 1 and calls["torse_forming_extract"] == 1
     # a report with a potential reads both metrics from one evaluation of the structure jets
     calls.update(dict.fromkeys(calls, 0))
     argv = ["report", "--builtin", "cone-flat-fiber", "--potential-k", "c*t", "--const", "c=1"]
     assert cli.main([*argv, "--samples", "8"]) == 0
-    assert calls["jets_at"] == 1 and calls["PointGeometry"] == 2 and calls["vector_field_jets"] == 1
+    assert calls["structure jets"] == 1 and calls["PointGeometry"] == 2 and calls["potential jets"] == 1
 
 
 @pytest.mark.parametrize("workload", ["verify-cone", "report-n2", "soliton-cone", "curvature-g-n2"])
 def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, workload):
-    computes, built, metric_evaluations = {}, [], []
+    computes, built, evaluations = {}, [], []
 
     def counted(name, compute):
         def count(pg):
@@ -417,18 +419,36 @@ def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, 
             super().__init__(*args)
             built.append(self)
 
-    def counted_metric_jets(*args):
-        metric_evaluations.append(args)
-        return manifold.metric_jets(*args)
+    def recorded(name, evaluate):
+        def record(fields, *args):
+            evaluations.append((name, fields))
+            return evaluate(fields, *args)
+        return record
 
     monkeypatch.setattr(geometry, "SampleGeometry", Recorded)
-    monkeypatch.setattr(geometry, "metric_jets", counted_metric_jets)
+    for module in (expr, manifold, geometry, analysis):  # every binding of the two evaluators
+        for name in ("eval_field_jets", "eval_numbers"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, recorded(name, vars(module)[name]))
     assert cli.main(CASES[workload][0]) == 0
     capsys.readouterr()
     assert computes and max(computes.values()) == 1, computes
-    # g~'s jets are evaluated once where g~ is read, and g's never: they are structure jets
-    assert len(metric_evaluations) == (0 if workload == "curvature-g-n2" else 1)
     (geo,) = built
+    S = geo.structure
+    structure = [S.g, S.phi, S.xi, S.eta]
+    jets = [fields for name, fields in evaluations if name == "eval_field_jets"]
+    numbers = [fields for name, fields in evaluations if name == "eval_numbers"]
+
+    def reads_structure(fields):  # by field: the loader shares one Expression per entry text
+        return any(f is s for f in fields for s in structure)
+
+    # g, phi, xi and eta are evaluated once, together, as jets; validation reads their values
+    assert [fields for fields in jets if reads_structure(fields)] == [structure]
+    assert not any(reads_structure(fields) for fields in numbers)
+    # values alone are evaluated only for the frame, once, where the phi-frame values are read
+    assert numbers == ([[S.frame]] if workload in ("verify-cone", "curvature-g-n2") else [])
+    # g~'s jets are evaluated once where g~ is read, and g's never: they are structure jets
+    assert jets.count([S.associated_metric()]) == (0 if workload == "curvature-g-n2" else 1)
     # dgamma is let go once r13 is kept, whether or not dtheta_star was read
     assert [pg.tag for pg in geo._geometry.values() if {"r13", "dgamma"} <= vars(pg).keys()] == []
     if workload == "report-n2":

@@ -276,6 +276,27 @@ def test_curvature_of_an_overflowing_associated_metric_is_a_domain_error(capsys,
                    "(t=2.426927104341063, u=-1.389176440926784, v=2.6628559899742905)\n")
 
 
+def test_validate_fails_where_a_derivative_does_as_curvature_does(capsys, tmp_path):
+    # abs(u) - abs(u) has the finite value 0 but no derivative at u = 0; validation reads
+    # the structure jets, so it ends as curvature does, with the same message
+    g = [["1", "0", "0"], ["0", "t^2+abs(u)-abs(u)", "0"], ["0", "0", "-t^2"]]
+    path = tmp_path / "kink.json"
+    path.write_text(cone_json(g=g), encoding="utf-8")
+    for command in ("validate", "curvature"):
+        rc, out, err = run(capsys, command, str(path), "--point", "t=2,u=0,v=0", "--samples", "4")
+        assert rc == 2 and out == ""
+        assert err == ("accr: DomainError: t^2.0+abs(u)-abs(u): abs is not differentiable at zero "
+                       "at sample 0 (t=2.0, u=0.0, v=0.0)\n")
+
+
+def test_verify_paper_on_a_structure_without_a_frame_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "frameless.json"
+    path.write_text(cone_json(constants=["c", "ct", "kprime"]), encoding="utf-8")
+    rc, out, err = run(capsys, "verify-paper", str(path), "--samples", "4")
+    assert rc == 2 and out == ""
+    assert err == "accr: ManifoldParseError: structure declares no frame\n"
+
+
 def test_validate_a_metric_near_the_float_limit_ends_in_a_verdict(capsys, tmp_path):
     # g + g^T overflows where g ~ 1e307; the signature is still decided, with no traceback
     path = tmp_path / "huge.json"

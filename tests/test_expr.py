@@ -306,7 +306,7 @@ def _fields(S):
 
 
 def _structure_expressions(S):
-    """g, phi, xi and eta of a structure, in the order jets_at evaluates them."""
+    """g, phi, xi and eta of a structure, in the order SampleGeometry.jets evaluates them."""
     return [e for field in _fields(S) for e in field]
 
 
@@ -326,17 +326,17 @@ def test_eval_jets_equals_the_per_expression_reference(request, structure, batch
     got = eval_field_jets([expressions], point, bindings)[0]
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
-    # jets_at splits the same arrays into the four fields
-    sj = S.jets_at(point, bindings)
-    assert sj.g.value.shape == np.shape(point)[:-1] + (S.dim, S.dim)
+    # as four fields, the same arrays in each field's shape
+    sj = eval_field_jets([S.g, S.phi, S.xi, S.eta], point, bindings)
+    assert sj[0].value.shape == np.shape(point)[:-1] + (S.dim, S.dim)
     for field, expressions_of_field in zip(sj, _fields(S)):
         for got_f, want_f in zip(field, _reference_jets(expressions_of_field, point, bindings)):
             assert np.array_equal(got_f, want_f.reshape(got_f.shape))
-    # values alone: one eval_number per expression, and values_at's split of them
+    # values alone: one eval_number per expression, and the same values as four fields
     want_values = np.stack([np.asarray(e.eval_number(point, bindings)) for e in expressions], -1)
-    got_values = eval_numbers(expressions, point, bindings)
+    (got_values,) = eval_numbers([expressions], point, bindings)
     assert got_values.shape == want_values.shape and np.array_equal(got_values, want_values)
-    for field, want_f in zip(S.values_at(point, bindings), _fields(S)):
+    for field, want_f in zip(eval_numbers([S.g, S.phi, S.xi, S.eta], point, bindings), _fields(S)):
         want_f = np.stack([np.asarray(e.eval_number(point, bindings)) for e in want_f], -1)
         assert np.array_equal(field, want_f.reshape(field.shape))
     # one expression: eval_jet is the same evaluation
@@ -387,12 +387,12 @@ def test_eval_jets_errors_match_the_reference(case):
         with pytest.raises(error) as want:
             _reference_jets(_structure_expressions(S), point, {"c": 1.0, "ct": 1.0})
         with pytest.raises(error) as got:
-            S.jets_at(point, {"c": 1.0, "ct": 1.0})
+            eval_field_jets([S.g, S.phi, S.xi, S.eta], point, {"c": 1.0, "ct": 1.0})
         assert message in str(want.value)
         assert str(got.value) == str(want.value)
         # the values alone fail on the same expression, with the same message
         with pytest.raises(error) as got:
-            S.values_at(point, {"c": 1.0, "ct": 1.0})
+            eval_numbers([S.g, S.phi, S.xi, S.eta], point, {"c": 1.0, "ct": 1.0})
         assert str(got.value) == str(want.value)
 
 

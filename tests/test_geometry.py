@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from accr import cli, geometry
 from accr.errors import DomainError
-from accr.expr import parse
+from accr.expr import eval_field_jets, eval_numbers, parse
 from accr.geometry import (
     PointGeometry,
     SampleGeometry,
@@ -26,9 +26,8 @@ from accr.geometry import (
     nabla_tilde_components_from,
     tau_tilde_relations,
     torse_forming_curvature_residuals,
-    vector_field_jets,
 )
-from accr.manifold import load_manifold, metric_jets, sample_points, validate_structure
+from accr.manifold import StructureJets, load_manifold, sample_points, validate_structure
 from accr.tensor import to_phi_frame
 
 from conftest import OFFDIAG, OFFDIAG_BINDINGS, VARYING, associated_metric, fd_gradient, rel_err
@@ -101,7 +100,7 @@ def _fd_christoffel(metric_of_point, point, h=1e-5):
 
 def test_christoffel_matches_finite_differences(cone, cone_points):
     for tag, comp in (
-        ("g", lambda p: cone.values_at(p).g),
+        ("g", lambda p: eval_numbers([cone.g], p)[0]),
         ("gtilde", lambda p: associated_metric(cone, p)),
     ):
         for pt in cone_points[:8]:
@@ -129,12 +128,12 @@ def test_nabla_xi_identity_violation():
     # xi scaled by t breaks g(xi,xi)=1: eta(nabla_x xi) picks it up, and validation fails it
     S = load_manifold(cone_json(xi=["t", "0", "0"]))
     assert _eta_of_nabla_xi(SampleGeometry(S, [POINT]).of("g")) > 1e-9
-    report = validate_structure(S, [POINT])
+    report = validate_structure(S, SampleGeometry(S, [POINT]).jets)
     assert report.residuals["g(xi, xi) = 1"] > report.tolerance
 
 
 def test_curvature_frozen_values(cone, pg_g):
-    frame = cone.frame_at(POINT)
+    (frame,) = eval_numbers([cone.frame], POINT)
     r_frame = to_phi_frame(lowered_curvature(pg_g)[0], ("l",) * 4, frame)
     assert np.isclose(r_frame[0, 1, 0, 1], -0.25, atol=1e-13)
     rho_frame = to_phi_frame(pg_g.ricci[0], ("l", "l"), frame)
@@ -237,7 +236,7 @@ def test_nabla_tilde_detects_perturbation(cone, pg_g, pg_gt):
 
 def test_vector_field_jets():
     exprs = [parse(s, COORDS) for s in ("t^2", "u*v", "0")]
-    value, partial = vector_field_jets(exprs, POINT)
+    value, partial, _ = eval_field_jets([exprs], POINT)[0]
     assert np.allclose(value, [4.0, -0.12, 0.0])
     assert np.allclose(partial[0], [4.0, 0.0, 0.0])
     assert np.allclose(partial[1], [0.0, -0.4, 0.3])
@@ -249,8 +248,8 @@ def test_lie_derivative_closed_form(cone, cone_points):
         exprs = [parse(s, COORDS, ("c",)) for s in ("c*t", "0", "0")]
         for pt in cone_points[:6]:
             pg = SampleGeometry(cone, [pt]).of("g")
-            lg = lie_derivative_metric(pg, *vector_field_jets(exprs, [pt], {"c": c}))[0]
-            g = cone.values_at(pt).g
+            lg = lie_derivative_metric(pg, *eval_field_jets([exprs], [pt], {"c": c})[0][:2])[0]
+            (g,) = eval_numbers([cone.g], pt)
             assert np.max(np.abs(lg - 2.0 * c * g)) < 1e-12
 
 
@@ -261,14 +260,14 @@ def test_lie_derivative_two_routes_agree(cone, cone_points):
     for tag in ("g", "gtilde"):
         for pt in cone_points[:6]:
             pg = SampleGeometry(cone, [pt]).of(tag)
-            a = lie_derivative_metric(pg, *vector_field_jets(exprs, [pt], b))
+            a = lie_derivative_metric(pg, *eval_field_jets([exprs], [pt], b)[0][:2])
             v = lie_derivative_vertical(pg, k.eval_jet([pt], b))
             assert np.max(np.abs(a - v)) < 1e-12
 
 
 def test_lie_derivative_shape_check(pg_g):
     with pytest.raises(ValueError):
-        lie_derivative_metric(pg_g, *vector_field_jets([parse("t", COORDS)], [POINT]))
+        lie_derivative_metric(pg_g, *eval_field_jets([[parse("t", COORDS)]], [POINT])[0][:2])
 
 
 def test_exterior_derivative():
@@ -277,14 +276,14 @@ def test_exterior_derivative():
     assert np.allclose(d, [2 * 2.0 * 0.3, 4.0, 0.0])
     # d of the 1-form t^2 du is 2t dt wedge du
     one_form = [parse(s, COORDS) for s in ("0", "t^2", "0")]
-    d2 = antisymmetrized_derivative(vector_field_jets(one_form, POINT)[1])
+    d2 = antisymmetrized_derivative(eval_field_jets([one_form], POINT)[0].partial)
     expected = np.zeros((3, 3))
     expected[0, 1] = 4.0
     expected[1, 0] = -4.0
     assert np.allclose(d2, expected)
     # eta itself is closed
     eta_form = [parse(s, COORDS) for s in ("1", "0", "0")]
-    assert np.max(np.abs(antisymmetrized_derivative(vector_field_jets(eta_form, POINT)[1]))) == 0.0
+    assert np.max(np.abs(antisymmetrized_derivative(eval_field_jets([eta_form], POINT)[0].partial))) == 0.0
 
 
 def test_point_geometry_shapes(pg_g):
@@ -441,10 +440,10 @@ def test_xi_and_eta_jet_terms_match_finite_differences(tag):
         assert rel_err(pg.dtheta_star[0], ref) < 1e-7
         ref = fd_gradient(lambda x: at(x).theta_star_xi[0], pt)
         assert rel_err(pg.grad_theta_star_xi[0], ref) < 1e-7
-        dxi = fd_gradient(lambda x: S.values_at(x, OFFDIAG_BINDINGS).xi, pt)  # [k, i] = d_i xi^k
+        dxi = fd_gradient(lambda x: eval_numbers([S.xi], x, OFFDIAG_BINDINGS)[0], pt)  # [k, i] = d_i xi^k
         ref = dxi + np.einsum("kis,s->ki", pg.gamma[0], pg.xi[0])
         assert rel_err(pg.nabla_xi[0], ref) < 1e-7
-        deta = fd_gradient(lambda x: S.values_at(x, OFFDIAG_BINDINGS).eta, pt)  # [j, i] = d_i eta_j
+        deta = fd_gradient(lambda x: eval_numbers([S.eta], x, OFFDIAG_BINDINGS)[0], pt)  # [j, i] = d_i eta_j
         ref = deta.T - np.einsum("sij,s->ij", pg.gamma[0], pg.eta[0])
         assert rel_err(pg.nabla_eta[0], ref) < 1e-7
 
@@ -595,6 +594,11 @@ def _einsum_helpers(pg):
     return out
 
 
+def _structure_jets(S, point, bindings):
+    """The structure jets at one point (d,) or a batch (N, d), evaluated as SampleGeometry.jets evaluates them."""
+    return StructureJets(*eval_field_jets([S.g, S.phi, S.xi, S.eta], point, bindings))
+
+
 def _einsum_associated_jets(sj):
     """g~ = g phi + eta (x) eta and its jets, every product-rule term as an einsum."""
     (g, dg, d2g), (phi, dphi, d2phi), (eta, deta, d2eta) = sj.g, sj.phi, sj.eta
@@ -644,8 +648,8 @@ def test_matmul_contractions_match_their_einsum_forms(request, structure, tag):
         assert _near(got, want, scale), name
     gtilde = S.associated_metric()
     for point_or_batch in (points, points[3]):
-        jets = metric_jets(gtilde, point_or_batch, bindings)
-        for got, want in zip(jets, _einsum_associated_jets(S.jets_at(point_or_batch, bindings))):
+        (jets,) = eval_field_jets([gtilde], point_or_batch, bindings)
+        for got, want in zip(jets, _einsum_associated_jets(_structure_jets(S, point_or_batch, bindings))):
             assert _near(got, want)
     frames = np.eye(S.dim) + 0.3 * np.random.default_rng(5).standard_normal((len(points), S.dim, S.dim))
     for comp, variance in ((lowered_curvature(pg), "llll"), (pg.r13, "ulll"), (pg.ricci, "ll"), (pg.xi, "u")):
@@ -673,8 +677,9 @@ def test_associated_metric_expression_jets_match_the_product_rule(entries):
     phi = [entries[6:9], entries[9:12], entries[12:15]]
     S = load_manifold(json.dumps(dict(OFFDIAG, g=g, phi=phi, eta=entries[15:])))
     points = sample_points(S.chart, 4, seed=11)
-    jets = metric_jets(S.associated_metric(), points, OFFDIAG_BINDINGS)
-    for k, (got, want) in enumerate(zip(jets, _einsum_associated_jets(S.jets_at(points, OFFDIAG_BINDINGS)))):
+    (jets,) = eval_field_jets([S.associated_metric()], points, OFFDIAG_BINDINGS)
+    want_jets = _einsum_associated_jets(_structure_jets(S, points, OFFDIAG_BINDINGS))
+    for k, (got, want) in enumerate(zip(jets, want_jets)):
         assert _near(got, want), k
         assert np.array_equal(got, np.swapaxes(got, -2 - k, -1 - k)), k  # exactly, in (i, j)
 
@@ -693,7 +698,8 @@ def _structure(request, name):
 def test_metric_jets_are_exactly_symmetric_in_their_metric_slots(request, structure):
     S, bindings = _structure(request, structure)
     points = sample_points(S.chart, 8, seed=3)
-    for jets in (S.jets_at(points, bindings).g, metric_jets(S.associated_metric(), points, bindings)):
+    gtilde = eval_field_jets([S.associated_metric()], points, bindings)[0]
+    for jets in (SampleGeometry(S, points, bindings).jets.g, gtilde):
         for k, array in enumerate(jets):
             axes = (-2 - k, -1 - k)  # the metric slots come before the derivative axes
             assert np.array_equal(array, np.swapaxes(array, *axes)), k

@@ -19,6 +19,7 @@ from accr.errors import (
     UnboundConstant,
     UnknownBuiltin,
 )
+from accr.expr import eval_field_jets, eval_numbers
 from accr.geometry import SampleGeometry
 from accr.manifold import (
     AccRStructure,
@@ -27,7 +28,6 @@ from accr.manifold import (
     check_bindings,
     latin_hypercube,
     load_manifold,
-    metric_jets,
     sample_points,
     validate_structure,
 )
@@ -60,7 +60,7 @@ def test_builtin_names():
 
 def test_builtins_satisfy_defining_identities(cone, flat, cone_points, flat_points):
     for S, pts in ((cone, cone_points), (flat, flat_points)):
-        report = validate_structure(S, pts)
+        report = validate_structure(S, SampleGeometry(S, pts).jets)
         assert report.passed, (report.residuals, report.signature)
         assert report.signature == (2, 1)
         assert max(report.residuals.values()) <= 1e-12
@@ -98,7 +98,7 @@ def test_load_manifold_roundtrip():
     assert S.chart.coordinates == ("t", "u", "v")
     assert S.chart.domain[0] == (0.5, 5.0)
     pts = sample_points(S.chart, 8, seed=1)
-    assert validate_structure(S, pts).passed
+    assert validate_structure(S, SampleGeometry(S, pts).jets).passed
     # bytes input works too and hashes identically to the text
     S2 = load_manifold(cone_json().encode("utf-8"))
     assert S2.source_sha256 == S.source_sha256
@@ -202,7 +202,7 @@ def test_load_rejects_shape_and_name_problems():
 def test_perturbed_phi_fails_validation(cone_points):
     phi = [["0", "0", "0"], ["0", "0", "-1.1"], ["0", "1.1", "0"]]
     S = load_manifold(cone_json(phi=phi))
-    report = validate_structure(S, cone_points)
+    report = validate_structure(S, SampleGeometry(S, cone_points).jets)
     assert not report.passed
     # phi^2 picks up exactly the factor 1.21 on the fiber block
     assert abs(report.residuals["phi^2 = -id + eta(x) xi"] - 0.21) < 1e-12
@@ -215,7 +215,7 @@ def test_wrong_signature_detected(cone_points):
     g = [["1", "0", "0"], ["0", "t^2", "0"], ["0", "0", "t^2"]]
     phi = [["0", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]]  # keeps phi^2 failing anyway
     S = load_manifold(cone_json(g=g, phi=phi))
-    report = validate_structure(S, cone_points)
+    report = validate_structure(S, SampleGeometry(S, cone_points).jets)
     assert report.signature != report.expected_signature
     assert not report.passed
 
@@ -226,12 +226,12 @@ def test_associated_metric_components(cone, cone_points):
         ["1.0*1.0", "0.0", "0.0"], ["0.0", "0.0", "(t^2.0*-1.0+-t^2.0*1.0)/2.0"],
         ["0.0", "(t^2.0*-1.0+-t^2.0*1.0)/2.0", "0.0"]]
     assert all(gtilde[i][j] is gtilde[j][i] for i in range(3) for j in range(3))
-    gt = metric_jets(gtilde, (2.0, 0.3, -0.4)).value
+    gt = eval_field_jets([gtilde], (2.0, 0.3, -0.4))[0].value
     assert np.allclose(gt, [[1.0, 0, 0], [0, 0, -4.0], [0, -4.0, 0]], atol=1e-14)
     # the associated metric is itself a B-metric for the same structure
     for pt in cone_points:
-        g, phi, xi, eta = cone.values_at(pt)
-        gtp = metric_jets(gtilde, pt).value
+        g, phi, xi, eta = eval_numbers([cone.g, cone.phi, cone.xi, cone.eta], pt)
+        gtp = eval_field_jets([gtilde], pt)[0].value
         compat = np.einsum("ai,bj,ab->ij", phi, phi, gtp) + gtp - np.outer(eta, eta)
         assert np.max(np.abs(compat)) < 1e-12
         assert np.max(np.abs(gtp @ xi - eta)) < 1e-12
@@ -243,7 +243,7 @@ def test_associated_metric_jets_match_fd(cone):
     pt = np.array([1.7, 0.2, 0.9])
     for S, bindings in ((cone, None), (load_manifold(json.dumps(OFFDIAG)), OFFDIAG_BINDINGS),
                         (load_manifold(json.dumps(VARYING)), OFFDIAG_BINDINGS)):
-        value, partial, _ = metric_jets(S.associated_metric(), pt, bindings)
+        value, partial, _ = eval_field_jets([S.associated_metric()], pt, bindings)[0]
         assert np.allclose(value, associated_metric(S, pt, bindings))
         for i in range(3):
             for j in range(3):
@@ -260,8 +260,8 @@ def test_associated_metric_jets_that_overflow_are_a_domain_error():
     with pytest.raises(DomainError, match=rf"^metric gtilde: {entry} at sample 1 \(t=200\.0, u=0\.0, v=0\.0\)$"):
         SampleGeometry(S, points).of("gtilde")
     with pytest.raises(DomainError, match=rf"^{entry} at t=200\.0, u=0\.0, v=0\.0$"):
-        metric_jets(S.associated_metric(), points[1])
-    value, _, second = metric_jets(S.associated_metric(), points[0])
+        eval_field_jets([S.associated_metric()], points[1])
+    value, _, second = eval_field_jets([S.associated_metric()], points[0])[0]
     assert value[0, 0] == 1e150 * 1e150 and np.isfinite(second).all()
     # eta (x) eta = exp(600 t) is finite up to t ~ 1.183, and its second t-derivative
     # 3.6e5 exp(600 t) only up to t ~ 1.162
@@ -325,14 +325,14 @@ def test_sampling_pins_points_first(cone):
 
 def test_domain_enforcement(cone):
     with pytest.raises(DomainError):
-        cone.values_at((0.5, 0.0, 0.0))  # closed endpoint excluded
+        SampleGeometry(cone, (0.5, 0.0, 0.0)).jets  # closed endpoint excluded
     with pytest.raises(DomainError):
-        cone.values_at((6.0, 0.0, 0.0))
+        SampleGeometry(cone, (6.0, 0.0, 0.0)).jets
     with pytest.raises(DimensionMismatch):
-        cone.values_at((2.0, 0.0))
+        SampleGeometry(cone, (2.0, 0.0)).jets
     # interior works
-    vals = cone.values_at((0.500001, 0.0, 0.0))
-    assert vals.g.shape == (3, 3)
+    sj = SampleGeometry(cone, (0.500001, 0.0, 0.0)).jets
+    assert sj.g.value.shape == (1, 3, 3)
 
 
 def test_check_bindings(cone):
@@ -345,13 +345,14 @@ def test_check_bindings(cone):
 
 
 def test_structure_jets_shapes(cone):
-    sj = cone.jets_at((2.0, 0.3, -0.4))
-    assert sj.g.value.shape == (3, 3)
-    assert sj.g.partial.shape == (3, 3, 3)
-    assert sj.g.second.shape == (3, 3, 3, 3)
+    sj = SampleGeometry(cone, [(2.0, 0.3, -0.4)]).jets
+    assert sj.g.value.shape == (1, 3, 3)
+    assert sj.g.partial.shape == (1, 3, 3, 3)
+    assert sj.g.second.shape == (1, 3, 3, 3, 3)
+    assert sj.xi.value.shape == (1, 3) and sj.xi.second.shape == (1, 3, 3, 3)
     # dg_uu/dt = 2t = 4 at t=2; second derivative 2
-    assert np.isclose(sj.g.partial[1, 1, 0], 4.0)
-    assert np.isclose(sj.g.second[1, 1, 0, 0], 2.0)
+    assert np.isclose(sj.g.partial[0, 1, 1, 0], 4.0)
+    assert np.isclose(sj.g.second[0, 1, 1, 0, 0], 2.0)
     assert not sj.xi.partial.any()
 
 
@@ -359,33 +360,32 @@ def test_structure_jets_shapes(cone):
 def test_literal_fields_have_zero_jets_that_own_no_memory(request, structure):
     S = request.getfixturevalue(structure)
     for point in (sample_points(S.chart, 8, seed=3), sample_points(S.chart, 1, seed=3)[0]):
-        sj = S.jets_at(point)
-        for field in (sj.phi, sj.xi, sj.eta):  # literal in every shipped structure
+        sj = eval_field_jets([S.g, S.phi, S.xi, S.eta], point)
+        for field in sj[1:]:  # phi, xi and eta: literal in every shipped structure
             for jet in field[1:]:
                 # every stride 0: the whole array reads one element of a zero scalar
                 assert not jet.flags.writeable and not any(jet.strides) and not jet.any()
         # g reads t: its jets stay dense
-        for jet in sj.g[1:]:
+        for jet in sj[0][1:]:
             assert all(jet.strides) and jet.any()
 
 
 def test_values_and_frame_at_a_batch(cone, cone_points):
     points = np.array(cone_points[:5])
-    values = cone.values_at(points, {})
-    frames = cone.frame_at(points)
+    fields = [cone.g, cone.phi, cone.xi, cone.eta, cone.frame]
+    values = eval_numbers(fields, points, {})
     for k, pt in enumerate(cone_points[:5]):
-        single = cone.values_at(pt)
+        single = eval_numbers(fields, pt)
         for got, want in zip(values, single):
             assert got.shape[1:] == want.shape
             assert np.array_equal(got[k], want)
-        assert np.array_equal(frames[k], cone.frame_at(pt))
 
 
 def test_validation_reports_the_first_wrong_signature():
     # g_vv = t^2 (u - 1): Lorentzian where u < 1, Riemannian where u > 1
     g = [["1", "0", "0"], ["0", "t^2", "0"], ["0", "0", "t^2*(u-1)"]]
     S = load_manifold(cone_json(g=g))
-    report = validate_structure(S, [(2.0, 0.0, 0.0), (2.0, 2.0, 0.0), (2.0, 0.5, 0.0)])
+    report = validate_structure(S, SampleGeometry(S, [(2.0, 0.0, 0.0), (2.0, 2.0, 0.0), (2.0, 0.5, 0.0)]).jets)
     assert report.signature == (3, 0)
     assert report.signature != report.expected_signature
-    assert validate_structure(S, [(2.0, 0.0, 0.0), (2.0, 0.5, 0.0)]).signature == (2, 1)
+    assert validate_structure(S, SampleGeometry(S, [(2.0, 0.0, 0.0), (2.0, 0.5, 0.0)]).jets).signature == (2, 1)

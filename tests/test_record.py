@@ -29,10 +29,9 @@ RECORDS = {
     "Expression": lambda cone, points: cone.g[1][1],
     "Chart": lambda cone, points: cone.chart,
     "AccRStructure": lambda cone, points: cone,
-    "StructureValues": lambda cone, points: cone.values_at(points),
-    "StructureJets": lambda cone, points: cone.jets_at(points),
-    "FieldJets": lambda cone, points: cone.jets_at(points).g,
-    "ValidationReport": lambda cone, points: manifold.validate_structure(cone, points),
+    "StructureJets": lambda cone, points: SampleGeometry(cone, points).jets,
+    "FieldJets": lambda cone, points: SampleGeometry(cone, points).jets.g,
+    "ValidationReport": lambda cone, points: manifold.validate_structure(cone, SampleGeometry(cone, points).jets),
     "CheckRecord": lambda cone, points: report.CheckRecord("x", "y", report.VERDICT_NA),
     "Report": lambda cone, points: report.Report("builtin:x", {}, (), 1.0),
     "MembershipEntry": lambda cone, points: analysis.classify(SampleGeometry(cone, points)).f5,

@@ -6,6 +6,7 @@ import pytest
 from accr import geometry
 from accr.cli import main
 from accr.errors import SingularFrame, SingularMetric, TensorError
+from accr.expr import eval_numbers
 from accr.geometry import SampleGeometry
 from accr.manifold import load_manifold
 from accr.tensor import signature_of, to_phi_frame
@@ -18,7 +19,7 @@ POINT = (2.0, 0.3, -0.4)
 
 @pytest.fixture(scope="module")
 def cone_values(cone):
-    return cone.values_at(POINT)
+    return dict(zip(("g", "xi", "eta"), eval_numbers([cone.g, cone.xi, cone.eta], POINT)))
 
 
 def test_signature_of():
@@ -58,24 +59,24 @@ def test_metric_invert_errors():
 
 
 def test_to_phi_frame_metric(cone, cone_values):
-    frame = cone.frame_at(POINT)
-    framed = to_phi_frame(cone_values.g, ("l", "l"), frame)
+    (frame,) = eval_numbers([cone.frame], POINT)
+    framed = to_phi_frame(cone_values["g"], ("l", "l"), frame)
     assert np.allclose(framed, np.diag([1.0, -1.0, 1.0]), atol=1e-14)
 
 
 def test_to_phi_frame_mixed_variance(cone, cone_values):
     # xi expressed in the frame is the last frame vector: components (0, 0, 1)
-    frame = cone.frame_at(POINT)
-    framed = to_phi_frame(cone_values.xi, ("u",), frame)
+    (frame,) = eval_numbers([cone.frame], POINT)
+    framed = to_phi_frame(cone_values["xi"], ("u",), frame)
     assert np.allclose(framed, [0.0, 0.0, 1.0], atol=1e-14)
     # full contractions are basis invariant
-    framed_eta = to_phi_frame(cone_values.eta, ("l",), frame)
-    assert np.isclose(framed_eta @ framed, cone_values.eta @ cone_values.xi)
+    framed_eta = to_phi_frame(cone_values["eta"], ("l",), frame)
+    assert np.isclose(framed_eta @ framed, cone_values["eta"] @ cone_values["xi"])
 
 
 def test_point_tensor_validation(cone):
     # the components' variance letters and shape are checked before any transform
-    frame = cone.frame_at(POINT)
+    (frame,) = eval_numbers([cone.frame], POINT)
     with pytest.raises(TensorError):
         to_phi_frame(np.zeros((3, 3)), ("u", "x"), frame)
     with pytest.raises(TensorError):
@@ -91,7 +92,7 @@ def test_to_phi_frame_errors():
 
 def test_to_phi_frame_batch_matches_per_point(cone, cone_points):
     points = np.array(cone_points[:6])
-    frames = cone.frame_at(points)
+    (frames,) = eval_numbers([cone.frame], points)
     assert frames.shape == (6, 3, 3)
     rng = np.random.default_rng(8)
     for variance in (("l",) * 4, ("u", "l"), ("u",)):
@@ -99,7 +100,7 @@ def test_to_phi_frame_batch_matches_per_point(cone, cone_points):
         batch = to_phi_frame(comps, variance, frames)
         assert batch.shape == comps.shape
         for k in range(6):
-            single = to_phi_frame(comps[k], variance, cone.frame_at(cone_points[k]))
+            single = to_phi_frame(comps[k], variance, eval_numbers([cone.frame], cone_points[k])[0])
             assert np.max(np.abs(batch[k] - single)) <= 1e-13
 
 

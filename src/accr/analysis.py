@@ -218,7 +218,7 @@ class TorseFormingResult(NamedTuple):
     vertical: bool
     drift: np.ndarray                  # max |v - eta(v) xi| per sample: 0 where v is vertical
     k: np.ndarray | None               # eta(v) per sample, vertical only
-    dk_xi: np.ndarray | None           # dk(xi) per sample, vertical only
+    dk: np.ndarray | None              # dk = deta v + eta dv per sample, shape (samples, dim), vertical only
     h: np.ndarray | None               # f/k per sample, vertical only
     vertical_checks: dict[str, float] | None
     v: np.ndarray                      # the potential per sample, shape (samples, dim)
@@ -330,7 +330,7 @@ def torse_forming_extract(
         vertical=vertical,
         drift=drift,
         k=k_arr if vertical else None,
-        dk_xi=dk_xi_arr if vertical else None,
+        dk=dk if vertical else None,
         h=h_arr,
         vertical_checks=vchecks,
         v=v,
@@ -366,16 +366,13 @@ def yamabe_soliton_solve(
     tag: str,
     potential: Sequence[Expression],
     tol: float = 1e-9,
-    other: TorseFormingResult | None = None,
 ) -> SolitonSolveResult:
     """Solve (1/2) L_v metric = (tau - lambda) metric for a vertical potential.
 
     Per sample: A := (1/2) L_v(metric); mu := trace_metric(A)/(2n+1);
     the verdict is soliton iff max |A - mu metric| <= tol everywhere, and
     then lambda := tau_tag - mu.  When the potential is also torse-forming,
-    the claims tau = f + lambda and f = dk(xi) are checked as residuals;
-    given the torse-forming fit of the other metric's potential (`other`),
-    f/k of both metrics are compared.
+    the claims tau = f + lambda and f = dk(xi) are checked as residuals.
     """
     torse = torse_forming_extract(geo, tag, potential, tol)
     off = torse.drift > _VERTICAL_TOL
@@ -393,17 +390,11 @@ def yamabe_soliton_solve(
         lam_arr = pg.tau - mu
         _require_finite(geo, f"Lie derivative of metric {tag} along the potential", resid_arr, lam_arr)
     verdict = "soliton" if float(np.max(resid_arr)) <= tol else "not-soliton"
-    checks: dict[str, float | None] = {
-        "tau = f + lambda": None,
-        "f = dk(xi)": None,
-        "f/k matches between the two metrics": None,
-    }
+    checks: dict[str, float | None] = {"tau = f + lambda": None, "f = dk(xi)": None}
     if verdict == "soliton" and "torse-forming" in torse.taxonomy:
         checks["tau = f + lambda"] = _norm(pg.tau - torse.f - lam_arr)
         if torse.vertical_checks is not None:
             checks["f = dk(xi)"] = torse.vertical_checks["f = dk(xi)"]
-    if other is not None and torse.h is not None and other.h is not None:
-        checks["f/k matches between the two metrics"] = _norm(torse.h - other.h)
     return SolitonSolveResult(
         verdict=verdict,
         lambdas=lam_arr,
@@ -648,21 +639,37 @@ DEFAULT_SUITE_BINDINGS = {"c": 1.0, "ct": 1.0, "kprime": 0.0}
 
 
 def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckRecord]:
-    """Reproduce every published number of the cone example as check records.
+    """The structure's published example, and the theorems it illustrates, as check records.
 
-    Closed forms are parametrized by the constants c, ct (soliton potential
-    slopes for g and the associated metric) and kprime (fiber curvature; the
-    shipped fiber is flat, so DEFAULT_SUITE_BINDINGS binds kprime = 0), which
-    the bindings of `geo` must hold.
+    Each golden record compares a computed quantity with the structure's
+    expectation of it (`AccRStructure.expect`) on the samples of `geo`, and
+    the potential records solve for the potentials k xi the structure names.
+    A record whose expectation the structure does not give reads n/a and
+    names the missing key.  The constants the expectations read must be
+    bound in `geo`.
     """
     S = geo.structure
-    c, ct, kp = geo.bindings["c"], geo.bindings["ct"], geo.bindings["kprime"]
-    dim = S.dim
+    text = {key: written for key, written, _ in S.expect}
+    expect = {key: np.array(value, dtype=object) for key, _, value in S.expect}  # each in its shape
+    every = [e for value in expect.values() for e in value.flat]
+    check_bindings(S.chart, geo.bindings, {name for e in every for name in e.referenced_constants()})
+    # every expectation but the potentials' k (their fits evaluate them as jets), in one evaluation
+    shaped = {key: value for key, value in expect.items() if not key.endswith(".k")}
+    fields = [list(value.flat) for value in shaped.values()]
+    values = eval_numbers(fields, geo.points, geo.bindings) if fields else []
+    want = {key: v.reshape(v.shape[:1] + shaped[key].shape) for key, v in zip(shaped, values)}
 
     records: list[CheckRecord] = []
 
-    def add(name, anchor, per_sample, tolerance=tol):
-        records.append(record_from_residual(name, anchor, per_sample, tolerance))
+    def add(name, anchor, per_sample):
+        records.append(record_from_residual(name, anchor, per_sample, tol))
+
+    def given(name, *keys):
+        """Whether the structure gives every one of `keys`; if not, an n/a record names the first it lacks."""
+        missing = [key for key in keys if key not in expect]
+        if missing:
+            records.append(CheckRecord(name, f"expect.{missing[0]} is not given", VERDICT_NA))
+        return not missing
 
     # structure identities
     vr = validate_structure(S, geo.jets, tol)
@@ -678,78 +685,40 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
 
     pg = geo.of(METRIC_G)
     pgt = geo.of(METRIC_GTILDE)
-    ts = geo.points[:, 0]
-    per_matrix = ts[:, None, None]
 
-    # golden closed forms of the connection
-    expected = np.zeros((len(ts), dim, dim, dim))
-    expected[:, 0, 1, 1] = -ts
-    expected[:, 0, 2, 2] = ts
-    expected[:, 1, 0, 1] = expected[:, 1, 1, 0] = 1.0 / ts
-    expected[:, 2, 0, 2] = expected[:, 2, 2, 0] = 1.0 / ts
-    add(
-        "Christoffel symbols of g",
-        "Gamma^t_{uu} = -t, Gamma^t_{vv} = t, Gamma^u_{tu} = Gamma^v_{tv} = 1/t, rest 0",
-        _max_abs(pg.gamma - expected, 3),
-    )
-
-    # phi-frame curvature values
+    # golden values of the connection, the curvature and the associated metric
     frame_values = _phi_frame_values(geo, METRIC_G)
-    closed = (kp - 1.0) / ts**2
-    add("curvature R_1212 in the phi-frame", "R_1212 = (kprime - 1)/t^2",
-        np.abs(frame_values["R_1212"] - closed))
-    add("Ricci rho_11 in the phi-frame", "rho_11 = (kprime - 1)/t^2",
-        np.abs(frame_values["rho_11"] - closed))
-    add("Ricci rho_22 in the phi-frame", "rho_22 = (1 - kprime)/t^2",
-        np.abs(frame_values["rho_22"] + closed))
-    add(
-        "scalar curvature of g",
-        "tau = 2(kprime - 1)/t^2",
-        np.abs(pg.tau - 2.0 * (kp - 1.0) / ts**2),
-    )
-    add("associated scalar curvature", "tau* = 0", np.abs(pg.tau_star))
-    add("Lee form value on xi", "theta*(xi) = 2/t", np.abs(pg.theta_star_xi - 2.0 / ts))
-    add(
-        "scalar curvature of the associated metric",
-        "tau~ = -2/t^2",
-        np.abs(pgt.tau + 2.0 / ts**2),
-    )
+    for name, key, symbol, computed in (
+        ("Christoffel symbols of g", "christoffel", "Gamma^k_ij", pg.gamma),
+        ("curvature R_1212 in the phi-frame", "R_1212", "R_1212", frame_values["R_1212"]),
+        ("Ricci rho_11 in the phi-frame", "rho_11", "rho_11", frame_values["rho_11"]),
+        ("Ricci rho_22 in the phi-frame", "rho_22", "rho_22", frame_values["rho_22"]),
+        ("scalar curvature of g", "tau", "tau", pg.tau),
+        ("associated scalar curvature", "tau_star", "tau*", pg.tau_star),
+        ("Lee form value on xi", "theta_star_xi", "theta*(xi)", pg.theta_star_xi),
+        ("scalar curvature of the associated metric", "tau_tilde", "tau~", pgt.tau),
+        ("associated metric components", "gtilde", "g~", pgt.g),
+    ):
+        if given(name, key):
+            add(name, f"{symbol} = {text[key]}", _max_abs(computed - want[key], computed.ndim - 1))
 
-    # associated metric components
-    expected = np.zeros((len(ts), dim, dim))
-    expected[:, 0, 0] = 1.0
-    expected[:, 1, 2] = expected[:, 2, 1] = -ts * ts
-    add(
-        "associated metric components",
-        "g~ = eta otimes eta - t^2 (du otimes dv + dv otimes du)",
-        _max_abs(pgt.g - expected, 2),
-    )
-
-    # nabla xi for both metrics
-    add(
-        "Reeb field derivative",
-        "nabla_x xi = -(1/t) phi^2 x",
-        _max_abs(pg.nabla_xi + (pg.phi @ pg.phi) / per_matrix, 2),
-    )
-    add(
-        "Reeb field derivative, associated metric",
-        "nabla~_x xi = -(1/t) phi^2 x",
-        _max_abs(pgt.nabla_xi + (pgt.phi @ pgt.phi) / per_matrix, 2),
-    )
-
-    # fundamental tensor shape
-    fxi = np.einsum("...ijs,...s->...ij", pg.F, pg.xi)
-    gphi = np.einsum("...is,...sj->...ij", pg.g, pg.phi)
-    add(
-        "fundamental tensor on xi",
-        "F(x,y,xi) = -h g(x,phi y) with h = 1/t",
-        _max_abs(fxi + gphi / per_matrix, 2),
-    )
-    add(
-        "gradient of the Lee scalar",
-        "d(theta*(xi)) = -(2/t^2) eta",
-        _max_abs(pg.grad_theta_star_xi + (2.0 / ts**2)[:, None] * pg.eta, 1),
-    )
+    # nabla xi = -h phi^2 for both metrics, and F on xi, with h = theta*(xi)/2n
+    h, with_h = want.get("h"), f"with h = {text.get('h')}"
+    for name, relation, computed, form in (
+        ("Reeb field derivative", "nabla_x xi = -h phi^2 x", pg.nabla_xi, pg.phi @ pg.phi),
+        ("Reeb field derivative, associated metric", "nabla~_x xi = -h phi^2 x",
+         pgt.nabla_xi, pgt.phi @ pgt.phi),
+        ("fundamental tensor on xi", "F(x,y,xi) = -h g(x,phi y)",
+         np.einsum("...ijs,...s->...ij", pg.F, pg.xi), np.einsum("...is,...sj->...ij", pg.g, pg.phi)),
+    ):
+        if given(name, "h"):
+            add(name, f"{relation} {with_h}", _max_abs(computed + h[:, None, None] * form, 2))
+    if given("gradient of the Lee scalar", "grad_theta_star_xi"):
+        add(
+            "gradient of the Lee scalar",
+            f"d(theta*(xi)) = {text['grad_theta_star_xi']}",
+            _max_abs(pg.grad_theta_star_xi - want["grad_theta_star_xi"], 1),
+        )
     add(
         "Lee form is closed",
         "d theta* = 0",
@@ -803,142 +772,115 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
             {key: value for key, value in tf_res.items() if not key.startswith("R(x,y)xi")}
         ),
     )
-    tt = tau_tilde_relations(pg, pgt)
-    add(
-        "scalar curvature transfer",
-        "tau~ = -tau* - ((2n+1)/2n) theta*(xi)^2 - 2 xi(theta*(xi))",
-        tt["tau~ = -tau* - ((2n+1)/2n) theta*(xi)^2 - 2 xi(theta*(xi))"],
-    )
-    add(
-        "scalar curvature transfer via h",
-        "tau~ = -tau* - 2n(2n+1) h^2 - 4n dh(xi)",
-        tt["tau~ = -tau* - 2n(2n+1) h^2 - 4n dh(xi)"],
-    )
+    for name, (anchor, residual) in zip(
+        ("scalar curvature transfer", "scalar curvature transfer via h"), tau_tilde_relations(pg, pgt).items()
+    ):
+        add(name, anchor, residual)
 
     records.extend(_cross_route_records(geo, tol, "short connection form on F5"))
 
-    # potentials and solitons: one torse-forming fit per metric, shared by
-    # both solves and by the records below
-    k_expr = parse("c*t", S.chart.coordinates, S.chart.constants)
-    kt_expr = parse("ct*t", S.chart.coordinates, S.chart.constants)
-    pot = vertical_potential(S, k_expr)
-    pott = vertical_potential(S, kt_expr)
+    # potentials and solitons: one solve, with its torse-forming fit, per potential
+    # the structure names, shared by the records below
+    metrics = ((METRIC_G, "g", ""), (METRIC_GTILDE, "g~", "~"))  # each tag, its name and its symbols' mark
+    K, F, LAMBDA = ({tag: f"potentials.{tag}.{part}" for tag, _, _ in metrics}
+                    for part in ("k", "f", "lambda"))
+    sols = {
+        tag: yamabe_soliton_solve(geo, tag, vertical_potential(S, expect[K[tag]].item()), tol)
+        for tag, _, _ in metrics if K[tag] in expect
+    }
+    fits = {tag: sol.torse for tag, sol in sols.items()}
+    for tag, m, s in metrics:
+        name = f"conformal scalar of the {m}-potential"
+        if given(name, K[tag], F[tag]):
+            add(name, f"nabla{s}_x v{s} = f{s} x, gamma{s} = 0 with f{s} = {text[F[tag]]}",
+                np.maximum(np.abs(fits[tag].f - want[F[tag]]), _max_abs(fits[tag].gamma, 1)))
+    for tag, m, s in metrics:
+        name = f"taxonomy of the {m}-potential"
+        if given(name, K[tag], F[tag]):
+            flags = fits[tag].taxonomy
+            ok = {"torse-forming", "torqued", "concircular"} <= flags
+            ok = ok and ("concurrent" in flags) == (_norm(want[F[tag]] - 1.0) <= tol)
+            records.append(CheckRecord(
+                name=name,
+                anchor=f"torse-forming, torqued, concircular; concurrent exactly where f{s} = 1, "
+                       f"with f{s} = {text[F[tag]]}",
+                verdict=VERDICT_PASS if ok else VERDICT_FAIL,
+                residual=fits[tag].residual,
+                samples=tuple(fits[tag].per_sample_residual.tolist()),
+            ))
+    for tag, m, s in metrics:
+        name = f"potential ratio for {m}"
+        if given(name, K[tag], "h"):
+            add(name, f"f{s}/k{s} = h {with_h}", np.abs(fits[tag].h - h))
+    if given("potential ratios agree", *K.values()):
+        ratios = np.abs(fits[METRIC_G].h - fits[METRIC_GTILDE].h)
+        add("potential ratios agree", "f/k = f~/k~", ratios)
+    for (tag, m, s), potential in zip(metrics, ("k = c t", "k~ = ct t")):
+        name = f"scalar field equation of {potential}"
+        if given(name, K[tag], "h"):
+            add(name, f"dk{s}(xi) = h k{s} {with_h}", np.abs(_dot(fits[tag].dk, pg.xi) - h * fits[tag].k))
+    for tag, m, s in metrics:
+        name = f"Yamabe almost soliton for {m}"
+        if given(name, K[tag], LAMBDA[tag]):
+            sol = sols[tag]
+            dev = np.abs(sol.lambdas - want[LAMBDA[tag]])
+            ok = sol.verdict == "soliton" and float(np.max(dev)) <= tol
+            records.append(CheckRecord(
+                name=name,
+                anchor=f"(1/2) L_v{s} {m} = (tau{s} - lambda{s}) {m} with lambda{s} = {text[LAMBDA[tag]]}",
+                verdict=VERDICT_PASS if ok else VERDICT_FAIL,
+                residual=max(float(np.max(dev)), float(np.max(sol.residuals))),
+                samples=tuple(dev.tolist()),
+            ))
 
-    sol_gt = yamabe_soliton_solve(geo, METRIC_GTILDE, pott, tol)
-    sol_g = yamabe_soliton_solve(geo, METRIC_G, pot, tol, other=sol_gt.torse)
-    torse_g, torse_gt = sol_g.torse, sol_gt.torse
-    add(
-        "conformal scalar of the g-potential",
-        "nabla_x v = c x: f = c, gamma = 0",
-        np.maximum(np.abs(torse_g.f - c), _max_abs(torse_g.gamma, 1)),
-    )
-    add(
-        "conformal scalar of the g~-potential",
-        "nabla~_x v~ = ct x: f~ = ct, gamma~ = 0",
-        np.maximum(np.abs(torse_gt.f - ct), _max_abs(torse_gt.gamma, 1)),
-    )
-
-    def flags_ok(torse, slope):
-        want = {"torse-forming", "torqued", "concircular"}
-        if not want <= torse.taxonomy:
-            return False
-        return ("concurrent" in torse.taxonomy) == (abs(slope - 1.0) <= tol)
-
-    for metric_name, torse, slope, constant in (("g", torse_g, c, "c"), ("g~", torse_gt, ct, "ct")):
-        records.append(CheckRecord(
-            name=f"taxonomy of the {metric_name}-potential",
-            anchor=f"torse-forming, torqued, concircular; concurrent exactly when {constant} = 1",
-            verdict=VERDICT_PASS if flags_ok(torse, slope) else VERDICT_FAIL,
-            residual=torse.residual,
-            samples=tuple(torse.per_sample_residual.tolist()),
-        ))
-    add("potential ratio for g", "f/k = 1/t", np.abs(torse_g.h - 1.0 / ts))
-    add("potential ratio for g~", "f~/k~ = 1/t", np.abs(torse_gt.h - 1.0 / ts))
-    add("potential ratios agree", "f/k = f~/k~", np.abs(torse_g.h - torse_gt.h))
-    add(
-        "scalar field equation of k = c t",
-        "t dk(xi) = k",
-        np.abs(ts * torse_g.dk_xi - torse_g.k),
-    )
-    add(
-        "scalar field equation of k~ = ct t",
-        "t dk~(xi) = k~",
-        np.abs(ts * torse_gt.dk_xi - torse_gt.k),
-    )
-
-    def soliton_record(name, anchor, sol, closed):
-        dev = np.abs(sol.lambdas - closed)
-        ok = sol.verdict == "soliton" and float(np.max(dev)) <= tol
-        worst = max(float(np.max(dev)), float(np.max(sol.residuals)))
-        return CheckRecord(
-            name=name,
-            anchor=anchor,
-            verdict=VERDICT_PASS if ok else VERDICT_FAIL,
-            residual=worst,
-            samples=tuple(dev.tolist()),
-        )
-
-    records.append(
-        soliton_record(
-            "Yamabe almost soliton for g",
-            "(1/2) L_v g = (tau - lambda) g with lambda = 2(kprime - 1)/t^2 - c",
-            sol_g,
-            2.0 * (kp - 1.0) / ts**2 - c,
-        )
-    )
-    records.append(
-        soliton_record(
-            "Yamabe almost soliton for g~",
-            "(1/2) L_v~ g~ = (tau~ - lambda~) g~ with lambda~ = -2/t^2 - ct",
-            sol_gt,
-            -2.0 / ts**2 - ct,
-        )
-    )
-    def theorem_record(name, anchor, value):
-        # value None means the premise (soliton + torse-forming) failed upstream
-        if value is None:
-            return CheckRecord(name=name, anchor=anchor, verdict=VERDICT_FAIL, residual=None)
-        return record_from_residual(name, anchor, [value], tol)
-
-    for name, anchor, sol, key in (
-        ("conformal scalar balance for g", "tau = f + lambda", sol_g, "tau = f + lambda"),
-        ("conformal scalar balance for g~", "tau~ = f~ + lambda~", sol_gt, "tau = f + lambda"),
-        ("torqued criterion for g", "f = dk(xi)", sol_g, "f = dk(xi)"),
-        ("torqued criterion for g~", "f~ = dk~(xi)", sol_gt, "f = dk(xi)"),
-        ("potential ratio transfer", "f/k = f~/k~ certified by both solvers", sol_g,
-         "f/k matches between the two metrics"),
+    for kind, key, anchor in (
+        ("conformal scalar balance", "tau = f + lambda", "tau{s} = f{s} + lambda{s}"),
+        ("torqued criterion", "f = dk(xi)", "f{s} = dk{s}(xi)"),
     ):
-        records.append(theorem_record(name, anchor, sol.theorem_checks[key]))
+        for tag, m, s in metrics:
+            name = f"{kind} for {m}"
+            if given(name, K[tag]):
+                value = sols[tag].theorem_checks[key]
+                # value None means the premise (soliton + torse-forming) failed upstream
+                if value is None:
+                    records.append(CheckRecord(name, anchor.format(s=s), VERDICT_FAIL, residual=None))
+                else:
+                    add(name, anchor.format(s=s), [value])
+    # the transfer of h between the metrics: both fits give the same f/k
+    if given("potential ratio transfer", *K.values()):
+        add("potential ratio transfer", "f/k = f~/k~ certified by both solvers", [float(np.max(ratios))])
 
-    # Lie derivative closed forms and the two expansion routes
-    # each solve's A is (1/2) L_v of its metric, and doubling undoes the halving exactly
-    lg = 2.0 * sol_g.half_lie
-    lgt = 2.0 * sol_gt.half_lie
-    lgv = lie_derivative_vertical(pg, k_expr.eval_jet(geo.points, geo.bindings))
-    lgtv = lie_derivative_vertical(pgt, kt_expr.eval_jet(geo.points, geo.bindings))
-    add(
-        "Lie derivatives of both metrics",
-        "L_v g = 2c g; L_v~ g~ = 2ct g~",
-        np.maximum(_max_abs(lg - 2.0 * c * pg.g, 2), _max_abs(lgt - 2.0 * ct * pgt.g, 2)),
-    )
-    add(
-        "Lie derivative expansion for vertical potentials",
-        "L_{k xi} m = dk otimes eta + eta otimes dk + k(m(nabla xi, .) + m(., nabla xi))",
-        np.maximum(_max_abs(lg - lgv, 2), _max_abs(lgt - lgtv, 2)),
-    )
+    # Lie derivative closed forms and the two expansion routes: each solve's A is
+    # (1/2) L_v of its metric, and doubling undoes the halving exactly
+    lie = {tag: 2.0 * sol.half_lie for tag, sol in sols.items()}
+    if given("Lie derivatives of both metrics", *K.values(), *F.values()):
+        add(
+            "Lie derivatives of both metrics",
+            f"L_v g = 2f g; L_v~ g~ = 2f~ g~ with f = {text[F[METRIC_G]]}, f~ = {text[F[METRIC_GTILDE]]}",
+            np.maximum(*(_max_abs(lie[tag] - (2.0 * want[F[tag]])[:, None, None] * pm.g, 2)
+                         for tag, pm in ((METRIC_G, pg), (METRIC_GTILDE, pgt)))),
+        )
+    if given("Lie derivative expansion for vertical potentials", *K.values()):
+        add(
+            "Lie derivative expansion for vertical potentials",
+            "L_{k xi} m = dk otimes eta + eta otimes dk + k(m(nabla xi, .) + m(., nabla xi))",
+            np.maximum(*(_max_abs(lie[tag] - lie_derivative_vertical(pm, fits[tag].k, fits[tag].dk), 2)
+                         for tag, pm in ((METRIC_G, pg), (METRIC_GTILDE, pgt)))),
+        )
 
     # contraction replay of the proportionality argument
-    half = sol_g.half_lie
-    level = pg.tau - sol_g.lambdas
-    add(
-        "trace of the soliton equation",
-        "g^{ij} ((1/2) L_v g)_{ij} = (2n+1)(tau - lambda)",
-        np.abs(np.einsum("...ij,...ij->...", pg.ginv, half) - dim * level),
-    )
-    add(
-        "soliton equation on (xi,xi)",
-        "((1/2) L_v g)(xi,xi) = tau - lambda",
-        np.abs(_dot(np.einsum("...i,...ij->...j", pg.xi, half), pg.xi) - level),
-    )
+    sol = sols.get(METRIC_G)
+    if given("trace of the soliton equation", K[METRIC_G]):
+        add(
+            "trace of the soliton equation",
+            "g^{ij} ((1/2) L_v g)_{ij} = (2n+1)(tau - lambda)",
+            np.abs(np.einsum("...ij,...ij->...", pg.ginv, sol.half_lie) - S.dim * (pg.tau - sol.lambdas)),
+        )
+    if given("soliton equation on (xi,xi)", K[METRIC_G]):
+        add(
+            "soliton equation on (xi,xi)",
+            "((1/2) L_v g)(xi,xi) = tau - lambda",
+            np.abs(_dot(np.einsum("...i,...ij->...j", pg.xi, sol.half_lie), pg.xi) - (pg.tau - sol.lambdas)),
+        )
 
     return records

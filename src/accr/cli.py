@@ -82,11 +82,11 @@ _COMMANDS = {
     "soliton": (_SOLVE, "Yamabe almost-soliton solve", None),
     "verify-paper": (
         (_common_options,),
-        "golden-value suite on the cone example",
-        "Compare the cone example with its published closed forms. The constants c, ct "
-        "and kprime default to 1, 1 and 0. kprime enters only the closed forms: the "
-        "shipped fiber is flat, so its metric has kprime = 0, and any other value fails "
-        "the curvature, tau and soliton checks.",
+        "golden-value suite of a structure's expect block",
+        "Compare the computed quantities with the closed forms of the structure's expect "
+        "block (the cone example by default), and check the theorems they illustrate; a "
+        "record whose expectation is not given reads n/a. Of the constants c, ct and "
+        "kprime, those the structure declares default to 1, 1 and 0.",
     ),
     "report": (_SOLVE, "validation + classification + identity suites", None),
 }
@@ -221,16 +221,9 @@ def _run(args) -> int:
     started = time.perf_counter()
     S, identity = _load_structure(args)
     bindings = _parse_bindings(args.const)
-    if args.command == "verify-paper":
-        missing = sorted(set(analysis.DEFAULT_SUITE_BINDINGS) - set(S.chart.constants))
-        if missing:
-            raise _Usage(
-                f"verify-paper needs a structure that declares the constants "
-                f"{', '.join(missing)}; {identity} does not"
-            )
-        merged = dict(analysis.DEFAULT_SUITE_BINDINGS)
-        merged.update(bindings)
-        bindings = merged
+    if args.command == "verify-paper":  # the suite's defaults of the constants the structure declares
+        defaults = analysis.DEFAULT_SUITE_BINDINGS.items()
+        bindings = {**{name: value for name, value in defaults if name in S.chart.constants}, **bindings}
     undeclared = sorted(set(bindings) - set(S.chart.constants))
     if undeclared:
         raise _Usage(

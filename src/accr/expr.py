@@ -546,7 +546,8 @@ def eval_numbers(
 ) -> list[np.ndarray]:
     """The values of several fields, each in its shape, evaluated as `eval_field_jets` evaluates them.
 
-    Every value equals that of `Expression.eval_number`.
+    Every distinct AST is evaluated once, on the coordinate columns of all the
+    points, so every value equals that of `Expression.eval_number`.
     """
     expressions, spans = _entries(fields)
     d = len(expressions[0].coords)
@@ -555,11 +556,8 @@ def eval_numbers(
     b = bindings or {}
     lead = values.shape[:-1]
     out = np.empty(lead + (len(expressions),))
-    for e, where, reads_coordinates in _distinct(expressions):
-        if reads_coordinates:
-            out[..., where] = np.asarray(e.eval_number(values, b))[..., None]
-        else:
-            out[..., where] = _evaluate_finite(e, columns, b)
+    for e, where, _ in _distinct(expressions):
+        out[..., where] = np.asarray(_evaluate_finite(e, columns, b))[..., None]
     return [out[..., a:z].reshape(lead + shape) for a, z, shape in spans]
 
 

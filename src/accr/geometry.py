@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import DomainError, SingularMetric
 from .expr import FieldJets, eval_field_jets
-from .jets import Jet2
 from .manifold import METRIC_G, METRIC_GTILDE, AccRStructure, StructureJets
 from .tensor import _congruence, _dot, _mat, _max_abs, _regular_inverse
 
@@ -444,19 +443,18 @@ def lie_derivative_metric(pg: PointGeometry, v: np.ndarray, dv: np.ndarray) -> n
     return (lg + np.swapaxes(lg, -1, -2)) / 2.0
 
 
-def lie_derivative_vertical(pg: PointGeometry, k: Jet2) -> np.ndarray:
+def lie_derivative_vertical(pg: PointGeometry, k: np.ndarray, dk: np.ndarray) -> np.ndarray:
     """Expanded form of L_{k xi} metric, using metric(x, xi) = eta(x).
 
     (L_{k xi} m)(x,y) = dk(x) eta(y) + dk(y) eta(x) + k {m(nabla_x xi, y) + m(x, nabla_y xi)}
 
-    k is the jet of the scalar field at the points of pg.
+    k [...] and dk [..., m] are the scalar field's values and differential at the points of pg.
     """
-    dk = k.grad
     rate = np.einsum("...kj,...ki->...ij", pg.g, pg.nabla_xi)
     lg = (
         np.einsum("...i,...j->...ij", dk, pg.eta)
         + np.einsum("...j,...i->...ij", dk, pg.eta)
-        + k.value[..., None, None] * (rate + np.swapaxes(rate, -1, -2))
+        + k[..., None, None] * (rate + np.swapaxes(rate, -1, -2))
     )
     return (lg + np.swapaxes(lg, -1, -2)) / 2.0
 

@@ -3,10 +3,12 @@
 A structure file supplies, as expression strings over the chart
 coordinates, the metric g, the endomorphism phi (phi[i][j] is the
 coefficient of d/dx_i in phi(d/dx_j)), the Reeb field xi and the 1-form
-eta on an open coordinate box.  The loader parses everything eagerly and
-rejects structurally broken files; numerical validation of the defining
-identities is a separate step so that deliberately broken structures can
-still be probed.
+eta on an open coordinate box.  An optional `expect` object gives, in the
+same coordinates and constants, the values that `verify-paper` compares
+the computed quantities with (see _EXPECT).  The loader parses everything
+eagerly and rejects structurally broken files; numerical validation of the
+defining identities is a separate step so that deliberately broken
+structures can still be probed.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DomainError,
+    ExprError,
     ManifoldParseError,
     UnboundConstant,
     UnknownBuiltin,
@@ -50,7 +53,17 @@ METRIC_G = "g"
 METRIC_GTILDE = "gtilde"
 
 _REQUIRED_KEYS = {"n", "coordinates", "domain", "g", "phi", "xi", "eta"}
-_OPTIONAL_KEYS = {"constants", "frame", "name"}
+_OPTIONAL_KEYS = {"constants", "frame", "name", "expect"}
+
+# The keys of an `expect` object, each optional: a quantity's rank (0 a scalar, 1 a
+# d-vector, 2 a d x d matrix, 3 the d x d x d Christoffel array, [k][i][j] = Gamma^k_ij),
+# or a nested object of such keys.  h is theta*(xi)/2n, and each potential gives the
+# scalar k of v = k xi for its metric, its conformal scalar f and its soliton function lambda.
+_EXPECT = {
+    "christoffel": 3, "R_1212": 0, "rho_11": 0, "rho_22": 0, "tau": 0, "tau_star": 0,
+    "theta_star_xi": 0, "tau_tilde": 0, "gtilde": 2, "grad_theta_star_xi": 1, "h": 0,
+    "potentials": {tag: {"k": 0, "f": 0, "lambda": 0} for tag in (METRIC_G, METRIC_GTILDE)},
+}
 
 
 class Chart(Value):
@@ -99,10 +112,13 @@ class StructureJets(NamedTuple):
 class AccRStructure(Value):
     """An almost contact B-metric structure presented in one chart.
 
-    `source` holds the bytes the structure was read from.
+    `source` holds the bytes the structure was read from.  `expect` holds the
+    structure's expectations, one (key, text, value) triple per quantity given:
+    the key's path below `expect` ("tau", "potentials.g.k"), its text as
+    written, and its expression, or nested tuples of them in its shape.
     """
 
-    __slots__ = ("chart", "g", "phi", "xi", "eta", "frame", "name", "source")
+    __slots__ = ("chart", "g", "phi", "xi", "eta", "frame", "name", "source", "expect")
     _unshown = ("source",)
 
     def __init__(
@@ -115,6 +131,7 @@ class AccRStructure(Value):
         frame: tuple[tuple[Expression, ...], ...] | None = None,
         name: str | None = None,
         source: bytes | None = None,
+        expect: tuple[tuple[str, str, object], ...] = (),
     ):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "g", g)
@@ -124,6 +141,7 @@ class AccRStructure(Value):
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "expect", expect)
 
     @property
     def source_sha256(self) -> str | None:
@@ -273,24 +291,20 @@ def _structure_from_dict(raw: dict, source: bytes) -> AccRStructure:
             parsed[text] = parse(text, chart.coordinates, constants)
         return parsed[text]
 
-    def parse_matrix(key):
-        rows = raw[key]
-        if not isinstance(rows, list) or len(rows) != dim or any(
-            not isinstance(r, list) or len(r) != dim for r in rows
-        ):
-            raise ManifoldParseError(f"{key} must be a {dim}x{dim} matrix of expression strings")
-        return tuple(
-            tuple(parse_entry(rows[i][j], f"{key}[{i}][{j}]") for j in range(dim))
-            for i in range(dim)
-        )
+    def parse_array(value, rank, where, parse_one=parse_entry):
+        """Nested lists of `dim` entries, `rank` deep, as nested tuples of the parsed entries."""
+        entries = [(where, value)]
+        for _ in range(rank):
+            for path, entry in entries:
+                if not isinstance(entry, list) or len(entry) != dim:
+                    raise ManifoldParseError(f"{path} must be a list of {dim} entries")
+            entries = [(f"{path}[{i}]", item) for path, entry in entries for i, item in enumerate(entry)]
+        nested = [parse_one(entry, path) for path, entry in entries]
+        for _ in range(rank):  # regrouped, the innermost lists first
+            nested = [tuple(nested[i:i + dim]) for i in range(0, len(nested), dim)]
+        return nested[0]
 
-    def parse_vector(key):
-        entries = raw[key]
-        if not isinstance(entries, list) or len(entries) != dim:
-            raise ManifoldParseError(f"{key} must be a list of {dim} expression strings")
-        return tuple(parse_entry(entries[i], f"{key}[{i}]") for i in range(dim))
-
-    g = parse_matrix("g")
+    g = parse_array(raw["g"], 2, "g")
     for i in range(dim):
         for j in range(i + 1, dim):
             if g[i][j].ast != g[j][i].ast:
@@ -298,26 +312,51 @@ def _structure_from_dict(raw: dict, source: bytes) -> AccRStructure:
                     f"metric entries g[{i}][{j}] and g[{j}][{i}] differ; "
                     "symmetric input is required, not silently symmetrized"
                 )
-    phi = parse_matrix("phi")
-    xi = parse_vector("xi")
-    eta = parse_vector("eta")
-    frame = parse_matrix("frame") if "frame" in raw else None
+    phi = parse_array(raw["phi"], 2, "phi")
+    xi = parse_array(raw["xi"], 1, "xi")
+    eta = parse_array(raw["eta"], 1, "eta")
+    frame = parse_array(raw["frame"], 2, "frame") if "frame" in raw else None
 
     name = raw.get("name")
     if name is not None and not isinstance(name, str):
         raise ManifoldParseError("name must be a string")
 
+    def parse_expected(text, where):  # an expectation's error names its place in the file
+        try:
+            return parse_entry(text, where)
+        except ExprError as exc:
+            raise ManifoldParseError(f"{where}: {exc}") from None
+
+    expect = []
+    pending = [("expect", raw["expect"], _EXPECT)] if "expect" in raw else []
+    while pending:  # the expect object and its nested objects, breadth first
+        where, block, schema = pending.pop(0)
+        if not isinstance(block, dict):
+            raise ManifoldParseError(f"{where} must be an object")
+        for key, value in block.items():
+            path = f"{where}.{key}"
+            if key not in schema:
+                raise ManifoldParseError(f"unknown field: {path}")
+            if isinstance(schema[key], dict):
+                pending.append((path, value, schema[key]))
+            else:
+                parsed_value = parse_array(value, schema[key], path, parse_expected)
+                text = json.dumps(value).replace('"', "")  # as written, its strings unquoted
+                expect.append((path.split(".", 1)[1], text, parsed_value))
+
     return AccRStructure(
-        chart=chart, g=g, phi=phi, xi=xi, eta=eta, frame=frame, name=name, source=source
+        chart=chart, g=g, phi=phi, xi=xi, eta=eta, frame=frame, name=name, source=source,
+        expect=tuple(expect),
     )
 
 
 # -- builtins --------------------------------------------------------------
 
-# Cone over a flat 2-dimensional fiber carrying a Norden metric.  The free
-# constants feed soliton potentials (c for g, ct for the associated metric)
-# and the closed-form comparisons (kprime is the fiber curvature parameter;
-# the shipped fiber is flat, so pair it with kprime = 0).
+# Cone over a flat 2-dimensional fiber carrying a Norden metric, with the
+# closed forms of its published example as expectations.  The free constants
+# feed the soliton potentials (c for g, ct for the associated metric) and the
+# closed forms (kprime is the fiber curvature parameter; the shipped fiber is
+# flat, so pair it with kprime = 0).
 _CONE = {
     "name": "cone-flat-fiber",
     "n": 1,
@@ -329,6 +368,27 @@ _CONE = {
     "xi": ["1", "0", "0"],
     "eta": ["1", "0", "0"],
     "frame": [["0", "0", "1"], ["1/t", "0", "0"], ["0", "1/t", "0"]],
+    "expect": {
+        "christoffel": [
+            [["0", "0", "0"], ["0", "-t", "0"], ["0", "0", "t"]],
+            [["0", "1/t", "0"], ["1/t", "0", "0"], ["0", "0", "0"]],
+            [["0", "0", "1/t"], ["0", "0", "0"], ["1/t", "0", "0"]],
+        ],
+        "R_1212": "(kprime-1)/t^2",
+        "rho_11": "(kprime-1)/t^2",
+        "rho_22": "(1-kprime)/t^2",
+        "tau": "2*(kprime-1)/t^2",
+        "tau_star": "0",
+        "theta_star_xi": "2/t",
+        "tau_tilde": "-2/t^2",
+        "gtilde": [["1", "0", "0"], ["0", "0", "-t*t"], ["0", "-t*t", "0"]],
+        "grad_theta_star_xi": ["-2/t^2", "0", "0"],
+        "h": "1/t",
+        "potentials": {
+            "g": {"k": "c*t", "f": "c", "lambda": "2*(kprime-1)/t^2 - c"},
+            "gtilde": {"k": "ct*t", "f": "ct", "lambda": "-2/t^2 - ct"},
+        },
+    },
 }
 
 # Flat structure with parallel phi: every covariant derivative vanishes.

@@ -1,6 +1,8 @@
 """Classification, torse-forming extraction, and the Yamabe soliton solver."""
 
 import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,7 +138,7 @@ def test_torse_forming_extraction_ct(cone, cone_points, c):
     ts = np.array([p[0] for p in cone_points])
     assert np.allclose(res.k, c * ts)
     assert np.allclose(res.h, 1.0 / ts)  # f/k = 1/t independent of c
-    assert np.max(np.abs(res.dk_xi - c)) < 1e-11
+    assert np.max(np.abs(res.dk - [c, 0.0, 0.0])) < 1e-11  # dk = c eta
     for name, value in res.vertical_checks.items():
         assert value < 1e-9, name
 
@@ -218,7 +220,7 @@ def test_yamabe_soliton_on_cone(cone, cone_points):
     b = {"c": 1.0, "ct": 1.0}
     geo = SampleGeometry(cone, cone_points, b)
     other = torse_forming_extract(geo, "gtilde", pot_t)
-    sol = yamabe_soliton_solve(geo, "g", pot, other=other)
+    sol = yamabe_soliton_solve(geo, "g", pot)
     assert sol.verdict == "soliton"
     assert np.max(sol.residuals) < 1e-11
     ts = np.array([p[0] for p in cone_points])
@@ -227,7 +229,7 @@ def test_yamabe_soliton_on_cone(cone, cone_points):
     assert np.isclose(sol.lambdas[0], -1.5)  # pinned t = 2 sample
     assert sol.theorem_checks["tau = f + lambda"] < 1e-10
     assert sol.theorem_checks["f = dk(xi)"] < 1e-10
-    assert sol.theorem_checks["f/k matches between the two metrics"] < 1e-11
+    assert np.max(np.abs(sol.torse.h - other.h)) < 1e-11  # f/k matches between the two metrics
 
 
 def test_yamabe_soliton_on_gtilde(cone, cone_points):
@@ -238,7 +240,7 @@ def test_yamabe_soliton_on_gtilde(cone, cone_points):
         ts = np.array([p[0] for p in cone_points])
         assert np.max(np.abs(sol.lambdas - (-2.0 / ts**2 - ct))) < 1e-11
         assert sol.theorem_checks["tau = f + lambda"] < 1e-10
-        assert sol.theorem_checks["f/k matches between the two metrics"] is None
+        assert set(sol.theorem_checks) == {"tau = f + lambda", "f = dk(xi)"}
 
 
 def test_yamabe_not_soliton(cone, cone_points):
@@ -277,6 +279,93 @@ def test_verify_paper_suite_other_constants(cone):
         SampleGeometry(cone, points, dict(DEFAULT_SUITE_BINDINGS, c=2.0, ct=0.5))
     )
     assert all(r.verdict == VERDICT_PASS for r in records)
+
+
+def test_the_n2_cone_expectations_match_sympy():
+    """Each closed form of the n = 2 cone's expect block, derived again symbolically."""
+    sp = pytest.importorskip("sympy")
+    raw = json.loads((Path(__file__).resolve().parent / "cone_n2_expect.json").read_text())
+    x = sp.symbols(raw["coordinates"])
+    names = dict(zip(raw["coordinates"], x), c=sp.Symbol("c"), ct=sp.Symbol("ct"))
+    d, n, t = len(x), raw["n"], x[0]
+
+    def sym(text):
+        return sp.sympify(text.replace("^", "**"), locals=names)
+
+    def matrix(rows):
+        return sp.Matrix([[sym(e) for e in row] for row in rows])
+
+    g, phi, frame = matrix(raw["g"]), matrix(raw["phi"]), matrix(raw["frame"])
+    xi, eta = (sp.Matrix([sym(e) for e in raw[key]]) for key in ("xi", "eta"))
+    a = g * phi + eta * eta.T
+    gtilde = (a + a.T) / 2
+
+    def geometry_of(m):
+        """Gamma^k_ij, R^l_kij as a function, the Ricci tensor and tau of the metric m."""
+        inv = m.inv()
+        gam = [[[sum(inv[k, l] * (m[j, l].diff(x[i]) + m[i, l].diff(x[j]) - m[i, j].diff(x[l])) for l in range(d))
+                 / 2 for j in range(d)] for i in range(d)] for k in range(d)]
+
+        def r13(l, k, i, j):
+            return (gam[l][j][k].diff(x[i]) - gam[l][i][k].diff(x[j])
+                    + sum(gam[l][i][s] * gam[s][j][k] - gam[l][j][s] * gam[s][i][k] for s in range(d)))
+
+        ricci = sp.Matrix(d, d, lambda a, b: sum(r13(i, a, i, b) for i in range(d)))
+        return gam, r13, ricci, sum(inv[a, b] * ricci[a, b] for a in range(d) for b in range(d))
+
+    gam, r13, ricci, tau = geometry_of(g)
+    gam_t, _, _, tau_t = geometry_of(gtilde)
+    e1, e2 = frame[:, 0], frame[:, 1]
+    r1212 = sum(g[l, w] * r13(l, k, i, j) * e1[i] * e2[j] * e1[k] * e2[w]
+                for l in range(d) for k in range(d) for i in range(d) for j in range(d) for w in range(d)
+                if e1[i] != 0 and e2[j] != 0 and e1[k] != 0 and e2[w] != 0)
+    cov = [[[phi[k, j].diff(x[i]) + sum(gam[k][i][s] * phi[s, j] - phi[k, s] * gam[s][i][j] for s in range(d))
+             for i in range(d)] for j in range(d)] for k in range(d)]  # (nabla_i phi)^k_j
+    F = [[[sum(g[k, z] * cov[k][j][i] for k in range(d)) for z in range(d)] for j in range(d)] for i in range(d)]
+    ginv = g.inv()
+    theta_star = [sum(ginv[i, j] * phi[s, j] * F[i][s][z] for i in range(d) for j in range(d) for s in range(d))
+                  for z in range(d)]
+    theta_star_xi = sum(theta_star[z] * xi[z] for z in range(d))
+
+    def fit(gm, k):
+        """f of nabla v = f id for v = k xi, once nabla v is checked to have that form."""
+        v = k * xi
+        nabla_v = sp.Matrix(d, d, lambda i, j: v[i].diff(x[j]) + sum(gm[i][j][s] * v[s] for s in range(d)))
+        f = sp.simplify(nabla_v[0, 0])
+        assert sp.simplify(nabla_v - f * sp.eye(d)) == sp.zeros(d, d)
+        return f
+
+    derived = {
+        "christoffel": gam,
+        "R_1212": r1212,
+        "rho_11": (e1.T * ricci * e1)[0],
+        "rho_22": (e2.T * ricci * e2)[0],
+        "tau": tau,
+        "tau_star": sum(ginv[i, j] * (ricci * phi)[i, j] for i in range(d) for j in range(d)),
+        "theta_star_xi": theta_star_xi,
+        "tau_tilde": tau_t,
+        "gtilde": gtilde.tolist(),
+        "grad_theta_star_xi": [theta_star_xi.diff(coordinate) for coordinate in x],
+        "h": theta_star_xi / (2 * n),
+    }
+    for tag, gm, scalar in (("g", gam, tau), ("gtilde", gam_t, tau_t)):
+        f = fit(gm, sym(raw["expect"]["potentials"][tag]["k"]))
+        # with nabla v = f id, (1/2) L_v m = f m, so mu = f and lambda = tau - f
+        derived[f"potentials.{tag}"] = {"f": f, "lambda": scalar - f}
+    # tau = -2n(2n-1)/t^2 and theta*(xi) = 2n/t on the cone over a flat fiber
+    assert sp.simplify(tau + 2 * n * (2 * n - 1) / t**2) == 0 and sp.simplify(theta_star_xi - 2 * n / t) == 0
+
+    def same(want, got):
+        if isinstance(want, dict):
+            return all(same(want[key], got[key]) for key in got)
+        if isinstance(want, list):
+            return all(same(w, e) for w, e in zip(want, got, strict=True))
+        return sp.simplify(sym(want) - got) == 0
+
+    expect = raw["expect"]
+    for key, got in derived.items():
+        want = expect["potentials"][key.split(".")[1]] if key.startswith("potentials.") else expect[key]
+        assert same(want, got), key
 
 
 # -- the closed-form torse-forming fit against per-sample least squares --------
@@ -377,6 +466,12 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
     counting("sample_points", manifold, cli)
     counting("check_bindings", manifold, cli, analysis)
     counting("lie_derivative_metric", geometry, analysis)  # once per soliton solve
+    evaluated = []  # the fields of each evaluation of values alone, and of each potential's jets
+    for name in ("eval_numbers", "eval_field_jets"):
+        def recorded(fields, *args, _evaluate=getattr(analysis, name), _name=name):
+            evaluated.append((_name, fields))
+            return _evaluate(fields, *args)
+        monkeypatch.setattr(analysis, name, recorded)
     assert cli.main(["verify-paper", "--samples", "8"]) == 0
     assert "51 checks: 51 pass" in capsys.readouterr().out
     assert calls == {
@@ -385,9 +480,19 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
         "structure jets": 1,
         "potential jets": 2,
         "sample_points": 1,
-        "check_bindings": 1,
+        "check_bindings": 2,  # the structure's constants, then the expectations'
         "lie_derivative_metric": 2,
     }
+    # every expectation but the potentials' k is evaluated in one call, and each potential once
+    cone = manifold.builtin_structure("cone-flat-fiber")
+    expected = [e for key, _, value in cone.expect if not key.endswith(".k") for e in np.ravel(value)]
+    potentials = {key: value for key, _, value in cone.expect if key.endswith(".k")}
+    numbers = [fields for name, fields in evaluated if name == "eval_numbers"]
+    assert numbers == [[list(np.ravel(value)) for key, _, value in cone.expect if not key.endswith(".k")],
+                       [cone.frame]]
+    assert sum(len(field) for field in numbers[0]) == len(expected) == 51
+    jets = [fields for name, fields in evaluated if name == "eval_field_jets"]
+    assert jets == [[analysis.vertical_potential(cone, potentials[f"potentials.{tag}.k"])] for tag in ("g", "gtilde")]
     # one soliton solve evaluates its potential once, for the fit and the solve alike
     calls.update(dict.fromkeys(calls, 0))
     argv = ["soliton", "--builtin", "cone-flat-fiber", "--potential-k", "c*t", "--const", "c=1"]
@@ -445,8 +550,10 @@ def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, 
     # g, phi, xi and eta are evaluated once, together, as jets; validation reads their values
     assert [fields for fields in jets if reads_structure(fields)] == [structure]
     assert not any(reads_structure(fields) for fields in numbers)
-    # values alone are evaluated only for the frame, once, where the phi-frame values are read
-    assert numbers == ([[S.frame]] if workload in ("verify-cone", "curvature-g-n2") else [])
+    # values alone are evaluated only for verify-paper's expectations, in one call, and for the
+    # frame, once, where the phi-frame values are read
+    expectations = [[list(np.ravel(value)) for key, _, value in S.expect if not key.endswith(".k")]]
+    assert numbers == {"verify-cone": expectations + [[S.frame]], "curvature-g-n2": [[S.frame]]}.get(workload, [])
     # g~'s jets are evaluated once where g~ is read, and g's never: they are structure jets
     assert jets.count([S.associated_metric()]) == (0 if workload == "curvature-g-n2" else 1)
     # dgamma is let go once r13 is kept, whether or not dtheta_star was read

@@ -407,10 +407,36 @@ def test_verify_paper(capsys):
     assert "51 checks: 51 pass" in out
 
 
-def test_verify_paper_needs_the_suite_constants(capsys):
-    rc, out, err = run(capsys, "verify-paper", "--builtin", "flat-cosymplectic", "--samples", "2")
-    assert rc == 2 and out == ""
-    assert "c, ct, kprime" in err and "UnknownIdentifier" not in err
+def test_verify_paper_runs_on_a_structure_without_expectations(capsys):
+    # flat-cosymplectic has no expect block and declares no constants: its golden and potential
+    # records read n/a, and the suite's F5 class records fail, because the flat structure is F0
+    rc, data, err = run_json(capsys, "verify-paper", "--builtin", "flat-cosymplectic", "--samples", "2")
+    assert rc == 1 and err == "" and data["config"]["const"] == {}
+    checks = {c["name"]: c for c in data["checks"]}
+    na = [c for c in data["checks"] if c["verdict"] == "n/a"]
+    assert len(checks) == 51 and len(na) == 33
+    assert all(c["residual"] is None and c["anchor"].startswith("expect.") for c in na)
+    assert checks["scalar curvature of g"]["anchor"] == "expect.tau is not given"
+    assert checks["Yamabe almost soliton for g"]["anchor"] == "expect.potentials.g.k is not given"
+    failed = {name for name, c in checks.items() if c["verdict"] == "fail"}
+    assert failed == {"class: F5", "class: F5 with closed Lee form", "class: not F0"}
+
+
+_CONE_N2_EXPECT = Path(__file__).resolve().parent / "cone_n2_expect.json"
+
+
+@pytest.mark.parametrize("scale", [None, "(1+1e-6)"])
+def test_verify_paper_on_the_n2_cone_reads_its_own_expectations(capsys, tmp_path, scale):
+    path = _CONE_N2_EXPECT
+    if scale is not None:  # the negative control: tau off by 1e-6 relative
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw["expect"]["tau"] = f"({raw['expect']['tau']})*{scale}"
+        path = tmp_path / "cone_n2_wrong_tau.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+    rc, data, err = run_json(capsys, "verify-paper", str(path))
+    failed = [c["name"] for c in data["checks"] if c["verdict"] != "pass"]
+    assert err == "" and len(data["checks"]) == 51
+    assert (rc, failed) == ((0, []) if scale is None else (1, ["scalar curvature of g"]))
 
 
 def test_verify_paper_other_constants(capsys):
@@ -533,6 +559,27 @@ def test_a_coordinate_bound_twice_in_one_point_is_a_usage_error(capsys):
     rc, out, err = run(capsys, "verify-paper", "--point", "t=1,u=0,v=0,t=3", "--samples", "2")
     assert rc == 2 and out == ""
     assert err == "accr: --point t: bound more than once in 't=1,u=0,v=0,t=3'\n"
+
+
+def test_a_malformed_expect_block_exits_2_in_every_command(capsys, tmp_path):
+    christoffel = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    christoffel[1][0][2] = 7
+    path = tmp_path / "bad_expect.json"
+    path.write_text(cone_json(expect={"christoffel": christoffel}), encoding="utf-8")
+    for command in _COMMANDS + (["verify-paper"],):
+        rc, out, err = run(capsys, *command, str(path), "--samples", "2")
+        assert (rc, out) == (2, ""), command
+        assert err == "accr: ManifoldParseError: expect.christoffel[1][0][2] must be an expression string\n"
+
+
+def test_an_expectation_that_reads_an_unbound_constant_exits_2(capsys, tmp_path):
+    frame = [["0", "0", "1"], ["1/t", "0", "0"], ["0", "1/t", "0"]]
+    path = tmp_path / "tau_of_a.json"
+    path.write_text(cone_json(constants=["a"], frame=frame, expect={"tau": "a/t^2"}), encoding="utf-8")
+    rc, out, err = run(capsys, "verify-paper", str(path), "--samples", "2")
+    assert (rc, out, err) == (2, "", "accr: UnboundConstant: constant 'a' has no bound value\n")
+    rc, data, _ = run_json(capsys, "verify-paper", str(path), "--samples", "2", "--const", "a=-2")
+    assert rc == 0 and [c["verdict"] for c in data["checks"] if c["name"] == "scalar curvature of g"] == ["pass"]
 
 
 def test_boolean_structure_fields_exit_2(capsys, tmp_path):

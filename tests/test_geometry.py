@@ -261,7 +261,8 @@ def test_lie_derivative_two_routes_agree(cone, cone_points):
         for pt in cone_points[:6]:
             pg = SampleGeometry(cone, [pt]).of(tag)
             a = lie_derivative_metric(pg, *eval_field_jets([exprs], [pt], b)[0][:2])
-            v = lie_derivative_vertical(pg, k.eval_jet([pt], b))
+            jet = k.eval_jet([pt], b)
+            v = lie_derivative_vertical(pg, jet.value, jet.grad)
             assert np.max(np.abs(a - v)) < 1e-12
 
 

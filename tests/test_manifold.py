@@ -168,6 +168,55 @@ def test_a_repeated_bad_entry_raises_as_before():
         load_manifold(cone_json(g=g))
 
 
+def _christoffel(where=None, value=None):
+    """A 3x3x3 Christoffel expectation of zeros, with `value` at the index (k, i, j) `where`."""
+    array = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    if where is not None:
+        k, i, j = where
+        array[k][i][j] = value
+    return array
+
+
+@pytest.mark.parametrize("expect, message", [
+    ({"tau": "1/t", "sigma": "0"}, "unknown field: expect.sigma"),
+    ({"potentials": {"h": {"k": "t"}}}, "unknown field: expect.potentials.h"),
+    ({"potentials": {"g": {"k": "t", "mu": "0"}}}, "unknown field: expect.potentials.g.mu"),
+    ({"christoffel": _christoffel((1, 0, 2), 7)}, "expect.christoffel[1][0][2] must be an expression string"),
+    ({"tau": ["1/t"]}, "expect.tau must be an expression string"),
+    ({"potentials": {"gtilde": {"f": None}}}, "expect.potentials.gtilde.f must be an expression string"),
+    ({"christoffel": _christoffel()[:2]}, "expect.christoffel must be a list of 3 entries"),
+    ({"gtilde": [["1", "0", "0"], ["0", "0"], ["0", "0", "0"]]}, "expect.gtilde[1] must be a list of 3 entries"),
+    ({"grad_theta_star_xi": "0"}, "expect.grad_theta_star_xi must be a list of 3 entries"),
+    ({"h": "sinh(t)"}, "expect.h: unknown identifier 'sinh' (offset 0)"),
+    ({"christoffel": _christoffel((0, 1, 1), "1/s")}, "expect.christoffel[0][1][1]: unknown identifier 's' (offset 2)"),
+    ({"tau": "2*(kprime-1)/t^2"}, "expect.tau: unknown identifier 'kprime' (offset 3)"),  # not declared
+    ({"rho_11": "1/t^"}, "expect.rho_11: expected a value (offset 4)"),
+    ("tau", "expect must be an object"),
+    ({"potentials": ["c*t"]}, "expect.potentials must be an object"),
+])
+def test_a_malformed_expect_block_is_a_parse_error(expect, message):
+    with pytest.raises(ManifoldParseError) as err:
+        load_manifold(cone_json(expect=expect))
+    assert str(err.value) == message
+
+
+def test_an_expect_block_keeps_each_text_and_shares_the_parse_cache():
+    S = load_manifold(cone_json(expect={"tau": "-2/t^2", "h": "1/t", "gtilde": [["1", "0", "0"]] * 3,
+                                        "potentials": {"g": {"k": "c*t", "f": "c"}}}))
+    keys = [key for key, _, _ in S.expect]
+    assert keys == ["tau", "h", "gtilde", "potentials.g.k", "potentials.g.f"]
+    texts = {key: text for key, text, _ in S.expect}
+    assert texts["tau"] == "-2/t^2" and texts["gtilde"] == "[[1, 0, 0], [1, 0, 0], [1, 0, 0]]"
+    values = {key: value for key, _, value in S.expect}
+    assert values["gtilde"][1][0] is S.g[0][0] and values["gtilde"][2][1] is S.g[0][1]  # "1" and "0"
+    assert load_manifold(cone_json()).expect == ()
+
+
+def test_the_n2_expectations_ride_on_the_benchmark_structure():
+    raw = json.loads((Path(__file__).resolve().parent / "cone_n2_expect.json").read_text())
+    assert set(raw.pop("expect")) == set(manifold._EXPECT) and raw == CONE_N2
+
+
 def test_load_rejects_bad_domains():
     with pytest.raises(ManifoldParseError):
         load_manifold(cone_json(domain={"t": [0.5, 5.0], "u": [-3, 3]}))

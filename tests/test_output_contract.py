@@ -23,7 +23,7 @@ _WALL = re.compile(r'"wall_ms": [^,\n}]*|^wall: .*$', re.MULTILINE)
 CASES = {
     "verify-cone": (
         ["verify-paper", "--builtin", "cone-flat-fiber", "--samples", "64", "--seed", "42", "--format", "json"],
-        "2ef2fea6b1b78402a985fe633b680358b883ed2f93bf527c746f9113663cc043",
+        "c18892febd140cfe4e381e71368253f76042f4a13250c6aea51e27784a95df24",
     ),
     "report-n2": (
         ["report", CONE_N2, "--potential-k", "c*t", "--const", "c=1", "--samples", "64", "--seed", "42",

@@ -416,18 +416,6 @@ class Expression(Value):
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "constants", constants)
 
-    def eval_number(self, point, bindings: Mapping[str, float] | None = None):
-        """Value at one point of shape (d,) as a float, or at a batch (N, d) as an (N,) array.
-
-        A batch evaluates the AST once, on arrays of coordinate values.
-        """
-        d = len(self.coords)
-        values = _coordinates(point, d)
-        result = _evaluate_finite(self, [values[..., i] for i in range(d)], bindings or {})
-        if values.ndim == 1:
-            return float(result)
-        return np.full(values.shape[:-1], result, dtype=float)
-
     def eval_jet(self, point, bindings: Mapping[str, float] | None = None) -> Jet2:
         """Jet at one point (d,), at a batch of points (N, d), or at given coordinate jets.
 
@@ -505,6 +493,8 @@ def eval_field_jets(
     reads a coordinate; the partial and second derivatives of a field with
     none are read-only zeros that own no memory.
     """
+    if not fields:
+        return []
     expressions, spans = _entries(fields)
     d = len(expressions[0].coords)
     seeds = _coordinate_jets(point, d)
@@ -547,8 +537,10 @@ def eval_numbers(
     """The values of several fields, each in its shape, evaluated as `eval_field_jets` evaluates them.
 
     Every distinct AST is evaluated once, on the coordinate columns of all the
-    points, so every value equals that of `Expression.eval_number`.
+    points, and every value equals that of its expression evaluated on its own.
     """
+    if not fields:
+        return []
     expressions, spans = _entries(fields)
     d = len(expressions[0].coords)
     values = _coordinates(point, d)

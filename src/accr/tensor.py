@@ -1,16 +1,15 @@
 """Exact multilinear algebra on component arrays.
 
 Components live in plain numpy arrays, optionally with one leading sample
-axis; a variance tuple records which slots are contravariant ("u") and
-which are covariant ("l").
+axis.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularFrame, TensorError
+from .errors import SingularFrame
 
-__all__ = ["to_phi_frame", "signature_of"]
+__all__ = ["signature_of"]
 
 _SINGULARITY_RTOL = 1e-12
 _SIGNATURE_RTOL = 1e-10
@@ -86,46 +85,6 @@ def signature_of(g: np.ndarray, rtol: float = _SIGNATURE_RTOL):
     return pos, neg
 
 
-def to_phi_frame(components, variance: tuple[str, ...], frames) -> np.ndarray:
-    """Re-express coordinate components in the frame whose columns are e_1..e_2n, xi.
-
-    `variance` holds "u" or "l" per slot.  One frame (d, d) for the
-    components of one point, or a batch of frames (N, d, d) for components
-    with a leading sample axis; each slot is transformed once over all samples.
-    """
-    (framed,) = _to_phi_frames(frames, (components, variance))
-    return framed
-
-
-def _to_phi_frames(frames, *tensors) -> list[np.ndarray]:
-    """to_phi_frame of each (components, variance) pair, with one inversion of the frames.
-
-    Each pair is checked, in order, before the frames are proven regular.
-    """
-    frames = np.asarray(frames, dtype=float)
-    checked = []
-    for components, variance in tensors:
-        comp = np.asarray(components, dtype=float)
-        rank, dim = len(variance), comp.shape[-1]
-        if any(v not in ("u", "l") for v in variance):
-            raise TensorError(f"variance entries must be 'u' or 'l', got {variance}")
-        if comp.shape[comp.ndim - rank:] != (dim,) * rank:
-            raise TensorError(f"components shape {comp.shape} does not match rank {rank}")
-        if frames.ndim not in (2, 3) or frames.shape[-2:] != (dim, dim):
-            raise TensorError(f"frame must be {dim}x{dim}")
-        checked.append((comp, variance))
-    where = " at sample {}" if frames.ndim == 3 else ""
-    inverse = _regular_inverse(
-        frames, lambda svals, k: SingularFrame("frame vectors are linearly dependent" + where.format(k))
-    )
-    inverse_t = np.swapaxes(inverse, -1, -2)
-    framed = []
-    for comp, variance in checked:
-        shape, rank = comp.shape, len(variance)
-        for var in variance:
-            # contract the first slot and move it last, so the slots come back in order;
-            # w'_a = B^i_a w_i for "l", v'^a = (B^-1)^a_i v^i for "u"
-            matrix = frames if var == "l" else inverse_t
-            comp = np.swapaxes(_mat(comp.reshape(shape), 1, rank - 1), -1, -2) @ matrix
-        framed.append(comp.reshape(shape))
-    return framed
+def _check_frames(frames: np.ndarray) -> None:
+    """Prove a stack of frames (N, d, d) regular, or raise SingularFrame naming its first singular frame."""
+    _regular_inverse(frames, lambda svals, k: SingularFrame(f"frame vectors are linearly dependent at sample {k}"))

@@ -143,6 +143,20 @@ def associated_metric(S, point, bindings=None):
     return (gt + np.swapaxes(gt, -1, -2)) / 2.0
 
 
+def phi_frame(components, frames):
+    """Covariant components in the frame whose columns are e_1..e_2n, xi, every slot transformed.
+
+    One frame (d, d) for the components of one point, or frames (N, d, d)
+    for components with a leading sample axis.  Each slot is contracted with
+    the frame by its own einsum: the oracle of the phi-frame values, which
+    contract only the entries they read.
+    """
+    slots = "abcd"[:np.ndim(components) - np.ndim(frames) + 2]
+    for slot in slots:
+        components = np.einsum(f"...{slots},...{slot}z->...{slots.replace(slot, 'z')}", components, frames)
+    return components
+
+
 def fd_gradient(func, x, h=1e-5):
     """Central-difference gradient of a function of a point tuple.
 

@@ -30,11 +30,11 @@ from accr.analysis import (
 )
 from accr.errors import NonVerticalPotential, ZeroPotential
 from accr.expr import eval_field_jets, eval_numbers, parse
-from accr.geometry import SampleGeometry
+from accr.geometry import SampleGeometry, lowered_curvature
 from accr.manifold import load_manifold, sample_points
 from accr.report import VERDICT_PASS
 
-from conftest import rel_err
+from conftest import OFFDIAG, OFFDIAG_BINDINGS, VARYING, phi_frame, rel_err
 from test_manifold import cone_json
 from test_output_contract import CASES
 
@@ -117,11 +117,11 @@ def test_perturbed_metric_leaves_f5(cone_points):
 
 def test_vertical_potential_builder(cone):
     pot = vertical_potential(cone, "c*t")
-    values = [e.eval_number((2.0, 0.3, -0.4), {"c": 1.5}) for e in pot]
+    (values,) = eval_numbers([pot], (2.0, 0.3, -0.4), {"c": 1.5})
     assert np.allclose(values, [3.0, 0.0, 0.0])
     # an Expression is accepted as well
     pot2 = vertical_potential(cone, parse("t", cone.chart.coordinates))
-    assert [e.eval_number((2.0, 0.3, -0.4)) for e in pot2] == [2.0, 0.0, 0.0]
+    assert eval_numbers([pot2], (2.0, 0.3, -0.4))[0].tolist() == [2.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0])
@@ -439,6 +439,34 @@ def test_batched_form_residuals_match_per_sample(request, structure, tag):
         assert rel_err(f5[k], f5_k) <= 1e-13
         mu_k, resid_k = proportionality_split(A[k : k + 1], single.g, single.ginv)
         assert rel_err(mu[k], mu_k[0]) <= 1e-13 and rel_err(resid[k], resid_k[0]) <= 1e-13
+
+
+# OFFDIAG and VARYING with a dense frame, regular on their domain (each row is
+# diagonally dominant there), with no entry 0 or 1 that makes a product exact.
+DENSE_FRAME = [["1.1", "u/4", "0.3"], ["t/3", "0.9", "v/5"], ["0.2", "-t*v/6", "1+u*v/7"]]
+DENSELY_FRAMED = {"offdiag": dict(OFFDIAG, frame=DENSE_FRAME), "varying": dict(VARYING, frame=DENSE_FRAME)}
+
+
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "rotating_norden", "offdiag", "varying"])
+def test_phi_frame_values_match_the_transform_of_every_slot(request, structure, tag):
+    if structure in DENSELY_FRAMED:
+        S, bindings = load_manifold(json.dumps(DENSELY_FRAMED[structure])), OFFDIAG_BINDINGS
+    else:
+        S, bindings = request.getfixturevalue(structure), {}
+    points = sample_points(S.chart, 8, seed=17)
+    geo = SampleGeometry(S, points, bindings)
+    (frames,) = eval_numbers([S.frame], points, bindings)
+    pg = geo.of(tag)
+    r04f, rhof = phi_frame(lowered_curvature(pg), frames), phi_frame(pg.ricci, frames)
+    want = {"R_1212": r04f[:, 0, 1, 0, 1], "rho_11": rhof[:, 0, 0], "rho_22": rhof[:, 1, 1]}
+    got = analysis._phi_frame_values(geo, tag)
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        assert got[key].shape == w.shape == (len(points),), key
+        assert np.max(np.abs(got[key] - w)) <= 1e-13 * np.max(np.abs(w)), key
+        if structure.startswith("cone"):
+            assert np.array_equal(got[key], w), key
 
 
 # -- compute once, and errors that name the offending sample --------------------

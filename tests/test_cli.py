@@ -289,12 +289,24 @@ def test_validate_fails_where_a_derivative_does_as_curvature_does(capsys, tmp_pa
                        "at sample 0 (t=2.0, u=0.0, v=0.0)\n")
 
 
-def test_verify_paper_on_a_structure_without_a_frame_is_a_parse_error(capsys, tmp_path):
+def test_verify_paper_expecting_a_frame_value_without_a_frame_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "frameless.json"
-    path.write_text(cone_json(constants=["c", "ct", "kprime"]), encoding="utf-8")
+    path.write_text(cone_json(constants=["c", "ct", "kprime"], expect={"R_1212": "-1/t^2"}), encoding="utf-8")
     rc, out, err = run(capsys, "verify-paper", str(path), "--samples", "4")
     assert rc == 2 and out == ""
     assert err == "accr: ManifoldParseError: structure declares no frame\n"
+
+
+def test_verify_paper_on_a_structure_without_a_frame_reads_no_frame(capsys, tmp_path):
+    # no expectation reads the frame, so its three golden records are n/a like the others not given
+    path = tmp_path / "frameless.json"
+    path.write_text(cone_json(constants=["c", "ct", "kprime"]), encoding="utf-8")
+    rc, data, err = run_json(capsys, "verify-paper", str(path), "--samples", "4")
+    assert rc == 0 and err == ""
+    verdicts = [c["verdict"] for c in data["checks"]]
+    assert (len(verdicts), verdicts.count("n/a"), verdicts.count("pass")) == (51, 33, 18)
+    by_name = {c["name"]: c for c in data["checks"]}
+    assert by_name["curvature R_1212 in the phi-frame"]["anchor"] == "expect.R_1212 is not given"
 
 
 def test_validate_a_metric_near_the_float_limit_ends_in_a_verdict(capsys, tmp_path):

@@ -1,9 +1,13 @@
-"""Every name in a module's __all__ resolves, so a star import cannot break."""
+"""The public names of the package: each resolves, and each is read by the package itself."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import accr
+
+SRC = Path(accr.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -13,3 +17,51 @@ def test_every_exported_name_resolves():
         exported = getattr(module, "__all__", ())
         missing += [f"{info.name}.{name}" for name in exported if not hasattr(module, name)]
     assert missing == []
+
+
+def _public_definitions(tree):
+    """(qualified name, definition node) for each name in the module's __all__, and each
+    public method or property of an exported class defined in the module.
+
+    A definition is its def, class or assignment statement.
+    """
+    exported = next(
+        (ast.literal_eval(node.value) for node in tree.body
+         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]),
+        [],
+    )
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            found += [(t.id, node) for t in node.targets if isinstance(t, ast.Name) and t.id in exported]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported:
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{member.name}", member) for member in node.body
+                          if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")]
+    return found
+
+
+def _named(node):
+    """The name a node reads, if it is a name, an attribute or an imported name."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_every_public_name_is_read_by_the_package():
+    # public API that only tests call is not part of the program
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    uses = [(node, _named(node)) for tree in trees.values() for node in ast.walk(tree) if _named(node)]
+    unread = []
+    for module, tree in trees.items():
+        for qualified, definition in _public_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            name = qualified.rsplit(".", 1)[-1]
+            if not any(used == name and id(node) not in inside for node, used in uses):
+                unread.append(f"{module}.{qualified}")
+    assert unread == []

@@ -39,6 +39,11 @@ from conftest import CONE_BINDINGS, CONE_N2, OFFDIAG_BINDINGS
 COORDS = ("t", "u", "v")
 
 
+def _eval_number(e, point, bindings=None):
+    """The value of one expression, evaluated on its own, at a point (d,) or a batch (N, d)."""
+    return eval_numbers([[e]], point, bindings)[0][..., 0]
+
+
 def test_ast_shapes():
     assert parse("t^2", COORDS).ast == BinOp("^", Coord(0), Num(2.0))
     assert parse("-t^2", COORDS).ast == Neg(BinOp("^", Coord(0), Num(2.0)))
@@ -47,7 +52,7 @@ def test_ast_shapes():
     # right associativity of the caret
     assert parse("2^3^2", COORDS).ast == BinOp("^", Num(2.0), BinOp("^", Num(3.0), Num(2.0)))
     # the outer exponent is not a literal, so this takes the exp/ln route
-    assert np.isclose(parse("2^3^2", COORDS).eval_number((1.0, 0.0, 0.0)), 512.0)
+    assert np.isclose(_eval_number(parse("2^3^2", COORDS), (1.0, 0.0, 0.0)), 512.0)
 
 
 def test_nodes_of_different_classes_differ_even_with_equal_fields(cone_points):
@@ -61,12 +66,12 @@ def test_nodes_of_different_classes_differ_even_with_equal_fields(cone_points):
 
 def test_precedence():
     p = (0.0, 0.0, 0.0)
-    assert parse("1+2*3", COORDS).eval_number(p) == 7.0
-    assert parse("(1+2)*3", COORDS).eval_number(p) == 9.0
-    assert parse("2-3-4", COORDS).eval_number(p) == -5.0
-    assert parse("12/3/2", COORDS).eval_number(p) == 2.0
-    assert parse("-2^2", COORDS).eval_number(p) == -4.0
-    assert parse("2^-2", COORDS).eval_number(p) == 0.25
+    assert _eval_number(parse("1+2*3", COORDS), p) == 7.0
+    assert _eval_number(parse("(1+2)*3", COORDS), p) == 9.0
+    assert _eval_number(parse("2-3-4", COORDS), p) == -5.0
+    assert _eval_number(parse("12/3/2", COORDS), p) == 2.0
+    assert _eval_number(parse("-2^2", COORDS), p) == -4.0
+    assert _eval_number(parse("2^-2", COORDS), p) == 0.25
 
 
 def test_syntax_error_offsets():
@@ -125,16 +130,16 @@ def test_unbound_constant():
     e = parse("c*t", COORDS, ["c"])
     assert e.referenced_constants() == frozenset({"c"})
     with pytest.raises(UnboundConstant):
-        e.eval_number((2.0, 0.0, 0.0))
+        _eval_number(e, (2.0, 0.0, 0.0))
     with pytest.raises(UnboundConstant):
         e.eval_jet((2.0, 0.0, 0.0), {"other": 1.0})
-    assert e.eval_number((2.0, 0.0, 0.0), {"c": 3.0}) == 6.0
+    assert _eval_number(e, (2.0, 0.0, 0.0), {"c": 3.0}) == 6.0
 
 
 def test_dimension_mismatch():
     e = parse("t+u", COORDS)
     with pytest.raises(DimensionMismatch):
-        e.eval_number((1.0, 2.0))
+        _eval_number(e, (1.0, 2.0))
     with pytest.raises(DimensionMismatch):
         e.eval_jet((1.0, 2.0, 3.0, 4.0))
 
@@ -146,20 +151,20 @@ def test_duplicate_coordinates_rejected():
 
 def test_integer_exponent_negative_base():
     e = parse("t^3", COORDS)
-    assert e.eval_number((-2.0, 0.0, 0.0)) == -8.0
+    assert _eval_number(e, (-2.0, 0.0, 0.0)) == -8.0
     j = e.eval_jet((-2.0, 0.0, 0.0))
     assert j.value == -8.0 and j.grad[0] == 12.0
     # a non-integer exponent needs a positive base
     with pytest.raises(DomainError):
-        parse("t^0.5", COORDS).eval_number((-4.0, 0.0, 0.0))
-    assert np.isclose(parse("t^0.5", COORDS).eval_number((4.0, 0.0, 0.0)), 2.0)
+        _eval_number(parse("t^0.5", COORDS), (-4.0, 0.0, 0.0))
+    assert np.isclose(_eval_number(parse("t^0.5", COORDS), (4.0, 0.0, 0.0)), 2.0)
     # negative literal exponents stay on the exact integer path
-    assert parse("t^-2", COORDS).eval_number((-2.0, 0.0, 0.0)) == 0.25
+    assert _eval_number(parse("t^-2", COORDS), (-2.0, 0.0, 0.0)) == 0.25
 
 
 def test_division_by_zero():
     with pytest.raises(DomainError):
-        parse("1/t", COORDS).eval_number((0.0, 1.0, 1.0))
+        _eval_number(parse("1/t", COORDS), (0.0, 1.0, 1.0))
     with pytest.raises(DomainError):
         parse("u/(t-t)", COORDS).eval_jet((1.0, 1.0, 1.0))
 
@@ -167,20 +172,20 @@ def test_division_by_zero():
 def test_overflow_is_a_domain_error_naming_the_first_sample():
     points = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [4.0, 0.5, 0.0]])
     e = parse("exp(300*t)", COORDS)  # finite at t = 1 only
-    for evaluate in (e.eval_number, e.eval_jet, lambda p: eval_field_jets([[e]], p)):
+    for evaluate in (lambda p: _eval_number(e, p), e.eval_jet, lambda p: eval_field_jets([[e]], p)):
         with pytest.raises(DomainError, match=r"^exp\(300\.0\*t\) is not finite at sample 1 \(t=3\.0, u=0\.0, v=0\.0\)$"):
             evaluate(points)
     with pytest.raises(DomainError, match=r"^exp\(300\.0\*t\) is not finite at t=3\.0, u=0\.0, v=0\.0$"):
-        e.eval_number(points[1])
+        _eval_number(e, points[1])
     # inf - inf is NaN in the value; t^1000 leaves NaN (inf * 0) in a symmetric Hessian
     with pytest.raises(DomainError, match="at sample 1 "):
-        parse("exp(300*t) - exp(300*t)", COORDS).eval_number(points)
+        _eval_number(parse("exp(300*t) - exp(300*t)", COORDS), points)
     with pytest.raises(DomainError, match="at sample 0 "):
         parse("t^1000", COORDS).eval_jet(points[1:])
     # finite values whose sum overflows are no error
     big = parse("t*1e308", COORDS)
     near = np.array([[1.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
-    assert big.eval_number(near).tolist() == [1e308, 1.5e308]
+    assert _eval_number(big, near).tolist() == [1e308, 1.5e308]
     assert big.eval_jet(near).grad[:, 0].tolist() == [1e308, 1e308]
     # a coordinate-free expression fails at every sample, the first included
     for text in ("exp(1000)", "sin(10^400)"):
@@ -210,7 +215,7 @@ def test_eval_jet_agrees_with_eval_number():
         for _ in range(5):
             pt = rng.uniform(0.1, 1.4, size=3)
             assert np.isclose(
-                e.eval_jet(pt, bindings).value, e.eval_number(pt, bindings), rtol=1e-12
+                e.eval_jet(pt, bindings).value, _eval_number(e, pt, bindings), rtol=1e-12
             )
 
 
@@ -218,7 +223,7 @@ def test_multiply():
     a = parse("k*t", COORDS, ["k"])
     b = parse("u+1", COORDS, ["m"])
     p = multiply(a, b)
-    assert p.eval_number((2.0, 3.0, 0.0), {"k": 2.0}) == 16.0
+    assert _eval_number(p, (2.0, 3.0, 0.0), {"k": 2.0}) == 16.0
     assert p.constants == ("k", "m")
     with pytest.raises(ValueError):
         multiply(a, parse("x", ("x", "y")))
@@ -266,16 +271,16 @@ def test_unparse_parse_round_trip(ast):
 def test_eval_number_on_a_batch():
     e = parse("t^2*sin(u) + exp(v/2) - 1/t", COORDS)
     points = np.array([[0.5, 0.1, 0.2], [1.5, -0.3, 0.4], [2.0, 0.7, -0.1]])
-    batch = e.eval_number(points)
+    batch = _eval_number(e, points)
     assert batch.shape == (3,)
     for value, pt in zip(batch, points):
-        assert np.isclose(value, e.eval_number(pt), rtol=1e-15)
-    assert parse("3", COORDS).eval_number(points).tolist() == [3.0, 3.0, 3.0]
+        assert np.isclose(value, _eval_number(e, pt), rtol=1e-15)
+    assert _eval_number(parse("3", COORDS), points).tolist() == [3.0, 3.0, 3.0]
     # a domain error anywhere in the batch is raised for the whole batch
     with pytest.raises(DomainError, match="-0.3 is not positive"):
-        parse("ln(u)", COORDS).eval_number(points)
+        _eval_number(parse("ln(u)", COORDS), points)
     with pytest.raises(DomainError):
-        parse("1/(t-2)", COORDS).eval_number(points)
+        _eval_number(parse("1/(t-2)", COORDS), points)
 
 
 # -- the shared jet evaluator against the per-expression algorithm -----------
@@ -332,12 +337,12 @@ def test_eval_jets_equals_the_per_expression_reference(request, structure, batch
     for field, expressions_of_field in zip(sj, _fields(S)):
         for got_f, want_f in zip(field, _reference_jets(expressions_of_field, point, bindings)):
             assert np.array_equal(got_f, want_f.reshape(got_f.shape))
-    # values alone: one eval_number per expression, and the same values as four fields
-    want_values = np.stack([np.asarray(e.eval_number(point, bindings)) for e in expressions], -1)
+    # values alone: each expression evaluated on its own, and the same values as four fields
+    want_values = np.stack([_eval_number(e, point, bindings) for e in expressions], -1)
     (got_values,) = eval_numbers([expressions], point, bindings)
     assert got_values.shape == want_values.shape and np.array_equal(got_values, want_values)
     for field, want_f in zip(eval_numbers([S.g, S.phi, S.xi, S.eta], point, bindings), _fields(S)):
-        want_f = np.stack([np.asarray(e.eval_number(point, bindings)) for e in want_f], -1)
+        want_f = np.stack([_eval_number(e, point, bindings) for e in want_f], -1)
         assert np.array_equal(field, want_f.reshape(field.shape))
     # one expression: eval_jet is the same evaluation
     for e in expressions[:4]:
@@ -345,6 +350,16 @@ def test_eval_jets_equals_the_per_expression_reference(request, structure, batch
         value, grad, hess = _reference_jets([e], point, bindings)
         assert np.array_equal(jet.value, value[..., 0]) and np.array_equal(jet.grad, grad[..., 0, :])
         assert np.array_equal(jet.hess, hess[..., 0, :, :])
+
+
+def test_eval_numbers_of_no_fields_is_an_empty_list():
+    assert eval_numbers([], (1.0, 0.0, 0.0)) == []
+    assert eval_numbers([], np.ones((4, 3)), {"c": 1.0}) == []
+
+
+def test_eval_field_jets_of_no_fields_is_an_empty_list():
+    assert eval_field_jets([], (1.0, 0.0, 0.0)) == []
+    assert eval_field_jets([], np.ones((4, 3)), {"c": 1.0}) == []
 
 
 def _n2_with(**entries):

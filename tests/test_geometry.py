@@ -28,9 +28,8 @@ from accr.geometry import (
     torse_forming_curvature_residuals,
 )
 from accr.manifold import StructureJets, load_manifold, sample_points, validate_structure
-from accr.tensor import to_phi_frame
 
-from conftest import OFFDIAG, OFFDIAG_BINDINGS, VARYING, associated_metric, fd_gradient, rel_err
+from conftest import OFFDIAG, OFFDIAG_BINDINGS, VARYING, associated_metric, fd_gradient, phi_frame, rel_err
 from test_manifold import cone_json
 
 POINT = (2.0, 0.3, -0.4)
@@ -134,9 +133,9 @@ def test_nabla_xi_identity_violation():
 
 def test_curvature_frozen_values(cone, pg_g):
     (frame,) = eval_numbers([cone.frame], POINT)
-    r_frame = to_phi_frame(lowered_curvature(pg_g)[0], ("l",) * 4, frame)
+    r_frame = phi_frame(lowered_curvature(pg_g)[0], frame)
     assert np.isclose(r_frame[0, 1, 0, 1], -0.25, atol=1e-13)
-    rho_frame = to_phi_frame(pg_g.ricci[0], ("l", "l"), frame)
+    rho_frame = phi_frame(pg_g.ricci[0], frame)
     assert np.allclose(rho_frame, np.diag([-0.25, 0.25, 0.0]), atol=1e-13)
     assert np.isclose(pg_g.tau[0], -0.5, atol=1e-13)
     assert np.isclose(pg_g.tau_star[0], 0.0, atol=1e-13)
@@ -614,18 +613,6 @@ def _einsum_associated_jets(sj):
     return [(x + np.swapaxes(x, i, i + 1)) / 2.0 for x, i in ((value, -2), (partial, -3), (second, -4))]
 
 
-def _einsum_phi_frame(comp, variance, frames):
-    """One einsum per slot, contracting it with the frame or its inverse."""
-    inverse, slots = np.linalg.inv(frames), "abcd"[:len(variance)]
-    for slot, var in enumerate(variance):
-        out = slots.replace(slots[slot], "z")
-        if var == "l":
-            comp = np.einsum(f"...{slots},...{slots[slot]}z->...{out}", comp, frames)
-        else:
-            comp = np.einsum(f"...{slots},...z{slots[slot]}->...{out}", comp, inverse)
-    return comp
-
-
 def _near(got, want, scale=None):
     """Within 1e-13 relative to the largest entry of the reference, or of a given scale."""
     scale = np.max(np.abs(want)) if scale is None else scale
@@ -652,11 +639,6 @@ def test_matmul_contractions_match_their_einsum_forms(request, structure, tag):
         (jets,) = eval_field_jets([gtilde], point_or_batch, bindings)
         for got, want in zip(jets, _einsum_associated_jets(_structure_jets(S, point_or_batch, bindings))):
             assert _near(got, want)
-    frames = np.eye(S.dim) + 0.3 * np.random.default_rng(5).standard_normal((len(points), S.dim, S.dim))
-    for comp, variance in ((lowered_curvature(pg), "llll"), (pg.r13, "ulll"), (pg.ricci, "ll"), (pg.xi, "u")):
-        want = _einsum_phi_frame(comp, variance, frames)
-        assert _near(to_phi_frame(comp, tuple(variance), frames), want), variance
-        assert _near(to_phi_frame(comp[2], tuple(variance), frames[2]), want[2]), variance
 
 
 # Entries of g, phi and eta: literal 0 and +-1, a constant, t, u*v, and sin or exp of those

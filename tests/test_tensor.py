@@ -1,25 +1,19 @@
-"""Multilinear algebra on component arrays: frames, signatures, the metric inverse."""
+"""Multilinear algebra on component arrays: the frame check, signatures, the metric inverse."""
 
 import numpy as np
 import pytest
 
 from accr import geometry
 from accr.cli import main
-from accr.errors import SingularFrame, SingularMetric, TensorError
-from accr.expr import eval_numbers
+from accr.errors import SingularFrame, SingularMetric
 from accr.geometry import SampleGeometry
 from accr.manifold import load_manifold
-from accr.tensor import signature_of, to_phi_frame
+from accr.tensor import _check_frames, signature_of
 
 from test_manifold import cone_json
 from test_output_contract import CASES
 
 POINT = (2.0, 0.3, -0.4)
-
-
-@pytest.fixture(scope="module")
-def cone_values(cone):
-    return dict(zip(("g", "xi", "eta"), eval_numbers([cone.g, cone.xi, cone.eta], POINT)))
 
 
 def test_signature_of():
@@ -58,56 +52,10 @@ def test_metric_invert_errors():
         SampleGeometry(load_manifold(cone_json(g=zero)), [POINT]).of("gtilde")
 
 
-def test_to_phi_frame_metric(cone, cone_values):
-    (frame,) = eval_numbers([cone.frame], POINT)
-    framed = to_phi_frame(cone_values["g"], ("l", "l"), frame)
-    assert np.allclose(framed, np.diag([1.0, -1.0, 1.0]), atol=1e-14)
-
-
-def test_to_phi_frame_mixed_variance(cone, cone_values):
-    # xi expressed in the frame is the last frame vector: components (0, 0, 1)
-    (frame,) = eval_numbers([cone.frame], POINT)
-    framed = to_phi_frame(cone_values["xi"], ("u",), frame)
-    assert np.allclose(framed, [0.0, 0.0, 1.0], atol=1e-14)
-    # full contractions are basis invariant
-    framed_eta = to_phi_frame(cone_values["eta"], ("l",), frame)
-    assert np.isclose(framed_eta @ framed, cone_values["eta"] @ cone_values["xi"])
-
-
-def test_point_tensor_validation(cone):
-    # the components' variance letters and shape are checked before any transform
-    (frame,) = eval_numbers([cone.frame], POINT)
-    with pytest.raises(TensorError):
-        to_phi_frame(np.zeros((3, 3)), ("u", "x"), frame)
-    with pytest.raises(TensorError):
-        to_phi_frame(np.zeros((3, 2)), ("u", "l"), frame)
-
-
-def test_to_phi_frame_errors():
-    with pytest.raises(SingularFrame):
-        to_phi_frame(np.ones(3), ("u",), np.ones((3, 3)))
-    with pytest.raises(TensorError):
-        to_phi_frame(np.ones(3), ("u",), np.eye(2))
-
-
-def test_to_phi_frame_batch_matches_per_point(cone, cone_points):
-    points = np.array(cone_points[:6])
-    (frames,) = eval_numbers([cone.frame], points)
-    assert frames.shape == (6, 3, 3)
-    rng = np.random.default_rng(8)
-    for variance in (("l",) * 4, ("u", "l"), ("u",)):
-        comps = rng.normal(size=(6,) + (3,) * len(variance))
-        batch = to_phi_frame(comps, variance, frames)
-        assert batch.shape == comps.shape
-        for k in range(6):
-            single = to_phi_frame(comps[k], variance, eval_numbers([cone.frame], cone_points[k])[0])
-            assert np.max(np.abs(batch[k] - single)) <= 1e-13
-
-
-def test_to_phi_frame_batch_rejects_one_singular_frame():
+def test_the_frame_check_rejects_one_singular_frame():
     frames = np.stack([np.eye(3), np.ones((3, 3)), np.eye(3)])
     with pytest.raises(SingularFrame, match="at sample 1$"):
-        to_phi_frame(np.ones((3, 3)), ("l",), frames)
+        _check_frames(frames)
 
 
 @pytest.fixture()
@@ -123,13 +71,10 @@ def linalg_calls(monkeypatch):
 
 
 def test_a_regular_stack_is_inverted_once_and_never_decomposed(cone, cone_points, linalg_calls):
-    frames = np.stack([np.eye(3), 2.0 * np.eye(3)])
-    assert to_phi_frame(np.ones((2, 3, 3)), ("l", "l"), frames)[1].tolist() == (4.0 * np.ones((3, 3))).tolist()
+    _check_frames(np.stack([np.eye(3), 2.0 * np.eye(3)]))
     assert linalg_calls == {"inv": 1, "svd": 0}
-    assert to_phi_frame(np.ones((2, 3)), ("u",), frames)[1].tolist() == [0.5, 0.5, 0.5]
-    assert linalg_calls == {"inv": 2, "svd": 0}
     SampleGeometry(cone, cone_points).of("gtilde")
-    assert linalg_calls == {"inv": 3, "svd": 0}
+    assert linalg_calls == {"inv": 2, "svd": 0}
 
 
 @pytest.mark.parametrize("case", ["verify-cone", "report-n2", "soliton-cone"])
@@ -140,7 +85,7 @@ def test_the_benchmark_commands_decompose_no_matrix(capsys, linalg_calls, case):
 
 
 def test_verify_paper_inverts_each_stack_once(capsys, linalg_calls):
-    # the metrics g and g~, and the frames, whose one inverse frames both R and rho
+    # the metrics g and g~, and the frames, proven regular once before R and rho are framed
     assert main(CASES["verify-cone"][0]) == 0
     capsys.readouterr()
     assert linalg_calls == {"inv": 3, "svd": 0}
@@ -182,9 +127,8 @@ def test_the_inverse_screen_keeps_the_singular_value_verdict(linalg_calls, path,
         expected = (expected_inverse + np.swapaxes(expected_inverse, -1, -2)) / 2.0
         error = SingularMetric, "metric g is numerically singular at sample {0} (singular values {1})"
     else:
-        v = np.arange(6.0).reshape(2, 3)
-        invert = lambda: to_phi_frame(v, ("u",), stack)
-        expected = (v[:, None, :] @ np.swapaxes(expected_inverse, -1, -2))[:, 0]
+        invert = lambda: _check_frames(stack) is None  # it returns nothing on a regular stack
+        expected = True
         error = SingularFrame, "frame vectors are linearly dependent at sample {0}"
     if verdict is None:
         assert np.array_equal(invert(), expected)
@@ -206,7 +150,7 @@ def test_an_overflowing_screen_defers_to_the_singular_values(path):
             geometry._inverse(stack, "g")
     else:
         with pytest.raises(SingularFrame, match="at sample 1$"):
-            to_phi_frame(np.ones((2, 2)), ("l",), stack)
+            _check_frames(stack)
 
 
 def test_signature_of_stack():

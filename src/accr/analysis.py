@@ -8,12 +8,12 @@ answer, not an error.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ManifoldParseError, NonVerticalPotential, ZeroPotential
-from .expr import Expression, Num, eval_field_jets, eval_numbers, multiply, parse
+from .expr import Expression, eval_field_jets, eval_numbers, parse
 from .geometry import (
     SampleGeometry,
     antisymmetrized_derivative,
@@ -33,7 +33,6 @@ from .geometry import (
 from .manifold import (
     METRIC_G,
     METRIC_GTILDE,
-    AccRStructure,
     check_bindings,
     validate_structure,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "check_sasaki_like",
     "check_f5",
     "classify",
-    "vertical_potential",
     "torse_forming_extract",
     "proportionality_split",
     "yamabe_soliton_solve",
@@ -215,76 +213,67 @@ class TorseFormingResult(NamedTuple):
     residual: float                    # worst least-squares fit error
     per_sample_residual: np.ndarray
     taxonomy: frozenset[str]
-    vertical: bool
-    drift: np.ndarray                  # max |v - eta(v) xi| per sample: 0 where v is vertical
-    k: np.ndarray | None               # eta(v) per sample, vertical only
-    dk: np.ndarray | None              # dk = deta v + eta dv per sample, shape (samples, dim), vertical only
-    h: np.ndarray | None               # f/k per sample, vertical only
-    vertical_checks: dict[str, float] | None
+    k: np.ndarray                      # the scalar k of v = k xi per sample
+    dk: np.ndarray                     # its differential per sample, shape (samples, dim)
+    h: np.ndarray                      # f/k per sample
+    vertical_checks: dict[str, float]
     v: np.ndarray                      # the potential per sample, shape (samples, dim)
     dv: np.ndarray                     # dv[k, z, m] = d_m v^z at sample k
 
 
-def vertical_potential(S: AccRStructure, k_field: Expression | str) -> tuple[Expression, ...]:
-    """Component expressions of k * xi for a scalar field k.
+def torse_forming_extract(geo: SampleGeometry, tag: str, k: Expression, tol: float = 1e-9) -> TorseFormingResult:
+    """Least-squares fit of nabla_j v^i = f delta^i_j + v^i gamma_j per sample, for v = k xi.
 
-    A component where xi is the literal 0 is the literal 0, which the jet
-    evaluation folds, rather than k * 0; where xi is the literal 1 it is k,
-    whose errors then name k, rather than k * 1 (the same numbers: x * 1.0 is x).
-    """
-    if isinstance(k_field, str):
-        k_field = parse(k_field, S.chart.coordinates, S.chart.constants)
-    return tuple(
-        component if component.ast == Num(0.0) else k_field if component.ast == Num(1.0)
-        else multiply(k_field, component)
-        for component in S.xi
-    )
+    v and dv = xi dk + k dxi are formed from the jets of the scalar k and the
+    structure jets of xi.  The dim^2 equations are linear in the dim+1
+    unknowns (f, gamma), and the design matrix has full column rank wherever
+    v != 0, which the zero-potential guard ensures.  The unique minimiser of
+    |f I + v gamma^T - N|_F, with N[i,j] = nabla_j v^i, is therefore solved in
+    closed form over all samples, from v = 2^e u with max |u| in [1/2, 1), an
+    exact scaling that keeps v^T N v from overflowing:
 
-
-def torse_forming_extract(
-    geo: SampleGeometry,
-    tag: str,
-    potential: Sequence[Expression],
-    tol: float = 1e-9,
-) -> TorseFormingResult:
-    """Least-squares fit of nabla_j v^i = f delta^i_j + v^i gamma_j per sample.
-
-    The dim^2 equations are linear in the dim+1 unknowns (f, gamma), and the
-    design matrix has full column rank wherever v != 0, which the zero-potential
-    guard ensures.  The unique minimiser of |f I + v gamma^T - N|_F, with
-    N[i,j] = nabla_j v^i, is therefore solved in closed form over all samples:
-
-        f = (tr N - v^T N v / |v|^2) / (dim - 1),   gamma = (v^T N - f v^T) / |v|^2.
+        f = (tr N - u^T N u / |u|^2) / (dim - 1),   gamma = (u^T N - f u^T) / (2^e |u|^2).
 
     The fit residual doubles as the membership test for the torse-forming
-    condition.  Raises ZeroPotential naming the first sample where v vanishes.
+    condition.  Raises ZeroPotential naming the first sample where v
+    vanishes, and NonVerticalPotential the first where v is not eta(v) xi,
+    which is where the structure's eta(xi) = 1 fails.
     """
     dim = geo.structure.dim
     pg = geo.of(tag)
-    v, dv = eval_field_jets([potential], geo.points, geo.bindings)[0][:2]  # the Hessian goes at once
-    vanishing = np.max(np.abs(v), axis=-1) <= _F_ZERO_THRESHOLD
-    if vanishing.any():
+    (k_jets,) = eval_field_jets([[k]], geo.points, geo.bindings)
+    k_arr, dk = k_jets.value[:, 0], k_jets.partial[:, 0]
+    xi = geo.jets.xi
+    v = k_arr[:, None] * xi.value
+    dv = xi.value[:, :, None] * dk[:, None, :]
+    if xi.partial.any():
+        dv = k_arr[:, None, None] * xi.partial + dv
+    size = np.max(np.abs(v), axis=-1)
+    if (vanishing := size <= _F_ZERO_THRESHOLD).any():
         where = tuple(round(float(x), 6) for x in geo.points[np.argmax(vanishing)])
         raise ZeroPotential(f"potential vanishes at sample {where}")
+    e = np.frexp(size)[1]
+    u = np.ldexp(v, -e[:, None])
     eye = np.eye(dim)
 
     with np.errstate(over="ignore", invalid="ignore"):
         nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)   # nth[..., i, j] = nabla_j v^i
-        v2 = _dot(v, v)
-        v_nth = np.einsum("...i,...ij->...j", v, nth)
-        f_arr = (np.trace(nth, axis1=-2, axis2=-1) - _dot(v_nth, v) / v2) / (dim - 1)
-        gamma_arr = (v_nth - f_arr[:, None] * v) / v2[:, None]
+        u2 = _dot(u, u)
+        u_nth = np.einsum("...i,...ij->...j", u, nth)
+        f_arr = (np.trace(nth, axis1=-2, axis2=-1) - _dot(u_nth, u) / u2) / (dim - 1)
+        gamma_arr = (u_nth - f_arr[:, None] * u) / np.ldexp(u2, e)[:, None]
         fit = f_arr[:, None, None] * eye + np.einsum("...i,...j->...ij", v, gamma_arr) - nth
         fit_arr = _max_abs(fit, 2)
-        k_arr = _dot(pg.eta, v)
-        drift = _max_abs(v - k_arr[:, None] * pg.xi, 1)
-        dk = np.einsum("...zm,...z->...m", pg.deta, v) + np.einsum("...z,...zm->...m", pg.eta, dv)
-        _require_finite(geo, "torse-forming fit of the potential", fit_arr, drift, dk)
+        drift = _max_abs(v - _dot(pg.eta, v)[:, None] * pg.xi, 1)
+        _require_finite(geo, "torse-forming fit of the potential", fit_arr, drift)
+    off = drift > _VERTICAL_TOL
+    if off.any():
+        first = int(np.argmax(off))
+        where = tuple(round(float(x), 6) for x in geo.points[first])
+        raise NonVerticalPotential(f"potential deviates from k*xi by {drift[first]:.3e} at sample {where}")
     worst_fit = float(np.max(fit_arr))
 
-    dk_xi_arr = _dot(dk, pg.xi)
-    # vertical-only identities; meaningful only if verticality holds.  The
-    # generating form is compared only where k is bounded away from zero.
+    # the generating form is compared only where k is bounded away from zero
     usable = np.abs(k_arr) > _F_ZERO_THRESHOLD
     gamma_vertical = np.divide(
         dk - f_arr[:, None] * pg.eta, k_arr[:, None], out=np.zeros_like(dk), where=usable[:, None]
@@ -292,7 +281,7 @@ def torse_forming_extract(
     res_gm = float(np.max(_max_abs(gamma_arr - gamma_vertical, 1)[usable], initial=0.0))
     phi2 = pg.phi @ pg.phi
     res_v3 = _norm(nth - (-f_arr[:, None, None] * phi2 + np.einsum("...k,...i->...ki", pg.xi, dk)))
-    res_fdk = _norm(f_arr - dk_xi_arr)
+    res_fdk = _norm(f_arr - _dot(dk, pg.xi))
 
     is_tf = worst_fit <= tol
     taxonomy: set[str] = set()
@@ -311,28 +300,20 @@ def torse_forming_extract(
             if gamma_norm <= tol:
                 taxonomy.add("parallel")
 
-    vertical = float(np.max(drift)) <= _VERTICAL_TOL
-    h_arr = None
-    vchecks = None
-    if vertical:
-        h_arr = f_arr / k_arr
-        vchecks = {
-            "gamma = (dk - f eta) / k": res_gm,
-            "nabla_x v = -f phi^2 x + dk(x) xi": res_v3,
-            "f = dk(xi)": res_fdk,
-        }
     return TorseFormingResult(
         f=f_arr,
         gamma=gamma_arr,
         residual=worst_fit,
         per_sample_residual=fit_arr,
         taxonomy=frozenset(taxonomy),
-        vertical=vertical,
-        drift=drift,
-        k=k_arr if vertical else None,
-        dk=dk if vertical else None,
-        h=h_arr,
-        vertical_checks=vchecks,
+        k=k_arr,
+        dk=dk,
+        h=f_arr / k_arr,
+        vertical_checks={
+            "gamma = (dk - f eta) / k": res_gm,
+            "nabla_x v = -f phi^2 x + dk(x) xi": res_v3,
+            "f = dk(xi)": res_fdk,
+        },
         v=v,
         dv=dv,
     )
@@ -361,28 +342,15 @@ def proportionality_split(A: np.ndarray, g: np.ndarray, ginv: np.ndarray):
     return mu, _max_abs(A - mu[..., None, None] * g, 2)
 
 
-def yamabe_soliton_solve(
-    geo: SampleGeometry,
-    tag: str,
-    potential: Sequence[Expression],
-    tol: float = 1e-9,
-) -> SolitonSolveResult:
-    """Solve (1/2) L_v metric = (tau - lambda) metric for a vertical potential.
+def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: float = 1e-9) -> SolitonSolveResult:
+    """Solve (1/2) L_v metric = (tau - lambda) metric for the vertical potential v = k xi.
 
     Per sample: A := (1/2) L_v(metric); mu := trace_metric(A)/(2n+1);
     the verdict is soliton iff max |A - mu metric| <= tol everywhere, and
     then lambda := tau_tag - mu.  When the potential is also torse-forming,
     the claims tau = f + lambda and f = dk(xi) are checked as residuals.
     """
-    torse = torse_forming_extract(geo, tag, potential, tol)
-    off = torse.drift > _VERTICAL_TOL
-    if off.any():
-        first = int(np.argmax(off))
-        where = tuple(round(float(x), 6) for x in geo.points[first])
-        raise NonVerticalPotential(
-            f"potential deviates from k*xi by {torse.drift[first]:.3e} at sample {where}"
-        )
-
+    torse = torse_forming_extract(geo, tag, k, tol)
     pg = geo.of(tag)
     with np.errstate(over="ignore", invalid="ignore"):
         A = lie_derivative_metric(pg, torse.v, torse.dv) / 2.0
@@ -393,8 +361,7 @@ def yamabe_soliton_solve(
     checks: dict[str, float | None] = {"tau = f + lambda": None, "f = dk(xi)": None}
     if verdict == "soliton" and "torse-forming" in torse.taxonomy:
         checks["tau = f + lambda"] = _norm(pg.tau - torse.f - lam_arr)
-        if torse.vertical_checks is not None:
-            checks["f = dk(xi)"] = torse.vertical_checks["f = dk(xi)"]
+        checks["f = dk(xi)"] = torse.vertical_checks["f = dk(xi)"]
     return SolitonSolveResult(
         verdict=verdict,
         lambdas=lam_arr,
@@ -577,7 +544,7 @@ def soliton_records(geo: SampleGeometry, tag: str, k_source: str, tol: float) ->
     S = geo.structure
     k_expr = parse(k_source, S.chart.coordinates, S.chart.constants)
     check_bindings(S.chart, geo.bindings, k_expr.referenced_constants())
-    sol = yamabe_soliton_solve(geo, tag, vertical_potential(S, k_expr), tol)
+    sol = yamabe_soliton_solve(geo, tag, k_expr, tol)
     torse = sol.torse
 
     records = [
@@ -595,7 +562,7 @@ def soliton_records(geo: SampleGeometry, tag: str, k_source: str, tol: float) ->
         ),
         _value_record("conformal scalar f", "nabla_x v = f x + gamma(x) v", torse.f),
     ]
-    if torse.vertical_checks is not None and "torse-forming" in torse.taxonomy:
+    if "torse-forming" in torse.taxonomy:
         records.append(
             record_from_residual(
                 "generating form of a vertical potential",
@@ -790,7 +757,7 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
     K, F, LAMBDA = ({tag: f"potentials.{tag}.{part}" for tag, _, _ in metrics}
                     for part in ("k", "f", "lambda"))
     sols = {
-        tag: yamabe_soliton_solve(geo, tag, vertical_potential(S, expect[K[tag]].item()), tol)
+        tag: yamabe_soliton_solve(geo, tag, expect[K[tag]].item(), tol)
         for tag, _, _ in metrics if K[tag] in expect
     }
     fits = {tag: sol.torse for tag, sol in sols.items()}

@@ -84,4 +84,4 @@ class ZeroPotential(PotentialError):
 
 
 class NonVerticalPotential(PotentialError):
-    """Potential is not collinear with the Reeb field."""
+    """Potential k xi is not eta(v) xi somewhere: the structure's eta(xi) = 1 fails there."""

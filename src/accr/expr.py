@@ -54,7 +54,6 @@ __all__ = [
     "eval_field_jets",
     "eval_numbers",
     "parse",
-    "multiply",
 ]
 
 # -- abstract syntax ------------------------------------------------------
@@ -562,10 +561,3 @@ def parse(source: str, coords: Iterable[str], constants: Iterable[str] = ()) -> 
     parser = _Parser(_tokenize(source), coords, frozenset(constant_names))
     return Expression(parser.parse(), coords, constant_names)
 
-
-def multiply(a: Expression, b: Expression) -> Expression:
-    """Product of two expressions over the same chart."""
-    if a.coords != b.coords:
-        raise ValueError("expressions belong to different charts")
-    constants = tuple(sorted(set(a.constants) | set(b.constants)))
-    return Expression(BinOp("*", a.ast, b.ast), a.coords, constants)

@@ -12,7 +12,6 @@ import pytest
 from accr.analysis import (
     classify,
     torse_forming_extract,
-    vertical_potential,
     yamabe_soliton_solve,
 )
 from accr.errors import DomainError, NonVerticalPotential
@@ -100,8 +99,8 @@ def test_criterion_1_golden_closed_forms(capsys, cone, points, ts, geoms):
 def test_criterion_2_soliton_reproduction(capsys, cone, points, ts):
     """Soliton verdicts and lambda closed forms for both metrics, three slopes."""
     failures = []
-    pot_g = vertical_potential(cone, "c*t")
-    pot_gt = vertical_potential(cone, "ct*t")
+    pot_g = parse("c*t", cone.chart.coordinates, cone.chart.constants)
+    pot_gt = parse("ct*t", cone.chart.coordinates, cone.chart.constants)
     for c in (0.5, 1.0, 2.0):
         b = {"c": c, "ct": c}
         geo = SampleGeometry(cone, points, b)
@@ -139,7 +138,7 @@ def test_criterion_2_soliton_reproduction(capsys, cone, points, ts):
 def test_criterion_3_taxonomy(capsys, cone, points):
     """Extraction recovers f = c with vanishing gamma and the right flags."""
     failures = []
-    pot = vertical_potential(cone, "c*t")
+    pot = parse("c*t", cone.chart.coordinates, cone.chart.constants)
     for c in (0.5, 1.0, 2.0):
         res = torse_forming_extract(SampleGeometry(cone, points, {"c": c}), "g", pot)
         _bad(failures, f"f = c (c={c})", float(np.max(np.abs(res.f - c))), TOL)
@@ -316,7 +315,7 @@ def test_criterion_8_negative_controls(capsys, cone, points):
     failures = []
 
     # quadratic vertical potential: honest not-soliton
-    pot = vertical_potential(cone, "t^2")
+    pot = parse("t^2", cone.chart.coordinates)
     geo = SampleGeometry(cone, points)
     sol = yamabe_soliton_solve(geo, "g", pot)
     if sol.verdict != "not-soliton":
@@ -330,10 +329,11 @@ def test_criterion_8_negative_controls(capsys, cone, points):
     if validate_structure(broken, SampleGeometry(broken, points).jets).passed:
         failures.append("perturbed phi passed structure validation")
 
-    # non-vertical potential: the precondition check must trip
-    mixed = tuple(parse(s, cone.chart.coordinates) for s in ("1", "1", "0"))
+    # non-vertical potential: the precondition check must trip.  With eta = (1+u) dt,
+    # eta(xi) = 1 fails, so v = t xi is not eta(v) xi wherever u != 0
+    skewed = load_manifold(cone_json(eta=["1+u", "0", "0"]))
     try:
-        yamabe_soliton_solve(geo, "g", mixed)
+        yamabe_soliton_solve(SampleGeometry(skewed, points), "g", parse("t", skewed.chart.coordinates))
         failures.append("non-vertical potential was accepted")
     except NonVerticalPotential:
         pass

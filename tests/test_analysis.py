@@ -25,7 +25,6 @@ from accr.analysis import (
     sasaki_form_residual,
     torse_forming_extract,
     verify_paper_suite,
-    vertical_potential,
     yamabe_soliton_solve,
 )
 from accr.errors import NonVerticalPotential, ZeroPotential
@@ -38,11 +37,15 @@ from conftest import OFFDIAG, OFFDIAG_BINDINGS, VARYING, phi_frame, rel_err
 from test_manifold import cone_json
 from test_output_contract import CASES
 
-COORDS = ("t", "u", "v")
+
+def _k(S, source):
+    """The scalar k of a potential k xi on the chart of S."""
+    return parse(source, S.chart.coordinates, S.chart.constants)
 
 
-def _exprs(*sources, constants=("c",)):
-    return tuple(parse(s, COORDS, constants) for s in sources)
+# The cone with eta = (1+u) dt, so eta(xi) = 1 fails wherever u != 0: there v = k xi
+# is not eta(v) xi, and the potential is not vertical
+ETA_SKEWED = cone_json(eta=["1+u", "0", "0"])
 
 
 def test_classify_cone(cone, cone_points, cone_bindings):
@@ -115,26 +118,15 @@ def test_perturbed_metric_leaves_f5(cone_points):
     assert sasaki.status == FAILS and sasaki.extras == {}
 
 
-def test_vertical_potential_builder(cone):
-    pot = vertical_potential(cone, "c*t")
-    (values,) = eval_numbers([pot], (2.0, 0.3, -0.4), {"c": 1.5})
-    assert np.allclose(values, [3.0, 0.0, 0.0])
-    # an Expression is accepted as well
-    pot2 = vertical_potential(cone, parse("t", cone.chart.coordinates))
-    assert eval_numbers([pot2], (2.0, 0.3, -0.4))[0].tolist() == [2.0, 0.0, 0.0]
-
-
 @pytest.mark.parametrize("c", [1.0, 2.0])
 def test_torse_forming_extraction_ct(cone, cone_points, c):
-    pot = vertical_potential(cone, "c*t")
-    res = torse_forming_extract(SampleGeometry(cone, cone_points, {"c": c}), "g", pot)
+    res = torse_forming_extract(SampleGeometry(cone, cone_points, {"c": c}), "g", _k(cone, "c*t"))
     assert res.residual < 1e-11
     assert np.max(np.abs(res.f - c)) < 1e-11
     assert np.max(np.abs(res.gamma)) < 1e-11
     assert {"torse-forming", "torqued", "concircular"} <= res.taxonomy
     assert ("concurrent" in res.taxonomy) == (c == 1.0)
     assert "recurrent" not in res.taxonomy
-    assert res.vertical
     ts = np.array([p[0] for p in cone_points])
     assert np.allclose(res.k, c * ts)
     assert np.allclose(res.h, 1.0 / ts)  # f/k = 1/t independent of c
@@ -146,8 +138,7 @@ def test_torse_forming_extraction_ct(cone, cone_points, c):
 def test_extraction_quadratic_vertical_field(cone, cone_points):
     # v = t^2 xi is torse-forming with f = t and gamma = eta / t, hence
     # not torqued: gamma(v) = t is visible in the fitted form
-    pot = _exprs("t^2", "0", "0")
-    res = torse_forming_extract(SampleGeometry(cone, cone_points), "g", pot)
+    res = torse_forming_extract(SampleGeometry(cone, cone_points), "g", _k(cone, "t^2"))
     assert res.residual < 1e-10
     assert "torse-forming" in res.taxonomy
     assert "torqued" not in res.taxonomy
@@ -156,24 +147,13 @@ def test_extraction_quadratic_vertical_field(cone, cone_points):
     assert np.allclose(res.f, ts)
     assert np.allclose(res.gamma[:, 0], 1.0 / ts)
     assert np.max(np.abs(res.gamma[:, 1:])) < 1e-11
-    assert res.vertical
     # f = t but dk(xi) = 2t: the torqued criterion fails measurably
     assert res.vertical_checks["f = dk(xi)"] > 0.5
 
 
-def test_extraction_non_vertical_field(cone, cone_points):
-    pot = _exprs("0", "t^2", "0")
-    res = torse_forming_extract(SampleGeometry(cone, cone_points), "g", pot)
-    assert not res.vertical
-    assert res.k is None and res.h is None and res.vertical_checks is None
-    assert res.residual > 1.0  # nowhere near torse-forming
-    assert res.taxonomy == frozenset()
-
-
 def test_extraction_recurrent_not_parallel(flat, flat_points):
     # on the flat structure v = t xi has f = 0 with nonzero gamma
-    pot = tuple(parse(s, flat.chart.coordinates) for s in ("t", "0", "0"))
-    res = torse_forming_extract(SampleGeometry(flat, flat_points), "g", pot)
+    res = torse_forming_extract(SampleGeometry(flat, flat_points), "g", _k(flat, "t"))
     assert res.residual < 1e-12
     assert "recurrent" in res.taxonomy
     assert "parallel" not in res.taxonomy
@@ -181,8 +161,7 @@ def test_extraction_recurrent_not_parallel(flat, flat_points):
 
 
 def test_extraction_parallel_field(flat, flat_points):
-    pot = tuple(parse(s, flat.chart.coordinates) for s in ("1", "0", "0"))
-    res = torse_forming_extract(SampleGeometry(flat, flat_points), "g", pot)
+    res = torse_forming_extract(SampleGeometry(flat, flat_points), "g", _k(flat, "1"))
     assert res.residual == 0.0
     assert {"torse-forming", "torqued", "concircular", "recurrent", "parallel"} <= res.taxonomy
     assert "concurrent" not in res.taxonomy  # f = 0, not 1
@@ -193,9 +172,8 @@ def test_extraction_parallel_field(flat, flat_points):
 
 
 def test_zero_potential_rejected(cone, cone_points):
-    pot = _exprs("0", "0", "0")
     with pytest.raises(ZeroPotential):
-        torse_forming_extract(SampleGeometry(cone, cone_points), "g", pot)
+        torse_forming_extract(SampleGeometry(cone, cone_points), "g", _k(cone, "0"))
 
 
 def test_proportionality_split_oracle():
@@ -215,8 +193,7 @@ def test_proportionality_split_oracle():
 
 
 def test_yamabe_soliton_on_cone(cone, cone_points):
-    pot = vertical_potential(cone, "c*t")
-    pot_t = vertical_potential(cone, "ct*t")
+    pot, pot_t = _k(cone, "c*t"), _k(cone, "ct*t")
     b = {"c": 1.0, "ct": 1.0}
     geo = SampleGeometry(cone, cone_points, b)
     other = torse_forming_extract(geo, "gtilde", pot_t)
@@ -233,7 +210,7 @@ def test_yamabe_soliton_on_cone(cone, cone_points):
 
 
 def test_yamabe_soliton_on_gtilde(cone, cone_points):
-    pot = vertical_potential(cone, "ct*t")
+    pot = _k(cone, "ct*t")
     for ct in (0.5, 2.0):
         sol = yamabe_soliton_solve(SampleGeometry(cone, cone_points, {"ct": ct}), "gtilde", pot)
         assert sol.verdict == "soliton"
@@ -244,21 +221,21 @@ def test_yamabe_soliton_on_gtilde(cone, cone_points):
 
 
 def test_yamabe_not_soliton(cone, cone_points):
-    pot = _exprs("t^2", "0", "0")
-    sol = yamabe_soliton_solve(SampleGeometry(cone, cone_points), "g", pot)
+    sol = yamabe_soliton_solve(SampleGeometry(cone, cone_points), "g", _k(cone, "t^2"))
     assert sol.verdict == "not-soliton"
     assert np.max(sol.residuals) > 1.0
     # the theorem premises fail, so their checks stay unevaluated
     assert sol.theorem_checks["tau = f + lambda"] is None
 
 
-def test_yamabe_rejects_non_vertical(cone, cone_points):
-    pot = _exprs("0", "t^2", "0")
+def test_yamabe_rejects_non_vertical(cone_points):
+    S = load_manifold(ETA_SKEWED)
+    geo = SampleGeometry(S, cone_points, {"c": 1.0})
     with pytest.raises(NonVerticalPotential):
-        yamabe_soliton_solve(SampleGeometry(cone, cone_points), "g", pot)
-    mixed = _exprs("1", "1", "0")
+        yamabe_soliton_solve(geo, "g", _k(S, "t^2"))
+    # the fit itself makes the check, for either metric
     with pytest.raises(NonVerticalPotential):
-        yamabe_soliton_solve(SampleGeometry(cone, cone_points), "g", mixed)
+        torse_forming_extract(geo, "gtilde", _k(S, "c*t"))
 
 
 def test_verify_paper_suite_all_pass(cone, cone_bindings):
@@ -371,10 +348,17 @@ def test_the_n2_cone_expectations_match_sympy():
 # -- the closed-form torse-forming fit against per-sample least squares --------
 
 
-def _lstsq_fit(geo, tag, potential):
+def _potential_jets(geo, k_source):
+    """The value and partials of v = k xi, from the jets of the expressions (k)*(xi_i)."""
+    S = geo.structure
+    potential = [_k(S, f"({k_source})*({xi.unparse()})") for xi in S.xi]
+    return eval_field_jets([potential], geo.points, geo.bindings)[0][:2]
+
+
+def _lstsq_fit(geo, tag, k_source):
     """Per-sample np.linalg.lstsq of nabla_j v^i = f delta^i_j + v^i gamma_j."""
     dim = geo.structure.dim
-    v, dv, _ = eval_field_jets([potential], geo.points, geo.bindings)[0]
+    v, dv = _potential_jets(geo, k_source)
     fs, gammas, residuals = [], [], []
     for gamma, vk, dvk in zip(geo.of(tag).gamma, v, dv):
         nth = dvk + np.einsum("kis,s->ki", gamma, vk)
@@ -394,25 +378,31 @@ def _lstsq_fit(geo, tag, potential):
 
 @pytest.mark.parametrize("k_source", ["c*t", "t^2"])
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
-@pytest.mark.parametrize("structure", ["cone", "cone_n2"])
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "varying"])
 def test_closed_form_fit_matches_lstsq(request, structure, tag, k_source):
-    S = request.getfixturevalue(structure)
-    geo = SampleGeometry(S, sample_points(S.chart, 12, seed=3), {"c": 1.5})
-    res = torse_forming_extract(geo, tag, vertical_potential(S, k_source))
-    f, gamma, residuals = _lstsq_fit(geo, tag, vertical_potential(S, k_source))
+    if structure == "varying":  # xi varies, and eta = dt keeps eta(xi) = 1
+        S, bindings = load_manifold(json.dumps(dict(VARYING, eta=["1", "0", "0"]))), OFFDIAG_BINDINGS
+    else:
+        S, bindings = request.getfixturevalue(structure), {"c": 1.5}
+    geo = SampleGeometry(S, sample_points(S.chart, 12, seed=3), bindings)
+    res = torse_forming_extract(geo, tag, _k(S, k_source))
+    # v = k xi and dv = xi dk + k dxi, as the jets of the product expressions give them
+    v, dv = _potential_jets(geo, k_source)
+    assert np.array_equal(res.v, v) and np.array_equal(res.dv, dv)
+    f, gamma, residuals = _lstsq_fit(geo, tag, k_source)
     assert rel_err(res.f, f) <= 1e-13
     assert rel_err(res.gamma, gamma) <= 1e-13
     assert rel_err(res.per_sample_residual, residuals) <= 1e-13
 
 
-def test_closed_form_fit_keeps_the_non_vertical_residual(cone, cone_points):
-    pot = _exprs("0", "t^2", "0")
-    geo = SampleGeometry(cone, cone_points)
-    res = torse_forming_extract(geo, "g", pot)
-    f, gamma, residuals = _lstsq_fit(geo, "g", pot)
-    assert res.residual > 1.0
-    assert rel_err(res.per_sample_residual, residuals) <= 1e-13
-    assert rel_err(res.f, f) <= 1e-13 and rel_err(res.gamma, gamma) <= 1e-13
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+def test_the_fit_scales_exactly_with_the_potential(cone, cone_points, tag):
+    # k and 2^700 k: v.v N v would overflow, but the fit is formed from v scaled by a
+    # power of two per sample, so f scales by exactly 2^700 and gamma not at all
+    fits = [torse_forming_extract(SampleGeometry(cone, cone_points, {"c": c}), tag, _k(cone, "c*t"))
+            for c in (1.0, 2.0**700)]
+    assert np.array_equal(fits[1].f, 2.0**700 * fits[0].f)
+    assert np.array_equal(fits[1].gamma, fits[0].gamma)
 
 
 # -- batched helpers against the same helper at each sample ----------------------
@@ -520,7 +510,7 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
                        [cone.frame]]
     assert sum(len(field) for field in numbers[0]) == len(expected) == 51
     jets = [fields for name, fields in evaluated if name == "eval_field_jets"]
-    assert jets == [[analysis.vertical_potential(cone, potentials[f"potentials.{tag}.k"])] for tag in ("g", "gtilde")]
+    assert jets == [[[potentials[f"potentials.{tag}.k"]]] for tag in ("g", "gtilde")]  # one [[k]] field per solve
     # one soliton solve evaluates its potential once, for the fit and the solve alike
     calls.update(dict.fromkeys(calls, 0))
     argv = ["soliton", "--builtin", "cone-flat-fiber", "--potential-k", "c*t", "--const", "c=1"]
@@ -591,12 +581,12 @@ def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, 
 
 
 def test_non_vertical_sample_is_named(cone):
-    # v = t d_t + u d_u is vertical exactly where u = 0: samples 1 and 2 are not
+    # with eta = (1+u) dt, v = t xi is vertical exactly where u = 0: samples 1 and 2 are not
     points = [[1.0, 0.0, 0.5], [2.0, 0.5, -1.0], [3.0, 0.25, 0.0], [1.5, 0.0, 0.0]]
-    pot = _exprs("t", "u", "0")
+    S = load_manifold(ETA_SKEWED)
     with pytest.raises(NonVerticalPotential) as err:
-        yamabe_soliton_solve(SampleGeometry(cone, points), "g", pot)
-    assert str(err.value) == "potential deviates from k*xi by 5.000e-01 at sample (2.0, 0.5, -1.0)"
+        yamabe_soliton_solve(SampleGeometry(S, points), "g", _k(S, "t"))
+    assert str(err.value) == "potential deviates from k*xi by 1.000e+00 at sample (2.0, 0.5, -1.0)"
     # vanishing at the last two samples names the first of them
     with pytest.raises(ZeroPotential, match=r"at sample \(3\.0, 0\.25, 0\.0\)"):
-        torse_forming_extract(SampleGeometry(cone, points), "g", _exprs("t*v", "0", "0"))
+        torse_forming_extract(SampleGeometry(cone, points), "g", _k(cone, "t*v"))

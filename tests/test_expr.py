@@ -28,7 +28,6 @@ from accr.expr import (
     _evaluate_finite,
     eval_field_jets,
     eval_numbers,
-    multiply,
     parse,
 )
 from accr.jets import FUNCTIONS, Jet2
@@ -217,16 +216,6 @@ def test_eval_jet_agrees_with_eval_number():
             assert np.isclose(
                 e.eval_jet(pt, bindings).value, _eval_number(e, pt, bindings), rtol=1e-12
             )
-
-
-def test_multiply():
-    a = parse("k*t", COORDS, ["k"])
-    b = parse("u+1", COORDS, ["m"])
-    p = multiply(a, b)
-    assert _eval_number(p, (2.0, 3.0, 0.0), {"k": 2.0}) == 16.0
-    assert p.constants == ("k", "m")
-    with pytest.raises(ValueError):
-        multiply(a, parse("x", ("x", "y")))
 
 
 def test_unparse_readable():

@@ -12,8 +12,8 @@ from accr.jets import Jet2
 
 
 def _soliton(cone, points):
-    potential = analysis.vertical_potential(cone, "ct*t")
-    return analysis.yamabe_soliton_solve(SampleGeometry(cone, points, {"ct": 1.0}), "gtilde", potential)
+    k = expr.parse("ct*t", cone.chart.coordinates, cone.chart.constants)
+    return analysis.yamabe_soliton_solve(SampleGeometry(cone, points, {"ct": 1.0}), "gtilde", k)
 
 
 # One instance of each record type, made by the code that makes it in a run.

@@ -1,8 +1,11 @@
 """Classification, torse-forming extraction, Yamabe almost-soliton solving,
 and the check records that each command reports.
 
-Class membership is a pointwise identity, so verdicts aggregate over the
-sample set by max residual: one bad point fails the class.  The soliton
+A class is its records: an answer, which passes where the class holds,
+fails where it does not and reads degenerate where the question is vacuous,
+followed by the records of its consequences where the class holds.  Class
+membership is a pointwise identity, so verdicts aggregate over the sample
+set by max residual: one bad point fails the class.  The soliton
 solver never raises on a failed proportionality test; "not-soliton" is an
 answer, not an error.
 """
@@ -47,14 +50,10 @@ from .report import (
 from .tensor import _check_frames, _congruence, _dot, _max_abs
 
 __all__ = [
-    "MembershipEntry",
-    "ClassMembership",
     "TorseFormingResult",
     "SolitonSolveResult",
     "sasaki_form_residual",
     "f5_form_residual",
-    "check_sasaki_like",
-    "check_f5",
     "classify",
     "torse_forming_extract",
     "proportionality_split",
@@ -68,29 +67,8 @@ __all__ = [
     "DEFAULT_SUITE_BINDINGS",
 ]
 
-HOLDS = "holds"
-FAILS = "fails"
-DEGENERATE = "degenerate"
-
 _F_ZERO_THRESHOLD = 1e-12
 _VERTICAL_TOL = 1e-9
-
-
-class MembershipEntry(NamedTuple):
-    name: str
-    status: str                    # holds | fails | degenerate
-    residual: float
-    extras: dict[str, float]       # consequence-identity residuals, when applicable
-
-
-class ClassMembership(NamedTuple):
-    sasaki_like: MembershipEntry
-    f5: MembershipEntry
-    f5_0: MembershipEntry
-    f0: MembershipEntry
-
-    def entries(self) -> tuple[MembershipEntry, ...]:
-        return (self.sasaki_like, self.f5, self.f5_0, self.f0)
 
 
 def sasaki_form_residual(F, g, phi, eta):
@@ -133,12 +111,45 @@ def _require_finite(geo: SampleGeometry, what: str, *per_sample) -> None:
         raise DomainError(f"{what} is not finite at sample {k} ({where})", bad)
 
 
-def check_sasaki_like(geo: SampleGeometry, tol: float = 1e-9) -> MembershipEntry:
+# The defining form of each class, in the order every command reports the classes.
+_CLASS_FORMS = {
+    "sasaki_like": "F(x,y,z) = g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y)",
+    "f5": "F(x,y,z) = -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}",
+    "f5_0": "d(theta*(xi)) = xi(theta*(xi)) eta",
+    "f0": "F = 0 identically (within 1e-12)",
+}
+_CLASS_WORDS = {VERDICT_PASS: "holds", VERDICT_FAIL: "fails", VERDICT_DEGENERATE: "degenerate"}
+
+
+def classify(geo: SampleGeometry, tol: float = 1e-9) -> dict[str, list[CheckRecord]]:
+    """The records of each class, keyed by class: its answer, then the consequences where it holds.
+
+    The answer `class NAME: holds|fails|degenerate` passes where the class
+    holds.  Where F = 0 (F0) the F5 questions are vacuous, and their answers
+    read degenerate; where F5 fails, F5_0 fails by the larger of the two
+    residuals.
+    """
     pg = geo.of(METRIC_G)
-    worst = _norm(sasaki_form_residual(pg.F, pg.g, pg.phi, pg.eta))
-    extras: dict[str, float] = {}
-    if worst <= tol:
-        # the defining form holds; verify its curvature consequences too
+    res_sasaki = _norm(sasaki_form_residual(pg.F, pg.g, pg.phi, pg.eta))
+    f_norm = _norm(pg.F)
+    res_f5 = _norm(f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, pg.theta_star_xi, pg.n))
+    res_f50 = _norm(pg.grad_theta_star_xi - _dot(pg.grad_theta_star_xi, pg.xi)[..., None] * pg.eta)
+    if f_norm <= _F_ZERO_THRESHOLD:
+        f5 = f5_0 = VERDICT_DEGENERATE
+    else:
+        f5 = VERDICT_PASS if res_f5 <= tol else VERDICT_FAIL
+        f5_0 = VERDICT_PASS if f5 == VERDICT_PASS and res_f50 <= tol else VERDICT_FAIL
+        if f5 == VERDICT_FAIL:
+            res_f50 = max(res_f5, res_f50)
+    answers = {
+        "sasaki_like": (VERDICT_PASS if res_sasaki <= tol else VERDICT_FAIL, res_sasaki),
+        "f5": (f5, res_f5),
+        "f5_0": (f5_0, res_f50),
+        "f0": (VERDICT_PASS if f_norm <= _F_ZERO_THRESHOLD else VERDICT_FAIL, f_norm),
+    }
+
+    consequences = {}
+    if res_sasaki <= tol:
         pgt = geo.of(METRIC_GTILDE)
         eye = np.eye(geo.structure.dim)
         two_n = 2 * geo.structure.n
@@ -150,7 +161,7 @@ def check_sasaki_like(geo: SampleGeometry, tol: float = 1e-9) -> MembershipEntry
         )
         ricci_xi = np.einsum("...ij,...j->...i", pg.ricci, pg.xi)
         xi_ricci = np.einsum("...i,...ij->...j", pg.xi, pg.ricci)
-        deviations = {
+        consequences["sasaki_like"] = {
             "nabla_x xi = -phi x": pg.nabla_xi + pg.phi,
             "R(x,y)xi = eta(y) x - eta(x) y": r_xi - rhs,
             "rho(x,xi) = 2n eta(x)": ricci_xi - two_n * pg.eta,
@@ -158,50 +169,19 @@ def check_sasaki_like(geo: SampleGeometry, tol: float = 1e-9) -> MembershipEntry
             "rho(xi,xi) = 2n": _dot(xi_ricci, pg.xi) - two_n,
             "nabla~_x xi = -phi x": pgt.nabla_xi + pgt.phi,
         }
-        extras = {key: _norm(dev) for key, dev in deviations.items()}
-    status = HOLDS if worst <= tol else FAILS
-    return MembershipEntry("sasaki_like", status, worst, extras)
-
-
-def check_f5(
-    geo: SampleGeometry, tol: float = 1e-9
-) -> tuple[MembershipEntry, MembershipEntry, MembershipEntry]:
-    """Membership entries for (F5, F5_0, F0)."""
-    pg = geo.of(METRIC_G)
-    f_norm = _norm(pg.F)
-    res_f5 = _norm(f5_form_residual(pg.F, pg.g, pg.phi, pg.eta, pg.theta_star_xi, pg.n))
-    xi_tsx = _dot(pg.grad_theta_star_xi, pg.xi)
-    res_f50 = _norm(pg.grad_theta_star_xi - xi_tsx[..., None] * pg.eta)
-    extras_f5 = {
-        "theta* = theta*(xi) eta": _norm(pg.theta_star - pg.theta_star_xi[..., None] * pg.eta),
-        "F(xi,y,z) = 0": _norm(np.einsum("...i,...ijz->...jz", pg.xi, pg.F)),
-        "omega = 0": _norm(pg.omega),
+    if f5 == VERDICT_PASS:
+        consequences["f5"] = {
+            "theta* = theta*(xi) eta": pg.theta_star - pg.theta_star_xi[..., None] * pg.eta,
+            "F(xi,y,z) = 0": np.einsum("...i,...ijz->...jz", pg.xi, pg.F),
+            "omega = 0": pg.omega,
+        }
+    return {
+        name: [CheckRecord(f"class {name}: {_CLASS_WORDS[verdict]}", _CLASS_FORMS[name], verdict, residual)] + [
+            record_from_residual(f"consequence of {name}: {key}", key, [_norm(deviation)], tol)
+            for key, deviation in sorted(consequences.get(name, {}).items())
+        ]
+        for name, (verdict, residual) in answers.items()
     }
-
-    degenerate = f_norm <= _F_ZERO_THRESHOLD
-    f0 = MembershipEntry("f0", HOLDS if degenerate else FAILS, f_norm, {})
-    if degenerate:
-        f5 = MembershipEntry("f5", DEGENERATE, res_f5, {})
-        f5_0 = MembershipEntry("f5_0", DEGENERATE, res_f50, {})
-    else:
-        f5_holds = res_f5 <= tol
-        f5 = MembershipEntry(
-            "f5", HOLDS if f5_holds else FAILS, res_f5, extras_f5 if f5_holds else {}
-        )
-        # where its F5 premise fails, F5_0 fails by the larger of the two residuals
-        f5_0 = MembershipEntry(
-            "f5_0",
-            HOLDS if (f5_holds and res_f50 <= tol) else FAILS,
-            res_f50 if f5_holds else max(res_f5, res_f50),
-            {},
-        )
-    return f5, f5_0, f0
-
-
-def classify(geo: SampleGeometry, tol: float = 1e-9) -> ClassMembership:
-    sasaki = check_sasaki_like(geo, tol)
-    f5, f5_0, f0 = check_f5(geo, tol)
-    return ClassMembership(sasaki_like=sasaki, f5=f5, f5_0=f5_0, f0=f0)
 
 
 # -- torse-forming vector fields ----------------------------------------------
@@ -236,8 +216,9 @@ def torse_forming_extract(geo: SampleGeometry, tag: str, k: Expression, tol: flo
 
     The fit residual doubles as the membership test for the torse-forming
     condition.  Raises ZeroPotential naming the first sample where v
-    vanishes, and NonVerticalPotential the first where v is not eta(v) xi,
-    which is where the structure's eta(xi) = 1 fails.
+    vanishes, and NonVerticalPotential the first where v is not eta(v) xi
+    (by more than 1e-9 of max |v|), which is where the structure's
+    eta(xi) = 1 fails.
     """
     dim = geo.structure.dim
     pg = geo.of(tag)
@@ -266,7 +247,7 @@ def torse_forming_extract(geo: SampleGeometry, tag: str, k: Expression, tol: flo
         fit_arr = _max_abs(fit, 2)
         drift = _max_abs(v - _dot(pg.eta, v)[:, None] * pg.xi, 1)
         _require_finite(geo, "torse-forming fit of the potential", fit_arr, drift)
-    off = drift > _VERTICAL_TOL
+    off = drift > _VERTICAL_TOL * size
     if off.any():
         first = int(np.argmax(off))
         where = tuple(round(float(x), 6) for x in geo.points[first])
@@ -374,9 +355,6 @@ def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: floa
 
 # -- the check records of each command -----------------------------------------
 
-_STATUS_VERDICT = {HOLDS: VERDICT_PASS, FAILS: VERDICT_FAIL, DEGENERATE: VERDICT_DEGENERATE}
-
-
 def _value_record(name, anchor, values):
     return CheckRecord(
         name=name,
@@ -406,29 +384,8 @@ def validation_records(geo: SampleGeometry, tol: float) -> list[CheckRecord]:
 
 
 def classification_records(geo: SampleGeometry, tol: float) -> list[CheckRecord]:
-    """Each class membership as an answer, and the consequences of those that hold."""
-    cm = classify(geo, tol)
-    anchors = {
-        "sasaki_like": "F(x,y,z) = g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y)",
-        "f5": "F(x,y,z) = -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}",
-        "f5_0": "d(theta*(xi)) = xi(theta*(xi)) eta",
-        "f0": "F = 0 identically (within 1e-12)",
-    }
-    records = []
-    for entry in cm.entries():
-        records.append(
-            CheckRecord(
-                name=f"class {entry.name}: {entry.status}",
-                anchor=anchors[entry.name],
-                verdict=_STATUS_VERDICT[entry.status],
-                residual=entry.residual,
-            )
-        )
-        for key, value in sorted(entry.extras.items()):
-            records.append(
-                record_from_residual(f"consequence of {entry.name}: {key}", key, [value], tol)
-            )
-    return records
+    """The records of every class, in order."""
+    return [record for records in classify(geo, tol).values() for record in records]
 
 
 def _identity_residuals(pg):
@@ -607,7 +564,7 @@ def soliton_records(geo: SampleGeometry, tag: str, k_source: str, tol: float) ->
 
 # -- the golden suite ----------------------------------------------------------
 
-DEFAULT_SUITE_BINDINGS = {"c": 1.0, "ct": 1.0, "kprime": 0.0}
+DEFAULT_SUITE_BINDINGS = {"c": 1.0, "ct": 1.0}
 
 
 def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckRecord]:
@@ -697,18 +654,17 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
         _max_abs(antisymmetrized_derivative(pg.dtheta_star), 2),
     )
 
-    # classification: each record passes when its class has the expected status
-    cm = classify(geo, tol)
-    for name, anchor, entry, expected in (
-        ("class: not Sasaki-like",
-         "F(x,y,z) = g(phi x,phi y) eta(z) + g(phi x,phi z) eta(y) must fail", cm.sasaki_like, FAILS),
-        ("class: F5",
-         "F(x,y,z) = -(theta*(xi)/2n){g(x,phi y) eta(z) + g(x,phi z) eta(y)}", cm.f5, HOLDS),
-        ("class: F5 with closed Lee form", "d(theta*(xi)) = xi(theta*(xi)) eta", cm.f5_0, HOLDS),
-        ("class: not F0", "||F|| > 0", cm.f0, FAILS),
+    # classification: each record passes when its class's answer has the expected verdict
+    classes = classify(geo, tol)
+    for name, key, expected, anchor in (
+        ("class: not Sasaki-like", "sasaki_like", VERDICT_FAIL, "{} must fail"),
+        ("class: F5", "f5", VERDICT_PASS, "{}"),
+        ("class: F5 with closed Lee form", "f5_0", VERDICT_PASS, "{}"),
+        ("class: not F0", "f0", VERDICT_FAIL, "||F|| > 0"),
     ):
-        verdict = VERDICT_PASS if entry.status == expected else VERDICT_FAIL
-        records.append(CheckRecord(name, anchor, verdict, residual=entry.residual, samples=None))
+        answer = classes[key][0]
+        verdict = VERDICT_PASS if answer.verdict == expected else VERDICT_FAIL
+        records.append(CheckRecord(name, anchor.format(answer.anchor), verdict, residual=answer.residual))
     add("Lee form omega", "omega = 0", _max_abs(pg.omega, 1))
     add(
         "Lee form theta* shape",

@@ -85,8 +85,8 @@ _COMMANDS = {
         "golden-value suite of a structure's expect block",
         "Compare the computed quantities with the closed forms of the structure's expect "
         "block (the cone example by default), and check the theorems they illustrate; a "
-        "record whose expectation is not given reads n/a. Of the constants c, ct and "
-        "kprime, those the structure declares default to 1, 1 and 0.",
+        "record whose expectation is not given reads n/a. Of the constants c and ct, "
+        "those the structure declares default to 1.",
     ),
     "report": (_SOLVE, "validation + classification + identity suites", None),
 }
@@ -217,6 +217,11 @@ def _emit(report: Report, args) -> None:
         print(text)
 
 
+def _gates(records):
+    """The pass/fail records but the class answers: a class that fails is an answer, not an error."""
+    return [r for r in records if not r.name.startswith("class ") and r.verdict in (VERDICT_PASS, VERDICT_FAIL)]
+
+
 def _run(args) -> int:
     started = time.perf_counter()
     S, identity = _load_structure(args)
@@ -249,11 +254,11 @@ def _run(args) -> int:
     if args.command == "validate":
         records = gates = analysis.validation_records(geo, tol)
     elif args.command == "classify":
-        gates = analysis.validation_records(geo, tol)
-        records = gates + analysis.classification_records(geo, tol)
+        records = analysis.validation_records(geo, tol) + analysis.classification_records(geo, tol)
+        gates = _gates(records)
     elif args.command == "curvature":
         records = analysis.curvature_records(geo, args.metric, tol)
-        gates = [r for r in records if r.verdict in (VERDICT_PASS, VERDICT_FAIL)]
+        gates = _gates(records)
     elif args.command == "soliton":
         if args.potential_k is None:
             raise _Usage("soliton requires --potential-k EXPR")
@@ -266,11 +271,7 @@ def _run(args) -> int:
         if args.expect_soliton and args.potential_k is None:
             raise _Usage("report --expect-soliton requires --potential-k EXPR")
         records = analysis.report_records(geo, tol)
-        gates = [
-            r
-            for r in records
-            if not r.name.startswith("class ") and r.verdict in (VERDICT_PASS, VERDICT_FAIL)
-        ]
+        gates = _gates(records)
         if args.potential_k is not None:
             soliton_records = analysis.soliton_records(geo, args.metric, args.potential_k, tol)
             records += soliton_records

@@ -354,15 +354,13 @@ def _structure_from_dict(raw: dict, source: bytes) -> AccRStructure:
 
 # Cone over a flat 2-dimensional fiber carrying a Norden metric, with the
 # closed forms of its published example as expectations.  The free constants
-# feed the soliton potentials (c for g, ct for the associated metric) and the
-# closed forms (kprime is the fiber curvature parameter; the shipped fiber is
-# flat, so pair it with kprime = 0).
+# feed the soliton potentials: c for g, ct for the associated metric.
 _CONE = {
     "name": "cone-flat-fiber",
     "n": 1,
     "coordinates": ["t", "u", "v"],
     "domain": {"t": [0.5, 5.0], "u": [-3.0, 3.0], "v": [-3.0, 3.0]},
-    "constants": ["c", "ct", "kprime"],
+    "constants": ["c", "ct"],
     "g": [["1", "0", "0"], ["0", "t^2", "0"], ["0", "0", "-t^2"]],
     "phi": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
     "xi": ["1", "0", "0"],
@@ -374,10 +372,10 @@ _CONE = {
             [["0", "1/t", "0"], ["1/t", "0", "0"], ["0", "0", "0"]],
             [["0", "0", "1/t"], ["0", "0", "0"], ["1/t", "0", "0"]],
         ],
-        "R_1212": "(kprime-1)/t^2",
-        "rho_11": "(kprime-1)/t^2",
-        "rho_22": "(1-kprime)/t^2",
-        "tau": "2*(kprime-1)/t^2",
+        "R_1212": "-1/t^2",
+        "rho_11": "-1/t^2",
+        "rho_22": "1/t^2",
+        "tau": "-2/t^2",
         "tau_star": "0",
         "theta_star_xi": "2/t",
         "tau_tilde": "-2/t^2",
@@ -385,7 +383,7 @@ _CONE = {
         "grad_theta_star_xi": ["-2/t^2", "0", "0"],
         "h": "1/t",
         "potentials": {
-            "g": {"k": "c*t", "f": "c", "lambda": "2*(kprime-1)/t^2 - c"},
+            "g": {"k": "c*t", "f": "c", "lambda": "-2/t^2 - c"},
             "gtilde": {"k": "ct*t", "f": "ct", "lambda": "-2/t^2 - ct"},
         },
     },

@@ -8,9 +8,8 @@ import pytest
 from accr.expr import eval_numbers
 from accr.manifold import builtin_structure, load_manifold, sample_points
 
-# Bindings under which the cone manifold carries flat fibers and unit
-# soliton constants. Most closed-form expectations below assume these.
-CONE_BINDINGS = {"c": 1.0, "ct": 1.0, "kprime": 0.0}
+# The cone's unit soliton constants. Most closed-form expectations below assume these.
+CONE_BINDINGS = {"c": 1.0, "ct": 1.0}
 
 
 @pytest.fixture(scope="session")

@@ -291,16 +291,16 @@ def test_criterion_6_oracle_equivalence(capsys, cone):
 
 def test_criterion_7_classification(capsys, cone, flat, points):
     failures = []
-    cm = classify(SampleGeometry(cone, points))
-    for name, want in (("sasaki_like", "fails"), ("f5", "holds"), ("f5_0", "holds"), ("f0", "fails")):
-        got = getattr(cm, name).status
+    classes = classify(SampleGeometry(cone, points))
+    for name, want in (("sasaki_like", "fail"), ("f5", "pass"), ("f5_0", "pass"), ("f0", "fail")):
+        got = classes[name][0].verdict
         if got != want:
             failures.append(f"cone {name}: {got}, expected {want}")
 
     flat_points = sample_points(flat.chart, SAMPLE_COUNT, SEED)
-    cm_flat = classify(SampleGeometry(flat, flat_points))
-    if cm_flat.f0.status != "holds":
-        failures.append(f"flat f0: {cm_flat.f0.status}, expected holds")
+    flat_f0 = classify(SampleGeometry(flat, flat_points))["f0"][0]
+    if flat_f0.verdict != "pass":
+        failures.append(f"flat f0: {flat_f0.verdict}, expected pass")
     worst_curv = worst_f = 0.0
     for p in flat_points:
         pg = SampleGeometry(flat, [p]).of("g")

@@ -14,11 +14,6 @@ import accr.geometry as geometry
 import accr.manifold as manifold
 from accr.analysis import (
     DEFAULT_SUITE_BINDINGS,
-    DEGENERATE,
-    FAILS,
-    HOLDS,
-    check_f5,
-    check_sasaki_like,
     classify,
     f5_form_residual,
     proportionality_split,
@@ -31,9 +26,9 @@ from accr.errors import NonVerticalPotential, ZeroPotential
 from accr.expr import eval_field_jets, eval_numbers, parse
 from accr.geometry import SampleGeometry, lowered_curvature
 from accr.manifold import load_manifold, sample_points
-from accr.report import VERDICT_PASS
+from accr.report import VERDICT_DEGENERATE, VERDICT_FAIL, VERDICT_PASS
 
-from conftest import OFFDIAG, OFFDIAG_BINDINGS, VARYING, phi_frame, rel_err
+from conftest import OFFDIAG, OFFDIAG_BINDINGS, ROTATING_NORDEN, VARYING, phi_frame, rel_err
 from test_manifold import cone_json
 from test_output_contract import CASES
 
@@ -48,47 +43,106 @@ def _k(S, source):
 ETA_SKEWED = cone_json(eta=["1+u", "0", "0"])
 
 
+def _answers(classes):
+    """The answer record of each class."""
+    return {name: records[0] for name, records in classes.items()}
+
+
 def test_classify_cone(cone, cone_points, cone_bindings):
-    cm = classify(SampleGeometry(cone, cone_points, cone_bindings))
-    assert cm.sasaki_like.status == FAILS
-    assert cm.f5.status == HOLDS
-    assert cm.f5_0.status == HOLDS
-    assert cm.f0.status == FAILS
-    assert [e.name for e in cm.entries()] == ["sasaki_like", "f5", "f5_0", "f0"]
-    # F5 consequences come back as extras when the form holds
-    assert cm.f5.extras["theta* = theta*(xi) eta"] < 1e-11
-    assert cm.f5.extras["F(xi,y,z) = 0"] < 1e-11
-    assert cm.f5.extras["omega = 0"] < 1e-11
+    classes = classify(SampleGeometry(cone, cone_points, cone_bindings))
+    answers = _answers(classes)
+    assert answers["sasaki_like"].verdict == VERDICT_FAIL
+    assert answers["f5"].verdict == VERDICT_PASS
+    assert answers["f5_0"].verdict == VERDICT_PASS
+    assert answers["f0"].verdict == VERDICT_FAIL
+    assert list(classes) == ["sasaki_like", "f5", "f5_0", "f0"]
+    # F5 consequences come back as records when the form holds
+    consequences = {r.anchor: r.residual for r in classes["f5"][1:]}
+    assert consequences["theta* = theta*(xi) eta"] < 1e-11
+    assert consequences["F(xi,y,z) = 0"] < 1e-11
+    assert consequences["omega = 0"] < 1e-11
     # a failing membership keeps a meaningful residual
-    assert cm.sasaki_like.residual > 0.1
+    assert answers["sasaki_like"].residual > 0.1
 
 
 def test_classify_rotating_norden(rotating_norden):
     geo = SampleGeometry(rotating_norden, sample_points(rotating_norden.chart, 16, seed=42))
     validation = analysis.validation_records(geo, 1e-9)
     assert len(validation) == 8 and all(r.verdict == VERDICT_PASS for r in validation)
-    cm = classify(geo)
-    assert cm.sasaki_like.status == HOLDS and cm.sasaki_like.residual <= 1e-12
-    assert len(cm.sasaki_like.extras) == 6
-    assert max(cm.sasaki_like.extras.values()) <= 1e-12
-    records = analysis.classification_records(geo, 1e-9)
-    consequences = [r for r in records if r.name.startswith("consequence of sasaki_like")]
-    assert len(consequences) == 6 and all(r.verdict == VERDICT_PASS for r in consequences)
-    assert cm.f5.status == FAILS and cm.f0.status == FAILS
-    assert cm.f5.residual > 0.9
+    classes = classify(geo)
+    sasaki, *consequences = classes["sasaki_like"]
+    assert sasaki.verdict == VERDICT_PASS and sasaki.residual <= 1e-12
+    assert len(consequences) == 6
+    assert max(r.residual for r in consequences) <= 1e-12
+    assert all(r.name.startswith("consequence of sasaki_like") for r in consequences)
+    assert all(r.verdict == VERDICT_PASS for r in consequences)
+    answers = _answers(classes)
+    assert answers["f5"].verdict == VERDICT_FAIL and answers["f0"].verdict == VERDICT_FAIL
+    assert answers["f5"].residual > 0.9
     # F5_0 fails through its F5 premise and reports that residual, not the 0 of dθ*(ξ)
-    assert cm.f5_0.status == FAILS
-    assert cm.f5_0.residual == cm.f5.residual
+    assert answers["f5_0"].verdict == VERDICT_FAIL
+    assert answers["f5_0"].residual == answers["f5"].residual
 
 
 def test_classify_flat(flat, flat_points):
-    cm = classify(SampleGeometry(flat, flat_points))
-    assert cm.f0.status == HOLDS
-    assert cm.f0.residual == 0.0
+    answers = _answers(classify(SampleGeometry(flat, flat_points)))
+    assert answers["f0"].verdict == VERDICT_PASS
+    assert answers["f0"].residual == 0.0
     # with F identically zero the F5 subclass question is vacuous
-    assert cm.f5.status == DEGENERATE
-    assert cm.f5_0.status == DEGENERATE
-    assert cm.sasaki_like.status == FAILS
+    assert answers["f5"].verdict == VERDICT_DEGENERATE
+    assert answers["f5_0"].verdict == VERDICT_DEGENERATE
+    assert answers["sasaki_like"].verdict == VERDICT_FAIL
+
+
+_F5_CONSEQUENCES = ["F(xi,y,z) = 0", "omega = 0", "theta* = theta*(xi) eta"]
+_SASAKI_CONSEQUENCES = [
+    "R(x,y)xi = eta(y) x - eta(x) y", "R(xi,y)z = g(y,z) xi - eta(z) y", "nabla_x xi = -phi x",
+    "nabla~_x xi = -phi x", "rho(x,xi) = 2n eta(x)", "rho(xi,xi) = 2n",
+]
+_CONE_N2_TEXT = (Path(__file__).resolve().parent.parent / "perfbench" / "cone_n2.json").read_text(encoding="utf-8")
+
+
+# Each structure, its bindings, and its class records in order: the answer of each class
+# by name and verdict, each followed by the consequences of the class, by name, where it holds.
+@pytest.mark.parametrize("source, bindings, answers, consequences", [
+    ("builtin:cone-flat-fiber", {"c": 1.0, "ct": 1.0},
+     {"sasaki_like": ("fails", "fail"), "f5": ("holds", "pass"), "f5_0": ("holds", "pass"),
+      "f0": ("fails", "fail")},
+     {"f5": _F5_CONSEQUENCES}),
+    (_CONE_N2_TEXT, {},
+     {"sasaki_like": ("fails", "fail"), "f5": ("holds", "pass"), "f5_0": ("holds", "pass"),
+      "f0": ("fails", "fail")},
+     {"f5": _F5_CONSEQUENCES}),
+    ("builtin:flat-cosymplectic", {},
+     {"sasaki_like": ("fails", "fail"), "f5": ("degenerate", "degenerate"),
+      "f5_0": ("degenerate", "degenerate"), "f0": ("holds", "pass")},
+     {}),
+    (json.dumps(OFFDIAG), OFFDIAG_BINDINGS,
+     {"sasaki_like": ("fails", "fail"), "f5": ("fails", "fail"), "f5_0": ("fails", "fail"),
+      "f0": ("fails", "fail")},
+     {}),
+    (json.dumps(VARYING), OFFDIAG_BINDINGS,
+     {"sasaki_like": ("fails", "fail"), "f5": ("fails", "fail"), "f5_0": ("fails", "fail"),
+      "f0": ("fails", "fail")},
+     {}),
+    (json.dumps(ROTATING_NORDEN), {},
+     {"sasaki_like": ("holds", "pass"), "f5": ("fails", "fail"), "f5_0": ("fails", "fail"),
+      "f0": ("fails", "fail")},
+     {"sasaki_like": _SASAKI_CONSEQUENCES}),
+], ids=["cone", "cone_n2", "flat", "offdiag", "varying", "rotating_norden"])
+def test_class_records_table(source, bindings, answers, consequences):
+    if source.startswith("builtin:"):
+        S = manifold.builtin_structure(source.split(":", 1)[1])
+    else:
+        S = load_manifold(source)
+    geo = SampleGeometry(S, sample_points(S.chart, 16, seed=42), bindings)
+    want = []
+    for name, (status, verdict) in answers.items():
+        want.append((f"class {name}: {status}", verdict))
+        want += [(f"consequence of {name}: {key}", None) for key in consequences.get(name, [])]
+    records = analysis.classification_records(geo, 1e-9)
+    got = [(r.name, r.verdict if r.name.startswith("class ") else None) for r in records]
+    assert got == want
 
 
 def test_sasaki_form_residual_oracle(cone):
@@ -108,14 +162,13 @@ def test_f5_form_residual_oracle(cone):
 
 def test_perturbed_metric_leaves_f5(cone_points):
     g = [["1", "0", "0"], ["0", "t^2", "0.01*t"], ["0", "0.01*t", "-t^2"]]
-    geo = SampleGeometry(load_manifold(cone_json(g=g)), cone_points)
-    f5, f5_0, f0 = check_f5(geo)
-    assert f5.status == FAILS
-    assert f5_0.status == FAILS
-    assert f0.status == FAILS
-    assert f5.extras == {}
-    sasaki = check_sasaki_like(geo)
-    assert sasaki.status == FAILS and sasaki.extras == {}
+    classes = classify(SampleGeometry(load_manifold(cone_json(g=g)), cone_points))
+    answers = _answers(classes)
+    assert answers["f5"].verdict == VERDICT_FAIL
+    assert answers["f5_0"].verdict == VERDICT_FAIL
+    assert answers["f0"].verdict == VERDICT_FAIL
+    assert len(classes["f5"]) == 1  # no consequences
+    assert answers["sasaki_like"].verdict == VERDICT_FAIL and len(classes["sasaki_like"]) == 1
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0])

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from accr import cli
+from accr import analysis, cli
 from accr.cli import build_parser, main
+from accr.report import VERDICT_FAIL, CheckRecord
 
 from test_manifold import cone_json
 from test_output_contract import CASES
@@ -114,6 +115,22 @@ def test_classify_answers_do_not_gate(capsys):
     assert "class f5: holds" in out
     assert "class f5_0: holds" in out
     assert "class f0: fails" in out
+
+
+def test_a_failing_consequence_gates_classify_and_report(capsys, monkeypatch):
+    # classify and report gate on the same records: every pass/fail check but the class answers
+    classify = analysis.classify
+
+    def classify_with_a_failing_consequence(geo, tol=1e-9):
+        classes = classify(geo, tol)
+        answer, consequence, *rest = classes["f5"]
+        failing = CheckRecord(consequence.name, consequence.anchor, VERDICT_FAIL, residual=1.0)
+        return {**classes, "f5": [answer, failing, *rest]}
+
+    monkeypatch.setattr(analysis, "classify", classify_with_a_failing_consequence)
+    for command in ("classify", "report"):
+        rc, out, _ = run(capsys, command, *CONE, "--samples", "4")
+        assert rc == 1 and "consequence of f5: F(xi,y,z) = 0" in out, command
 
 
 def test_classify_flat_degenerate(capsys):
@@ -246,6 +263,16 @@ def test_a_structure_with_eta_xi_not_one_makes_the_potential_non_vertical(capsys
     assert err == "accr: NonVerticalPotential: potential deviates from k*xi by 1.000e+00 at sample (2.0, 0.5, -1.0)\n"
 
 
+def test_verticality_is_judged_relative_to_the_potential(capsys, tmp_path):
+    # the cone with xi = (1/49) d_t: v = 1e10 t xi drifts from eta(v) xi by about 1e-8 in
+    # round-off, which is about 1e-17 of |v|, so the potential is vertical
+    g = [["2401", "0", "0"], ["0", "t^2", "0"], ["0", "0", "-t^2"]]
+    path = tmp_path / "xi49.json"
+    path.write_text(cone_json(g=g, xi=["1/49", "0", "0"], eta=["49", "0", "0"]), encoding="utf-8")
+    rc, out, err = run(capsys, "soliton", str(path), "--potential-k", "1e10*t", "--samples", "64")
+    assert rc == 0 and err == "" and "torse-forming fit" in out
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_lie_derivative_that_overflows_is_a_domain_error(capsys, tmp_path):
     # g = 1e300 times the cone's metric: v = 1e160 t xi = 1e10 t d_t has a finite fit,
@@ -314,7 +341,7 @@ def test_validate_fails_where_a_derivative_does_as_curvature_does(capsys, tmp_pa
 
 def test_verify_paper_expecting_a_frame_value_without_a_frame_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "frameless.json"
-    path.write_text(cone_json(constants=["c", "ct", "kprime"], expect={"R_1212": "-1/t^2"}), encoding="utf-8")
+    path.write_text(cone_json(constants=["c", "ct"], expect={"R_1212": "-1/t^2"}), encoding="utf-8")
     rc, out, err = run(capsys, "verify-paper", str(path), "--samples", "4")
     assert rc == 2 and out == ""
     assert err == "accr: ManifoldParseError: structure declares no frame\n"
@@ -323,7 +350,7 @@ def test_verify_paper_expecting_a_frame_value_without_a_frame_is_a_parse_error(c
 def test_verify_paper_on_a_structure_without_a_frame_reads_no_frame(capsys, tmp_path):
     # no expectation reads the frame, so its three golden records are n/a like the others not given
     path = tmp_path / "frameless.json"
-    path.write_text(cone_json(constants=["c", "ct", "kprime"]), encoding="utf-8")
+    path.write_text(cone_json(constants=["c", "ct"]), encoding="utf-8")
     rc, data, err = run_json(capsys, "verify-paper", str(path), "--samples", "4")
     assert rc == 0 and err == ""
     verdicts = [c["verdict"] for c in data["checks"]]
@@ -576,7 +603,7 @@ def test_undeclared_const_is_a_usage_error(capsys):
     # a misspelt constant must not pass silently with the defaults in its place
     rc, out, err = run(capsys, "verify-paper", "--samples", "2", "--const", "kprim=0.5")
     assert rc == 2 and out == ""
-    assert err.startswith("accr: --const kprim:") and "declared: c, ct, kprime" in err
+    assert err.startswith("accr: --const kprim:") and "declared: c, ct" in err
     rc, out, err = run(capsys, "validate", "--builtin", "flat-cosymplectic", "--const", "zzz=1")
     assert rc == 2 and out == "" and "--const zzz:" in err
 

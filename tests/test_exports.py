@@ -1,4 +1,5 @@
-"""The public names of the package: each resolves, and each is read by the package itself."""
+"""The names of the package: each public one resolves, and each public or private one is read by
+the package itself."""
 
 import ast
 import importlib
@@ -53,15 +54,40 @@ def _named(node):
     return None
 
 
-def test_every_public_name_is_read_by_the_package():
-    # public API that only tests call is not part of the program
+def _private_definitions(tree):
+    """(name, definition node) for each private function, class or constant of the module.
+
+    Dunders such as __all__ are not private.
+    """
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+    return [(name, node) for name, node in found if name.startswith("_") and not name.endswith("__")]
+
+
+def _unread(definitions):
+    """Each definition of every module in src/ that nothing in src/ outside it reads."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     uses = [(node, _named(node)) for tree in trees.values() for node in ast.walk(tree) if _named(node)]
     unread = []
     for module, tree in trees.items():
-        for qualified, definition in _public_definitions(tree):
+        for qualified, definition in definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
             name = qualified.rsplit(".", 1)[-1]
             if not any(used == name and id(node) not in inside for node, used in uses):
                 unread.append(f"{module}.{qualified}")
-    assert unread == []
+    return unread
+
+
+def test_every_public_name_is_read_by_the_package():
+    # public API that only tests call is not part of the program
+    assert _unread(_public_definitions) == []
+
+
+def test_every_private_name_is_read_by_the_package():
+    # a private table or helper that the code no longer reads is dead
+    assert _unread(_private_definitions) == []

@@ -71,7 +71,7 @@ def test_builtin_metadata(cone):
     assert cone.n == 1 and cone.dim == 3
     assert cone.source_sha256 is not None and len(cone.source_sha256) == 64
     assert cone.referenced_constants() == frozenset()
-    assert cone.chart.constants == ("c", "ct", "kprime")
+    assert cone.chart.constants == ("c", "ct")
 
 
 def _with_source(S, source):

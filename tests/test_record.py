@@ -32,10 +32,8 @@ RECORDS = {
     "StructureJets": lambda cone, points: SampleGeometry(cone, points).jets,
     "FieldJets": lambda cone, points: SampleGeometry(cone, points).jets.g,
     "ValidationReport": lambda cone, points: manifold.validate_structure(cone, SampleGeometry(cone, points).jets),
-    "CheckRecord": lambda cone, points: report.CheckRecord("x", "y", report.VERDICT_NA),
+    "CheckRecord": lambda cone, points: analysis.classify(SampleGeometry(cone, points))["f5"][0],
     "Report": lambda cone, points: report.Report("builtin:x", {}, (), 1.0),
-    "MembershipEntry": lambda cone, points: analysis.classify(SampleGeometry(cone, points)).f5,
-    "ClassMembership": lambda cone, points: analysis.classify(SampleGeometry(cone, points)),
     "TorseFormingResult": lambda cone, points: _soliton(cone, points).torse,
     "SolitonSolveResult": _soliton,
 }

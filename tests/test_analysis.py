@@ -1,4 +1,4 @@
-"""Classification, torse-forming extraction, and the Yamabe soliton solver."""
+"""Classification, and the Yamabe soliton solve of a vertical potential with its torse-forming fit."""
 
 import functools
 import json
@@ -18,7 +18,6 @@ from accr.analysis import (
     f5_form_residual,
     proportionality_split,
     sasaki_form_residual,
-    torse_forming_extract,
     verify_paper_suite,
     yamabe_soliton_solve,
 )
@@ -173,8 +172,9 @@ def test_perturbed_metric_leaves_f5(cone_points):
 
 @pytest.mark.parametrize("c", [1.0, 2.0])
 def test_torse_forming_extraction_ct(cone, cone_points, c):
-    res = torse_forming_extract(SampleGeometry(cone, cone_points, {"c": c}), "g", _k(cone, "c*t"))
-    assert res.residual < 1e-11
+    geo = SampleGeometry(cone, cone_points, {"c": c})
+    res = yamabe_soliton_solve(geo, "g", _k(cone, "c*t"))
+    assert np.max(res.fit_residuals) < 1e-11
     assert np.max(np.abs(res.f - c)) < 1e-11
     assert np.max(np.abs(res.gamma)) < 1e-11
     assert {"torse-forming", "torqued", "concircular"} <= res.taxonomy
@@ -182,17 +182,19 @@ def test_torse_forming_extraction_ct(cone, cone_points, c):
     assert "recurrent" not in res.taxonomy
     ts = np.array([p[0] for p in cone_points])
     assert np.allclose(res.k, c * ts)
-    assert np.allclose(res.h, 1.0 / ts)  # f/k = 1/t independent of c
+    assert np.allclose(res.f / res.k, 1.0 / ts)  # f/k = 1/t independent of c
     assert np.max(np.abs(res.dk - [c, 0.0, 0.0])) < 1e-11  # dk = c eta
-    for name, value in res.vertical_checks.items():
-        assert value < 1e-9, name
+    records = {r.name: r for r in analysis.soliton_records(geo, "g", "c*t", 1e-9)}
+    for name in ("generating form of a vertical potential", "vertical potential derivative", "torqued criterion"):
+        assert records[name].residual < 1e-9, name
 
 
 def test_extraction_quadratic_vertical_field(cone, cone_points):
     # v = t^2 xi is torse-forming with f = t and gamma = eta / t, hence
     # not torqued: gamma(v) = t is visible in the fitted form
-    res = torse_forming_extract(SampleGeometry(cone, cone_points), "g", _k(cone, "t^2"))
-    assert res.residual < 1e-10
+    geo = SampleGeometry(cone, cone_points)
+    res = yamabe_soliton_solve(geo, "g", _k(cone, "t^2"))
+    assert np.max(res.fit_residuals) < 1e-10
     assert "torse-forming" in res.taxonomy
     assert "torqued" not in res.taxonomy
     assert "concircular" not in res.taxonomy
@@ -201,21 +203,21 @@ def test_extraction_quadratic_vertical_field(cone, cone_points):
     assert np.allclose(res.gamma[:, 0], 1.0 / ts)
     assert np.max(np.abs(res.gamma[:, 1:])) < 1e-11
     # f = t but dk(xi) = 2t: the torqued criterion fails measurably
-    assert res.vertical_checks["f = dk(xi)"] > 0.5
+    assert analysis._torqued_residual(geo.of("g"), res) > 0.5
 
 
 def test_extraction_recurrent_not_parallel(flat, flat_points):
     # on the flat structure v = t xi has f = 0 with nonzero gamma
-    res = torse_forming_extract(SampleGeometry(flat, flat_points), "g", _k(flat, "t"))
-    assert res.residual < 1e-12
+    res = yamabe_soliton_solve(SampleGeometry(flat, flat_points), "g", _k(flat, "t"))
+    assert np.max(res.fit_residuals) < 1e-12
     assert "recurrent" in res.taxonomy
     assert "parallel" not in res.taxonomy
     assert "torqued" not in res.taxonomy
 
 
 def test_extraction_parallel_field(flat, flat_points):
-    res = torse_forming_extract(SampleGeometry(flat, flat_points), "g", _k(flat, "1"))
-    assert res.residual == 0.0
+    res = yamabe_soliton_solve(SampleGeometry(flat, flat_points), "g", _k(flat, "1"))
+    assert np.max(res.fit_residuals) == 0.0
     assert {"torse-forming", "torqued", "concircular", "recurrent", "parallel"} <= res.taxonomy
     assert "concurrent" not in res.taxonomy  # f = 0, not 1
     # taxonomy implications hold as sets
@@ -226,7 +228,7 @@ def test_extraction_parallel_field(flat, flat_points):
 
 def test_zero_potential_rejected(cone, cone_points):
     with pytest.raises(ZeroPotential):
-        torse_forming_extract(SampleGeometry(cone, cone_points), "g", _k(cone, "0"))
+        yamabe_soliton_solve(SampleGeometry(cone, cone_points), "g", _k(cone, "0"))
 
 
 def test_proportionality_split_oracle():
@@ -249,7 +251,7 @@ def test_yamabe_soliton_on_cone(cone, cone_points):
     pot, pot_t = _k(cone, "c*t"), _k(cone, "ct*t")
     b = {"c": 1.0, "ct": 1.0}
     geo = SampleGeometry(cone, cone_points, b)
-    other = torse_forming_extract(geo, "gtilde", pot_t)
+    other = yamabe_soliton_solve(geo, "gtilde", pot_t)
     sol = yamabe_soliton_solve(geo, "g", pot)
     assert sol.verdict == "soliton"
     assert np.max(sol.residuals) < 1e-11
@@ -257,28 +259,30 @@ def test_yamabe_soliton_on_cone(cone, cone_points):
     # lambda(t) = -2/t^2 - c for the flat fiber
     assert np.max(np.abs(sol.lambdas - (-2.0 / ts**2 - 1.0))) < 1e-11
     assert np.isclose(sol.lambdas[0], -1.5)  # pinned t = 2 sample
-    assert sol.theorem_checks["tau = f + lambda"] < 1e-10
-    assert sol.theorem_checks["f = dk(xi)"] < 1e-10
-    assert np.max(np.abs(sol.torse.h - other.h)) < 1e-11  # f/k matches between the two metrics
+    assert analysis._torse_forming_soliton(sol)
+    assert analysis._balance_residual(geo.of("g"), sol) < 1e-10
+    assert analysis._torqued_residual(geo.of("g"), sol) < 1e-10
+    assert np.max(np.abs(sol.f / sol.k - other.f / other.k)) < 1e-11  # f/k matches between the two metrics
 
 
 def test_yamabe_soliton_on_gtilde(cone, cone_points):
     pot = _k(cone, "ct*t")
     for ct in (0.5, 2.0):
-        sol = yamabe_soliton_solve(SampleGeometry(cone, cone_points, {"ct": ct}), "gtilde", pot)
+        geo = SampleGeometry(cone, cone_points, {"ct": ct})
+        sol = yamabe_soliton_solve(geo, "gtilde", pot)
         assert sol.verdict == "soliton"
         ts = np.array([p[0] for p in cone_points])
         assert np.max(np.abs(sol.lambdas - (-2.0 / ts**2 - ct))) < 1e-11
-        assert sol.theorem_checks["tau = f + lambda"] < 1e-10
-        assert set(sol.theorem_checks) == {"tau = f + lambda", "f = dk(xi)"}
+        assert analysis._torse_forming_soliton(sol)
+        assert analysis._balance_residual(geo.of("gtilde"), sol) < 1e-10
 
 
 def test_yamabe_not_soliton(cone, cone_points):
     sol = yamabe_soliton_solve(SampleGeometry(cone, cone_points), "g", _k(cone, "t^2"))
     assert sol.verdict == "not-soliton"
     assert np.max(sol.residuals) > 1.0
-    # the theorem premises fail, so their checks stay unevaluated
-    assert sol.theorem_checks["tau = f + lambda"] is None
+    # the theorem premises fail, so their checks are not made
+    assert not analysis._torse_forming_soliton(sol)
 
 
 def test_yamabe_rejects_non_vertical(cone_points):
@@ -286,9 +290,9 @@ def test_yamabe_rejects_non_vertical(cone_points):
     geo = SampleGeometry(S, cone_points, {"c": 1.0})
     with pytest.raises(NonVerticalPotential):
         yamabe_soliton_solve(geo, "g", _k(S, "t^2"))
-    # the fit itself makes the check, for either metric
+    # the solve makes the check, for either metric
     with pytest.raises(NonVerticalPotential):
-        torse_forming_extract(geo, "gtilde", _k(S, "c*t"))
+        yamabe_soliton_solve(geo, "gtilde", _k(S, "c*t"))
 
 
 def test_verify_paper_suite_all_pass(cone, cone_bindings):
@@ -309,6 +313,32 @@ def test_verify_paper_suite_other_constants(cone):
         SampleGeometry(cone, points, dict(DEFAULT_SUITE_BINDINGS, c=2.0, ct=0.5))
     )
     assert all(r.verdict == VERDICT_PASS for r in records)
+
+
+def _suite_record(cone, name):
+    geo = SampleGeometry(cone, sample_points(cone.chart, 16), DEFAULT_SUITE_BINDINGS)
+    (record,) = [r for r in verify_paper_suite(geo) if r.name == name]
+    return record
+
+
+def test_the_trace_record_fails_when_the_lie_derivative_is_scaled(cone, monkeypatch):
+    # mu is g^ij A_ij / dim, so g^ij A_ij = dim (tau - lambda) holds for any A; the record
+    # compares div v = tr(nabla v) instead, which a wrong L_v g does not reach
+    assert _suite_record(cone, "trace of the soliton equation").verdict == VERDICT_PASS
+    lie = analysis.lie_derivative_metric
+    monkeypatch.setattr(analysis, "lie_derivative_metric", lambda *args: 1.01 * lie(*args))
+    record = _suite_record(cone, "trace of the soliton equation")
+    assert record.verdict == VERDICT_FAIL and record.residual > 1e-3
+
+
+def test_the_transfer_record_fails_when_the_associated_h_is_scaled(cone, monkeypatch):
+    # the g-fit's f/k is compared with h~ = theta~*(xi)/2n of g~'s own geometry
+    assert _suite_record(cone, "potential ratio transfer").verdict == VERDICT_PASS
+    h = geometry.PointGeometry.h
+    scaled = property(lambda pg: (1.01 if pg.tag == "gtilde" else 1.0) * h.fget(pg))
+    monkeypatch.setattr(geometry.PointGeometry, "h", scaled)
+    record = _suite_record(cone, "potential ratio transfer")
+    assert record.verdict == VERDICT_FAIL and record.residual > 1e-3
 
 
 def test_the_n2_cone_expectations_match_sympy():
@@ -438,21 +468,21 @@ def test_closed_form_fit_matches_lstsq(request, structure, tag, k_source):
     else:
         S, bindings = request.getfixturevalue(structure), {"c": 1.5}
     geo = SampleGeometry(S, sample_points(S.chart, 12, seed=3), bindings)
-    res = torse_forming_extract(geo, tag, _k(S, k_source))
-    # v = k xi and dv = xi dk + k dxi, as the jets of the product expressions give them
+    res = yamabe_soliton_solve(geo, tag, _k(S, k_source))
+    # nabla v from v = k xi and dv = xi dk + k dxi, as the jets of the product expressions give them
     v, dv = _potential_jets(geo, k_source)
-    assert np.array_equal(res.v, v) and np.array_equal(res.dv, dv)
+    assert np.array_equal(res.nth, dv + np.einsum("...kis,...s->...ki", geo.of(tag).gamma, v))
     f, gamma, residuals = _lstsq_fit(geo, tag, k_source)
     assert rel_err(res.f, f) <= 1e-13
     assert rel_err(res.gamma, gamma) <= 1e-13
-    assert rel_err(res.per_sample_residual, residuals) <= 1e-13
+    assert rel_err(res.fit_residuals, residuals) <= 1e-13
 
 
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
 def test_the_fit_scales_exactly_with_the_potential(cone, cone_points, tag):
     # k and 2^700 k: v.v N v would overflow, but the fit is formed from v scaled by a
     # power of two per sample, so f scales by exactly 2^700 and gamma not at all
-    fits = [torse_forming_extract(SampleGeometry(cone, cone_points, {"c": c}), tag, _k(cone, "c*t"))
+    fits = [yamabe_soliton_solve(SampleGeometry(cone, cone_points, {"c": c}), tag, _k(cone, "c*t"))
             for c in (1.0, 2.0**700)]
     assert np.array_equal(fits[1].f, 2.0**700 * fits[0].f)
     assert np.array_equal(fits[1].gamma, fits[0].gamma)
@@ -530,7 +560,7 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
         for module in modules:
             monkeypatch.setattr(module, name, counted)
 
-    counting("torse_forming_extract", analysis)
+    counting("yamabe_soliton_solve", analysis)
     counting("PointGeometry", geometry)  # the geometry of one metric tag over the samples
     counting("func", geometry.SampleGeometry.jets, key="structure jets")  # g, phi, xi and eta
     counting("eval_field_jets", analysis, key="potential jets")  # analysis evaluates no other field's jets
@@ -546,7 +576,7 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
     assert cli.main(["verify-paper", "--samples", "8"]) == 0
     assert "51 checks: 51 pass" in capsys.readouterr().out
     assert calls == {
-        "torse_forming_extract": 2,
+        "yamabe_soliton_solve": 2,
         "PointGeometry": 2,
         "structure jets": 1,
         "potential jets": 2,
@@ -568,7 +598,7 @@ def test_verify_paper_suite_computes_each_fit_and_geometry_once(monkeypatch, cap
     calls.update(dict.fromkeys(calls, 0))
     argv = ["soliton", "--builtin", "cone-flat-fiber", "--potential-k", "c*t", "--const", "c=1"]
     assert cli.main([*argv, "--samples", "8"]) == 0
-    assert calls["potential jets"] == 1 and calls["torse_forming_extract"] == 1
+    assert calls["potential jets"] == 1 and calls["yamabe_soliton_solve"] == 1
     # a report with a potential reads both metrics from one evaluation of the structure jets
     calls.update(dict.fromkeys(calls, 0))
     argv = ["report", "--builtin", "cone-flat-fiber", "--potential-k", "c*t", "--const", "c=1"]
@@ -642,4 +672,4 @@ def test_non_vertical_sample_is_named(cone):
     assert str(err.value) == "potential deviates from k*xi by 1.000e+00 at sample (2.0, 0.5, -1.0)"
     # vanishing at the last two samples names the first of them
     with pytest.raises(ZeroPotential, match=r"at sample \(3\.0, 0\.25, 0\.0\)"):
-        torse_forming_extract(SampleGeometry(cone, points), "g", _k(cone, "t*v"))
+        yamabe_soliton_solve(SampleGeometry(cone, points), "g", _k(cone, "t*v"))

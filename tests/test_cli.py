@@ -18,6 +18,7 @@ from accr import analysis, cli
 from accr.cli import build_parser, main
 from accr.report import VERDICT_FAIL, CheckRecord
 
+from conftest import OFFDIAG, ROTATING_NORDEN, VARYING
 from test_manifold import cone_json
 from test_output_contract import CASES
 
@@ -195,6 +196,73 @@ def test_soliton_negative_control(capsys):
     assert "Yamabe almost soliton for g: not-soliton" in out
     rc, out, _ = run(capsys, *args, "--expect-soliton")
     assert rc == 1
+
+
+def _solved(taxonomy, word, fit="pass"):
+    """The records of `soliton`, by name and verdict, for a fit with this verdict and taxonomy
+    and a solve with this word; "{m}" stands for the metric's name."""
+    records = [("torse-forming fit", fit), (f"taxonomy: {taxonomy}", "n/a"), ("conformal scalar f", "n/a")]
+    if "torse-forming" in taxonomy:
+        records += [("generating form of a vertical potential", "pass"),
+                    ("vertical potential derivative", "pass"), ("torqued criterion", "n/a")]
+    records += [(f"Yamabe almost soliton for {{m}}: {word}", "pass" if word == "soliton" else "fail"),
+                ("soliton function lambda", "n/a")]
+    if word == "soliton":
+        records += [("theorem: tau = f + lambda", "pass"), ("theorem: f = dk(xi)", "pass")]
+    return records
+
+
+_SOLITON = _solved("concircular, concurrent, torqued, torse-forming", "soliton")
+_NOT_SOLITON = _solved("torse-forming", "not-soliton")
+_RECURRENT = _solved("recurrent, torse-forming", "not-soliton")
+_NOT_TORSE_FORMING = _solved("none", "not-soliton", fit="fail")
+_OFF_VERTICAL = ("accr: NonVerticalPotential: potential deviates from k*xi by {} "
+                 "at sample (0.617037, 0.202764, -0.555596)\n")
+
+
+# Each structure and potential k: the soliton records for either metric, by name and verdict,
+# or the one stderr line of the typed error, and the exit code of `report` with that potential.
+@pytest.mark.parametrize("structure, k, records, report_rc", [
+    ("cone", "t", _SOLITON, 0),
+    ("cone", "t^2", _NOT_SOLITON, 0),
+    ("cone", "c*t", _SOLITON, 0),
+    ("cone_n2", "t", _SOLITON, 0),
+    ("cone_n2", "t^2", _NOT_SOLITON, 0),
+    ("cone_n2", "c*t", _SOLITON, 0),
+    ("flat", "t", _RECURRENT, 0),
+    ("flat", "t^2", _RECURRENT, 0),
+    ("rotating_norden", "t", _NOT_TORSE_FORMING, 1),
+    ("rotating_norden", "t^2", _NOT_TORSE_FORMING, 1),
+    ("offdiag", "t", _NOT_TORSE_FORMING, 1),
+    ("offdiag", "t^2", _NOT_TORSE_FORMING, 1),
+    ("varying", "t", _OFF_VERTICAL.format("4.894e-04"), 1),
+    ("varying", "t^2", _OFF_VERTICAL.format("3.020e-04"), 1),
+])
+@pytest.mark.parametrize("metric", ["g", "gtilde"])
+def test_soliton_records_table(capsys, tmp_path, structure, k, records, report_rc, metric):
+    sources = {"cone": (CONE, ["c=1", "ct=1"]), "cone_n2": ([_CONE_N2_FILE], ["c=1", "ct=1"]),
+               "flat": (["--builtin", "flat-cosymplectic"], []), "rotating_norden": (ROTATING_NORDEN, []),
+               "offdiag": (OFFDIAG, ["c=0.3"]), "varying": (VARYING, ["c=0.3"])}
+    source, consts = sources[structure]
+    if isinstance(source, dict):
+        path = tmp_path / f"{structure}.json"
+        path.write_text(json.dumps(source), encoding="utf-8")
+        source = [str(path)]
+    argv = [*source, "--metric", metric, "--potential-k", k, "--samples", "16", "--seed", "42",
+            "--format", "json", *(arg for c in consts for arg in ("--const", c))]
+    m = "g" if metric == "g" else "g~"
+    for command, extra in (("soliton", ["--expect-soliton"]), ("report", [])):
+        rc, out, err = run(capsys, command, *argv, *extra)
+        if isinstance(records, str):
+            assert (rc, out, err) == (1, "", records), command
+            continue
+        want = [(name.format(m=m), verdict) for name, verdict in records]
+        got = [(c["name"], c["verdict"]) for c in json.loads(out)["checks"]]
+        assert got[-len(want):] == want, command
+        if command == "soliton":
+            assert len(got) == len(want) and rc == (0 if records is _SOLITON else 1)
+        else:
+            assert rc == report_rc
 
 
 def test_soliton_requires_potential(capsys):

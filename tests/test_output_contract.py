@@ -23,7 +23,7 @@ _WALL = re.compile(r'"wall_ms": [^,\n}]*|^wall: .*$', re.MULTILINE)
 CASES = {
     "verify-cone": (
         ["verify-paper", "--builtin", "cone-flat-fiber", "--samples", "64", "--seed", "42", "--format", "json"],
-        "da1eed06da274afd124579525586e4f9dc45f563822f8308c728c696c85e0b0d",
+        "fa1e15c59ea43f01ad395b86766a4363326af49abf714363de3f776daec6578f",
     ),
     "report-n2": (
         ["report", CONE_N2, "--potential-k", "c*t", "--const", "c=1", "--samples", "64", "--seed", "42",

@@ -34,7 +34,6 @@ RECORDS = {
     "ValidationReport": lambda cone, points: manifold.validate_structure(cone, SampleGeometry(cone, points).jets),
     "CheckRecord": lambda cone, points: analysis.classify(SampleGeometry(cone, points))["f5"][0],
     "Report": lambda cone, points: report.Report("builtin:x", {}, (), 1.0),
-    "TorseFormingResult": lambda cone, points: _soliton(cone, points).torse,
     "SolitonSolveResult": _soliton,
 }
 

@@ -238,9 +238,7 @@ def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: floa
     k_arr, dk = k_jets.value[:, 0], k_jets.partial[:, 0]
     xi = geo.jets.xi
     v = k_arr[:, None] * xi.value
-    dv = xi.value[:, :, None] * dk[:, None, :]
-    if xi.partial.any():
-        dv = k_arr[:, None, None] * xi.partial + dv
+    dv = k_arr[:, None, None] * xi.partial + xi.value[:, :, None] * dk[:, None, :]
     size = np.max(np.abs(v), axis=-1)
     if (vanishing := size <= _F_ZERO_THRESHOLD).any():
         where = tuple(round(float(x), 6) for x in geo.points[np.argmax(vanishing)])
@@ -681,10 +679,12 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
             add(name, f"f{s}/k{s} = h {with_h}", np.abs(ratio[tag] - h))
     if given("potential ratios agree", *K.values()):
         add("potential ratios agree", "f/k = f~/k~", np.abs(ratio[METRIC_G] - ratio[METRIC_GTILDE]))
+    # dk(xi) = h k with each metric's own h, not the expect block's, so that it tests the engine
     for (tag, m, s), potential in zip(metrics, ("k = c t", "k~ = ct t")):
         name = f"scalar field equation of {potential}"
-        if given(name, K[tag], "h"):
-            add(name, f"dk{s}(xi) = h k{s} {with_h}", np.abs(_dot(sols[tag].dk, pg.xi) - h * sols[tag].k))
+        if given(name, K[tag]):
+            add(name, f"dk{s}(xi) = h{s} k{s} with h{s} = theta{s}*(xi)/2n",
+                np.abs(_dot(sols[tag].dk, pg.xi) - geo.of(tag).h * sols[tag].k))
     for tag, m, s in metrics:
         name = f"Yamabe almost soliton for {m}"
         if given(name, K[tag], LAMBDA[tag]):
@@ -732,7 +732,8 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
                          for tag, pm in ((METRIC_G, pg), (METRIC_GTILDE, pgt)))),
         )
 
-    # the soliton equation traced, by the divergence of v rather than through L_v g, and on (xi,xi)
+    # the soliton equation traced and on (xi,xi), each read from nabla v: the solve takes tau - lambda
+    # = mu from A = (1/2) L_v g, so A's trace matches it for any A, and A(xi,xi) for any A proportional to g
     sol = sols.get(METRIC_G)
     if given("trace of the soliton equation", K[METRIC_G]):
         add(
@@ -741,10 +742,11 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
             np.abs(np.trace(sol.nth, axis1=-2, axis2=-1) - S.dim * (pg.tau - sol.lambdas)),
         )
     if given("soliton equation on (xi,xi)", K[METRIC_G]):
+        nabla_xi_v = np.einsum("...ij,...j->...i", sol.nth, pg.xi)
         add(
             "soliton equation on (xi,xi)",
-            "((1/2) L_v g)(xi,xi) = tau - lambda",
-            np.abs(_dot(np.einsum("...i,...ij->...j", pg.xi, sol.half_lie), pg.xi) - (pg.tau - sol.lambdas)),
+            "((1/2) L_v g)(xi,xi) = g(nabla_xi v, xi) = tau - lambda",
+            np.abs(_dot(np.einsum("...ij,...j->...i", pg.g, pg.xi), nabla_xi_v) - (pg.tau - sol.lambdas)),
         )
 
     return records

@@ -75,11 +75,6 @@ def _field(compute):
     return functools.cached_property(read_only)
 
 
-def _plus(jet: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """jet + term, or the term alone where the jet is exactly zero."""
-    return jet + term if jet.any() else term
-
-
 class PointGeometry:
     """Every derived quantity of one metric tag over the N sample points of a SampleGeometry.
 
@@ -91,10 +86,7 @@ class PointGeometry:
     raises SingularMetric there, whichever fields are read later.  Every
     field carries a leading sample axis; the scalar fields are (N,)
     arrays.  The arrays are read-only, so the consumers sharing one batch
-    cannot change what another reads.  A product-rule term on an exactly
-    zero jet of phi, xi or eta (a literal field, as in every shipped
-    structure) is left out; the other terms keep their order, so their
-    sums round as before.
+    cannot change what another reads.
     """
 
     def __init__(self, n: int, tag: str, sj: StructureJets, metric: FieldJets,
@@ -194,11 +186,10 @@ class PointGeometry:
 
     @_field
     def nabla_xi(self):  # [k,i] = (nabla_i xi)^k
-        return _plus(self._dxi, np.einsum("...kis,...s->...ki", self.gamma, self.xi))
+        return self._dxi + np.einsum("...kis,...s->...ki", self.gamma, self.xi)
 
     @_field
     def nabla_eta(self):  # [i,j] = (nabla_i eta)_j
-        # no skip: the transposed deta is a view, and 0 - x keeps the sign of a zero that -x flips
         return np.einsum("...jm->...mj", self.deta) - np.einsum("...sij,...s->...ij", self.gamma, self.eta)
 
     @_field
@@ -206,7 +197,7 @@ class PointGeometry:
         gamma, phi = self.gamma, self.phi
         gamma_phi = (_mat(gamma, 2, 1) @ phi).reshape(gamma.shape)  # [k,i,j] = Gamma^k_{is} phi^s_j
         phi_gamma = (phi @ _mat(gamma, 1, 2)).reshape(gamma.shape)  # [k,i,j] = phi^k_s Gamma^s_{ij}
-        return np.swapaxes(_plus(np.swapaxes(self._dphi, -1, -2), gamma_phi) - phi_gamma, -1, -2)
+        return np.swapaxes(np.swapaxes(self._dphi, -1, -2) + gamma_phi - phi_gamma, -1, -2)
 
     @_field
     def F(self):  # [i,j,z] = g_{kz} cov_phi[k,j,i]
@@ -234,25 +225,21 @@ class PointGeometry:
         # theta_star[z] = G[i,s] F[i,s,z] with G = ginv phi^T, and F[i,s,z] = g[k,z] cov_phi[k,s,i].
         # G is contracted into cov_phi and its derivative before the product rule, so no
         # array of d_m F is built.
-        F, phi, dphi, G = self.F, self.phi, self._dphi, self._ginv_phi
-        gamma, varying_phi = self.gamma, dphi.any()
+        F, phi, dphi, G, gamma = self.F, self.phi, self._dphi, self._ginv_phi, self.gamma
         Ft = np.swapaxes(_mat(F, 2, 1), -1, -2)  # [z,(i,s)]
         out = Ft @ _mat(phi[:, None] @ self._dginv, 2, 1)  # phi[s,j] d_m g^{ij}, as [i,s,m]
-        if varying_phi:  # g^{ij} d_m phi[s,j], as [i,s,m]
-            dG = (self.ginv @ _mat(np.swapaxes(dphi, -3, -2), 1, 2)).reshape(dphi.shape)
-            out = out + Ft @ _mat(dG, 2, 1)
+        dG = (self.ginv @ _mat(np.swapaxes(dphi, -3, -2), 1, 2)).reshape(dphi.shape)  # g^{ij} d_m phi[s,j]
+        out += Ft @ _mat(dG, 2, 1)
         q = np.einsum("...is,...ksi->...k", G, self._cov_phi)  # [k] = G[i,s] cov_phi[k,s,i]
-        # y[k,m] = G[i,s] d_m cov_phi[k,s,i], term by term of d_m cov_phi; the two
-        # dgamma terms read one product, _dgamma_G
+        # y[k,m] = G[i,s] d_m cov_phi[k,s,i], term by term of d_m cov_phi: the d2phi term, the
+        # two dgamma terms, which read one product, _dgamma_G, and the two dphi terms, the first
+        # gamma[k,i,t] G[i,s] d_m phi[t,s] with the product read as [t,i,m]
         both = self._dgamma_G
-        y = both[:, :, 0]
-        if self._d2phi.any():  # G[i,s] d2phi[k,s,i,m]
-            y = _plus((_mat(np.swapaxes(G, -1, -2), 0, 2)[:, None] @ _mat(self._d2phi, 2, 1))[:, :, 0], y)
-        if varying_phi:  # gamma[k,i,t] G[i,s] d_m phi[t,s], with the product read as [t,i,m]
-            y = y + _mat(np.swapaxes(gamma, -1, -2), 1, 2) @ _mat(G[:, None] @ dphi, 2, 1)
-        y = y - np.einsum("...kt,...tm->...km", phi, both[:, :, 1])
-        if varying_phi:
-            y = y - np.einsum("...ktm,...t->...km", dphi, np.einsum("...is,...tis->...t", G, gamma))
+        y = (_mat(np.swapaxes(G, -1, -2), 0, 2)[:, None] @ _mat(self._d2phi, 2, 1))[:, :, 0]
+        y += both[:, :, 0]
+        y += _mat(np.swapaxes(gamma, -1, -2), 1, 2) @ _mat(G[:, None] @ dphi, 2, 1)
+        y -= np.einsum("...kt,...tm->...km", phi, both[:, :, 1])
+        y -= np.einsum("...ktm,...t->...km", dphi, np.einsum("...is,...tis->...t", G, gamma))
         return out + (np.einsum("...kzm,...k->...zm", self.dg, q) + np.einsum("...kz,...km->...zm", self.g, y))
 
     @_field
@@ -261,10 +248,8 @@ class PointGeometry:
 
     @_field
     def grad_theta_star_xi(self):
-        grad = np.einsum("...zm,...z->...m", self.dtheta_star, self.xi)
-        if self._dxi.any():
-            grad = grad + np.einsum("...z,...zm->...m", self.theta_star, self._dxi)
-        return grad
+        return (np.einsum("...zm,...z->...m", self.dtheta_star, self.xi)
+                + np.einsum("...z,...zm->...m", self.theta_star, self._dxi))
 
     @_field
     def omega(self):

@@ -341,6 +341,27 @@ def test_the_transfer_record_fails_when_the_associated_h_is_scaled(cone, monkeyp
     assert record.verdict == VERDICT_FAIL and record.residual > 1e-3
 
 
+def test_the_xi_xi_record_fails_when_the_lie_derivative_is_scaled(cone, monkeypatch):
+    # the solve makes tau - lambda = mu, which A(xi,xi) matches for any A proportional to g; the
+    # record compares g(nabla_xi v, xi) instead
+    assert _suite_record(cone, "soliton equation on (xi,xi)").verdict == VERDICT_PASS
+    lie = analysis.lie_derivative_metric
+    monkeypatch.setattr(analysis, "lie_derivative_metric", lambda *args: 1.01 * lie(*args))
+    record = _suite_record(cone, "soliton equation on (xi,xi)")
+    assert record.verdict == VERDICT_FAIL and record.residual > 1e-3
+
+
+def test_the_scalar_field_records_fail_when_the_lee_scalar_is_scaled(cone, monkeypatch):
+    # dk(xi) is compared with each metric's own h = theta*(xi)/2n, not with the expect block's h
+    names = ("scalar field equation of k = c t", "scalar field equation of k~ = ct t")
+    assert all(_suite_record(cone, name).verdict == VERDICT_PASS for name in names)
+    field = geometry.PointGeometry.theta_star_xi
+    monkeypatch.setattr(geometry.PointGeometry, "theta_star_xi", property(lambda pg: 1.01 * field.func(pg)))
+    for name in names:
+        record = _suite_record(cone, name)
+        assert record.verdict == VERDICT_FAIL and record.residual > 1e-3, name
+
+
 def test_the_n2_cone_expectations_match_sympy():
     """Each closed form of the n = 2 cone's expect block, derived again symbolically."""
     sp = pytest.importorskip("sympy")

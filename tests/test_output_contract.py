@@ -23,7 +23,7 @@ _WALL = re.compile(r'"wall_ms": [^,\n}]*|^wall: .*$', re.MULTILINE)
 CASES = {
     "verify-cone": (
         ["verify-paper", "--builtin", "cone-flat-fiber", "--samples", "64", "--seed", "42", "--format", "json"],
-        "fa1e15c59ea43f01ad395b86766a4363326af49abf714363de3f776daec6578f",
+        "83b8cc8f2015dddaa07c3e514816b2ebc94e0c2465a3e96102cfde7245161d73",
     ),
     "report-n2": (
         ["report", CONE_N2, "--potential-k", "c*t", "--const", "c=1", "--samples", "64", "--seed", "42",

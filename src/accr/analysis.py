@@ -190,7 +190,7 @@ class SolitonSolveResult(NamedTuple):
     dk: np.ndarray                     # its differential per sample, shape (samples, dim)
     f: np.ndarray                      # conformal scalar of the torse-forming fit per sample
     gamma: np.ndarray                  # generating 1-form of the fit per sample, shape (samples, dim)
-    fit_residuals: np.ndarray          # least-squares fit error per sample
+    fit_residuals: np.ndarray          # max |f I + v gamma^T - nabla v| per sample
     taxonomy: frozenset[str]
     verdict: str                       # soliton | not-soliton
     nth: np.ndarray                    # nth[k, i, j] = nabla_j v^i at sample k
@@ -214,17 +214,16 @@ def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: floa
     """Fit nabla_j v^i = f delta^i_j + v^i gamma_j, and solve (1/2) L_v metric = (tau - lambda) metric.
 
     The potential is vertical, v = k xi: v and dv = xi dk + k dxi are formed
-    from the jets of the scalar k and the structure jets of xi.  The dim^2 fit
-    equations are linear in the dim+1 unknowns (f, gamma), with a design matrix
-    of full column rank wherever v != 0, which the zero-potential guard
-    ensures.  The unique minimiser of |f I + v gamma^T - N|_F, with N[i,j] =
-    nabla_j v^i, is solved in closed form over all samples, from v = 2^e u
-    with max |u| in [1/2, 1), an exact scaling that keeps v^T N v finite:
+    from the jets of the scalar k and the structure jets of xi.  The fit reads
+    f and gamma off N[i,j] = nabla_j v^i through the structure's own dual of v,
+    eta(v) = k, which the zero-potential guard keeps nonzero.  Applying eta and
+    the trace to N = f I + v gamma^T gives, for every sample at once,
 
-        f = (tr N - u^T N u / |u|^2) / (dim - 1),   gamma = (u^T N - f u^T) / (2^e |u|^2).
+        f = (tr N - eta(N xi)) / (dim - 1),   gamma = (eta N - f eta) / k,
 
-    The fit residual doubles as the membership test for the torse-forming
-    condition.  Then per sample: A := (1/2) L_v(metric); mu :=
+    the exact solution wherever one exists; f/k and gamma - d ln k do not
+    depend on k.  The fit residual doubles as the membership test for the
+    torse-forming condition.  Then per sample: A := (1/2) L_v(metric); mu :=
     trace_metric(A)/(2n+1); the verdict is soliton iff max |A - mu metric| <=
     tol everywhere, and then lambda := tau_tag - mu.
 
@@ -243,15 +242,12 @@ def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: floa
     if (vanishing := size <= _F_ZERO_THRESHOLD).any():
         where = tuple(round(float(x), 6) for x in geo.points[np.argmax(vanishing)])
         raise ZeroPotential(f"potential vanishes at sample {where}")
-    e = np.frexp(size)[1]
-    u = np.ldexp(v, -e[:, None])
 
     with np.errstate(over="ignore", invalid="ignore"):
         nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)   # nth[..., i, j] = nabla_j v^i
-        u2 = _dot(u, u)
-        u_nth = np.einsum("...i,...ij->...j", u, nth)
-        f_arr = (np.trace(nth, axis1=-2, axis2=-1) - _dot(u_nth, u) / u2) / (dim - 1)
-        gamma_arr = (u_nth - f_arr[:, None] * u) / np.ldexp(u2, e)[:, None]
+        eta_nth = np.einsum("...i,...ij->...j", pg.eta, nth)
+        f_arr = (np.trace(nth, axis1=-2, axis2=-1) - _dot(eta_nth, pg.xi)) / (dim - 1)
+        gamma_arr = (eta_nth - f_arr[:, None] * pg.eta) / k_arr[:, None]
         fit = f_arr[:, None, None] * np.eye(dim) + np.einsum("...i,...j->...ij", v, gamma_arr) - nth
         fit_arr = _max_abs(fit, 2)
         drift = _max_abs(v - _dot(pg.eta, v)[:, None] * pg.xi, 1)
@@ -465,12 +461,8 @@ def soliton_records(geo: SampleGeometry, tag: str, k_source: str, tol: float) ->
         _value_record("conformal scalar f", "nabla_x v = f x + gamma(x) v", sol.f),
     ]
     if "torse-forming" in sol.taxonomy:
-        # the generating form is compared only where k is bounded away from zero
-        usable = np.abs(sol.k) > _F_ZERO_THRESHOLD
-        gamma_vertical = np.divide(
-            sol.dk - sol.f[:, None] * pg.eta, sol.k[:, None], out=np.zeros_like(sol.dk), where=usable[:, None]
-        )
-        generating = float(np.max(_max_abs(sol.gamma - gamma_vertical, 1)[usable], initial=0.0))
+        gamma_vertical = (sol.dk - sol.f[:, None] * pg.eta) / sol.k[:, None]
+        generating = _norm(sol.gamma - gamma_vertical)
         nabla_v = -sol.f[:, None, None] * (pg.phi @ pg.phi) + np.einsum("...k,...i->...ki", pg.xi, sol.dk)
         torqued = _torqued_residual(pg, sol)
         records += [

@@ -266,11 +266,13 @@ def _structure_from_dict(raw: dict, source: bytes) -> AccRStructure:
         if (
             not isinstance(iv, list)
             or len(iv) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in iv)
-            or not np.isfinite(iv).all()
+            # finite by comparison, which an int past the float range cannot overflow
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+                       for x in iv)
             or not iv[0] < iv[1]
+            or float(iv[1]) - float(iv[0]) == np.inf  # sampling scales by the width
         ):
-            raise ManifoldParseError(f"domain[{c}] must be a finite interval [lo, hi] with lo < hi")
+            raise ManifoldParseError(f"domain[{c}] must be a finite interval [lo, hi] with lo < hi and finite width")
         domain.append((float(iv[0]), float(iv[1])))
 
     constants_raw = raw.get("constants", [])
@@ -492,7 +494,8 @@ def latin_hypercube(chart: Chart, count: int, seed: int = 42) -> np.ndarray:
     at 0.05 + 0.9 u of its stratum's width, so points stay strictly inside
     the open box.  Every uniform is `random.Random(seed).random()`, whose
     sequence for a given seed Python keeps the same across versions.  A
-    negative seed raises ValueError and a non-integer one TypeError.
+    negative seed raises ValueError, a non-integer one TypeError, and a count
+    past what an array can address MemoryError, as one too large to allocate.
     """
     try:
         seed = operator.index(seed)
@@ -502,6 +505,8 @@ def latin_hypercube(chart: Chart, count: int, seed: int = 42) -> np.ndarray:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if count <= 0:
         return np.empty((0, chart.dim))
+    if count > sys.maxsize // (8 * chart.dim):  # numpy would raise OverflowError or ValueError
+        raise MemoryError(f"{count} samples of {chart.dim} coordinates exceed the address space")
     # endless; each np.fromiter allocates its `count` floats before drawing any
     draws = iter(random.Random(seed).random, None)
     columns = []

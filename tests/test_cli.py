@@ -314,8 +314,9 @@ def test_a_potential_whose_fit_overflows_is_a_domain_error(capsys, argv):
     ["verify-paper", "--const", "c=1e103", "--const", "ct=1e103"],
 ], ids=["report-flat", "verify-paper"])
 def test_a_potential_of_finite_jets_near_the_float_limit_is_fitted(capsys, argv):
-    # v.v N v grows as |v|^3, so the fit is formed from v scaled by a power of two per sample;
-    # the verdicts may still fail on absolute residuals, but the fit is no domain error
+    # the fit is linear in nabla v and divides only by k = eta(v), so it forms nothing of
+    # order |v|^2 or more; the verdicts may still fail on absolute residuals, but the fit
+    # is no domain error
     rc, out, err = run(capsys, *argv, "--samples", "4")
     assert rc in (0, 1) and err == ""
     assert "conformal scalar" in out
@@ -453,6 +454,15 @@ def test_too_many_samples_for_memory_is_a_usage_error(capsys):
     rc, out, err = run(capsys, "validate", *CONE, "--samples", "100000000000")
     assert rc == 2 and out == ""
     assert err == "accr: out of memory for --samples 100000000000; use fewer samples\n"
+
+
+@pytest.mark.parametrize("samples", ["99999999999999999999", "1152921504606846976"])
+def test_samples_past_the_address_space_are_a_usage_error(capsys, samples):
+    # 1e20 >= 2^63 is past any array length, and 2^60 floats past any array size: each is
+    # refused before numpy is asked, so nothing is allocated
+    rc, out, err = run(capsys, "validate", *CONE, "--samples", samples)
+    assert rc == 2 and out == ""
+    assert err == f"accr: out of memory for --samples {samples}; use fewer samples\n"
 
 
 def test_curvature_singular_metric_exit_code(capsys, tmp_path):

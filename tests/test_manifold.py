@@ -227,6 +227,12 @@ def test_load_rejects_bad_domains():
     # JSON booleans are not numbers, although Python's bool is an int
     with pytest.raises(ManifoldParseError, match="domain"):
         load_manifold(cone_json(domain={"t": [0.5, 5.0], "u": [False, True], "v": [-3, 3]}))
+    # an int past the float range is not finite, and is no TypeError
+    with pytest.raises(ManifoldParseError, match=r"domain\[u\]"):
+        load_manifold(cone_json(domain={"t": [0.5, 5.0], "u": [-3, 10**400], "v": [-3, 3]}))
+    # finite ends whose width overflows would make sampling draw u = inf
+    with pytest.raises(ManifoldParseError, match=r"domain\[u\] .* finite width"):
+        load_manifold(cone_json(domain={"t": [0.5, 5.0], "u": [-1e308, 1e308], "v": [-3, 3]}))
 
 
 def test_load_rejects_shape_and_name_problems():

@@ -28,12 +28,12 @@ CASES = {
     "report-n2": (
         ["report", CONE_N2, "--potential-k", "c*t", "--const", "c=1", "--samples", "64", "--seed", "42",
          "--format", "json"],
-        "c7b6aa5cfbad81867eb033121ed5790cd3757738c94a4f0647b1a57652d94324",
+        "a4d525823014cf98e93f1f8904b1d592816bd727a1d551aff4a5a48244d31c5b",
     ),
     "soliton-cone": (
         ["soliton", "--builtin", "cone-flat-fiber", "--metric", "gtilde", "--potential-k", "ct*t",
          "--const", "ct=1", "--expect-soliton", "--samples", "256", "--seed", "42", "--format", "json"],
-        "e6ee36ee8677bee9cf387d111308f191312c56f2b58e22993e84417ecc7651b3",
+        "f2042d9df3cc69016d34688dc7907905b2d4c38eee9c2dc1a051bf5e393c2d21",
     ),
     "report-n2-table": (
         ["report", CONE_N2, "--potential-k", "c*t", "--const", "c=1", "--samples", "16", "--format", "table"],

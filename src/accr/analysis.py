@@ -271,7 +271,7 @@ def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: floa
         ) if holds)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        A = lie_derivative_metric(pg, v, dv) / 2.0
+        A = lie_derivative_metric(pg, nth) / 2.0
         mu, resid_arr = proportionality_split(A, pg.g, pg.ginv)
         lam_arr = pg.tau - mu
         _require_finite(geo, f"Lie derivative of metric {tag} along the potential", resid_arr, lam_arr)

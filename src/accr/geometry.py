@@ -24,21 +24,16 @@ Both metrics are matrices of component expressions (g~'s built by
 AccRStructure.associated_metric), whose jets come from one jet path,
 expr.eval_field_jets.  A command keeps the structure jets, which
 SampleGeometry evaluates once and structure validation reads as well, and,
-per metric, the fields it has read.
-Three d^4 arrays have too few readers to be worth keeping: r04 is lowered
-from r13 on each call of lowered_curvature; the metric's Hessians are let go
-by dgamma, their one reader (a later read of dgamma evaluates them again);
-and dgamma is let go as soon as r13 is kept.  Its other reader, dtheta_star,
-reads only _dgamma_G, its small (N, d, 2, d) contraction, which r13 makes
-before it lets dgamma go; so dgamma is gone even where dtheta_star is never
-read (g~ in report, verify-paper and soliton), and neither read order
-computes it twice.  The jets of a literal field (phi, xi and eta in every
-shipped structure) are read-only zero views that own no memory.
+per metric, the fields it has read.  r04 is lowered from r13 on each call of
+lowered_curvature, and dgamma lives only in the one curvature pass that
+builds both of its readers, r13 and dtheta_star's two dgamma terms.  The
+jets of a literal field (phi, xi and eta in every shipped structure) are
+read-only zero views that own no memory.
 """
 from __future__ import annotations
 
 import functools
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -79,9 +74,7 @@ class PointGeometry:
     """Every derived quantity of one metric tag over the N sample points of a SampleGeometry.
 
     Each field is computed on its first read, from the fields it reads, and
-    kept, so a command pays only for what it reads; dgamma alone is let go
-    once r13 is kept, and is computed again if read after that.
-    The metric's jets, and `evaluate`, which evaluates them again, are
+    kept, so a command pays only for what it reads.  The metric's jets are
     given at construction, where the inverse is taken: a singular metric
     raises SingularMetric there, whichever fields are read later.  Every
     field carries a leading sample axis; the scalar fields are (N,)
@@ -89,14 +82,13 @@ class PointGeometry:
     cannot change what another reads.
     """
 
-    def __init__(self, n: int, tag: str, sj: StructureJets, metric: FieldJets,
-                 evaluate: Callable[[], list[FieldJets]]):
+    def __init__(self, n: int, tag: str, sj: StructureJets, metric: FieldJets):
         g, dg, d2g = metric
         shared = dict(phi=sj.phi.value, xi=sj.xi.value, eta=sj.eta.value, deta=sj.eta.partial,
                       g=g, dg=dg, ginv=_inverse(g, tag))
         for array in shared.values():
             array.flags.writeable = False
-        vars(self).update(shared, tag=tag, n=n, _d2g_given=d2g, _evaluate=evaluate,
+        vars(self).update(shared, tag=tag, n=n, _d2g=d2g,
                           _dphi=sj.phi.partial, _d2phi=sj.phi.second, _dxi=sj.xi.partial)
 
     def __setattr__(self, name, value):
@@ -122,11 +114,6 @@ class PointGeometry:
     # of the formula, and a permuted view is read against a contiguous operand
     # where an exact symmetry of the operands allows it.
 
-    def _d2g(self):
-        """The metric's second derivatives for dgamma, their one reader: given once, then evaluated."""
-        d2g = vars(self).pop("_d2g_given", None)
-        return self._evaluate()[0].second if d2g is None else d2g
-
     @_field
     def _dginv(self):  # [k,l,m] = d_m g^{kl} = -g^{ka} d_m g_{ab} g^{bl}
         ginv = self.ginv
@@ -146,31 +133,31 @@ class PointGeometry:
     def gamma(self):
         return 0.5 * (self.ginv @ _mat(self._koszul, 1, 2)).reshape(self._koszul.shape)
 
-    @_field
-    def dgamma(self):
-        dC = _koszul_derivative(self._d2g())
-        Ct = np.swapaxes(_mat(self._koszul, 1, 2), -1, -2)  # [(i,j),l]
-        out = (Ct[:, None] @ self._dginv).reshape(dC.shape)  # per k: C[l,ij] d_m g^{kl}
-        out += (self.ginv @ _mat(dC, 1, 3)).reshape(dC.shape)
-        out *= 0.5
-        return out
+    @functools.cached_property
+    def _curvature(self):
+        """(r13, Y): the curvature and dtheta_star's two dgamma terms, in one pass.
 
-    @_field
-    def r13(self):
-        dgamma, gamma = self.dgamma, self.gamma
-        self._dgamma_G  # dgamma's other reader, kept before dgamma is let go below
+        Y[k,0,m] = G[i,s] phi[t,s] dgamma[k,i,t,m] and Y[k,1,m] = G[i,s] dgamma[k,i,s,m],
+        with G = ginv phi^T.  dgamma is read only here, and the metric's second
+        derivatives only by dgamma, so neither outlives the pass.
+        """
+        dgamma = _christoffel_derivative(self, _koszul_derivative(vars(self).pop("_d2g")))
+        gamma, G = self.gamma, self._ginv_phi
+        Y = (np.stack([np.einsum("...is,...ts->...it", G, self.phi), G], axis=1).reshape(len(G), 1, 2, -1)
+             @ _mat(dgamma, 2, 1))
         # both gamma.gamma terms read one product: P[l,i,j,k] = Gamma^l_{im} Gamma^m_{jk}
         P = (_mat(gamma, 2, 1) @ _mat(gamma, 1, 2)).reshape(dgamma.shape)
-        out = np.subtract(
+        r13 = np.subtract(
             np.einsum("...ljki->...lkij", dgamma), np.einsum("...likj->...lkij", dgamma),
             out=np.empty_like(dgamma),
         )
-        out += np.einsum("...lijk->...lkij", P)
-        out -= np.einsum("...ljik->...lkij", P)
-        # let go last: let go before P was made, it cost 264 minor page faults per report-n2
-        # invocation against 124, and a slower command
-        del vars(self)["dgamma"]
-        return out
+        r13 += np.einsum("...lijk->...lkij", P)
+        r13 -= np.einsum("...ljik->...lkij", P)
+        return r13, Y
+
+    @_field
+    def r13(self):
+        return self._curvature[0]
 
     @_field
     def ricci(self):
@@ -213,14 +200,6 @@ class PointGeometry:
         return np.einsum("...is,...isz->...z", self._ginv_phi, self.F)
 
     @_field
-    def _dgamma_G(self):  # [k,0,m] = G[i,s] phi[t,s] dgamma[k,i,t,m], [k,1,m] = G[i,s] dgamma[k,i,s,m]
-        # dtheta_star's two dgamma terms, in one product: small, so r13 makes it before it
-        # lets dgamma go, and neither read order computes dgamma twice
-        G = self._ginv_phi
-        Gphi = np.einsum("...is,...ts->...it", G, self.phi)
-        return np.stack([Gphi, G], axis=1).reshape(len(G), 1, 2, -1) @ _mat(self.dgamma, 2, 1)
-
-    @_field
     def dtheta_star(self):  # [z,m] = d_m theta_star[z]
         # theta_star[z] = G[i,s] F[i,s,z] with G = ginv phi^T, and F[i,s,z] = g[k,z] cov_phi[k,s,i].
         # G is contracted into cov_phi and its derivative before the product rule, so no
@@ -232,9 +211,9 @@ class PointGeometry:
         out += Ft @ _mat(dG, 2, 1)
         q = np.einsum("...is,...ksi->...k", G, self._cov_phi)  # [k] = G[i,s] cov_phi[k,s,i]
         # y[k,m] = G[i,s] d_m cov_phi[k,s,i], term by term of d_m cov_phi: the d2phi term, the
-        # two dgamma terms, which read one product, _dgamma_G, and the two dphi terms, the first
-        # gamma[k,i,t] G[i,s] d_m phi[t,s] with the product read as [t,i,m]
-        both = self._dgamma_G
+        # two dgamma terms, which the curvature pass reads as one product, and the two dphi
+        # terms, the first gamma[k,i,t] G[i,s] d_m phi[t,s] with the product read as [t,i,m]
+        both = self._curvature[1]
         y = (_mat(np.swapaxes(G, -1, -2), 0, 2)[:, None] @ _mat(self._d2phi, 2, 1))[:, :, 0]
         y += both[:, :, 0]
         y += _mat(np.swapaxes(gamma, -1, -2), 1, 2) @ _mat(G[:, None] @ dphi, 2, 1)
@@ -265,6 +244,15 @@ def lowered_curvature(pg: PointGeometry) -> np.ndarray:
     r13 = pg.r13
     r = (np.swapaxes(pg.g, -1, -2) @ _mat(r13, 1, 3)).reshape(r13.shape)
     return np.einsum("...wkij->...ijkw", r)
+
+
+def _christoffel_derivative(pg: PointGeometry, dC: np.ndarray) -> np.ndarray:
+    """dgamma[k,i,j,m] = d_m Gamma^k_{ij} = 1/2 (d_m g^{kl} C[l,i,j] + g^{kl} dC[l,i,j,m])."""
+    Ct = np.swapaxes(_mat(pg._koszul, 1, 2), -1, -2)  # [(i,j),l]
+    out = (Ct[:, None] @ pg._dginv).reshape(dC.shape)  # per k: C[l,ij] d_m g^{kl}
+    out += (pg.ginv @ _mat(dC, 1, 3)).reshape(dC.shape)
+    out *= 0.5
+    return out
 
 
 def _koszul_derivative(d2g: np.ndarray) -> np.ndarray:
@@ -321,14 +309,11 @@ class SampleGeometry:
             if tag not in (METRIC_G, METRIC_GTILDE):
                 raise ValueError(f"unknown metric tag {tag!r}")
             S, sj, g = self.structure, self.jets, tag == METRIC_G
-            components = S.g if g else S.associated_metric()
-            # a partial, as a closure over self would make a reference cycle
-            evaluate = functools.partial(eval_field_jets, [components], self.points, self.bindings)
-            try:
-                jets = sj.g if g else evaluate()[0]  # g's jets are structure jets
+            try:  # g's jets are structure jets
+                jets = sj.g if g else eval_field_jets([S.associated_metric()], self.points, self.bindings)[0]
             except DomainError as exc:
                 raise DomainError(f"metric {tag}: {exc}", exc.bad) from None
-            self._geometry[tag] = PointGeometry(S.n, tag, sj, jets, evaluate)
+            self._geometry[tag] = PointGeometry(S.n, tag, sj, jets)
         return self._geometry[tag]
 
 
@@ -343,8 +328,6 @@ def f_tilde_components_from(pg: PointGeometry) -> np.ndarray:
       + {F(x,z,xi) + F(phi z, phi x, xi) + F(x, phi z, xi)} eta(y)
       + {F(y,z,xi) + F(phi z, phi y, xi) + F(z,y,xi) + F(phi y, phi z, xi)} eta(x)
     """
-    if pg.tag != METRIC_G:
-        raise ValueError("transfer relation consumes the fundamental tensor of g")
     phi, eta, xi, F = pg.phi, pg.eta, pg.xi, pg.F
     Fxi = np.einsum("...ijs,...s->...ij", F, xi)
     pFp = _congruence(phi, Fxi)  # [i, j] = F(phi x_i, phi x_j, xi)
@@ -376,8 +359,6 @@ def nabla_tilde_components_from(pg: PointGeometry) -> np.ndarray:
       + {F(x,z,xi) + F(phi z, phi x, xi) - omega(phi x) eta(z)} eta(y)
       - {F(xi,x,y) - F(y,x,xi) - F(x,phi y,xi) - F(x,y,xi) - F(y,phi x,xi)} eta(z)
     """
-    if pg.tag != METRIC_G:
-        raise ValueError("connection relation consumes the fundamental tensor of g")
     phi, eta, xi, F, omega = pg.phi, pg.eta, pg.xi, pg.F, pg.omega
     Fxi = np.einsum("...ijs,...s->...ij", F, xi)
     pFp_t = np.swapaxes(_congruence(phi, Fxi), -1, -2)  # [i, j] = F(phi x_j, phi x_i, xi)
@@ -405,8 +386,6 @@ def connection_f5_form(pg: PointGeometry) -> np.ndarray:
 
     nabla~_x y = nabla_x y - (theta*(xi)/2n) {g(x, phi y) + g(phi x, phi y)} xi
     """
-    if pg.tag != METRIC_G:
-        raise ValueError("the short connection form consumes the geometry of g")
     gphi = np.einsum("...is,...sj->...ij", pg.g, pg.phi)
     gphiphi = _congruence(pg.phi, pg.g)
     return pg.gamma - pg.h[:, None, None, None] * np.einsum("...ij,...k->...kij", gphi + gphiphi, pg.xi)
@@ -415,15 +394,11 @@ def connection_f5_form(pg: PointGeometry) -> np.ndarray:
 # -- Lie and exterior derivatives ---------------------------------------------
 
 
-def lie_derivative_metric(pg: PointGeometry, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+def lie_derivative_metric(pg: PointGeometry, nth: np.ndarray) -> np.ndarray:
     """(L_v metric)(x,y) = metric(nabla_x v, y) + metric(x, nabla_y v).
 
-    v and dv are the potential's values [..., z] and first derivatives
-    [..., z, m] at the points of pg, the value and partial of its field jets.
+    nth[..., k, i] = nabla_i v^k is the covariant derivative of the potential at the points of pg.
     """
-    if v.shape[-1] != pg.dim:
-        raise ValueError(f"potential needs {pg.dim} components, got {v.shape[-1]}")
-    nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)
     lg = np.einsum("...kj,...ki->...ij", pg.g, nth) + np.einsum("...ki,...kj->...ij", pg.g, nth)
     return (lg + np.swapaxes(lg, -1, -2)) / 2.0
 

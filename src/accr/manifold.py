@@ -286,14 +286,17 @@ def _structure_from_dict(raw: dict, source: bytes) -> AccRStructure:
 
     parsed: dict[str, Expression] = {}  # each distinct entry string is parsed once
 
-    def parse_entry(text, where):
+    def parse_entry(text, where):  # an error names the entry's place in the file
         if not isinstance(text, str):
             raise ManifoldParseError(f"{where} must be an expression string")
         if text not in parsed:
-            parsed[text] = parse(text, chart.coordinates, constants)
+            try:
+                parsed[text] = parse(text, chart.coordinates, constants)
+            except ExprError as exc:
+                raise ManifoldParseError(f"{where}: {exc}") from None
         return parsed[text]
 
-    def parse_array(value, rank, where, parse_one=parse_entry):
+    def parse_array(value, rank, where):
         """Nested lists of `dim` entries, `rank` deep, as nested tuples of the parsed entries."""
         entries = [(where, value)]
         for _ in range(rank):
@@ -301,7 +304,7 @@ def _structure_from_dict(raw: dict, source: bytes) -> AccRStructure:
                 if not isinstance(entry, list) or len(entry) != dim:
                     raise ManifoldParseError(f"{path} must be a list of {dim} entries")
             entries = [(f"{path}[{i}]", item) for path, entry in entries for i, item in enumerate(entry)]
-        nested = [parse_one(entry, path) for path, entry in entries]
+        nested = [parse_entry(entry, path) for path, entry in entries]
         for _ in range(rank):  # regrouped, the innermost lists first
             nested = [tuple(nested[i:i + dim]) for i in range(0, len(nested), dim)]
         return nested[0]
@@ -323,12 +326,6 @@ def _structure_from_dict(raw: dict, source: bytes) -> AccRStructure:
     if name is not None and not isinstance(name, str):
         raise ManifoldParseError("name must be a string")
 
-    def parse_expected(text, where):  # an expectation's error names its place in the file
-        try:
-            return parse_entry(text, where)
-        except ExprError as exc:
-            raise ManifoldParseError(f"{where}: {exc}") from None
-
     expect = []
     pending = [("expect", raw["expect"], _EXPECT)] if "expect" in raw else []
     while pending:  # the expect object and its nested objects, breadth first
@@ -342,7 +339,7 @@ def _structure_from_dict(raw: dict, source: bytes) -> AccRStructure:
             if isinstance(schema[key], dict):
                 pending.append((path, value, schema[key]))
             else:
-                parsed_value = parse_array(value, schema[key], path, parse_expected)
+                parsed_value = parse_array(value, schema[key], path)
                 text = json.dumps(value).replace('"', "")  # as written, its strings unquoted
                 expect.append((path.split(".", 1)[1], text, parsed_value))
 

@@ -736,10 +736,10 @@ def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, 
     assert numbers == {"verify-cone": expectations + [[S.frame]], "curvature-g-n2": [[S.frame]]}.get(workload, [])
     # g~'s jets are evaluated once where g~ is read, and g's never: they are structure jets
     assert jets.count([S.associated_metric()]) == (0 if workload == "curvature-g-n2" else 1)
-    # dgamma is let go once r13 is kept, whether or not dtheta_star was read
-    assert [pg.tag for pg in geo._geometry.values() if {"r13", "dgamma"} <= vars(pg).keys()] == []
+    # the curvature pass reads the metric's second derivatives once and keeps no dgamma
+    assert [pg.tag for pg in geo._geometry.values() if {"_curvature", "_d2g"} <= vars(pg).keys()] == []
     if workload == "report-n2":
-        assert "dgamma" not in vars(geo.of("gtilde"))
+        assert "_d2g" not in vars(geo.of("gtilde"))
 
 
 def test_non_vertical_sample_is_named(cone):

@@ -649,6 +649,14 @@ def test_output_file(capsys, tmp_path):
     assert data["manifold"] == "builtin:cone-flat-fiber"
 
 
+def test_an_output_file_in_a_missing_directory_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "report.json"
+    rc, out, err = run(capsys, "validate", *CONE, "--samples", "4", "-o", str(out_path))
+    assert (rc, out) == (2, "")
+    assert err == f"accr: [Errno 2] No such file or directory: '{out_path}'\n"
+    assert not out_path.parent.exists()
+
+
 def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "validate", "missing.json")[0] == 2
     assert run(capsys, "validate", "--builtin", "nope")[0] == 2
@@ -910,7 +918,8 @@ def test_a_structure_entry_nested_too_deep_exits_2(capsys, tmp_path, shape):
     path = tmp_path / "deep.json"
     path.write_text(cone_json(g=[[entry, "0", "0"], ["0", "t^2", "0"], ["0", "0", "-t^2"]]), encoding="utf-8")
     rc, out, err = run(capsys, "report", str(path), "--samples", "2")
-    assert (rc, out, err) == (2, "", "accr: ExprError: expression nests deeper than 100 levels\n")
+    assert (rc, out, err) == (
+        2, "", "accr: ManifoldParseError: g[0][0]: expression nests deeper than 100 levels\n")
 
 
 def test_a_potential_nested_too_deep_exits_2(capsys):

@@ -37,10 +37,11 @@ COORDS = ("t", "u", "v")
 
 # The array fields of a PointGeometry, in declaration order: the structure
 # fields and the metric with its inverse, which are taken at construction,
-# then the fields computed on first read.
+# then the fields computed on first read.  dgamma is not a field: it lives
+# only in the curvature pass, and the tests build it with _dgamma.
 FIELDS = (
     "phi", "xi", "eta", "deta", "g", "dg", "ginv",
-    "gamma", "dgamma", "r13", "ricci", "tau", "tau_star", "nabla_xi", "nabla_eta",
+    "gamma", "r13", "ricci", "tau", "tau_star", "nabla_xi", "nabla_eta",
     "F", "theta_star", "dtheta_star", "theta_star_xi", "grad_theta_star_xi", "omega",
 )
 
@@ -53,6 +54,18 @@ def pg_g(cone):
 @pytest.fixture(scope="module")
 def pg_gt(cone):
     return SampleGeometry(cone, [POINT]).of("gtilde")
+
+
+def _d2g(geo, tag):
+    """The second derivatives of the metric `tag` over the samples of geo, evaluated again."""
+    S = geo.structure
+    (jets,) = eval_field_jets([S.g if tag == "g" else S.associated_metric()], geo.points, geo.bindings)
+    return jets.second
+
+
+def _dgamma(geo, tag):
+    """dgamma[k,i,j,m] = d_m Gamma^k_{ij} of the metric `tag`, built as the curvature pass builds it."""
+    return geometry._christoffel_derivative(geo.of(tag), geometry._koszul_derivative(_d2g(geo, tag)))
 
 
 def test_unknown_metric_tag(cone):
@@ -75,7 +88,7 @@ def test_christoffel_wrapper(cone):
     geo = SampleGeometry(cone, POINT)  # one point is a batch of one
     pg = geo.of("g")
     assert pg.tag == "g"
-    assert pg.dgamma.shape == (1, 3, 3, 3, 3)
+    assert _dgamma(geo, "g").shape == (1, 3, 3, 3, 3)
     assert np.allclose(geo.points, [POINT])
 
 
@@ -214,11 +227,6 @@ def test_f_tilde_transfer_detects_perturbation(cone, pg_g, pg_gt):
     assert np.max(np.abs(f_tilde_components_from(pg_g) - pg_gt.F)) < 1e-12
 
 
-def test_f_tilde_transfer_requires_g(pg_gt):
-    with pytest.raises(ValueError):
-        f_tilde_components_from(pg_gt)
-
-
 def test_nabla_tilde_routes(cone, cone_points):
     for pt in cone_points[:8]:
         geo = SampleGeometry(cone, [pt])
@@ -241,13 +249,19 @@ def test_vector_field_jets():
     assert np.allclose(partial[1], [0.0, -0.4, 0.3])
 
 
+def _nabla(pg, exprs, point, bindings):
+    """nth[..., k, i] = nabla_i v^k of the vector field with component expressions `exprs`."""
+    v, dv, _ = eval_field_jets([exprs], [point], bindings)[0]
+    return dv + np.einsum("...kis,...s->...ki", pg.gamma, v)
+
+
 def test_lie_derivative_closed_form(cone, cone_points):
     # for the vertical field with k = c t the Lie derivative is 2c * metric
     for c in (1.0, 2.0):
         exprs = [parse(s, COORDS, ("c",)) for s in ("c*t", "0", "0")]
         for pt in cone_points[:6]:
             pg = SampleGeometry(cone, [pt]).of("g")
-            lg = lie_derivative_metric(pg, *eval_field_jets([exprs], [pt], {"c": c})[0][:2])[0]
+            lg = lie_derivative_metric(pg, _nabla(pg, exprs, pt, {"c": c}))[0]
             (g,) = eval_numbers([cone.g], pt)
             assert np.max(np.abs(lg - 2.0 * c * g)) < 1e-12
 
@@ -259,15 +273,10 @@ def test_lie_derivative_two_routes_agree(cone, cone_points):
     for tag in ("g", "gtilde"):
         for pt in cone_points[:6]:
             pg = SampleGeometry(cone, [pt]).of(tag)
-            a = lie_derivative_metric(pg, *eval_field_jets([exprs], [pt], b)[0][:2])
+            a = lie_derivative_metric(pg, _nabla(pg, exprs, pt, b))
             jet = k.eval_jet([pt], b)
             v = lie_derivative_vertical(pg, jet.value, jet.grad)
             assert np.max(np.abs(a - v)) < 1e-12
-
-
-def test_lie_derivative_shape_check(pg_g):
-    with pytest.raises(ValueError):
-        lie_derivative_metric(pg_g, *eval_field_jets([[parse("t", COORDS)]], [POINT])[0][:2])
 
 
 def test_exterior_derivative():
@@ -286,11 +295,11 @@ def test_exterior_derivative():
     assert np.max(np.abs(antisymmetrized_derivative(eval_field_jets([eta_form], POINT)[0].partial))) == 0.0
 
 
-def test_point_geometry_shapes(pg_g):
+def test_point_geometry_shapes(cone, pg_g):
     assert pg_g.dim == 3 and pg_g.n == 1
     assert pg_g.r13.shape == (1, 3, 3, 3, 3)
     assert lowered_curvature(pg_g).shape == (1, 3, 3, 3, 3)
-    assert pg_g.dgamma.shape == (1, 3, 3, 3, 3)
+    assert _dgamma(SampleGeometry(cone, [POINT]), "g").shape == (1, 3, 3, 3, 3)
     assert pg_g.F.shape == (1, 3, 3, 3)
     assert pg_g.nabla_eta.shape == (1, 3, 3)
     assert pg_g.tau.shape == pg_g.theta_star_xi.shape == (1,)
@@ -311,15 +320,18 @@ _BINDINGS = {"cone": {}, "cone_n2": {}, "cone_n3": {}, "offdiag": OFFDIAG_BINDIN
 def test_batch_matches_per_point(request, structure, tag):
     S = request.getfixturevalue(structure)
     points = sample_points(S.chart, 12, seed=5)
-    batch = SampleGeometry(S, points, _BINDINGS[structure]).of(tag)
+    geo = SampleGeometry(S, points, _BINDINGS[structure])
+    batch, dgamma = geo.of(tag), _dgamma(geo, tag)
     for k, pt in enumerate(points):
-        single = SampleGeometry(S, [pt], _BINDINGS[structure]).of(tag)
+        one = SampleGeometry(S, [pt], _BINDINGS[structure])
+        single = one.of(tag)
         for field in FIELDS:
             got = getattr(batch, field)[k]
             want = getattr(single, field)[0]
             assert np.shape(got) == np.shape(want), field
             assert rel_err(got, want) <= 1e-13, field
         assert rel_err(lowered_curvature(batch)[k], lowered_curvature(single)[0]) <= 1e-13
+        assert rel_err(dgamma[k], _dgamma(one, tag)[0]) <= 1e-13
 
 
 def test_field_list_is_complete(cone):
@@ -346,25 +358,29 @@ def test_fields_do_not_depend_on_read_order(request, structure, tag):
     assert lowered_curvature(forward).tobytes() == lowered_curvature(backward).tobytes()
 
 
-def test_dgamma_is_let_go_once_both_its_readers_are_kept(cone_n2):
-    pg = SampleGeometry(cone_n2, sample_points(cone_n2.chart, 4, seed=3)).of("gtilde")
-    first = pg.dgamma
-    pg.dtheta_star
-    assert "dgamma" in vars(pg)
-    pg.r13
-    assert "dgamma" not in vars(pg)
-    assert pg.dgamma.tobytes() == first.tobytes()  # a later read computes it again
+@pytest.mark.parametrize("first", ["r13", "dtheta_star"])
+@pytest.mark.parametrize("tag", ["g", "gtilde"])
+def test_no_geometry_keeps_dgamma_or_the_metric_second_derivatives(monkeypatch, cone_n2, tag, first):
+    calls, koszul_derivative = [], geometry._koszul_derivative
 
+    def counted(d2g):
+        calls.append(tag)
+        return koszul_derivative(d2g)
 
-def test_r13_lets_dgamma_go_and_a_later_dtheta_star_does_not_bring_it_back(cone_n2):
     points = sample_points(cone_n2.chart, 4, seed=3)
-    pg = SampleGeometry(cone_n2, points).of("gtilde")
-    pg.r13
-    assert "dgamma" not in vars(pg)
-    later = pg.dtheta_star
-    assert "dgamma" not in vars(pg)
-    first = SampleGeometry(cone_n2, points).of("gtilde").dtheta_star
-    assert later.tobytes() == first.tobytes()
+    geo = SampleGeometry(cone_n2, points)
+    dgamma, d2g = _dgamma(geo, tag), _d2g(geo, tag)  # built apart, before the pass runs
+    monkeypatch.setattr(geometry, "_koszul_derivative", counted)
+
+    def held():  # every array a geometry keeps, those inside a kept tuple included
+        return [array for pg in geo._geometry.values() for value in vars(pg).values()
+                for array in (value if isinstance(value, tuple) else (value,)) if isinstance(array, np.ndarray)]
+
+    for field in (first, {"r13": "dtheta_star", "dtheta_star": "r13"}[first]):
+        getattr(geo.of(tag), field)
+        for want in (dgamma, d2g):
+            assert not any(a.shape == want.shape and np.array_equal(a, want) for a in held()), field
+    assert len(calls) == 1  # one curvature pass per metric, whichever field is read first
 
 
 def test_soliton_computes_only_the_fields_it_reads(monkeypatch, capsys):
@@ -394,14 +410,15 @@ def test_derivative_fields_match_finite_differences(offdiag, tag):
         return SampleGeometry(offdiag, [x], OFFDIAG_BINDINGS).of(tag)
 
     for pt in sample_points(offdiag.chart, 4, seed=8):
-        pg = at(pt)
+        geo = SampleGeometry(offdiag, [pt], OFFDIAG_BINDINGS)
+        pg = geo.of(tag)
         for field, derivative in (
-            ("gamma", "dgamma"),
-            ("theta_star", "dtheta_star"),
-            ("theta_star_xi", "grad_theta_star_xi"),
+            ("gamma", _dgamma(geo, tag)),
+            ("theta_star", pg.dtheta_star),
+            ("theta_star_xi", pg.grad_theta_star_xi),
         ):
             ref = fd_gradient(lambda x: getattr(at(x), field)[0], pt)
-            assert rel_err(getattr(pg, derivative)[0], ref) < 1e-7, derivative
+            assert rel_err(derivative[0], ref) < 1e-7, field
 
 
 @pytest.mark.parametrize("tag", ["g", "gtilde"])
@@ -410,8 +427,9 @@ def test_dtheta_star_matches_the_full_derivative_of_F(request, structure, tag):
     # The reference route builds d_m F[i,j,z] in full and contracts it last;
     # the field contracts ginv phi^T into cov_phi and its derivative first.
     S = request.getfixturevalue(structure)
-    pg = SampleGeometry(S, sample_points(S.chart, 8, seed=4), _BINDINGS[structure]).of(tag)
-    phi, dphi, gamma, dgamma = pg.phi, pg._dphi, pg.gamma, pg.dgamma
+    geo = SampleGeometry(S, sample_points(S.chart, 8, seed=4), _BINDINGS[structure])
+    pg = geo.of(tag)
+    phi, dphi, gamma, dgamma = pg.phi, pg._dphi, pg.gamma, _dgamma(geo, tag)
     dcov_phi = (
         pg._d2phi
         + np.einsum("...kism,...sj->...kjim", dgamma, phi)
@@ -524,10 +542,11 @@ def test_batched_helpers_match_per_sample(request, structure, tag):
 # -- the einsum forms of the contractions computed by batched matmul ------------
 
 
-def _einsum_fields(pg):
-    """Each field computed by matmul, as an einsum over the fields it reads."""
-    g, ginv, dg, phi, gamma, dgamma = pg.g, pg.ginv, pg.dg, pg.phi, pg.gamma, pg.dgamma
-    dginv, C, d2g, dphi, cov, F, G = pg._dginv, pg._koszul, pg._d2g(), pg._dphi, pg._cov_phi, pg.F, pg._ginv_phi
+def _einsum_fields(geo, tag):
+    """Each field computed by matmul, and dgamma, as an einsum over the fields it reads."""
+    pg = geo.of(tag)
+    g, ginv, dg, phi, gamma, dgamma = pg.g, pg.ginv, pg.dg, pg.phi, pg.gamma, _dgamma(geo, tag)
+    dginv, C, d2g, dphi, cov, F, G = pg._dginv, pg._koszul, _d2g(geo, tag), pg._dphi, pg._cov_phi, pg.F, pg._ginv_phi
     dC = (np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
           - np.einsum("...ijlm->...lijm", d2g))
     dcov_g = (  # G[i,s] d_m cov_phi[k,s,i], term by term
@@ -630,8 +649,9 @@ def test_matmul_contractions_match_their_einsum_forms(request, structure, tag):
     points = sample_points(S.chart, 8, seed=17)
     geo = SampleGeometry(S, points, bindings)
     pg = geo.of(tag)
-    for field, want in _einsum_fields(pg).items():
-        assert _near(getattr(pg, field), want), field
+    for field, want in _einsum_fields(geo, tag).items():
+        got = _dgamma(geo, tag) if field == "dgamma" else getattr(pg, field)
+        assert _near(got, want), field
     for name, (want, got, scale) in _einsum_helpers(pg).items():
         assert _near(got, want, scale), name
     gtilde = S.associated_metric()
@@ -692,7 +712,7 @@ def test_metric_jets_are_exactly_symmetric_in_their_metric_slots(request, struct
 @pytest.mark.parametrize("structure", ["cone", "cone_n2", "offdiag", "varying"])
 def test_koszul_derivative_equals_its_three_view_form(request, structure, tag):
     S, bindings = _structure(request, structure)
-    d2g = SampleGeometry(S, sample_points(S.chart, 8, seed=3), bindings).of(tag)._d2g()
+    d2g = _d2g(SampleGeometry(S, sample_points(S.chart, 8, seed=3), bindings), tag)
     three_views = (np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
                    - np.einsum("...ijlm->...lijm", d2g))
     got = geometry._koszul_derivative(d2g)

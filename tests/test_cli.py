@@ -265,6 +265,39 @@ def test_soliton_records_table(capsys, tmp_path, structure, k, records, report_r
             assert rc == report_rc
 
 
+_STRUCTURES = {"cone": CONE, "flat": ["--builtin", "flat-cosymplectic"], "cone_n2": [_CONE_N2_FILE],
+               "offdiag": OFFDIAG, "varying": VARYING, "rotating_norden": ROTATING_NORDEN}
+
+
+def _source(tmp_path, structure):
+    """The argv that names one of _STRUCTURES, and binds the constant c = 0.3 of OFFDIAG and VARYING."""
+    source = _STRUCTURES[structure]
+    if isinstance(source, dict):
+        path = tmp_path / f"{structure}.json"
+        path.write_text(json.dumps(source), encoding="utf-8")
+        source = [str(path), *(["--const", "c=0.3"] if "constants" in source else [])]
+    return source
+
+
+# Each command's exit code on each structure, in the order of _STRUCTURES.  OFFDIAG and VARYING
+# fail validation, rotating-Norden is Sasaki-like but not F5, VARYING's potential is not vertical,
+# and flat-cosymplectic is F0, which fails the suite's F5 class records.
+@pytest.mark.parametrize("command, codes", [
+    (["validate"], [0, 0, 0, 1, 1, 0]),
+    (["classify"], [0, 0, 0, 1, 1, 0]),
+    (["curvature", "--metric", "g"], [0, 0, 0, 1, 1, 0]),
+    (["curvature", "--metric", "gtilde"], [0, 0, 0, 1, 1, 0]),
+    (["report"], [0, 0, 0, 1, 1, 1]),
+    (["report", "--potential-k", "t", "--expect-soliton"], [0, 1, 0, 1, 1, 1]),
+    (["soliton", "--potential-k", "t"], [0, 0, 0, 0, 1, 0]),
+    (["soliton", "--potential-k", "t", "--expect-soliton"], [0, 1, 0, 1, 1, 1]),
+    (["verify-paper"], [0, 1, 0, 1, 1, 1]),
+], ids=lambda value: " ".join(value) if isinstance(value[0], str) else None)
+def test_exit_codes_table(capsys, tmp_path, command, codes):
+    got = [run(capsys, *command, *_source(tmp_path, structure), "--samples", "16")[0] for structure in _STRUCTURES]
+    assert got == codes
+
+
 def test_soliton_requires_potential(capsys):
     rc, _, err = run(capsys, "soliton", *CONE, "--samples", "4")
     assert rc == 2

@@ -56,7 +56,6 @@ __all__ = [
     "classify",
     "proportionality_split",
     "yamabe_soliton_solve",
-    "validation_records",
     "classification_records",
     "curvature_records",
     "report_records",
@@ -312,57 +311,28 @@ def _value_record(name, anchor, values):
     )
 
 
-def validation_records(geo: SampleGeometry, tol: float) -> list[CheckRecord]:
-    """One record per defining identity of the structure, and one for the signature."""
-    vr = validate_structure(geo.structure, geo.jets, tol)
-    records = [
-        record_from_residual(f"structure: {key}", key, [value], tol)
-        for key, value in vr.residuals.items()
-    ]
-    records.append(
-        CheckRecord(
-            name="structure: signature",
-            anchor=f"metric signature ({geo.structure.n + 1},{geo.structure.n}) at every sample",
-            verdict=VERDICT_PASS if vr.signature == vr.expected_signature else VERDICT_FAIL,
-            residual=None,
-        )
-    )
-    return records
-
-
 def classification_records(geo: SampleGeometry, tol: float) -> list[CheckRecord]:
     """The records of every class, in order."""
     return [record for records in classify(geo, tol).values() for record in records]
 
 
-def _identity_residuals(pg):
-    """Per-sample residuals of one metric's identity suites.
-
-    Metric compatibility, the curvature symmetries with the first Bianchi
-    identity, and the properties of F, in that order.
-    """
-    return (
-        metric_compatibility_residual(pg),
-        worst_residual(curvature_symmetry_residuals(pg)),
-        worst_residual(f_property_residuals(pg)),
-    )
-
-
 def _identity_records(geo, tag, tol):
-    compat, sym, fprop = _identity_residuals(geo.of(tag))
+    """The tagged metric's identity suites: metric compatibility, the curvature symmetries with
+    the first Bianchi identity, and the properties of F, in that order."""
+    pg = geo.of(tag)
     suffix = "" if tag == METRIC_G else " (associated metric)"
     return [
-        record_from_residual(f"metric compatibility{suffix}", "nabla g = 0", compat, tol),
+        record_from_residual(f"metric compatibility{suffix}", "nabla g = 0", metric_compatibility_residual(pg), tol),
         record_from_residual(
             f"curvature symmetries{suffix}",
             "R(x,y,z,w) = -R(y,x,z,w) = -R(x,y,w,z) = R(z,w,x,y); first Bianchi",
-            sym,
+            worst_residual(curvature_symmetry_residuals(pg)),
             tol,
         ),
         record_from_residual(
             f"fundamental tensor properties{suffix}",
             "F(x,y,z) = F(x,z,y); phi-phi expansion; F(x,phi y,xi) = (nabla_x eta) y",
-            fprop,
+            worst_residual(f_property_residuals(pg)),
             tol,
         ),
     ]
@@ -435,7 +405,7 @@ def _cross_route_records(geo, tol, short_form_name):
 def report_records(geo: SampleGeometry, tol: float) -> list[CheckRecord]:
     """Validation, classification, both metrics' identity suites and the cross routes."""
     return (
-        validation_records(geo, tol)
+        validate_structure(geo.structure, geo.jets, tol)
         + classification_records(geo, tol)
         + _identity_records(geo, METRIC_G, tol)
         + _identity_records(geo, METRIC_GTILDE, tol)
@@ -529,17 +499,14 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
             records.append(CheckRecord(name, f"expect.{missing[0]} is not given", VERDICT_NA))
         return not missing
 
-    # structure identities
-    vr = validate_structure(S, geo.jets, tol)
-    records.append(
-        CheckRecord(
-            name="structure identities",
-            anchor="phi^2 = -id + eta(x) xi; g(phi x,phi y) = -g(x,y) + eta(x) eta(y); signature (n+1,n)",
-            verdict=VERDICT_PASS if vr.passed else VERDICT_FAIL,
-            residual=max(vr.residuals.values()),
-            samples=None,
-        )
-    )
+    # structure identities: the records of validate_structure, as one
+    structure = validate_structure(S, geo.jets, tol)
+    records.append(CheckRecord(
+        name="structure identities",
+        anchor="phi^2 = -id + eta(x) xi; g(phi x,phi y) = -g(x,y) + eta(x) eta(y); signature (n+1,n)",
+        verdict=VERDICT_PASS if all(r.verdict == VERDICT_PASS for r in structure) else VERDICT_FAIL,
+        residual=max(r.residual for r in structure if r.residual is not None),
+    ))
 
     pg = geo.of(METRIC_G)
     pgt = geo.of(METRIC_GTILDE)
@@ -601,19 +568,17 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
         _max_abs(pg.theta_star - pg.theta_star_xi[:, None] * pg.eta, 1),
     )
 
-    # identity suites, both metrics
-    compat, sym, fprop = np.maximum(_identity_residuals(pg), _identity_residuals(pgt))
-    add("metric compatibility", "nabla g = 0 and nabla~ g~ = 0", compat)
-    add(
-        "curvature symmetries and first Bianchi",
-        "R(x,y,z,w) = -R(y,x,z,w) = -R(x,y,w,z) = R(z,w,x,y); cyclic sum 0",
-        sym,
-    )
-    add(
-        "fundamental tensor properties",
-        "F(x,y,z) = F(x,z,y) = F(x,phi y,phi z) + eta(y) F(x,xi,z) + eta(z) F(x,y,xi); F(x,phi y,xi) = (nabla_x eta) y",
-        fprop,
-    )
+    # identity suites, both metrics: the worse of each metric's record at each sample
+    for name, anchor, of_g, of_gt in zip(
+        ("metric compatibility", "curvature symmetries and first Bianchi", "fundamental tensor properties"),
+        ("nabla g = 0 and nabla~ g~ = 0",
+         "R(x,y,z,w) = -R(y,x,z,w) = -R(x,y,w,z) = R(z,w,x,y); cyclic sum 0",
+         "F(x,y,z) = F(x,z,y) = F(x,phi y,phi z) + eta(y) F(x,xi,z) + eta(z) F(x,y,xi); "
+         "F(x,phi y,xi) = (nabla_x eta) y"),
+        _identity_records(geo, METRIC_G, tol),
+        _identity_records(geo, METRIC_GTILDE, tol),
+    ):
+        add(name, anchor, np.maximum(of_g.samples, of_gt.samples))
 
     # torse-forming curvature identities
     tf_res = torse_forming_curvature_residuals(pg)

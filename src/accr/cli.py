@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 all gating checks pass, 1 a gating
-check failed, 2 usage or load error.  Classification statuses are answers
-rather than successes, so they never gate the exit code; verify-paper
-gates on every record it emits.
+check failed, 2 usage or load error.  One rule gates every command: a
+command's own checks gate, but for the `class ...` answers, which are
+answers rather than successes (verify-paper's `class: ...` records compare
+an answer with the example's, and gate); of the records of a potential
+given with --potential-k, only the soliton verdict gates, and only with
+--expect-soliton.
 
 A run builds one argparse parser, that of the command its first argument
 names, from the same option sets as `build_parser`.  The whole tree is built
@@ -39,8 +42,9 @@ from .manifold import (
     check_bindings,
     load_manifold,
     sample_points,
+    validate_structure,
 )
-from .report import Report, VERDICT_FAIL, VERDICT_PASS
+from .report import Report, VERDICT_FAIL
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -217,9 +221,16 @@ def _emit(report: Report, args) -> None:
         print(text)
 
 
-def _gates(records):
-    """The pass/fail records but the class answers: a class that fails is an answer, not an error."""
-    return [r for r in records if not r.name.startswith("class ") and r.verdict in (VERDICT_PASS, VERDICT_FAIL)]
+# Each command's own checks; the soliton records of --potential-k follow them.
+_CHECKS = {
+    "validate": lambda geo, args, tol: validate_structure(geo.structure, geo.jets, tol),
+    "classify": lambda geo, args, tol: (
+        validate_structure(geo.structure, geo.jets, tol) + analysis.classification_records(geo, tol)),
+    "curvature": lambda geo, args, tol: analysis.curvature_records(geo, args.metric, tol),
+    "soliton": lambda geo, args, tol: [],
+    "verify-paper": lambda geo, args, tol: analysis.verify_paper_suite(geo, tol),
+    "report": lambda geo, args, tol: analysis.report_records(geo, tol),
+}
 
 
 def _run(args) -> int:
@@ -249,42 +260,24 @@ def _run(args) -> int:
     points = sample_points(S.chart, args.samples, args.seed, pinned)
 
     geo = geometry.SampleGeometry(S, points, bindings)
-    gates = []
-
-    if args.command == "validate":
-        records = gates = analysis.validation_records(geo, tol)
-    elif args.command == "classify":
-        records = analysis.validation_records(geo, tol) + analysis.classification_records(geo, tol)
-        gates = _gates(records)
-    elif args.command == "curvature":
-        records = analysis.curvature_records(geo, args.metric, tol)
-        gates = _gates(records)
-    elif args.command == "soliton":
-        if args.potential_k is None:
-            raise _Usage("soliton requires --potential-k EXPR")
-        records = analysis.soliton_records(geo, args.metric, args.potential_k, tol)
-        if args.expect_soliton:
-            gates = [r for r in records if r.name.startswith("Yamabe almost soliton")]
-    elif args.command == "verify-paper":
-        records = gates = analysis.verify_paper_suite(geo, tol)
-    elif args.command == "report":
-        if args.expect_soliton and args.potential_k is None:
-            raise _Usage("report --expect-soliton requires --potential-k EXPR")
-        records = analysis.report_records(geo, tol)
-        gates = _gates(records)
-        if args.potential_k is not None:
-            soliton_records = analysis.soliton_records(geo, args.metric, args.potential_k, tol)
-            records += soliton_records
-            if args.expect_soliton:
-                gates += [r for r in soliton_records if r.name.startswith("Yamabe almost soliton")]
-    else:  # pragma: no cover - argparse restricts the choices
-        raise _Usage(f"unknown command {args.command}")
+    k = getattr(args, "potential_k", None)
+    expect_soliton = getattr(args, "expect_soliton", False)
+    if k is None and args.command == "soliton":
+        raise _Usage("soliton requires --potential-k EXPR")
+    if k is None and expect_soliton:
+        raise _Usage("report --expect-soliton requires --potential-k EXPR")
+    with np.errstate(all="ignore"):  # an inf or NaN residual fails its record, or is a DomainError
+        checks = _CHECKS[args.command](geo, args, tol)
+        solved = [] if k is None else analysis.soliton_records(geo, args.metric, k, tol)
+    gates = [r for r in checks if not r.name.startswith("class ")]
+    if expect_soliton:
+        gates += [r for r in solved if r.name.startswith("Yamabe almost soliton")]
 
     wall_ms = (time.perf_counter() - started) * 1000.0
     report = Report(
         manifold=identity,
         config=_config_echo(args, bindings, points),
-        checks=tuple(records),
+        checks=tuple(checks + solved),
         wall_ms=wall_ms,
     )
     _emit(report, args)

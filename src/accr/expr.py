@@ -293,14 +293,14 @@ def _evaluate(node: Node, coord_values, bindings: Mapping[str, float]):
 
 
 def _evaluate_finite(expression: "Expression", coordinates, bindings: Mapping[str, float]):
-    """_evaluate with numpy's overflow and invalid warnings off; a non-finite result is a DomainError.
+    """_evaluate with numpy's overflow, divide and invalid warnings off; a non-finite result is a DomainError.
 
     `coordinates` are the d coordinate values or jets.  Every DomainError,
     for a value or derivative that is not finite or for an argument outside
     the domain of the arithmetic, names the expression and the first
     offending sample.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
             result = _evaluate(expression.ast, coordinates, bindings)
         except DomainError as exc:

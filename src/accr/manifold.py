@@ -31,13 +31,13 @@ from .errors import (
 )
 from .expr import BinOp, Expression, FieldJets, Num, parse
 from .record import Value
+from .report import VERDICT_FAIL, VERDICT_PASS, CheckRecord, record_from_residual
 from .tensor import _congruence, _dot, signature_of
 
 __all__ = [
     "Chart",
     "AccRStructure",
     "StructureJets",
-    "ValidationReport",
     "load_manifold",
     "builtin_structure",
     "builtin_names",
@@ -422,34 +422,17 @@ def builtin_structure(name: str) -> AccRStructure:
 # -- structural validation --------------------------------------------------
 
 
-class ValidationReport(NamedTuple):
-    """Max residuals of the defining identities over the sample set."""
-
-    residuals: dict[str, float]
-    signature: tuple[int, int]
-    expected_signature: tuple[int, int]
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            all(r <= self.tolerance for r in self.residuals.values())
-            and self.signature == self.expected_signature
-        )
-
-
-def validate_structure(S: AccRStructure, jets: StructureJets, tol: float = 1e-9) -> ValidationReport:
-    """Check the defining identities of an almost contact B-metric structure.
+def validate_structure(S: AccRStructure, jets: StructureJets, tol: float = 1e-9) -> list[CheckRecord]:
+    """The records of the defining identities of an almost contact B-metric structure.
 
     `jets` are the structure jets of S over a batch of samples (see
     `geometry.SampleGeometry.jets`), of which only the values are read.
-    Every identity is evaluated once over the whole batch.
-    Residuals are max-norms over all samples of:
+    Every identity is evaluated once over the whole batch, and its record
+    carries the max-norm of its deviation over all samples:
       phi(xi) = 0, phi^2 = -id + eta(x) xi, eta(phi(x)) = 0, eta(xi) = 1,
       g(phi x, phi y) = -g(x, y) + eta(x) eta(y), g(x, xi) = eta(x),
       g(xi, xi) = 1.
-    The metric signature must be (n+1, n) at every sample; the report
-    carries the signature of the first sample that breaks it.
+    The last record passes where the metric signature is (n+1, n) at every sample.
     """
     eye = np.eye(S.dim)
     g, phi, xi, eta = (field.value for field in jets)
@@ -464,19 +447,15 @@ def validate_structure(S: AccRStructure, jets: StructureJets, tol: float = 1e-9)
         "g(x, xi) = eta(x)": np.einsum("...is,...s->...i", g, xi) - eta,
         "g(xi, xi) = 1": _dot(np.einsum("...s,...si->...i", xi, g), xi) - 1.0,
     }
-    residuals = {key: float(np.max(np.abs(dev))) for key, dev in deviations.items()}
-    expected = (S.n + 1, S.n)
+    records = [
+        record_from_residual(f"structure: {key}", key, [float(np.max(np.abs(dev)))], tol)
+        for key, dev in deviations.items()
+    ]
     pos, neg = signature_of(g)
-    wrong = (pos != expected[0]) | (neg != expected[1])
-    # the signature of the first sample that breaks it, in sample order
-    first = int(np.argmax(wrong))
-    signature = (int(pos[first]), int(neg[first]))
-    return ValidationReport(
-        residuals=residuals,
-        signature=signature,
-        expected_signature=expected,
-        tolerance=tol,
-    )
+    right = bool(np.all((pos == S.n + 1) & (neg == S.n)))
+    records.append(CheckRecord("structure: signature", f"metric signature ({S.n + 1},{S.n}) at every sample",
+                               VERDICT_PASS if right else VERDICT_FAIL))
+    return records
 
 
 # -- sampling ----------------------------------------------------------------

@@ -132,6 +132,19 @@ def flat_points(flat):
     return sample_points(flat.chart, 16, seed=42)
 
 
+def swap(raw):
+    """The structure dict `raw` with g replaced by its associated metric g~, as expression text,
+    and no expect block; phi, xi and eta stay.
+
+    Where the structure identities hold, swap(raw) is again a structure, the geometry of its g is
+    that of g~ on raw, and the g of swap(swap(raw)) is -g + 2 eta (x) eta.
+    """
+    gtilde = load_manifold(json.dumps(raw)).associated_metric()
+    swapped = {key: value for key, value in raw.items() if key != "expect"}
+    swapped["g"] = [[entry.unparse() for entry in row] for row in gtilde]
+    return swapped
+
+
 def associated_metric(S, point, bindings=None):
     """Reference components of g~ = sym(g phi + eta (x) eta) from the structure values.
 

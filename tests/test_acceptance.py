@@ -165,11 +165,11 @@ def test_criterion_4_cross_routes(capsys, cone, points, geoms):
 def test_criterion_5_identity_suites(capsys, cone, points, geoms):
     """Structure identities, F properties, curvature symmetries, trace relations."""
     failures = []
-    vr = validate_structure(cone, SampleGeometry(cone, points).jets, tol=TOL)
-    for key, value in vr.residuals.items():
-        _bad(failures, f"structure {key}", value, TOL)
-    if vr.signature != vr.expected_signature:
-        failures.append(f"signature {vr.signature} != {vr.expected_signature}")
+    for record in validate_structure(cone, SampleGeometry(cone, points).jets, tol=TOL):
+        if record.residual is not None:
+            _bad(failures, record.name, record.residual, TOL)
+        elif record.verdict != "pass":
+            failures.append(f"{record.name}: {record.verdict}")
 
     worst = {}
 
@@ -323,7 +323,7 @@ def test_criterion_8_negative_controls(capsys, cone, points):
     # perturbed phi: structure validation must fail
     phi = [["0", "0", "0"], ["0", "0", "-1.1"], ["0", "1.1", "0"]]
     broken = load_manifold(cone_json(phi=phi))
-    if validate_structure(broken, SampleGeometry(broken, points).jets).passed:
+    if all(r.verdict == "pass" for r in validate_structure(broken, SampleGeometry(broken, points).jets)):
         failures.append("perturbed phi passed structure validation")
 
     # non-vertical potential: the precondition check must trip.  With eta = (1+u) dt,

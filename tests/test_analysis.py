@@ -68,7 +68,7 @@ def test_classify_cone(cone, cone_points, cone_bindings):
 
 def test_classify_rotating_norden(rotating_norden):
     geo = SampleGeometry(rotating_norden, sample_points(rotating_norden.chart, 16, seed=42))
-    validation = analysis.validation_records(geo, 1e-9)
+    validation = manifold.validate_structure(rotating_norden, geo.jets, 1e-9)
     assert len(validation) == 8 and all(r.verdict == VERDICT_PASS for r in validation)
     classes = classify(geo)
     sasaki, *consequences = classes["sasaki_like"]

@@ -16,9 +16,10 @@ import pytest
 
 from accr import analysis, cli
 from accr.cli import build_parser, main
+from accr.manifold import builtin_structure
 from accr.report import VERDICT_FAIL, CheckRecord
 
-from conftest import OFFDIAG, ROTATING_NORDEN, VARYING
+from conftest import CONE_N2, OFFDIAG, ROTATING_NORDEN, VARYING, swap
 from test_manifold import cone_json
 from test_output_contract import CASES
 
@@ -298,6 +299,25 @@ def test_exit_codes_table(capsys, tmp_path, command, codes):
     assert got == codes
 
 
+# Each g~ record of a structure is the g record of its swap, with the g~ marks dropped from its name.
+@pytest.mark.parametrize("structure", ["cone", "cone_n2", "rotating_norden", "offdiag"])
+@pytest.mark.parametrize("command", [["curvature"], ["soliton", "--potential-k", "t"]], ids=["curvature", "soliton"])
+def test_the_gtilde_records_are_the_g_records_of_the_swap(capsys, tmp_path, command, structure):
+    raw = {"cone": json.loads(builtin_structure("cone-flat-fiber").source), "cone_n2": CONE_N2,
+           "rotating_norden": ROTATING_NORDEN, "offdiag": OFFDIAG}[structure]
+    records = []
+    for metric, source in (("gtilde", raw), ("g", swap(raw))):
+        path = tmp_path / f"{metric}.json"
+        path.write_text(json.dumps(source), encoding="utf-8")
+        consts = ["--const", "c=0.3"] if structure == "offdiag" else []
+        rc, data, err = run_json(capsys, *command, str(path), "--metric", metric, "--samples", "16", *consts)
+        assert err == ""
+        records.append([(c["name"].replace(" (associated metric)", "").replace("g~", "g"), c["verdict"],
+                         c["samples"]) for c in data["checks"]])
+    assert records[0] == records[1]
+    assert len(records[0]) >= 5
+
+
 def test_soliton_requires_potential(capsys):
     rc, _, err = run(capsys, "soliton", *CONE, "--samples", "4")
     assert rc == 2
@@ -325,6 +345,43 @@ def test_soliton_overflowing_potential_is_a_domain_error(capsys, potential):
     named = {"t^1000": "t^1000.0", "exp(800*t)": "exp(800.0*t)"}[potential]
     assert err.startswith(f"accr: DomainError: {named} is not finite at sample 0 (t=")
     assert err.count("\n") == 1  # no warning, no traceback
+
+
+@pytest.mark.parametrize("potential", ["sqrt(t*1e-320)", "ln(t*1e-320)"])
+def test_a_potential_whose_second_derivative_divides_by_zero_is_a_domain_error(capsys, potential):
+    # t*1e-320 is subnormal: the second derivative of sqrt divides by v^(3/2), that of ln by
+    # v^2, and each divisor underflows to 0
+    rc, out, err = run(capsys, "soliton", *CONE, "--potential-k", potential, "--samples", "4")
+    assert rc == 2 and out == ""
+    assert err.startswith(f"accr: DomainError: {potential} is not finite at sample 0 (t=")
+    assert err.count("\n") == 1  # no warning, no traceback
+
+
+@pytest.fixture()
+def huge_phi_file(tmp_path):
+    """The n = 2 cone with phi's (t, t) entry 1e308: phi^2 and g(phi x, phi y) overflow."""
+    raw = json.loads(json.dumps(CONE_N2))
+    raw["phi"][0][0] = "1e308"
+    path = tmp_path / "huge_phi.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, rc, err", [
+    (["validate"], 1, ""),
+    (["classify"], 1, ""),
+    (["report"], 1, "accr: SingularMetric: metric gtilde is numerically singular at sample 0"),
+    (["soliton", "--potential-k", "t"], 0, ""),
+], ids=["validate", "classify", "report", "soliton"])
+def test_an_overflowing_structure_warns_nothing_and_keeps_its_verdicts(capsys, huge_phi_file, command, rc, err):
+    got_rc, out, got_err = run(capsys, *command, huge_phi_file, "--samples", "4", "--format", "json")
+    assert got_rc == rc and got_err.startswith(err) and "Warning" not in got_err
+    if not out:
+        return
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    overflowed = ("structure: phi^2 = -id + eta(x) xi" if command[0] != "soliton"
+                  else "vertical potential derivative")
+    assert (checks[overflowed]["verdict"], checks[overflowed]["residual"]) == ("fail", np.inf)
 
 
 @pytest.mark.filterwarnings("error")  # an overflow ends the run, with no numpy warning

@@ -33,7 +33,9 @@ from accr.manifold import (
 )
 from accr.tensor import signature_of
 
-from conftest import CONE_N2, OFFDIAG, OFFDIAG_BINDINGS, VARYING, associated_metric, fd_gradient
+from conftest import (
+    CONE_N2, OFFDIAG, OFFDIAG_BINDINGS, ROTATING_NORDEN, VARYING, associated_metric, fd_gradient, swap,
+)
 
 
 def cone_json(**overrides):
@@ -60,10 +62,10 @@ def test_builtin_names():
 
 def test_builtins_satisfy_defining_identities(cone, flat, cone_points, flat_points):
     for S, pts in ((cone, cone_points), (flat, flat_points)):
-        report = validate_structure(S, SampleGeometry(S, pts).jets)
-        assert report.passed, (report.residuals, report.signature)
-        assert report.signature == (2, 1)
-        assert max(report.residuals.values()) <= 1e-12
+        records = validate_structure(S, SampleGeometry(S, pts).jets)
+        assert len(records) == 8 and all(r.verdict == "pass" for r in records), records
+        assert records[-1].name == "structure: signature"
+        assert max(r.residual for r in records[:-1]) <= 1e-12
 
 
 def test_builtin_metadata(cone):
@@ -98,7 +100,7 @@ def test_load_manifold_roundtrip():
     assert S.chart.coordinates == ("t", "u", "v")
     assert S.chart.domain[0] == (0.5, 5.0)
     pts = sample_points(S.chart, 8, seed=1)
-    assert validate_structure(S, SampleGeometry(S, pts).jets).passed
+    assert all(r.verdict == "pass" for r in validate_structure(S, SampleGeometry(S, pts).jets))
     # bytes input works too and hashes identically to the text
     S2 = load_manifold(cone_json().encode("utf-8"))
     assert S2.source_sha256 == S.source_sha256
@@ -263,22 +265,20 @@ def test_load_rejects_shape_and_name_problems():
 def test_perturbed_phi_fails_validation(cone_points):
     phi = [["0", "0", "0"], ["0", "0", "-1.1"], ["0", "1.1", "0"]]
     S = load_manifold(cone_json(phi=phi))
-    report = validate_structure(S, SampleGeometry(S, cone_points).jets)
-    assert not report.passed
+    records = {r.anchor: r for r in validate_structure(S, SampleGeometry(S, cone_points).jets)}
     # phi^2 picks up exactly the factor 1.21 on the fiber block
-    assert abs(report.residuals["phi^2 = -id + eta(x) xi"] - 0.21) < 1e-12
-    assert report.residuals["phi^2 = -id + eta(x) xi"] > report.tolerance
+    assert abs(records["phi^2 = -id + eta(x) xi"].residual - 0.21) < 1e-12
+    assert records["phi^2 = -id + eta(x) xi"].verdict == "fail"
     # the compatibility of g with phi fails too
-    assert report.residuals["g(phi x, phi y) = -g(x, y) + eta(x) eta(y)"] > 0.2
+    assert records["g(phi x, phi y) = -g(x, y) + eta(x) eta(y)"].residual > 0.2
 
 
 def test_wrong_signature_detected(cone_points):
     g = [["1", "0", "0"], ["0", "t^2", "0"], ["0", "0", "t^2"]]
     phi = [["0", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]]  # keeps phi^2 failing anyway
     S = load_manifold(cone_json(g=g, phi=phi))
-    report = validate_structure(S, SampleGeometry(S, cone_points).jets)
-    assert report.signature != report.expected_signature
-    assert not report.passed
+    signature = validate_structure(S, SampleGeometry(S, cone_points).jets)[-1]
+    assert (signature.name, signature.verdict) == ("structure: signature", "fail")
 
 
 def test_associated_metric_components(cone, cone_points):
@@ -442,11 +442,29 @@ def test_values_and_frame_at_a_batch(cone, cone_points):
             assert np.array_equal(got[k], want)
 
 
-def test_validation_reports_the_first_wrong_signature():
+def test_one_wrong_signature_in_a_mixed_batch_fails_the_signature_record():
     # g_vv = t^2 (u - 1): Lorentzian where u < 1, Riemannian where u > 1
     g = [["1", "0", "0"], ["0", "t^2", "0"], ["0", "0", "t^2*(u-1)"]]
     S = load_manifold(cone_json(g=g))
-    report = validate_structure(S, SampleGeometry(S, [(2.0, 0.0, 0.0), (2.0, 2.0, 0.0), (2.0, 0.5, 0.0)]).jets)
-    assert report.signature == (3, 0)
-    assert report.signature != report.expected_signature
-    assert validate_structure(S, SampleGeometry(S, [(2.0, 0.0, 0.0), (2.0, 0.5, 0.0)]).jets).signature == (2, 1)
+    for points, verdict in (([(2.0, 0.0, 0.0), (2.0, 2.0, 0.0), (2.0, 0.5, 0.0)], "fail"),
+                            ([(2.0, 0.0, 0.0), (2.0, 0.5, 0.0)], "pass")):
+        signature = validate_structure(S, SampleGeometry(S, points).jets)[-1]
+        assert (signature.name, signature.verdict) == ("structure: signature", verdict)
+
+
+@pytest.mark.parametrize("structure, exact", [
+    ("cone", True), ("cone_n2", True), ("rotating_norden", True), ("offdiag", False), ("varying", False),
+])
+def test_the_g_of_the_swap_of_the_swap_is_minus_g_plus_twice_eta_eta(cone, structure, exact):
+    # an identity of structures: OFFDIAG and VARYING are none, and there it fails, a negative control
+    raw = {"cone": json.loads(cone.source), "cone_n2": CONE_N2, "rotating_norden": ROTATING_NORDEN,
+           "offdiag": OFFDIAG, "varying": VARYING}[structure]
+    S, twice = (load_manifold(json.dumps(r)) for r in (raw, swap(swap(raw))))
+    points = sample_points(S.chart, 16, seed=42)
+    bindings = OFFDIAG_BINDINGS if structure in ("offdiag", "varying") else {}
+    g, eta, g_twice = eval_numbers([S.g, S.eta, twice.g], points, bindings)
+    want = -g + 2.0 * np.einsum("...i,...j->...ij", eta, eta)
+    if exact:
+        assert np.array_equal(g_twice, want)
+    else:
+        assert np.max(np.abs(g_twice - want)) > 0.1 * np.max(np.abs(want))  # 0.45 at these points

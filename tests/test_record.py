@@ -31,7 +31,6 @@ RECORDS = {
     "AccRStructure": lambda cone, points: cone,
     "StructureJets": lambda cone, points: SampleGeometry(cone, points).jets,
     "FieldJets": lambda cone, points: SampleGeometry(cone, points).jets.g,
-    "ValidationReport": lambda cone, points: manifold.validate_structure(cone, SampleGeometry(cone, points).jets),
     "CheckRecord": lambda cone, points: analysis.classify(SampleGeometry(cone, points))["f5"][0],
     "Report": lambda cone, points: report.Report("builtin:x", {}, (), 1.0),
     "SolitonSolveResult": _soliton,

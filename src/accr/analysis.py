@@ -232,7 +232,7 @@ def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: floa
     """
     dim = geo.structure.dim
     pg = geo.of(tag)
-    (k_jets,) = eval_field_jets([[k]], geo.points, geo.bindings)
+    (k_jets,) = eval_field_jets([[k]], geo.evaluation)
     k_arr, dk = k_jets.value[:, 0], k_jets.partial[:, 0]
     xi = geo.jets.xi
     v = k_arr[:, None] * xi.value
@@ -343,7 +343,7 @@ def _phi_frame_values(geo, tag):
     pg, S = geo.of(tag), geo.structure
     if S.frame is None:
         raise ManifoldParseError("structure declares no frame")
-    (frames,) = eval_numbers([S.frame], geo.points, geo.bindings)
+    (frames,) = eval_numbers([S.frame], geo.evaluation)
     _check_frames(frames)
     e1, e2 = frames[..., 0], frames[..., 1]
     return {
@@ -484,7 +484,7 @@ def verify_paper_suite(geo: SampleGeometry, tol: float = 1e-9) -> list[CheckReco
     # every expectation but the potentials' k (their fits evaluate them as jets), in one evaluation
     shaped = {key: value for key, value in expect.items() if not key.endswith(".k")}
     fields = [list(value.flat) for value in shaped.values()]
-    values = eval_numbers(fields, geo.points, geo.bindings)
+    values = eval_numbers(fields, geo.evaluation)
     want = {key: v.reshape(v.shape[:1] + shaped[key].shape) for key, v in zip(shaped, values)}
 
     records: list[CheckRecord] = []

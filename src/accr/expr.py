@@ -24,6 +24,7 @@ therefore requires a positive base at evaluation time.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -49,6 +50,7 @@ __all__ = [
     "Neg",
     "BinOp",
     "Call",
+    "Evaluation",
     "Expression",
     "FieldJets",
     "eval_field_jets",
@@ -262,27 +264,30 @@ def _div(left, right):
     return left / right
 
 
-def _evaluate(node: Node, coord_values, bindings: Mapping[str, float]):
+def _evaluate(node: Node, coordinates, bindings: Mapping[str, float], kept: dict):
+    """The node's result: the one `kept` holds under its identity, or its operation on its operands'."""
+    if (hit := kept.get(id(node))) is not None:
+        return hit[1]
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Coord):
-        return coord_values[node.index]
+        return coordinates[node.index]
     if isinstance(node, Const):
         try:
             return float(bindings[node.name])
         except KeyError:
             raise UnboundConstant(node.name) from None
     if isinstance(node, Neg):
-        return -_evaluate(node.operand, coord_values, bindings)
+        return -_evaluate(node.operand, coordinates, bindings, kept)
     if isinstance(node, Call):
-        return jets.FUNCTIONS[node.func](_evaluate(node.arg, coord_values, bindings))
-    left = _evaluate(node.left, coord_values, bindings)
+        return jets.FUNCTIONS[node.func](_evaluate(node.arg, coordinates, bindings, kept))
+    left = _evaluate(node.left, coordinates, bindings, kept)
     if node.op == "^":
         k = _literal_int_exponent(node.right)
         if k is not None:
             return jets.int_pow(left, k)
-        return jets.general_pow(left, _evaluate(node.right, coord_values, bindings))
-    right = _evaluate(node.right, coord_values, bindings)
+        return jets.general_pow(left, _evaluate(node.right, coordinates, bindings, kept))
+    right = _evaluate(node.right, coordinates, bindings, kept)
     if node.op == "+":
         return left + right
     if node.op == "-":
@@ -292,17 +297,20 @@ def _evaluate(node: Node, coord_values, bindings: Mapping[str, float]):
     return _div(left, right)
 
 
-def _evaluate_finite(expression: "Expression", coordinates, bindings: Mapping[str, float]):
+def _evaluate_finite(expression: "Expression", coordinates, bindings: Mapping[str, float], kept: dict):
     """_evaluate with numpy's overflow, divide and invalid warnings off; a non-finite result is a DomainError.
 
     `coordinates` are the d coordinate values or jets.  Every DomainError,
     for a value or derivative that is not finite or for an argument outside
     the domain of the arithmetic, names the expression and the first
-    offending sample.
+    offending sample.  A finite result is kept in `kept` under the identity
+    of the AST, with the AST, whose id is thus never reused.
     """
+    if (hit := kept.get(id(expression.ast))) is not None:
+        return hit[1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
-            result = _evaluate(expression.ast, coordinates, bindings)
+            result = _evaluate(expression.ast, coordinates, bindings, kept)
         except DomainError as exc:
             raise DomainError(f"{expression.unparse()}: {exc}{_at(expression, coordinates, exc.bad)}") from None
         jet = isinstance(result, Jet2)
@@ -310,16 +318,16 @@ def _evaluate_finite(expression: "Expression", coordinates, bindings: Mapping[st
             total = result.value.sum() + result.grad.sum() + result.hess.sum()
         else:
             total = result.sum() if isinstance(result, np.ndarray) else result
-    if math.isfinite(total):  # an inf or NaN anywhere makes the sum non-finite
-        return result
-    if jet:
-        finite = (np.isfinite(result.value) & np.isfinite(result.grad).all(axis=-1)
-                  & np.isfinite(result.hess).all(axis=(-2, -1)))
-    else:
-        finite = np.isfinite(result)
-    if finite.all():  # only the sum overflowed
-        return result
-    raise DomainError(f"{expression.unparse()} is not finite{_at(expression, coordinates, ~finite)}")
+    if not math.isfinite(total):  # an inf or NaN anywhere makes the sum non-finite
+        if jet:
+            finite = (np.isfinite(result.value) & np.isfinite(result.grad).all(axis=-1)
+                      & np.isfinite(result.hess).all(axis=(-2, -1)))
+        else:
+            finite = np.isfinite(result)
+        if not finite.all():  # not only the sum overflowed
+            raise DomainError(f"{expression.unparse()} is not finite{_at(expression, coordinates, ~finite)}")
+    kept[id(expression.ast)] = (expression.ast, result)
+    return result
 
 
 def _at(expression: "Expression", coordinates, bad) -> str:
@@ -368,12 +376,6 @@ def _coordinates(point, d: int) -> np.ndarray:
     return values
 
 
-def _coordinate_jets(point, d: int) -> tuple[Jet2, ...]:
-    """Jets of the d chart coordinates at one point (d,) or at a batch (N, d)."""
-    values = _coordinates(point, d)
-    return tuple(Jet2.seed(i, values[..., i], d) for i in range(d))
-
-
 # -- pretty printing ------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
@@ -416,22 +418,16 @@ class Expression(Value):
         object.__setattr__(self, "constants", constants)
 
     def eval_jet(self, point, bindings: Mapping[str, float] | None = None) -> Jet2:
-        """Jet at one point (d,), at a batch of points (N, d), or at given coordinate jets.
+        """Jet at one point (d,), or at a batch of points (N, d), with a leading sample axis of length N.
 
-        A batch evaluates the AST once, with every jet array carrying a
-        leading sample axis of length N.  `point` may also be the tuple of
-        the d coordinate jets themselves, as `eval_field_jets` passes it, so that
-        several expressions share one set of seeds.
+        Over an Evaluation, as `eval_field_jets` passes it, the result is the
+        one the evaluation keeps: the number itself where no coordinate is read.
         """
-        d = len(self.coords)
-        if isinstance(point, tuple) and point and isinstance(point[0], Jet2):
-            seeds = point
-        else:
-            seeds = _coordinate_jets(point, d)
-        result = _evaluate_finite(self, seeds, bindings or {})
-        if not isinstance(result, Jet2):
-            result = Jet2.constant(result, d, seeds[0].value.shape)
-        return result
+        evaluation = _evaluation(point, self, bindings)
+        result = evaluation.jet(self)
+        if evaluation is point or isinstance(result, Jet2):
+            return result
+        return Jet2.constant(result, len(self.coords), evaluation.points.shape[:-1])
 
     def referenced_constants(self) -> frozenset[str]:
         return frozenset(node.name for node in _nodes(self.ast) if isinstance(node, Const))
@@ -443,13 +439,36 @@ class Expression(Value):
         return self.unparse()
 
 
-def _distinct(expressions: Sequence[Expression]):
-    """Per distinct AST, in order of first occurrence: an expression carrying it, its positions,
-    and whether it reads a coordinate (if not, it folds to its number)."""
-    found: dict[Node, tuple[Expression, list[int]]] = {}
-    for m, e in enumerate(expressions):
-        found.setdefault(e.ast, (e, []))[1].append(m)
-    return [(e, where, any(isinstance(n, Coord) for n in _nodes(e.ast))) for e, where in found.values()]
+class Evaluation:
+    """The expressions of one chart at one point (d,) or batch of points (N, d), each evaluated once.
+
+    The coordinate seeds are built once.  The result of every expression
+    evaluated here is kept under the identity of its AST (see
+    `_evaluate_finite`), and an expression whose AST holds that node, as
+    g~'s products hold g's, phi's and eta's entries, reads the kept result.
+    Jets and values are kept apart: a jet divides as a * (1/b), a value as
+    a / b, so they may round differently.
+    """
+
+    def __init__(self, point, d: int, bindings: Mapping[str, float] | None = None):
+        self.points = _coordinates(point, d)
+        self.bindings = dict(bindings or {})
+        self.columns = [self.points[..., i] for i in range(d)]
+        self.seeds = tuple(Jet2.seed(i, column, d) for i, column in enumerate(self.columns))
+        self.kept_jets: dict[int, tuple[Node, object]] = {}
+        self.kept_values: dict[int, tuple[Node, object]] = {}
+
+    def jet(self, expression: Expression):
+        """The expression's jet over the points, or its number where it reads no coordinate."""
+        return _evaluate_finite(expression, self.seeds, self.bindings, self.kept_jets)
+
+    def value(self, expression: Expression):
+        """The expression's value over the points, or its number where it reads no coordinate."""
+        return _evaluate_finite(expression, self.columns, self.bindings, self.kept_values)
+
+
+def _evaluation(point, expression: Expression, bindings) -> Evaluation:
+    return point if isinstance(point, Evaluation) else Evaluation(point, len(expression.coords), bindings)
 
 
 class FieldJets(NamedTuple):
@@ -465,16 +484,11 @@ class FieldJets(NamedTuple):
     second: np.ndarray
 
 
-def _entries(fields):
-    """The expressions of several fields in one list, each matrix row by row, and per field
-    its (start, stop) in that list and its shape: a vector's (m,), a matrix's (m, k)."""
-    expressions, spans = [], []
-    for field in fields:
-        vector = isinstance(field[0], Expression)
-        start = len(expressions)
-        expressions += field if vector else [e for row in field for e in row]
-        spans.append((start, len(expressions), (len(field),) if vector else (len(field), len(field[0]))))
-    return expressions, spans
+def _flat(field):
+    """A field's expressions, a matrix's row by row, and its shape: a vector's (m,), a matrix's (m, k)."""
+    if isinstance(field[0], Expression):
+        return list(field), (len(field),)
+    return [e for row in field for e in row], (len(field), len(field[0]))
 
 
 def eval_field_jets(
@@ -482,74 +496,47 @@ def eval_field_jets(
 ) -> list[FieldJets]:
     """The jets of several fields, each a vector or a matrix of expressions, as FieldJets.
 
-    `point` is one chart point (d,) or a batch (N, d), and the expressions
-    belong to one chart.  All of them share one set of coordinate seeds,
-    each distinct AST is evaluated once, even across fields, and a
-    coordinate-free AST is folded to its number by the same arithmetic, so
-    every value equals that of `Expression.eval_jet`.  The expressions are
-    evaluated in order: an error comes from the first offending one.
-    Derivative rows are allocated only for the fields with an entry that
-    reads a coordinate; the partial and second derivatives of a field with
-    none are read-only zeros that own no memory.
+    `point` is one chart point (d,) or a batch (N, d), with the `bindings`,
+    or an Evaluation of the chart.  Each expression is evaluated by
+    `Expression.eval_jet`, in order: an error comes from the first
+    offending one.  The partial and second derivatives of a field with no
+    entry whose result is a jet are read-only zeros that own no memory.
     """
-    if not fields:
-        return []
-    expressions, spans = _entries(fields)
-    d = len(expressions[0].coords)
-    seeds = _coordinate_jets(point, d)
-    b = bindings or {}
-    lead = seeds[0].value.shape
-    distinct = _distinct(expressions)
-    reads = np.zeros(len(expressions), dtype=bool)  # per expression: whether its AST reads a coordinate
-    for _, where, reads_coordinates in distinct:
-        reads[where] = reads_coordinates
-    live = [reads[a:z].any() for a, z, _ in spans]
-    # each expression's row among the live fields'
-    row = np.cumsum(np.repeat(live, [z - a for a, z, _ in spans])) - 1
-    value = np.empty(lead + (len(expressions),))
-    grad = np.zeros(lead + (row[-1] + 1, d))
-    hess = np.zeros(lead + (row[-1] + 1, d, d))
-    for e, where, reads_coordinates in distinct:
-        if reads_coordinates:
-            jet = e.eval_jet(seeds, b)
-            value[..., where] = jet.value[..., None]
-            grad[..., row[where], :] = jet.grad[..., None, :]
-            hess[..., row[where], :, :] = jet.hess[..., None, :, :]
-        else:
-            value[..., where] = _evaluate_finite(e, seeds, b)
-    out = []
-    for (a, z, shape), field_reads in zip(spans, live):
-        if field_reads:
-            rows = slice(row[a], row[a] + z - a)
-            partial = grad[..., rows, :].reshape(lead + shape + (d,))
-            second = hess[..., rows, :, :].reshape(lead + shape + (d, d))
-        else:
-            partial = np.broadcast_to(0.0, lead + shape + (d,))
-            second = np.broadcast_to(0.0, lead + shape + (d, d))
-        out.append(FieldJets(value[..., a:z].reshape(lead + shape), partial, second))
+    out, evaluation = [], point
+    for field in fields:
+        expressions, shape = _flat(field)
+        evaluation = _evaluation(evaluation, expressions[0], bindings)  # one for every field
+        results = [e.eval_jet(evaluation) for e in expressions]
+        lead, d, size = evaluation.points.shape[:-1], evaluation.points.shape[-1], len(results)
+        zeros = np.zeros if any(isinstance(r, Jet2) for r in results) else functools.partial(np.broadcast_to, 0.0)
+        value, grad, hess = np.empty(lead + (size,)), zeros(lead + (size, d)), zeros(lead + (size, d, d))
+        for m, result in enumerate(results):
+            if isinstance(result, Jet2):
+                value[..., m], grad[..., m, :], hess[..., m, :, :] = result.value, result.grad, result.hess
+            else:
+                value[..., m] = result
+        out.append(FieldJets(value.reshape(lead + shape), grad.reshape(lead + shape + (d,)),
+                             hess.reshape(lead + shape + (d, d))))
     return out
 
 
 def eval_numbers(
     fields: Sequence[Sequence], point, bindings: Mapping[str, float] | None = None
 ) -> list[np.ndarray]:
-    """The values of several fields, each in its shape, evaluated as `eval_field_jets` evaluates them.
+    """The values of several fields, each in its shape, over a point, a batch or an Evaluation.
 
-    Every distinct AST is evaluated once, on the coordinate columns of all the
-    points, and every value equals that of its expression evaluated on its own.
+    Every value equals that of its expression evaluated on its own.
     """
-    if not fields:
-        return []
-    expressions, spans = _entries(fields)
-    d = len(expressions[0].coords)
-    values = _coordinates(point, d)
-    columns = [values[..., i] for i in range(d)]
-    b = bindings or {}
-    lead = values.shape[:-1]
-    out = np.empty(lead + (len(expressions),))
-    for e, where, _ in _distinct(expressions):
-        out[..., where] = np.asarray(_evaluate_finite(e, columns, b))[..., None]
-    return [out[..., a:z].reshape(lead + shape) for a, z, shape in spans]
+    out, evaluation = [], point
+    for field in fields:
+        expressions, shape = _flat(field)
+        evaluation = _evaluation(evaluation, expressions[0], bindings)  # one for every field
+        lead = evaluation.points.shape[:-1]
+        values = np.empty(lead + (len(expressions),))
+        for m, e in enumerate(expressions):
+            values[..., m] = evaluation.value(e)
+        out.append(values.reshape(lead + shape))
+    return out
 
 
 def parse(source: str, coords: Iterable[str], constants: Iterable[str] = ()) -> Expression:

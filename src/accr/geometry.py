@@ -20,25 +20,29 @@ First derivatives of Gamma come from metric Hessians in closed form; the
 gradient of theta_star(xi) is propagated through the same pipeline by the
 product rule, so nothing here needs third-order jets.
 
-Both metrics are matrices of component expressions (g~'s built by
-AccRStructure.associated_metric), whose jets come from one jet path,
-expr.eval_field_jets.  A command keeps the structure jets, which
-SampleGeometry evaluates once and structure validation reads as well, and,
-per metric, the fields it has read.  r04 is lowered from r13 on each call of
-lowered_curvature, and dgamma lives only in the one curvature pass that
-builds both of its readers, r13 and dtheta_star's two dgamma terms.  The
-jets of a literal field (phi, xi and eta in every shipped structure) are
-read-only zero views that own no memory.
+Both metrics are matrices of component expressions, g~'s built by
+AccRStructure.associated_metric on the AST nodes of g's, phi's and eta's
+entries.  A command evaluates every expression it reads through one
+expr.Evaluation of its points, SampleGeometry.evaluation, which keeps the
+jet of each expression: g~'s products read the structure's jets from it and
+evaluate none of them again.  A command keeps the structure jets, which
+structure validation reads as well, and, per metric, the fields it has
+read.  r04 is lowered from r13 on each call of lowered_curvature, and dgamma
+lives only in the one curvature pass that builds both of its readers, r13
+and dtheta_star's two dgamma terms.  The jets of a literal field (phi, xi
+and eta in every shipped structure) are read-only zero views that own no
+memory.
 """
 from __future__ import annotations
 
 import functools
+import sys
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError, SingularMetric
-from .expr import FieldJets, eval_field_jets
+from .expr import Evaluation, FieldJets, eval_field_jets
 from .manifold import METRIC_G, METRIC_GTILDE, AccRStructure, StructureJets
 from .tensor import _congruence, _dot, _mat, _max_abs, _regular_inverse
 
@@ -270,8 +274,8 @@ def _koszul_derivative(d2g: np.ndarray) -> np.ndarray:
 
 def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
     ginv = _regular_inverse(
-        g, lambda svals, k: SingularMetric(
-            f"metric {tag} is numerically singular at sample {k} (singular values {svals})")
+        g, lambda svals, k: SingularMetric(f"metric {tag} is numerically singular at sample {k} (singular "
+                                           f"values {np.array2string(svals, max_line_width=sys.maxsize)})")
     )
     return (ginv + np.swapaxes(ginv, -1, -2)) / 2.0
 
@@ -280,15 +284,15 @@ class SampleGeometry:
     """The sample set of one command and each metric's geometry over it.
 
     `points` is a batch (N, d); one point (d,) is a batch of one.  Every
-    check of a command reads the same batch.  `jets`, the jets of g, phi,
-    xi and eta, are evaluated once, on first use, after the points are
-    checked to lie inside the chart; structure validation reads their
-    values, and both metrics read them.  The geometry of a metric tag is
-    built from them on first use, with each of its fields computed once,
-    over all samples, when first read; all of it lives as long as this
-    object.  `of(tag)` is the one way to the geometry.  g~'s component
-    expressions are evaluated where its geometry is built; a potential's
-    and the frame's are evaluated where a check reads them.
+    check of a command reads the same batch.  `evaluation` evaluates every
+    expression a check reads, once, after the points are checked to lie
+    inside the chart.  `jets`, the jets of g, phi, xi and eta, are evaluated
+    on first use; structure validation reads their values, and both metrics
+    read them.  The geometry of a metric tag is built from them on first
+    use, with each of its fields computed once, over all samples, when first
+    read; all of it lives as long as this object.  `of(tag)` is the one way
+    to the geometry.  g~'s component expressions are evaluated where its
+    geometry is built; a potential's and the frame's where a check reads them.
     """
 
     def __init__(self, S: AccRStructure, points, bindings: Mapping[str, float] | None = None):
@@ -299,10 +303,14 @@ class SampleGeometry:
         self._geometry: dict[str, PointGeometry] = {}
 
     @functools.cached_property
+    def evaluation(self) -> Evaluation:
+        self.structure.chart.require_inside(self.points)
+        return Evaluation(self.points, self.structure.dim, self.bindings)
+
+    @functools.cached_property
     def jets(self) -> StructureJets:
         S = self.structure
-        S.chart.require_inside(self.points)
-        return StructureJets(*eval_field_jets([S.g, S.phi, S.xi, S.eta], self.points, self.bindings))
+        return StructureJets(*eval_field_jets([S.g, S.phi, S.xi, S.eta], self.evaluation))
 
     def of(self, tag: str) -> PointGeometry:
         if tag not in self._geometry:
@@ -310,7 +318,7 @@ class SampleGeometry:
                 raise ValueError(f"unknown metric tag {tag!r}")
             S, sj, g = self.structure, self.jets, tag == METRIC_G
             try:  # g's jets are structure jets
-                jets = sj.g if g else eval_field_jets([S.associated_metric()], self.points, self.bindings)[0]
+                jets = sj.g if g else eval_field_jets([S.associated_metric()], self.evaluation)[0]
             except DomainError as exc:
                 raise DomainError(f"metric {tag}: {exc}", exc.bad) from None
             self._geometry[tag] = PointGeometry(S.n, tag, sj, jets)

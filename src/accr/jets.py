@@ -74,13 +74,16 @@ class Jet2(Record):
 
     @classmethod
     def seed(cls, index: int, value, dim: int) -> "Jet2":
-        """Jet of the coordinate function x_index where it equals value (a number or (N,))."""
+        """Jet of the coordinate function x_index where it equals value (a number or (N,)).
+
+        Its Hessian is a read-only zero view that owns no memory.
+        """
         if not 0 <= index < dim:
             raise ValueError(f"seed index {index} outside 0..{dim - 1}")
         value = np.asarray(value, dtype=float)
         grad = np.zeros(value.shape + (dim,))
         grad[..., index] = 1.0
-        return cls(value, grad, np.zeros(value.shape + (dim, dim)))
+        return cls(value, grad, np.broadcast_to(0.0, value.shape + (dim, dim)))
 
     @classmethod
     def constant(cls, value: float, dim: int, shape: tuple[int, ...] = ()) -> "Jet2":

@@ -1,12 +1,23 @@
 """Shared fixtures and finite-difference oracles for the test suite."""
 
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from accr.expr import eval_numbers
 from accr.manifold import builtin_structure, load_manifold, sample_points
+
+# Every property test runs the same examples on every run, and no example database is written.
+# Each test's own @settings keep its max_examples and deadline.  Hypothesis also caches the
+# constants it reads from local source files under its home directory, and skips the cache where
+# that directory cannot be made, as under the null device: so no .hypothesis/ is written at all.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
+set_hypothesis_home_dir(os.devnull)
 
 # The cone's unit soliton constants. Most closed-form expectations below assume these.
 CONE_BINDINGS = {"c": 1.0, "ct": 1.0}

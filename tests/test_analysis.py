@@ -26,6 +26,7 @@ from accr.analysis import (
 from accr.errors import NonVerticalPotential, ZeroPotential
 from accr.expr import eval_field_jets, eval_numbers, parse
 from accr.geometry import SampleGeometry, lowered_curvature
+from accr.jets import Jet2
 from accr.manifold import load_manifold, sample_points
 from accr.report import VERDICT_DEGENERATE, VERDICT_FAIL, VERDICT_PASS
 
@@ -710,11 +711,24 @@ def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, 
             return evaluate(fields, *args)
         return record
 
+    seeded, evaluated = [], []  # the coordinates seeded; per node evaluated as a jet, its evaluator call
+
+    def seed(index, value, dim, _seed=Jet2.seed):
+        seeded.append(index)
+        return _seed(index, value, dim)
+
+    def evaluate(node, coordinates, bindings, kept, _evaluate=expr._evaluate):
+        if id(node) not in kept and isinstance(coordinates[0], Jet2):
+            evaluated.append((len(evaluations) - 1, node))
+        return _evaluate(node, coordinates, bindings, kept)
+
     monkeypatch.setattr(geometry, "SampleGeometry", Recorded)
     for module in (expr, manifold, geometry, analysis):  # every binding of the two evaluators
         for name in ("eval_field_jets", "eval_numbers"):
             if name in vars(module):
                 monkeypatch.setattr(module, name, recorded(name, vars(module)[name]))
+    monkeypatch.setattr(Jet2, "seed", staticmethod(seed))
+    monkeypatch.setattr(expr, "_evaluate", evaluate)
     assert cli.main(CASES[workload][0]) == 0
     capsys.readouterr()
     assert computes and max(computes.values()) == 1, computes
@@ -736,6 +750,17 @@ def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, 
     assert numbers == {"verify-cone": expectations + [[S.frame]], "curvature-g-n2": [[S.frame]]}.get(workload, [])
     # g~'s jets are evaluated once where g~ is read, and g's never: they are structure jets
     assert jets.count([S.associated_metric()]) == (0 if workload == "curvature-g-n2" else 1)
+    # one evaluation serves the command: each coordinate is seeded once, and no AST node is
+    # evaluated as a jet twice
+    assert sorted(seeded) == list(range(S.dim))
+    assert len({id(node) for _, node in evaluated}) == len(evaluated) > 0
+    # g~'s products read the jets of g's, phi's and eta's entries, and evaluate none of their nodes
+    if workload != "curvature-g-n2":
+        gtilde = next(i for i, (_, fields) in enumerate(evaluations) if fields == [S.associated_metric()])
+        entries = [e for row in S.g + S.phi for e in row] + list(S.xi) + list(S.eta)
+        structure_nodes = {id(node) for e in entries for node in expr._nodes(e.ast)}
+        in_gtilde = [node for call, node in evaluated if call == gtilde]
+        assert in_gtilde and not any(id(node) in structure_nodes for node in in_gtilde)
     # the curvature pass reads the metric's second derivatives once and keeps no dgamma
     assert [pg.tag for pg in geo._geometry.values() if {"_curvature", "_d2g"} <= vars(pg).keys()] == []
     if workload == "report-n2":

@@ -318,6 +318,39 @@ def test_the_gtilde_records_are_the_g_records_of_the_swap(capsys, tmp_path, comm
     assert len(records[0]) >= 5
 
 
+def _swap_checks(capsys, tmp_path, command, structure, swapped):
+    """The JSON checks of `command` on one of _STRUCTURES, or on its swap, at 16 samples."""
+    raw = _STRUCTURES[structure]
+    if not isinstance(raw, dict):
+        raw = json.loads(builtin_structure(raw[-1]).source) if raw[0] == "--builtin" else CONE_N2
+    path = tmp_path / f"{structure}.json"
+    path.write_text(json.dumps(swap(raw) if swapped else raw), encoding="utf-8")
+    consts = ["--const", "c=0.3"] if structure in ("offdiag", "varying") else []
+    rc, data, err = run_json(capsys, *command, str(path), "--samples", "16", *consts)
+    assert err == ""
+    return data["checks"]
+
+
+# The classes are those of the structure, whichever of its two metrics is named g.
+@pytest.mark.parametrize("structure", sorted(_STRUCTURES))
+def test_classify_gives_the_same_class_answers_on_the_swap(capsys, tmp_path, structure):
+    answers = [[(c["name"], c["verdict"]) for c in _swap_checks(capsys, tmp_path, ["classify"], structure, swapped)
+                if c["name"].startswith("class ")] for swapped in (False, True)]
+    assert answers[0] == answers[1]
+    assert len(answers[0]) == 4
+
+
+# The transfer formulas from g to g~ hold on the swap of a structure, where they map g~ to
+# -g + 2 eta (x) eta; on the swap of OFFDIAG, which is not a structure, they fail.
+@pytest.mark.parametrize("structure, verdict", [
+    ("cone", "pass"), ("cone_n2", "pass"), ("rotating_norden", "pass"), ("offdiag", "fail"),
+])
+def test_the_transfer_routes_of_report_on_the_swap(capsys, tmp_path, structure, verdict):
+    checks = {c["name"]: c["verdict"] for c in _swap_checks(capsys, tmp_path, ["report"], structure, True)}
+    assert [checks["associated Christoffels: direct vs correction route"],
+            checks["associated fundamental tensor: direct vs transfer route"]] == [verdict, verdict]
+
+
 def test_soliton_requires_potential(capsys):
     rc, _, err = run(capsys, "soliton", *CONE, "--samples", "4")
     assert rc == 2
@@ -376,6 +409,7 @@ def huge_phi_file(tmp_path):
 def test_an_overflowing_structure_warns_nothing_and_keeps_its_verdicts(capsys, huge_phi_file, command, rc, err):
     got_rc, out, got_err = run(capsys, *command, huge_phi_file, "--samples", "4", "--format", "json")
     assert got_rc == rc and got_err.startswith(err) and "Warning" not in got_err
+    assert got_err.count("\n") == (1 if err else 0)  # the report's message on one line, however many values
     if not out:
         return
     checks = {c["name"]: c for c in json.loads(out)["checks"]}

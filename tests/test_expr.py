@@ -286,7 +286,7 @@ def _reference_jets(expressions, point, bindings):
     jets = []
     for e in expressions:
         seeds = [Jet2.seed(i, values[..., i], d) for i in range(d)]
-        result = _evaluate_finite(e, seeds, bindings)
+        result = _evaluate_finite(e, seeds, bindings, {})  # nothing kept from another expression
         if not isinstance(result, Jet2):
             result = Jet2.constant(result, d, values.shape[:-1])
         jets.append(result)

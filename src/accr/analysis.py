@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ManifoldParseError, NonVerticalPotential, ZeroPotential
+from .errors import DomainError, ManifoldParseError, NonVerticalPotential, ZeroPotential, at_sample
 from .expr import Expression, eval_field_jets, eval_numbers, parse
 from .geometry import (
     SampleGeometry,
@@ -103,9 +103,8 @@ def _require_finite(geo: SampleGeometry, what: str, *per_sample) -> None:
     for a in per_sample:
         bad |= ~np.isfinite(a).reshape(len(bad), -1).all(axis=-1)
     if bad.any():  # else only the sum overflowed
-        k = int(np.argmax(bad))
-        where = ", ".join(f"{c}={float(x)!r}" for c, x in zip(geo.structure.chart.coordinates, geo.points[k]))
-        raise DomainError(f"{what} is not finite at sample {k} ({where})", bad)
+        where = at_sample(geo.structure.chart.coordinates, geo.points, bad)
+        raise DomainError(f"{what} is not finite at {where}", bad)
 
 
 # The defining form of each class, in the order every command reports the classes.
@@ -238,9 +237,9 @@ def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: floa
     v = k_arr[:, None] * xi.value
     dv = k_arr[:, None, None] * xi.partial + xi.value[:, :, None] * dk[:, None, :]
     size = np.max(np.abs(v), axis=-1)
+    coordinates = geo.structure.chart.coordinates
     if (vanishing := size <= _F_ZERO_THRESHOLD).any():
-        where = tuple(round(float(x), 6) for x in geo.points[np.argmax(vanishing)])
-        raise ZeroPotential(f"potential vanishes at sample {where}")
+        raise ZeroPotential(f"potential vanishes at {at_sample(coordinates, geo.points, vanishing)}")
 
     with np.errstate(over="ignore", invalid="ignore"):
         nth = dv + np.einsum("...kis,...s->...ki", pg.gamma, v)   # nth[..., i, j] = nabla_j v^i
@@ -253,9 +252,8 @@ def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: floa
         _require_finite(geo, "torse-forming fit of the potential", fit_arr, drift)
     off = drift > _VERTICAL_TOL * size
     if off.any():
-        first = int(np.argmax(off))
-        where = tuple(round(float(x), 6) for x in geo.points[first])
-        raise NonVerticalPotential(f"potential deviates from k*xi by {drift[first]:.3e} at sample {where}")
+        where = at_sample(coordinates, geo.points, off)
+        raise NonVerticalPotential(f"potential deviates from k*xi by {drift[np.argmax(off)]:.3e} at {where}")
 
     taxonomy: frozenset[str] = frozenset()
     if float(np.max(fit_arr)) <= tol:

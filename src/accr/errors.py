@@ -5,6 +5,8 @@ particular) can separate expected failures from genuine bugs.
 """
 from __future__ import annotations
 
+import numpy as np
+
 
 class AccrError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,6 +47,17 @@ class DomainError(AccrError):
     def __init__(self, message: str, bad=None):
         super().__init__(message)
         self.bad = bad
+
+
+def at_sample(coordinates, points, bad=None) -> str:
+    """'sample K (x=..., ...)': the first of the points (N, d), or the point (d,), that `bad` marks.
+
+    `bad` is None for the first point, or marks points with True.  Every
+    error that names a sample names it so, each coordinate by its repr.
+    """
+    points = np.reshape(points, (-1, len(coordinates)))
+    k = int(np.argmax(np.broadcast_to(True if bad is None else bad, points.shape[:1])))
+    return f"sample {k} (" + ", ".join(f"{c}={float(x)!r}" for c, x in zip(coordinates, points[k])) + ")"
 
 
 class DimensionMismatch(AccrError):

@@ -39,6 +39,7 @@ from .errors import (
     ExprSyntaxError,
     UnboundConstant,
     UnknownIdentifier,
+    at_sample,
 )
 from .jets import Jet2
 from .record import Value
@@ -297,48 +298,6 @@ def _evaluate(node: Node, coordinates, bindings: Mapping[str, float], kept: dict
     return _div(left, right)
 
 
-def _evaluate_finite(expression: "Expression", coordinates, bindings: Mapping[str, float], kept: dict):
-    """_evaluate with numpy's overflow, divide and invalid warnings off; a non-finite result is a DomainError.
-
-    `coordinates` are the d coordinate values or jets.  Every DomainError,
-    for a value or derivative that is not finite or for an argument outside
-    the domain of the arithmetic, names the expression and the first
-    offending sample.  A finite result is kept in `kept` under the identity
-    of the AST, with the AST, whose id is thus never reused.
-    """
-    if (hit := kept.get(id(expression.ast))) is not None:
-        return hit[1]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            result = _evaluate(expression.ast, coordinates, bindings, kept)
-        except DomainError as exc:
-            raise DomainError(f"{expression.unparse()}: {exc}{_at(expression, coordinates, exc.bad)}") from None
-        jet = isinstance(result, Jet2)
-        if jet:
-            total = result.value.sum() + result.grad.sum() + result.hess.sum()
-        else:
-            total = result.sum() if isinstance(result, np.ndarray) else result
-    if not math.isfinite(total):  # an inf or NaN anywhere makes the sum non-finite
-        if jet:
-            finite = (np.isfinite(result.value) & np.isfinite(result.grad).all(axis=-1)
-                      & np.isfinite(result.hess).all(axis=(-2, -1)))
-        else:
-            finite = np.isfinite(result)
-        if not finite.all():  # not only the sum overflowed
-            raise DomainError(f"{expression.unparse()} is not finite{_at(expression, coordinates, ~finite)}")
-    kept[id(expression.ast)] = (expression.ast, result)
-    return result
-
-
-def _at(expression: "Expression", coordinates, bad) -> str:
-    """' at sample K (x=..., ...)' for the first sample K that `bad` (None: all) marks, or ' at x=...'."""
-    values = [c.value if isinstance(c, Jet2) else c for c in coordinates]
-    batch = np.shape(values[0])
-    k = int(np.argmax(np.broadcast_to(True if bad is None else bad, batch).ravel()))
-    where = ", ".join(f"{c}={float(np.ravel(v)[k])!r}" for c, v in zip(expression.coords, values))
-    return f" at sample {k} ({where})" if batch else f" at {where}"
-
-
 def _nodes(node: Node):
     """The node and all its descendants, parents first, left to right."""
     yield node
@@ -417,17 +376,9 @@ class Expression(Value):
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "constants", constants)
 
-    def eval_jet(self, point, bindings: Mapping[str, float] | None = None) -> Jet2:
-        """Jet at one point (d,), or at a batch of points (N, d), with a leading sample axis of length N.
-
-        Over an Evaluation, as `eval_field_jets` passes it, the result is the
-        one the evaluation keeps: the number itself where no coordinate is read.
-        """
-        evaluation = _evaluation(point, self, bindings)
-        result = evaluation.jet(self)
-        if evaluation is point or isinstance(result, Jet2):
-            return result
-        return Jet2.constant(result, len(self.coords), evaluation.points.shape[:-1])
+    def eval_jet(self, evaluation: Evaluation):
+        """The jet that `evaluation` keeps of this expression: its number where it reads no coordinate."""
+        return evaluation.jet(self)
 
     def referenced_constants(self) -> frozenset[str]:
         return frozenset(node.name for node in _nodes(self.ast) if isinstance(node, Const))
@@ -435,23 +386,21 @@ class Expression(Value):
     def unparse(self) -> str:
         return _unparse(self.ast, self.coords, 0)
 
-    def __str__(self) -> str:
-        return self.unparse()
-
 
 class Evaluation:
     """The expressions of one chart at one point (d,) or batch of points (N, d), each evaluated once.
 
-    The coordinate seeds are built once.  The result of every expression
-    evaluated here is kept under the identity of its AST (see
-    `_evaluate_finite`), and an expression whose AST holds that node, as
-    g~'s products hold g's, phi's and eta's entries, reads the kept result.
-    Jets and values are kept apart: a jet divides as a * (1/b), a value as
-    a / b, so they may round differently.
+    Every expression is evaluated through one.  The coordinate seeds are
+    built once.  The result of every expression evaluated here is kept under
+    the identity of its AST, with the AST, whose id is thus never reused; an
+    expression whose AST holds that node, as g~'s products hold g's, phi's
+    and eta's entries, reads the kept result.  Jets and values are kept
+    apart: a jet divides as a * (1/b), a value as a / b, so they may round
+    differently.
     """
 
-    def __init__(self, point, d: int, bindings: Mapping[str, float] | None = None):
-        self.points = _coordinates(point, d)
+    def __init__(self, points, d: int, bindings: Mapping[str, float] | None = None):
+        self.points = _coordinates(points, d)
         self.bindings = dict(bindings or {})
         self.columns = [self.points[..., i] for i in range(d)]
         self.seeds = tuple(Jet2.seed(i, column, d) for i, column in enumerate(self.columns))
@@ -460,15 +409,43 @@ class Evaluation:
 
     def jet(self, expression: Expression):
         """The expression's jet over the points, or its number where it reads no coordinate."""
-        return _evaluate_finite(expression, self.seeds, self.bindings, self.kept_jets)
+        return self._kept(expression, self.seeds, self.kept_jets)
 
     def value(self, expression: Expression):
         """The expression's value over the points, or its number where it reads no coordinate."""
-        return _evaluate_finite(expression, self.columns, self.bindings, self.kept_values)
+        return self._kept(expression, self.columns, self.kept_values)
 
+    def _kept(self, expression: Expression, coordinates, kept: dict):
+        """The kept result, or _evaluate with numpy's overflow, divide and invalid warnings off.
 
-def _evaluation(point, expression: Expression, bindings) -> Evaluation:
-    return point if isinstance(point, Evaluation) else Evaluation(point, len(expression.coords), bindings)
+        A non-finite result, or an argument outside the domain of the
+        arithmetic, is a DomainError that names the expression and the first
+        offending sample.
+        """
+        if (hit := kept.get(id(expression.ast))) is not None:
+            return hit[1]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            try:
+                result = _evaluate(expression.ast, coordinates, self.bindings, kept)
+            except DomainError as exc:
+                where = at_sample(expression.coords, self.points, exc.bad)
+                raise DomainError(f"{expression.unparse()}: {exc} at {where}") from None
+            jet = isinstance(result, Jet2)
+            if jet:
+                total = result.value.sum() + result.grad.sum() + result.hess.sum()
+            else:
+                total = result.sum() if isinstance(result, np.ndarray) else result
+        if not math.isfinite(total):  # an inf or NaN anywhere makes the sum non-finite
+            if jet:
+                finite = (np.isfinite(result.value) & np.isfinite(result.grad).all(axis=-1)
+                          & np.isfinite(result.hess).all(axis=(-2, -1)))
+            else:
+                finite = np.isfinite(result)
+            if not finite.all():  # not only the sum overflowed
+                where = at_sample(expression.coords, self.points, ~finite)
+                raise DomainError(f"{expression.unparse()} is not finite at {where}")
+        kept[id(expression.ast)] = (expression.ast, result)
+        return result
 
 
 class FieldJets(NamedTuple):
@@ -491,23 +468,20 @@ def _flat(field):
     return [e for row in field for e in row], (len(field), len(field[0]))
 
 
-def eval_field_jets(
-    fields: Sequence[Sequence], point, bindings: Mapping[str, float] | None = None
-) -> list[FieldJets]:
-    """The jets of several fields, each a vector or a matrix of expressions, as FieldJets.
+def eval_field_jets(fields: Sequence[Sequence], evaluation: Evaluation) -> list[FieldJets]:
+    """The jets of several fields, each a vector or a matrix of expressions, over an Evaluation.
 
-    `point` is one chart point (d,) or a batch (N, d), with the `bindings`,
-    or an Evaluation of the chart.  Each expression is evaluated by
-    `Expression.eval_jet`, in order: an error comes from the first
-    offending one.  The partial and second derivatives of a field with no
-    entry whose result is a jet are read-only zeros that own no memory.
+    Each expression is evaluated by `Expression.eval_jet`, in order: an
+    error comes from the first offending one.  The partial and second
+    derivatives of a field with no entry whose result is a jet are read-only
+    zeros that own no memory.
     """
-    out, evaluation = [], point
+    lead, d = evaluation.points.shape[:-1], evaluation.points.shape[-1]
+    out = []
     for field in fields:
         expressions, shape = _flat(field)
-        evaluation = _evaluation(evaluation, expressions[0], bindings)  # one for every field
         results = [e.eval_jet(evaluation) for e in expressions]
-        lead, d, size = evaluation.points.shape[:-1], evaluation.points.shape[-1], len(results)
+        size = len(results)
         zeros = np.zeros if any(isinstance(r, Jet2) for r in results) else functools.partial(np.broadcast_to, 0.0)
         value, grad, hess = np.empty(lead + (size,)), zeros(lead + (size, d)), zeros(lead + (size, d, d))
         for m, result in enumerate(results):
@@ -520,18 +494,15 @@ def eval_field_jets(
     return out
 
 
-def eval_numbers(
-    fields: Sequence[Sequence], point, bindings: Mapping[str, float] | None = None
-) -> list[np.ndarray]:
-    """The values of several fields, each in its shape, over a point, a batch or an Evaluation.
+def eval_numbers(fields: Sequence[Sequence], evaluation: Evaluation) -> list[np.ndarray]:
+    """The values of several fields, each in its shape, over an Evaluation.
 
     Every value equals that of its expression evaluated on its own.
     """
-    out, evaluation = [], point
+    lead = evaluation.points.shape[:-1]
+    out = []
     for field in fields:
         expressions, shape = _flat(field)
-        evaluation = _evaluation(evaluation, expressions[0], bindings)  # one for every field
-        lead = evaluation.points.shape[:-1]
         values = np.empty(lead + (len(expressions),))
         for m, e in enumerate(expressions):
             values[..., m] = evaluation.value(e)

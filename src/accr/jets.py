@@ -13,8 +13,6 @@ point has value shape ().
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
@@ -198,8 +196,8 @@ def general_pow(base, exponent):
     return exp(exponent * ln(base))
 
 
-def _unary(name, scalar_fn, value_fn, d1_fn, d2_fn, value_domain=None, jet_domain=None):
-    """scalar_fn acts on a plain number; value_fn, d1_fn and d2_fn act on arrays."""
+def _unary(name, value_fn, d1_fn, d2_fn, value_domain=None, jet_domain=None):
+    """value_fn, d1_fn and d2_fn act on arrays: a plain number goes through the kernel a batch does."""
 
     def apply(x):
         if isinstance(x, Jet2):
@@ -212,17 +210,9 @@ def _unary(name, scalar_fn, value_fn, d1_fn, d2_fn, value_domain=None, jet_domai
             b = np.asarray(d2_fn(v))[..., None, None]
             hess = b * _outer(x.grad) + a[..., None] * x.hess
             return Jet2(value_fn(v), a * x.grad, hess)
-        if np.ndim(x):  # plain numbers at a batch of points
-            if value_domain is not None:
-                value_domain(x)
-            return value_fn(x)
-        v = float(x)
         if value_domain is not None:
-            value_domain(v)
-        try:
-            return scalar_fn(v)
-        except (OverflowError, ValueError):  # exp of a large number, sin of an infinity
-            return float(value_fn(np.float64(v)))  # inf or NaN, as on a batch
+            value_domain(x)
+        return value_fn(x)
 
     apply.__name__ = name
     apply.__qualname__ = name
@@ -241,36 +231,17 @@ def _nonzero(v) -> None:
         raise DomainError("abs is not differentiable at zero", zero)
 
 
-sin = _unary("sin", math.sin, np.sin, np.cos, lambda v: -np.sin(v))
-cos = _unary("cos", math.cos, np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v))
-tan = _unary(
-    "tan",
-    math.tan,
-    np.tan,
-    lambda v: 1.0 + np.tan(v) ** 2,
-    lambda v: 2.0 * np.tan(v) * (1.0 + np.tan(v) ** 2),
-)
-exp = _unary("exp", math.exp, np.exp, np.exp, np.exp)
-ln = _unary("ln", math.log, np.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v), value_domain=_positive)
-sqrt = _unary(
-    "sqrt",
-    math.sqrt,
-    np.sqrt,
-    lambda v: 0.5 / np.sqrt(v),
-    lambda v: -0.25 / (v * np.sqrt(v)),
-    value_domain=_positive,
-)
+sin = _unary("sin", np.sin, np.cos, lambda v: -np.sin(v))
+cos = _unary("cos", np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v))
+tan = _unary("tan", np.tan, lambda v: 1.0 + np.tan(v) ** 2, lambda v: 2.0 * np.tan(v) * (1.0 + np.tan(v) ** 2))
+exp = _unary("exp", np.exp, np.exp, np.exp)
+ln = _unary("ln", np.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v), value_domain=_positive)
+sqrt = _unary("sqrt", np.sqrt, lambda v: 0.5 / np.sqrt(v), lambda v: -0.25 / (v * np.sqrt(v)),
+              value_domain=_positive)
 # abs is C^2 away from zero only; number evaluation tolerates zero, jets do not.
-absolute = _unary(
-    "absolute", abs, np.abs, lambda v: np.copysign(1.0, v), lambda v: 0.0, jet_domain=_nonzero
-)
-tanh = _unary(
-    "tanh",
-    math.tanh,
-    np.tanh,
-    lambda v: 1.0 - np.tanh(v) ** 2,
-    lambda v: -2.0 * np.tanh(v) * (1.0 - np.tanh(v) ** 2),
-)
+absolute = _unary("absolute", np.abs, lambda v: np.copysign(1.0, v), lambda v: 0.0, jet_domain=_nonzero)
+tanh = _unary("tanh", np.tanh, lambda v: 1.0 - np.tanh(v) ** 2,
+              lambda v: -2.0 * np.tanh(v) * (1.0 - np.tanh(v) ** 2))
 
 FUNCTIONS = {
     "sin": sin,

@@ -70,19 +70,11 @@ def _regular_inverse(a: np.ndarray, singular) -> np.ndarray:
     return np.linalg.inv(a) if inverse is None else inverse
 
 
-def signature_of(g: np.ndarray, rtol: float = _SIGNATURE_RTOL):
-    """Counts of positive and negative eigenvalues of a symmetric matrix.
-
-    Ints for one matrix (d, d); (N,) arrays of counts for a stack (N, d, d).
-    """
-    g = np.asarray(g, dtype=float)
+def signature_of(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of positive and negative eigenvalues of each symmetric matrix of a stack (N, d, d)."""
     eig = np.linalg.eigvalsh(0.5 * g + 0.5 * np.swapaxes(g, -1, -2))  # no overflow in the sum
     scale = np.maximum(np.max(np.abs(eig), axis=-1), 1e-300)[..., None]
-    pos = np.sum(eig > rtol * scale, axis=-1)
-    neg = np.sum(eig < -rtol * scale, axis=-1)
-    if g.ndim == 2:
-        return int(pos), int(neg)
-    return pos, neg
+    return np.sum(eig > _SIGNATURE_RTOL * scale, axis=-1), np.sum(eig < -_SIGNATURE_RTOL * scale, axis=-1)
 
 
 def _check_frames(frames: np.ndarray) -> None:

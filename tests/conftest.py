@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from accr.expr import eval_numbers
+from accr.expr import Evaluation, eval_numbers
 from accr.manifold import builtin_structure, load_manifold, sample_points
 
 # Every property test runs the same examples on every run, and no example database is written.
@@ -161,7 +161,7 @@ def associated_metric(S, point, bindings=None):
 
     Independent of the jets, so finite differences of it check the jets of g~.
     """
-    g, phi, eta = eval_numbers([S.g, S.phi, S.eta], point, bindings)
+    g, phi, eta = eval_numbers([S.g, S.phi, S.eta], Evaluation(point, S.dim, bindings))
     gt = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
     return (gt + np.swapaxes(gt, -1, -2)) / 2.0
 

@@ -12,7 +12,7 @@ import pytest
 from accr import analysis
 from accr.analysis import classify, yamabe_soliton_solve
 from accr.errors import DomainError, NonVerticalPotential
-from accr.expr import eval_numbers, parse
+from accr.expr import Evaluation, eval_field_jets, eval_numbers, parse
 from accr.geometry import (
     SampleGeometry,
     connection_f5_form,
@@ -77,7 +77,7 @@ def test_criterion_1_golden_closed_forms(capsys, cone, points, ts, geoms):
     }
     for p, (pg, pgt) in zip(points, geoms):
         t = p[0]
-        (frame,) = eval_numbers([cone.frame], p)
+        (frame,) = eval_numbers([cone.frame], Evaluation(p, 3))
         r04f = phi_frame(lowered_curvature(pg)[0], frame)
         rhof = phi_frame(pg.ricci[0], frame)
         diffs["R_1212 = -1/t^2"].append(abs(r04f[0, 1, 0, 1] - (-1.0 / t**2)))
@@ -246,7 +246,7 @@ def test_criterion_6_oracle_equivalence(capsys, cone):
     oracle_points = sample_points(cone.chart, 32, seed=7)
     worst_gamma = 0.0
     for tag, comp in (
-        ("g", lambda p: eval_numbers([cone.g], p)[0]),
+        ("g", lambda p: eval_numbers([cone.g], Evaluation(p, 3))[0]),
         ("gtilde", lambda p: associated_metric(cone, p)),
     ):
         for p in oracle_points:
@@ -269,18 +269,18 @@ def test_criterion_6_oracle_equivalence(capsys, cone):
         expr = parse(source, coords)
         pt = rng.uniform(0.3, 1.2, size=3)
         try:
-            jet = expr.eval_jet(pt)
-            ref_g = fd_gradient(lambda x: eval_numbers([[expr]], x)[0][0], pt, h=1e-5)
-            ref_h = fd_hessian(lambda x: eval_numbers([[expr]], x)[0][0], pt, h=1e-3)
+            value, grad, hess = (a[0] for a in eval_field_jets([[expr]], Evaluation(pt, 3))[0])
+            ref_g = fd_gradient(lambda x: eval_numbers([[expr]], Evaluation(x, 3))[0][0], pt, h=1e-5)
+            ref_h = fd_hessian(lambda x: eval_numbers([[expr]], Evaluation(x, 3))[0][0], pt, h=1e-3)
         except DomainError:
             continue  # regenerated; the guard templates make this rare
-        if not (np.isfinite(jet.value) and np.all(np.isfinite(ref_h))):
+        if not (np.isfinite(value) and np.all(np.isfinite(ref_h))):
             continue
         checked += 1
         scale_g = max(1.0, float(np.max(np.abs(ref_g))))
         scale_h = max(1.0, float(np.max(np.abs(ref_h))))
-        worst_grad = max(worst_grad, float(np.max(np.abs(jet.grad - ref_g))) / scale_g)
-        worst_hess = max(worst_hess, float(np.max(np.abs(jet.hess - ref_h))) / scale_h)
+        worst_grad = max(worst_grad, float(np.max(np.abs(grad - ref_g))) / scale_g)
+        worst_hess = max(worst_hess, float(np.max(np.abs(hess - ref_h))) / scale_h)
     _bad(failures, "jet gradients vs FD (1000 expressions)", worst_grad, 1e-5)
     _bad(failures, "jet hessians vs FD (1000 expressions)", worst_hess, 1e-5)
     _finish(capsys, 6, failures)

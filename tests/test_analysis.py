@@ -24,7 +24,7 @@ from accr.analysis import (
     yamabe_soliton_solve,
 )
 from accr.errors import NonVerticalPotential, ZeroPotential
-from accr.expr import eval_field_jets, eval_numbers, parse
+from accr.expr import Evaluation, eval_field_jets, eval_numbers, parse
 from accr.geometry import SampleGeometry, lowered_curvature
 from accr.jets import Jet2
 from accr.manifold import load_manifold, sample_points
@@ -149,7 +149,7 @@ def test_class_records_table(source, bindings, answers, consequences):
 
 def test_sasaki_form_residual_oracle(cone):
     # data manufactured to satisfy the defining form exactly
-    g, phi, xi, eta = eval_numbers([cone.g, cone.phi, cone.xi, cone.eta], (2.0, 0.3, -0.4))
+    g, phi, xi, eta = eval_numbers([cone.g, cone.phi, cone.xi, cone.eta], Evaluation((2.0, 0.3, -0.4), 3))
     gpp = np.einsum("ai,bj,ab->ij", phi, phi, g)
     F = np.einsum("ij,z->ijz", gpp, eta) + np.einsum("iz,j->ijz", gpp, eta)
     assert sasaki_form_residual(F, g, phi, eta) == 0.0
@@ -459,7 +459,7 @@ def _potential_jets(geo, k_source):
     """The value and partials of v = k xi, from the jets of the expressions (k)*(xi_i)."""
     S = geo.structure
     potential = [_k(S, f"({k_source})*({xi.unparse()})") for xi in S.xi]
-    return eval_field_jets([potential], geo.points, geo.bindings)[0][:2]
+    return eval_field_jets([potential], Evaluation(geo.points, S.dim, geo.bindings))[0][:2]
 
 
 def _lstsq_fit(geo, tag, k_source):
@@ -609,7 +609,7 @@ def test_phi_frame_values_match_the_transform_of_every_slot(request, structure, 
         S, bindings = request.getfixturevalue(structure), {}
     points = sample_points(S.chart, 8, seed=17)
     geo = SampleGeometry(S, points, bindings)
-    (frames,) = eval_numbers([S.frame], points, bindings)
+    (frames,) = eval_numbers([S.frame], Evaluation(points, S.dim, bindings))
     pg = geo.of(tag)
     r04f, rhof = phi_frame(lowered_curvature(pg), frames), phi_frame(pg.ricci, frames)
     want = {"R_1212": r04f[:, 0, 1, 0, 1], "rho_11": rhof[:, 0, 0], "rho_22": rhof[:, 1, 1]}
@@ -773,7 +773,7 @@ def test_non_vertical_sample_is_named(cone):
     S = load_manifold(ETA_SKEWED)
     with pytest.raises(NonVerticalPotential) as err:
         yamabe_soliton_solve(SampleGeometry(S, points), "g", _k(S, "t"))
-    assert str(err.value) == "potential deviates from k*xi by 1.000e+00 at sample (2.0, 0.5, -1.0)"
+    assert str(err.value) == "potential deviates from k*xi by 1.000e+00 at sample 1 (t=2.0, u=0.5, v=-1.0)"
     # vanishing at the last two samples names the first of them
-    with pytest.raises(ZeroPotential, match=r"at sample \(3\.0, 0\.25, 0\.0\)"):
+    with pytest.raises(ZeroPotential, match=r"at sample 2 \(t=3\.0, u=0\.25, v=0\.0\)$"):
         yamabe_soliton_solve(SampleGeometry(cone, points), "g", _k(cone, "t*v"))

@@ -218,7 +218,7 @@ _NOT_SOLITON = _solved("torse-forming", "not-soliton")
 _RECURRENT = _solved("recurrent, torse-forming", "not-soliton")
 _NOT_TORSE_FORMING = _solved("none", "not-soliton", fit="fail")
 _OFF_VERTICAL = ("accr: NonVerticalPotential: potential deviates from k*xi by {} "
-                 "at sample (0.617037, 0.202764, -0.555596)\n")
+                 "at sample 0 (t=0.6170371774846838, u=0.2027644999797451, v=-0.5555960849066455)\n")
 
 
 # Each structure and potential k: the soliton records for either metric, by name and verdict,
@@ -453,7 +453,8 @@ def test_a_structure_with_eta_xi_not_one_makes_the_potential_non_vertical(capsys
     argv = ["soliton", str(path), "--potential-k", "t", "--samples", "4"]
     rc, out, err = run(capsys, *argv, "--point", "t=1,u=0,v=0.5", "--point", "t=2,u=0.5,v=-1")
     assert rc == 1 and out == ""
-    assert err == "accr: NonVerticalPotential: potential deviates from k*xi by 1.000e+00 at sample (2.0, 0.5, -1.0)\n"
+    assert err == ("accr: NonVerticalPotential: potential deviates from k*xi by 1.000e+00 "
+                   "at sample 1 (t=2.0, u=0.5, v=-1.0)\n")
 
 
 def test_verticality_is_judged_relative_to_the_potential(capsys, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from accr import cli, geometry
 from accr.errors import DomainError
-from accr.expr import eval_field_jets, eval_numbers, parse
+from accr.expr import Evaluation, eval_field_jets, eval_numbers, parse
 from accr.geometry import (
     PointGeometry,
     SampleGeometry,
@@ -59,7 +59,8 @@ def pg_gt(cone):
 def _d2g(geo, tag):
     """The second derivatives of the metric `tag` over the samples of geo, evaluated again."""
     S = geo.structure
-    (jets,) = eval_field_jets([S.g if tag == "g" else S.associated_metric()], geo.points, geo.bindings)
+    metric = S.g if tag == "g" else S.associated_metric()
+    (jets,) = eval_field_jets([metric], Evaluation(geo.points, S.dim, geo.bindings))
     return jets.second
 
 
@@ -112,7 +113,7 @@ def _fd_christoffel(metric_of_point, point, h=1e-5):
 
 def test_christoffel_matches_finite_differences(cone, cone_points):
     for tag, comp in (
-        ("g", lambda p: eval_numbers([cone.g], p)[0]),
+        ("g", lambda p: eval_numbers([cone.g], Evaluation(p, 3))[0]),
         ("gtilde", lambda p: associated_metric(cone, p)),
     ):
         for pt in cone_points[:8]:
@@ -145,7 +146,7 @@ def test_nabla_xi_identity_violation():
 
 
 def test_curvature_frozen_values(cone, pg_g):
-    (frame,) = eval_numbers([cone.frame], POINT)
+    (frame,) = eval_numbers([cone.frame], Evaluation(POINT, 3))
     r_frame = phi_frame(lowered_curvature(pg_g)[0], frame)
     assert np.isclose(r_frame[0, 1, 0, 1], -0.25, atol=1e-13)
     rho_frame = phi_frame(pg_g.ricci[0], frame)
@@ -243,7 +244,7 @@ def test_nabla_tilde_detects_perturbation(cone, pg_g, pg_gt):
 
 def test_vector_field_jets():
     exprs = [parse(s, COORDS) for s in ("t^2", "u*v", "0")]
-    value, partial, _ = eval_field_jets([exprs], POINT)[0]
+    value, partial, _ = eval_field_jets([exprs], Evaluation(POINT, 3))[0]
     assert np.allclose(value, [4.0, -0.12, 0.0])
     assert np.allclose(partial[0], [4.0, 0.0, 0.0])
     assert np.allclose(partial[1], [0.0, -0.4, 0.3])
@@ -251,7 +252,7 @@ def test_vector_field_jets():
 
 def _nabla(pg, exprs, point, bindings):
     """nth[..., k, i] = nabla_i v^k of the vector field with component expressions `exprs`."""
-    v, dv, _ = eval_field_jets([exprs], [point], bindings)[0]
+    v, dv, _ = eval_field_jets([exprs], Evaluation([point], 3, bindings))[0]
     return dv + np.einsum("...kis,...s->...ki", pg.gamma, v)
 
 
@@ -262,7 +263,7 @@ def test_lie_derivative_closed_form(cone, cone_points):
         for pt in cone_points[:6]:
             pg = SampleGeometry(cone, [pt]).of("g")
             lg = lie_derivative_metric(pg, _nabla(pg, exprs, pt, {"c": c}))[0]
-            (g,) = eval_numbers([cone.g], pt)
+            (g,) = eval_numbers([cone.g], Evaluation(pt, 3))
             assert np.max(np.abs(lg - 2.0 * c * g)) < 1e-12
 
 
@@ -274,25 +275,26 @@ def test_lie_derivative_two_routes_agree(cone, cone_points):
         for pt in cone_points[:6]:
             pg = SampleGeometry(cone, [pt]).of(tag)
             a = lie_derivative_metric(pg, _nabla(pg, exprs, pt, b))
-            jet = k.eval_jet([pt], b)
+            jet = k.eval_jet(Evaluation([pt], 3, b))
             v = lie_derivative_vertical(pg, jet.value, jet.grad)
             assert np.max(np.abs(a - v)) < 1e-12
 
 
 def test_exterior_derivative():
     # d of a scalar is its gradient
-    d = parse("t^2*u", COORDS).eval_jet(POINT).grad
+    d = parse("t^2*u", COORDS).eval_jet(Evaluation(POINT, 3)).grad
     assert np.allclose(d, [2 * 2.0 * 0.3, 4.0, 0.0])
     # d of the 1-form t^2 du is 2t dt wedge du
     one_form = [parse(s, COORDS) for s in ("0", "t^2", "0")]
-    d2 = antisymmetrized_derivative(eval_field_jets([one_form], POINT)[0].partial)
+    d2 = antisymmetrized_derivative(eval_field_jets([one_form], Evaluation(POINT, 3))[0].partial)
     expected = np.zeros((3, 3))
     expected[0, 1] = 4.0
     expected[1, 0] = -4.0
     assert np.allclose(d2, expected)
     # eta itself is closed
     eta_form = [parse(s, COORDS) for s in ("1", "0", "0")]
-    assert np.max(np.abs(antisymmetrized_derivative(eval_field_jets([eta_form], POINT)[0].partial))) == 0.0
+    (eta_jets,) = eval_field_jets([eta_form], Evaluation(POINT, 3))
+    assert np.max(np.abs(antisymmetrized_derivative(eta_jets.partial))) == 0.0
 
 
 def test_point_geometry_shapes(cone, pg_g):
@@ -452,16 +454,19 @@ def test_xi_and_eta_jet_terms_match_finite_differences(tag):
     def at(x):
         return SampleGeometry(S, [x], OFFDIAG_BINDINGS).of(tag)
 
+    def values(x, field):
+        return eval_numbers([field], Evaluation(x, 3, OFFDIAG_BINDINGS))[0]
+
     for pt in sample_points(S.chart, 4, seed=8):
         pg = at(pt)
         ref = fd_gradient(lambda x: at(x).theta_star[0], pt)
         assert rel_err(pg.dtheta_star[0], ref) < 1e-7
         ref = fd_gradient(lambda x: at(x).theta_star_xi[0], pt)
         assert rel_err(pg.grad_theta_star_xi[0], ref) < 1e-7
-        dxi = fd_gradient(lambda x: eval_numbers([S.xi], x, OFFDIAG_BINDINGS)[0], pt)  # [k, i] = d_i xi^k
+        dxi = fd_gradient(lambda x: values(x, S.xi), pt)  # [k, i] = d_i xi^k
         ref = dxi + np.einsum("kis,s->ki", pg.gamma[0], pg.xi[0])
         assert rel_err(pg.nabla_xi[0], ref) < 1e-7
-        deta = fd_gradient(lambda x: eval_numbers([S.eta], x, OFFDIAG_BINDINGS)[0], pt)  # [j, i] = d_i eta_j
+        deta = fd_gradient(lambda x: values(x, S.eta), pt)  # [j, i] = d_i eta_j
         ref = deta.T - np.einsum("sij,s->ij", pg.gamma[0], pg.eta[0])
         assert rel_err(pg.nabla_eta[0], ref) < 1e-7
 
@@ -490,11 +495,11 @@ def test_batch_domain_error_matches_single_sample(cone):
     expr = parse("ln(u) + t", COORDS)
     points = np.array([[1.0, 0.5, 0.0], [1.0, -0.25, 0.0], [1.0, 2.0, 0.0]])
     with pytest.raises(DomainError) as alone:
-        expr.eval_jet(points[1])
+        expr.eval_jet(Evaluation(points[1], 3))
     with pytest.raises(DomainError) as batched:
-        expr.eval_jet(points)
-    head, _, where = str(alone.value).rpartition(" at ")
-    assert str(batched.value) == f"{head} at sample 1 ({where})"
+        expr.eval_jet(Evaluation(points, 3))
+    assert str(alone.value).endswith(" at sample 0 (t=1.0, u=-0.25, v=0.0)")
+    assert str(batched.value) == str(alone.value).replace(" at sample 0 (", " at sample 1 (")
     # one sample outside the chart's open box
     points = np.array([[2.0, 0.3, -0.4], [6.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(DomainError) as alone:
@@ -615,7 +620,7 @@ def _einsum_helpers(pg):
 
 def _structure_jets(S, point, bindings):
     """The structure jets at one point (d,) or a batch (N, d), evaluated as SampleGeometry.jets evaluates them."""
-    return StructureJets(*eval_field_jets([S.g, S.phi, S.xi, S.eta], point, bindings))
+    return StructureJets(*eval_field_jets([S.g, S.phi, S.xi, S.eta], Evaluation(point, S.dim, bindings)))
 
 
 def _einsum_associated_jets(sj):
@@ -656,7 +661,7 @@ def test_matmul_contractions_match_their_einsum_forms(request, structure, tag):
         assert _near(got, want, scale), name
     gtilde = S.associated_metric()
     for point_or_batch in (points, points[3]):
-        (jets,) = eval_field_jets([gtilde], point_or_batch, bindings)
+        (jets,) = eval_field_jets([gtilde], Evaluation(point_or_batch, S.dim, bindings))
         for got, want in zip(jets, _einsum_associated_jets(_structure_jets(S, point_or_batch, bindings))):
             assert _near(got, want)
 
@@ -680,7 +685,7 @@ def test_associated_metric_expression_jets_match_the_product_rule(entries):
     phi = [entries[6:9], entries[9:12], entries[12:15]]
     S = load_manifold(json.dumps(dict(OFFDIAG, g=g, phi=phi, eta=entries[15:])))
     points = sample_points(S.chart, 4, seed=11)
-    (jets,) = eval_field_jets([S.associated_metric()], points, OFFDIAG_BINDINGS)
+    (jets,) = eval_field_jets([S.associated_metric()], Evaluation(points, 3, OFFDIAG_BINDINGS))
     want_jets = _einsum_associated_jets(_structure_jets(S, points, OFFDIAG_BINDINGS))
     for k, (got, want) in enumerate(zip(jets, want_jets)):
         assert _near(got, want), k
@@ -701,7 +706,7 @@ def _structure(request, name):
 def test_metric_jets_are_exactly_symmetric_in_their_metric_slots(request, structure):
     S, bindings = _structure(request, structure)
     points = sample_points(S.chart, 8, seed=3)
-    gtilde = eval_field_jets([S.associated_metric()], points, bindings)[0]
+    gtilde = eval_field_jets([S.associated_metric()], Evaluation(points, S.dim, bindings))[0]
     for jets in (SampleGeometry(S, points, bindings).jets.g, gtilde):
         for k, array in enumerate(jets):
             axes = (-2 - k, -1 - k)  # the metric slots come before the derivative axes

@@ -19,7 +19,7 @@ from accr.errors import (
     UnboundConstant,
     UnknownBuiltin,
 )
-from accr.expr import eval_field_jets, eval_numbers
+from accr.expr import Evaluation, eval_field_jets, eval_numbers
 from accr.geometry import SampleGeometry
 from accr.manifold import (
     AccRStructure,
@@ -287,12 +287,12 @@ def test_associated_metric_components(cone, cone_points):
         ["1.0*1.0", "0.0", "0.0"], ["0.0", "0.0", "(t^2.0*-1.0+-t^2.0*1.0)/2.0"],
         ["0.0", "(t^2.0*-1.0+-t^2.0*1.0)/2.0", "0.0"]]
     assert all(gtilde[i][j] is gtilde[j][i] for i in range(3) for j in range(3))
-    gt = eval_field_jets([gtilde], (2.0, 0.3, -0.4))[0].value
+    gt = eval_field_jets([gtilde], Evaluation((2.0, 0.3, -0.4), 3))[0].value
     assert np.allclose(gt, [[1.0, 0, 0], [0, 0, -4.0], [0, -4.0, 0]], atol=1e-14)
     # the associated metric is itself a B-metric for the same structure
     for pt in cone_points:
-        g, phi, xi, eta = eval_numbers([cone.g, cone.phi, cone.xi, cone.eta], pt)
-        gtp = eval_field_jets([gtilde], pt)[0].value
+        g, phi, xi, eta = eval_numbers([cone.g, cone.phi, cone.xi, cone.eta], Evaluation(pt, 3))
+        gtp = eval_field_jets([gtilde], Evaluation(pt, 3))[0].value
         compat = np.einsum("ai,bj,ab->ij", phi, phi, gtp) + gtp - np.outer(eta, eta)
         assert np.max(np.abs(compat)) < 1e-12
         assert np.max(np.abs(gtp @ xi - eta)) < 1e-12
@@ -304,7 +304,7 @@ def test_associated_metric_jets_match_fd(cone):
     pt = np.array([1.7, 0.2, 0.9])
     for S, bindings in ((cone, None), (load_manifold(json.dumps(OFFDIAG)), OFFDIAG_BINDINGS),
                         (load_manifold(json.dumps(VARYING)), OFFDIAG_BINDINGS)):
-        value, partial, _ = eval_field_jets([S.associated_metric()], pt, bindings)[0]
+        value, partial, _ = eval_field_jets([S.associated_metric()], Evaluation(pt, 3, bindings))[0]
         assert np.allclose(value, associated_metric(S, pt, bindings))
         for i in range(3):
             for j in range(3):
@@ -320,9 +320,9 @@ def test_associated_metric_jets_that_overflow_are_a_domain_error():
     entry = r"1e\+150\*t\^2\.0\*\(1e\+150\*t\^2\.0\) is not finite"
     with pytest.raises(DomainError, match=rf"^metric gtilde: {entry} at sample 1 \(t=200\.0, u=0\.0, v=0\.0\)$"):
         SampleGeometry(S, points).of("gtilde")
-    with pytest.raises(DomainError, match=rf"^{entry} at t=200\.0, u=0\.0, v=0\.0$"):
-        eval_field_jets([S.associated_metric()], points[1])
-    value, _, second = eval_field_jets([S.associated_metric()], points[0])[0]
+    with pytest.raises(DomainError, match=rf"^{entry} at sample 0 \(t=200\.0, u=0\.0, v=0\.0\)$"):
+        eval_field_jets([S.associated_metric()], Evaluation(points[1], 3))
+    value, _, second = eval_field_jets([S.associated_metric()], Evaluation(points[0], 3))[0]
     assert value[0, 0] == 1e150 * 1e150 and np.isfinite(second).all()
     # eta (x) eta = exp(600 t) is finite up to t ~ 1.183, and its second t-derivative
     # 3.6e5 exp(600 t) only up to t ~ 1.162
@@ -421,7 +421,7 @@ def test_structure_jets_shapes(cone):
 def test_literal_fields_have_zero_jets_that_own_no_memory(request, structure):
     S = request.getfixturevalue(structure)
     for point in (sample_points(S.chart, 8, seed=3), sample_points(S.chart, 1, seed=3)[0]):
-        sj = eval_field_jets([S.g, S.phi, S.xi, S.eta], point)
+        sj = eval_field_jets([S.g, S.phi, S.xi, S.eta], Evaluation(point, S.dim))
         for field in sj[1:]:  # phi, xi and eta: literal in every shipped structure
             for jet in field[1:]:
                 # every stride 0: the whole array reads one element of a zero scalar
@@ -434,9 +434,9 @@ def test_literal_fields_have_zero_jets_that_own_no_memory(request, structure):
 def test_values_and_frame_at_a_batch(cone, cone_points):
     points = np.array(cone_points[:5])
     fields = [cone.g, cone.phi, cone.xi, cone.eta, cone.frame]
-    values = eval_numbers(fields, points, {})
+    values = eval_numbers(fields, Evaluation(points, 3, {}))
     for k, pt in enumerate(cone_points[:5]):
-        single = eval_numbers(fields, pt)
+        single = eval_numbers(fields, Evaluation(pt, 3))
         for got, want in zip(values, single):
             assert got.shape[1:] == want.shape
             assert np.array_equal(got[k], want)
@@ -462,7 +462,7 @@ def test_the_g_of_the_swap_of_the_swap_is_minus_g_plus_twice_eta_eta(cone, struc
     S, twice = (load_manifold(json.dumps(r)) for r in (raw, swap(swap(raw))))
     points = sample_points(S.chart, 16, seed=42)
     bindings = OFFDIAG_BINDINGS if structure in ("offdiag", "varying") else {}
-    g, eta, g_twice = eval_numbers([S.g, S.eta, twice.g], points, bindings)
+    g, eta, g_twice = eval_numbers([S.g, S.eta, twice.g], Evaluation(points, S.dim, bindings))
     want = -g + 2.0 * np.einsum("...i,...j->...ij", eta, eta)
     if exact:
         assert np.array_equal(g_twice, want)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ManifoldParseError, NonVerticalPotential, ZeroPotential, at_sample
+from .errors import ManifoldParseError, NonVerticalPotential, ZeroPotential, at_sample, require_finite
 from .expr import Expression, eval_field_jets, eval_numbers, parse
 from .geometry import (
     SampleGeometry,
@@ -89,22 +89,6 @@ def f5_form_residual(F, g, phi, eta, theta_star_xi, n):
 def _norm(x) -> float:
     """max |x| over every sample and component."""
     return float(np.max(np.abs(x)))
-
-
-def _require_finite(geo: SampleGeometry, what: str, *per_sample) -> None:
-    """A DomainError naming the first sample where one of the arrays, each with a leading
-    sample axis, is not finite: an overflow ends the run rather than reading as a verdict.
-
-    Called with numpy's overflow and invalid warnings off, as the arithmetic it screens.
-    """
-    if np.isfinite(sum(float(np.sum(a)) for a in per_sample)):
-        return  # an inf or NaN anywhere makes the sum non-finite
-    bad = np.zeros(len(geo.points), dtype=bool)
-    for a in per_sample:
-        bad |= ~np.isfinite(a).reshape(len(bad), -1).all(axis=-1)
-    if bad.any():  # else only the sum overflowed
-        where = at_sample(geo.structure.chart.coordinates, geo.points, bad)
-        raise DomainError(f"{what} is not finite at {where}", bad)
 
 
 # The defining form of each class, in the order every command reports the classes.
@@ -249,7 +233,7 @@ def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: floa
         fit = f_arr[:, None, None] * np.eye(dim) + np.einsum("...i,...j->...ij", v, gamma_arr) - nth
         fit_arr = _max_abs(fit, 2)
         drift = _max_abs(v - _dot(pg.eta, v)[:, None] * pg.xi, 1)
-        _require_finite(geo, "torse-forming fit of the potential", fit_arr, drift)
+        require_finite("torse-forming fit of the potential", coordinates, geo.points, fit_arr, drift)
     off = drift > _VERTICAL_TOL * size
     if off.any():
         where = at_sample(coordinates, geo.points, off)
@@ -271,7 +255,8 @@ def yamabe_soliton_solve(geo: SampleGeometry, tag: str, k: Expression, tol: floa
         A = lie_derivative_metric(pg, nth) / 2.0
         mu, resid_arr = proportionality_split(A, pg.g, pg.ginv)
         lam_arr = pg.tau - mu
-        _require_finite(geo, f"Lie derivative of metric {tag} along the potential", resid_arr, lam_arr)
+        require_finite(f"Lie derivative of metric {tag} along the potential", coordinates, geo.points,
+                       resid_arr, lam_arr)
     verdict = "soliton" if float(np.max(resid_arr)) <= tol else "not-soliton"
     return SolitonSolveResult(k=k_arr, dk=dk, f=f_arr, gamma=gamma_arr, fit_residuals=fit_arr,
                               taxonomy=taxonomy, verdict=verdict, nth=nth, half_lie=A, lambdas=lam_arr,
@@ -342,7 +327,7 @@ def _phi_frame_values(geo, tag):
     if S.frame is None:
         raise ManifoldParseError("structure declares no frame")
     (frames,) = eval_numbers([S.frame], geo.evaluation)
-    _check_frames(frames)
+    _check_frames(frames, S.chart.coordinates, geo.points)
     e1, e2 = frames[..., 0], frames[..., 1]
     return {
         "R_1212": np.einsum("...ijkw,...i,...j,...k,...w->...", lowered_curvature(pg), e1, e2, e1, e2),

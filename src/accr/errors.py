@@ -5,6 +5,8 @@ particular) can separate expected failures from genuine bugs.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -50,14 +52,29 @@ class DomainError(AccrError):
 
 
 def at_sample(coordinates, points, bad=None) -> str:
-    """'sample K (x=..., ...)': the first of the points (N, d), or the point (d,), that `bad` marks.
+    """'sample K (x=..., ...)': the first of the points (N, d) that the mask `bad` marks, or sample 0.
 
-    `bad` is None for the first point, or marks points with True.  Every
-    error that names a sample names it so, each coordinate by its repr.
+    Every error that names a sample names it so, each coordinate by its repr.
     """
-    points = np.reshape(points, (-1, len(coordinates)))
-    k = int(np.argmax(np.broadcast_to(True if bad is None else bad, points.shape[:1])))
+    k = 0 if bad is None else int(np.argmax(bad))
     return f"sample {k} (" + ", ".join(f"{c}={float(x)!r}" for c, x in zip(coordinates, points[k])) + ")"
+
+
+def require_finite(what, coordinates, points, *arrays) -> None:
+    """Raise a DomainError naming `what`, by its str(), and the first sample where one of the arrays,
+    each a number or led by the sample axis of the points (N, d), is not finite; `bad` marks them all.
+
+    An inf or NaN anywhere makes the sum non-finite, so a finite sum needs no mask.  Called with
+    numpy's overflow and invalid warnings off, as the arithmetic it screens.
+    """
+    if math.isfinite(sum(a.sum() for a in arrays)):
+        return
+    bad = np.zeros(len(points), dtype=bool)
+    for a in arrays:
+        finite = np.isfinite(a)
+        bad |= ~finite.all(axis=tuple(range(1, finite.ndim)))
+    if bad.any():  # else only the sum overflowed
+        raise DomainError(f"{what} is not finite at {at_sample(coordinates, points, bad)}", bad)
 
 
 class DimensionMismatch(AccrError):

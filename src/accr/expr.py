@@ -25,7 +25,6 @@ therefore requires a positive base at evaluation time.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -40,6 +39,7 @@ from .errors import (
     UnboundConstant,
     UnknownIdentifier,
     at_sample,
+    require_finite,
 )
 from .jets import Jet2
 from .record import Value
@@ -325,16 +325,6 @@ def _depth(node: Node) -> int:
     return deepest
 
 
-def _coordinates(point, d: int) -> np.ndarray:
-    """One chart point (d,) or a batch (N, d) as a float array."""
-    values = np.asarray(point, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[-1] != d:
-        raise DimensionMismatch(
-            f"point of shape {values.shape} does not fit a chart with {d} coordinates"
-        )
-    return values
-
-
 # -- pretty printing ------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
@@ -386,9 +376,11 @@ class Expression(Value):
     def unparse(self) -> str:
         return _unparse(self.ast, self.coords, 0)
 
+    __str__ = unparse  # how an error names the expression
+
 
 class Evaluation:
-    """The expressions of one chart at one point (d,) or batch of points (N, d), each evaluated once.
+    """The expressions of one chart at a batch of points (N, d), each evaluated once.
 
     Every expression is evaluated through one.  The coordinate seeds are
     built once.  The result of every expression evaluated here is kept under
@@ -400,9 +392,11 @@ class Evaluation:
     """
 
     def __init__(self, points, d: int, bindings: Mapping[str, float] | None = None):
-        self.points = _coordinates(points, d)
+        self.points = np.asarray(points, dtype=float)
+        if self.points.ndim != 2 or self.points.shape[1] != d:
+            raise DimensionMismatch(f"points of shape {self.points.shape} are no batch (N, {d})")
         self.bindings = dict(bindings or {})
-        self.columns = [self.points[..., i] for i in range(d)]
+        self.columns = [self.points[:, i] for i in range(d)]
         self.seeds = tuple(Jet2.seed(i, column, d) for i, column in enumerate(self.columns))
         self.kept_jets: dict[int, tuple[Node, object]] = {}
         self.kept_values: dict[int, tuple[Node, object]] = {}
@@ -429,21 +423,10 @@ class Evaluation:
                 result = _evaluate(expression.ast, coordinates, self.bindings, kept)
             except DomainError as exc:
                 where = at_sample(expression.coords, self.points, exc.bad)
-                raise DomainError(f"{expression.unparse()}: {exc} at {where}") from None
+                raise DomainError(f"{expression.unparse()}: {exc} at {where}", exc.bad) from None
             jet = isinstance(result, Jet2)
-            if jet:
-                total = result.value.sum() + result.grad.sum() + result.hess.sum()
-            else:
-                total = result.sum() if isinstance(result, np.ndarray) else result
-        if not math.isfinite(total):  # an inf or NaN anywhere makes the sum non-finite
-            if jet:
-                finite = (np.isfinite(result.value) & np.isfinite(result.grad).all(axis=-1)
-                          & np.isfinite(result.hess).all(axis=(-2, -1)))
-            else:
-                finite = np.isfinite(result)
-            if not finite.all():  # not only the sum overflowed
-                where = at_sample(expression.coords, self.points, ~finite)
-                raise DomainError(f"{expression.unparse()} is not finite at {where}")
+            arrays = (result.value, result.grad, result.hess) if jet else (np.asarray(result),)
+            require_finite(expression, expression.coords, self.points, *arrays)
         kept[id(expression.ast)] = (expression.ast, result)
         return result
 

@@ -41,7 +41,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, SingularMetric
+from .errors import DomainError, SingularMetric, at_sample
 from .expr import Evaluation, FieldJets, eval_field_jets
 from .manifold import METRIC_G, METRIC_GTILDE, AccRStructure, StructureJets
 from .tensor import _congruence, _dot, _mat, _max_abs, _regular_inverse
@@ -78,18 +78,18 @@ class PointGeometry:
     """Every derived quantity of one metric tag over the N sample points of a SampleGeometry.
 
     Each field is computed on its first read, from the fields it reads, and
-    kept, so a command pays only for what it reads.  The metric's jets are
-    given at construction, where the inverse is taken: a singular metric
-    raises SingularMetric there, whichever fields are read later.  Every
+    kept, so a command pays only for what it reads.  The metric's jets and
+    inverse are given at construction: a singular metric raised
+    SingularMetric in SampleGeometry.of, before any field is read.  Every
     field carries a leading sample axis; the scalar fields are (N,)
     arrays.  The arrays are read-only, so the consumers sharing one batch
     cannot change what another reads.
     """
 
-    def __init__(self, n: int, tag: str, sj: StructureJets, metric: FieldJets):
+    def __init__(self, n: int, tag: str, sj: StructureJets, metric: FieldJets, ginv: np.ndarray):
         g, dg, d2g = metric
         shared = dict(phi=sj.phi.value, xi=sj.xi.value, eta=sj.eta.value, deta=sj.eta.partial,
-                      g=g, dg=dg, ginv=_inverse(g, tag))
+                      g=g, dg=dg, ginv=ginv)
         for array in shared.values():
             array.flags.writeable = False
         vars(self).update(shared, tag=tag, n=n, _d2g=d2g,
@@ -272,32 +272,31 @@ def _koszul_derivative(d2g: np.ndarray) -> np.ndarray:
     return dC
 
 
-def _inverse(g: np.ndarray, tag: str) -> np.ndarray:
-    ginv = _regular_inverse(
-        g, lambda svals, k: SingularMetric(f"metric {tag} is numerically singular at sample {k} (singular "
-                                           f"values {np.array2string(svals, max_line_width=sys.maxsize)})")
-    )
+def _inverse(g: np.ndarray, tag: str, coordinates, points) -> np.ndarray:
+    ginv = _regular_inverse(g, lambda svals, bad: SingularMetric(
+        f"metric {tag} is numerically singular at {at_sample(coordinates, points, bad)}, with singular values "
+        f"{np.array2string(svals, max_line_width=sys.maxsize)}"))
     return (ginv + np.swapaxes(ginv, -1, -2)) / 2.0
 
 
 class SampleGeometry:
     """The sample set of one command and each metric's geometry over it.
 
-    `points` is a batch (N, d); one point (d,) is a batch of one.  Every
-    check of a command reads the same batch.  `evaluation` evaluates every
-    expression a check reads, once, after the points are checked to lie
-    inside the chart.  `jets`, the jets of g, phi, xi and eta, are evaluated
-    on first use; structure validation reads their values, and both metrics
-    read them.  The geometry of a metric tag is built from them on first
-    use, with each of its fields computed once, over all samples, when first
-    read; all of it lives as long as this object.  `of(tag)` is the one way
-    to the geometry.  g~'s component expressions are evaluated where its
-    geometry is built; a potential's and the frame's where a check reads them.
+    `points` is a batch (N, d), and every check of a command reads it.
+    `evaluation` evaluates every expression a check reads, once, after the
+    points are checked to lie inside the chart.  `jets`, the jets of g, phi,
+    xi and eta, are evaluated on first use; structure validation reads their
+    values, and both metrics read them.  The geometry of a metric tag is
+    built from them on first use, with each of its fields computed once,
+    over all samples, when first read; all of it lives as long as this
+    object.  `of(tag)` is the one way to the geometry, and takes the metric's
+    inverse.  g~'s component expressions are evaluated where its geometry is
+    built; a potential's and the frame's where a check reads them.
     """
 
     def __init__(self, S: AccRStructure, points, bindings: Mapping[str, float] | None = None):
         self.structure = S
-        self.points = np.array(np.atleast_2d(np.asarray(points, dtype=float)))  # a copy
+        self.points = np.array(points, dtype=float)  # a copy
         self.points.flags.writeable = False
         self.bindings = dict(bindings or {})
         self._geometry: dict[str, PointGeometry] = {}
@@ -321,7 +320,8 @@ class SampleGeometry:
                 jets = sj.g if g else eval_field_jets([S.associated_metric()], self.evaluation)[0]
             except DomainError as exc:
                 raise DomainError(f"metric {tag}: {exc}", exc.bad) from None
-            self._geometry[tag] = PointGeometry(S.n, tag, sj, jets)
+            ginv = _inverse(jets.value, tag, S.chart.coordinates, self.points)
+            self._geometry[tag] = PointGeometry(S.n, tag, sj, jets, ginv)
         return self._geometry[tag]
 
 

@@ -82,13 +82,11 @@ class Chart(Value):
     def dim(self) -> int:
         return 2 * self.n + 1
 
-    def require_inside(self, point) -> None:
-        """Reject a point (d,), or a batch of points (N, d), not strictly inside the box."""
-        p = np.asarray(point, dtype=float)
-        if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"point of shape {p.shape} does not fit a chart of dimension {self.dim}"
-            )
+    def require_inside(self, points) -> None:
+        """Reject a batch of points (N, d) of which one is not strictly inside the box."""
+        p = np.asarray(points, dtype=float)
+        if p.ndim != 2 or p.shape[1] != self.dim:
+            raise DimensionMismatch(f"points of shape {p.shape} are no batch (N, {self.dim})")
         lo, hi = np.array(self.domain).T
         outside = ~((lo < p) & (p < hi))
         if outside.any():
@@ -501,13 +499,11 @@ def sample_points(
     pinned: Iterable[Sequence[float]] = (),
 ) -> np.ndarray:
     """A (count, d) array: the pinned points first, then Latin hypercube samples."""
-    pinned_list = [np.asarray(p, dtype=float) for p in pinned]
-    for p in pinned_list:
-        chart.require_inside(p)
-    if len(pinned_list) > count:
-        raise ValueError(f"{len(pinned_list)} pinned points exceed sample budget {count}")
-    pins = np.reshape(pinned_list, (-1, chart.dim))
-    return np.concatenate([pins, latin_hypercube(chart, count - len(pinned_list), seed)])
+    pins = np.asarray(list(pinned) or np.empty((0, chart.dim)), dtype=float)
+    chart.require_inside(pins)
+    if len(pins) > count:
+        raise ValueError(f"{len(pins)} pinned points exceed sample budget {count}")
+    return np.concatenate([pins, latin_hypercube(chart, count - len(pins), seed)])
 
 
 def check_bindings(chart: Chart, bindings: Mapping[str, float], required: Iterable[str]) -> None:

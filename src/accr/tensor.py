@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularFrame
+from .errors import SingularFrame, at_sample
 
 __all__ = ["signature_of"]
 
@@ -47,10 +47,10 @@ def _congruence(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _regular_inverse(a: np.ndarray, singular) -> np.ndarray:
-    """np.linalg.inv(a) of a matrix (d, d) or a stack (N, d, d) that is proven regular.
+    """np.linalg.inv(a) of a stack (N, d, d) that is proven regular.
 
-    Where the stack is singular, raises singular(svals, k): the singular values of
-    its first singular matrix, and that matrix's index k.
+    Where the stack is singular, raises singular(svals, bad): the singular values of
+    its first singular matrix, and the mask of its singular matrices.
     """
     try:
         inverse = np.linalg.inv(a)
@@ -64,9 +64,8 @@ def _regular_inverse(a: np.ndarray, singular) -> np.ndarray:
             return inverse
     svals = np.linalg.svd(a, compute_uv=False)
     flagged = svals[..., -1] <= _SINGULARITY_RTOL * np.maximum(svals[..., 0], 1e-300)
-    if np.any(flagged):
-        k = int(np.argmax(flagged))
-        raise singular(svals.reshape(-1, svals.shape[-1])[k], k)
+    if flagged.any():
+        raise singular(svals[np.argmax(flagged)], flagged)
     return np.linalg.inv(a) if inverse is None else inverse
 
 
@@ -77,6 +76,8 @@ def signature_of(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(eig > _SIGNATURE_RTOL * scale, axis=-1), np.sum(eig < -_SIGNATURE_RTOL * scale, axis=-1)
 
 
-def _check_frames(frames: np.ndarray) -> None:
-    """Prove a stack of frames (N, d, d) regular, or raise SingularFrame naming its first singular frame."""
-    _regular_inverse(frames, lambda svals, k: SingularFrame(f"frame vectors are linearly dependent at sample {k}"))
+def _check_frames(frames: np.ndarray, coordinates, points) -> None:
+    """Prove the frames (N, d, d) at the points (N, d) regular, or raise SingularFrame naming the first
+    sample of a singular one."""
+    _regular_inverse(frames, lambda svals, bad: SingularFrame(
+        f"frame vectors are linearly dependent at {at_sample(coordinates, points, bad)}"))

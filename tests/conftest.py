@@ -156,12 +156,12 @@ def swap(raw):
     return swapped
 
 
-def associated_metric(S, point, bindings=None):
-    """Reference components of g~ = sym(g phi + eta (x) eta) from the structure values.
+def associated_metric(S, points, bindings=None):
+    """Reference components of g~ = sym(g phi + eta (x) eta) from the structure values, at a batch (N, d).
 
     Independent of the jets, so finite differences of it check the jets of g~.
     """
-    g, phi, eta = eval_numbers([S.g, S.phi, S.eta], Evaluation(point, S.dim, bindings))
+    g, phi, eta = eval_numbers([S.g, S.phi, S.eta], Evaluation(points, S.dim, bindings))
     gt = np.einsum("...is,...sj->...ij", g, phi) + np.einsum("...i,...j->...ij", eta, eta)
     return (gt + np.swapaxes(gt, -1, -2)) / 2.0
 

@@ -77,7 +77,7 @@ def test_criterion_1_golden_closed_forms(capsys, cone, points, ts, geoms):
     }
     for p, (pg, pgt) in zip(points, geoms):
         t = p[0]
-        (frame,) = eval_numbers([cone.frame], Evaluation(p, 3))
+        frame = eval_numbers([cone.frame], Evaluation([p], 3))[0][0]
         r04f = phi_frame(lowered_curvature(pg)[0], frame)
         rhof = phi_frame(pg.ricci[0], frame)
         diffs["R_1212 = -1/t^2"].append(abs(r04f[0, 1, 0, 1] - (-1.0 / t**2)))
@@ -246,8 +246,8 @@ def test_criterion_6_oracle_equivalence(capsys, cone):
     oracle_points = sample_points(cone.chart, 32, seed=7)
     worst_gamma = 0.0
     for tag, comp in (
-        ("g", lambda p: eval_numbers([cone.g], Evaluation(p, 3))[0]),
-        ("gtilde", lambda p: associated_metric(cone, p)),
+        ("g", lambda p: eval_numbers([cone.g], Evaluation([p], 3))[0][0]),
+        ("gtilde", lambda p: associated_metric(cone, [p])[0]),
     ):
         for p in oracle_points:
             pg = SampleGeometry(cone, [p]).of(tag)
@@ -269,9 +269,9 @@ def test_criterion_6_oracle_equivalence(capsys, cone):
         expr = parse(source, coords)
         pt = rng.uniform(0.3, 1.2, size=3)
         try:
-            value, grad, hess = (a[0] for a in eval_field_jets([[expr]], Evaluation(pt, 3))[0])
-            ref_g = fd_gradient(lambda x: eval_numbers([[expr]], Evaluation(x, 3))[0][0], pt, h=1e-5)
-            ref_h = fd_hessian(lambda x: eval_numbers([[expr]], Evaluation(x, 3))[0][0], pt, h=1e-3)
+            value, grad, hess = (a[0, 0] for a in eval_field_jets([[expr]], Evaluation([pt], 3))[0])
+            ref_g = fd_gradient(lambda x: eval_numbers([[expr]], Evaluation([x], 3))[0][0, 0], pt, h=1e-5)
+            ref_h = fd_hessian(lambda x: eval_numbers([[expr]], Evaluation([x], 3))[0][0, 0], pt, h=1e-3)
         except DomainError:
             continue  # regenerated; the guard templates make this rare
         if not (np.isfinite(value) and np.all(np.isfinite(ref_h))):

@@ -149,7 +149,8 @@ def test_class_records_table(source, bindings, answers, consequences):
 
 def test_sasaki_form_residual_oracle(cone):
     # data manufactured to satisfy the defining form exactly
-    g, phi, xi, eta = eval_numbers([cone.g, cone.phi, cone.xi, cone.eta], Evaluation((2.0, 0.3, -0.4), 3))
+    fields = eval_numbers([cone.g, cone.phi, cone.xi, cone.eta], Evaluation([(2.0, 0.3, -0.4)], 3))
+    g, phi, xi, eta = (field[0] for field in fields)
     gpp = np.einsum("ai,bj,ab->ij", phi, phi, g)
     F = np.einsum("ij,z->ijz", gpp, eta) + np.einsum("iz,j->ijz", gpp, eta)
     assert sasaki_form_residual(F, g, phi, eta) == 0.0

@@ -20,17 +20,20 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def _exported(node):
+    """The names an `__all__ = [...]` statement lists; none for any other statement."""
+    if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+        return ast.literal_eval(node.value)
+    return []
+
+
 def _public_definitions(tree):
     """(qualified name, definition node) for each name in the module's __all__, and each
     public method or property of an exported class defined in the module.
 
     A definition is its def, class or assignment statement.
     """
-    exported = next(
-        (ast.literal_eval(node.value) for node in tree.body
-         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]),
-        [],
-    )
+    exported = [name for node in tree.body for name in _exported(node)]
     found = []
     for node in tree.body:
         if isinstance(node, ast.Assign):
@@ -91,3 +94,23 @@ def test_every_public_name_is_read_by_the_package():
 def test_every_private_name_is_read_by_the_package():
     # a private table or helper that the code no longer reads is dead
     assert _unread(_private_definitions) == []
+
+
+def _unread_imports(tree):
+    """Each name that one of the module's import statements binds and nothing in the module reads.
+
+    A name the module exports through __all__ is read; `from __future__` binds nothing.
+    """
+    exported = {name for node in tree.body for name in _exported(node)}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+    imported = [(alias.asname or alias.name.split(".")[0])
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names]
+    return [name for name in imported if name not in read]
+
+
+def test_every_imported_name_is_read_by_its_module():
+    # an import that nothing reads is left over from code that moved or went
+    unread = {path.stem: _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in unread.items() if names} == {}

@@ -38,14 +38,14 @@ from conftest import CONE_BINDINGS, CONE_N2, OFFDIAG_BINDINGS
 COORDS = ("t", "u", "v")
 
 
-def _eval_number(e, point, bindings=None):
-    """The value of one expression, evaluated on its own, at a point (d,) or a batch (N, d)."""
-    return eval_numbers([[e]], Evaluation(point, len(e.coords), bindings))[0][..., 0]
+def _eval_number(e, points, bindings=None):
+    """The values of one expression, evaluated on its own, at a batch of points (N, d)."""
+    return eval_numbers([[e]], Evaluation(points, len(e.coords), bindings))[0][..., 0]
 
 
-def _eval_jet(e, point, bindings=None):
+def _eval_jet(e, points, bindings=None):
     """The jet of one expression, evaluated on its own: its number where it reads no coordinate."""
-    return e.eval_jet(Evaluation(point, len(e.coords), bindings))
+    return e.eval_jet(Evaluation(points, len(e.coords), bindings))
 
 
 def test_ast_shapes():
@@ -56,7 +56,7 @@ def test_ast_shapes():
     # right associativity of the caret
     assert parse("2^3^2", COORDS).ast == BinOp("^", Num(2.0), BinOp("^", Num(3.0), Num(2.0)))
     # the outer exponent is not a literal, so this takes the exp/ln route
-    assert np.isclose(_eval_number(parse("2^3^2", COORDS), (1.0, 0.0, 0.0)), 512.0)
+    assert np.isclose(_eval_number(parse("2^3^2", COORDS), [(1.0, 0.0, 0.0)]), 512.0)
 
 
 def test_nodes_of_different_classes_differ_even_with_equal_fields(cone_points):
@@ -69,7 +69,7 @@ def test_nodes_of_different_classes_differ_even_with_equal_fields(cone_points):
 
 
 def test_precedence():
-    p = (0.0, 0.0, 0.0)
+    p = [(0.0, 0.0, 0.0)]
     assert _eval_number(parse("1+2*3", COORDS), p) == 7.0
     assert _eval_number(parse("(1+2)*3", COORDS), p) == 9.0
     assert _eval_number(parse("2-3-4", COORDS), p) == -5.0
@@ -112,7 +112,7 @@ def test_nesting_is_bounded_at_100_levels(shape):
     assert e == parse(shape(100), COORDS) and hash(e) == hash(parse(shape(100), COORDS))
     assert e.unparse() and e.referenced_constants() == frozenset()
     with np.errstate(over="ignore"):
-        _eval_jet(e, (1.0, 0.0, 0.0))
+        _eval_jet(e, [(1.0, 0.0, 0.0)])
     with pytest.raises(ExprError, match="^expression nests deeper than 100 levels$"):
         parse(shape(101), COORDS)
 
@@ -134,18 +134,18 @@ def test_unbound_constant():
     e = parse("c*t", COORDS, ["c"])
     assert e.referenced_constants() == frozenset({"c"})
     with pytest.raises(UnboundConstant):
-        _eval_number(e, (2.0, 0.0, 0.0))
+        _eval_number(e, [(2.0, 0.0, 0.0)])
     with pytest.raises(UnboundConstant):
-        _eval_jet(e, (2.0, 0.0, 0.0), {"other": 1.0})
-    assert _eval_number(e, (2.0, 0.0, 0.0), {"c": 3.0}) == 6.0
+        _eval_jet(e, [(2.0, 0.0, 0.0)], {"other": 1.0})
+    assert _eval_number(e, [(2.0, 0.0, 0.0)], {"c": 3.0}) == 6.0
 
 
 def test_dimension_mismatch():
     e = parse("t+u", COORDS)
     with pytest.raises(DimensionMismatch):
-        _eval_number(e, (1.0, 2.0))
+        _eval_number(e, [(1.0, 2.0)])
     with pytest.raises(DimensionMismatch):
-        _eval_jet(e, (1.0, 2.0, 3.0, 4.0))
+        _eval_jet(e, [(1.0, 2.0, 3.0, 4.0)])
 
 
 def test_duplicate_coordinates_rejected():
@@ -155,22 +155,22 @@ def test_duplicate_coordinates_rejected():
 
 def test_integer_exponent_negative_base():
     e = parse("t^3", COORDS)
-    assert _eval_number(e, (-2.0, 0.0, 0.0)) == -8.0
-    j = _eval_jet(e, (-2.0, 0.0, 0.0))
-    assert j.value == -8.0 and j.grad[0] == 12.0
+    assert _eval_number(e, [(-2.0, 0.0, 0.0)]) == -8.0
+    j = _eval_jet(e, [(-2.0, 0.0, 0.0)])
+    assert j.value == -8.0 and j.grad[0, 0] == 12.0
     # a non-integer exponent needs a positive base
     with pytest.raises(DomainError):
-        _eval_number(parse("t^0.5", COORDS), (-4.0, 0.0, 0.0))
-    assert np.isclose(_eval_number(parse("t^0.5", COORDS), (4.0, 0.0, 0.0)), 2.0)
+        _eval_number(parse("t^0.5", COORDS), [(-4.0, 0.0, 0.0)])
+    assert np.isclose(_eval_number(parse("t^0.5", COORDS), [(4.0, 0.0, 0.0)]), 2.0)
     # negative literal exponents stay on the exact integer path
-    assert _eval_number(parse("t^-2", COORDS), (-2.0, 0.0, 0.0)) == 0.25
+    assert _eval_number(parse("t^-2", COORDS), [(-2.0, 0.0, 0.0)]) == 0.25
 
 
 def test_division_by_zero():
     with pytest.raises(DomainError):
-        _eval_number(parse("1/t", COORDS), (0.0, 1.0, 1.0))
+        _eval_number(parse("1/t", COORDS), [(0.0, 1.0, 1.0)])
     with pytest.raises(DomainError):
-        _eval_jet(parse("u/(t-t)", COORDS), (1.0, 1.0, 1.0))
+        _eval_jet(parse("u/(t-t)", COORDS), [(1.0, 1.0, 1.0)])
 
 
 def test_overflow_is_a_domain_error_naming_the_first_sample():
@@ -180,9 +180,9 @@ def test_overflow_is_a_domain_error_naming_the_first_sample():
                      lambda p: eval_field_jets([[e]], Evaluation(p, 3))):
         with pytest.raises(DomainError, match=r"^exp\(300\.0\*t\) is not finite at sample 1 \(t=3\.0, u=0\.0, v=0\.0\)$"):
             evaluate(points)
-    # one point is sample 0
+    # the point of a batch of one is sample 0
     with pytest.raises(DomainError, match=r"^exp\(300\.0\*t\) is not finite at sample 0 \(t=3\.0, u=0\.0, v=0\.0\)$"):
-        _eval_number(e, points[1])
+        _eval_number(e, points[1:2])
     # inf - inf is NaN in the value; t^1000 leaves NaN (inf * 0) in a symmetric Hessian
     with pytest.raises(DomainError, match="at sample 1 "):
         _eval_number(parse("exp(300*t) - exp(300*t)", COORDS), points)
@@ -199,10 +199,24 @@ def test_overflow_is_a_domain_error_naming_the_first_sample():
             eval_field_jets([[parse(text, COORDS)]], Evaluation(points, 3))
 
 
+def test_a_jet_that_overflows_marks_every_sample_at_fault(cone_points):
+    # exp(1000 t) overflows at t > 0.7098, its gradient at t > 0.7029 and its Hessian at t > 0.6960
+    points = np.concatenate([cone_points, [[0.69, 0.0, 0.0], [0.7, 0.0, 0.0], [0.705, 0.0, 0.0]]])
+    with pytest.raises(DomainError) as raised:
+        _eval_jet(parse("exp(t*1000)", COORDS), points)
+    with np.errstate(over="ignore"):
+        value = np.exp(1000.0 * points[:, 0])
+        finite = np.isfinite(value) & np.isfinite(1e3 * value) & np.isfinite(1e6 * value)
+    assert str(raised.value) == "exp(t*1000.0) is not finite at sample 0 (t=2.0, u=0.3, v=-0.4)"
+    assert raised.value.bad.tolist() == (~finite).tolist()
+    # at t = 0.7 only the Hessian overflows, at t = 0.705 the gradient too, and t = 0.61 is a cone point
+    assert finite.tolist()[-3:] == [True, False, False] and finite.sum() == 2
+
+
 def test_constant_only_expression_jets():
-    j = eval_field_jets([[parse("3.5", COORDS)]], Evaluation((1.0, 2.0, 3.0), 3))[0]
+    j = eval_field_jets([[parse("3.5", COORDS)]], Evaluation([(1.0, 2.0, 3.0)], 3))[0]
     assert j.value == 3.5 and not j.partial.any() and not j.second.any()
-    j = eval_field_jets([[parse("c^2", COORDS, ["c"])]], Evaluation((1.0, 2.0, 3.0), 3, {"c": 3.0}))[0]
+    j = eval_field_jets([[parse("c^2", COORDS, ["c"])]], Evaluation([(1.0, 2.0, 3.0)], 3, {"c": 3.0}))[0]
     assert j.value == 9.0 and not j.partial.any()
 
 
@@ -219,7 +233,7 @@ def test_eval_jet_agrees_with_eval_number():
     for source in corpus:
         e = parse(source, COORDS, ("a", "b"))
         for _ in range(5):
-            pt = rng.uniform(0.1, 1.4, size=3)
+            pt = rng.uniform(0.1, 1.4, size=(1, 3))
             assert np.isclose(
                 _eval_jet(e, pt, bindings).value, _eval_number(e, pt, bindings), rtol=1e-12
             )
@@ -270,7 +284,7 @@ def test_eval_number_on_a_batch():
     batch = _eval_number(e, points)
     assert batch.shape == (3,)
     for value, pt in zip(batch, points):
-        assert np.isclose(value, _eval_number(e, pt), rtol=1e-15)
+        assert np.isclose(value, _eval_number(e, [pt]), rtol=1e-15)
     assert _eval_number(parse("3", COORDS), points).tolist() == [3.0, 3.0, 3.0]
     # a domain error anywhere in the batch is raised for the whole batch
     with pytest.raises(DomainError, match="-0.3 is not positive"):
@@ -287,14 +301,14 @@ def test_a_folded_call_and_a_call_on_a_coordinate_agree_bit_for_bit(func, x):
     (values,) = eval_numbers([[folded, on_t]], evaluation)
     (jets,) = eval_field_jets([[folded, on_t]], evaluation)
     assert values[:, 0].tolist() == values[:, 1].tolist() == jets.value[:, 0].tolist() == jets.value[:, 1].tolist()
-    assert _eval_number(folded, (x, 0.0, 0.0)) == _eval_number(on_t, (x, 0.0, 0.0))
+    assert _eval_number(folded, [(x, 0.0, 0.0)]) == _eval_number(on_t, [(x, 0.0, 0.0)])
 
 
 # -- the shared jet evaluator against the per-expression algorithm -----------
 
 
 def _as_jet(result, point):
-    """A jet, or the number of a coordinate-free expression as a constant jet at the point or batch."""
+    """A jet, or the number of a coordinate-free expression as a constant jet at the batch."""
     if isinstance(result, Jet2):
         return result
     return Jet2.constant(result, np.shape(point)[-1], np.shape(point)[:-1])
@@ -332,7 +346,7 @@ def test_eval_jets_equals_the_per_expression_reference(request, structure, batch
     S = request.getfixturevalue(structure)
     bindings = _BINDINGS[structure]
     points = np.array(sample_points(S.chart, 6, seed=13))
-    point = points if batch else points[2]
+    point = points if batch else points[2:3]
     expressions = _structure_expressions(S)
     want = _reference_jets(expressions, point, bindings)
     got = eval_field_jets([expressions], Evaluation(point, S.dim, bindings))[0]
@@ -360,12 +374,12 @@ def test_eval_jets_equals_the_per_expression_reference(request, structure, batch
 
 
 def test_eval_numbers_of_no_fields_is_an_empty_list():
-    assert eval_numbers([], Evaluation((1.0, 0.0, 0.0), 3)) == []
+    assert eval_numbers([], Evaluation([(1.0, 0.0, 0.0)], 3)) == []
     assert eval_numbers([], Evaluation(np.ones((4, 3)), 3, {"c": 1.0})) == []
 
 
 def test_eval_field_jets_of_no_fields_is_an_empty_list():
-    assert eval_field_jets([], Evaluation((1.0, 0.0, 0.0), 3)) == []
+    assert eval_field_jets([], Evaluation([(1.0, 0.0, 0.0)], 3)) == []
     assert eval_field_jets([], Evaluation(np.ones((4, 3)), 3, {"c": 1.0})) == []
 
 
@@ -405,7 +419,7 @@ def test_eval_jets_errors_match_the_reference(case):
     entries, error, message = _ERROR_CASES[case]
     S = load_manifold(json.dumps(_n2_with(**entries)))
     points = np.array(sample_points(S.chart, 4, seed=3))
-    for point in (points[1], points):
+    for point in (points[1:2], points):
         with pytest.raises(error) as want:
             _reference_jets(_structure_expressions(S), point, {"c": 1.0, "ct": 1.0})
         with pytest.raises(error) as got:

@@ -86,7 +86,7 @@ def test_christoffel_frozen_values(pg_g):
 
 
 def test_christoffel_wrapper(cone):
-    geo = SampleGeometry(cone, POINT)  # one point is a batch of one
+    geo = SampleGeometry(cone, [POINT])
     pg = geo.of("g")
     assert pg.tag == "g"
     assert _dgamma(geo, "g").shape == (1, 3, 3, 3, 3)
@@ -113,8 +113,8 @@ def _fd_christoffel(metric_of_point, point, h=1e-5):
 
 def test_christoffel_matches_finite_differences(cone, cone_points):
     for tag, comp in (
-        ("g", lambda p: eval_numbers([cone.g], Evaluation(p, 3))[0]),
-        ("gtilde", lambda p: associated_metric(cone, p)),
+        ("g", lambda p: eval_numbers([cone.g], Evaluation([p], 3))[0][0]),
+        ("gtilde", lambda p: associated_metric(cone, [p])[0]),
     ):
         for pt in cone_points[:8]:
             pg = SampleGeometry(cone, [pt]).of(tag)
@@ -146,7 +146,7 @@ def test_nabla_xi_identity_violation():
 
 
 def test_curvature_frozen_values(cone, pg_g):
-    (frame,) = eval_numbers([cone.frame], Evaluation(POINT, 3))
+    frame = eval_numbers([cone.frame], Evaluation([POINT], 3))[0][0]
     r_frame = phi_frame(lowered_curvature(pg_g)[0], frame)
     assert np.isclose(r_frame[0, 1, 0, 1], -0.25, atol=1e-13)
     rho_frame = phi_frame(pg_g.ricci[0], frame)
@@ -244,7 +244,7 @@ def test_nabla_tilde_detects_perturbation(cone, pg_g, pg_gt):
 
 def test_vector_field_jets():
     exprs = [parse(s, COORDS) for s in ("t^2", "u*v", "0")]
-    value, partial, _ = eval_field_jets([exprs], Evaluation(POINT, 3))[0]
+    value, partial, _ = (a[0] for a in eval_field_jets([exprs], Evaluation([POINT], 3))[0])
     assert np.allclose(value, [4.0, -0.12, 0.0])
     assert np.allclose(partial[0], [4.0, 0.0, 0.0])
     assert np.allclose(partial[1], [0.0, -0.4, 0.3])
@@ -263,7 +263,7 @@ def test_lie_derivative_closed_form(cone, cone_points):
         for pt in cone_points[:6]:
             pg = SampleGeometry(cone, [pt]).of("g")
             lg = lie_derivative_metric(pg, _nabla(pg, exprs, pt, {"c": c}))[0]
-            (g,) = eval_numbers([cone.g], Evaluation(pt, 3))
+            (g,) = eval_numbers([cone.g], Evaluation([pt], 3))
             assert np.max(np.abs(lg - 2.0 * c * g)) < 1e-12
 
 
@@ -282,18 +282,18 @@ def test_lie_derivative_two_routes_agree(cone, cone_points):
 
 def test_exterior_derivative():
     # d of a scalar is its gradient
-    d = parse("t^2*u", COORDS).eval_jet(Evaluation(POINT, 3)).grad
+    d = parse("t^2*u", COORDS).eval_jet(Evaluation([POINT], 3)).grad
     assert np.allclose(d, [2 * 2.0 * 0.3, 4.0, 0.0])
     # d of the 1-form t^2 du is 2t dt wedge du
     one_form = [parse(s, COORDS) for s in ("0", "t^2", "0")]
-    d2 = antisymmetrized_derivative(eval_field_jets([one_form], Evaluation(POINT, 3))[0].partial)
+    d2 = antisymmetrized_derivative(eval_field_jets([one_form], Evaluation([POINT], 3))[0].partial)
     expected = np.zeros((3, 3))
     expected[0, 1] = 4.0
     expected[1, 0] = -4.0
     assert np.allclose(d2, expected)
     # eta itself is closed
     eta_form = [parse(s, COORDS) for s in ("1", "0", "0")]
-    (eta_jets,) = eval_field_jets([eta_form], Evaluation(POINT, 3))
+    (eta_jets,) = eval_field_jets([eta_form], Evaluation([POINT], 3))
     assert np.max(np.abs(antisymmetrized_derivative(eta_jets.partial))) == 0.0
 
 
@@ -455,7 +455,7 @@ def test_xi_and_eta_jet_terms_match_finite_differences(tag):
         return SampleGeometry(S, [x], OFFDIAG_BINDINGS).of(tag)
 
     def values(x, field):
-        return eval_numbers([field], Evaluation(x, 3, OFFDIAG_BINDINGS))[0]
+        return eval_numbers([field], Evaluation([x], 3, OFFDIAG_BINDINGS))[0][0]
 
     for pt in sample_points(S.chart, 4, seed=8):
         pg = at(pt)
@@ -495,7 +495,7 @@ def test_batch_domain_error_matches_single_sample(cone):
     expr = parse("ln(u) + t", COORDS)
     points = np.array([[1.0, 0.5, 0.0], [1.0, -0.25, 0.0], [1.0, 2.0, 0.0]])
     with pytest.raises(DomainError) as alone:
-        expr.eval_jet(Evaluation(points[1], 3))
+        expr.eval_jet(Evaluation(points[1:2], 3))
     with pytest.raises(DomainError) as batched:
         expr.eval_jet(Evaluation(points, 3))
     assert str(alone.value).endswith(" at sample 0 (t=1.0, u=-0.25, v=0.0)")
@@ -618,9 +618,9 @@ def _einsum_helpers(pg):
     return out
 
 
-def _structure_jets(S, point, bindings):
-    """The structure jets at one point (d,) or a batch (N, d), evaluated as SampleGeometry.jets evaluates them."""
-    return StructureJets(*eval_field_jets([S.g, S.phi, S.xi, S.eta], Evaluation(point, S.dim, bindings)))
+def _structure_jets(S, points, bindings):
+    """The structure jets at a batch (N, d), evaluated as SampleGeometry.jets evaluates them."""
+    return StructureJets(*eval_field_jets([S.g, S.phi, S.xi, S.eta], Evaluation(points, S.dim, bindings)))
 
 
 def _einsum_associated_jets(sj):
@@ -660,7 +660,7 @@ def test_matmul_contractions_match_their_einsum_forms(request, structure, tag):
     for name, (want, got, scale) in _einsum_helpers(pg).items():
         assert _near(got, want, scale), name
     gtilde = S.associated_metric()
-    for point_or_batch in (points, points[3]):
+    for point_or_batch in (points, points[3:4]):
         (jets,) = eval_field_jets([gtilde], Evaluation(point_or_batch, S.dim, bindings))
         for got, want in zip(jets, _einsum_associated_jets(_structure_jets(S, point_or_batch, bindings))):
             assert _near(got, want)

@@ -287,12 +287,13 @@ def test_associated_metric_components(cone, cone_points):
         ["1.0*1.0", "0.0", "0.0"], ["0.0", "0.0", "(t^2.0*-1.0+-t^2.0*1.0)/2.0"],
         ["0.0", "(t^2.0*-1.0+-t^2.0*1.0)/2.0", "0.0"]]
     assert all(gtilde[i][j] is gtilde[j][i] for i in range(3) for j in range(3))
-    gt = eval_field_jets([gtilde], Evaluation((2.0, 0.3, -0.4), 3))[0].value
+    gt = eval_field_jets([gtilde], Evaluation([(2.0, 0.3, -0.4)], 3))[0].value
     assert np.allclose(gt, [[1.0, 0, 0], [0, 0, -4.0], [0, -4.0, 0]], atol=1e-14)
     # the associated metric is itself a B-metric for the same structure
     for pt in cone_points:
-        g, phi, xi, eta = eval_numbers([cone.g, cone.phi, cone.xi, cone.eta], Evaluation(pt, 3))
-        gtp = eval_field_jets([gtilde], Evaluation(pt, 3))[0].value
+        fields = eval_numbers([cone.g, cone.phi, cone.xi, cone.eta], Evaluation([pt], 3))
+        g, phi, xi, eta = (field[0] for field in fields)
+        gtp = eval_field_jets([gtilde], Evaluation([pt], 3))[0].value[0]
         compat = np.einsum("ai,bj,ab->ij", phi, phi, gtp) + gtp - np.outer(eta, eta)
         assert np.max(np.abs(compat)) < 1e-12
         assert np.max(np.abs(gtp @ xi - eta)) < 1e-12
@@ -304,11 +305,12 @@ def test_associated_metric_jets_match_fd(cone):
     pt = np.array([1.7, 0.2, 0.9])
     for S, bindings in ((cone, None), (load_manifold(json.dumps(OFFDIAG)), OFFDIAG_BINDINGS),
                         (load_manifold(json.dumps(VARYING)), OFFDIAG_BINDINGS)):
-        value, partial, _ = eval_field_jets([S.associated_metric()], Evaluation(pt, 3, bindings))[0]
-        assert np.allclose(value, associated_metric(S, pt, bindings))
+        jets = eval_field_jets([S.associated_metric()], Evaluation([pt], 3, bindings))[0]
+        value, partial, _ = (a[0] for a in jets)
+        assert np.allclose(value, associated_metric(S, [pt], bindings)[0])
         for i in range(3):
             for j in range(3):
-                ref = fd_gradient(lambda x, i=i, j=j: associated_metric(S, x, bindings)[i, j], pt)
+                ref = fd_gradient(lambda x, i=i, j=j: associated_metric(S, [x], bindings)[0, i, j], pt)
                 assert np.max(np.abs(partial[i, j] - ref)) < 1e-8
 
 
@@ -321,9 +323,9 @@ def test_associated_metric_jets_that_overflow_are_a_domain_error():
     with pytest.raises(DomainError, match=rf"^metric gtilde: {entry} at sample 1 \(t=200\.0, u=0\.0, v=0\.0\)$"):
         SampleGeometry(S, points).of("gtilde")
     with pytest.raises(DomainError, match=rf"^{entry} at sample 0 \(t=200\.0, u=0\.0, v=0\.0\)$"):
-        eval_field_jets([S.associated_metric()], Evaluation(points[1], 3))
-    value, _, second = eval_field_jets([S.associated_metric()], Evaluation(points[0], 3))[0]
-    assert value[0, 0] == 1e150 * 1e150 and np.isfinite(second).all()
+        eval_field_jets([S.associated_metric()], Evaluation(points[1:2], 3))
+    value, _, second = eval_field_jets([S.associated_metric()], Evaluation(points[0:1], 3))[0]
+    assert value[0, 0, 0] == 1e150 * 1e150 and np.isfinite(second).all()
     # eta (x) eta = exp(600 t) is finite up to t ~ 1.183, and its second t-derivative
     # 3.6e5 exp(600 t) only up to t ~ 1.162
     S = load_manifold(cone_json(eta=["exp(300*t)", "0", "0"]))
@@ -386,13 +388,13 @@ def test_sampling_pins_points_first(cone):
 
 def test_domain_enforcement(cone):
     with pytest.raises(DomainError):
-        SampleGeometry(cone, (0.5, 0.0, 0.0)).jets  # closed endpoint excluded
+        SampleGeometry(cone, [(0.5, 0.0, 0.0)]).jets  # closed endpoint excluded
     with pytest.raises(DomainError):
-        SampleGeometry(cone, (6.0, 0.0, 0.0)).jets
+        SampleGeometry(cone, [(6.0, 0.0, 0.0)]).jets
     with pytest.raises(DimensionMismatch):
-        SampleGeometry(cone, (2.0, 0.0)).jets
+        SampleGeometry(cone, [(2.0, 0.0)]).jets
     # interior works
-    sj = SampleGeometry(cone, (0.500001, 0.0, 0.0)).jets
+    sj = SampleGeometry(cone, [(0.500001, 0.0, 0.0)]).jets
     assert sj.g.value.shape == (1, 3, 3)
 
 
@@ -420,7 +422,7 @@ def test_structure_jets_shapes(cone):
 @pytest.mark.parametrize("structure", ["cone", "cone_n2"])
 def test_literal_fields_have_zero_jets_that_own_no_memory(request, structure):
     S = request.getfixturevalue(structure)
-    for point in (sample_points(S.chart, 8, seed=3), sample_points(S.chart, 1, seed=3)[0]):
+    for point in (sample_points(S.chart, 8, seed=3), sample_points(S.chart, 1, seed=3)):
         sj = eval_field_jets([S.g, S.phi, S.xi, S.eta], Evaluation(point, S.dim))
         for field in sj[1:]:  # phi, xi and eta: literal in every shipped structure
             for jet in field[1:]:
@@ -436,10 +438,10 @@ def test_values_and_frame_at_a_batch(cone, cone_points):
     fields = [cone.g, cone.phi, cone.xi, cone.eta, cone.frame]
     values = eval_numbers(fields, Evaluation(points, 3, {}))
     for k, pt in enumerate(cone_points[:5]):
-        single = eval_numbers(fields, Evaluation(pt, 3))
+        single = eval_numbers(fields, Evaluation([pt], 3))
         for got, want in zip(values, single):
-            assert got.shape[1:] == want.shape
-            assert np.array_equal(got[k], want)
+            assert got.shape[1:] == want.shape[1:]
+            assert np.array_equal(got[k], want[0])
 
 
 def test_one_wrong_signature_in_a_mixed_batch_fails_the_signature_record():

@@ -71,11 +71,12 @@ def test_stdout_matches_its_fingerprint(capsys, case):
 SINGULAR = {
     "metric": (
         {"g": [["1", "0", "0"], ["0", "t^2", "0"], ["0", "0", "-(t-2)^2"]]},
-        "accr: SingularMetric: metric g is numerically singular at sample 1 (singular values [4. 1. 0.])\n",
+        "accr: SingularMetric: metric g is numerically singular at sample 1 (t=2.0, u=0.0, v=0.0), "
+        "with singular values [4. 1. 0.]\n",
     ),
     "frame": (
         {"frame": [["0", "0", "1"], ["1/t", "0", "0"], ["0", "t-2", "0"]]},
-        "accr: SingularFrame: frame vectors are linearly dependent at sample 1\n",
+        "accr: SingularFrame: frame vectors are linearly dependent at sample 1 (t=2.0, u=0.0, v=0.0)\n",
     ),
 }
 

@@ -16,6 +16,13 @@ from test_output_contract import CASES
 POINT = (2.0, 0.3, -0.4)
 
 
+def _chart_of(stack):
+    """Coordinate names and points (N, d) for a stack (N, d, d): sample k at t = k + 1, the rest 0."""
+    points = np.zeros(stack.shape[:2])
+    points[:, 0] = np.arange(1.0, len(stack) + 1)
+    return ("t", "u", "v")[:stack.shape[-1]], points
+
+
 def test_signature_of():
     assert signature_of(np.diag([1.0, 4.0, -4.0])) == (2, 1)
     assert signature_of(np.diag([1.0, 0.0, -1.0])) == (1, 1)
@@ -54,8 +61,8 @@ def test_metric_invert_errors():
 
 def test_the_frame_check_rejects_one_singular_frame():
     frames = np.stack([np.eye(3), np.ones((3, 3)), np.eye(3)])
-    with pytest.raises(SingularFrame, match="at sample 1$"):
-        _check_frames(frames)
+    with pytest.raises(SingularFrame, match=r"at sample 1 \(t=2\.0, u=0\.0, v=0\.0\)$"):
+        _check_frames(frames, *_chart_of(frames))
 
 
 @pytest.fixture()
@@ -71,7 +78,8 @@ def linalg_calls(monkeypatch):
 
 
 def test_a_regular_stack_is_inverted_once_and_never_decomposed(cone, cone_points, linalg_calls):
-    _check_frames(np.stack([np.eye(3), 2.0 * np.eye(3)]))
+    regular = np.stack([np.eye(3), 2.0 * np.eye(3)])
+    _check_frames(regular, *_chart_of(regular))
     assert linalg_calls == {"inv": 1, "svd": 0}
     SampleGeometry(cone, cone_points).of("gtilde")
     assert linalg_calls == {"inv": 2, "svd": 0}
@@ -123,19 +131,20 @@ def test_the_inverse_screen_keeps_the_singular_value_verdict(linalg_calls, path,
     linalg_calls["svd"] = 0
     expected_inverse = np.linalg.inv(stack)
     if path == "metric":
-        invert = lambda: geometry._inverse(stack, "g")
+        invert = lambda: geometry._inverse(stack, "g", *_chart_of(stack))
         expected = (expected_inverse + np.swapaxes(expected_inverse, -1, -2)) / 2.0
-        error = SingularMetric, "metric g is numerically singular at sample {0} (singular values {1})"
+        error = SingularMetric, ("metric g is numerically singular at sample {0} (t={t!r}, u=0.0, v=0.0), "
+                                 "with singular values {1}")
     else:
-        invert = lambda: _check_frames(stack) is None  # it returns nothing on a regular stack
+        invert = lambda: _check_frames(stack, *_chart_of(stack)) is None  # nothing on a regular stack
         expected = True
-        error = SingularFrame, "frame vectors are linearly dependent at sample {0}"
+        error = SingularFrame, "frame vectors are linearly dependent at sample {0} (t={t!r}, u=0.0, v=0.0)"
     if verdict is None:
         assert np.array_equal(invert(), expected)
     else:
         with pytest.raises(error[0]) as raised:
             invert()
-        assert str(raised.value) == error[1].format(*verdict)
+        assert str(raised.value) == error[1].format(*verdict, t=verdict[0] + 1.0)
         assert verdict[0] == 1
     assert (verdict is None) == (cond2 < 1e12)
     assert linalg_calls["svd"] == decomposed
@@ -147,10 +156,10 @@ def test_an_overflowing_screen_defers_to_the_singular_values(path):
     stack = np.stack([np.eye(2), np.diag([1e200, 1e-200])])
     if path == "metric":
         with pytest.raises(SingularMetric, match="singular values"):
-            geometry._inverse(stack, "g")
+            geometry._inverse(stack, "g", *_chart_of(stack))
     else:
-        with pytest.raises(SingularFrame, match="at sample 1$"):
-            _check_frames(stack)
+        with pytest.raises(SingularFrame, match=r"at sample 1 \(t=2\.0, u=0\.0\)$"):
+            _check_frames(stack, *_chart_of(stack))
 
 
 def test_signature_of_stack():

@@ -2,7 +2,9 @@
 
 The expressions go in as a potential, as an entry of a structure's g, phi,
 xi or eta (five structures), and as an entry of the cone's expect block; the
-pinned points and the constants' values are drawn too.  Each case runs
+pinned points and the constants' values are drawn too.  A structure file with
+one flaw drawn (a coordinate's domain, an entry's JSON type, an expect key or
+rank) goes to every command that reads one, under a drawn --tolerance.  Each case runs
 `accr` in-process with every warning an error.  The oracle: the exit code is
 0, 1 or 2; an error prints one `accr:` line or argparse's usage, and a line
 that names a sample names it `sample K (c=v, ...)`, every coordinate with its
@@ -138,6 +140,11 @@ def test_a_drawn_potential_keeps_the_contract(potential, metric, expect, options
                      *metric, *expect, *_argv_options(_PAPER_CONE, options)])
 
 
+# The commands that run a drawn structure: each metric of curvature and of report, with and without a potential.
+_COMMANDS = (["validate"], ["classify"], ["curvature"], ["curvature", "--metric", "gtilde"], ["report"],
+             ["report", "--potential-k", "t"], ["report", "--metric", "gtilde"],
+             ["report", "--metric", "gtilde", "--potential-k", "t"])
+
 _CONE = json.loads(cone_json())
 # The structures whose entries are drawn: the cone, flat-cosymplectic, the n = 2 cone, the
 # Sasaki-like rotating-Norden example and the cone with g and g~ swapped.
@@ -157,8 +164,7 @@ _STRUCTURES = {
     field=st.sampled_from(("g", "phi", "xi", "eta")),
     place=st.sampled_from(((0, 0), (1, 1), (2, 2), (0, 1), (1, 2))),
     symmetric=st.booleans(),
-    command=st.sampled_from((["validate"], ["classify"], ["curvature"], ["curvature", "--metric", "gtilde"],
-                             ["report"], ["report", "--potential-k", "t"])),
+    command=st.sampled_from(_COMMANDS),
     options=_drawn_options(),
 )
 def test_a_drawn_structure_entry_keeps_the_contract(structure_dir, structure, entry, field, place, symmetric,
@@ -203,3 +209,60 @@ def test_a_drawn_expectation_keeps_the_contract(structure_dir, entry, place, opt
     path = structure_dir / "expected.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     _check_contract(["verify-paper", str(path), *_argv_options(raw, options)])
+
+
+# One coordinate's domain: tiny, huge, wider than the float range, negative, straddling 0, reversed,
+# with equal ends, with an end that is no number (a string or NaN), or an int past the float range.
+_DOMAINS = ([1e-300, 2e-300], [1e300, 1e308], [-1e308, 1e308], [-5.0, -0.5], [-1.0, 1.0], [5.0, 0.5],
+            [1.0, 1.0], ["0", 1.0], [math.nan, 1.0], [0, 10 ** 400])
+# A value of the wrong JSON type for an entry (a number, null or a list) or for a row (a string).
+_WRONG_TYPES = (1, 2.5, None, ["1"], "1")
+# An expect key that is unknown, or a quantity given at the wrong rank.
+_WRONG_EXPECT = (
+    ("tau", ["0", "0", "0"]),
+    ("christoffel", [["0", "0", "0"]] * 3),
+    ("gtilde", "1"),
+    ("grad_theta_star_xi", ["0", "0"]),
+    ("tauu", "0"),
+    ("potentials", "c*t"),
+    ("potentials", {"h": {"k": "t"}}),
+    ("potentials", {"g": {"kk": "c*t"}}),
+)
+_FILE_STRUCTURES = dict(_STRUCTURES, **{"paper cone": _PAPER_CONE})
+
+
+@settings(max_examples=300, deadline=5000)
+@given(
+    structure=st.sampled_from(sorted(_FILE_STRUCTURES)),
+    flaw=st.one_of(
+        st.tuples(st.just("domain"), st.integers(0, 4), st.sampled_from(_DOMAINS)),
+        st.tuples(st.just("entry"), st.sampled_from(("g", "phi", "xi", "eta")),
+                  st.sampled_from(((1,), (0, 2), (1, 1))), st.sampled_from(_WRONG_TYPES)),
+        st.tuples(st.just("expect"), st.sampled_from(_WRONG_EXPECT)),
+    ),
+    command=st.sampled_from((*_COMMANDS, ["verify-paper"], ["soliton", "--potential-k", "t"])),
+    tolerance=st.sampled_from(((), ["--tolerance", "1e-320"], ["--tolerance", "1e308"], ["--tolerance", "0"],
+                               ["--tolerance=-1"], ["--tolerance", "nan"], ["--tolerance", "inf"],
+                               ["--tolerance", "x"])),
+    options=_drawn_options(),
+)
+def test_a_drawn_flaw_in_a_structure_file_keeps_the_contract(structure_dir, structure, flaw, command, tolerance,
+                                                             options):
+    raw = copy.deepcopy(_FILE_STRUCTURES[structure])
+    argv = _argv_options(raw, options)  # the pins of the structure as it was
+    if flaw[0] == "domain":
+        _, axis, interval = flaw
+        raw["domain"][raw["coordinates"][axis % len(raw["coordinates"])]] = interval
+    elif flaw[0] == "entry":
+        _, field, place, value = flaw
+        target = raw[field]
+        place = place[:1] if field in ("xi", "eta") else place
+        for i in place[:-1]:
+            target = target[i]
+        target[place[-1]] = value
+    else:
+        key, value = flaw[1]
+        raw["expect"] = dict(raw.get("expect", {}), **{key: value})
+    path = structure_dir / "flawed.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    _check_contract([*command, str(path), *argv, *tolerance])

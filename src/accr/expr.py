@@ -66,46 +66,25 @@ __all__ = [
 class Num(Value):
     __slots__ = ("value",)
 
-    def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
-
 
 class Coord(Value):
     __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
 
 
 class Const(Value):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
 
 class Neg(Value):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: "Node"):
-        object.__setattr__(self, "operand", operand)
-
 
 class BinOp(Value):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: "Node", right: "Node"):  # op is one of + - * / ^
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    __slots__ = ("op", "left", "right")  # op is one of + - * / ^
 
 
 class Call(Value):
     __slots__ = ("func", "arg")
-
-    def __init__(self, func: str, arg: "Node"):
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "arg", arg)
 
 
 Node = Union[Num, Coord, Const, Neg, BinOp, Call]
@@ -360,11 +339,6 @@ class Expression(Value):
     """A parsed expression bound to a coordinate tuple and constant names."""
 
     __slots__ = ("ast", "coords", "constants")
-
-    def __init__(self, ast: Node, coords: tuple[str, ...], constants: tuple[str, ...]):
-        object.__setattr__(self, "ast", ast)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "constants", constants)
 
     def eval_jet(self, evaluation: Evaluation):
         """The jet that `evaluation` keeps of this expression: its number where it reads no coordinate."""

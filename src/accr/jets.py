@@ -62,13 +62,7 @@ class Jet2(Record):
         # an overflowed jet is symmetric when its NaNs mirror each other (NaN != NaN)
         if not (np.array_equal(hess, swapped) or np.array_equal(hess, swapped, equal_nan=True)):
             raise ValueError("jet hessian must be exactly symmetric")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "grad", grad)
-        object.__setattr__(self, "hess", hess)
-
-    @property
-    def dim(self) -> int:
-        return self.grad.shape[-1]
+        super().__init__(value, grad, hess)
 
     @classmethod
     def seed(cls, index: int, value, dim: int) -> "Jet2":
@@ -82,12 +76,6 @@ class Jet2(Record):
         grad = np.zeros(value.shape + (dim,))
         grad[..., index] = 1.0
         return cls(value, grad, np.broadcast_to(0.0, value.shape + (dim, dim)))
-
-    @classmethod
-    def constant(cls, value: float, dim: int, shape: tuple[int, ...] = ()) -> "Jet2":
-        """Jet of a constant, broadcast over a batch of the given shape."""
-        value = np.full(shape, value, dtype=float)
-        return cls(value, np.zeros(shape + (dim,)), np.zeros(shape + (dim, dim)))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -168,13 +156,13 @@ class Jet2(Record):
 def int_pow(base, exponent: int):
     """base**exponent for integer exponent, expanded by repeated multiplication.
 
-    Works on Jet2, plain numbers and arrays of numbers alike.  Negative
-    exponents invert at the end, so the derivative structure stays exact for
-    jets.
+    Works on Jet2, plain numbers and arrays of numbers alike; a zeroth power
+    is the number 1.0 for each.  Negative exponents invert at the end, so the
+    derivative structure stays exact for jets.
     """
     exponent = int(exponent)
     if exponent == 0:
-        return Jet2.constant(1.0, base.dim, base.value.shape) if isinstance(base, Jet2) else 1.0
+        return 1.0
     k = abs(exponent)
     result = None
     square = base

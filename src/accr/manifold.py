@@ -71,13 +71,6 @@ class Chart(Value):
 
     __slots__ = ("n", "coordinates", "domain", "constants")
 
-    def __init__(self, n: int, coordinates: tuple[str, ...],
-                 domain: tuple[tuple[float, float], ...], constants: tuple[str, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coordinates", coordinates)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "constants", constants)
-
     @property
     def dim(self) -> int:
         return 2 * self.n + 1
@@ -131,15 +124,7 @@ class AccRStructure(Value):
         source: bytes | None = None,
         expect: tuple[tuple[str, str, object], ...] = (),
     ):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "expect", expect)
+        super().__init__(chart, g, phi, xi, eta, frame, name, source, expect)
 
     @property
     def source_sha256(self) -> str | None:
@@ -280,7 +265,7 @@ def _structure_from_dict(raw: dict, source: bytes) -> AccRStructure:
         raise ManifoldParseError("constant names must not collide with coordinates")
     constants = tuple(sorted(set(constants_raw)))
 
-    chart = Chart(n=n, coordinates=tuple(coords), domain=tuple(domain), constants=constants)
+    chart = Chart(n, tuple(coords), tuple(domain), constants)
 
     parsed: dict[str, Expression] = {}  # each distinct entry string is parsed once
 

@@ -1,7 +1,8 @@
 """Immutable record classes whose methods are written out, not generated.
 
-A subclass names its fields in `__slots__` and sets them once, in its own
-`__init__`, through `object.__setattr__`; after that, assigning or deleting
+A subclass names its fields in `__slots__`.  `Record.__init__` sets them once,
+in slot order, one positional argument each; a subclass that checks its fields
+or gives them defaults passes them on to it.  After that, assigning or deleting
 an attribute raises AttributeError.  Unlike `@dataclass(frozen=True)`, which
 generates and compiles each class's methods when its module is imported,
 defining such a class costs no more than any other class statement.
@@ -14,10 +15,16 @@ __all__ = ["Record", "Value"]
 
 
 class Record:
-    """An immutable object whose fields are its `__slots__`, in `__init__` order."""
+    """An immutable object whose fields are its `__slots__`, set in that order."""
 
     __slots__ = ()
     _unshown: tuple[str, ...] = ()  # fields that repr leaves out
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, not {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} field {name!r} is read-only")

@@ -33,11 +33,7 @@ class CheckRecord(Value):
                  samples: tuple[float, ...] | None = None):
         if verdict not in _VERDICTS:
             raise ValueError(f"verdict {verdict!r} not in {_VERDICTS}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "samples", samples)
+        super().__init__(name, anchor, verdict, residual, samples)
 
     def to_dict(self) -> dict:
         return {

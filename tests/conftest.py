@@ -1,7 +1,7 @@
 """Shared fixtures and finite-difference oracles for the test suite."""
 
 import json
-import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,15 +9,23 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from accr.expr import Evaluation, eval_numbers
+from accr.jets import Jet2
 from accr.manifold import builtin_structure, load_manifold, sample_points
 
 # Every property test runs the same examples on every run, and no example database is written.
 # Each test's own @settings keep its max_examples and deadline.  Hypothesis also caches the
-# constants it reads from local source files under its home directory, and skips the cache where
-# that directory cannot be made, as under the null device: so no .hypothesis/ is written at all.
+# constants it reads from local source files under its home directory: a temporary directory,
+# removed when the session ends, so no .hypothesis/ is written.  The directory must be one that
+# could be written: a verbose run's header reads the default profile's database, which warns,
+# and so fails the session, where its directory cannot be made.
 settings.register_profile("repeatable", derandomize=True, database=None)
 settings.load_profile("repeatable")
-set_hypothesis_home_dir(os.devnull)
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="accr-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
 
 # The cone's unit soliton constants. Most closed-form expectations below assume these.
 CONE_BINDINGS = {"c": 1.0, "ct": 1.0}
@@ -178,6 +186,11 @@ def phi_frame(components, frames):
     for slot in slots:
         components = np.einsum(f"...{slots},...{slot}z->...{slots.replace(slot, 'z')}", components, frames)
     return components
+
+
+def constant_jet(value, dim, shape=()):
+    """The jet of a constant over `dim` coordinates, broadcast over a batch of the given shape."""
+    return Jet2(np.full(shape, value, dtype=float), np.zeros(shape + (dim,)), np.zeros(shape + (dim, dim)))
 
 
 def fd_gradient(func, x, h=1e-5):

@@ -96,6 +96,20 @@ def test_every_private_name_is_read_by_the_package():
     assert _unread(_private_definitions) == []
 
 
+def _sets_fields(tree):
+    """The line of each call of object.__setattr__ in the module."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"]
+
+
+def test_only_the_record_constructor_sets_fields():
+    # every record's fields are set by Record.__init__, so no class writes its own
+    setters = {path.stem: _sets_fields(ast.parse(path.read_text(encoding="utf-8")))
+               for path in sorted(SRC.glob("*.py")) if path.stem != "record"}
+    assert {module: lines for module, lines in setters.items() if lines} == {}
+
+
 def _unread_imports(tree):
     """Each name that one of the module's import statements binds and nothing in the module reads.
 

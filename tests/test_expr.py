@@ -33,7 +33,7 @@ from accr.expr import (
 from accr.jets import FUNCTIONS, Jet2
 from accr.manifold import load_manifold, sample_points
 
-from conftest import CONE_BINDINGS, CONE_N2, OFFDIAG_BINDINGS
+from conftest import CONE_BINDINGS, CONE_N2, OFFDIAG_BINDINGS, constant_jet
 
 COORDS = ("t", "u", "v")
 
@@ -164,6 +164,21 @@ def test_integer_exponent_negative_base():
     assert np.isclose(_eval_number(parse("t^0.5", COORDS), [(4.0, 0.0, 0.0)]), 2.0)
     # negative literal exponents stay on the exact integer path
     assert _eval_number(parse("t^-2", COORDS), [(-2.0, 0.0, 0.0)]) == 0.25
+
+
+def test_a_zeroth_power_is_the_number_one():
+    # x^0 is the constant 1, for a jet as for a number
+    for text in ("t^0", "(t*u+1)^0", "sin(t)^-0"):
+        result = _eval_jet(parse(text, COORDS), [(2.0, 0.5, 0.0), (-3.0, 1.0, 2.0)])
+        assert type(result) is float and result == 1.0
+
+
+def test_a_zeroth_power_entry_is_the_entry_one():
+    evaluation = Evaluation([(2.0, 0.5, 0.0), (-3.0, 1.0, 2.0)], 3)
+    zeroth, one = eval_field_jets([[parse("t^0", COORDS)], [parse("1", COORDS)]], evaluation)
+    assert zeroth.value.tobytes() == one.value.tobytes()
+    for got, want in ((zeroth.partial, one.partial), (zeroth.second, one.second)):
+        assert got.shape == want.shape and not got.any()
 
 
 def test_division_by_zero():
@@ -311,7 +326,7 @@ def _as_jet(result, point):
     """A jet, or the number of a coordinate-free expression as a constant jet at the batch."""
     if isinstance(result, Jet2):
         return result
-    return Jet2.constant(result, np.shape(point)[-1], np.shape(point)[:-1])
+    return constant_jet(result, np.shape(point)[-1], np.shape(point)[:-1])
 
 
 def _reference_jets(expressions, point, bindings):

@@ -23,7 +23,7 @@ from accr.jets import (
     tanh,
 )
 
-from conftest import fd_gradient, fd_hessian
+from conftest import constant_jet, fd_gradient, fd_hessian
 
 
 def test_seed_and_constant():
@@ -31,7 +31,7 @@ def test_seed_and_constant():
     assert x.value == 2.0
     assert np.array_equal(x.grad, [1.0, 0.0, 0.0])
     assert np.array_equal(x.hess, np.zeros((3, 3)))
-    c = Jet2.constant(7.5, 2)
+    c = constant_jet(7.5, 2)
     assert c.value == 7.5
     assert not c.grad.any()
     assert not c.hess.any()
@@ -115,13 +115,13 @@ def test_integer_powers():
     g = int_pow(x, -2)
     assert np.isclose(g.value, 0.25)
     assert np.isclose(g.grad[0], 0.25)  # d/dx x^-2 = -2 x^-3 = 0.25 at -2
-    assert int_pow(x, 0).value == 1.0
+    assert int_pow(x, 0) == 1.0
     assert int_pow(3.0, 4) == 81.0
     assert int_pow(2.0, -2) == 0.25
     with pytest.raises(DomainError):
         int_pow(0.0, -1)
     with pytest.raises(DomainError):
-        int_pow(Jet2.constant(0.0, 1), -1)
+        int_pow(constant_jet(0.0, 1), -1)
 
 
 def test_general_pow():
@@ -148,7 +148,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         sqrt(-4.0)
     with pytest.raises(DomainError):
-        Jet2.constant(0.0, 1).reciprocal()
+        constant_jet(0.0, 1).reciprocal()
     with pytest.raises(DomainError):
         Jet2.seed(0, 1.0, 1) / 0.0
 
@@ -252,4 +252,4 @@ def test_reciprocal_inverse(u, v):
     a, _, _ = _poly_jets(u, v)  # a = u^2 + 2v can still vanish; shift it
     a = a + 7.0  # u^2 + 2v + 7 >= 0.25 + -6 + 7 > 0 on the strategy box
     one = a * a.reciprocal()
-    _assert_jets_close(one, Jet2.constant(1.0, 2), tol=1e-11)
+    _assert_jets_close(one, constant_jet(1.0, 2), tol=1e-11)

@@ -71,6 +71,24 @@ def test_a_record_takes_no_new_attribute(record):
         record.extra = 1
 
 
+# The records whose fields Record.__init__ sets, from one positional argument per slot.
+BARE = {cls.__name__: cls for cls in (expr.Num, expr.Coord, expr.Const, expr.Neg, expr.BinOp, expr.Call,
+                                      expr.Expression, manifold.Chart)}
+
+
+@pytest.mark.parametrize("name", sorted(BARE))
+def test_a_record_sets_its_fields_in_slot_order(name):
+    made = BARE[name](*range(len(BARE[name].__slots__)))
+    assert [getattr(made, field) for field in made.__slots__] == list(range(len(made.__slots__)))
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one too few", "one too many"])
+@pytest.mark.parametrize("name", sorted(BARE))
+def test_a_record_built_with_a_wrong_field_count_is_a_type_error(name, extra):
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        BARE[name](*range(len(BARE[name].__slots__) + extra))
+
+
 def test_ast_nodes_copy_pickle_and_repr_by_their_fields():
     node = expr.BinOp("*", expr.Neg(expr.Coord(0)), expr.Call("sin", expr.Const("c")))
     assert copy.deepcopy(node) == node and pickle.loads(pickle.dumps(node)) == node

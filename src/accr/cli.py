@@ -25,14 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, geometry
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    ExprError,
-    ManifoldError,
-    PotentialError,
-    TensorError,
-)
+from .errors import AccrError, PotentialError, TensorError
 from .manifold import (
     METRIC_G,
     METRIC_GTILDE,
@@ -291,12 +284,9 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"accr: {exc}", file=sys.stderr)
         return 2
-    except (ExprError, ManifoldError, DomainError, DimensionMismatch) as exc:
+    except AccrError as exc:  # a failed precondition of the geometry exits 1, any other 2
         print(f"accr: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (TensorError, PotentialError) as exc:
-        print(f"accr: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (TensorError, PotentialError)) else 2
     except OSError as exc:
         print(f"accr: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,20 @@
 """Parsing and evaluation of chart-coordinate expressions.
 
-Grammar (whitespace between tokens is ignored, there is no implicit
-multiplication):
+Grammar (there is no implicit multiplication):
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
     factor := "-" factor | power
     power  := atom ("^" factor)?
     atom   := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
+    NUMBER := (DIGIT+ ("." DIGIT*)? | "." DIGIT+) (("e"|"E") ("+"|"-")? DIGIT+)?
+    IDENT  := ("A".."Z" | "a".."z" | "_") ("A".."Z" | "a".."z" | "0".."9" | "_")*
+
+A DIGIT is any Unicode decimal digit (str.isdecimal(), so "\u0663" reads
+as 3).  Whitespace, the characters for which str.isspace() holds, may stand
+between tokens and at either end, and is ignored.  A token is the longest
+NUMBER or IDENT that starts at its offset, or one of the characters
++ - * / ^ ( ); any other character is a syntax error.
 
 "^" binds tighter than unary minus and associates to the right, so
 "-t^2" is -(t^2) and "2^3^2" is 2^(3^2).  The function identifiers are
@@ -91,9 +98,11 @@ Node = Union[Num, Coord, Const, Neg, BinOp, Call]
 
 # -- tokenizer ------------------------------------------------------------
 
-_NUMBER = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OPS = "+-*/^()"
+# Leading whitespace, then one token; BAD is any other character that is not whitespace.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<NUMBER>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*/^()])|(?P<BAD>\S))"
+)
 
 # Parsing, hashing, comparing, evaluating and printing an expression each take a
 # few stack frames per level (parsing a parenthesis five), so this bound keeps
@@ -110,29 +119,12 @@ class _Token(NamedTuple):
 
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUMBER.match(source, pos)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(0), pos))
-            pos = m.end()
-            continue
-        m = _IDENT.match(source, pos)
-        if m:
-            tokens.append(_Token("IDENT", m.group(0), pos))
-            pos = m.end()
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("OP", ch, pos))
-            pos += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("END", "", n))
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise ExprSyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+    tokens.append(_Token("END", "", len(source)))
     return tokens
 
 
@@ -161,12 +153,17 @@ class _Parser:
             return self.advance()
         return None
 
+    def close(self) -> None:
+        """Consume the ')' that must come next."""
+        if self.accept_op(")") is None:
+            raise ExprSyntaxError("expected ')'", self.peek().offset)
+
     def parse(self) -> Node:
         node = self.expr()
         tok = self.peek()
         if tok.kind != "END":
             raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.offset)
-        if _depth(node) > _MAX_DEPTH:
+        if max(level for _, level in _walk(node)) > _MAX_DEPTH:
             raise ExprError(_TOO_DEEP)
         return node
 
@@ -206,9 +203,7 @@ class _Parser:
                     raise UnknownIdentifier(tok.text, tok.offset)
                 self.advance()
                 arg = self.expr()
-                if self.accept_op(")") is None:
-                    bad = self.peek()
-                    raise ExprSyntaxError("expected ')'", bad.offset)
+                self.close()
                 return Call(tok.text, arg)
             if tok.text in self.coords:
                 return Coord(self.coords.index(tok.text))
@@ -217,9 +212,7 @@ class _Parser:
             raise UnknownIdentifier(tok.text, tok.offset)
         if tok.kind == "OP" and tok.text == "(":
             node = self.expr()
-            if self.accept_op(")") is None:
-                bad = self.peek()
-                raise ExprSyntaxError("expected ')'", bad.offset)
+            self.close()
             return node
         raise ExprSyntaxError("expected a value", tok.offset)
 
@@ -277,31 +270,18 @@ def _evaluate(node: Node, coordinates, bindings: Mapping[str, float], kept: dict
     return _div(left, right)
 
 
-def _nodes(node: Node):
-    """The node and all its descendants, parents first, left to right."""
-    yield node
-    if isinstance(node, Neg):
-        yield from _nodes(node.operand)
-    elif isinstance(node, Call):
-        yield from _nodes(node.arg)
-    elif isinstance(node, BinOp):
-        yield from _nodes(node.left)
-        yield from _nodes(node.right)
-
-
-def _depth(node: Node) -> int:
-    """Levels of the tree under and including `node`, counted without recursion."""
-    deepest, stack = 0, [(node, 1)]
+def _walk(node: Node):
+    """The node and its descendants, each with its level (the node's is 1), parents first, by a stack."""
+    stack = [(node, 1)]
     while stack:
         node, level = stack.pop()
-        deepest = max(deepest, level)
+        yield node, level
         if isinstance(node, Neg):
             stack.append((node.operand, level + 1))
         elif isinstance(node, Call):
             stack.append((node.arg, level + 1))
         elif isinstance(node, BinOp):
-            stack += [(node.left, level + 1), (node.right, level + 1)]
-    return deepest
+            stack += [(node.right, level + 1), (node.left, level + 1)]
 
 
 # -- pretty printing ------------------------------------------------------
@@ -345,7 +325,7 @@ class Expression(Value):
         return evaluation.jet(self)
 
     def referenced_constants(self) -> frozenset[str]:
-        return frozenset(node.name for node in _nodes(self.ast) if isinstance(node, Const))
+        return frozenset(node.name for node, _ in _walk(self.ast) if isinstance(node, Const))
 
     def unparse(self) -> str:
         return _unparse(self.ast, self.coords, 0)

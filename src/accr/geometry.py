@@ -407,8 +407,8 @@ def lie_derivative_metric(pg: PointGeometry, nth: np.ndarray) -> np.ndarray:
 
     nth[..., k, i] = nabla_i v^k is the covariant derivative of the potential at the points of pg.
     """
-    lg = np.einsum("...kj,...ki->...ij", pg.g, nth) + np.einsum("...ki,...kj->...ij", pg.g, nth)
-    return (lg + np.swapaxes(lg, -1, -2)) / 2.0
+    lg = np.einsum("...kj,...ki->...ij", pg.g, nth)  # [i, j] = metric(nabla_i v, e_j)
+    return lg + np.swapaxes(lg, -1, -2)
 
 
 def lie_derivative_vertical(pg: PointGeometry, k: np.ndarray, dk: np.ndarray) -> np.ndarray:
@@ -419,12 +419,8 @@ def lie_derivative_vertical(pg: PointGeometry, k: np.ndarray, dk: np.ndarray) ->
     k [...] and dk [..., m] are the scalar field's values and differential at the points of pg.
     """
     rate = np.einsum("...kj,...ki->...ij", pg.g, pg.nabla_xi)
-    lg = (
-        np.einsum("...i,...j->...ij", dk, pg.eta)
-        + np.einsum("...j,...i->...ij", dk, pg.eta)
-        + k[..., None, None] * (rate + np.swapaxes(rate, -1, -2))
-    )
-    return (lg + np.swapaxes(lg, -1, -2)) / 2.0
+    dk_eta = np.einsum("...i,...j->...ij", dk, pg.eta)
+    return dk_eta + np.swapaxes(dk_eta, -1, -2) + k[..., None, None] * (rate + np.swapaxes(rate, -1, -2))
 
 
 def antisymmetrized_derivative(partial: np.ndarray) -> np.ndarray:

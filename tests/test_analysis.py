@@ -759,7 +759,7 @@ def test_a_benchmark_run_computes_each_geometry_field_once(monkeypatch, capsys, 
     if workload != "curvature-g-n2":
         gtilde = next(i for i, (_, fields) in enumerate(evaluations) if fields == [S.associated_metric()])
         entries = [e for row in S.g + S.phi for e in row] + list(S.xi) + list(S.eta)
-        structure_nodes = {id(node) for e in entries for node in expr._nodes(e.ast)}
+        structure_nodes = {id(node) for e in entries for node, _ in expr._walk(e.ast)}
         in_gtilde = [node for call, node in evaluated if call == gtilde]
         assert in_gtilde and not any(id(node) in structure_nodes for node in in_gtilde)
     # the curvature pass reads the metric's second derivatives once and keeps no dgamma

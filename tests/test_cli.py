@@ -16,6 +16,7 @@ import pytest
 
 from accr import analysis, cli
 from accr.cli import build_parser, main
+from accr.errors import AccrError
 from accr.manifold import builtin_structure
 from accr.report import VERDICT_FAIL, CheckRecord
 
@@ -368,6 +369,19 @@ def test_soliton_zero_potential_exit_code(capsys):
     rc, _, err = run(capsys, "soliton", *CONE, "--samples", "4", "--potential-k", "0")
     assert rc == 1
     assert "ZeroPotential" in err
+
+
+def test_any_package_error_exits_2_with_one_line(capsys, monkeypatch):
+    # a subclass of AccrError that no handler names is still a load error, not a traceback
+    class FreshError(AccrError):
+        pass
+
+    def raising(geo, args, tol):
+        raise FreshError("no such thing")
+
+    monkeypatch.setitem(cli._CHECKS, "validate", raising)
+    rc, out, err = run(capsys, "validate", *CONE, "--samples", "2")
+    assert (rc, out, err) == (2, "", "accr: FreshError: no such thing\n")
 
 
 @pytest.mark.parametrize("potential", ["t^1000", "exp(800*t)"])

@@ -29,6 +29,7 @@ from accr.expr import (
     eval_field_jets,
     eval_numbers,
     parse,
+    _tokenize,
 )
 from accr.jets import FUNCTIONS, Jet2
 from accr.manifold import load_manifold, sample_points
@@ -97,6 +98,40 @@ def test_syntax_error_offsets():
     with pytest.raises(ExprSyntaxError) as e:
         parse("", COORDS)
     assert e.value.offset == 0
+
+
+def _starts_a_token(text, i):
+    ch = text[i]
+    if ch == ".":
+        return text[i + 1:i + 2].isdecimal()
+    return ch.isdecimal() or (ch.isascii() and (ch.isalpha() or ch == "_")) or ch in "+-*/^()"
+
+
+# Any text, and text drawn from token characters, unusual digits and unusual whitespace.
+_SCANNED = st.text() | st.text(st.sampled_from(list("0189.eE+-*/^()_tx \t\n\x1c\x85\xa0\u0663\uff13\u2460$")))
+
+
+@given(_SCANNED)
+@settings(max_examples=300, deadline=None)
+def test_the_scanner_covers_text_with_tokens_and_whitespace_or_names_its_first_stray(text):
+    try:
+        tokens = _tokenize(text)
+    except ExprSyntaxError as exc:
+        # the first character that is neither whitespace nor inside a token starts none
+        at = exc.offset
+        assert str(exc) == f"unexpected character {text[at]!r} (offset {at})"
+        assert not text[at].isspace() and not _starts_a_token(text, at)
+        assert _tokenize(text[:at])
+        return
+    *tokens, end = tokens
+    assert end == ("END", "", len(text))
+    covered = 0
+    for kind, token, offset in tokens:
+        assert text[covered:offset].isspace() or offset == covered
+        assert text[offset:offset + len(token)] == token and _starts_a_token(text, offset)
+        assert kind == ("OP" if token in tuple("+-*/^()") else "IDENT" if token.isidentifier() else "NUMBER")
+        covered = offset + len(token)
+    assert text[covered:].isspace() or covered == len(text)
 
 
 @pytest.mark.parametrize("shape", [
